@@ -113,13 +113,6 @@ class PartitionTree:
         if any(len(b.members) != 1 for b in self.levels[-1]):
             raise ValidationError("deepest level must consist of singletons")
 
-    def owner_maps(self) -> list[dict[int, Block]]:
-        """Per level, the map from point index to its block."""
-        out = []
-        for level in self.levels:
-            out.append({i: block for block in level for i in block.members})
-        return out
-
     def to_dict(self) -> dict:
         return {
             "n_points": self.n_points,

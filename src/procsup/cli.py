@@ -12,7 +12,6 @@ assertion failed (a sandwich or bound violation, a failed suite criterion).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -36,7 +35,7 @@ from .core import (
     save_set,
 )
 from .decomposition import decompose_by_sweep, verify_two_sided
-from .errors import ParameterError, ParseError, ProcsupError
+from .errors import ParameterError, ProcsupError
 from .moments import (
     MomentModel,
     bernoulli_norm_exact,
@@ -45,9 +44,8 @@ from .moments import (
 )
 from .oleszkiewicz import (
     NormKind,
-    VectorSystem,
+    _read_system,
     generate_functionals,
-    load_vector_system,
     strong_moment_ratio,
     weak_moment_constant,
     check_weak_contraction,
@@ -303,29 +301,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_system(path: str, norm: NormKind) -> VectorSystem:
-    """Read a vector system, accepting a plain finite-set file as the terms.
-
-    A set file carries no ambient norm, so the caller's ``--norm`` choice
-    fills it in; real vector-system files keep their own tag.
-    """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ParseError(f"{path}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if isinstance(doc, dict) and doc.get("format") == "vector-system":
-        return load_vector_system(path)
-    ts = load_set(path)
-    return VectorSystem(name=ts.name, vectors=ts.points, norm=norm)
-
-
 def cmd_oleszkiewicz(args: argparse.Namespace) -> int:
     """Weak/strong moment comparison of two vector systems under one norm."""
     norm = NormKind(args.norm)
-    x_sys = _load_system(args.x, norm)
-    y_sys = _load_system(args.y, norm)
+    x_sys = _read_system(args.x, norm)
+    y_sys = _read_system(args.y, norm)
     funcs = generate_functionals(x_sys.norm, x_sys.dim, args.extra_functionals, Seed(args.seed))
     weak = weak_moment_constant(x_sys, y_sys, funcs, p_max=args.p_max)
     contraction = check_weak_contraction(x_sys, y_sys, funcs, p_max=args.p_max, tol=args.tol)

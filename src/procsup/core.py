@@ -1,4 +1,4 @@
-"""Domain types: points, finite index sets, process kinds, seeds, generators.
+"""Domain types: points, finite index sets, process kinds, seeds, generators, files.
 
 A canonical process over a finite index set ``T ⊂ R^d`` attaches to each
 point ``t`` the random variable ``X_t = sum_i t_i xi_i`` where the ``xi_i``
@@ -26,8 +26,11 @@ from . import rng
 #: is allowed.  Shared by the exact Bernoulli moment and supremum oracles.
 EXACT_ENUMERATION_MAX_DIM = 20
 
-_SET_FORMAT = "finite-set"
-_SET_VERSION = 1
+SET_FORMAT = "finite-set"
+SYSTEM_FORMAT = "vector-system"
+FILE_VERSION = 1
+#: The key that holds each file format's rows.
+_ROWS_KEY = {SET_FORMAT: "points", SYSTEM_FORMAT: "vectors"}
 
 
 class ProcessKind(enum.Enum):
@@ -280,8 +283,8 @@ def generate_set(
 
 def save_set(ts: FiniteSet, path: str | Path) -> None:
     doc = {
-        "format": _SET_FORMAT,
-        "version": _SET_VERSION,
+        "format": SET_FORMAT,
+        "version": FILE_VERSION,
         "name": ts.name,
         "dim": ts.dim,
         "points": [list(p.coords) for p in ts.points],
@@ -289,8 +292,14 @@ def save_set(ts: FiniteSet, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def load_set(path: str | Path) -> FiniteSet:
-    """Load a set file; the exact float values written by :func:`save_set` come back."""
+def read_points_file(path: str | Path, formats: Sequence[str]) -> tuple[dict, str, tuple[Point, ...]]:
+    """Parse a set or vector-system file once and validate it strictly.
+
+    ``formats`` lists the accepted ``format`` tags.  Returns the document,
+    its name (the file stem when it has none) and its rows as points.
+    Coordinates must be JSON numbers: strings, booleans and nulls are
+    rejected, never coerced.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -298,18 +307,31 @@ def load_set(path: str | Path) -> FiniteSet:
         raise ParseError(f"{path}: no such file") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != _SET_FORMAT:
-        raise ParseError(f"{path}: not a {_SET_FORMAT} file")
-    if doc.get("version") != _SET_VERSION:
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt not in formats:
+        raise ParseError(f"{path}: not a {' or '.join(formats)} file")
+    if doc.get("version") != FILE_VERSION:
         raise ParseError(f"{path}: unsupported version {doc.get('version')!r}")
+    key = _ROWS_KEY[fmt]
+    noun = key[:-1]
     dim = doc.get("dim")
-    rows = doc.get("points")
-    if not isinstance(dim, int) or not isinstance(rows, list):
-        raise ParseError(f"{path}: missing or malformed 'dim'/'points'")
+    rows = doc.get(key)
+    if type(dim) is not int or dim < 1 or not isinstance(rows, list):
+        raise ParseError(f"{path}: missing or malformed 'dim'/'{key}'")
     points = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
-            raise ValidationError(f"{path}: point {i} does not have {dim} coordinates")
-        points.append(Point(tuple(float(x) for x in row)))
-    name = doc.get("name") or path.stem
-    return FiniteSet(name=str(name), points=tuple(points))
+            raise ValidationError(f"{path}: {noun} {i} does not have {dim} coordinates")
+        if any(type(x) not in (int, float) for x in row):
+            raise ValidationError(f"{path}: {noun} {i} has a coordinate that is not a number")
+        try:
+            points.append(Point(tuple(row)))
+        except (ValidationError, OverflowError) as exc:
+            raise ValidationError(f"{path}: {noun} {i}: {exc}") from None
+    return doc, str(doc.get("name") or path.stem), tuple(points)
+
+
+def load_set(path: str | Path) -> FiniteSet:
+    """Load a set file; the exact float values written by :func:`save_set` come back."""
+    _, name, points = read_points_file(path, (SET_FORMAT,))
+    return FiniteSet(name=name, points=points)

@@ -14,6 +14,12 @@ computes three ways:
 
 The :class:`MomentModel` wrapper lets downstream code (chaining bounds,
 decompositions) pick any of these routes through one ``norm(t, p)`` call.
+
+Every exact oracle and Monte Carlo estimate in the package reduces
+``sum_i xi_i m_i`` over the rows of a coefficient matrix ``m``; the two
+shared engines for that live here: :func:`signed_row_sums` enumerates the
+sign patterns and :func:`mc_mean` draws ``xi`` and accumulates a mean and
+its standard error.  Both work in blocks of at most ``_BLOCK_BYTES``.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import enum
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -29,7 +36,8 @@ from . import rng
 from .core import EXACT_ENUMERATION_MAX_DIM, Point, ProcessKind, Seed
 from .errors import CapacityError, ParameterError
 
-_MC_CHUNK = 1 << 15
+#: Byte budget of one block of sign sums or Monte Carlo products.
+_BLOCK_BYTES = 8 << 20
 
 
 def rearrange(t: Point) -> Point:
@@ -115,17 +123,31 @@ def gaussian_norm_exact(t: Point, p) -> float:
     return float(np.linalg.norm(t.array)) * gaussian_moment_constant(p)
 
 
-def _signed_sums(t: Point) -> np.ndarray:
-    """All values of sum_i eps_i t_i with the first sign pinned to +1.
+def signed_row_sums(m: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield ``sum_i eps_i m_i`` for every sign pattern with ``eps_0 = +1``.
 
-    Pinning the first sign halves the enumeration; it is lossless for any
-    statistic of |sum| because the full sign ensemble is symmetric under a
-    global flip.
+    ``m`` is a ``(k, n)`` coefficient matrix; the ``2^(k-1)`` sums come out
+    as ``(rows, n)`` blocks of at most ``_BLOCK_BYTES``.  Each block adds
+    two half-tables by broadcast: the sums over the low half of the rows
+    (``eps_0`` pinned, built by doubling) and the sums over the high half
+    for a run of their sign patterns.  Pinning the first sign is lossless
+    for statistics invariant under a global flip; for a maximum use
+    ``max(eps) + max(-eps) = max(eps) - min(eps)``.
     """
-    vals = np.array([t.coords[0]])
-    for c in t.coords[1:]:
-        vals = np.concatenate([vals + c, vals - c])
-    return vals
+    k, n = m.shape
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    low_rows = min(k // 2 + 1, rows.bit_length())
+    low = m[:1]
+    for row in m[1:low_rows]:
+        low = np.concatenate([low + row, low - row])
+    high_rows = k - low_rows
+    shifts = np.arange(high_rows, dtype=np.uint64)
+    step = max(1, rows // len(low))
+    for start in range(0, 1 << high_rows, step):
+        codes = np.arange(start, min(start + step, 1 << high_rows), dtype=np.uint64)
+        signs = 1.0 - 2.0 * ((codes[:, None] >> shifts) & 1).astype(np.float64)
+        high = signs @ m[low_rows:]
+        yield (high[:, None, :] + low[None, :, :]).reshape(-1, n)
 
 
 def bernoulli_norm_exact(t: Point, p, d_max: int = EXACT_ENUMERATION_MAX_DIM) -> float:
@@ -136,11 +158,11 @@ def bernoulli_norm_exact(t: Point, p, d_max: int = EXACT_ENUMERATION_MAX_DIM) ->
     q = _check_moment_order(p)
     if t.dim > d_max:
         raise CapacityError(f"exact Bernoulli norm needs dim <= {d_max}, got {t.dim}")
-    vals = np.abs(_signed_sums(t))
-    scale = float(vals.max())
+    scale = float(np.abs(t.array).sum())  # the largest |sum|, so no power overflows
     if scale == 0.0:
         return 0.0
-    return scale * float(np.mean((vals / scale) ** q) ** (1.0 / q))
+    total = sum(float(((np.abs(s) / scale) ** q).sum()) for s in signed_row_sums(t.array[:, None]))
+    return scale * (total / (1 << (t.dim - 1))) ** (1.0 / q)
 
 
 def _content_label(prefix: str, kind: ProcessKind, t: Point, p: float) -> str:
@@ -152,6 +174,40 @@ def _draw(kind: ProcessKind, gen: np.random.Generator, size) -> np.ndarray:
     if kind is ProcessKind.BERNOULLI:
         return rng.rademacher(gen, size)
     return rng.standard_normal(gen, size)
+
+
+def mc_mean(
+    kind: ProcessKind,
+    gen: np.random.Generator,
+    m: np.ndarray,
+    samples: int,
+    statistic: Callable[[np.ndarray], np.ndarray],
+) -> tuple[float, float]:
+    """Mean and standard error of ``statistic(xi @ m)`` over ``samples`` draws of ``xi``.
+
+    ``xi`` has one coordinate per row of ``m`` and is drawn from ``gen`` in
+    chunks whose rows are a multiple of 4, so the draw stream does not
+    depend on the chunking (numpy packs four int8 signs per 32-bit word).
+    Chunks are centred on the first chunk's mean and merged with the
+    pairwise update of Chan, Golub & LeVeque, which keeps the variance
+    accurate even when the mean is far larger than the spread.
+    """
+    rows = max(4, _BLOCK_BYTES // (8 * max(m.shape)) // 4 * 4)
+    shift = None
+    count, mean, m2 = 0, 0.0, 0.0
+    while count < samples:
+        k = min(rows, samples - count)
+        ys = statistic(_draw(kind, gen, (k, m.shape[0])) @ m)
+        if shift is None:
+            shift = float(ys.mean())
+        ys = ys - shift
+        chunk_mean = float(ys.mean())
+        delta = chunk_mean - mean
+        total = count + k
+        mean += delta * k / total
+        m2 += float(((ys - chunk_mean) ** 2).sum()) + delta * delta * count * k / total
+        count = total
+    return shift + mean, math.sqrt(m2 / (samples - 1) / samples)
 
 
 def mc_norm(
@@ -174,22 +230,9 @@ def mc_norm(
     if scale == 0.0:
         return 0.0, 0.0
     gen = rng.stream(seed.value, _content_label("mc-norm", kind, t, q))
-    unit = t.array / scale
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(_MC_CHUNK, samples - done)
-        xs = _draw(kind, gen, (m, t.dim))
-        ys = np.abs(xs @ unit) ** q
-        total += float(ys.sum())
-        total_sq += float((ys * ys).sum())
-        done += m
-    mean = total / samples
+    mean, se_mean = mc_mean(kind, gen, t.array / scale, samples, lambda ys: np.abs(ys) ** q)
     if mean == 0.0:
         return 0.0, 0.0
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
-    se_mean = math.sqrt(var / samples)
     estimate = mean ** (1.0 / q)
     stderr = (1.0 / q) * mean ** (1.0 / q - 1.0) * se_mean
     return scale * estimate, scale * stderr

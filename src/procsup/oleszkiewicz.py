@@ -31,16 +31,23 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, Point, Seed
+from .core import (
+    EXACT_ENUMERATION_MAX_DIM,
+    FILE_VERSION,
+    SET_FORMAT,
+    SYSTEM_FORMAT,
+    FiniteSet,
+    Point,
+    ProcessKind,
+    Seed,
+    read_points_file,
+)
 from .errors import ParameterError, ParseError, ValidationError
 from .contraction import ContractionReport, MappedPair, fit_min_C
-from .moments import bernoulli_norm_exact, bernoulli_norm_proxy
+from .moments import bernoulli_norm_exact, bernoulli_norm_proxy, mc_mean, signed_row_sums
 from .reports import ComparisonReport, safe_ratio
 
 _DUAL_SLACK = 1e-12
-_SYSTEM_FORMAT = "vector-system"
-_SYSTEM_VERSION = 1
-_CHUNK = 1 << 14
 
 
 class NormKind(enum.Enum):
@@ -92,8 +99,8 @@ class VectorSystem:
 
 def save_vector_system(system: VectorSystem, path: str | Path) -> None:
     doc = {
-        "format": _SYSTEM_FORMAT,
-        "version": _SYSTEM_VERSION,
+        "format": SYSTEM_FORMAT,
+        "version": FILE_VERSION,
         "name": system.name,
         "norm": system.norm.value,
         "dim": system.dim,
@@ -102,32 +109,25 @@ def save_vector_system(system: VectorSystem, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _read_system(path: str | Path, set_norm: NormKind | None = None) -> VectorSystem:
+    """Read a vector-system file or, given ``set_norm``, also a finite-set file.
+
+    A set file carries no ambient norm, so ``set_norm`` fills it in; a
+    vector-system file keeps its own tag.
+    """
+    formats = (SYSTEM_FORMAT,) if set_norm is None else (SYSTEM_FORMAT, SET_FORMAT)
+    doc, name, vectors = read_points_file(path, formats)
+    norm = set_norm
+    if doc["format"] == SYSTEM_FORMAT:
+        try:
+            norm = NormKind(doc.get("norm"))
+        except ValueError:
+            raise ParseError(f"{path}: unknown norm {doc.get('norm')!r}") from None
+    return VectorSystem(name=name, vectors=vectors, norm=norm)
+
+
 def load_vector_system(path: str | Path) -> VectorSystem:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ParseError(f"{path}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != _SYSTEM_FORMAT:
-        raise ParseError(f"{path}: not a {_SYSTEM_FORMAT} file")
-    if doc.get("version") != _SYSTEM_VERSION:
-        raise ParseError(f"{path}: unsupported version {doc.get('version')!r}")
-    try:
-        norm = NormKind(doc.get("norm"))
-    except ValueError:
-        raise ParseError(f"{path}: unknown norm {doc.get('norm')!r}") from None
-    dim = doc.get("dim")
-    rows = doc.get("vectors")
-    if not isinstance(dim, int) or not isinstance(rows, list):
-        raise ParseError(f"{path}: missing or malformed 'dim'/'vectors'")
-    vectors = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ValidationError(f"{path}: vector {i} does not have {dim} coordinates")
-        vectors.append(Point(tuple(float(x) for x in row)))
-    return VectorSystem(name=str(doc.get("name") or path.stem), vectors=tuple(vectors), norm=norm)
+    return _read_system(path)
 
 
 def _dual_norm(w: np.ndarray, norm: NormKind) -> float:
@@ -316,17 +316,8 @@ def check_weak_contraction(
 
 
 def _exact_strong_moment(system: VectorSystem) -> float:
-    n = system.terms
-    m = system.matrix
-    total = 0.0
-    n_patterns = 1 << n
-    shifts = np.arange(n, dtype=np.uint64)
-    for start in range(0, n_patterns, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, n_patterns), dtype=np.uint64)
-        bits = (codes[:, None] >> shifts[None, :]) & 1
-        signs = 1.0 - 2.0 * bits.astype(np.float64)
-        total += float(system.norm_of(signs @ m).sum())
-    return total / n_patterns
+    sums = signed_row_sums(system.matrix)  # eps_0 = +1; the norm is even
+    return sum(float(system.norm_of(s).sum()) for s in sums) / (1 << (system.terms - 1))
 
 
 def _mc_strong_moment(system: VectorSystem, samples: int, seed: Seed) -> tuple[float, float]:
@@ -334,19 +325,7 @@ def _mc_strong_moment(system: VectorSystem, samples: int, seed: Seed) -> tuple[f
         raise ParameterError(f"Monte Carlo needs samples >= 2, got {samples}")
     digest = hashlib.sha256(system.matrix.tobytes() + system.norm.value.encode()).hexdigest()
     gen = rng.stream(seed.value, f"strong-moment:{digest}")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        k = min(_CHUNK, samples - done)
-        signs = rng.rademacher(gen, (k, system.terms))
-        vals = system.norm_of(signs @ system.matrix)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += k
-    mean = total / samples
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
-    return mean, math.sqrt(var / samples)
+    return mc_mean(ProcessKind.BERNOULLI, gen, system.matrix, samples, system.norm_of)
 
 
 def strong_moment_ratio(

@@ -9,17 +9,12 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import rng
 from .core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, ProcessKind, Seed
 from .errors import CapacityError, ParameterError, ValidationError
-from .moments import _draw
-
-_CHUNK = 1 << 14
+from .moments import mc_mean, signed_row_sums
 
 
 class EstimateMethod(enum.Enum):
@@ -45,50 +40,34 @@ class SupEstimate:
 def brute_force_bernoulli_sup(ts: FiniteSet) -> SupEstimate:
     """Exact ``E max_{t in T} <eps, t>`` by averaging over all sign patterns.
 
-    Capped at dim <= 20 (1M patterns); the pattern loop is chunked so memory
-    stays flat regardless of dimension.
+    Capped at dim <= 20.  Only the patterns with ``eps_0 = +1`` are
+    enumerated: each stands for itself and its negation, whose maximum is
+    minus its minimum.  The enumeration runs in fixed-size blocks, so
+    memory stays flat regardless of dimension.
     """
     d = ts.dim
     if d > EXACT_ENUMERATION_MAX_DIM:
         raise CapacityError(f"exact Bernoulli supremum needs dim <= {EXACT_ENUMERATION_MAX_DIM}, got {d}")
-    m = ts.matrix.T  # (d, n)
-    total = 0.0
-    n_patterns = 1 << d
-    shifts = np.arange(d, dtype=np.uint64)
-    for start in range(0, n_patterns, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, n_patterns), dtype=np.uint64)
-        bits = (codes[:, None] >> shifts[None, :]) & 1
-        signs = 1.0 - 2.0 * bits.astype(np.float64)
-        total += float((signs @ m).max(axis=1).sum())
-    return SupEstimate(value=total / n_patterns, stderr=0.0, method=EstimateMethod.EXACT)
+    total = sum(float((s.max(axis=1) - s.min(axis=1)).sum()) for s in signed_row_sums(ts.matrix.T))
+    return SupEstimate(value=total / (1 << d), stderr=0.0, method=EstimateMethod.EXACT)
 
 
 def mc_sup(kind: ProcessKind, ts: FiniteSet, samples: int, seed: Seed) -> SupEstimate:
     """Monte Carlo estimate of ``E sup_{t in T} X_t`` with its stderr.
 
     Bitwise deterministic for fixed inputs: the draw stream is keyed by the
-    seed together with a content hash of ``(kind, T)``.
+    seed together with a content hash of ``(kind, T)``.  Samples are drawn
+    in chunks sized so that each ``chunk x |T|`` block of process values
+    stays within a fixed byte budget, whatever ``|T|``.
     """
     if samples < 2:
         raise ParameterError(f"mc_sup needs samples >= 2, got {samples}")
     digest = hashlib.sha256(ts.matrix.tobytes() + kind.value.encode()).hexdigest()
     gen = rng.stream(seed.value, f"mc-sup:{digest}")
-    m = ts.matrix.T
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        k = min(_CHUNK, samples - done)
-        xs = _draw(kind, gen, (k, ts.dim))
-        sups = (xs @ m).max(axis=1)
-        total += float(sups.sum())
-        total_sq += float((sups * sups).sum())
-        done += k
-    mean = total / samples
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
+    mean, stderr = mc_mean(kind, gen, ts.matrix.T, samples, lambda ys: ys.max(axis=1))
     return SupEstimate(
         value=mean,
-        stderr=math.sqrt(var / samples),
+        stderr=stderr,
         method=EstimateMethod.MONTE_CARLO,
         samples=samples,
         seed=seed,

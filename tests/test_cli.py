@@ -103,6 +103,18 @@ def test_decompose_and_oleszkiewicz_run(tmp_path):
     assert ole["results"]["strong"]["ratio"] == pytest.approx(1.0, rel=1e-12)
 
 
+def test_oleszkiewicz_rejects_coerced_set_files(tmp_path, capsys):
+    good = _gen(tmp_path)
+    bad = tmp_path / "bad.set"
+    bad.write_text(json.dumps(
+        {"format": "finite-set", "version": 1, "dim": 1, "points": [["1e3"], [True]]}
+    ))
+    assert _run(["oleszkiewicz", "--x", str(bad), "--y", str(good),
+                 "--out", str(tmp_path / "o.json")]) == 2
+    assert "point 0" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_reports_are_byte_identical_across_directories(tmp_path):
     docs = []
     for sub in ("one", "two"):

@@ -200,3 +200,27 @@ def test_load_set_names_bad_row(tmp_path):
 def test_load_set_missing_file(tmp_path):
     with pytest.raises(ParseError, match="no such file"):
         load_set(tmp_path / "absent.set")
+
+
+# The coerced-values case: dim true, a string and a boolean coordinate.
+_COERCED = {"format": "finite-set", "version": 1, "dim": True, "points": [["1e3"], [True]]}
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        (_COERCED, "dim"),
+        ({"dim": 1, "points": [["1e3"]]}, "point 0"),
+        ({"dim": 1, "points": [[1.0], [True]]}, "point 1"),
+        ({"dim": 2, "points": [[1.0, 2.0], [3.0, None]]}, "point 1"),
+        ({"dim": 1, "points": [[1.0], [math.nan]]}, "point 1"),
+        ({"dim": 1, "points": [[1.0], [10**400]]}, "point 1"),
+        ({"dim": 0, "points": []}, "dim"),
+        ({"dim": -1, "points": []}, "dim"),
+    ],
+)
+def test_load_set_rejects_values_it_would_have_to_coerce(tmp_path, doc, match):
+    path = tmp_path / "strict.set"
+    path.write_text(json.dumps({"format": "finite-set", "version": 1, **doc}))
+    with pytest.raises((ParseError, ValidationError), match=match):
+        load_set(path)

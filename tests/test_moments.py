@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
-from procsup.core import Point, ProcessKind, Seed
+from procsup import moments, rng
+from procsup.core import FiniteSet, Point, ProcessKind, Seed
 from procsup.errors import CapacityError, ParameterError
 from procsup.moments import (
     MomentModel,
@@ -15,10 +17,14 @@ from procsup.moments import (
     ell1_part,
     gaussian_moment_constant,
     gaussian_norm_exact,
+    mc_mean,
     mc_norm,
     rearrange,
+    signed_row_sums,
     tail_l2,
 )
+from procsup.oleszkiewicz import NormKind, VectorSystem, strong_moment_ratio
+from procsup.suprema import brute_force_bernoulli_sup
 
 coords = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 vectors = st.lists(coords, min_size=1, max_size=9).map(lambda xs: Point(tuple(xs)))
@@ -194,3 +200,65 @@ def test_moment_model_routes_match_direct_calls():
     assert MomentModel.bernoulli_exact().norm(t, 3) == bernoulli_norm_exact(t, 3)
     assert MomentModel.gaussian_exact().norm(t, 3) == gaussian_norm_exact(t, 3)
     assert MomentModel.bernoulli_proxy().norm(t, 3) == bernoulli_norm_proxy(t, 3).value
+
+
+# --- the shared sign enumerator and Monte Carlo accumulator ---
+
+
+@pytest.mark.parametrize("block_bytes", [None, 160], ids=["one-block", "many-blocks"])
+@pytest.mark.parametrize("d", range(1, 11))
+def test_enumeration_matches_itertools_brute_force(monkeypatch, d, block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(moments, "_BLOCK_BYTES", block_bytes)
+    m = rng.standard_normal(rng.stream(d, "enumeration-reference"), (d, 5))
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=d)))
+    sums = signs @ m  # every sign pattern, eps_0 = -1 included
+    pinned = np.concatenate(list(signed_row_sums(m)))
+    assert pinned.shape == (2 ** (d - 1), 5)
+    np.testing.assert_allclose(
+        np.sort(pinned, axis=0), np.sort(sums[signs[:, 0] > 0], axis=0), rtol=1e-12, atol=1e-12
+    )
+    # Exact supremum over the five columns of m, as points of R^d.
+    points = FiniteSet(name="cols", points=tuple(Point(tuple(c)) for c in m.T))
+    assert brute_force_bernoulli_sup(points).value == pytest.approx(
+        sums.max(axis=1).mean(), rel=1e-12
+    )
+    # Exact norms of the first column.
+    for p in (1, 2, 3, 8):
+        expected = np.mean(np.abs(sums[:, 0]) ** p) ** (1.0 / p)
+        assert bernoulli_norm_exact(Point(tuple(m[:, 0])), p) == pytest.approx(expected, rel=1e-12)
+    # Strong moments of the d rows of m, as a series in R^5.
+    for norm in NormKind:
+        system = VectorSystem(name="rows", vectors=tuple(Point(tuple(r)) for r in m), norm=norm)
+        expected = np.mean(system.norm_of(sums))
+        assert strong_moment_ratio(system, system).lhs == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(ProcessKind))
+def test_mc_mean_chunks_keep_the_draw_stream(monkeypatch, kind):
+    m = rng.standard_normal(rng.stream(1, "mc-mean-m"), (3, 2))
+    xs = moments._draw(kind, rng.stream(2, "mc-mean"), (50, 3))
+    ys = (xs @ m).max(axis=1)
+    monkeypatch.setattr(moments, "_BLOCK_BYTES", 8 * 3 * 14)  # 12-row chunks, then 2 rows
+    mean, stderr = mc_mean(kind, rng.stream(2, "mc-mean"), m, 50, lambda v: v.max(axis=1))
+    assert mean == pytest.approx(ys.mean(), rel=1e-14)
+    assert stderr == pytest.approx(ys.std(ddof=1) / math.sqrt(50), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mc_mean_variance_survives_a_large_mean(monkeypatch, seed):
+    # Seven chunks of 1e8 + N(0, 1e-3): the one-pass sum-of-squares formula
+    # loses every digit here, while the true variance is 1e-6.
+    monkeypatch.setattr(moments, "_BLOCK_BYTES", 16384 * 8)
+    n = 7 * 16384
+    chunks = []
+
+    def statistic(ys):
+        chunks.append(ys.size)
+        return 1e8 + 1e-3 * ys
+
+    mean, stderr = mc_mean(ProcessKind.GAUSSIAN, rng.stream(seed, "cancel"), np.ones(1), n, statistic)
+    values = 1e8 + 1e-3 * rng.standard_normal(rng.stream(seed, "cancel"), n)
+    assert chunks == [16384] * 7
+    assert stderr**2 * n == pytest.approx(np.var(values, ddof=1), rel=1e-9, abs=0.0)
+    assert mean == pytest.approx(values.mean(), rel=1e-15)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -142,3 +143,21 @@ def test_system_load_errors(tmp_path):
     wrong.write_text('{"format": "finite-set"}')
     with pytest.raises(ParseError, match="not a vector-system file"):
         load_vector_system(wrong)
+
+
+@pytest.mark.parametrize(
+    "dim, rows, match",
+    [
+        (True, [["1e3"], [True]], "dim"),
+        (0, [], "dim"),
+        (1, [["1e3"]], "vector 0"),
+        (1, [[1.0], [True]], "vector 1"),
+        (2, [[1.0, 2.0], [None, 3.0]], "vector 1"),
+    ],
+)
+def test_system_load_rejects_values_it_would_have_to_coerce(tmp_path, dim, rows, match):
+    path = tmp_path / "strict.json"
+    doc = {"format": "vector-system", "version": 1, "norm": "sup", "dim": dim, "vectors": rows}
+    path.write_text(json.dumps(doc))
+    with pytest.raises((ParseError, ValidationError), match=match):
+        load_vector_system(path)

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from procsup.core import FiniteSet, Point, ProcessKind, Seed
+from procsup.core import FiniteSet, Point, ProcessKind, Seed, generate_set
 from procsup.errors import CapacityError, ParameterError, ValidationError
 from procsup.moments import bernoulli_norm_exact
 from procsup.suprema import EstimateMethod, SupEstimate, brute_force_bernoulli_sup, mc_sup
@@ -108,3 +109,15 @@ def test_sup_estimate_invariants():
         SupEstimate(value=1.0, stderr=-0.5, method=EstimateMethod.MONTE_CARLO, samples=10)
     # a Monte Carlo estimate of a degenerate set may honestly have stderr 0
     SupEstimate(value=0.0, stderr=0.0, method=EstimateMethod.MONTE_CARLO, samples=10)
+
+
+def test_mc_sup_memory_does_not_grow_with_the_set():
+    ts = generate_set("random_sphere", 50, 4000, Seed(1))
+    ts.matrix  # built before tracing: it belongs to the set, not to the estimate
+    tracemalloc.start()
+    try:
+        mc_sup(ProcessKind.GAUSSIAN, ts, 20_000, Seed(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
