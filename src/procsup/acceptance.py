@@ -26,7 +26,7 @@ from .chaining import (
 )
 from .contraction import CoordinateMap, apply_map, check_condition, fit_min_C
 from .core import FiniteSet, Point, ProcessKind, Seed, generate_set
-from .decomposition import decompose_by_sweep, sweep_objectives, threshold_split, verify_two_sided
+from .decomposition import decompose_by_sweep, split_rows, sweep_objectives, verify_two_sided
 from .moments import (
     MomentModel,
     bernoulli_norm_exact,
@@ -82,15 +82,13 @@ def _mixed_vectors(seed: int, count: int, dim: int, label: str) -> list[Point]:
             row = rng.rademacher(gen, dim) / math.sqrt(dim)
         else:
             row = rng.standard_normal(gen, dim) ** 3
-        out.append(Point(tuple(float(x) for x in row)))
+        out.append(Point(row))
     return out
 
 
 def _random_set(seed: int, label: str, index: int, count: int, dim: int) -> FiniteSet:
     gen = rng.stream(seed, f"{label}:set", index=index)
-    rows = rng.standard_normal(gen, (count, dim))
-    points = tuple(Point(tuple(float(x) for x in row)) for row in rows)
-    return FiniteSet(name=f"{label}-{index}", points=points)
+    return FiniteSet(name=f"{label}-{index}", points=rng.standard_normal(gen, (count, dim)))
 
 
 def criterion_1_moment_sandwich(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -341,21 +339,12 @@ def criterion_8_decomposition(seed: int = DEFAULT_SEED) -> CriterionResult:
         s = (seed + i) % 2**64
         ts = generate_set("disjoint_blocks", 64, 8, Seed(s), params=[8])
         result = decompose_by_sweep(ts, samples=20_000, seed=Seed(s))
-        heads, tails = [], []
-        for point, r in zip(ts.points, result.split.thresholds):
-            head, tail = threshold_split(point, r)
-            if tuple(h + t for h, t in zip(head.coords, tail.coords)) != point.coords:
-                failures += 1
-            heads.append(head)
-            tails.append(tail)
-        # Disjointness: supports of distinct points never overlap.
-        taken: set[int] = set()
-        for head, tail in zip(heads, tails):
-            support = {j for j, c in enumerate(head.coords) if c != 0.0}
-            support |= {j for j, c in enumerate(tail.coords) if c != 0.0}
-            if support & taken:
-                failures += 1
-            taken |= support
+        heads, tails = split_rows(ts.matrix, result.split.thresholds)
+        rebuilt = heads + tails  # each coordinate sits on one side, the other holds 0.0
+        failures += int(not np.array_equal(rebuilt, ts.matrix))
+        # Disjointness: no coordinate is nonzero in two points (the column
+        # count of has_disjoint_supports).
+        failures += int(np.count_nonzero(rebuilt, axis=0).max() > 1)
         best_swept = min(e.objective for e in sweep_objectives(ts))
         if result.objective > best_swept + 1e-12 * max(1.0, best_swept):
             failures += 1

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteSet, Point, ProcessKind, Seed
+from .core import FiniteSet, Point, ProcessKind, Seed, distinct_rows
 from .errors import CapacityError, ParameterError, ValidationError
 from .moments import EXACT_ENUMERATION_MAX_DIM, ModelKind, MomentModel
 from .reports import ComparisonReport, safe_ratio
@@ -232,7 +232,7 @@ def chain_bound(ts: FiniteSet, tree: PartitionTree, model: MomentModel) -> Chain
             return 0.0
         key = (min(a, b), max(a, b), p)
         if key not in cache:
-            cache[key] = model.norm(ts.points[key[1]] - ts.points[key[0]], p)
+            cache[key] = model.norm(Point(ts.matrix[key[1]] - ts.matrix[key[0]]), p)
         return cache[key]
 
     sums = [0.0] * len(ts)
@@ -274,21 +274,14 @@ def combine_sum_set(
     if tree_a.n_points != len(ts_a) or tree_b.n_points != len(ts_b):
         raise ParameterError("trees do not match their sets")
 
-    points: list[Point] = []
-    index_of: dict[tuple[float, ...], int] = {}
-    owner_pair: list[tuple[int, int]] = []
-    pair_point: dict[tuple[int, int], int] = {}
-    for ia, pa in enumerate(ts_a.points):
-        for ib, pb in enumerate(ts_b.points):
-            s = pa + pb
-            j = index_of.get(s.coords)
-            if j is None:
-                j = len(points)
-                index_of[s.coords] = j
-                points.append(s)
-                owner_pair.append((ia, ib))
-            pair_point[(ia, ib)] = j
-    total = len(points)
+    # Row ia * |B| + ib is a_ia + b_ib; pair_point[ia][ib] is its index in
+    # the sum set and owns[ia][ib] says whether (ia, ib) produced it first.
+    sums = (ts_a.matrix[:, None, :] + ts_b.matrix[None, :, :]).reshape(-1, ts_a.dim)
+    first, slot = distinct_rows(sums)
+    shape = (len(ts_a), len(ts_b))
+    pair_point = slot.reshape(shape).tolist()
+    owns = (first[slot] == np.arange(slot.size)).reshape(shape).tolist()
+    total = len(first)
 
     def marginal(tree: PartitionTree, n: int) -> tuple[Block, ...]:
         return tree.levels[min(n, tree.depth)]
@@ -297,25 +290,21 @@ def combine_sum_set(
         blocks = []
         for blk_a in marginal(tree_a, n):
             for blk_b in marginal(tree_b, n):
-                members = [
-                    pair_point[(ia, ib)]
-                    for ia in blk_a.members
-                    for ib in blk_b.members
-                    if owner_pair[pair_point[(ia, ib)]] == (ia, ib)
-                ]
+                members = [pair_point[ia][ib] for ia in blk_a.members
+                           for ib in blk_b.members if owns[ia][ib]]
                 if not members:
                     continue
-                rep_candidate = pair_point[(blk_a.rep, blk_b.rep)]
+                rep_candidate = pair_point[blk_a.rep][blk_b.rep]
                 rep = rep_candidate if rep_candidate in members else min(members)
                 blocks.append(Block(members=tuple(members), rep=rep))
         return blocks
 
-    root_rep = pair_point[(tree_a.levels[0][0].rep, tree_b.levels[0][0].rep)]
+    root_rep = pair_point[tree_a.levels[0][0].rep][tree_b.levels[0][0].rep]
     levels: list[tuple[Block, ...]] = [(Block(tuple(range(total)), rep=root_rep),)]
     depth = max(tree_a.depth, tree_b.depth) + 1
     for n in range(1, depth + 1):
         levels.append(tuple(product_blocks(n - 1)))
-    combined = FiniteSet(name=f"{ts_a.name}+{ts_b.name}", points=tuple(points))
+    combined = FiniteSet(name=f"{ts_a.name}+{ts_b.name}", points=sums[first])
     return combined, PartitionTree(n_points=total, levels=tuple(levels))
 
 
@@ -389,7 +378,7 @@ def exhaustive_gamma(ts: FiniteSet, model: MomentModel) -> ChainBound:
             return 0.0
         key = (min(a, b), max(a, b), lvl)
         if key not in cache:
-            cache[key] = model.norm(ts.points[key[1]] - ts.points[key[0]], 1 << lvl)
+            cache[key] = model.norm(Point(ts.matrix[key[1]] - ts.matrix[key[0]]), 1 << lvl)
         return cache[key]
 
     singletons = tuple((i,) for i in range(n))

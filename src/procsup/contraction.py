@@ -18,12 +18,11 @@ one — :func:`compare_suprema` reports the empirical ratio.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, Point, ProcessKind, Seed
+from .core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, Point, ProcessKind, Seed, distinct_rows
 from .errors import ParameterError, ValidationError
 from .moments import tail_l2
 from .reports import ComparisonReport, safe_ratio
@@ -112,21 +111,10 @@ class MappedPair:
 
 def apply_map(ts: FiniteSet, cmap: CoordinateMap) -> MappedPair:
     """Apply a coordinatewise map to every point, deduplicating the image."""
-    image_points: list[Point] = []
-    index_of: dict[tuple[float, ...], int] = {}
-    correspondence = []
-    for p in ts.points:
-        q = Point(tuple(float(x) for x in cmap.apply(p.array)))
-        j = index_of.get(q.coords)
-        if j is None:
-            j = len(image_points)
-            index_of[q.coords] = j
-            image_points.append(q)
-        correspondence.append(j)
-    image = FiniteSet(name=f"{cmap.label}({ts.name})", points=tuple(image_points))
-    return MappedPair(
-        source=ts, image=image, correspondence=tuple(correspondence), map_label=cmap.label
-    )
+    images = cmap.apply(ts.matrix)
+    first, slot = distinct_rows(images)
+    image = FiniteSet(name=f"{cmap.label}({ts.name})", points=images[first])
+    return MappedPair(ts, image, correspondence=tuple(slot.tolist()), map_label=cmap.label)
 
 
 @dataclass(frozen=True)
@@ -163,45 +151,42 @@ class ContractionReport:
         }
 
 
-def _trim_profile(diff: np.ndarray) -> np.ndarray:
-    """Squared trimmed norms of one difference vector at every budget 0..dim.
+def _trim_profiles(diffs: np.ndarray) -> np.ndarray:
+    """Squared trimmed norms of each difference row at every budget 0..dim.
 
-    Entry ``p`` is the squared l2 norm after deleting the ``p`` largest
-    squared coordinates (entry 0 is the full squared norm, entry dim is 0).
+    Entry ``[k, p]`` is the squared l2 norm of row ``k`` after deleting its
+    ``p`` largest squared coordinates (column 0 is the full squared norm,
+    column dim is 0).
     """
-    sq = np.sort(diff * diff)  # ascending: deleting the p largest keeps a prefix
-    csum = np.concatenate(([0.0], np.cumsum(sq)))
-    return csum[::-1].copy()
+    sq = np.sort(diffs * diffs, axis=1)  # ascending: deleting the p largest keeps a prefix
+    csum = np.concatenate([np.zeros((len(sq), 1)), np.cumsum(sq, axis=1)], axis=1)
+    return csum[:, ::-1]
 
 
 class _PairTable:
-    """Precomputed trim profiles for every source pair and its image pair."""
+    """Trim profiles of every source pair ``i < j`` and of its image pair, one row each."""
 
     def __init__(self, pair: MappedPair):
         src = pair.source.matrix
-        img = pair.image.matrix
-        corr = pair.correspondence
-        n = len(pair.source)
-        self.pairs: list[tuple[int, int]] = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        self.src_prof = [_trim_profile(src[j] - src[i]) for i, j in self.pairs]
-        self.img_prof = [
-            _trim_profile(img[corr[j]] - img[corr[i]]) for i, j in self.pairs
-        ]
+        img = pair.image.matrix[list(pair.correspondence)]
+        i, j = np.triu_indices(len(src), k=1)
+        self.pairs = np.stack([i, j], axis=1)
+        self.src_prof = _trim_profiles(src[j] - src[i])
+        self.img_prof = _trim_profiles(img[j] - img[i])
 
     def evaluate(self, c: float, p_max: int) -> CheckResult:
-        worst = (0, 0, 0)
-        margin = -math.inf
-        for (i, j), sp, ip in zip(self.pairs, self.src_prof, self.img_prof):
-            for p in range(p_max + 1):
-                budget = min(int(math.floor(c * p)), ip.size - 1)
-                lhs = ip[budget]
-                rhs = c * c * sp[min(p, sp.size - 1)]
-                if lhs - rhs > margin:
-                    margin = lhs - rhs
-                    worst = (i, j, p)
-        if margin == -math.inf:  # single-point source: nothing to check
-            margin = 0.0
-        return CheckResult(satisfied=bool(margin <= 0.0), margin=float(margin), worst_pair=worst)
+        if not len(self.pairs):  # single-point source: nothing to check
+            return CheckResult(satisfied=True, margin=0.0, worst_pair=(0, 0, 0))
+        dim = self.src_prof.shape[1] - 1
+        # Orders above dim repeat the gap 0 of order dim, so they never
+        # change the first maximum.
+        p = np.arange(min(p_max, dim) + 1)
+        budget = np.minimum(np.floor(c * p).astype(np.intp), dim)
+        gap = self.img_prof[:, budget] - c * c * self.src_prof[:, p]
+        k, at = divmod(int(np.argmax(gap)), p.size)  # first maximum, pair-major
+        margin = float(gap[k, at])
+        i, j = self.pairs[k].tolist()
+        return CheckResult(satisfied=margin <= 0.0, margin=margin, worst_pair=(i, j, at))
 
 
 def check_condition(pair: MappedPair, c: float, p_max: int, tol: float = 0.0) -> CheckResult:

@@ -59,94 +59,148 @@ class Seed:
             raise ParameterError(f"seed value must lie in [0, 2^64), got {self.value}")
 
 
-@dataclass(frozen=True)
 class Point:
-    """A point of the index set, i.e. a coefficient vector in R^d."""
+    """A point of the index set: a read-only float64 vector in R^d.
 
-    coords: tuple[float, ...]
+    ``array`` is the data (always a validated copy); ``coords`` gives it as
+    a tuple of floats.  Equality and hashing follow the coordinates, so
+    ``-0.0`` equals ``0.0``.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.coords) == 0:
+    __slots__ = ("array",)
+
+    def __init__(self, coords) -> None:
+        a = np.array(coords, dtype=np.float64)
+        if a.ndim != 1 or a.size == 0:
             raise ValidationError("a point needs at least one coordinate")
-        clean = []
-        for i, c in enumerate(self.coords):
-            x = float(c)
-            if not math.isfinite(x):
-                raise ValidationError(f"coordinate {i} is not finite: {c!r}")
-            clean.append(x)
-        object.__setattr__(self, "coords", tuple(clean))
+        bad = ~np.isfinite(a)
+        if bad.any():
+            raise ValidationError(f"coordinate {bad.argmax()} is not finite: {a[bad.argmax()]}")
+        a.setflags(write=False)
+        self.array = a
+
+    @property
+    def coords(self) -> tuple[float, ...]:
+        return tuple(self.array.tolist())
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return self.array.size
 
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=np.float64)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Point) and bool(np.array_equal(self.array, other.array))
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
+
+    def __repr__(self) -> str:
+        return f"Point(coords={self.coords!r})"
 
     def __sub__(self, other: "Point") -> "Point":
         if self.dim != other.dim:
             raise ParameterError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Point(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Point(self.array - other.array)
 
     def __add__(self, other: "Point") -> "Point":
         if self.dim != other.dim:
             raise ParameterError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Point(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Point(self.array + other.array)
 
     @staticmethod
     def zero(dim: int) -> "Point":
-        return Point((0.0,) * dim)
+        return Point(np.zeros(dim))
 
 
-@dataclass(frozen=True)
+def point_matrix(rows, owner: str, noun: str = "point") -> np.ndarray:
+    """``rows`` as a validated, read-only ``(n, d)`` float64 matrix (always a copy).
+
+    ``rows`` is an array or a sequence of points or coordinate sequences.
+    There must be at least one row, every row must have the same ``d >= 1``
+    coordinates and every coordinate must be finite; the messages name
+    ``owner`` and the offending row.
+    """
+    if not isinstance(rows, np.ndarray):
+        arrays = []
+        for i, row in enumerate(rows):
+            try:
+                arrays.append(np.asarray(row.array if isinstance(row, Point) else row, dtype=np.float64))
+            except OverflowError as exc:
+                raise ValidationError(f"{owner}: {noun} {i}: {exc}") from None
+        if len({a.shape for a in arrays}) > 1:
+            raise ValidationError(f"{owner} mixes dimensions {sorted({a.size for a in arrays})}")
+        rows = arrays
+    m = np.array(rows, dtype=np.float64)
+    if m.ndim and not m.shape[0]:
+        raise ValidationError(f"{owner} has no {noun}s")
+    if m.ndim != 2 or not m.shape[1]:
+        raise ValidationError(f"{owner}: {noun}s must be rows of one or more coordinates")
+    bad = ~np.isfinite(m)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValidationError(f"{owner}: {noun} {i}: coordinate {j} is not finite: {m[i, j]}")
+    m.setflags(write=False)
+    return m
+
+
+def distinct_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deduplicate the rows of ``m`` by value (``-0.0 == 0.0``), in first-occurrence order.
+
+    Returns ``first``, each distinct row's first index, and ``slot``, each
+    row's position in ``first``, so that ``m[first][slot]`` equals ``m``.
+    """
+    key = m + 0.0  # -0.0 + 0.0 is +0.0: equal rows sort together
+    order = np.lexsort(key.T)  # stable: each run of equal rows starts at its first index
+    ranked = key[order]
+    starts = np.ones(len(m), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    run_first = order[starts]
+    slot = np.empty(len(m), dtype=np.intp)
+    slot[order] = np.argsort(np.argsort(run_first))[np.cumsum(starts) - 1]
+    return np.sort(run_first), slot
+
+
+def content_digest(**fields) -> str:
+    """SHA-256 of the JSON of ``fields``; arrays enter as nested lists."""
+    return hashlib.sha256(json.dumps(fields, default=np.ndarray.tolist).encode()).hexdigest()
+
+
 class FiniteSet:
-    """A named, duplicate-free, finite family of points of one dimension."""
+    """A named, duplicate-free, finite family of points of one dimension.
 
-    name: str
-    points: tuple[Point, ...]
+    ``FiniteSet(name=..., points=...)`` takes a sequence of points or an
+    ``(n, d)`` array.  The data is ``matrix``, one validated, read-only
+    ``(n, d)`` float64 array; ``points`` gives its rows as :class:`Point`.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.points:
-            raise ValidationError(f"set {self.name!r} has no points")
-        dims = {p.dim for p in self.points}
-        if len(dims) != 1:
-            raise ValidationError(f"set {self.name!r} mixes dimensions {sorted(dims)}")
-        seen: dict[tuple[float, ...], int] = {}
-        for i, p in enumerate(self.points):
-            j = seen.setdefault(p.coords, i)
-            if j != i:
-                raise ValidationError(f"set {self.name!r} has duplicate points at indices {j} and {i}")
+    def __init__(self, name: str, points) -> None:
+        self.name = name
+        self.matrix = point_matrix(points, f"set {name!r}")
+        first, slot = distinct_rows(self.matrix)
+        firsts = first[slot]  # each row's first occurrence
+        repeats = np.flatnonzero(firsts != np.arange(len(slot)))
+        if repeats.size:
+            i = repeats[0]
+            raise ValidationError(f"set {name!r} has duplicate points at indices {firsts[i]} and {i}")
 
     @property
     def dim(self) -> int:
-        return self.points[0].dim
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.matrix.shape[0]
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """All points stacked into a (len, dim) array."""
-        m = np.asarray([p.coords for p in self.points], dtype=np.float64)
-        m.setflags(write=False)
-        return m
+    def points(self) -> tuple[Point, ...]:
+        return tuple(map(Point, self.matrix))
 
     def content_hash(self) -> str:
         """SHA-256 over the coordinate data (name excluded)."""
-        payload = json.dumps({"dim": self.dim, "points": [list(p.coords) for p in self.points]})
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return content_digest(dim=self.dim, points=self.matrix)
 
 
 def has_disjoint_supports(ts: FiniteSet) -> bool:
     """True when no coordinate is nonzero in two different points of ``ts``."""
-    taken: set[int] = set()
-    for p in ts.points:
-        support = {i for i, c in enumerate(p.coords) if c != 0.0}
-        if support & taken:
-            return False
-        taken |= support
-    return True
+    return bool(np.count_nonzero(ts.matrix, axis=0).max() <= 1)
 
 
 def center_at_zero(ts: FiniteSet) -> FiniteSet:
@@ -155,13 +209,7 @@ def center_at_zero(ts: FiniteSet) -> FiniteSet:
     Pairwise differences (hence every canonical-process increment) are
     untouched; the resulting set contains the zero point at index 0.
     """
-    anchor = ts.points[0]
-    moved = tuple(p - anchor for p in ts.points)
-    return FiniteSet(name=f"{ts.name}-centered", points=moved)
-
-
-def _points_from_rows(rows: np.ndarray) -> tuple[Point, ...]:
-    return tuple(Point(tuple(float(x) for x in row)) for row in rows)
+    return FiniteSet(name=f"{ts.name}-centered", points=ts.matrix - ts.matrix[0])
 
 
 def _gen_random_sphere(dim: int, count: int, seed: Seed, params: Sequence[float]) -> np.ndarray:
@@ -215,14 +263,14 @@ def _gen_cube_vertices(dim: int, count: int, seed: Seed, params: Sequence[float]
         bits = (codes[:, None] >> np.arange(dim, dtype=np.uint64)[None, :]) & 1
         return scale * (1.0 - 2.0 * bits.astype(np.float64))
     gen = rng.stream(seed.value, "gen:cube_vertices")
-    chosen: list[tuple[float, ...]] = []
+    chosen: list[np.ndarray] = []
     seen: set[bytes] = set()
     while len(chosen) < count:
         row = rng.rademacher(gen, dim)
         key = row.tobytes()
         if key not in seen:
             seen.add(key)
-            chosen.append(tuple(scale * row))
+            chosen.append(scale * row)
     return np.asarray(chosen)
 
 
@@ -276,9 +324,12 @@ def generate_set(
         raise ParameterError(f"dim must be >= 1, got {dim}")
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
+    for i, x in enumerate(params):
+        if not math.isfinite(x):
+            raise ParameterError(f"param {i} must be finite, got {x!r}")
     rows = _GENERATORS[kind](dim, count, seed, params)
     name = f"{kind.value}-d{dim}-n{count}-seed{seed.value}"
-    return FiniteSet(name=name, points=_points_from_rows(rows))
+    return FiniteSet(name=name, points=rows)
 
 
 def save_set(ts: FiniteSet, path: str | Path) -> None:
@@ -287,16 +338,17 @@ def save_set(ts: FiniteSet, path: str | Path) -> None:
         "version": FILE_VERSION,
         "name": ts.name,
         "dim": ts.dim,
-        "points": [list(p.coords) for p in ts.points],
+        "points": ts.matrix.tolist(),
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def read_points_file(path: str | Path, formats: Sequence[str]) -> tuple[dict, str, tuple[Point, ...]]:
+def read_points_file(path: str | Path, formats: Sequence[str]) -> tuple[dict, str, np.ndarray]:
     """Parse a set or vector-system file once and validate it strictly.
 
     ``formats`` lists the accepted ``format`` tags.  Returns the document,
-    its name (the file stem when it has none) and its rows as points.
+    its name (the file stem when it has none) and its rows as one matrix
+    checked by :func:`point_matrix`.
     Coordinates must be JSON numbers: strings, booleans and nulls are
     rejected, never coerced.
     """
@@ -318,20 +370,16 @@ def read_points_file(path: str | Path, formats: Sequence[str]) -> tuple[dict, st
     rows = doc.get(key)
     if type(dim) is not int or dim < 1 or not isinstance(rows, list):
         raise ParseError(f"{path}: missing or malformed 'dim'/'{key}'")
-    points = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise ValidationError(f"{path}: {noun} {i} does not have {dim} coordinates")
         if any(type(x) not in (int, float) for x in row):
             raise ValidationError(f"{path}: {noun} {i} has a coordinate that is not a number")
-        try:
-            points.append(Point(tuple(row)))
-        except (ValidationError, OverflowError) as exc:
-            raise ValidationError(f"{path}: {noun} {i}: {exc}") from None
-    return doc, str(doc.get("name") or path.stem), tuple(points)
+    name = str(doc.get("name") or path.stem)
+    return doc, name, point_matrix(rows, str(path), noun)
 
 
 def load_set(path: str | Path) -> FiniteSet:
     """Load a set file; the exact float values written by :func:`save_set` come back."""
-    _, name, points = read_points_file(path, (SET_FORMAT,))
-    return FiniteSet(name=name, points=points)
+    _, name, matrix = read_points_file(path, (SET_FORMAT,))
+    return FiniteSet(name=name, points=matrix)

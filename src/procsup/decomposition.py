@@ -22,8 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .chaining import ChainBound, build_partition_greedy, chain_bound
-from .core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, Point, ProcessKind, Seed
+from .core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, Point, ProcessKind, Seed, distinct_rows
 from .errors import ParameterError
 from .moments import MomentModel
 from .reports import ComparisonReport, safe_ratio
@@ -55,25 +57,30 @@ class SplitRule:
         return {"mode": self.mode, "thresholds": list(self.thresholds)}
 
 
+def split_rows(m: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
+    """Split ``m`` into (head, tail) arrays at magnitude ``r``.
+
+    ``r`` is one threshold, or one per row of a matrix ``m``.  The tail
+    keeps the coordinates with ``0 < |m_i| <= r`` and the head the rest;
+    the other side holds ``0.0`` there, so head + tail rebuilds ``m``.
+    """
+    a = np.abs(m)
+    small = (a > 0.0) & (a <= np.asarray(r)[..., None])
+    return np.where(small, 0.0, m), np.where(small, m, 0.0)
+
+
 def threshold_split(t: Point, r: float) -> tuple[Point, Point]:
-    """Split ``t`` into (head, tail) at magnitude ``r``.
+    """Split ``t`` into (head, tail) points at magnitude ``r``.
 
     The tail keeps coordinates with ``0 < |t_i| <= r``, the head everything
     larger; each coordinate lands wholly on one side, so head + tail
-    reconstructs ``t`` exactly (bitwise).
+    reconstructs ``t`` exactly (bitwise).  This is :func:`split_rows` on one
+    point; the sweep splits the whole matrix at once.
     """
     if r < 0:
         raise ParameterError(f"threshold must be nonnegative, got {r}")
-    head = []
-    tail = []
-    for x in t.coords:
-        if 0.0 < abs(x) <= r:
-            head.append(0.0)
-            tail.append(x)
-        else:
-            head.append(x)
-            tail.append(0.0)
-    return Point(tuple(head)), Point(tuple(tail))
+    head, tail = split_rows(t.array, r)
+    return Point(head), Point(tail)
 
 
 def choose_p(tail_norm: float, k_constant: float, sup_reference: float):
@@ -141,32 +148,24 @@ class DecompositionResult:
         }
 
 
-def _split_set(ts: FiniteSet, thresholds: tuple[float, ...]) -> tuple[list[Point], list[Point]]:
-    heads, tails = [], []
-    for point, r in zip(ts.points, thresholds):
-        head, tail = threshold_split(point, r)
-        heads.append(head)
-        tails.append(tail)
-    return heads, tails
-
-
-def _tail_family(ts: FiniteSet, tails: list[Point]) -> FiniteSet:
-    """The deduplicated tail family with the zero point adjoined first."""
-    points = [Point.zero(ts.dim)]
-    seen = {points[0].coords}
-    for t in tails:
-        if t.coords not in seen:
-            seen.add(t.coords)
-            points.append(t)
-    return FiniteSet(name=f"{ts.name}-tails", points=tuple(points))
+def _row_sums(m: np.ndarray) -> np.ndarray:
+    """Row sums added left to right, as a scalar loop adds them (``cumsum`` is sequential)."""
+    return np.cumsum(m, axis=1)[:, -1]
 
 
 def _objective(ts: FiniteSet, thresholds: tuple[float, ...]) -> tuple[float, float, ChainBound]:
-    heads, tails = _split_set(ts, thresholds)
-    ell1_sup = max(sum(abs(x) for x in h.coords) for h in heads)
-    family = _tail_family(ts, tails)
+    heads, tails = split_rows(ts.matrix, thresholds)
+    ell1_sup = float(_row_sums(np.abs(heads)).max())
+    # The distinct tails, with the zero point adjoined first.
+    tails = np.concatenate([np.zeros((1, ts.dim)), tails])
+    family = FiniteSet(name=f"{ts.name}-tails", points=tails[distinct_rows(tails)[0]])
     gamma = chain_bound(family, build_partition_greedy(family), MomentModel.gaussian_exact())
     return ell1_sup, gamma.value, gamma
+
+
+def _magnitudes(m: np.ndarray) -> list[float]:
+    """The distinct nonzero ``|m_i|``, increasing."""
+    return np.unique(np.abs(m[m != 0.0])).tolist()
 
 
 def sweep_objectives(ts: FiniteSet) -> list[SweepEntry]:
@@ -175,9 +174,8 @@ def sweep_objectives(ts: FiniteSet) -> list[SweepEntry]:
     Candidates are 0 and each distinct nonzero coordinate magnitude, in
     increasing order; deterministic (no randomness is involved).
     """
-    grid = sorted({abs(x) for p in ts.points for x in p.coords if x != 0.0})
     entries = []
-    for r in [0.0, *grid]:
+    for r in [0.0, *_magnitudes(ts.matrix)]:
         ell1_sup, gamma2, _ = _objective(ts, (r,) * len(ts))
         entries.append(SweepEntry(r, ell1_sup, gamma2, ell1_sup + gamma2))
     return entries
@@ -189,9 +187,8 @@ def _refine_per_point(ts: FiniteSet, start: tuple[float, ...], passes: int = 3) 
     best_obj = sum(_objective(ts, tuple(best))[:2])
     for _ in range(passes):
         improved = False
-        for i, point in enumerate(ts.points):
-            grid = sorted({abs(x) for x in point.coords if x != 0.0})
-            for r in [0.0, *grid]:
+        for i, row in enumerate(ts.matrix):
+            for r in [0.0, *_magnitudes(row)]:
                 if r == best[i]:
                     continue
                 trial = best.copy()
@@ -237,11 +234,8 @@ def decompose_by_sweep(
     else:
         reference = mc_sup(kind, ts, samples, seed)
     objective = ell1_sup + gamma2
-    tail_norms = {}
-    for i, (point, r) in enumerate(zip(ts.points, thresholds)):
-        _, tail = threshold_split(point, r)
-        tail_norms[i] = math.sqrt(sum(x * x for x in tail.coords))
-    p_pick = choose_p(max(tail_norms.values()), k_constant, reference.value)
+    _, tails = split_rows(ts.matrix, thresholds)
+    p_pick = choose_p(math.sqrt(_row_sums(tails * tails).max()), k_constant, reference.value)
     return DecompositionResult(
         split=SplitRule(thresholds=thresholds, mode=mode),
         ell1_sup=ell1_sup,

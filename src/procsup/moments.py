@@ -44,7 +44,7 @@ def rearrange(t: Point) -> Point:
     """Absolute coordinates sorted nonincreasingly (ties keep original order)."""
     a = np.abs(t.array)
     order = np.argsort(-a, kind="stable")
-    return Point(tuple(float(x) for x in a[order]))
+    return Point(a[order])
 
 
 def _check_trim_count(p: int) -> int:

@@ -40,6 +40,8 @@ from .core import (
     Point,
     ProcessKind,
     Seed,
+    content_digest,
+    point_matrix,
     read_points_file,
 )
 from .errors import ParameterError, ParseError, ValidationError
@@ -55,40 +57,32 @@ class NormKind(enum.Enum):
     EUCLIDEAN = "euclidean"
 
 
-@dataclass(frozen=True)
 class VectorSystem:
-    """The terms ``x_1..x_n`` of a random series, plus the ambient norm."""
+    """The terms ``x_1..x_n`` of a random series, plus the ambient norm.
 
-    name: str
-    vectors: tuple[Point, ...]
-    norm: NormKind
+    ``vectors`` (points or an array) become ``matrix``, validated as a set's
+    but with repeats allowed.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.vectors:
-            raise ValidationError(f"system {self.name!r} has no vectors")
-        dims = {v.dim for v in self.vectors}
-        if len(dims) != 1:
-            raise ValidationError(f"system {self.name!r} mixes dimensions {sorted(dims)}")
+    def __init__(self, name: str, vectors, norm: NormKind) -> None:
+        self.name = name
+        self.norm = norm
+        self.matrix = point_matrix(vectors, f"system {name!r}", "vector")
 
     @property
     def terms(self) -> int:
-        return len(self.vectors)
+        return self.matrix.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.vectors[0].dim
+        return self.matrix.shape[1]
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        m = np.asarray([v.coords for v in self.vectors], dtype=np.float64)
-        m.setflags(write=False)
-        return m
+    def vectors(self) -> tuple[Point, ...]:
+        return tuple(map(Point, self.matrix))
 
     def content_hash(self) -> str:
-        payload = json.dumps(
-            {"norm": self.norm.value, "vectors": [list(v.coords) for v in self.vectors]}
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return content_digest(norm=self.norm.value, vectors=self.matrix)
 
     def norm_of(self, xs: np.ndarray) -> np.ndarray:
         """Ambient norm of each row of ``xs``."""
@@ -104,7 +98,7 @@ def save_vector_system(system: VectorSystem, path: str | Path) -> None:
         "name": system.name,
         "norm": system.norm.value,
         "dim": system.dim,
-        "vectors": [list(v.coords) for v in system.vectors],
+        "vectors": system.matrix.tolist(),
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
@@ -116,14 +110,14 @@ def _read_system(path: str | Path, set_norm: NormKind | None = None) -> VectorSy
     vector-system file keeps its own tag.
     """
     formats = (SYSTEM_FORMAT,) if set_norm is None else (SYSTEM_FORMAT, SET_FORMAT)
-    doc, name, vectors = read_points_file(path, formats)
+    doc, name, matrix = read_points_file(path, formats)
     norm = set_norm
     if doc["format"] == SYSTEM_FORMAT:
         try:
             norm = NormKind(doc.get("norm"))
         except ValueError:
             raise ParseError(f"{path}: unknown norm {doc.get('norm')!r}") from None
-    return VectorSystem(name=name, vectors=vectors, norm=norm)
+    return VectorSystem(name=name, vectors=matrix, norm=norm)
 
 
 def load_vector_system(path: str | Path) -> VectorSystem:
@@ -178,13 +172,12 @@ def generate_functionals(norm: NormKind, dim: int, extra: int, seed: Seed) -> Fu
         else:
             g = rng.standard_normal(gen, dim)
             rows.append(g / np.linalg.norm(g))
-    points = tuple(Point(tuple(float(x) for x in r)) for r in rows)
-    return FunctionalSample(functionals=points, norm=norm, seed=seed)
+    return FunctionalSample(functionals=tuple(map(Point, rows)), norm=norm, seed=seed)
 
 
 def _coefficient_norm(coeffs: np.ndarray, p: int) -> float:
     """||sum_i eps_i c_i||_p for the scalar coefficients ``c``: exact if small."""
-    point = Point(tuple(float(x) for x in coeffs))
+    point = Point(coeffs)
     if coeffs.size <= EXACT_ENUMERATION_MAX_DIM:
         return bernoulli_norm_exact(point, p)
     return bernoulli_norm_proxy(point, p).value
@@ -273,22 +266,22 @@ def check_weak_contraction(
     worst_report: ContractionReport | None = None
     worst_index = -1
     for k, w in enumerate(funcs.functionals):
-        a = Point(tuple(float(v) for v in x_sys.matrix @ w.array))
-        b = Point(tuple(float(v) for v in y_sys.matrix @ w.array))
-        zero = Point.zero(x_sys.terms)
-        if a.coords == zero.coords:
+        a = x_sys.matrix @ w.array
+        b = y_sys.matrix @ w.array
+        if not a.any():
             per_functional.append(1.0)  # nothing to dominate
             continue
-        if b.coords == zero.coords:
+        if not b.any():
             # Zero source coefficients cannot dominate a nonzero image: at
             # p = 0 the condition reads ||a||^2 <= 0 for every C.
-            margin = float(np.dot(a.array, a.array))
+            margin = float(np.dot(a, a))
             report = ContractionReport(None, p_max, (0, 1, 0), margin, "weak-coefficients")
             per_functional.append(None)
             worst_report, worst_index = report, k
             break
-        source = FiniteSet(name=f"w{k}-source", points=(zero, b))
-        image = FiniteSet(name=f"w{k}-image", points=(zero, a))
+        zero = np.zeros_like(a)
+        source = FiniteSet(name=f"w{k}-source", points=np.stack([zero, b]))
+        image = FiniteSet(name=f"w{k}-image", points=np.stack([zero, a]))
         pair = MappedPair(source=source, image=image, correspondence=(0, 1), map_label="weak-coefficients")
         report = fit_min_C(pair, p_max=p_max, tol=tol)
         per_functional.append(report.c_star)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from procsup import cli
-from procsup.core import load_set
+from procsup.core import SetKind, load_set
 
 
 def _run(argv):
@@ -168,3 +168,13 @@ def test_suite_subset_runs_and_reports(tmp_path, capsys):
     assert doc["results"]["all_passed"] is True
     assert [c["number"] for c in doc["results"]["criteria"]] == [2]
     assert _run(["suite", "--only", "99"]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("kind", [k.value for k in SetKind])
+def test_gen_rejects_non_finite_params(tmp_path, capsys, kind, value):
+    out = tmp_path / "s.set"
+    argv = ["gen", "--kind", kind, "--dim", "4", "--count", "2", "--params", value, "--out", str(out)]
+    assert _run(argv) == 2
+    assert f"param 0 must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()

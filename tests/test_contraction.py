@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -112,3 +115,68 @@ def test_contractions_do_not_increase_sup(name, params):
         report = compare_suprema(pair)
         assert report.lhs <= report.rhs * (1 + 1e-12) + 1e-12
         assert report.extras["map"].startswith(name)
+
+
+# --- array paths against the scalar loops they replaced ---
+
+
+def _reference_apply_map(ts, cmap):
+    """The dict-of-tuples dedup loop: first occurrence wins, -0.0 == 0.0 as tuple keys."""
+    images, index_of, correspondence = [], {}, []
+    for row in ts.matrix:
+        q = tuple(float(x) for x in cmap.apply(row))
+        j = index_of.setdefault(q, len(images))
+        if j == len(images):
+            images.append(q)
+        correspondence.append(j)
+    return np.array(images, dtype=np.float64), tuple(correspondence)
+
+
+def _reference_profile(diff):
+    sq = np.sort(diff * diff)
+    return np.concatenate(([0.0], np.cumsum(sq)))[::-1]
+
+
+def _reference_evaluate(pair, c, p_max):
+    """The pair-by-pair loop: the first strict maximum of lhs - C^2 rhs wins."""
+    src, img, corr = pair.source.matrix, pair.image.matrix, pair.correspondence
+    worst, margin = (0, 0, 0), -math.inf
+    for i in range(len(src)):
+        for j in range(i + 1, len(src)):
+            sp = _reference_profile(src[j] - src[i])
+            ip = _reference_profile(img[corr[j]] - img[corr[i]])
+            for p in range(p_max + 1):
+                lhs = ip[min(int(math.floor(c * p)), ip.size - 1)]
+                rhs = c * c * sp[min(p, sp.size - 1)]
+                if lhs - rhs > margin:
+                    margin, worst = lhs - rhs, (i, j, p)
+    return (0.0 if margin == -math.inf else float(margin)), worst
+
+
+# A coarse value grid: maps collapse points, signed zeros meet, margins tie.
+_grid = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+_small_sets = st.integers(min_value=1, max_value=4).flatmap(
+    lambda d: st.lists(st.lists(_grid, min_size=d, max_size=d), min_size=1, max_size=6, unique_by=tuple)
+)
+_maps = st.sampled_from([
+    CoordinateMap("abs"),
+    CoordinateMap("clamp", (-0.5, 0.5)),
+    CoordinateMap("clamp", (0.0, 1.0)),
+    CoordinateMap("soft_threshold", (0.5,)),
+    CoordinateMap("soft_threshold", (1.0,)),
+    CoordinateMap("scale", (2.0,)),
+])
+
+
+@given(_small_sets, _maps, st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0]), st.integers(0, 6))
+def test_array_dedup_and_pair_table_match_scalar_loops(rows, cmap, c, p_max):
+    ts = FiniteSet(name="grid", points=np.array(rows))
+    pair = apply_map(ts, cmap)
+    images, correspondence = _reference_apply_map(ts, cmap)
+    assert pair.correspondence == correspondence
+    assert pair.image.matrix.tobytes() == images.tobytes()  # keeps the first signed zero
+    result = check_condition(pair, c, p_max)
+    margin, worst = _reference_evaluate(pair, c, p_max)
+    assert result.margin == margin
+    assert result.worst_pair == worst
+    assert result.satisfied == (margin <= 0.0)

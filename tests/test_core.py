@@ -217,6 +217,9 @@ _COERCED = {"format": "finite-set", "version": 1, "dim": True, "points": [["1e3"
         ({"dim": 1, "points": [[1.0], [10**400]]}, "point 1"),
         ({"dim": 0, "points": []}, "dim"),
         ({"dim": -1, "points": []}, "dim"),
+        ({"dim": 1, "points": [[1.0], [-math.inf]]}, "point 1"),
+        ({"dim": 1, "points": []}, "no points"),
+        ({"dim": 2, "points": [[1.0, 0.0], [0.0, 1.0], [1.0, -0.0]]}, "duplicate points at indices 0 and 2"),
     ],
 )
 def test_load_set_rejects_values_it_would_have_to_coerce(tmp_path, doc, match):
@@ -224,3 +227,58 @@ def test_load_set_rejects_values_it_would_have_to_coerce(tmp_path, doc, match):
     path.write_text(json.dumps({"format": "finite-set", "version": 1, **doc}))
     with pytest.raises((ParseError, ValidationError), match=match):
         load_set(path)
+
+
+# --- one validated matrix, whichever way a set is built ---
+
+
+@given(st.lists(st.lists(coords, min_size=3, max_size=3), min_size=1, max_size=5, unique_by=tuple))
+def test_finite_set_from_array_matches_from_points(rows):
+    array = np.array(rows, dtype=np.float64)
+    a = FiniteSet(name="a", points=array)
+    b = FiniteSet(name="a", points=tuple(Point(r) for r in rows))
+    assert a.matrix.tobytes() == b.matrix.tobytes()
+    assert a.content_hash() == b.content_hash()
+    assert a.points == b.points
+    assert [p.coords for p in a.points] == [tuple(r) for r in rows]
+    array[0, 0] = 1e6  # the set holds its own copy
+    assert a.matrix.tobytes() == b.matrix.tobytes()
+
+
+def test_matrix_and_point_arrays_are_readonly():
+    for ts in (FiniteSet(name="ro", points=np.eye(2)), FiniteSet(name="ro", points=(Point((1.0, 2.0)),))):
+        with pytest.raises(ValueError):
+            ts.matrix[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            ts.points[0].array[0] = 9.0
+    with pytest.raises(ValueError):
+        Point((1.0, 2.0)).array[0] = 9.0
+
+
+@pytest.mark.parametrize(
+    "points, match",
+    [
+        (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), "duplicate points at indices 0 and 2"),
+        (np.array([[0.0, 1.0], [1.0, 0.0], [-0.0, 1.0]]), "duplicate points at indices 0 and 2"),
+        ((Point((1.0, 0.0)), Point((0.0, 1.0)), Point((1.0, -0.0))), "duplicate points at indices 0 and 2"),
+        ([[1.0], [1.0, 2.0]], "mixes dimensions"),
+        ((Point((1.0,)), Point((1.0, 2.0))), "mixes dimensions"),
+        ((), "no points"),
+        (np.empty((0, 2)), "no points"),
+        (np.array([[1.0], [math.nan]]), "point 1: coordinate 0 is not finite"),
+        (np.ones(3), "rows"),
+    ],
+)
+def test_finite_set_validation_messages(points, match):
+    with pytest.raises(ValidationError, match=match):
+        FiniteSet(name="bad", points=points)
+
+
+def test_point_keeps_its_public_face():
+    p = Point((1.0, -0.0, 2.5))
+    assert p.coords == (1.0, -0.0, 2.5) and p.dim == 3
+    assert p == Point((1.0, 0.0, 2.5)) and hash(p) == hash(Point((1.0, 0.0, 2.5)))
+    assert p != Point((1.0, 0.0)) and p != (1.0, -0.0, 2.5)
+    assert (p + p - p).coords == p.coords
+    assert Point.zero(2).coords == (0.0, 0.0)
+    assert repr(p) == "Point(coords=(1.0, -0.0, 2.5))"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from procsup.chaining import build_partition_greedy, chain_bound
 from procsup.core import FiniteSet, Point, ProcessKind, Seed, generate_set, has_disjoint_supports
 from procsup.decomposition import (
     SplitRule,
@@ -14,6 +15,7 @@ from procsup.decomposition import (
     verify_two_sided,
 )
 from procsup.errors import ParameterError
+from procsup.moments import MomentModel
 
 coords = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
 vectors = st.lists(coords, min_size=1, max_size=8).map(lambda xs: Point(tuple(xs)))
@@ -124,3 +126,34 @@ def test_decompose_records_choose_p():
     assert result.extras["k_constant"] == 2.0
     pick = result.extras["choose_p"]
     assert pick == "inf" or (isinstance(pick, int) and pick >= 1)
+
+
+def _reference_objective(ts, r):
+    """The per-point scalar split, left-to-right sums and dict dedup the array sweep replaced."""
+    ell1, family = [], {(0.0,) * ts.dim: None}  # dict keys: first wins, -0.0 == 0.0
+    for point in ts.points:
+        small = [0.0 < abs(x) <= r for x in point.coords]
+        ell1.append(sum(abs(0.0 if s else x) for x, s in zip(point.coords, small)))
+        family.setdefault(tuple(x if s else 0.0 for x, s in zip(point.coords, small)), None)
+    tails = FiniteSet(name="tails", points=[Point(t) for t in family])
+    return max(ell1), chain_bound(tails, build_partition_greedy(tails), MomentModel.gaussian_exact()).value
+
+
+# Repeated magnitudes, signed zeros, and arbitrary floats whose sums depend on the order
+# (kept above 1e-3: the greedy tree cannot split points whose distance underflows).
+_grid = st.one_of(
+    st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]),
+    st.floats(1e-3, 2.0).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+@given(st.integers(min_value=1, max_value=10).flatmap(
+    lambda d: st.lists(st.lists(_grid, min_size=d, max_size=d), min_size=1, max_size=6, unique_by=tuple)
+))
+def test_sweep_matches_scalar_split_exactly(rows):
+    ts = FiniteSet(name="grid", points=rows)
+    grid = sorted({abs(x) for row in rows for x in row if x != 0.0})
+    entries = sweep_objectives(ts)
+    assert [e.threshold for e in entries] == [0.0, *grid]
+    for e in entries:
+        assert (e.ell1_sup, e.gamma2_bound) == _reference_objective(ts, e.threshold)
