@@ -23,6 +23,7 @@ This module provides
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ import numpy as np
 
 from .core import FiniteSet, Point, ProcessKind, Seed, distinct_rows
 from .errors import CapacityError, ParameterError, ValidationError
-from .moments import EXACT_ENUMERATION_MAX_DIM, ModelKind, MomentModel
+from .moments import _BLOCK_BYTES, EXACT_ENUMERATION_MAX_DIM, ModelKind, MomentModel
 from .reports import ComparisonReport, safe_ratio
 from .suprema import brute_force_bernoulli_sup, mc_sup
 
@@ -139,45 +140,107 @@ def _allocate_children(budget: int, sizes: list[int]) -> list[int]:
 
     "Need" is the ratio of a parent's size to its current allocation, so
     large parents split more; allocations never exceed the parent's size and
-    ties go to the earliest parent.
+    ties go to the earliest parent.  A heap keyed ``(-need, index)`` hands out
+    one slot per pop; a parent leaves it once its allocation reaches its size.
     """
     alloc = [1] * len(sizes)
-    remaining = budget - len(sizes)
-    while remaining > 0:
-        best, best_need = -1, 0.0
-        for i, (s, a) in enumerate(zip(sizes, alloc)):
-            if a < s and s / a > best_need:
-                best, best_need = i, s / a
-        if best < 0:
+    heap = [(-float(s), i) for i, s in enumerate(sizes) if s > 1]
+    heapq.heapify(heap)
+    for _ in range(budget - len(sizes)):
+        if not heap:
             break
-        alloc[best] += 1
-        remaining -= 1
+        i = heap[0][1]
+        alloc[i] += 1
+        if alloc[i] < sizes[i]:
+            heapq.heapreplace(heap, (-(sizes[i] / alloc[i]), i))
+        else:
+            heapq.heappop(heap)
     return alloc
 
 
-def _split_farthest_point(coords: np.ndarray, members: tuple[int, ...], rep: int, k: int) -> list[Block]:
-    """Split one parent block into ``k`` children by farthest-point centers.
+def _farthest_points(x: np.ndarray, member: np.ndarray, first: np.ndarray, k: np.ndarray):
+    """Farthest-point traversals of the rows of ``x``, all rows one step at a time.
 
-    The parent's representative seeds the traversal (so one child always
-    inherits it); each further center is the member farthest from all chosen
-    centers, ties to the lowest point index; members then join their nearest
-    center, ties to the earliest center.
+    ``x`` is ``(rows, width, d)`` with ``member`` marking the real entries
+    (the rest is padding); ``first`` is each row's seed position; ``k``,
+    nonincreasing, is each row's number of centers, so the rows still
+    choosing form a prefix.  ``near`` tracks each member's distance to its
+    nearest center and is ``-inf`` on padding and chosen centers, which
+    keeps them out of the ``argmax`` (ties to the lowest position) and the
+    centers in their own blocks even when a distance underflows to 0.
+    Returns each entry's center number (nearest, ties to the earliest) and
+    the mask of chosen centers.
     """
-    idx = np.asarray(members)
-    local = coords[idx]
-    centers = [members.index(rep)]
-    dist = np.linalg.norm(local - local[centers[0]], axis=1)
-    while len(centers) < k:
-        nxt = int(np.argmax(dist))
-        centers.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(local - local[nxt], axis=1))
-    pairwise = np.linalg.norm(local[:, None, :] - local[None, centers, :], axis=2)
-    assign = np.argmin(pairwise, axis=1)
-    blocks = []
-    for c, center in enumerate(centers):
-        chosen = idx[assign == c]
-        blocks.append(Block(members=tuple(int(i) for i in chosen), rep=int(idx[center])))
-    return blocks
+    rows = np.arange(len(x))
+    near = np.where(member, np.inf, -np.inf)
+    assign = np.zeros(member.shape, dtype=np.intp)
+    diff = np.empty_like(x)
+    active = np.searchsorted(-k, -np.arange(k[0]))  # rows with k > j
+    for j, a in enumerate(active.tolist()):
+        row, region, d2 = rows[:a], near[:a], diff[:a]
+        c = first if j == 0 else region.argmax(axis=1)
+        np.subtract(x[:a], x[row, c][:, None, :], out=d2)
+        dist = np.sqrt(np.add.reduce(np.multiply(d2, d2, out=d2), axis=-1))
+        dist[row, c] = -np.inf
+        np.copyto(assign[:a], j, where=dist < region)
+        np.minimum(region, dist, out=region)
+    return assign, member & (near == -np.inf)
+
+
+def _split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps: np.ndarray,
+                 alloc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split every block of one level into its ``alloc`` children by farthest-point centers.
+
+    A level is ``order`` (its blocks' members, block after block, each
+    ascending) with each block's size and representative.  The parent's
+    representative seeds its traversal (so one child always inherits it);
+    each further center is the member farthest from all chosen centers,
+    ties to the lowest point index; members then join their nearest
+    center, ties to the earliest center.  Children follow their parent's
+    position, then the order their centers were chosen.  Parents are
+    padded to rows and traversed together, largest ``alloc`` first, in
+    chunks of at most ``_BLOCK_BYTES`` of coordinates (a larger parent
+    goes alone).  Beyond 1/128 of that budget a chunk also keeps its sizes
+    within a factor 2, so padding at most doubles the work; below it,
+    fewer steps matter more.
+    """
+    starts = np.cumsum(sizes) - sizes
+    first_child = np.cumsum(alloc) - alloc
+    label = np.repeat(first_child, sizes)
+    child_reps = np.repeat(reps, alloc)
+    split = np.flatnonzero(alloc > 1)
+    split = split[np.argsort(-alloc[split], kind="stable")]
+    row_bytes = 8 * coords.shape[1]
+    lo, widths = 0, sizes[split].tolist()
+    while lo < len(split):
+        hi, narrow, width = lo + 1, widths[lo], widths[lo]
+        while hi < len(split):
+            wider, narrower = max(width, widths[hi]), min(narrow, widths[hi])
+            padded = (hi + 1 - lo) * wider * row_bytes
+            if padded > _BLOCK_BYTES or (wider > 2 * narrower and padded > _BLOCK_BYTES >> 7):
+                break
+            hi, narrow, width = hi + 1, narrower, wider
+        parents = split[lo:hi]
+        lo = hi
+        size, k, start = sizes[parents, None], alloc[parents], starts[parents, None]
+        col = np.arange(width)
+        member = col < size
+        idx = order[start + np.minimum(col, size - 1)]
+        first = (idx == reps[parents, None]).argmax(axis=1)
+        assign, center = _farthest_points(coords[idx], member, first, k)
+        label[(start + col)[member]] += assign[member]
+        row, pos = np.nonzero(center)
+        child_reps[first_child[parents][row] + assign[row, pos]] = idx[row, pos]
+    return order[np.argsort(label, kind="stable")], np.bincount(label, minlength=child_reps.size), child_reps
+
+
+def _blocks(order: np.ndarray, sizes: np.ndarray, reps: np.ndarray) -> tuple[Block, ...]:
+    """The level laid out as in :func:`_split_level`, as blocks."""
+    members = order.tolist()
+    ends = np.cumsum(sizes).tolist()
+    return tuple(
+        Block(tuple(members[a:b]), rep=r) for a, b, r in zip([0, *ends], ends, reps.tolist())
+    )
 
 
 def build_partition_greedy(ts: FiniteSet) -> PartitionTree:
@@ -189,21 +252,13 @@ def build_partition_greedy(ts: FiniteSet) -> PartitionTree:
     least ``n`` with ``2^(2^n) >= |T|``.
     """
     n = len(ts)
-    coords = ts.matrix
-    levels: list[tuple[Block, ...]] = [(Block(tuple(range(n)), rep=0),)]
-    lvl = 0
-    while any(len(b.members) > 1 for b in levels[-1]):
-        lvl += 1
-        parents = levels[-1]
-        budget = min(level_budget(lvl), n)
-        alloc = _allocate_children(budget, [len(b.members) for b in parents])
-        children: list[Block] = []
-        for parent, k in zip(parents, alloc):
-            if k == 1:
-                children.append(parent)
-            else:
-                children.extend(_split_farthest_point(coords, parent.members, parent.rep, k))
-        levels.append(tuple(children))
+    order, sizes, reps = np.arange(n), np.array([n]), np.array([0])
+    levels = [_blocks(order, sizes, reps)]
+    while sizes.max() > 1:
+        budget = min(level_budget(len(levels)), n)
+        alloc = np.array(_allocate_children(budget, sizes.tolist()))
+        order, sizes, reps = _split_level(ts.matrix, order, sizes, reps, alloc)
+        levels.append(_blocks(order, sizes, reps))
     return PartitionTree(n_points=n, levels=tuple(levels))
 
 
@@ -220,32 +275,30 @@ class ChainBound:
 def chain_bound(ts: FiniteSet, tree: PartitionTree, model: MomentModel) -> ChainBound:
     """Evaluate ``max_t sum_n ||X_(rep_n(t)) - X_(rep_(n-1)(t))||_(2^n)``.
 
-    Increment norms are memoised per unordered point pair and level, so
-    Monte Carlo models evaluate each increment exactly once.
+    Each level is one batch: every block's increment from its parent's
+    representative to its own, ``x[max] - x[min]`` of the two indices, goes
+    through one :meth:`MomentModel.norms` call; blocks that keep their
+    parent's representative add 0.
     """
     if tree.n_points != len(ts):
         raise ParameterError(f"tree covers {tree.n_points} points but the set has {len(ts)}")
-    cache: dict[tuple[int, int, int], float] = {}
-
-    def increment(a: int, b: int, p: int) -> float:
-        if a == b:
-            return 0.0
-        key = (min(a, b), max(a, b), p)
-        if key not in cache:
-            cache[key] = model.norm(Point(ts.matrix[key[1]] - ts.matrix[key[0]]), p)
-        return cache[key]
-
-    sums = [0.0] * len(ts)
-    prev_rep = {i: tree.levels[0][0].rep for i in range(len(ts))}
-    for lvl in range(1, len(tree.levels)):
-        p = 1 << lvl
-        for block in tree.levels[lvl]:
-            parent_rep = prev_rep[block.members[0]]
-            step = increment(parent_rep, block.rep, p)
-            for i in block.members:
-                sums[i] += step
-                prev_rep[i] = block.rep
-    return ChainBound(value=max(sums), per_point=tuple(sums), tree=tree, model=model)
+    n = len(ts)
+    sums = np.zeros(n)
+    prev_rep = np.full(n, tree.levels[0][0].rep)
+    for lvl, level in enumerate(tree.levels[1:], start=1):
+        sizes = np.fromiter((len(b.members) for b in level), np.intp, len(level))
+        members = np.fromiter(itertools.chain.from_iterable(b.members for b in level), np.intp, n)
+        reps = np.fromiter((b.rep for b in level), np.intp, len(level))
+        parent_reps = prev_rep[members[np.cumsum(sizes) - sizes]]
+        moved = parent_reps != reps
+        lo = np.minimum(parent_reps, reps)[moved]
+        hi = np.maximum(parent_reps, reps)[moved]
+        steps = np.zeros(len(level))
+        steps[moved] = model.norms(ts.matrix[hi] - ts.matrix[lo], 1 << lvl)
+        sums[members] += np.repeat(steps, sizes)
+        prev_rep[members] = np.repeat(reps, sizes)
+    per_point = tuple(sums.tolist())
+    return ChainBound(value=max(per_point), per_point=per_point, tree=tree, model=model)
 
 
 def combine_sum_set(

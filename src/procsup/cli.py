@@ -12,6 +12,7 @@ assertion failed (a sandwich or bound violation, a failed suite criterion).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -377,8 +378,25 @@ def _add_report_flags(p: argparse.ArgumentParser) -> None:
                         "(reports are byte-stable only without it)")
 
 
+#: Negative numbers with an optional fraction and exponent, and ``-inf``/``-nan``.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads ``-1e3``, ``-2.5e-1`` and ``-inf`` as values.
+
+    Plain argparse takes only forms like ``-2`` and ``-2.5`` for negative
+    numbers and rejects the rest as unrecognized options.  Subparsers
+    inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="procsup",
         description="Suprema of canonical Bernoulli/Gaussian processes over finite sets: "
                     "bounds, decompositions, and verification harnesses.",

@@ -56,6 +56,9 @@ class CoordinateMap:
             raise ParameterError(
                 f"map {self.name!r} takes {lo}..{hi} params, got {len(self.params)}"
             )
+        for i, x in enumerate(self.params):
+            if not np.isfinite(x):
+                raise ParameterError(f"param {i} must be finite, got {x!r}")
         if self.name == "clamp" and len(self.params) == 2 and self.params[0] > self.params[1]:
             raise ParameterError(f"clamp needs lo <= hi, got {self.params}")
         if self.name == "soft_threshold" and self.params and self.params[0] < 0:

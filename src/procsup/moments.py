@@ -34,7 +34,7 @@ import numpy as np
 
 from . import rng
 from .core import EXACT_ENUMERATION_MAX_DIM, Point, ProcessKind, Seed
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, ValidationError
 
 #: Byte budget of one block of sign sums or Monte Carlo products.
 _BLOCK_BYTES = 8 << 20
@@ -300,3 +300,16 @@ class MomentModel:
             return gaussian_norm_exact(t, p)
         assert self.process is not None and self.seed is not None
         return mc_norm(self.process, t, p, self.samples, self.seed)[0]
+
+    def norms(self, ts: np.ndarray, p) -> np.ndarray:
+        """:meth:`norm` of every row of the ``(k, d)`` array ``ts``, bit for bit.
+
+        The Gaussian route is one ``vecdot``, which rounds each row like the
+        1-D dot product behind :func:`gaussian_norm_exact`; the other routes
+        evaluate :meth:`norm` row by row.
+        """
+        if self.kind is not ModelKind.GAUSSIAN_EXACT:
+            return np.array([self.norm(Point(t), p) for t in ts], dtype=np.float64)
+        if not np.isfinite(ts).all():
+            raise ValidationError("increment rows must be finite")
+        return np.sqrt(np.vecdot(ts, ts)) * gaussian_moment_constant(p)

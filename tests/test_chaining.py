@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from procsup.chaining import (
     SUP_BOUND_FACTOR,
     Block,
     PartitionTree,
+    _allocate_children,
     build_partition_greedy,
     chain_bound,
     combine_sum_set,
@@ -19,7 +22,7 @@ from procsup.chaining import (
     tree_from_dict,
     verify_sup_bound,
 )
-from procsup.core import FiniteSet, Point, ProcessKind, Seed
+from procsup.core import FiniteSet, Point, ProcessKind, Seed, distinct_rows
 from procsup.errors import CapacityError, ParameterError, ValidationError
 from procsup.moments import MomentModel
 from procsup.suprema import brute_force_bernoulli_sup
@@ -203,3 +206,180 @@ def test_verify_sup_bound_rejects_gaussian_exact():
     ts = _random_set(7, 3, 4)
     with pytest.raises(ParameterError):
         verify_sup_bound(ts, ProcessKind.GAUSSIAN, exact=True)
+
+
+# --- the level-batched builder and chain bound against the per-parent, per-pair originals ---
+
+
+def _reference_allocate(budget, sizes):
+    """The linear-scan allocator: the largest size/alloc ratio wins, ties to the earliest parent."""
+    alloc = [1] * len(sizes)
+    remaining = budget - len(sizes)
+    while remaining > 0:
+        best, best_need = -1, 0.0
+        for i, (s, a) in enumerate(zip(sizes, alloc)):
+            if a < s and s / a > best_need:
+                best, best_need = i, s / a
+        if best < 0:
+            break
+        alloc[best] += 1
+        remaining -= 1
+    return alloc
+
+
+def _reference_split(coords, members, rep, k):
+    """One parent at a time, with the members x centers x d distance tensor."""
+    idx = np.asarray(members)
+    local = coords[idx]
+    centers = [members.index(rep)]
+    dist = np.linalg.norm(local - local[centers[0]], axis=1)
+    while len(centers) < k:
+        nxt = int(np.argmax(dist))
+        centers.append(nxt)
+        dist = np.minimum(dist, np.linalg.norm(local - local[nxt], axis=1))
+    assign = np.argmin(np.linalg.norm(local[:, None, :] - local[None, centers, :], axis=2), axis=1)
+    return [Block(tuple(int(i) for i in idx[assign == c]), int(idx[center]))
+            for c, center in enumerate(centers)]
+
+
+def _reference_build(ts):
+    n = len(ts)
+    levels = [(Block(tuple(range(n)), rep=0),)]
+    while any(len(b.members) > 1 for b in levels[-1]):
+        budget = min(level_budget(len(levels)), n)
+        alloc = _reference_allocate(budget, [len(b.members) for b in levels[-1]])
+        children = []
+        for parent, k in zip(levels[-1], alloc):
+            children.extend([parent] if k == 1 else _reference_split(ts.matrix, parent.members, parent.rep, k))
+        levels.append(tuple(children))
+    return PartitionTree(n_points=n, levels=tuple(levels))
+
+
+def _reference_chain_bound(ts, tree, model):
+    """One memoised ``model.norm`` call per (parent rep, rep, level) pair, sums in Python floats."""
+    cache = {}
+
+    def increment(a, b, p):
+        if a == b:
+            return 0.0
+        key = (min(a, b), max(a, b), p)
+        if key not in cache:
+            cache[key] = model.norm(Point(ts.matrix[key[1]] - ts.matrix[key[0]]), p)
+        return cache[key]
+
+    sums = [0.0] * len(ts)
+    prev_rep = {i: tree.levels[0][0].rep for i in range(len(ts))}
+    for lvl in range(1, len(tree.levels)):
+        for block in tree.levels[lvl]:
+            step = increment(prev_rep[block.members[0]], block.rep, 1 << lvl)
+            for i in block.members:
+                sums[i] += step
+                prev_rep[i] = block.rep
+    return max(sums), tuple(sums)
+
+
+@st.composite
+def _tree_inputs(draw):
+    """Grid sets with many tied distances, magnitudes from 1e-5 to 1e5, or a cluster plus outliers."""
+    dim = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 80))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    style = draw(st.sampled_from(["grid", "magnitudes", "skewed"]))
+    if style == "grid":
+        rows = gen.integers(-2, 3, (count, dim)) * draw(st.sampled_from([1.0, 0.5, 1e-4, 1e4]))
+    elif style == "magnitudes":
+        rows = gen.standard_normal((count, dim)) * 10.0 ** gen.uniform(-5, 5, (count, 1))
+    else:
+        rows = np.concatenate([gen.standard_normal((count, dim)) * 1e-3,
+                               gen.standard_normal((1 + count // 8, dim)) * 10.0])
+    first, _ = distinct_rows(rows)
+    return FiniteSet(name=style, points=rows[np.sort(first)])
+
+
+_MODELS = (
+    MomentModel.gaussian_exact(),
+    MomentModel.bernoulli_exact(),
+    MomentModel.bernoulli_proxy(),
+    MomentModel.monte_carlo(ProcessKind.BERNOULLI, 16, Seed(3)),
+)
+
+
+@given(_tree_inputs())
+def test_level_batched_build_and_bound_match_the_originals(ts):
+    tree = build_partition_greedy(ts)
+    assert tree.to_dict() == _reference_build(ts).to_dict()
+    for model in _MODELS:
+        got = chain_bound(ts, tree, model)
+        value, per_point = _reference_chain_bound(ts, tree, model)
+        assert np.array(got.per_point).tobytes() == np.array(per_point).tobytes()
+        assert np.float64(got.value).tobytes() == np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("dim, side", [(1, 9), (2, 5), (3, 3), (4, 3)])
+def test_level_batched_build_matches_the_original_on_full_grids(dim, side):
+    # every grid point has many equidistant neighbours, so every tie rule is exercised
+    rows = np.array(list(itertools.product(range(side), repeat=dim)), dtype=float)
+    ts = FiniteSet(name="full-grid", points=rows)
+    assert build_partition_greedy(ts).to_dict() == _reference_build(ts).to_dict()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_level_batched_build_matches_the_original_at_d8_and_d17(seed):
+    # d >= 8 is where add.reduce switches to pairwise summation
+    for dim in (8, 17):
+        ts = _random_set(seed, 300, dim, "batched-wide")
+        tree = build_partition_greedy(ts)
+        assert tree.to_dict() == _reference_build(ts).to_dict()
+        got = chain_bound(ts, tree, MomentModel.gaussian_exact())
+        assert got.per_point == _reference_chain_bound(ts, tree, MomentModel.gaussian_exact())[1]
+
+
+@pytest.mark.parametrize(
+    "budget, sizes",
+    [
+        (16, [4, 4, 4, 4]),  # equal ratios: earliest parent first, round after round
+        (10, [6, 3, 6, 3, 2]),  # 6/2 == 3/1: the earlier parent wins the tie
+        (7, [1, 1, 1]),  # nobody can split
+        (12, [5, 1, 5]),  # budget == sum(sizes)
+        (40, [5, 1, 5, 2]),  # budget > sum(sizes): everyone splits fully, the rest is unused
+        (3, [9, 9, 9]),  # no spare slots
+        (1000, [1000]),
+        (25, [7, 14, 21, 28, 3]),
+    ],
+)
+def test_heap_allocation_matches_the_linear_scan(budget, sizes):
+    assert _allocate_children(budget, sizes) == _reference_allocate(budget, sizes)
+
+
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=12), st.integers(0, 200))
+def test_heap_allocation_matches_the_linear_scan_everywhere(sizes, extra):
+    budget = len(sizes) + extra
+    assert _allocate_children(budget, sizes) == _reference_allocate(budget, sizes)
+
+
+def test_greedy_tree_splits_points_whose_distance_underflows():
+    # |1e-200 - 0|^2 underflows to 0, so both points look like the first center
+    ts = FiniteSet(name="tiny", points=[(0.0,), (1e-200,)])
+    tree = build_partition_greedy(ts)
+    assert [[b.members for b in level] for level in tree.levels] == [[(0, 1)], [(0,), (1,)]]
+    close = FiniteSet(name="tiny-grid", points=[(k * 1e-200,) for k in range(6)] + [(1.0,)])
+    assert all(len(b.members) == 1 for b in build_partition_greedy(close).levels[-1])
+
+
+def test_greedy_build_memory_stays_flat_when_one_parent_holds_most_points():
+    # A tight cluster plus outliers: the farthest-point budget goes to the outliers, so one
+    # level-3 block keeps ~3 000 points and level 4 splits it fully.  A members x centers x d
+    # distance tensor for it would take ~580 MB.
+    gen = rng.stream(7, "memory-cliff")
+    rows = np.concatenate([rng.standard_normal(gen, (3000, 8)) * 1e-3,
+                           rng.standard_normal(gen, (600, 8)) * 10.0])
+    ts = FiniteSet(name="cliff", points=rows)
+    tracemalloc.start()
+    try:
+        tree = build_partition_greedy(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(len(b.members) for b in tree.levels[3]) > 2900
+    assert tree.depth == 4
+    assert peak < 64 << 20

@@ -178,3 +178,33 @@ def test_gen_rejects_non_finite_params(tmp_path, capsys, kind, value):
     assert _run(argv) == 2
     assert f"param 0 must be finite, got {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value, factor", [("-1e3", -1000.0), ("-2.5e-1", -0.25), ("-2.5", -2.5)])
+def test_contract_reads_negative_map_params_in_exponent_form(tmp_path, value, factor):
+    set_path = _gen(tmp_path, dim=3, count=4)
+    doc = _report(tmp_path, ["contract", "--source", str(set_path), "--map", "scale",
+                             "--map-params", value, "--samples", "2000"])
+    assert doc["config"]["map"] == f"scale({factor!r})"
+
+
+def test_contract_rejects_a_negative_infinite_map_param(tmp_path, capsys):
+    set_path = _gen(tmp_path, dim=3, count=4)
+    assert _run(["contract", "--source", str(set_path), "--map", "scale", "--map-params", "-inf"]) == 2
+    assert "error: param 0 must be finite, got -inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("-1e3", "radius must be positive, got -1000.0"),
+    ("-2.5e-1", "radius must be positive, got -0.25"),
+    ("-2.5", "radius must be positive, got -2.5"),
+    ("-inf", "param 0 must be finite, got -inf"),
+])
+def test_gen_reads_negative_params_as_values(tmp_path, capsys, value, message):
+    # procsup, not argparse, rejects them: argparse would say "unrecognized arguments"
+    out = tmp_path / "s.set"
+    argv = ["gen", "--kind", "random_sphere", "--dim", "3", "--count", "2", "--params", value,
+            "--out", str(out)]
+    assert _run(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from procsup.chaining import build_partition_greedy, chain_bound
@@ -139,8 +139,8 @@ def _reference_objective(ts, r):
     return max(ell1), chain_bound(tails, build_partition_greedy(tails), MomentModel.gaussian_exact()).value
 
 
-# Repeated magnitudes, signed zeros, and arbitrary floats whose sums depend on the order
-# (kept above 1e-3: the greedy tree cannot split points whose distance underflows).
+# Repeated magnitudes, signed zeros, and arbitrary floats whose sums depend on the order;
+# the examples add magnitudes whose squared distances underflow to 0.
 _grid = st.one_of(
     st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]),
     st.floats(1e-3, 2.0).flatmap(lambda x: st.sampled_from([x, -x])),
@@ -150,6 +150,8 @@ _grid = st.one_of(
 @given(st.integers(min_value=1, max_value=10).flatmap(
     lambda d: st.lists(st.lists(_grid, min_size=d, max_size=d), min_size=1, max_size=6, unique_by=tuple)
 ))
+@example([[7e-298]])
+@example([[1e-200, 0.0], [0.0, -3e-300], [1e-200, 1e-200]])
 def test_sweep_matches_scalar_split_exactly(rows):
     ts = FiniteSet(name="grid", points=rows)
     grid = sorted({abs(x) for row in rows for x in row if x != 0.0})
@@ -157,3 +159,12 @@ def test_sweep_matches_scalar_split_exactly(rows):
     assert [e.threshold for e in entries] == [0.0, *grid]
     for e in entries:
         assert (e.ell1_sup, e.gamma2_bound) == _reference_objective(ts, e.threshold)
+
+
+def test_sweep_handles_a_tail_family_whose_distance_underflows():
+    # the tail family is {0, t}, and |t|^2 underflows to 0
+    entries = sweep_objectives(FiniteSet(name="tiny", points=[(7e-298,)]))
+    assert [(e.threshold, e.ell1_sup, e.gamma2_bound) for e in entries] == [
+        (0.0, 7e-298, 0.0),
+        (7e-298, 0.0, 0.0),
+    ]
