@@ -25,6 +25,7 @@ from .moments import (
     MomentModel,
     bernoulli_norm_exact,
     bernoulli_norm_proxy,
+    bernoulli_norms_exact,
     ell1_part,
     gaussian_moment_constant,
     gaussian_norm_exact,

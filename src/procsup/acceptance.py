@@ -10,6 +10,7 @@ both consume them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -29,8 +30,8 @@ from .core import FiniteSet, Point, ProcessKind, Seed, generate_set
 from .decomposition import decompose_by_sweep, split_rows, sweep_objectives, verify_two_sided
 from .moments import (
     MomentModel,
-    bernoulli_norm_exact,
     bernoulli_norm_proxy,
+    bernoulli_norms_exact,
     gaussian_moment_constant,
     gaussian_norm_exact,
     mc_norm,
@@ -100,8 +101,7 @@ def criterion_1_moment_sandwich(seed: int = DEFAULT_SEED) -> CriterionResult:
     worst_upper = 0.0  # max proxy / exact, must stay <= 4
     failures = 0
     for t in vectors:
-        for p in orders:
-            exact = bernoulli_norm_exact(t, p)
+        for p, exact in zip(orders, bernoulli_norms_exact(t, orders)):
             proxy = bernoulli_norm_proxy(t, p).value
             if exact == 0.0:
                 if proxy != 0.0:
@@ -135,9 +135,8 @@ def criterion_2_moment_regularity(seed: int = DEFAULT_SEED) -> CriterionResult:
     worst_bernoulli = 0.0
     failures = 0
     for t in vectors:
-        for q in (2, 4, 8):
-            low = bernoulli_norm_exact(t, q)
-            high = bernoulli_norm_exact(t, 2 * q)
+        # (low, high) = (||X||_q, ||X||_2q) for q in (2, 4, 8)
+        for low, high in itertools.pairwise(bernoulli_norms_exact(t, (2, 4, 8, 16))):
             if low == 0.0:
                 continue
             worst_bernoulli = max(worst_bernoulli, high / low)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +61,33 @@ class Block:
     def __post_init__(self) -> None:
         if not self.members:
             raise ValidationError("a block cannot be empty")
-        if any(b < a for a, b in itertools.pairwise(self.members)):
-            object.__setattr__(self, "members", tuple(sorted(self.members)))
+        ordered = tuple(sorted(self.members))
+        if ordered != self.members:
+            object.__setattr__(self, "members", ordered)
         if self.rep not in self.members:
             raise ValidationError(f"representative {self.rep} is not a member of {self.members}")
+
+
+def _is_index_type(kind: type) -> bool:
+    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
+
+
+def _check_indices(values: tuple, what: str) -> None:
+    """Reject any value that is not an integer (a bool included), naming the first."""
+    if not all(map(_is_index_type, set(map(type, values)))):  # a few types, however many values
+        bad = next(v for v in values if not _is_index_type(type(v)))
+        raise ValidationError(f"{what} must be an integer, got {bad!r}")
+
+
+def _raise_first_stray(k: int, idx: np.ndarray, n: int) -> None:
+    """Name the first of ``idx``, level ``k``'s members, that repeats or lies outside ``[0, n)``."""
+    order = np.argsort(idx, kind="stable")
+    bad = (idx < 0) | (idx >= n)
+    bad[order[1:]] |= idx[order[1:]] == idx[order[:-1]]  # later occurrences only
+    j = bad.argmax()
+    if 0 <= idx[j] < n:
+        raise ValidationError(f"level {k}: point {idx[j]} appears in two blocks")
+    raise ValidationError(f"level {k}: point index {idx[j]} out of range")
 
 
 @dataclass(frozen=True)
@@ -79,39 +103,56 @@ class PartitionTree:
         return len(self.levels) - 1
 
     def validate(self) -> None:
-        if self.n_points < 1:
+        """Check admissibility with array passes over all levels at once.
+
+        Faults are named as a scan level by level meets them: for each level
+        in turn its block budget, then its first member (blocks laid end to
+        end) that repeats an earlier one or is out of range, then the points
+        it leaves uncovered, then its first block with members under two
+        parent blocks.
+        """
+        n = self.n_points
+        _check_indices((n,), "n_points")
+        if n < 1:
             raise ValidationError("tree needs at least one point")
         if not self.levels:
             raise ValidationError("tree needs at least the root level")
-        if len(self.levels[0]) != 1 or self.levels[0][0].members != tuple(range(self.n_points)):
+        if len(self.levels[0]) != 1 or self.levels[0][0].members != tuple(range(n)):
             raise ValidationError("level 0 must be the single block holding every point")
-        everyone = frozenset(range(self.n_points))
-        prev_owner: dict[int, int] | None = None
-        for n, level in enumerate(self.levels):
-            if n >= 1 and len(level) > level_budget(n):
+        members = [block.members for level in self.levels for block in level]
+        idx = np.array(list(itertools.chain.from_iterable(members)))
+        if idx.dtype.kind not in "iu":
+            raise ValidationError("point indices must be 64-bit integers")
+        depth = len(self.levels)
+        sizes = np.fromiter(map(len, members), np.intp, len(members))
+        block_level = np.repeat(np.arange(depth), [len(level) for level in self.levels])
+        block_of = np.repeat(np.arange(len(members)), sizes)  # blocks numbered across levels
+        level_of = block_level[block_of]
+        starts = np.searchsorted(level_of, np.arange(depth + 1))  # each level's entries
+        inside = (idx >= 0) & (idx < n)
+        owner = np.full((depth, n), -1, dtype=np.intp)
+        owner[level_of[inside], idx[inside]] = block_of[inside]
+        filled = (owner >= 0).sum(axis=1)  # a level with a repeat or a stray index has too few
+        below = inside & (level_of > 0)
+        parent = owner[level_of[below] - 1, idx[below]]
+        some_parent = np.empty(len(members), dtype=np.intp)
+        some_parent[block_of[below]] = parent
+        straddling = block_of[below][some_parent[block_of[below]] != parent]
+        straddles = np.bincount(block_level[straddling], minlength=depth)
+        for k, level in enumerate(self.levels):
+            if k >= 1 and len(level) > level_budget(k):
                 raise ValidationError(
-                    f"level {n} has {len(level)} blocks, over the budget {level_budget(n)}"
+                    f"level {k} has {len(level)} blocks, over the budget {level_budget(k)}"
                 )
-            owner: dict[int, int] = {}
-            for b, block in enumerate(level):
-                for i in block.members:
-                    if i in owner:
-                        raise ValidationError(f"level {n}: point {i} appears in two blocks")
-                    if not 0 <= i < self.n_points:
-                        raise ValidationError(f"level {n}: point index {i} out of range")
-                    owner[i] = b
-            if set(owner) != everyone:
-                missing = sorted(everyone - set(owner))
-                raise ValidationError(f"level {n}: points {missing} not covered")
-            if prev_owner is not None:
-                for block in level:
-                    parents = {prev_owner[i] for i in block.members}
-                    if len(parents) > 1:
-                        raise ValidationError(
-                            f"level {n}: block {block.members} straddles parent blocks"
-                        )
-            prev_owner = owner
-        if any(len(b.members) != 1 for b in self.levels[-1]):
+            if starts[k + 1] - starts[k] > filled[k]:
+                _raise_first_stray(k, idx[starts[k] : starts[k + 1]], n)
+            if filled[k] < n:
+                missing = np.flatnonzero(owner[k] < 0).tolist()
+                raise ValidationError(f"level {k}: points {missing} not covered")
+            if straddles[k]:
+                block = members[straddling[block_level[straddling] == k].min()]
+                raise ValidationError(f"level {k}: block {block} straddles parent blocks")
+        if len(self.levels[-1]) != n:  # every level partitions the points
             raise ValidationError("deepest level must consist of singletons")
 
     def to_dict(self) -> dict:
@@ -125,12 +166,22 @@ class PartitionTree:
 
 
 def tree_from_dict(doc: dict) -> PartitionTree:
+    """Rebuild a tree from :meth:`PartitionTree.to_dict` output.
+
+    ``n_points``, every ``rep`` and every member must be integers: a bool,
+    float or string is rejected, not converted.
+    """
     try:
-        levels = tuple(
-            tuple(Block(tuple(b["members"]), int(b["rep"])) for b in level)
-            for level in doc["levels"]
-        )
-        return PartitionTree(n_points=int(doc["n_points"]), levels=levels)
+        levels = []
+        for n, level in enumerate(doc["levels"]):
+            blocks = []
+            for b, block in enumerate(level):
+                members, rep = tuple(block["members"]), block["rep"]
+                _check_indices(members, f"level {n}: block {b} member")
+                _check_indices((rep,), f"level {n}: block {b} rep")
+                blocks.append(Block(members, rep))
+            levels.append(tuple(blocks))
+        return PartitionTree(n_points=doc["n_points"], levels=tuple(levels))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed partition tree document: {exc}") from exc
 

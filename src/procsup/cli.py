@@ -39,8 +39,8 @@ from .decomposition import decompose_by_sweep, verify_two_sided
 from .errors import ParameterError, ProcsupError
 from .moments import (
     MomentModel,
-    bernoulli_norm_exact,
     bernoulli_norm_proxy,
+    bernoulli_norms_exact,
     gaussian_norm_exact,
 )
 from .oleszkiewicz import (
@@ -109,8 +109,9 @@ def cmd_moments(args: argparse.Namespace) -> int:
     rows = []
     violations = 0
     for i, t in enumerate(ts.points):
-        for p in args.p:
-            dec = bernoulli_norm_proxy(t, p)
+        decs = [bernoulli_norm_proxy(t, p) for p in args.p]  # validates p before enumerating
+        exacts = bernoulli_norms_exact(t, args.p) if enumerable else [None] * len(decs)
+        for p, dec, exact in zip(args.p, decs, exacts):
             row = {
                 "point": i,
                 "p": p,
@@ -119,8 +120,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
                 "proxy": dec.value,
                 "gaussian_exact": gaussian_norm_exact(t, p),
             }
-            if enumerable:
-                exact = bernoulli_norm_exact(t, p)
+            if exact is not None:
                 ratio = safe_ratio(dec.value, exact)
                 row["bernoulli_exact"] = exact
                 row["sandwich_ratio"] = ratio

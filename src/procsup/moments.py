@@ -150,19 +150,32 @@ def signed_row_sums(m: np.ndarray) -> Iterator[np.ndarray]:
         yield (high[:, None, :] + low[None, :, :]).reshape(-1, n)
 
 
-def bernoulli_norm_exact(t: Point, p, d_max: int = EXACT_ENUMERATION_MAX_DIM) -> float:
-    """``||B_t||_p`` by exact enumeration of all sign patterns.
+def bernoulli_norms_exact(t: Point, ps, d_max: int = EXACT_ENUMERATION_MAX_DIM) -> list[float]:
+    """``||B_t||_p`` for every order in ``ps``, from one enumeration of the sign patterns.
 
-    Only available for dim <= ``d_max`` (2^dim work); any real p >= 1.
+    Only available for dim <= ``d_max`` (2^dim work); any real p >= 1.  The
+    patterns do not depend on p, so every block of sign sums is scaled once
+    and raised to each order in turn; each order's value is the same, bit
+    for bit, as a pass of its own would give.
     """
-    q = _check_moment_order(p)
+    qs = [_check_moment_order(p) for p in ps]
     if t.dim > d_max:
         raise CapacityError(f"exact Bernoulli norm needs dim <= {d_max}, got {t.dim}")
     scale = float(np.abs(t.array).sum())  # the largest |sum|, so no power overflows
     if scale == 0.0:
-        return 0.0
-    total = sum(float(((np.abs(s) / scale) ** q).sum()) for s in signed_row_sums(t.array[:, None]))
-    return scale * (total / (1 << (t.dim - 1))) ** (1.0 / q)
+        return [0.0] * len(qs)
+    parts: list[list[float]] = [[] for _ in qs]
+    for s in signed_row_sums(t.array[:, None]):
+        a = np.abs(s) / scale
+        for part, q in zip(parts, qs):
+            part.append(float((a**q).sum()))
+    patterns = 1 << (t.dim - 1)
+    return [scale * (sum(part) / patterns) ** (1.0 / q) for part, q in zip(parts, qs)]
+
+
+def bernoulli_norm_exact(t: Point, p, d_max: int = EXACT_ENUMERATION_MAX_DIM) -> float:
+    """``||B_t||_p`` by exact enumeration: :func:`bernoulli_norms_exact` for one order."""
+    return bernoulli_norms_exact(t, (p,), d_max)[0]
 
 
 def _content_label(prefix: str, kind: ProcessKind, t: Point, p: float) -> str:

@@ -46,7 +46,7 @@ from .core import (
 )
 from .errors import ParameterError, ParseError, ValidationError
 from .contraction import ContractionReport, MappedPair, fit_min_C
-from .moments import bernoulli_norm_exact, bernoulli_norm_proxy, mc_mean, signed_row_sums
+from .moments import bernoulli_norm_proxy, bernoulli_norms_exact, mc_mean, signed_row_sums
 from .reports import ComparisonReport, safe_ratio
 
 _DUAL_SLACK = 1e-12
@@ -175,12 +175,24 @@ def generate_functionals(norm: NormKind, dim: int, extra: int, seed: Seed) -> Fu
     return FunctionalSample(functionals=tuple(map(Point, rows)), norm=norm, seed=seed)
 
 
-def _coefficient_norm(coeffs: np.ndarray, p: int) -> float:
-    """||sum_i eps_i c_i||_p for the scalar coefficients ``c``: exact if small."""
+def _coefficient_norm(coeffs: np.ndarray, ps) -> list[float]:
+    """``||sum_i eps_i c_i||_p`` for the scalar coefficients ``c``, at every order in ``ps``.
+
+    Exact (one sign enumeration shared by all orders) up to the term-count
+    cap, the proxy order by order beyond it.
+    """
     point = Point(coeffs)
     if coeffs.size <= EXACT_ENUMERATION_MAX_DIM:
-        return bernoulli_norm_exact(point, p)
-    return bernoulli_norm_proxy(point, p).value
+        return bernoulli_norms_exact(point, ps)
+    return [bernoulli_norm_proxy(point, p).value for p in ps]
+
+
+def _sign_canonical(coeffs: np.ndarray) -> bytes:
+    """A key shared by ``c`` and ``-c``: the first nonzero made positive, ``-0.0`` folded."""
+    nonzero = np.flatnonzero(coeffs)
+    if nonzero.size and coeffs[nonzero[0]] < 0:
+        coeffs = -coeffs
+    return (coeffs + 0.0).tobytes()
 
 
 def _check_sysmatch(x_sys: VectorSystem, y_sys: VectorSystem, funcs: FunctionalSample) -> None:
@@ -225,18 +237,28 @@ def weak_moment_constant(
     """max over functionals w and p <= p_max of ||<w,X>||_p / ||<w,Y>||_p.
 
     Pairs where both norms vanish are skipped (they impose no constraint);
-    a positive numerator over a zero denominator reports ``inf``.
+    a positive numerator over a zero denominator reports ``inf``.  Each
+    coefficient vector is evaluated at all orders in one call, once per
+    call of this function up to sign: ``c`` and ``-c`` have the same norms,
+    bit for bit, so the signed basis functionals ``+e_j`` and ``-e_j`` share one.
     """
     _check_sysmatch(x_sys, y_sys, funcs)
     if p_max < 1:
         raise ParameterError(f"p_max must be >= 1, got {p_max}")
+    orders = range(1, p_max + 1)
+    memo: dict[bytes, list[float]] = {}
+
+    def norms(coeffs: np.ndarray) -> list[float]:
+        key = _sign_canonical(coeffs)
+        if key not in memo:
+            memo[key] = _coefficient_norm(coeffs, orders)
+        return memo[key]
+
     best = WeakMomentResult(0.0, -1, 0, 0.0, 0.0)
     for k, w in enumerate(funcs.functionals):
-        a = x_sys.matrix @ w.array
-        b = y_sys.matrix @ w.array
-        for p in range(1, p_max + 1):
-            num = _coefficient_norm(a, p)
-            den = _coefficient_norm(b, p)
+        nums = norms(x_sys.matrix @ w.array)
+        dens = norms(y_sys.matrix @ w.array)
+        for p, num, den in zip(orders, nums, dens):
             if num == 0.0 and den == 0.0:
                 continue
             ratio = safe_ratio(num, den)

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -81,6 +83,163 @@ def test_tree_dict_roundtrip():
     tree = build_partition_greedy(_random_set(3, 7, 4))
     back = tree_from_dict(tree.to_dict())
     assert back == tree
+
+
+_TWO_LEVELS = {"n_points": 2, "levels": [[{"members": [0, 1], "rep": 0}],
+                                          [{"members": [0], "rep": 0}, {"members": [1], "rep": 1}]]}
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ((), "2", "n_points must be an integer, got '2'"),
+        ((), 2.0, "n_points must be an integer, got 2.0"),
+        ((), True, "n_points must be an integer, got True"),
+        ((0, 0, "rep"), "0", "level 0: block 0 rep must be an integer, got '0'"),
+        ((0, 0, "rep"), 0.0, "level 0: block 0 rep must be an integer, got 0.0"),
+        ((1, 1, "rep"), 1.9, "level 1: block 1 rep must be an integer, got 1.9"),
+        ((1, 1, "rep"), True, "level 1: block 1 rep must be an integer, got True"),
+        ((1, 0, "members"), [0.0], "level 1: block 0 member must be an integer, got 0.0"),
+        ((1, 1, "members"), [1.0], "level 1: block 1 member must be an integer, got 1.0"),
+        ((1, 0, "members"), [False], "level 1: block 0 member must be an integer, got False"),
+        ((1, 1, "members"), [True], "level 1: block 1 member must be an integer, got True"),
+        ((0, 0, "members"), [0, "1"], "level 0: block 0 member must be an integer, got '1'"),
+    ],
+)
+def test_tree_from_dict_rejects_what_it_would_have_to_coerce(path, value, message):
+    doc = json.loads(json.dumps(_TWO_LEVELS))
+    if path:
+        level, block, key = path
+        doc["levels"][level][block][key] = value
+    else:
+        doc["n_points"] = value
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        tree_from_dict(doc)
+
+
+def test_tree_from_dict_keeps_integer_documents():
+    tree = tree_from_dict(_TWO_LEVELS)
+    assert tree.to_dict() == _TWO_LEVELS
+    numpy_ints = {"n_points": np.int64(2), "levels": [[{"members": list(np.arange(2)), "rep": np.int64(0)}],
+                                                       _TWO_LEVELS["levels"][1]]}
+    assert tree_from_dict(numpy_ints) == tree
+
+
+def _reference_validate(n_points, levels):
+    """The dict-and-set validator that PartitionTree.validate replaced, kept verbatim."""
+    if n_points < 1:
+        raise ValidationError("tree needs at least one point")
+    if not levels:
+        raise ValidationError("tree needs at least the root level")
+    if len(levels[0]) != 1 or levels[0][0].members != tuple(range(n_points)):
+        raise ValidationError("level 0 must be the single block holding every point")
+    everyone = frozenset(range(n_points))
+    prev_owner = None
+    for n, level in enumerate(levels):
+        if n >= 1 and len(level) > level_budget(n):
+            raise ValidationError(f"level {n} has {len(level)} blocks, over the budget {level_budget(n)}")
+        owner = {}
+        for b, block in enumerate(level):
+            for i in block.members:
+                if i in owner:
+                    raise ValidationError(f"level {n}: point {i} appears in two blocks")
+                if not 0 <= i < n_points:
+                    raise ValidationError(f"level {n}: point index {i} out of range")
+                owner[i] = b
+        if set(owner) != everyone:
+            missing = sorted(everyone - set(owner))
+            raise ValidationError(f"level {n}: points {missing} not covered")
+        if prev_owner is not None:
+            for block in level:
+                parents = {prev_owner[i] for i in block.members}
+                if len(parents) > 1:
+                    raise ValidationError(f"level {n}: block {block.members} straddles parent blocks")
+        prev_owner = owner
+    if any(len(b.members) != 1 for b in levels[-1]):
+        raise ValidationError("deepest level must consist of singletons")
+
+
+def _corrupt(levels, n_points, draw):
+    """Apply one drawn corruption to a level of ``levels`` (lists of member lists and reps)."""
+    kind = draw(st.sampled_from(["repeat", "range", "drop", "missing", "straddle", "split"]))
+    level = levels[draw(st.integers(1, len(levels) - 1))]  # level 0 has a check of its own
+    shared = [b for b, (members, rep) in enumerate(level) if set(members) - {rep}]
+    if kind == "repeat":
+        members = level[draw(st.integers(0, len(level) - 1))][0]
+        members.insert(draw(st.integers(0, len(members))), draw(st.integers(0, n_points - 1)))
+    elif kind == "range":
+        level[draw(st.integers(0, len(level) - 1))][0].append(
+            draw(st.sampled_from([-1, -7, n_points, n_points + 3, 2**40]))
+        )
+    elif kind == "drop" and len(level) > 1:
+        del level[draw(st.integers(0, len(level) - 1))]
+    elif kind in ("missing", "straddle", "split") and shared:
+        members, rep = level[draw(st.sampled_from(shared))]
+        moved = draw(st.sampled_from(sorted(set(members) - {rep})))
+        members.remove(moved)
+        if kind == "straddle":  # into another block, most often under another parent
+            level[draw(st.integers(0, len(level) - 1))][0].append(moved)
+        elif kind == "split":  # one block more, over the budget if the level was full
+            level.append(([moved], moved))
+    draw(st.randoms(use_true_random=False)).shuffle(level)
+
+
+@given(st.integers(2, 40), st.integers(1, 3), st.integers(0, 2**31), st.data())
+def test_array_validator_raises_what_the_dict_validator_raises(count, rounds, seed, data):
+    tree = build_partition_greedy(_random_set(seed, count, 2, "corrupt"))
+    levels = [[(list(b.members), b.rep) for b in level] for level in tree.levels]
+    for _ in range(rounds):
+        _corrupt(levels, count, data.draw)
+    blocks = tuple(tuple(Block(tuple(m), rep) for m, rep in level) for level in levels)
+    try:
+        _reference_validate(count, blocks)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            PartitionTree(n_points=count, levels=blocks)
+        assert str(got.value) == str(exc)
+    else:
+        PartitionTree(n_points=count, levels=blocks)
+
+
+def test_array_validator_names_each_fault_like_the_dict_validator():
+    sing = lambda i: Block(members=(i,), rep=i)
+    root = (Block((0, 1, 2, 3), 0),)
+    cases = [
+        (root, (Block((0, 1), 0), Block((1, 2, 3), 2))),  # repeat across blocks
+        (root, (Block((0, 0, 1), 0), Block((2, 3), 2))),  # repeat inside one block
+        (root, (Block((0, 9, 9), 0), Block((1, 2, 3), 2))),  # out of range before its own repeat
+        (root, (Block((-1, 0), 0), Block((0, 1, 2, 3), 2))),  # out of range before a repeat
+        (root, (Block((0, 1), 0), Block((2, 9), 2), Block((1,), 1))),  # out of range before a later repeat
+        (root, (Block((0,), 0), Block((2,), 2))),  # two points not covered
+        (root, (Block((0, 1), 0), Block((2, 3), 2)), (sing(1), Block((0, 3), 3), Block((2,), 2))),
+    ]
+    messages = []
+    for levels in cases:
+        with pytest.raises(ValidationError) as want:
+            _reference_validate(4, levels)
+        with pytest.raises(ValidationError) as got:
+            PartitionTree(n_points=4, levels=levels)
+        assert str(got.value) == str(want.value)
+        messages.append(str(got.value))
+    assert messages == [
+        "level 1: point 1 appears in two blocks",
+        "level 1: point 0 appears in two blocks",
+        "level 1: point index 9 out of range",
+        "level 1: point index -1 out of range",
+        "level 1: point index 9 out of range",
+        "level 1: points [1, 3] not covered",
+        "level 2: block (0, 3) straddles parent blocks",
+    ]
+    # two straddling blocks: the first one is named
+    six = ((Block(tuple(range(6)), 0),), (Block((0, 1, 2), 0), Block((3, 4, 5), 3)),
+           (sing(0), Block((1, 3), 1), Block((2, 4), 2), sing(5)))
+    with pytest.raises(ValidationError, match=re.escape("block (1, 3) straddles")):
+        PartitionTree(n_points=6, levels=six)
+    with pytest.raises(ValidationError, match="n_points must be an integer, got 1.0"):
+        PartitionTree(n_points=1.0, levels=((Block((0,), 0),),))
+    for stray in (0.0, 2**70):
+        with pytest.raises(ValidationError, match="indices must be 64-bit integers"):
+            PartitionTree(n_points=1, levels=((Block((0,), 0),), (Block((stray,), stray),)))
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31))

@@ -62,6 +62,15 @@ def test_moments_reports_sandwich(tmp_path):
         assert row["bernoulli_exact"] <= row["proxy"] * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("orders", [["0"], ["2", "0"]])
+def test_moments_rejects_order_zero_with_the_proxy_message(tmp_path, capsys, orders):
+    set_path = _gen(tmp_path)
+    out = tmp_path / "r.json"
+    assert _run(["moments", "--set", str(set_path), "--p", *orders, "--out", str(out)]) == 2
+    assert "proxy needs p >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gamma_greedy_vs_exhaustive(tmp_path):
     set_path = _gen(tmp_path, count=4)
     greedy = _report(tmp_path, ["gamma", "--set", str(set_path)], "g.json")

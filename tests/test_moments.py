@@ -14,6 +14,7 @@ from procsup.moments import (
     MomentModel,
     bernoulli_norm_exact,
     bernoulli_norm_proxy,
+    bernoulli_norms_exact,
     ell1_part,
     gaussian_moment_constant,
     gaussian_norm_exact,
@@ -112,6 +113,59 @@ def test_kahane_doubling_within_sqrt3(t, q):
 def test_bernoulli_exact_dimension_cap():
     with pytest.raises(CapacityError):
         bernoulli_norm_exact(Point((1.0,) * 21), 2)
+    with pytest.raises(CapacityError):
+        bernoulli_norms_exact(Point((1.0,) * 21), (1, 2))
+    with pytest.raises(ParameterError, match="moment order"):  # orders are checked first
+        bernoulli_norms_exact(Point((1.0,) * 21), (2, 0.5))
+
+
+# --- several orders from one enumeration ---
+
+
+def _one_order_reference(t, p):
+    # The one-order route that bernoulli_norms_exact replaced, kept verbatim.
+    q = moments._check_moment_order(p)
+    scale = float(np.abs(t.array).sum())
+    if scale == 0.0:
+        return 0.0
+    total = sum(float(((np.abs(s) / scale) ** q).sum()) for s in signed_row_sums(t.array[:, None]))
+    return scale * (total / (1 << (t.dim - 1))) ** (1.0 / q)
+
+
+magnitudes = st.sampled_from([0.0, -0.0, 1e-5, 3e-3, 0.7, 1.0, 2.0, 3.0, 41.5, 1e5])
+entries = st.one_of(
+    st.integers(min_value=-4, max_value=4).map(float),  # ties and cancelling sums
+    st.tuples(magnitudes, st.sampled_from([1.0, -1.0])).map(lambda ms: ms[0] * ms[1]),
+    st.floats(min_value=-1e5, max_value=1e5, allow_nan=False),
+)
+order_lists = st.lists(
+    st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 16, 1.5, 2.5, 7.25, 1.0]), min_size=1, max_size=8
+)
+
+
+@given(st.lists(entries, min_size=1, max_size=14), order_lists, st.booleans())
+def test_norms_equal_the_one_order_route_bit_for_bit(xs, ps, small_blocks):
+    t = Point(np.array(xs))
+    with pytest.MonkeyPatch.context() as mp:
+        if small_blocks:
+            mp.setattr(moments, "_BLOCK_BYTES", 64)  # eight sums per block
+        got = bernoulli_norms_exact(t, ps)
+        assert got == [_one_order_reference(t, p) for p in ps]
+        assert [bernoulli_norm_exact(t, p) for p in ps] == got
+
+
+@given(st.lists(entries, min_size=1, max_size=14), order_lists)
+def test_norms_of_c_and_minus_c_are_equal_bit_for_bit(xs, ps):
+    c = np.array(xs)
+    assert bernoulli_norms_exact(Point(-c), ps) == bernoulli_norms_exact(Point(c), ps)
+
+
+def test_norms_exact_at_twenty_terms_and_for_no_orders():
+    t = Point(rng.standard_normal(rng.stream(7, "twenty"), 20))
+    ps = (1, 2, 3, 8, 2, 1.5)
+    assert bernoulli_norms_exact(t, ps) == [_one_order_reference(t, p) for p in ps]
+    assert bernoulli_norms_exact(t, ()) == []
+    assert bernoulli_norms_exact(Point((0.0, -0.0)), (1, 3)) == [0.0, 0.0]
 
 
 # --- the proxy and its decomposition ---

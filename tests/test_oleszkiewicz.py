@@ -3,20 +3,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from procsup import rng
-from procsup.core import FiniteSet, Point, Seed
+from procsup import moments, rng
+from procsup.core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, Point, Seed
 from procsup.errors import ParameterError, ParseError, ValidationError
+from procsup.moments import bernoulli_norm_exact, bernoulli_norm_proxy
 from procsup.oleszkiewicz import (
+    FunctionalSample,
     NormKind,
     VectorSystem,
+    WeakMomentResult,
     check_weak_contraction,
+    _check_sysmatch,
     generate_functionals,
     load_vector_system,
     save_vector_system,
     strong_moment_ratio,
     weak_moment_constant,
 )
+from procsup.reports import safe_ratio
 from procsup.suprema import brute_force_bernoulli_sup
 
 
@@ -161,3 +168,90 @@ def test_system_load_rejects_values_it_would_have_to_coerce(tmp_path, dim, rows,
     path.write_text(json.dumps(doc))
     with pytest.raises((ParseError, ValidationError), match=match):
         load_vector_system(path)
+
+
+# --- weak moments: every order from one enumeration per distinct vector ---
+
+
+def _reference_coefficient_norm(coeffs, p):
+    # The one-order helper that weak_moment_constant used to call per order.
+    point = Point(coeffs)
+    if coeffs.size <= EXACT_ENUMERATION_MAX_DIM:
+        return bernoulli_norm_exact(point, p)
+    return bernoulli_norm_proxy(point, p).value
+
+
+def _reference_weak_moment_constant(x_sys, y_sys, funcs, p_max=8):
+    # The per-order loop weak_moment_constant replaced, kept verbatim.
+    _check_sysmatch(x_sys, y_sys, funcs)
+    best = WeakMomentResult(0.0, -1, 0, 0.0, 0.0)
+    for k, w in enumerate(funcs.functionals):
+        a = x_sys.matrix @ w.array
+        b = y_sys.matrix @ w.array
+        for p in range(1, p_max + 1):
+            num = _reference_coefficient_norm(a, p)
+            den = _reference_coefficient_norm(b, p)
+            if num == 0.0 and den == 0.0:
+                continue
+            ratio = safe_ratio(num, den)
+            if ratio > best.value:
+                best = WeakMomentResult(ratio, k, p, num, den)
+    return best
+
+
+def _with_repeats(funcs, picks):
+    """``funcs`` plus, for each ``(index, sign)`` pick, that functional again times the sign."""
+    rows = [w.array for w in funcs.functionals]
+    rows += [sign * rows[i % len(rows)] for i, sign in picks]
+    return FunctionalSample(functionals=tuple(map(Point, rows)), norm=funcs.norm, seed=funcs.seed)
+
+
+grid = st.integers(min_value=-2, max_value=2).map(float)
+wide = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+@given(
+    st.sampled_from([1, 2, 3, 5, 8, 10, 21, 23]),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(list(NormKind)),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=3),
+    st.lists(st.tuples(st.integers(0, 50), st.sampled_from([1.0, -1.0])), max_size=6),
+    st.data(),
+)
+def test_weak_moment_constant_matches_the_per_order_loop(terms, dim, norm, p_max, extra, picks, data):
+    entries = data.draw(st.sampled_from([grid, wide]))
+    x = data.draw(st.lists(entries, min_size=terms * dim, max_size=terms * dim))
+    y = data.draw(st.lists(entries, min_size=terms * dim, max_size=terms * dim))
+    x_sys = VectorSystem(name="x", vectors=np.reshape(x, (terms, dim)), norm=norm)
+    y_sys = VectorSystem(name="y", vectors=np.reshape(y, (terms, dim)), norm=norm)
+    funcs = _with_repeats(generate_functionals(norm, dim, extra, Seed(terms)), picks)
+    assert weak_moment_constant(x_sys, y_sys, funcs, p_max) == _reference_weak_moment_constant(
+        x_sys, y_sys, funcs, p_max
+    )
+
+
+def test_weak_moment_constant_matches_the_per_order_loop_at_twenty_terms():
+    x_sys, y_sys = _random_system(11, 20, 2), _random_system(12, 20, 2)
+    funcs = generate_functionals(NormKind.SUP, 2, 0, Seed(0))
+    got = weak_moment_constant(x_sys, y_sys, funcs, p_max=3)
+    assert got == _reference_weak_moment_constant(x_sys, y_sys, funcs, p_max=3)
+
+
+def test_weak_moment_constant_enumerates_each_vector_once_up_to_sign(monkeypatch):
+    # dim 6 gives the 12 signed basis functionals, which pair up, plus 4
+    # extras: 10 distinct coefficient vectors per system, one pass each.
+    passes = []
+
+    def counting(m):
+        passes.append(m.shape)
+        return iter(())  # count the passes only; every norm then reads 0
+
+    monkeypatch.setattr(moments, "signed_row_sums", counting)
+    x_sys, y_sys = _random_system(1, 20, 6), _random_system(2, 20, 6)
+    funcs = generate_functionals(NormKind.SUP, 6, 4, Seed(3))
+    weak_moment_constant(x_sys, y_sys, funcs, p_max=8)
+    assert len(passes) == 20
+    passes.clear()
+    _reference_weak_moment_constant(x_sys, y_sys, funcs, p_max=8)
+    assert len(passes) == 16 * 8 * 2
