@@ -61,7 +61,10 @@ class Block:
     def __post_init__(self) -> None:
         if not self.members:
             raise ValidationError("a block cannot be empty")
-        ordered = tuple(sorted(self.members))
+        try:
+            ordered = tuple(sorted(self.members))
+        except TypeError as exc:  # members that do not sort cannot be point indices
+            raise ValidationError(f"block members must be integers: {exc}") from None
         if ordered != self.members:
             object.__setattr__(self, "members", ordered)
         if self.rep not in self.members:
@@ -120,9 +123,12 @@ class PartitionTree:
         if len(self.levels[0]) != 1 or self.levels[0][0].members != tuple(range(n)):
             raise ValidationError("level 0 must be the single block holding every point")
         members = [block.members for level in self.levels for block in level]
-        idx = np.array(list(itertools.chain.from_iterable(members)))
-        if idx.dtype.kind not in "iu":
-            raise ValidationError("point indices must be 64-bit integers")
+        try:  # a member that is itself a sequence makes the array ragged
+            idx = np.array(list(itertools.chain.from_iterable(members)))
+            if idx.dtype.kind not in "iu":
+                raise ValueError
+        except ValueError:
+            raise ValidationError("point indices must be 64-bit integers") from None
         depth = len(self.levels)
         sizes = np.fromiter(map(len, members), np.intp, len(members))
         block_level = np.repeat(np.arange(depth), [len(level) for level in self.levels])

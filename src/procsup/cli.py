@@ -239,7 +239,8 @@ def cmd_contract(args: argparse.Namespace) -> int:
     cmap = CoordinateMap(args.map, tuple(args.map_params))
     pair = apply_map(ts, cmap)
     p_max = args.p_max if args.p_max is not None else ts.dim
-    fit = fit_min_C(pair, p_max=p_max, tol=args.tol)
+    check = None if args.check_at is None else check_condition(pair, args.check_at, p_max)
+    fit = fit_min_C(pair, p_max=p_max)
     suprema = compare_suprema(pair, samples=args.samples, seed=Seed(args.seed))
     results = {
         "source": ts.name,
@@ -248,8 +249,7 @@ def cmd_contract(args: argparse.Namespace) -> int:
         "suprema": suprema.to_dict(),
     }
     code = 0
-    if args.check_at is not None:
-        check = check_condition(pair, args.check_at, p_max)
+    if check is not None:
         results["check"] = {
             "c": args.check_at,
             "satisfied": check.satisfied,
@@ -261,7 +261,6 @@ def cmd_contract(args: argparse.Namespace) -> int:
     config = {
         "map": cmap.label,
         "p_max": p_max,
-        "tol": args.tol,
         "check_at": args.check_at,
         "samples": args.samples,
         "seed": args.seed,
@@ -309,7 +308,7 @@ def cmd_oleszkiewicz(args: argparse.Namespace) -> int:
     y_sys = _read_system(args.y, norm)
     funcs = generate_functionals(x_sys.norm, x_sys.dim, args.extra_functionals, Seed(args.seed))
     weak = weak_moment_constant(x_sys, y_sys, funcs, p_max=args.p_max)
-    contraction = check_weak_contraction(x_sys, y_sys, funcs, p_max=args.p_max, tol=args.tol)
+    contraction = check_weak_contraction(x_sys, y_sys, funcs, p_max=args.p_max)
     strong = strong_moment_ratio(x_sys, y_sys, samples=args.samples, seed=Seed(args.seed))
     results = {
         "x": x_sys.name,
@@ -325,7 +324,6 @@ def cmd_oleszkiewicz(args: argparse.Namespace) -> int:
         "norm": norm.value,
         "extra_functionals": args.extra_functionals,
         "p_max": args.p_max,
-        "tol": args.tol,
         "samples": args.samples,
         "seed": args.seed,
         "format": args.format,
@@ -460,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map-params", type=float, nargs="*", default=[])
     p.add_argument("--p-max", type=int, default=None,
                    help="largest trim count checked (default: the dimension)")
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--check-at", type=float, default=None, metavar="C",
                    help="also assert the condition at this constant (exit 3 if it fails)")
     p.add_argument("--samples", type=int, default=100_000)
@@ -487,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm", choices=("sup", "euclidean"), default="sup")
     p.add_argument("--extra-functionals", type=int, default=8)
     p.add_argument("--p-max", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     _add_report_flags(p)

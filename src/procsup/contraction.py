@@ -9,8 +9,9 @@ constant ``C >= 1`` when, for every pair of source points and every integer
     trim2(phi(t) - phi(s), floor(C*p))  <=  C^2 * trim2(t - s, p).
 
 The condition is monotone in ``C`` (a bigger C both deletes more image
-coordinates and inflates the right-hand side), so the smallest feasible
-constant can be found by bisection.  Coordinatewise 1-Lipschitz maps
+coordinates and inflates the right-hand side), and the image term is a step
+function of ``C`` with breaks at ``k/p``, so the least feasible constant has
+a closed form (:func:`fit_min_C`).  Coordinatewise 1-Lipschitz maps
 satisfy it with C = 1, and in that classical case the expected Bernoulli
 supremum of the image is at most that of the source, with constant exactly
 one — :func:`compare_suprema` reports the empirical ratio.
@@ -18,6 +19,8 @@ one — :func:`compare_suprema` reports the empirical ratio.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +30,6 @@ from .errors import ParameterError, ValidationError
 from .moments import tail_l2
 from .reports import ComparisonReport, safe_ratio
 from .suprema import brute_force_bernoulli_sup, mc_sup
-
-#: Bisection stops once the bracket is this tight.
-FIT_TOLERANCE = 1e-6
 
 #: Constants above this are treated as "no finite constant works".
 FIT_CAP = 1024.0
@@ -191,6 +191,32 @@ class _PairTable:
         i, j = self.pairs[k].tolist()
         return CheckResult(satisfied=margin <= 0.0, margin=margin, worst_pair=(i, j, at))
 
+    def least_constant(self, p_max: int) -> float:
+        """The least ``C >= 1`` meeting every order up to ``p_max``, up to rounding.
+
+        At order ``p >= 1`` the image term steps down at ``C = k/p``, so a pair
+        needs ``min_{k=p..dim} max(k/p, sqrt(I_k / S_p))`` with ``I_dim = 0``;
+        order 0 needs ``sqrt(I_0 / S_0)``.  ``0/0`` reads as 0, and a ratio
+        above ``FIT_CAP**2`` (``x/0`` included) as inf.
+        """
+        dim = self.src_prof.shape[1] - 1
+        c = 1.0
+        for p in range(min(p_max, dim) + 1):
+            ks = np.arange(p, dim + 1) if p else np.zeros(1, np.intp)
+            img, src = self.img_prof[:, ks], self.src_prof[:, p, None]
+            ratio = np.where(img > 0.0, np.inf, 0.0)
+            np.divide(img, src, out=ratio, where=(img > 0.0) & (img * FIT_CAP**-2 <= src))
+            need = np.maximum(ks / max(p, 1), np.sqrt(ratio)).min(axis=1)
+            c = float(np.max(need, initial=c))
+        return c
+
+
+def _check_order(p_max: int) -> None:
+    if isinstance(p_max, bool) or not isinstance(p_max, numbers.Integral):
+        raise ParameterError(f"p_max must be an integer, got {p_max!r}")
+    if p_max < 0:
+        raise ParameterError(f"p_max must be >= 0, got {p_max}")
+
 
 def check_condition(pair: MappedPair, c: float, p_max: int, tol: float = 0.0) -> CheckResult:
     """Does the contraction condition hold at constant ``c`` up to order ``p_max``?
@@ -199,10 +225,11 @@ def check_condition(pair: MappedPair, c: float, p_max: int, tol: float = 0.0) ->
     in floating point and exact ties round either way); the default is
     strict.
     """
+    if not math.isfinite(c):
+        raise ParameterError(f"C must be finite, got {c}")
     if c < 1.0:
         raise ParameterError(f"the condition is defined for C >= 1, got {c}")
-    if p_max < 0:
-        raise ParameterError(f"p_max must be >= 0, got {p_max}")
+    _check_order(p_max)
     if tol < 0:
         raise ParameterError(f"tol must be nonnegative, got {tol}")
     result = _PairTable(pair).evaluate(c, p_max)
@@ -211,42 +238,47 @@ def check_condition(pair: MappedPair, c: float, p_max: int, tol: float = 0.0) ->
     return result
 
 
-def fit_min_C(
-    pair: MappedPair,
-    p_max: int | None = None,
-    tol: float = FIT_TOLERANCE,
-) -> ContractionReport:
-    """Smallest ``C`` satisfying the condition, by doubling then bisection.
+def _least_accepted(table: _PairTable, c: float, p_max: int) -> float | None:
+    """The least float in ``[1, FIT_CAP]`` that ``table`` accepts, or None if none is.
 
-    Monotonicity of feasibility in ``C`` makes the bracket valid; the
-    returned constant is feasible and within ``tol`` of the infimum.  If
-    even ``C = 1024`` fails, the pair is reported infeasible.
+    Nonnegative floats order like their bit patterns, so the search steps
+    1, 2, 4, ... ulps away from the start ``c`` until it brackets the
+    answer, then halves the bracket.  From the closed form that is two or three
+    evaluations; subnormal profiles, whose products round coarsely, take more.
+    """
+    def ok(i: int) -> bool:  # below 1 counts as rejected, above FIT_CAP as accepted
+        return i >= hi or (i > lo and table.evaluate(np.int64(i).view(np.float64), p_max).satisfied)
+
+    one, cap, start = np.array([1.0, FIT_CAP, c]).view(np.int64).tolist()
+    lo, hi = one - 1, cap + 1
+    good, step = min(start, hi), 1
+    bad = good - 1
+    while not ok(good):
+        bad, good, step = good, good + step, 2 * step
+    while ok(bad):
+        bad, good, step = bad - step, bad, 2 * step
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        bad, good = (bad, mid) if ok(mid) else (mid, good)
+    return None if good >= hi else float(np.int64(good).view(np.float64))
+
+
+def fit_min_C(pair: MappedPair, p_max: int | None = None) -> ContractionReport:
+    """Least ``C`` satisfying the condition, in closed form.
+
+    :meth:`_PairTable.least_constant` is exact up to rounding; the search
+    that starts there reports the least float :meth:`_PairTable.evaluate`
+    accepts, so it passes :func:`check_condition` and the float below it
+    (when above 1) does not.  If no float up to ``FIT_CAP`` is accepted, the
+    pair is reported infeasible, with the margin at ``FIT_CAP``.
     """
     if p_max is None:
         p_max = pair.source.dim
-    if p_max < 0:
-        raise ParameterError(f"p_max must be >= 0, got {p_max}")
-    if tol <= 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+    _check_order(p_max)
     table = _PairTable(pair)
-    at_one = table.evaluate(1.0, p_max)
-    if at_one.satisfied:
-        return ContractionReport(1.0, p_max, at_one.worst_pair, at_one.margin, pair.map_label)
-    hi = 2.0
-    while hi <= FIT_CAP and not table.evaluate(hi, p_max).satisfied:
-        hi *= 2.0
-    if hi > FIT_CAP:
-        at_cap = table.evaluate(FIT_CAP, p_max)
-        return ContractionReport(None, p_max, at_cap.worst_pair, at_cap.margin, pair.map_label)
-    lo = hi / 2.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if table.evaluate(mid, p_max).satisfied:
-            hi = mid
-        else:
-            lo = mid
-    final = table.evaluate(hi, p_max)
-    return ContractionReport(hi, p_max, final.worst_pair, final.margin, pair.map_label)
+    c = _least_accepted(table, table.least_constant(p_max), p_max)
+    at = table.evaluate(FIT_CAP if c is None else c, p_max)
+    return ContractionReport(c, p_max, at.worst_pair, at.margin, pair.map_label)
 
 
 def compare_suprema(

@@ -272,7 +272,6 @@ def check_weak_contraction(
     y_sys: VectorSystem,
     funcs: FunctionalSample,
     p_max: int | None = None,
-    tol: float = 1e-6,
 ) -> ContractionReport:
     """Fit the trimmed contraction constant between coefficient vectors.
 
@@ -305,7 +304,7 @@ def check_weak_contraction(
         source = FiniteSet(name=f"w{k}-source", points=np.stack([zero, b]))
         image = FiniteSet(name=f"w{k}-image", points=np.stack([zero, a]))
         pair = MappedPair(source=source, image=image, correspondence=(0, 1), map_label="weak-coefficients")
-        report = fit_min_C(pair, p_max=p_max, tol=tol)
+        report = fit_min_C(pair, p_max=p_max)
         per_functional.append(report.c_star)
         if report.c_star is None:
             worst_report, worst_index = report, k

@@ -27,7 +27,6 @@ SCHEMA_VERSION = 1
 DESIGN_DECISIONS = {
     "trim_budget_rule": "floor(C*p)",
     "exact_enumeration_max_dim": EXACT_ENUMERATION_MAX_DIM,
-    "fit_min_c_tolerance": 1e-6,
     "fit_min_c_cap": 1024.0,
     "greedy_tie_break": "lowest-point-index",
     "partition_depth_rule": "least n with 2^(2^n) >= |F|",

@@ -242,6 +242,19 @@ def test_array_validator_names_each_fault_like_the_dict_validator():
             PartitionTree(n_points=1, levels=((Block((0,), 0),), (Block((stray,), stray),)))
 
 
+def test_sequence_members_raise_validation_errors():
+    # a list member sorts and is its own rep, but makes the index array ragged
+    with pytest.raises(ValidationError, match="indices must be 64-bit integers"):
+        PartitionTree(n_points=1, levels=((Block((0,), 0),), (Block(([0],), [0]),)))
+    with pytest.raises(ValidationError, match="indices must be 64-bit integers"):
+        PartitionTree(n_points=2, levels=((Block((0, 1), 0),), (Block(([0],), [0]), Block((1,), 1))))
+
+
+def test_unsortable_members_raise_validation_errors():
+    with pytest.raises(ValidationError, match="block members must be integers"):
+        Block((0, "a"), 0)
+
+
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31))
 def test_greedy_tree_is_admissible_and_terminal(count, seed):
     ts = _random_set(seed, count, 3, "greedy-prop")

@@ -197,6 +197,25 @@ def test_contract_reads_negative_map_params_in_exponent_form(tmp_path, value, fa
     assert doc["config"]["map"] == f"scale({factor!r})"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_contract_rejects_a_non_finite_check_constant(tmp_path, capsys, value):
+    set_path = _gen(tmp_path, dim=3, count=4)
+    out = tmp_path / "c.json"
+    assert _run(["contract", "--source", str(set_path), "--map", "scale", "--map-params", "3.0",
+                 "--check-at", value, "--out", str(out)]) == 2
+    assert f"error: C must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["contract", "oleszkiewicz"])
+def test_fit_tolerance_flag_is_gone(tmp_path, capsys, verb):
+    set_path = _gen(tmp_path, dim=3, count=4)
+    inputs = (["--source", str(set_path), "--map", "abs"] if verb == "contract"
+              else ["--x", str(set_path), "--y", str(set_path)])
+    assert _run([verb, *inputs, "--tol", "1e-6"]) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def test_contract_rejects_a_negative_infinite_map_param(tmp_path, capsys):
     set_path = _gen(tmp_path, dim=3, count=4)
     assert _run(["contract", "--source", str(set_path), "--map", "scale", "--map-params", "-inf"]) == 2

@@ -7,16 +7,19 @@ from hypothesis import strategies as st
 
 from procsup import rng
 from procsup.contraction import (
+    FIT_CAP,
     CoordinateMap,
     MappedPair,
+    _PairTable,
     apply_map,
     check_condition,
     compare_suprema,
     fit_min_C,
     trimmed_sq_distance,
 )
-from procsup.core import FiniteSet, Point
+from procsup.core import FiniteSet, Point, Seed, distinct_rows
 from procsup.errors import ParameterError, ValidationError
+from procsup.oleszkiewicz import NormKind, VectorSystem, check_weak_contraction, generate_functionals
 
 
 def _random_set(seed, count=6, dim=5, label="contraction-test"):
@@ -67,7 +70,7 @@ def test_lipschitz_maps_satisfy_condition_at_one(name, params):
 def test_fit_calibration_on_scaling(c):
     pair = apply_map(_random_set(11, count=5, dim=4), CoordinateMap("scale", (c,)))
     report = fit_min_C(pair, p_max=4)
-    assert report.c_star == pytest.approx(max(abs(c), 1.0), abs=1e-4)
+    assert report.c_star == pytest.approx(max(abs(c), 1.0), rel=1e-15)
 
 
 def test_fit_reports_infeasible_above_cap():
@@ -94,8 +97,28 @@ def test_check_condition_rejects_bad_arguments():
         check_condition(pair, 0.5, p_max=3)
     with pytest.raises(ParameterError):
         check_condition(pair, 1.0, p_max=-1)
-    with pytest.raises(ParameterError):
-        fit_min_C(pair, tol=0.0)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_check_condition_rejects_a_non_finite_constant(c):
+    pair = apply_map(_random_set(0), CoordinateMap("abs"))
+    with pytest.raises(ParameterError, match=f"C must be finite, got {c}"):
+        check_condition(pair, c, p_max=3)
+
+
+@pytest.mark.parametrize("p_max", [1.5, 2.0, True, "3"])
+def test_orders_must_be_integers(p_max):
+    pair = apply_map(_random_set(0), CoordinateMap("scale", (2.0,)))
+    with pytest.raises(ParameterError, match="p_max must be an integer"):
+        check_condition(pair, 1.0, p_max=p_max)
+    with pytest.raises(ParameterError, match="p_max must be an integer"):
+        fit_min_C(pair, p_max=p_max)
+
+
+def test_numpy_integer_orders_are_accepted():
+    pair = apply_map(_random_set(0), CoordinateMap("scale", (2.0,)))
+    assert fit_min_C(pair, p_max=np.int64(3)) == fit_min_C(pair, p_max=3)
+    assert check_condition(pair, 2.0, p_max=np.int32(3)) == check_condition(pair, 2.0, p_max=3)
 
 
 def test_mapped_pair_validates_correspondence():
@@ -180,3 +203,126 @@ def test_array_dedup_and_pair_table_match_scalar_loops(rows, cmap, c, p_max):
     assert result.margin == margin
     assert result.worst_pair == worst
     assert result.satisfied == (margin <= 0.0)
+
+
+# --- the closed-form fit against the doubling and bisection it replaced ---
+
+
+def _reference_fit(pair, p_max, tol=1e-6):
+    """Double from C = 1 until feasible (or past the cap), then bisect to ``tol``."""
+    if check_condition(pair, 1.0, p_max).satisfied:
+        return 1.0
+    hi = 2.0
+    while hi <= FIT_CAP and not check_condition(pair, hi, p_max).satisfied:
+        hi *= 2.0
+    if hi > FIT_CAP:
+        return None
+    lo = hi / 2.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if check_condition(pair, mid, p_max).satisfied:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _assert_fit_matches_reference(pair, p_max, normal=True):
+    """``normal``: no squared distance is subnormal, so the closed form itself is within 2 ulps."""
+    report = fit_min_C(pair, p_max=p_max)
+    ref = _reference_fit(pair, p_max)
+    start = _PairTable(pair).least_constant(p_max)
+    if ref is None:
+        assert report.c_star is None
+        assert start > FIT_CAP or not normal
+        at_cap = check_condition(pair, FIT_CAP, p_max)
+        assert (report.margin, report.worst_pair) == (at_cap.margin, at_cap.worst_pair)
+        return
+    c = report.c_star
+    assert type(c) is float
+    at_c = check_condition(pair, c, p_max)
+    assert at_c.satisfied
+    assert (report.margin, report.worst_pair) == (at_c.margin, at_c.worst_pair)
+    if c > 1.0:
+        assert not check_condition(pair, math.nextafter(c, 0.0), p_max).satisfied
+    assert ref - 1e-6 <= c <= ref
+    assert abs(start - c) <= 2 * math.ulp(c) or not normal
+
+
+_fit_maps = st.one_of(
+    st.floats(min_value=-40.0, max_value=40.0).map(lambda f: CoordinateMap("scale", (f,))),
+    st.sampled_from([
+        CoordinateMap("abs"),
+        CoordinateMap("clamp"),
+        CoordinateMap("clamp", (-0.3, 0.7)),
+        CoordinateMap("soft_threshold"),
+        CoordinateMap("soft_threshold", (0.1,)),
+    ]),
+)
+
+
+@given(st.integers(0, 2**31), st.integers(1, 6), st.integers(1, 6), _fit_maps, st.integers(0, 8))
+def test_fit_on_maps_is_the_least_accepted_float(seed, count, dim, cmap, p_extra):
+    pair = apply_map(_random_set(seed, count=count, dim=dim, label="fit-ref"), cmap)
+    _assert_fit_matches_reference(pair, min(p_extra, dim + 2))
+
+
+# Sparse integer rows: trims reach zero early (S_p = 0), profiles tie, and
+# the image steps at k/p decide the constant.
+_sparse = st.sampled_from([0.0, 0.0, 0.0, 1.0, -1.0, 2.0, 0.5, 3.0])
+
+
+@st.composite
+def _trim_pairs(draw):
+    dim = draw(st.integers(1, 5))
+    rows = st.lists(_sparse, min_size=dim, max_size=dim)
+    src = draw(st.lists(rows, min_size=1, max_size=5, unique_by=tuple))
+    img = np.array(draw(st.lists(rows, min_size=len(src), max_size=len(src))))
+    first, slot = distinct_rows(img)
+    return MappedPair(
+        source=FiniteSet(name="src", points=np.array(src)),
+        image=FiniteSet(name="img", points=img[first]),
+        correspondence=tuple(slot.tolist()),
+    ), draw(st.integers(0, dim + 2))
+
+
+@given(_trim_pairs())
+def test_fit_on_trim_driven_pairs_is_the_least_accepted_float(case):
+    pair, p_max = case
+    _assert_fit_matches_reference(pair, p_max)
+
+
+@pytest.mark.parametrize("x, factor", [(1e-160, 3.0), (3e-161, 3.0), (1.7e-161, 3.0), (1e-160, 1e170)])
+def test_fit_on_subnormal_profiles_is_the_least_accepted_float(x, factor):
+    # Squared distances near 1e-320 round coarsely, so the check accepts a
+    # float far from the closed form; with factor 1e170 the ratio overflows.
+    ts = FiniteSet(name="tiny", points=np.array([[0.0, 0.0], [x, 0.5 * x]]))
+    _assert_fit_matches_reference(apply_map(ts, CoordinateMap("scale", (factor,))), 2, normal=False)
+
+
+@pytest.mark.parametrize("factor, c_star", [(FIT_CAP, FIT_CAP), (math.nextafter(FIT_CAP, 2 * FIT_CAP), None)])
+def test_fit_cap_is_the_largest_feasible_constant(factor, c_star):
+    pair = apply_map(_random_set(5, count=4, dim=3), CoordinateMap("scale", (factor,)))
+    assert fit_min_C(pair, p_max=3).c_star == c_star
+
+
+def test_fit_at_a_trim_breakpoint_is_exact():
+    source = FiniteSet(name="spike", points=np.array([[0.0] * 4, [2.0, 0.0, 0.0, 0.0]]))
+    image = FiniteSet(name="spread", points=np.array([[0.0] * 4, [1.0] * 4]))
+    pair = MappedPair(source=source, image=image, correspondence=(0, 1))
+    # p = 1: the source trims to 0, so the image must trim all four: C = 4/1.
+    assert fit_min_C(pair, p_max=4).c_star == 4.0
+    assert fit_min_C(pair, p_max=0).c_star == 1.0  # |(1,1,1,1)|^2 = |(2,0,0,0)|^2
+
+
+def test_weak_contraction_of_a_zero_source_is_infeasible():
+    a = (0.5, -1.5, 2.0)
+    x = VectorSystem(name="x", vectors=tuple(Point((v, 0.0)) for v in a), norm=NormKind.SUP)
+    y = VectorSystem(name="y", vectors=(Point((0.0, 0.0)),) * 3, norm=NormKind.SUP)
+    funcs = generate_functionals(NormKind.SUP, 2, 0, Seed(0))
+    report = check_weak_contraction(x, y, funcs)
+    assert report.context["worst_functional"] == 0  # e_1 reads the coefficients a
+    assert funcs.functionals[0].coords == (1.0, 0.0)
+    assert report.c_star is None  # at p = 0 the condition reads a.a <= 0 for every C
+    assert report.margin == float(np.dot(a, a)) == 6.5
+    assert report.worst_pair == (0, 1, 0)
