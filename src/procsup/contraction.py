@@ -34,6 +34,9 @@ from .suprema import brute_force_bernoulli_sup, mc_sup
 #: Constants above this are treated as "no finite constant works".
 FIT_CAP = 1024.0
 
+#: The largest squared pair distance whose ``C^2`` multiple stays finite for every C up to FIT_CAP.
+_PROFILE_MAX = float(np.finfo(np.float64).max) / FIT_CAP**2
+
 
 def trimmed_sq_distance(s: Point, t: Point, p: int) -> float:
     """``trim2(t - s, p)``: squared l2 distance ignoring the p worst coordinates."""
@@ -174,8 +177,17 @@ class _PairTable:
         img = pair.image.matrix[list(pair.correspondence)]
         i, j = np.triu_indices(len(src), k=1)
         self.pairs = np.stack([i, j], axis=1)
-        self.src_prof = _trim_profiles(src[j] - src[i])
-        self.img_prof = _trim_profiles(img[j] - img[i])
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.src_prof = _trim_profiles(src[j] - src[i])
+            self.img_prof = _trim_profiles(img[j] - img[i])
+        for name, prof in (("source", self.src_prof), ("image", self.img_prof)):
+            bad = ~(prof[:, 0] <= _PROFILE_MAX)  # column 0 is the full squared distance; NaN is bad too
+            if bad.any():
+                k = int(bad.argmax())
+                raise ParameterError(
+                    f"squared distance of {name} pair {tuple(self.pairs[k].tolist())} overflows: "
+                    f"{prof[k, 0]:.3g} exceeds {_PROFILE_MAX:.3g} (float64 max / FIT_CAP**2)"
+                )
 
     def evaluate(self, c: float, p_max: int) -> CheckResult:
         if not len(self.pairs):  # single-point source: nothing to check

@@ -13,7 +13,12 @@ computes three ways:
 * a seeded Monte Carlo estimate with a delta-method standard error.
 
 The :class:`MomentModel` wrapper lets downstream code (chaining bounds,
-decompositions) pick any of these routes through one ``norm(t, p)`` call.
+decompositions) pick any of these routes through one ``norm(t, p)`` call,
+or one ``norms(rows, p)`` call for a batch.  A Monte Carlo batch, such as
+one level of a chain bound, is estimated by :func:`mc_norms` against one
+shared draw stream keyed by the whole batch: common random numbers.  Each
+estimate keeps its law, but the estimates of one batch are correlated; a
+one-row batch is :func:`mc_norm` bit for bit.
 
 Every exact oracle and Monte Carlo estimate in the package reduces
 ``sum_i xi_i m_i`` over the rows of a coefficient matrix ``m``; the two
@@ -178,9 +183,19 @@ def bernoulli_norm_exact(t: Point, p, d_max: int = EXACT_ENUMERATION_MAX_DIM) ->
     return bernoulli_norms_exact(t, (p,), d_max)[0]
 
 
-def _content_label(prefix: str, kind: ProcessKind, t: Point, p: float) -> str:
-    digest = hashlib.sha256(t.array.tobytes() + f"|{kind.value}|{p!r}".encode()).hexdigest()
+def _content_label(prefix: str, kind: ProcessKind, m: np.ndarray, p: float) -> str:
+    digest = hashlib.sha256(m.tobytes() + f"|{kind.value}|{p!r}".encode()).hexdigest()
     return f"{prefix}:{digest}"
+
+
+def _finite_rows(ts) -> np.ndarray:
+    """``ts`` as a C-ordered ``(k, d)`` float matrix; every entry must be finite."""
+    rows = np.ascontiguousarray(ts, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise ValidationError(f"increment rows must form a (k, d) matrix with d >= 1, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise ValidationError("increment rows must be finite")
+    return rows
 
 
 def _draw(kind: ProcessKind, gen: np.random.Generator, size) -> np.ndarray:
@@ -195,32 +210,84 @@ def mc_mean(
     m: np.ndarray,
     samples: int,
     statistic: Callable[[np.ndarray], np.ndarray],
-) -> tuple[float, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of ``statistic(xi @ m)`` over ``samples`` draws of ``xi``.
 
     ``xi`` has one coordinate per row of ``m`` and is drawn from ``gen`` in
     chunks whose rows are a multiple of 4, so the draw stream does not
     depend on the chunking (numpy packs four int8 signs per 32-bit word).
-    Chunks are centred on the first chunk's mean and merged with the
-    pairwise update of Chan, Golub & LeVeque, which keeps the variance
-    accurate even when the mean is far larger than the spread.
+    The statistic maps a chunk of ``k`` draws to a fresh array of ``k``
+    values, which this function then overwrites, or to a ``(k, c)`` block
+    for ``c`` statistics of the same draws; the result has shape ``()`` or
+    ``(c,)``.  Each statistic is centred on its first chunk's mean and its
+    chunks are merged with the pairwise update of Chan, Golub & LeVeque,
+    which keeps the variance accurate even when the mean is far larger than
+    the spread.  Each column is reduced as a contiguous row, so it gets the
+    same bits as a one-statistic call.
     """
     rows = max(4, _BLOCK_BYTES // (8 * max(m.shape)) // 4 * 4)
     shift = None
     count, mean, m2 = 0, 0.0, 0.0
     while count < samples:
         k = min(rows, samples - count)
-        ys = statistic(_draw(kind, gen, (k, m.shape[0])) @ m)
+        ys = np.ascontiguousarray(statistic(_draw(kind, gen, (k, m.shape[0])) @ m).T)
         if shift is None:
-            shift = float(ys.mean())
-        ys = ys - shift
-        chunk_mean = float(ys.mean())
+            shift = ys.mean(axis=-1, keepdims=True)
+        ys -= shift
+        chunk_mean = ys.mean(axis=-1, keepdims=True)
         delta = chunk_mean - mean
         total = count + k
-        mean += delta * k / total
-        m2 += float(((ys - chunk_mean) ** 2).sum()) + delta * delta * count * k / total
+        mean = mean + delta * k / total
+        ys -= chunk_mean
+        ys **= 2
+        m2 = m2 + (ys.sum(axis=-1, keepdims=True) + delta * delta * count * k / total)
         count = total
-    return shift + mean, math.sqrt(m2 / (samples - 1) / samples)
+    return (shift + mean)[..., 0], np.sqrt(m2 / (samples - 1) / samples)[..., 0]
+
+
+def mc_norms(
+    kind: ProcessKind,
+    rows: np.ndarray,
+    p,
+    samples: int,
+    seed: Seed,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo estimates of ``||X_t||_p`` for every row ``t`` of ``rows``, with delta-method stderrs.
+
+    Every row is reduced against one shared draw stream, keyed by seed plus
+    a content hash of the whole ``(k, d)`` matrix: common random numbers.
+    Each estimate keeps the law it would have with a stream of its own, but
+    the estimates of one call are correlated.  Each row is scaled by its own
+    l2 norm; a zero row gives 0 with stderr 0.
+    """
+    q = _check_moment_order(p)
+    if samples < 2:
+        raise ParameterError(f"Monte Carlo norms need samples >= 2, got {samples}")
+    rows = _finite_rows(rows)
+    with np.errstate(over="ignore"):
+        scales = np.sqrt(np.vecdot(rows, rows))
+    if not np.isfinite(scales).all():  # dividing by inf would estimate every norm as 0
+        k = int(np.isinf(scales).argmax())
+        raise ParameterError(f"the l2 norm of row {k} overflows float64")
+    estimates, stderrs = np.zeros(len(rows)), np.zeros(len(rows))
+    live = np.flatnonzero(scales > 0.0)
+    if live.size == 0:
+        return estimates, stderrs
+    gen = rng.stream(seed.value, _content_label("mc-norm", kind, rows, q))
+    m = (rows[live] / scales[live, None]).T
+
+    def statistic(ys: np.ndarray) -> np.ndarray:
+        np.abs(ys, out=ys)
+        ys **= q
+        return ys
+
+    means, se_means = mc_mean(kind, gen, m, samples, statistic)
+    # Python floats, so one row rounds exactly as a scalar computation would.
+    for i, scale, mean, se_mean in zip(live.tolist(), scales[live].tolist(), means.tolist(), se_means.tolist()):
+        if mean > 0.0:
+            estimates[i] = scale * mean ** (1.0 / q)
+            stderrs[i] = scale * ((1.0 / q) * mean ** (1.0 / q - 1.0) * se_mean)
+    return estimates, stderrs
 
 
 def mc_norm(
@@ -232,23 +299,15 @@ def mc_norm(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of ``||X_t||_p`` with a delta-method stderr.
 
-    Deterministic for fixed ``(kind, t, p, samples, seed)``: the draw stream
-    is keyed by seed plus a content hash, so unrelated computations cannot
-    perturb it.
+    The one-row case of :func:`mc_norms`.  Deterministic for fixed
+    ``(kind, t, p, samples, seed)``: the draw stream is keyed by seed plus a
+    content hash, so unrelated computations cannot perturb it.  Monte Carlo
+    chain bounds do not call it: they estimate each level's increments
+    together, on one stream per level, so an increment's value there has
+    this estimate's law but not its bits.
     """
-    q = _check_moment_order(p)
-    if samples < 2:
-        raise ParameterError(f"mc_norm needs samples >= 2, got {samples}")
-    scale = float(np.linalg.norm(t.array))
-    if scale == 0.0:
-        return 0.0, 0.0
-    gen = rng.stream(seed.value, _content_label("mc-norm", kind, t, q))
-    mean, se_mean = mc_mean(kind, gen, t.array / scale, samples, lambda ys: np.abs(ys) ** q)
-    if mean == 0.0:
-        return 0.0, 0.0
-    estimate = mean ** (1.0 / q)
-    stderr = (1.0 / q) * mean ** (1.0 / q - 1.0) * se_mean
-    return scale * estimate, scale * stderr
+    estimates, stderrs = mc_norms(kind, t.array[None, :], p, samples, seed)
+    return float(estimates[0]), float(stderrs[0])
 
 
 class ModelKind(enum.Enum):
@@ -276,8 +335,8 @@ class MomentModel:
         if self.kind is ModelKind.MONTE_CARLO:
             if self.process is None or self.seed is None:
                 raise ParameterError("Monte Carlo model needs a process kind and a seed")
-            if self.samples < 1:
-                raise ParameterError(f"Monte Carlo model needs samples >= 1, got {self.samples}")
+            if self.samples < 2:
+                raise ParameterError(f"Monte Carlo model needs samples >= 2, got {self.samples}")
         elif self.process is not None or self.samples or self.seed is not None:
             raise ParameterError(f"{self.kind.value} model takes no sampling configuration")
 
@@ -315,14 +374,22 @@ class MomentModel:
         return mc_norm(self.process, t, p, self.samples, self.seed)[0]
 
     def norms(self, ts: np.ndarray, p) -> np.ndarray:
-        """:meth:`norm` of every row of the ``(k, d)`` array ``ts``, bit for bit.
+        """:meth:`norm` of every row of the ``(k, d)`` array ``ts``.
 
         The Gaussian route is one ``vecdot``, which rounds each row like the
-        1-D dot product behind :func:`gaussian_norm_exact`; the other routes
-        evaluate :meth:`norm` row by row.
+        1-D dot product behind :func:`gaussian_norm_exact`, so it matches
+        :meth:`norm` bit for bit.  The Monte Carlo route is one
+        :func:`mc_norms` call: the rows share one draw stream (common random
+        numbers), so each value has the law of :meth:`norm`'s but not its
+        bits, and values of one call are correlated; a one-row call gives
+        :meth:`norm`'s bits.  Both routes reject non-finite rows with the
+        same :class:`ValidationError`.  The other routes evaluate
+        :meth:`norm` row by row.
         """
-        if self.kind is not ModelKind.GAUSSIAN_EXACT:
-            return np.array([self.norm(Point(t), p) for t in ts], dtype=np.float64)
-        if not np.isfinite(ts).all():
-            raise ValidationError("increment rows must be finite")
-        return np.sqrt(np.vecdot(ts, ts)) * gaussian_moment_constant(p)
+        if self.kind is ModelKind.GAUSSIAN_EXACT:
+            rows = _finite_rows(ts)
+            return np.sqrt(np.vecdot(rows, rows)) * gaussian_moment_constant(p)
+        if self.kind is ModelKind.MONTE_CARLO:
+            assert self.process is not None and self.seed is not None
+            return mc_norms(self.process, ts, p, self.samples, self.seed)[0]
+        return np.array([self.norm(Point(t), p) for t in ts], dtype=np.float64)

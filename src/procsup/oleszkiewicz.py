@@ -339,7 +339,8 @@ def _mc_strong_moment(system: VectorSystem, samples: int, seed: Seed) -> tuple[f
         raise ParameterError(f"Monte Carlo needs samples >= 2, got {samples}")
     digest = hashlib.sha256(system.matrix.tobytes() + system.norm.value.encode()).hexdigest()
     gen = rng.stream(seed.value, f"strong-moment:{digest}")
-    return mc_mean(ProcessKind.BERNOULLI, gen, system.matrix, samples, system.norm_of)
+    mean, stderr = mc_mean(ProcessKind.BERNOULLI, gen, system.matrix, samples, system.norm_of)
+    return float(mean), float(stderr)
 
 
 def strong_moment_ratio(

@@ -66,8 +66,8 @@ def mc_sup(kind: ProcessKind, ts: FiniteSet, samples: int, seed: Seed) -> SupEst
     gen = rng.stream(seed.value, f"mc-sup:{digest}")
     mean, stderr = mc_mean(kind, gen, ts.matrix.T, samples, lambda ys: ys.max(axis=1))
     return SupEstimate(
-        value=mean,
-        stderr=stderr,
+        value=float(mean),
+        stderr=float(stderr),
         method=EstimateMethod.MONTE_CARLO,
         samples=samples,
         seed=seed,

@@ -26,8 +26,10 @@ from procsup.chaining import (
 )
 from procsup.core import FiniteSet, Point, ProcessKind, Seed, distinct_rows
 from procsup.errors import CapacityError, ParameterError, ValidationError
-from procsup.moments import MomentModel
+from procsup.moments import ModelKind, MomentModel
 from procsup.suprema import brute_force_bernoulli_sup
+
+from mc_reference import reference_shared_stream_norms
 
 
 def _random_set(seed, count, dim, label="chaining-test"):
@@ -428,22 +430,28 @@ def _reference_build(ts):
 
 
 def _reference_chain_bound(ts, tree, model):
-    """One memoised ``model.norm`` call per (parent rep, rep, level) pair, sums in Python floats."""
-    cache = {}
+    """Chain sums in Python floats, one level at a time.
 
-    def increment(a, b, p):
-        if a == b:
-            return 0.0
-        key = (min(a, b), max(a, b), p)
-        if key not in cache:
-            cache[key] = model.norm(Point(ts.matrix[key[1]] - ts.matrix[key[0]]), p)
-        return cache[key]
-
+    Each block that moved its representative contributes the norm of
+    ``x[max] - x[min]`` of the two representatives.  Monte Carlo norms of a
+    level share one stream, keyed by that level's increments in block
+    order; every other model takes one ``model.norm`` call per increment.
+    """
     sums = [0.0] * len(ts)
     prev_rep = {i: tree.levels[0][0].rep for i in range(len(ts))}
     for lvl in range(1, len(tree.levels)):
-        for block in tree.levels[lvl]:
-            step = increment(prev_rep[block.members[0]], block.rep, 1 << lvl)
+        level = tree.levels[lvl]
+        ends = [(prev_rep[block.members[0]], block.rep) for block in level]
+        moved = [(min(a, b), max(a, b)) for a, b in ends if a != b]
+        rows = np.array([ts.matrix[hi] - ts.matrix[lo] for lo, hi in moved]).reshape(-1, ts.dim)
+        if model.kind is ModelKind.MONTE_CARLO:
+            values = [est for est, _ in reference_shared_stream_norms(
+                model.process, rows, 1 << lvl, model.samples, model.seed)]
+        else:
+            values = [model.norm(Point(row), 1 << lvl) for row in rows]
+        steps = iter(values)
+        for block, (a, b) in zip(level, ends):
+            step = next(steps) if a != b else 0.0
             for i in block.members:
                 sums[i] += step
                 prev_rep[i] = block.rep

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from procsup import cli
-from procsup.core import SetKind, load_set
+from procsup.core import FiniteSet, SetKind, load_set, save_set
 
 
 def _run(argv):
@@ -205,6 +205,37 @@ def test_contract_rejects_a_non_finite_check_constant(tmp_path, capsys, value):
                  "--check-at", value, "--out", str(out)]) == 2
     assert f"error: C must be finite, got {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_contract_rejects_overflowing_distances(tmp_path, capsys):
+    set_path = tmp_path / "huge.set"
+    save_set(FiniteSet(name="huge", points=[(0.0, 0.0), (1e200, 3e199), (-1e200, 1.0)]), set_path)
+    out = tmp_path / "c.json"
+    assert _run(["contract", "--source", str(set_path), "--map", "abs", "--check-at", "1.0",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: squared distance of source pair (0, 1) overflows: inf exceeds")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_gamma_monte_carlo_needs_two_samples(tmp_path, capsys, samples):
+    set_path = _gen(tmp_path, dim=4, count=6)
+    out = tmp_path / "g.json"
+    assert _run(["gamma", "--set", str(set_path), "--model", "monte-carlo", "--samples", samples,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: Monte Carlo model needs samples >= 2, got {samples}\n"
+    assert not out.exists()
+
+
+def test_gamma_monte_carlo_reports_are_byte_identical(tmp_path):
+    set_path = _gen(tmp_path, dim=8, count=20)
+    argv = ["gamma", "--set", str(set_path), "--model", "monte-carlo", "--process", "gaussian",
+            "--samples", "3001"]
+    assert _run(argv + ["--out", str(tmp_path / "a.json")]) == 0
+    assert _run(argv + ["--out", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 @pytest.mark.parametrize("verb", ["contract", "oleszkiewicz"])

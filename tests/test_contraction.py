@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,36 @@ def test_check_condition_rejects_a_non_finite_constant(c):
     pair = apply_map(_random_set(0), CoordinateMap("abs"))
     with pytest.raises(ParameterError, match=f"C must be finite, got {c}"):
         check_condition(pair, c, p_max=3)
+
+
+_HUGE = FiniteSet(name="huge", points=[(0.0, 0.0), (1e200, 3e199), (-1e200, 1.0)])
+
+
+def test_overflowing_squared_distances_fail_fast_without_warnings():
+    # (1e200)^2 overflows to inf, and inf - inf would make every gap NaN
+    pair = apply_map(_HUGE, CoordinateMap("abs"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (lambda: fit_min_C(pair), lambda: check_condition(pair, 1.0, 2)):
+            with pytest.raises(ParameterError, match=r"squared distance of source pair \(0, 1\) overflows"):
+                run()
+        # a difference that itself overflows
+        wide = FiniteSet(name="wide", points=[(-1.5e308,), (1.5e308,)])
+        with pytest.raises(ParameterError, match=r"source pair \(0, 1\) overflows: inf exceeds"):
+            fit_min_C(apply_map(wide, CoordinateMap("abs")))
+        # only the image is out of range
+        scaled = apply_map(FiniteSet(name="big", points=[(0.0,), (1e150,)]), CoordinateMap("scale", (1e10,)))
+        with pytest.raises(ParameterError, match=r"squared distance of image pair \(0, 1\) overflows"):
+            check_condition(scaled, 1.0, 1)
+
+
+def test_large_but_representable_distances_still_fit():
+    pair = apply_map(FiniteSet(name="big", points=[(0.0, 0.0), (1e150, 3e149), (-1e150, 1.0)]),
+                     CoordinateMap("abs"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fit_min_C(pair).c_star == 1.0
+        assert check_condition(pair, 1.0, 2).satisfied
 
 
 @pytest.mark.parametrize("p_max", [1.5, 2.0, True, "3"])

@@ -9,7 +9,7 @@ from scipy import integrate
 
 from procsup import moments, rng
 from procsup.core import FiniteSet, Point, ProcessKind, Seed
-from procsup.errors import CapacityError, ParameterError
+from procsup.errors import CapacityError, ParameterError, ValidationError
 from procsup.moments import (
     MomentModel,
     bernoulli_norm_exact,
@@ -20,12 +20,15 @@ from procsup.moments import (
     gaussian_norm_exact,
     mc_mean,
     mc_norm,
+    mc_norms,
     rearrange,
     signed_row_sums,
     tail_l2,
 )
 from procsup.oleszkiewicz import NormKind, VectorSystem, strong_moment_ratio
 from procsup.suprema import brute_force_bernoulli_sup
+
+from mc_reference import reference_mc_mean, reference_mc_norm
 
 coords = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 vectors = st.lists(coords, min_size=1, max_size=9).map(lambda xs: Point(tuple(xs)))
@@ -239,6 +242,14 @@ def test_mc_norm_agrees_with_exact(kind, p):
     assert abs(est - exact) <= 4.0 * stderr
 
 
+@pytest.mark.parametrize("samples", [0, 1])
+def test_moment_model_needs_two_samples(samples):
+    # the stderr divides by samples - 1
+    with pytest.raises(ParameterError, match=f"^Monte Carlo model needs samples >= 2, got {samples}$"):
+        MomentModel.monte_carlo(ProcessKind.GAUSSIAN, samples, Seed(1))
+    assert MomentModel.monte_carlo(ProcessKind.GAUSSIAN, 2, Seed(1)).samples == 2
+
+
 def test_moment_model_validation():
     with pytest.raises(ParameterError):
         MomentModel.monte_carlo(ProcessKind.GAUSSIAN, 0, Seed(1))
@@ -316,3 +327,103 @@ def test_mc_mean_variance_survives_a_large_mean(monkeypatch, seed):
     assert chunks == [16384] * 7
     assert stderr**2 * n == pytest.approx(np.var(values, ddof=1), rel=1e-9, abs=0.0)
     assert mean == pytest.approx(values.mean(), rel=1e-15)
+
+
+# --- batched Monte Carlo norms: one stream per call ---
+
+
+@st.composite
+def _one_row_cases(draw):
+    d = draw(st.integers(1, 40))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = Point(gen.standard_normal(d) * 10.0 ** gen.uniform(-6, 6))
+    p = draw(st.one_of(st.integers(1, 9), st.floats(1.0, 9.0)))
+    # 4-row chunks up to one chunk of the whole run; counts off the multiple of 4 included
+    chunk_rows = draw(st.sampled_from([4, 12, 1 << 20]))
+    samples = draw(st.integers(2, 90))
+    return draw(st.sampled_from(list(ProcessKind))), t, p, samples, chunk_rows
+
+
+@given(_one_row_cases())
+def test_one_row_mc_norms_is_the_scalar_estimator_bit_for_bit(case):
+    kind, t, p, samples, chunk_rows = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "_BLOCK_BYTES", 8 * t.dim * chunk_rows)
+        est, stderr = mc_norms(kind, t.array[None, :], p, samples, Seed(9))
+        ref = reference_mc_norm(kind, t, p, samples, Seed(9))
+        assert np.array([est[0], stderr[0]]).tobytes() == np.array(ref).tobytes()
+        assert np.array(mc_norm(kind, t, p, samples, Seed(9))).tobytes() == np.array(ref).tobytes()
+
+
+@pytest.mark.parametrize("kind", list(ProcessKind))
+@pytest.mark.parametrize("block_bytes", [None, 8 * 5 * 12], ids=["one-chunk", "12-row-chunks"])
+def test_vector_mc_mean_is_the_scalar_accumulator_per_column(monkeypatch, kind, block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(moments, "_BLOCK_BYTES", block_bytes)
+    m = rng.standard_normal(rng.stream(1, "mc-mean-columns"), (5, 3))
+    one = mc_mean(kind, rng.stream(2, "mc-mean"), m, 103, lambda ys: ys.max(axis=1, keepdims=True))
+    ref = reference_mc_mean(kind, rng.stream(2, "mc-mean"), m, 103, lambda ys: ys.max(axis=1))
+    assert one[0].shape == one[1].shape == (1,)
+    assert np.array([one[0][0], one[1][0]]).tobytes() == np.array(ref).tobytes()
+    means, stderrs = mc_mean(kind, rng.stream(2, "mc-mean"), m, 103, lambda ys: ys**3)
+    for j in range(3):
+        ref = reference_mc_mean(kind, rng.stream(2, "mc-mean"), m, 103, lambda ys: ys[:, j] ** 3)
+        assert np.array([means[j], stderrs[j]]).tobytes() == np.array(ref).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_mc_norms_of_a_64_row_level_are_within_three_sigma(seed, p):
+    # One column in 370 leaves 3 sigma by chance, so among 64 a lone 3-sigma miss
+    # is common (p=4, seed 1 has one at 3.8); more than two, or any beyond
+    # 4 sigma (Bonferroni over 64 columns at 0.5%), is not.
+    rows = rng.standard_normal(rng.stream(seed, "mc-level"), (64, 32))
+    est, stderr = mc_norms(ProcessKind.GAUSSIAN, rows, p, 20_000, Seed(seed))
+    exact = np.array([gaussian_norm_exact(Point(r), p) for r in rows])
+    assert (stderr > 0.0).all()
+    z = np.abs(est - exact) / stderr
+    assert (z > 3.0).sum() <= 2 and (z <= 4.0).all()
+
+
+def test_mc_norms_zero_rows_and_the_shared_stream():
+    rows = np.array([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0], [0.3, 0.3, -4.0]])
+    est, stderr = mc_norms(ProcessKind.BERNOULLI, rows, 3, 500, Seed(4))
+    assert est[1] == stderr[1] == 0.0 and (est[[0, 2]] > 0.0).all()
+    assert np.array_equal(mc_norms(ProcessKind.BERNOULLI, rows, 3, 500, Seed(4))[0], est)
+    assert mc_norms(ProcessKind.BERNOULLI, rows[[1]], 3, 500, Seed(4))[0].tolist() == [0.0]
+    # the stream is keyed by the whole matrix, so a row's bits depend on its companions
+    assert mc_norms(ProcessKind.BERNOULLI, rows[[0]], 3, 500, Seed(4))[0][0] != est[0]
+
+
+def test_mc_norms_rejects_bad_arguments():
+    rows = np.ones((2, 3))
+    with pytest.raises(ParameterError, match="samples >= 2"):
+        mc_norms(ProcessKind.GAUSSIAN, rows, 2, 1, Seed(0))
+    with pytest.raises(ParameterError, match="moment order"):
+        mc_norms(ProcessKind.GAUSSIAN, rows, 0.5, 10, Seed(0))
+    with pytest.raises(ValidationError, match=r"\(k, d\) matrix"):
+        mc_norms(ProcessKind.GAUSSIAN, np.ones(3), 2, 10, Seed(0))
+    # the scale would be inf and every estimate 0
+    with pytest.raises(ParameterError, match="^the l2 norm of row 1 overflows float64$"):
+        mc_norms(ProcessKind.GAUSSIAN, np.array([[1.0, 2.0], [1e200, 1e200]]), 2, 10, Seed(0))
+    with pytest.raises(ParameterError, match="overflows"):
+        mc_norm(ProcessKind.BERNOULLI, Point((1e200, -1e200)), 2, 10, Seed(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("model", [
+    MomentModel.gaussian_exact(),
+    MomentModel.monte_carlo(ProcessKind.GAUSSIAN, 10, Seed(1)),
+    MomentModel.monte_carlo(ProcessKind.BERNOULLI, 10, Seed(1)),
+])
+def test_norms_rejects_non_finite_rows_on_both_batched_routes(model, bad):
+    rows = np.array([[1.0, 2.0], [bad, 0.0]])
+    with pytest.raises(ValidationError, match="^increment rows must be finite$"):
+        model.norms(rows, 2)
+
+
+def test_monte_carlo_norms_route_is_one_mc_norms_call():
+    model = MomentModel.monte_carlo(ProcessKind.GAUSSIAN, 300, Seed(6))
+    rows = rng.standard_normal(rng.stream(6, "route"), (5, 4))
+    assert model.norms(rows, 4).tobytes() == mc_norms(ProcessKind.GAUSSIAN, rows, 4, 300, Seed(6))[0].tobytes()
+    assert model.norms(rows[:1], 4)[0] == model.norm(Point(rows[0]), 4)
