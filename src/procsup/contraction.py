@@ -196,8 +196,13 @@ class _PairTable:
         # Orders above dim repeat the gap 0 of order dim, so they never
         # change the first maximum.
         p = np.arange(min(p_max, dim) + 1)
-        budget = np.minimum(np.floor(c * p).astype(np.intp), dim)
-        gap = self.img_prof[:, budget] - c * c * self.src_prof[:, p]
+        # From C = dim on, every p >= 1 deletes all image coordinates; clipping
+        # C there keeps C*p castable to an index.
+        budget = np.minimum(np.floor(min(c, dim) * p).astype(np.intp), dim)
+        rhs = self.src_prof[:, p]  # a copy
+        with np.errstate(over="ignore"):  # C^2 * S may be inf for a huge C: it is its value
+            np.multiply(c * c, rhs, out=rhs, where=rhs > 0.0)  # C^2 * 0 is 0, even when C^2 is inf
+        gap = self.img_prof[:, budget] - rhs
         k, at = divmod(int(np.argmax(gap)), p.size)  # first maximum, pair-major
         margin = float(gap[k, at])
         i, j = self.pairs[k].tolist()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -173,8 +174,18 @@ class FiniteSet:
     """
 
     def __init__(self, name: str, points) -> None:
+        self._adopt(name, point_matrix(points, f"set {name!r}"))
+
+    @classmethod
+    def _of_matrix(cls, name: str, matrix: np.ndarray) -> "FiniteSet":
+        """A set over ``matrix``, which :func:`point_matrix` has already returned."""
+        ts = cls.__new__(cls)
+        ts._adopt(name, matrix)
+        return ts
+
+    def _adopt(self, name: str, matrix: np.ndarray) -> None:
         self.name = name
-        self.matrix = point_matrix(points, f"set {name!r}")
+        self.matrix = matrix
         first, slot = distinct_rows(self.matrix)
         firsts = first[slot]  # each row's first occurrence
         repeats = np.flatnonzero(firsts != np.arange(len(slot)))
@@ -333,6 +344,9 @@ def generate_set(
 
 
 def save_set(ts: FiniteSet, path: str | Path) -> None:
+    """Write ``ts`` as a set file: ``json.dumps(doc, indent=2)`` bytes, keys in insertion order."""
+    from .reports import dumps  # reports imports this module
+
     doc = {
         "format": SET_FORMAT,
         "version": FILE_VERSION,
@@ -340,7 +354,7 @@ def save_set(ts: FiniteSet, path: str | Path) -> None:
         "dim": ts.dim,
         "points": ts.matrix.tolist(),
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(dumps(doc, sort_keys=False))
 
 
 def read_points_file(path: str | Path, formats: Sequence[str]) -> tuple[dict, str, np.ndarray]:
@@ -370,16 +384,27 @@ def read_points_file(path: str | Path, formats: Sequence[str]) -> tuple[dict, st
     rows = doc.get(key)
     if type(dim) is not int or dim < 1 or not isinstance(rows, list):
         raise ParseError(f"{path}: missing or malformed 'dim'/'{key}'")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ValidationError(f"{path}: {noun} {i} does not have {dim} coordinates")
-        if any(type(x) not in (int, float) for x in row):
-            raise ValidationError(f"{path}: {noun} {i} has a coordinate that is not a number")
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {dim}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
+        for i, row in enumerate(rows):  # name the first bad row
+            if not isinstance(row, list) or len(row) != dim:
+                raise ValidationError(f"{path}: {noun} {i} does not have {dim} coordinates")
+            if any(type(x) not in (int, float) for x in row):
+                raise ValidationError(f"{path}: {noun} {i} has a coordinate that is not a number")
+    try:
+        matrix = np.array(rows, np.float64)
+    except OverflowError:
+        for i, row in enumerate(rows):  # name the row with an int beyond float range
+            try:
+                np.array(row, np.float64)
+            except OverflowError as exc:
+                raise ValidationError(f"{path}: {noun} {i}: {exc}") from None
+        raise
     name = str(doc.get("name") or path.stem)
-    return doc, name, point_matrix(rows, str(path), noun)
+    return doc, name, point_matrix(matrix, str(path), noun)
 
 
 def load_set(path: str | Path) -> FiniteSet:
     """Load a set file; the exact float values written by :func:`save_set` come back."""
     _, name, matrix = read_points_file(path, (SET_FORMAT,))
-    return FiniteSet(name=name, points=matrix)
+    return FiniteSet._of_matrix(name, matrix)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,7 +46,7 @@ from .core import (
 from .errors import ParameterError, ParseError, ValidationError
 from .contraction import ContractionReport, MappedPair, fit_min_C
 from .moments import bernoulli_norm_proxy, bernoulli_norms_exact, mc_mean, signed_row_sums
-from .reports import ComparisonReport, safe_ratio
+from .reports import ComparisonReport, dumps, safe_ratio
 
 _DUAL_SLACK = 1e-12
 
@@ -100,7 +99,7 @@ def save_vector_system(system: VectorSystem, path: str | Path) -> None:
         "dim": system.dim,
         "vectors": system.matrix.tolist(),
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(dumps(doc, sort_keys=False))
 
 
 def _read_system(path: str | Path, set_norm: NormKind | None = None) -> VectorSystem:

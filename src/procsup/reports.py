@@ -5,6 +5,13 @@ document carries the full configuration, content hashes of the inputs and
 the package-wide design constants in force, so a report is reproducible
 from its own header.  Nothing time- or host-dependent is included unless
 explicitly requested, which keeps repeated runs byte-identical.
+
+:func:`to_json` (and the set-file writers, through :func:`dumps`) walks the
+document once and writes it: the bytes are those of stdlib
+``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` after the leaf rules of
+:func:`_leaf` (numpy scalars made plain, ±inf as ``"inf"``/``"-inf"``,
+tuples and arrays as lists).  ``build_report`` does not copy the results;
+whatever json cannot write raises ``TypeError`` when the report is written.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping
 
 import numpy as np
@@ -79,7 +87,7 @@ class ComparisonReport:
         if self.violation is not None:
             out["violation"] = self.violation
         if self.extras:
-            out["extras"] = _encode(self.extras)
+            out["extras"] = self.extras
         return out
 
 
@@ -89,20 +97,106 @@ def _encode_float(x: float) -> float | str:
     return x
 
 
-def _encode(value):
-    # Numpy scalars leak into results easily; np.bool_ in particular is not
-    # a bool subclass and would break json.dumps.
+def _leaf(value):
+    """A scalar as reports write it; containers and other objects come back unchanged.
+
+    Numpy scalars leak into results easily (``np.bool_`` in particular is
+    not a bool subclass): they become plain bools, ints and floats.  Every
+    float goes through ``float()``, and ±inf becomes ``"inf"``/``"-inf"``;
+    NaN stays NaN.
+    """
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, (float, np.floating)):
         return _encode_float(float(value))
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_encode(v) for v in value]
     return value
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    return float.__repr__(x)
+
+
+#: JSON text of the plain scalar types, keyed by exact type.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return '"' + json.dumps(key) + '"'  # json's key rules: no leaf rules, inf is "Infinity"
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write(value, pad: str, out: list[str], sort_keys: bool) -> None:
+    """Append the JSON text of ``value``, indented from ``pad``, to ``out``."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        out.append("{\n" + inner)
+        for n, (k, v) in enumerate(sorted(value.items()) if sort_keys else value.items()):
+            out.append((sep if n else "") + _key_text(k) + ": ")
+            _write(v, inner, out, sort_keys)
+        out.append("\n" + pad + "}")
+        return
+    if isinstance(value, np.ndarray):
+        if not value.ndim:
+            raise TypeError("iteration over a 0-d array")
+        value = value.tolist()
+    elif not isinstance(value, (list, tuple)):
+        leaf = _leaf(value)
+        scalar = _SCALAR_TEXT.get(type(leaf))
+        # json writes subclasses of the plain types and raises TypeError for the rest
+        out.append(scalar(leaf) if scalar is not None else json.dumps(leaf))
+        return
+    if not value:
+        out.append("[]")
+        return
+    kinds = set(map(type, value))
+    if kinds == {int} or kinds == {float}:
+        text = sep.join(map(int.__repr__ if int in kinds else float.__repr__, value))
+        if "n" not in text:  # finite floats never spell "inf" or "nan"
+            out.append("[\n" + inner + text + "\n" + pad + "]")
+            return
+    out.append("[\n" + inner)
+    for n, v in enumerate(value):
+        if n:
+            out.append(sep)
+        _write(v, inner, out, sort_keys)
+    out.append("\n" + pad + "]")
+
+
+def dumps(doc, *, sort_keys: bool = True) -> str:
+    """``doc`` as indented JSON text, newline-terminated, in one pass.
+
+    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=sort_keys)
+    + "\\n"`` after the leaf rules of :func:`_leaf` (tuples and arrays are
+    written as lists); anything else json cannot write raises
+    ``TypeError``.
+    """
+    out: list[str] = []
+    _write(doc, "", out, sort_keys)
+    out.append("\n")
+    return "".join(out)
 
 
 def build_report(
@@ -123,10 +217,10 @@ def build_report(
         "schema": SCHEMA,
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "config": _encode(dict(config)),
+        "config": dict(config),
         "inputs": dict(inputs),
         "design_decisions": dict(DESIGN_DECISIONS),
-        "results": _encode(results),
+        "results": results,
     }
     if stamp is not None:
         doc["stamp"] = stamp
@@ -134,18 +228,18 @@ def build_report(
 
 
 def to_json(doc: Mapping[str, Any]) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dumps(doc)
 
 
 def _flatten(prefix: str, value, rows: list[tuple[str, Any]]) -> None:
     if isinstance(value, dict):
         for k in sorted(value) if prefix.startswith("design_decisions") else value:
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, np.ndarray)):
         for i, v in enumerate(value):
             _flatten(f"{prefix}[{i}]", v, rows)
     else:
-        rows.append((prefix, value))
+        rows.append((prefix, _leaf(value)))
 
 
 def to_csv(doc: Mapping[str, Any]) -> str:

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from procsup import cli
+from json_reference import report_csv, report_json
+from procsup import cli, reports
 from procsup.core import FiniteSet, SetKind, load_set, save_set
 
 
@@ -267,3 +268,45 @@ def test_gen_reads_negative_params_as_values(tmp_path, capsys, value, message):
     assert _run(argv) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+_VERBS = [
+    ["sup", "--set", "{s}", "--exact"],
+    ["moments", "--set", "{s}", "--p", "1", "2", "3"],
+    ["gamma", "--set", "{s}"],
+    ["gamma", "--set", "{s}", "--model", "monte-carlo", "--samples", "500"],
+    ["verify-t2", "--set", "{s}"],
+    ["contract", "--source", "{s}", "--map", "abs"],
+    ["decompose", "--set", "{s}", "--samples", "2000"],
+    ["oleszkiewicz", "--x", "{s}", "--y", "{s}", "--extra-functionals", "2", "--samples", "2000"],
+]
+
+
+@pytest.mark.parametrize("verb", _VERBS, ids=lambda argv: " ".join(argv[:1] + argv[3:]))
+def test_report_bytes_equal_the_earlier_route(tmp_path, monkeypatch, verb):
+    # Every report document a verb builds, written by the one-pass writer and
+    # by encode + json.dumps (and the earlier CSV flattening), gives the same text.
+    seen = []
+
+    def checked(write, reference):
+        def wrapper(doc):
+            text = write(doc)
+            assert text == reference(doc)
+            seen.append(text)
+            return text
+        return wrapper
+
+    monkeypatch.setattr(cli, "to_json", checked(reports.to_json, report_json))
+    monkeypatch.setattr(cli, "to_csv", checked(reports.to_csv, report_csv))
+    set_path = _gen(tmp_path)
+    argv = [str(set_path) if a == "{s}" else a for a in verb]
+    for fmt in ("json", "csv"):
+        assert _run(argv + ["--format", fmt, "--out", str(tmp_path / f"r.{fmt}")]) == 0
+    text = (tmp_path / "r.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert len(seen) == 2
+
+
+def test_gen_file_bytes_equal_json_dumps(tmp_path):
+    text = _gen(tmp_path, count=40).read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"

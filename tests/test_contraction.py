@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from procsup import rng
 from procsup.contraction import (
     FIT_CAP,
+    CheckResult,
     CoordinateMap,
     MappedPair,
     _PairTable,
@@ -357,3 +358,41 @@ def test_weak_contraction_of_a_zero_source_is_infeasible():
     assert report.c_star is None  # at p = 0 the condition reads a.a <= 0 for every C
     assert report.margin == float(np.dot(a, a)) == 6.5
     assert report.worst_pair == (0, 1, 0)
+
+
+def _unclipped_evaluate(table, c, p_max):
+    """The evaluation before huge constants were clipped, for ordinary constants."""
+    dim = table.src_prof.shape[1] - 1
+    p = np.arange(min(p_max, dim) + 1)
+    budget = np.minimum(np.floor(c * p).astype(np.intp), dim)
+    gap = table.img_prof[:, budget] - c * c * table.src_prof[:, p]
+    k, at = divmod(int(np.argmax(gap)), p.size)
+    margin = float(gap[k, at])
+    i, j = table.pairs[k].tolist()
+    return CheckResult(satisfied=margin <= 0.0, margin=margin, worst_pair=(i, j, at))
+
+
+@pytest.mark.parametrize("c", [1e200, 1e300, float(np.finfo(np.float64).max), 1.5e154])
+def test_huge_constants_are_satisfied_without_nan_or_warnings(c):
+    pair = apply_map(_random_set(1), CoordinateMap("abs"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p_max in (0, 2, 40):
+            result = check_condition(pair, c, p_max)
+            assert result.satisfied and not math.isnan(result.margin)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fit_does_not_move_under_the_clipped_evaluation(monkeypatch, seed):
+    rows = rng.standard_normal(rng.stream(seed, "test:clip"), (7, 5))
+    rows[:, seed % 5] = 0.0  # zero source coordinates give zero profile entries
+    source = FiniteSet(name="s", points=rows)
+    for cmap in (CoordinateMap("abs"), CoordinateMap("scale", (2.5,)), CoordinateMap("soft_threshold", (0.3,))):
+        pair = apply_map(source, cmap)
+        fitted = fit_min_C(pair)
+        table = _PairTable(pair)
+        for c in (1.0, 1.25, 2.5, 4.0, 5.0, 7.0, 1000.0, FIT_CAP):
+            assert table.evaluate(c, 5) == _unclipped_evaluate(table, c, 5)
+        with monkeypatch.context() as m:
+            m.setattr(_PairTable, "evaluate", _unclipped_evaluate)
+            assert fit_min_C(pair) == fitted

@@ -17,9 +17,13 @@ from procsup.core import (
     generate_set,
     has_disjoint_supports,
     load_set,
+    read_points_file,
     save_set,
 )
 from procsup.errors import ParameterError
+
+from json_reference import read_points_file as reference_read_points_file
+from json_reference import set_file_json
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 points = st.lists(coords, min_size=1, max_size=6).map(lambda xs: Point(tuple(xs)))
@@ -282,3 +286,77 @@ def test_point_keeps_its_public_face():
     assert (p + p - p).coords == p.coords
     assert Point.zero(2).coords == (0.0, 0.0)
     assert repr(p) == "Point(coords=(1.0, -0.0, 2.5))"
+
+
+# --- set files: one writer, and a loader that checks rows in bulk ---
+
+
+_any_coord = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-7]),
+)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.lists(_any_coord, min_size=d, max_size=d), min_size=1, max_size=6)
+    ),
+    st.text(),
+)
+def test_saved_set_bytes_equal_json_dumps(tmp_path_factory, rows, name):
+    path = tmp_path_factory.mktemp("sets") / "t.set"
+    rows = list({tuple(r): r for r in rows}.values())  # distinct by value (-0.0 == 0.0)
+    ts = FiniteSet(name=name, points=rows)
+    save_set(ts, path)
+    doc = {"format": "finite-set", "version": 1, "name": name, "dim": ts.dim, "points": ts.matrix.tolist()}
+    assert path.read_text() == set_file_json(doc)
+    assert load_set(path).matrix.tobytes() == ts.matrix.tobytes()
+
+
+def _loader_outcome(read, path):
+    try:
+        _, name, matrix = read(path, ("finite-set",))
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return name, matrix.tobytes(), matrix.flags.writeable
+
+
+_MALFORMED_ROWS = [
+    [[1.0, 2.0], [True, 0.0]],
+    [[1.0, 2.0], [0.0, False]],
+    [[1.0, 2.0], ["1e3", 0.0]],
+    [[1.0, 2.0], [None, 0.0]],
+    [[1.0, 2.0], [3.0]],
+    [[1.0, 2.0], [3.0, 4.0, 5.0]],
+    [[1.0, 2.0], 7],
+    [[1.0, 2.0], "ab"],  # a string of the right length is still not a row
+    [[1.0, 2.0], {"x": 1, "y": 2}],
+    [[1.0, 2.0], None],
+    [[1.0, 2.0], [[1.0], 2.0]],
+    [[1.0, 2.0], [10**400, 0.0]],
+    [[1.0, 2.0], [1.0, -(10**309)]],
+    [[1.0, 2.0], [math.nan, 0.0]],
+    [[1.0, 2.0], [0.0, math.inf]],
+    [[10**400, "x"], [None]],  # the first fault in row order wins
+    [[1, 2], [3.0, 2**80]],
+    [],
+]
+
+
+@pytest.mark.parametrize("rows", _MALFORMED_ROWS)
+def test_loader_names_the_same_fault_as_the_row_by_row_reader(tmp_path, rows):
+    path = tmp_path / "rows.set"
+    path.write_text(json.dumps({"format": "finite-set", "version": 1, "dim": 2, "points": rows}))
+    assert _loader_outcome(read_points_file, path) == _loader_outcome(reference_read_points_file, path)
+
+
+_json_values = st.one_of(
+    st.floats(), st.integers(-(10**320), 10**320), st.booleans(), st.none(), st.text(max_size=2),
+)
+
+
+@given(st.lists(st.one_of(st.lists(_json_values, max_size=3), _json_values), max_size=5), st.integers(1, 3))
+def test_loader_matches_the_row_by_row_reader(tmp_path_factory, rows, dim):
+    path = tmp_path_factory.mktemp("sets") / "rows.set"
+    path.write_text(json.dumps({"format": "finite-set", "version": 1, "dim": dim, "points": rows}))
+    assert _loader_outcome(read_points_file, path) == _loader_outcome(reference_read_points_file, path)

@@ -140,6 +140,9 @@ def test_system_save_load_roundtrip(tmp_path):
     back = load_vector_system(path)
     assert back.vectors == sys_.vectors
     assert back.norm is sys_.norm
+    doc = {"format": "vector-system", "version": 1, "name": sys_.name, "norm": "euclidean",
+           "dim": 4, "vectors": sys_.matrix.tolist()}
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_system_load_errors(tmp_path):

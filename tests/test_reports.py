@@ -1,16 +1,25 @@
+import collections
 import csv
+import decimal
+import enum
 import io
 import json
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from json_reference import encode, report_csv, report_json
 from procsup.reports import (
     DESIGN_DECISIONS,
     SCHEMA,
     SCHEMA_VERSION,
     ComparisonReport,
     build_report,
+    dumps,
     safe_ratio,
     to_csv,
     to_json,
@@ -90,3 +99,132 @@ def test_comparison_report_to_dict_encodes_inf():
     )
     assert checked.to_dict()["violation"] is False
     assert checked.to_dict()["bound_factor"] == 4.0
+
+
+# --- the one-pass writer against the earlier encode + json.dumps route ---
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+_numpy_scalars = st.one_of(
+    st.booleans().map(np.bool_),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+)
+_arrays = hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+)
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308]),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x20)),  # control characters
+    st.text(st.characters(min_codepoint=0x80)),  # non-ASCII, beyond the BMP too
+    _numpy_scalars,
+    _arrays,
+    st.lists(st.integers()),  # runs the writer joins in one piece
+    st.lists(st.floats()),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+)
+# One key family per dict: json sorts keys, and str keys do not compare with numbers.
+_key_families = [
+    st.text(),
+    st.one_of(st.integers(), st.floats(), st.booleans()),
+    st.none(),
+]
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=4).map(tuple),
+        *(st.dictionaries(keys, children, max_size=5) for keys in _key_families),
+    )
+
+
+_documents = st.recursive(_leaves, _containers, max_leaves=40)
+
+
+@given(_documents)
+def test_writer_bytes_equal_encode_then_json_dumps(doc):
+    assert dumps(doc) == report_json(doc)
+
+
+@given(_documents)
+def test_report_json_and_csv_equal_the_earlier_route(results):
+    doc = build_report("demo", {"seed": 3, "p": (1, 2)}, {"set": "abc"}, results)
+    assert to_json(doc) == report_json(doc)
+    assert to_csv(doc) == report_csv(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"level": _Level.LOW, "name": np.str_("x"), "f16": np.float16(1.5), "ld": np.longdouble(0.25)},
+        collections.OrderedDict([("b", 1), ("a", [np.int8(-3), np.uint64(2**64 - 1)])]),
+        {"pt": collections.namedtuple("Pt", "x y")(1.0, math.inf)},
+        {"objects": np.array([1, "two", 3.5, None], dtype=object)},
+        {"grid": np.zeros((2, 0)), "empty": np.zeros((0, 3)), "nested": [[], {}, ()]},
+        {"keys": {math.nan: 1, math.inf: 2, -math.inf: 3, -0.0: 4, 2**70: 5, True: 6, np.float64(0.5): 7}},
+        {None: "only"},
+        [-0.0, 1e-7, 1e16, 2.5, 1, True],
+        "top-level ☃\x00",
+        math.inf,
+        np.float32(0.1),
+    ],
+)
+def test_writer_handles_subclasses_and_edge_values(doc):
+    assert dumps(doc) == report_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        object(),
+        {"set": {1, 2}},
+        [b"bytes"],
+        {"z": 1j},
+        {"z": np.complex128(1j)},
+        {"scalar_array": np.array(1.0)},
+        {"when": np.datetime64("2020-01-01")},
+        {"d": decimal.Decimal("1.5")},
+        {(1, 2): "tuple key"},
+        {np.int64(1): "numpy key"},
+        {1: "int", "a": "str"},  # keys that do not sort
+        {"nested": [[1, 2, object()]]},
+    ],
+)
+def test_writer_rejects_what_json_cannot_write(doc):
+    with pytest.raises(TypeError):
+        report_json(doc)
+    with pytest.raises(TypeError):
+        dumps(doc)
+
+
+def test_unsorted_writer_keeps_insertion_order():
+    doc = {"b": [1.0, 2.0], "a": {"d": 1, "c": 2}}
+    assert dumps(doc, sort_keys=False) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_build_report_does_not_copy_results():
+    results = {"tree": {"levels": [[{"members": [0, 1], "rep": 0}]]}}
+    config = {"p": [1, 2]}
+    doc = build_report("demo", config, {}, results)
+    assert doc["results"] is results
+    assert doc["config"]["p"] is config["p"]
+
+
+def test_csv_writes_numpy_leaves_as_plain_values():
+    doc = build_report("demo", {}, {}, {"x": np.float64(2.5), "v": np.array([[1, 2]]), "b": np.bool_(False)})
+    table = dict(list(csv.reader(io.StringIO(to_csv(doc))))[1:])
+    assert (table["results.x"], table["results.v[0][1]"], table["results.b"]) == ("2.5", "2", "False")
+    assert encode(doc)["results"]["v"] == [[1, 2]]
