@@ -13,7 +13,8 @@ This module provides
 
 * the tree data structure with a strict validator,
 * a deterministic greedy builder (farthest-point centers, budgets split
-  proportionally among parents),
+  proportionally among parents) that also grows a whole forest of trees,
+  one split per level for all of them, with array checks on every level,
 * the chain-sum evaluator for any :class:`~procsup.moments.MomentModel`,
 * a combiner that turns trees on ``A`` and ``B`` into a tree on the sum set
   ``A + B`` (products of blocks, one level deeper), and
@@ -27,7 +28,9 @@ import heapq
 import itertools
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,17 +252,19 @@ def _split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps:
     """Split every block of one level into its ``alloc`` children by farthest-point centers.
 
     A level is ``order`` (its blocks' members, block after block, each
-    ascending) with each block's size and representative.  The parent's
-    representative seeds its traversal (so one child always inherits it);
-    each further center is the member farthest from all chosen centers,
-    ties to the lowest point index; members then join their nearest
-    center, ties to the earliest center.  Children follow their parent's
-    position, then the order their centers were chosen.  Parents are
-    padded to rows and traversed together, largest ``alloc`` first, in
-    chunks of at most ``_BLOCK_BYTES`` of coordinates (a larger parent
-    goes alone).  Beyond 1/128 of that budget a chunk also keeps its sizes
-    within a factor 2, so padding at most doubles the work; below it,
-    fewer steps matter more.
+    ascending) with each block's size and representative; the blocks may
+    belong to many trees over disjoint rows of ``coords`` (a forest), since
+    each block is split on its own.  The parent's representative seeds its
+    traversal (so one child always inherits it); each further center is
+    the member farthest from all chosen centers, ties to the lowest point
+    index; members then join their nearest center, ties to the earliest
+    center.  Children follow their parent's position, then the order their
+    centers were chosen.  Parents are padded to rows and traversed
+    together, largest ``alloc`` first, in chunks of at most
+    ``_BLOCK_BYTES`` of coordinates (a larger parent goes alone).  Beyond
+    1/128 of that budget a chunk also keeps its sizes within a factor 2, so
+    padding at most doubles the work; below it, fewer steps matter more.
+    A parent's children depend only on its own rows, never on its chunk.
     """
     starts = np.cumsum(sizes) - sizes
     first_child = np.cumsum(alloc) - alloc
@@ -291,6 +296,92 @@ def _split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps:
     return order[np.argsort(label, kind="stable")], np.bincount(label, minlength=child_reps.size), child_reps
 
 
+class _Level(NamedTuple):
+    """One level of a forest of trees over disjoint runs of rows.
+
+    ``order`` lists the blocks' members (row indices) block after block,
+    ``sizes`` and ``reps`` give each block's size and representative, and
+    ``tree`` the tree each block belongs to.  A tree's blocks are
+    contiguous, and the trees follow the order of their rows.
+    """
+
+    order: np.ndarray
+    sizes: np.ndarray
+    reps: np.ndarray
+    tree: np.ndarray
+
+
+def _check_level(lvl: int, parent: _Level | None, level: _Level, counts: np.ndarray) -> None:
+    """Check one level of the forest over runs of ``counts`` rows with array passes.
+
+    Every point is covered once; every block is nonempty, lies inside one
+    tree and (below the root) inside one parent block, and holds its
+    representative; each tree keeps within its budget, one block at the
+    root and ``min(2^(2^lvl), count)`` below.  Any fault raises
+    :class:`ValidationError`.
+    """
+    order, sizes, reps, tree = level
+    n, n_blocks = int(counts.sum()), len(sizes)
+    if len(order) != n or (n and (order.min() < 0 or order.max() >= n)):
+        raise ValidationError(f"forest level {lvl}: members are not the {n} points")
+    if np.bincount(order, minlength=n).max(initial=1) > 1:
+        raise ValidationError(f"forest level {lvl}: a point appears in two blocks")
+    if len(reps) != n_blocks or len(tree) != n_blocks or sizes.min(initial=1) < 1 or sizes.sum() != n:
+        raise ValidationError(f"forest level {lvl}: block sizes do not partition the points")
+    block = np.empty(n, dtype=np.intp)
+    block[order] = np.repeat(np.arange(n_blocks), sizes)
+    if (reps < 0).any() or (reps >= n).any() or (block[reps] != np.arange(n_blocks)).any():
+        raise ValidationError(f"forest level {lvl}: a representative lies outside its block")
+    if (np.repeat(np.arange(len(counts)), counts)[order] != np.repeat(tree, sizes)).any():
+        raise ValidationError(f"forest level {lvl}: a block straddles trees")
+    if parent is not None:
+        up = np.empty(n, dtype=np.intp)
+        up[parent.order] = np.repeat(np.arange(len(parent.sizes)), parent.sizes)
+        up = up[order]
+        if (up != np.repeat(up[np.cumsum(sizes) - sizes], sizes)).any():
+            raise ValidationError(f"forest level {lvl}: a block straddles parent blocks")
+    cap = min(level_budget(lvl), n) if lvl else 1
+    if (np.bincount(tree, minlength=len(counts)) > np.minimum(counts, cap)).any():
+        raise ValidationError(f"forest level {lvl}: a tree exceeds its block budget")
+
+
+def _grow(coords: np.ndarray, counts) -> Iterator[_Level]:
+    """Yield the levels of the greedy trees over consecutive runs of ``counts`` rows of ``coords``.
+
+    Level ``n`` splits every level ``n-1`` block with :func:`_split_level`,
+    all trees at once, under each tree's budget ``min(2^(2^n), count)``
+    distributed among its blocks by :func:`_allocate_children`.  A tree
+    bottoms out in singletons at the least ``n`` with ``2^(2^n) >= count``;
+    after that its blocks keep their points and representatives.  Every
+    level passes :func:`_check_level`, and the last must be all singletons.
+    """
+    counts = np.asarray(counts, dtype=np.intp)
+    if not counts.size or counts.min() < 1 or counts.sum() != len(coords):
+        raise ParameterError("a forest needs trees of at least one point each, covering the rows")
+    starts = np.cumsum(counts) - counts
+    level = _Level(np.arange(len(coords)), counts, starts, np.arange(len(counts)))
+    _check_level(0, None, level, counts)
+    yield level
+    depth = 0 if counts.max() == 1 else 1
+    while level_budget(depth) < counts.max():
+        depth += 1
+    for lvl in range(1, depth + 1):
+        budgets = np.minimum(counts, min(level_budget(lvl), len(coords))).tolist()
+        bounds = np.searchsorted(level.tree, np.arange(len(counts) + 1)).tolist()
+        sizes = level.sizes.tolist()
+        alloc = np.ones(len(sizes), dtype=np.intp)
+        for t in np.flatnonzero(np.diff(bounds) < counts).tolist():  # trees not yet all singletons
+            a, b = bounds[t], bounds[t + 1]
+            alloc[a:b] = _allocate_children(budgets[t], sizes[a:b])
+        child = _Level(*_split_level(coords, level.order, level.sizes, level.reps, alloc),
+                       np.repeat(level.tree, alloc))
+        _check_level(lvl, level, child, counts)
+        level = child
+        yield level
+    if level.sizes.max(initial=1) > 1:
+        raise ValidationError(f"forest level {depth}: the deepest level is not all singletons")
+
+
 def _blocks(order: np.ndarray, sizes: np.ndarray, reps: np.ndarray) -> tuple[Block, ...]:
     """The level laid out as in :func:`_split_level`, as blocks."""
     members = order.tolist()
@@ -301,22 +392,16 @@ def _blocks(order: np.ndarray, sizes: np.ndarray, reps: np.ndarray) -> tuple[Blo
 
 
 def build_partition_greedy(ts: FiniteSet) -> PartitionTree:
-    """Deterministic greedy admissible tree for ``ts``.
+    """Deterministic greedy admissible tree for ``ts``: the one-tree forest of :func:`_grow`.
 
     Level ``n`` splits every level ``n-1`` block with farthest-point centers
     in l2, under the total budget ``min(2^(2^n), |T|)`` distributed
     proportionally among parents.  The tree bottoms out in singletons at the
-    least ``n`` with ``2^(2^n) >= |T|``.
+    least ``n`` with ``2^(2^n) >= |T|``.  The levels pass the forest's level
+    checks and then :meth:`PartitionTree.validate`.
     """
-    n = len(ts)
-    order, sizes, reps = np.arange(n), np.array([n]), np.array([0])
-    levels = [_blocks(order, sizes, reps)]
-    while sizes.max() > 1:
-        budget = min(level_budget(len(levels)), n)
-        alloc = np.array(_allocate_children(budget, sizes.tolist()))
-        order, sizes, reps = _split_level(ts.matrix, order, sizes, reps, alloc)
-        levels.append(_blocks(order, sizes, reps))
-    return PartitionTree(n_points=n, levels=tuple(levels))
+    levels = tuple(_blocks(level.order, level.sizes, level.reps) for level in _grow(ts.matrix, [len(ts)]))
+    return PartitionTree(n_points=len(ts), levels=levels)
 
 
 @dataclass(frozen=True)
@@ -329,13 +414,32 @@ class ChainBound:
     model: MomentModel
 
 
+def _chain_step(coords: np.ndarray, model: MomentModel, lvl: int, order: np.ndarray, sizes: np.ndarray,
+                reps: np.ndarray, prev_rep: np.ndarray, sums: np.ndarray) -> None:
+    """Add level ``lvl``'s increments to the chain sums ``sums`` in place.
+
+    The level is laid out as in :func:`_split_level`; ``prev_rep`` holds
+    each point's representative one level up and moves down to this level.
+    Every block's increment from its parent's representative to its own,
+    ``x[max] - x[min]`` of the two indices, goes through one
+    :meth:`MomentModel.norms` call; blocks that keep their parent's
+    representative add exactly 0.0, which leaves a sum's bits alone.
+    """
+    parent_reps = prev_rep[order[np.cumsum(sizes) - sizes]]
+    moved = parent_reps != reps
+    lo = np.minimum(parent_reps, reps)[moved]
+    hi = np.maximum(parent_reps, reps)[moved]
+    steps = np.zeros(len(sizes))
+    steps[moved] = model.norms(coords[hi] - coords[lo], 1 << lvl)
+    sums[order] += np.repeat(steps, sizes)
+    prev_rep[order] = np.repeat(reps, sizes)
+
+
 def chain_bound(ts: FiniteSet, tree: PartitionTree, model: MomentModel) -> ChainBound:
     """Evaluate ``max_t sum_n ||X_(rep_n(t)) - X_(rep_(n-1)(t))||_(2^n)``.
 
-    Each level is one batch: every block's increment from its parent's
-    representative to its own, ``x[max] - x[min]`` of the two indices, goes
-    through one :meth:`MomentModel.norms` call; blocks that keep their
-    parent's representative add 0.
+    Each level is turned into arrays and taken by :func:`_chain_step`, one
+    :meth:`MomentModel.norms` call per level.
     """
     if tree.n_points != len(ts):
         raise ParameterError(f"tree covers {tree.n_points} points but the set has {len(ts)}")
@@ -346,16 +450,30 @@ def chain_bound(ts: FiniteSet, tree: PartitionTree, model: MomentModel) -> Chain
         sizes = np.fromiter((len(b.members) for b in level), np.intp, len(level))
         members = np.fromiter(itertools.chain.from_iterable(b.members for b in level), np.intp, n)
         reps = np.fromiter((b.rep for b in level), np.intp, len(level))
-        parent_reps = prev_rep[members[np.cumsum(sizes) - sizes]]
-        moved = parent_reps != reps
-        lo = np.minimum(parent_reps, reps)[moved]
-        hi = np.maximum(parent_reps, reps)[moved]
-        steps = np.zeros(len(level))
-        steps[moved] = model.norms(ts.matrix[hi] - ts.matrix[lo], 1 << lvl)
-        sums[members] += np.repeat(steps, sizes)
-        prev_rep[members] = np.repeat(reps, sizes)
+        _chain_step(ts.matrix, model, lvl, members, sizes, reps, prev_rep, sums)
     per_point = tuple(sums.tolist())
     return ChainBound(value=max(per_point), per_point=per_point, tree=tree, model=model)
+
+
+def greedy_forest_bounds(coords: np.ndarray, counts, model: MomentModel) -> tuple[np.ndarray, np.ndarray]:
+    """Chain bounds of the greedy trees over consecutive runs of ``counts`` rows of ``coords``.
+
+    Each run is one set (its rows distinct) and gets the tree
+    :func:`build_partition_greedy` would build on it, grown all at once by
+    :func:`_grow` with one :func:`_chain_step` per level.  Returns each
+    tree's bound, the segment max of its points' chain sums, and the sums
+    themselves; both equal :func:`chain_bound` on the one-set tree bit for
+    bit when the model's norms are row by row (not Monte Carlo, whose rows
+    share a stream).
+    """
+    counts = np.asarray(counts, dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    sums = np.zeros(len(coords))
+    prev_rep = np.repeat(starts, counts)
+    for lvl, level in enumerate(_grow(coords, counts)):
+        if lvl:
+            _chain_step(coords, model, lvl, level.order, level.sizes, level.reps, prev_rep, sums)
+    return np.maximum.reduceat(sums, starts), sums
 
 
 def combine_sum_set(

@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-point", action="store_true",
                    help="refine the winning global threshold per point")
     p.add_argument("--k", type=float, default=1.0,
-                   help="constant used by the moment-order selector (default: 1)")
+                   help="finite, nonnegative constant used by the moment-order selector (default: 1)")
     _add_report_flags(p)
     p.set_defaults(handler=cmd_decompose)
 

@@ -12,9 +12,12 @@ The sum
 
 upper-bounds the Bernoulli supremum up to a universal factor, and a sweep
 over all candidate thresholds (the distinct coordinate magnitudes, plus 0)
-picks the best split.  The reported ``k_emp`` is the ratio of the winning
-objective to the measured Bernoulli supremum — the empirical counterpart of
-that universal factor.
+picks the best split.  The sweep evaluates its candidates as one batched
+forest: each candidate's tail family is one tree, and the candidates go in
+groups whose tail block fits in ``_BLOCK_BYTES >> 4``, each group grown
+level by level with one split and one norms call per level.  The reported
+``k_emp`` is the ratio of the winning objective to the measured Bernoulli
+supremum — the empirical counterpart of that universal factor.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chaining import ChainBound, build_partition_greedy, chain_bound
+from .chaining import greedy_forest_bounds
 from .core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, Point, ProcessKind, Seed, distinct_rows
 from .errors import ParameterError
-from .moments import MomentModel
+from .moments import _BLOCK_BYTES, MomentModel
 from .reports import ComparisonReport, safe_ratio
 from .suprema import SupEstimate, brute_force_bernoulli_sup, mc_sup
 
@@ -42,8 +45,8 @@ class SplitRule:
     def __post_init__(self) -> None:
         if self.mode not in ("global", "per-point"):
             raise ParameterError(f"mode must be 'global' or 'per-point', got {self.mode!r}")
-        if any(r < 0 for r in self.thresholds):
-            raise ParameterError("thresholds must be nonnegative")
+        if not all(r >= 0 for r in self.thresholds):  # NaN fails too
+            raise ParameterError("thresholds must be nonnegative numbers")
         if self.mode == "global" and len(set(self.thresholds)) > 1:
             raise ParameterError("global mode requires one shared threshold")
 
@@ -77,20 +80,27 @@ def threshold_split(t: Point, r: float) -> tuple[Point, Point]:
     reconstructs ``t`` exactly (bitwise).  This is :func:`split_rows` on one
     point; the sweep splits the whole matrix at once.
     """
-    if r < 0:
+    if not r >= 0:  # NaN fails too
         raise ParameterError(f"threshold must be nonnegative, got {r}")
     head, tail = split_rows(t.array, r)
     return Point(head), Point(tail)
+
+
+def _check_k(k_constant: float) -> None:
+    if not 0.0 <= k_constant < math.inf:  # NaN fails too
+        raise ParameterError(f"k constant must be finite and nonnegative, got {k_constant}")
 
 
 def choose_p(tail_norm: float, k_constant: float, sup_reference: float):
     """Smallest integer ``p >= 1`` with ``sqrt(p) * tail_norm >= k * sup_reference``.
 
     Returns ``math.inf`` when the tail vanishes but the target is positive
-    (no finite moment order can reach it).
+    (no finite moment order can reach it).  A NaN or negative tail norm and
+    a non-finite or negative ``k`` raise :class:`ParameterError`.
     """
-    if tail_norm < 0:
+    if not tail_norm >= 0:  # NaN fails too
         raise ParameterError(f"tail norm must be nonnegative, got {tail_norm}")
+    _check_k(k_constant)
     target = k_constant * sup_reference
     if target <= 0.0:
         return 1
@@ -150,17 +160,34 @@ class DecompositionResult:
 
 def _row_sums(m: np.ndarray) -> np.ndarray:
     """Row sums added left to right, as a scalar loop adds them (``cumsum`` is sequential)."""
-    return np.cumsum(m, axis=1)[:, -1]
+    return np.cumsum(m, axis=-1)[..., -1]
 
 
-def _objective(ts: FiniteSet, thresholds: tuple[float, ...]) -> tuple[float, float, ChainBound]:
-    heads, tails = split_rows(ts.matrix, thresholds)
-    ell1_sup = float(_row_sums(np.abs(heads)).max())
-    # The distinct tails, with the zero point adjoined first.
-    tails = np.concatenate([np.zeros((1, ts.dim)), tails])
-    family = FiniteSet(name=f"{ts.name}-tails", points=tails[distinct_rows(tails)[0]])
-    gamma = chain_bound(family, build_partition_greedy(family), MomentModel.gaussian_exact())
-    return ell1_sup, gamma.value, gamma
+def _objectives(ts: FiniteSet, thresholds: np.ndarray) -> tuple[list[float], list[float]]:
+    """``(ell1_sup, gamma2)`` of the split at each row of ``thresholds``.
+
+    A row holds one threshold per point, or one shared by all.  Each
+    split's tail family is its distinct tails with the zero point adjoined
+    first, and its bound the greedy chain bound under the exact Gaussian
+    model.  The rows go in groups whose ``(K, |T|+1, d)`` tail block fits in
+    ``_BLOCK_BYTES >> 4``; a group's families are deduplicated by one
+    :func:`distinct_rows` call keyed by row and bounded as one forest.
+    """
+    n, d = ts.matrix.shape
+    group = max(1, (_BLOCK_BYTES >> 4) // (8 * (n + 1) * d))
+    ell1, gamma = [], []
+    for lo in range(0, len(thresholds), group):
+        r = thresholds[lo : lo + group]
+        heads, tails = split_rows(ts.matrix, r)
+        ell1 += _row_sums(np.abs(heads)).max(axis=1).tolist()
+        keyed = np.zeros((len(r), n + 1, d + 1))
+        keyed[:, 1:, :d] = tails
+        keyed[:, :, d] = np.arange(len(r))[:, None]
+        keyed = keyed.reshape(-1, d + 1)
+        first, _ = distinct_rows(keyed)
+        counts = np.bincount(first // (n + 1), minlength=len(r))
+        gamma += greedy_forest_bounds(keyed[first, :d], counts, MomentModel.gaussian_exact())[0].tolist()
+    return ell1, gamma
 
 
 def _magnitudes(m: np.ndarray) -> list[float]:
@@ -174,32 +201,35 @@ def sweep_objectives(ts: FiniteSet) -> list[SweepEntry]:
     Candidates are 0 and each distinct nonzero coordinate magnitude, in
     increasing order; deterministic (no randomness is involved).
     """
-    entries = []
-    for r in [0.0, *_magnitudes(ts.matrix)]:
-        ell1_sup, gamma2, _ = _objective(ts, (r,) * len(ts))
-        entries.append(SweepEntry(r, ell1_sup, gamma2, ell1_sup + gamma2))
-    return entries
+    grid = [0.0, *_magnitudes(ts.matrix)]
+    ell1, gamma = _objectives(ts, np.array(grid)[:, None])
+    return [SweepEntry(r, a, b, a + b) for r, a, b in zip(grid, ell1, gamma)]
 
 
-def _refine_per_point(ts: FiniteSet, start: tuple[float, ...], passes: int = 3) -> tuple[float, ...]:
-    """Deterministic coordinate descent over per-point threshold grids."""
-    best = list(start)
-    best_obj = sum(_objective(ts, tuple(best))[:2])
+def _refine_per_point(ts: FiniteSet, start: SweepEntry, passes: int = 3) -> tuple[tuple[float, ...], float, float]:
+    """Deterministic coordinate descent over per-point threshold grids, from ``start``'s threshold.
+
+    Each point's whole grid is evaluated at once, with the other points at
+    their current thresholds; the scan over it then skips the current
+    threshold and moves on a strict improvement.  Every trial differs from
+    the current best only at that point, so this is the one-trial-at-a-time
+    descent.  Returns the thresholds with their ``ell1_sup`` and ``gamma2``.
+    """
+    best = [start.threshold] * len(ts)
+    best_obj, parts = start.objective, (start.ell1_sup, start.gamma2_bound)
     for _ in range(passes):
         improved = False
         for i, row in enumerate(ts.matrix):
-            for r in [0.0, *_magnitudes(row)]:
-                if r == best[i]:
-                    continue
-                trial = best.copy()
-                trial[i] = r
-                obj = sum(_objective(ts, tuple(trial))[:2])
-                if obj < best_obj:
-                    best, best_obj = trial, obj
+            grid = [0.0, *_magnitudes(row)]
+            trials = np.tile(best, (len(grid), 1))
+            trials[:, i] = grid
+            for r, a, b in zip(grid, *_objectives(ts, trials)):
+                if r != best[i] and a + b < best_obj:
+                    best[i], best_obj, parts = r, a + b, (a, b)
                     improved = True
         if not improved:
             break
-    return tuple(best)
+    return tuple(best), *parts
 
 
 def decompose_by_sweep(
@@ -215,20 +245,23 @@ def decompose_by_sweep(
     The global sweep is exhaustive over its candidate grid (ties resolve to
     the smallest threshold).  With ``per_point=True`` the winning global
     threshold seeds a coordinate-descent refinement in which each point may
-    settle on its own magnitude grid.  The reference supremum is exact for
-    the Bernoulli process up to the dimension cap, Monte Carlo otherwise.
+    settle on its own magnitude grid.  The reported ``ell1_sup`` and
+    ``gamma2_bound`` are those the sweep or the descent computed for the
+    chosen split.  The reference supremum is exact for the Bernoulli process
+    up to the dimension cap, Monte Carlo otherwise.  A non-finite or
+    negative ``k_constant`` raises :class:`ParameterError` before the sweep.
     """
+    _check_k(k_constant)
     seed = seed if seed is not None else Seed(0)
     entries = sweep_objectives(ts)
     winner = min(entries, key=lambda e: e.objective)
     thresholds = (winner.threshold,) * len(ts)
-    mode = "global"
+    mode, ell1_sup, gamma2 = "global", winner.ell1_sup, winner.gamma2_bound
     if per_point:
-        refined = _refine_per_point(ts, thresholds)
+        refined, ell1, gamma = _refine_per_point(ts, winner)
         if refined != thresholds:
-            thresholds, mode = refined, "per-point"
+            thresholds, mode, ell1_sup, gamma2 = refined, "per-point", ell1, gamma
 
-    ell1_sup, gamma2, _ = _objective(ts, thresholds)
     if kind is ProcessKind.BERNOULLI and ts.dim <= EXACT_ENUMERATION_MAX_DIM:
         reference = brute_force_bernoulli_sup(ts)
     else:

@@ -9,17 +9,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from procsup import rng
+from procsup import chaining, rng
 from procsup.chaining import (
     EXHAUSTIVE_MAX_POINTS,
     SUP_BOUND_FACTOR,
     Block,
     PartitionTree,
     _allocate_children,
+    _check_level,
+    _grow,
+    _Level,
     build_partition_greedy,
     chain_bound,
     combine_sum_set,
     exhaustive_gamma,
+    greedy_forest_bounds,
     level_budget,
     tree_from_dict,
     verify_sup_bound,
@@ -563,3 +567,131 @@ def test_greedy_build_memory_stays_flat_when_one_parent_holds_most_points():
     assert max(len(b.members) for b in tree.levels[3]) > 2900
     assert tree.depth == 4
     assert peak < 64 << 20
+
+
+# --- the forest: many greedy trees grown level by level in one set of arrays ---
+
+
+@st.composite
+def _forest_sets(draw):
+    """Sets of one dimension: single points, repeated magnitudes with +-0.0, underflowing distances."""
+    dim = draw(st.integers(1, 4))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = []
+    for _ in range(draw(st.integers(1, 6))):
+        count = draw(st.integers(1, 24))
+        style = draw(st.sampled_from(["one", "grid", "tiny", "normal"]))
+        if style == "one":
+            rows = gen.standard_normal((1, dim))
+        elif style == "grid":
+            rows = gen.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], (count, dim))
+        elif style == "tiny":  # squared distances underflow to 0
+            rows = gen.integers(-3, 4, (count, dim)) * 1e-200
+        else:
+            rows = gen.standard_normal((count, dim)) * 10.0 ** gen.uniform(-3, 3, (count, 1))
+        first, _ = distinct_rows(rows)
+        sets.append(rows[first])
+    return sets
+
+
+@given(_forest_sets())
+def test_forest_matches_one_greedy_tree_and_chain_bound_per_set(sets):
+    counts = [len(rows) for rows in sets]
+    starts = np.cumsum(counts) - counts
+    coords = np.concatenate(sets)
+    trees = [build_partition_greedy(FiniteSet(name="s", points=rows)) for rows in sets]
+    for lvl, level in enumerate(_grow(coords, counts)):
+        blocks = list(zip(level.tree.tolist(), np.split(level.order, np.cumsum(level.sizes)[:-1]),
+                          level.reps.tolist()))
+        for t, tree in enumerate(trees):
+            want = [(b.members, b.rep) for b in tree.levels[min(lvl, tree.depth)]]
+            got = [(tuple((m - starts[t]).tolist()), r - starts[t]) for k, m, r in blocks if k == t]
+            assert got == want
+    assert lvl == max(tree.depth for tree in trees)
+    for model in (MomentModel.gaussian_exact(), MomentModel.bernoulli_proxy()):
+        values, sums = greedy_forest_bounds(coords, counts, model)
+        for t, (rows, tree) in enumerate(zip(sets, trees)):
+            bound = chain_bound(FiniteSet(name="s", points=rows), tree, model)
+            assert values[t].tobytes() == np.float64(bound.value).tobytes()
+            assert sums[starts[t] : starts[t] + counts[t]].tobytes() == np.array(bound.per_point).tobytes()
+
+
+def _forest_levels():
+    gen = np.random.default_rng(11)
+    counts = np.array([1, 9, 20, 3])
+    coords = gen.standard_normal((counts.sum(), 3))
+    return counts, list(_grow(coords, counts))
+
+
+def _with_arrays(level, **arrays):
+    return level._replace(**{k: np.asarray(v) for k, v in arrays.items()})
+
+
+def test_forest_levels_pass_their_checks():
+    counts, levels = _forest_levels()
+    assert len(levels) == 4 and (levels[-1].sizes == 1).all()
+    for lvl, level in enumerate(levels):
+        _check_level(lvl, levels[lvl - 1] if lvl else None, level, counts)
+
+
+def _corruptions(counts, levels):
+    """Corrupted copies of level 2, each breaking exactly one rule, with the rule's message."""
+    parent, level = levels[1], levels[2]
+    order, sizes, reps, tree = (a.copy() for a in level)
+    repeated = order.copy()
+    repeated[1] = repeated[0]
+    yield "two blocks", _with_arrays(level, order=repeated)
+    yield "not the", _with_arrays(level, order=np.append(order, 0))
+    outside = order.copy()
+    outside[3] = counts.sum()
+    yield "not the", _with_arrays(level, order=outside)
+    yield "partition", _with_arrays(level, sizes=np.insert(sizes, 1, 0), reps=np.insert(reps, 1, reps[1]),
+                                tree=np.insert(tree, 1, tree[1]))
+    moved_rep = reps.copy()
+    moved_rep[5] = reps[6]
+    yield "representative", _with_arrays(level, reps=moved_rep)
+    wrong_tree = tree.copy()
+    wrong_tree[-1] = 0
+    yield "straddles trees", _with_arrays(level, tree=wrong_tree)
+    # swap two non-representative points of one tree between blocks under different parents
+    up = np.empty(len(order), dtype=np.intp)
+    up[parent.order] = np.repeat(np.arange(len(parent.sizes)), parent.sizes)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    free = [j for j in range(len(order)) if order[j] not in reps and tree[block[j]] == 2]
+    a, b = next((a, b) for a in free for b in free if up[order[a]] != up[order[b]])
+    swapped = order.copy()
+    swapped[a], swapped[b] = order[b], order[a]
+    yield "parent blocks", _with_arrays(level, order=swapped)
+
+
+def test_each_forest_level_check_fires_on_corrupted_arrays():
+    counts, levels = _forest_levels()
+    for message, bad in _corruptions(counts, levels):
+        with pytest.raises(ValidationError, match=message):
+            _check_level(2, levels[1], bad, counts)
+    # level 2's sixteen blocks per tree are over level 1's budget of four
+    with pytest.raises(ValidationError, match="budget"):
+        _check_level(1, levels[0], levels[2], counts)
+    # the root holds one block per tree
+    root = levels[0]
+    split_root = _Level(root.order, np.array([1, 4, 5, 20, 3]), np.array([0, 1, 5, 10, 30]),
+                        np.array([0, 1, 1, 2, 3]))
+    with pytest.raises(ValidationError, match="budget"):
+        _check_level(0, None, split_root, counts)
+
+
+def test_forest_growth_rejects_over_budget_and_unfinished_trees(monkeypatch):
+    counts = [20, 3]
+    coords = np.random.default_rng(4).standard_normal((23, 2))
+    monkeypatch.setattr(chaining, "_allocate_children", lambda budget, sizes: [s for s in sizes])
+    with pytest.raises(ValidationError, match="budget"):
+        list(_grow(coords, counts))
+    monkeypatch.setattr(chaining, "_allocate_children", lambda budget, sizes: [1] * len(sizes))
+    with pytest.raises(ValidationError, match="not all singletons"):
+        list(_grow(coords, counts))
+
+
+@pytest.mark.parametrize("counts", [[], [0, 3], [2, 2]])
+def test_forest_needs_nonempty_trees_covering_the_rows(counts):
+    with pytest.raises(ParameterError):
+        list(_grow(np.zeros((3, 2)), counts))

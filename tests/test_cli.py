@@ -101,6 +101,16 @@ def test_contract_abs_reports_constant_one(tmp_path):
     assert doc["results"]["suprema"]["ratio"] <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_decompose_rejects_a_non_finite_or_negative_k(tmp_path, capsys, value):
+    set_path = _gen(tmp_path, dim=3, count=4)
+    out = tmp_path / "d.json"
+    assert _run(["decompose", "--set", str(set_path), "--samples", "200", "--k", value,
+                 "--out", str(out)]) == 2
+    assert "error: k constant must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decompose_and_oleszkiewicz_run(tmp_path):
     set_path = _gen(tmp_path)
     dec = _report(tmp_path, ["decompose", "--set", str(set_path), "--samples", "2000",

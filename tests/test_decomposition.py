@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from decomposition_reference import reference_objective, reference_refine_per_point
+from procsup import decomposition
 from procsup.chaining import build_partition_greedy, chain_bound
 from procsup.core import FiniteSet, Point, ProcessKind, Seed, generate_set, has_disjoint_supports
 from procsup.decomposition import (
     SplitRule,
+    _refine_per_point,
     choose_p,
     decompose_by_sweep,
     sweep_objectives,
@@ -15,7 +19,7 @@ from procsup.decomposition import (
     verify_two_sided,
 )
 from procsup.errors import ParameterError
-from procsup.moments import MomentModel
+from procsup.moments import _BLOCK_BYTES, MomentModel
 
 coords = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
 vectors = st.lists(coords, min_size=1, max_size=8).map(lambda xs: Point(tuple(xs)))
@@ -50,6 +54,18 @@ def test_split_rejects_negative_radius():
         threshold_split(Point((1.0,)), -0.5)
 
 
+@pytest.mark.parametrize("r", [math.nan, -math.nan])
+def test_split_rejects_a_nan_radius(r):
+    with pytest.raises(ParameterError):
+        threshold_split(Point((1.0, 0.5)), r)
+
+
+@pytest.mark.parametrize("thresholds, mode", [((math.nan,), "global"), ((1.0, math.nan), "per-point")])
+def test_split_rule_rejects_nan_thresholds(thresholds, mode):
+    with pytest.raises(ParameterError):
+        SplitRule(thresholds=thresholds, mode=mode)
+
+
 def test_split_rule_modes():
     with pytest.raises(ParameterError):
         SplitRule(thresholds=(1.0, 2.0), mode="global")
@@ -64,6 +80,23 @@ def test_choose_p_edges():
     assert choose_p(2.0, 1.0, 3.0) == 3  # sqrt(3)*2 >= 3 but sqrt(2)*2 < 3
     assert choose_p(0.0, 1.0, 3.0) == math.inf
     assert choose_p(5.0, 1.0, 1.0) == 1
+
+
+@pytest.mark.parametrize("tail, k", [(math.nan, 1.0), (-1.0, 1.0), (1.0, math.nan), (1.0, math.inf),
+                                     (1.0, -math.inf), (1.0, -0.5)])
+def test_choose_p_rejects_nan_norms_and_bad_constants(tail, k):
+    with pytest.raises(ParameterError):
+        choose_p(tail, k, 2.0)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, -1.0])
+def test_decompose_rejects_a_bad_k_before_the_sweep(monkeypatch, k):
+    def no_sweep(ts):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(decomposition, "sweep_objectives", no_sweep)
+    with pytest.raises(ParameterError, match="k constant"):
+        decompose_by_sweep(_blocks_set(0), samples=200, seed=Seed(0), k_constant=k)
 
 
 @given(st.floats(min_value=0.01, max_value=10.0), st.floats(min_value=0.01, max_value=10.0))
@@ -168,3 +201,60 @@ def test_sweep_handles_a_tail_family_whose_distance_underflows():
         (0.0, 7e-298, 0.0),
         (7e-298, 0.0, 0.0),
     ]
+
+
+# --- the batched forest sweep and per-point descent against the one-tree-per-trial routes ---
+
+
+def test_sweep_is_grouped_under_the_block_budget():
+    # |T| = 60, d = 24: 1 441 candidates, ~17 MB of tails if they all went in one block
+    ts = generate_set("random_sphere", 60, 24, Seed(3), ())
+    tracemalloc.start()
+    try:
+        entries = sweep_objectives(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(entries) == 1441
+    assert peak < _BLOCK_BYTES
+    for e in entries[::97]:  # candidates from many groups
+        assert (e.ell1_sup, e.gamma2_bound) == reference_objective(ts, (e.threshold,) * len(ts))
+
+
+_SMALL_ROWS = st.integers(min_value=1, max_value=4).flatmap(
+    lambda d: st.lists(st.lists(_grid, min_size=d, max_size=d), min_size=1, max_size=4, unique_by=tuple)
+)
+
+
+@settings(max_examples=30)
+@given(_SMALL_ROWS, st.integers(min_value=0, max_value=16))
+@example([[1e-200, 0.0], [0.0, -3e-300], [1e-200, 1e-200]], 0)
+@example([[1e-200, 0.0], [0.0, -3e-300], [1e-200, 1e-200]], 2)
+def test_batched_descent_matches_the_one_trial_descent(rows, pick):
+    # any sweep entry may start the descent: a non-winning one makes it move
+    ts = FiniteSet(name="grid", points=rows)
+    entries = sweep_objectives(ts)
+    start = entries[pick % len(entries)]
+    refined, ell1, gamma = _refine_per_point(ts, start)
+    assert refined == reference_refine_per_point(ts, (start.threshold,) * len(ts))
+    assert (ell1, gamma) == reference_objective(ts, refined)
+
+
+_PER_POINT_ROWS = [
+    [3.0, 2.0, 0.5, 0.0, 0.5, 0.0],
+    [0.5, 2.0, -2.0, 3.0, -1.0, -0.5],
+    [2.0, 0.5, 0.5, -1.0, 0.0, -1.0],
+    [1.0, 0.5, 3.0, -1.0, 0.5, -0.5],
+]
+
+
+@pytest.mark.parametrize("rows, per_point", [(_PER_POINT_ROWS, True), (_PER_POINT_ROWS, False),
+                                             ([[1.0, -1.0]], True)])
+def test_decompose_reports_the_objective_of_its_split(rows, per_point):
+    ts = FiniteSet(name="grid", points=rows)
+    result = decompose_by_sweep(ts, samples=200, seed=Seed(0), per_point=per_point)
+    if rows is _PER_POINT_ROWS:
+        assert result.split.mode == ("per-point" if per_point else "global")
+    parts = reference_objective(ts, result.split.thresholds)
+    assert (result.ell1_sup, result.gamma2_bound) == parts
+    assert result.objective == parts[0] + parts[1]
