@@ -471,7 +471,3 @@ ALL_CRITERIA = (
     criterion_9_mc_consistency,
     criterion_10_report_determinism,
 )
-
-
-def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
-    return [criterion(seed) for criterion in ALL_CRITERIA]

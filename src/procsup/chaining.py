@@ -38,7 +38,7 @@ from .core import FiniteSet, Point, ProcessKind, Seed, distinct_rows
 from .errors import CapacityError, ParameterError, ValidationError
 from .moments import _BLOCK_BYTES, EXACT_ENUMERATION_MAX_DIM, ModelKind, MomentModel
 from .reports import ComparisonReport, safe_ratio
-from .suprema import brute_force_bernoulli_sup, mc_sup
+from .suprema import expected_sup
 
 #: Upper bound constant: E sup <= SUP_BOUND_FACTOR * (best chain sum).
 SUP_BOUND_FACTOR = 4.0
@@ -552,17 +552,10 @@ def _set_partitions(items: tuple[int, ...]):
 
 def _refinements(partition: tuple[tuple[int, ...], ...], max_blocks: int):
     """All partitions refining ``partition`` with at most ``max_blocks`` blocks."""
-
-    def rec(i: int, acc: tuple[tuple[int, ...], ...]):
-        if len(acc) + (len(partition) - i) > max_blocks:
-            return
-        if i == len(partition):
-            yield tuple(sorted(acc))
-            return
-        for sub in _set_partitions(partition[i]):
-            yield from rec(i + 1, acc + sub)
-
-    yield from rec(0, ())
+    for subs in itertools.product(*map(_set_partitions, partition)):
+        blocks = tuple(itertools.chain.from_iterable(subs))
+        if len(blocks) <= max_blocks:
+            yield tuple(sorted(blocks))
 
 
 def _exhaustive_depth(n_points: int, dim: int, model: MomentModel) -> int:
@@ -583,13 +576,39 @@ def _exhaustive_depth(n_points: int, dim: int, model: MomentModel) -> int:
     return max(n_sing, math.ceil(math.log2(max(dim, 2))))
 
 
+def _chains(n: int, depth: int) -> list[tuple[tuple[tuple[int, ...], ...], ...]]:
+    """Every partition sequence ``(P_0, ..., P_L)`` the exhaustive search weighs, depth first.
+
+    ``P_0`` is the whole set; each later level refines the one above within
+    its block budget, and a sequence not yet at singletons by level
+    ``depth - 1`` splits into them at ``depth``.
+    """
+    singletons = tuple((i,) for i in range(n))
+    chains = [((tuple(range(n)),),)]
+    for level in range(1, depth):
+        cap = min(level_budget(level), n)
+        chains = [c + (p,) for c in chains for p in _refinements(c[-1], cap)]
+    return [c if c[-1] == singletons else c + (singletons,) for c in chains]
+
+
+def _best_step(inc: list[list[float]], cost: list[float], r: int, child: tuple[int, ...]) -> tuple[float, int]:
+    """Cheapest ``(increment from r + tail cost, s)`` over representatives ``s`` of ``child``.
+
+    A cost tie goes to the lowest index.
+    """
+    return min((inc[r][s] + cost[s], s) for s in child)
+
+
 def exhaustive_gamma(ts: FiniteSet, model: MomentModel) -> ChainBound:
     """Exact minimum chain sum over *all* admissible trees and representatives.
 
     Enumerates every nested partition sequence down to singletons (depth
-    bounded as in :func:`_exhaustive_depth`), optimising representative
-    choices by dynamic programming over each sequence.  Ground truth for
-    greedy trees; capped at ``|T| <= 5`` points.
+    bounded as in :func:`_exhaustive_depth`) and picks representatives by a
+    dynamic program from the leaves up.  A point lies in one block per
+    level, so ``cost[r]`` is the cheapest worst-case tail below the block of
+    ``r`` with ``r`` as its representative.  The first sequence with the
+    least value wins.  Ground truth for greedy trees; capped at
+    ``|T| <= 5`` points.
     """
     n = len(ts)
     if n > EXHAUSTIVE_MAX_POINTS:
@@ -599,98 +618,36 @@ def exhaustive_gamma(ts: FiniteSet, model: MomentModel) -> ChainBound:
         return chain_bound(ts, tree, model)
 
     depth = _exhaustive_depth(n, ts.dim, model)
-    cache: dict[tuple[int, int, int], float] = {}
+    # inc[lvl][a][b] = ||X_b - X_a||_{2^lvl}, one norm call per pair and level.
+    x = ts.matrix
+    inc = [[[0.0] * n for _ in range(n)] for _ in range(depth + 1)]
+    for lvl in range(1, depth + 1):
+        for a, b in itertools.combinations(range(n), 2):
+            inc[lvl][a][b] = inc[lvl][b][a] = model.norm(Point(x[b] - x[a]), 1 << lvl)
 
-    def inc(a: int, b: int, lvl: int) -> float:
-        if a == b:
-            return 0.0
-        key = (min(a, b), max(a, b), lvl)
-        if key not in cache:
-            cache[key] = model.norm(Point(ts.matrix[key[1]] - ts.matrix[key[0]]), 1 << lvl)
-        return cache[key]
+    best = None
+    for chain in _chains(n, depth):
+        costs = [[0.0] * n for _ in chain]
+        for lvl in range(len(chain) - 1, 0, -1):
+            for child in chain[lvl]:
+                parent = next(block for block in chain[lvl - 1] if child[0] in block)
+                for r in parent:
+                    costs[lvl - 1][r] = max(costs[lvl - 1][r], _best_step(inc[lvl], costs[lvl], r, child)[0])
+        value, root = min((c, r) for r, c in enumerate(costs[0]))
+        if best is None or value < best[0]:
+            best = (value, root, chain, costs)
 
-    singletons = tuple((i,) for i in range(n))
-    best_value = math.inf
-    best_chain: list | None = None
-    # chains[k] is the partition at level k+1; level 0 is always {everything}.
-    stack: list[tuple[tuple[int, ...], ...]] = []
-
-    def chain_cost(chain: list[tuple[tuple[int, ...], ...]]) -> tuple[float, list[dict]]:
-        # g(level, block, rep): cheapest worst-case tail below `block` given its rep.
-        memo: dict[tuple[int, tuple[int, ...], int], float] = {}
-        choice: dict[tuple[int, tuple[int, ...], int], dict[tuple[int, ...], int]] = {}
-        full = tuple(range(n))
-
-        def children_of(level: int, block: tuple[int, ...]):
-            return [c for c in chain[level] if c[0] in block and set(c) <= set(block)]
-
-        def g(level: int, block: tuple[int, ...], rep: int) -> float:
-            key = (level, block, rep)
-            if key in memo:
-                return memo[key]
-            if level == len(chain):
-                memo[key] = 0.0
-                return 0.0
-            worst = 0.0
-            picks: dict[tuple[int, ...], int] = {}
-            for child in children_of(level, block):
-                best_child = math.inf
-                best_rep = child[0]
-                for s in child:
-                    cost = inc(rep, s, level + 1) + g(level + 1, child, s)
-                    if cost < best_child:
-                        best_child, best_rep = cost, s
-                picks[child] = best_rep
-                worst = max(worst, best_child)
-            memo[key] = worst
-            choice[key] = picks
-            return worst
-
-        value = math.inf
-        root = -1
-        for r in range(n):
-            v = g(0, full, r)
-            if v < value:
-                value, root = v, r
-        # Rebuild the chosen representatives, level by level.
-        reps: list[dict[tuple[int, ...], int]] = [{full: root}]
-        for level in range(len(chain)):
-            layer: dict[tuple[int, ...], int] = {}
-            for block, rep in reps[level].items():
-                for child, s in choice[(level, block, rep)].items():
-                    layer[child] = s
-            reps.append(layer)
-        return value, reps
-
-    def descend(level: int) -> None:
-        nonlocal best_value, best_chain
-        prev = stack[-1] if stack else (tuple(range(n)),)
-        if level == depth:
-            if prev != singletons:
-                if len(singletons) > level_budget(level):
-                    return
-                stack.append(singletons)
-                value, reps = chain_cost(stack)
-                if value < best_value:
-                    best_value, best_chain = value, (list(stack), reps)
-                stack.pop()
-            else:
-                value, reps = chain_cost(stack)
-                if value < best_value:
-                    best_value, best_chain = value, (list(stack), reps)
-            return
-        cap = min(level_budget(level), n)
-        for part in _refinements(prev, cap):
-            stack.append(part)
-            descend(level + 1)
-            stack.pop()
-
-    descend(1)
-    assert best_chain is not None
-    chain, reps = best_chain
-    levels = [(Block(tuple(range(n)), rep=reps[0][tuple(range(n))]),)]
-    for level, part in enumerate(chain, start=1):
-        levels.append(tuple(Block(block, rep=reps[level][block]) for block in part))
+    _, root, chain, costs = best
+    rep_of = [root] * n
+    levels = [(Block(chain[0][0], rep=root),)]
+    for lvl in range(1, len(chain)):
+        blocks = []
+        for child in chain[lvl]:
+            s = _best_step(inc[lvl], costs[lvl], rep_of[child[0]], child)[1]
+            blocks.append(Block(child, rep=s))
+            for m in child:
+                rep_of[m] = s
+        levels.append(tuple(blocks))
     tree = PartitionTree(n_points=n, levels=tuple(levels))
     return chain_bound(ts, tree, model)
 
@@ -700,27 +657,26 @@ def verify_sup_bound(
     kind: ProcessKind,
     samples: int = 100_000,
     seed: Seed | None = None,
-    exact: bool | None = None,
+    exact: bool = False,
 ) -> ComparisonReport:
     """Check ``E sup <= 4 * chain bound`` on one set, exactly where possible.
 
+    The supremum takes :func:`~procsup.suprema.expected_sup`'s route:
     Bernoulli suprema are enumerated exactly up to the dimension cap (and by
-    Monte Carlo beyond it); Gaussian suprema are always Monte Carlo.  The
+    Monte Carlo beyond it, unless ``exact`` demands enumeration); Gaussian
+    suprema are always Monte Carlo.  The
     chain bound uses the greedy tree under the matching exact model (proxy
     when the Bernoulli dimension exceeds the cap).  The violation flag
     allows Monte Carlo noise of three standard errors.
     """
     seed = seed if seed is not None else Seed(0)
-    enumerable = ts.dim <= EXACT_ENUMERATION_MAX_DIM
-    if kind is ProcessKind.BERNOULLI:
-        model = MomentModel.bernoulli_exact() if enumerable else MomentModel.bernoulli_proxy()
-        use_exact = enumerable if exact is None else exact
-        sup = brute_force_bernoulli_sup(ts) if use_exact else mc_sup(kind, ts, samples, seed)
-    else:
-        if exact:
-            raise ParameterError("no exact supremum oracle for the Gaussian process")
+    sup = expected_sup(kind, ts, samples, seed, exact=exact)
+    if kind is ProcessKind.GAUSSIAN:
         model = MomentModel.gaussian_exact()
-        sup = mc_sup(kind, ts, samples, seed)
+    elif ts.dim <= EXACT_ENUMERATION_MAX_DIM:
+        model = MomentModel.bernoulli_exact()
+    else:
+        model = MomentModel.bernoulli_proxy()
     bound = chain_bound(ts, build_partition_greedy(ts), model)
     violation = sup.value > SUP_BOUND_FACTOR * bound.value + 3.0 * sup.stderr
     return ComparisonReport(

@@ -52,7 +52,7 @@ from .oleszkiewicz import (
     check_weak_contraction,
 )
 from .reports import build_report, safe_ratio, to_csv, to_json
-from .suprema import brute_force_bernoulli_sup, mc_sup
+from .suprema import expected_sup
 
 _REL_SLACK = 1e-9
 
@@ -141,14 +141,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
 def cmd_sup(args: argparse.Namespace) -> int:
     ts = load_set(args.set)
     kind = ProcessKind(args.kind)
-    if kind is ProcessKind.GAUSSIAN:
-        if args.exact:
-            raise ParameterError("no exact supremum oracle for the Gaussian process")
-        est = mc_sup(kind, ts, args.samples, Seed(args.seed))
-    elif args.exact or ts.dim <= EXACT_ENUMERATION_MAX_DIM:
-        est = brute_force_bernoulli_sup(ts)
-    else:
-        est = mc_sup(kind, ts, args.samples, Seed(args.seed))
+    est = expected_sup(kind, ts, args.samples, Seed(args.seed), exact=args.exact)
     results = {
         "set": ts.name,
         "dim": ts.dim,
@@ -185,10 +178,6 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     ts = load_set(args.set)
     model = _model_from_args(args)
     if args.exhaustive:
-        if len(ts) > EXHAUSTIVE_MAX_POINTS:
-            raise ParameterError(
-                f"exhaustive search handles at most {EXHAUSTIVE_MAX_POINTS} points, got {len(ts)}"
-            )
         bound = exhaustive_gamma(ts, model)
         method = "exhaustive"
     else:
@@ -218,9 +207,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 def cmd_verify_t2(args: argparse.Namespace) -> int:
     ts = load_set(args.set)
     kind = ProcessKind(args.kind)
-    report = verify_sup_bound(
-        ts, kind, samples=args.samples, seed=Seed(args.seed), exact=True if args.exact else None
-    )
+    report = verify_sup_bound(ts, kind, samples=args.samples, seed=Seed(args.seed), exact=args.exact)
     config = {
         "kind": kind.value,
         "exact": bool(args.exact),

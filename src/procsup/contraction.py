@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, Point, ProcessKind, Seed, distinct_rows
+from .core import FiniteSet, Point, ProcessKind, Seed, distinct_rows
 from .errors import ParameterError, ValidationError
 from .moments import tail_l2
 from .reports import ComparisonReport, safe_ratio
-from .suprema import brute_force_bernoulli_sup, mc_sup
+from .suprema import expected_sup
 
 #: Constants above this are treated as "no finite constant works".
 FIT_CAP = 1024.0
@@ -305,14 +305,8 @@ def compare_suprema(
 ) -> ComparisonReport:
     """Empirical ratio ``S_B(image) / S_B(source)``, exact where enumerable."""
     seed = seed if seed is not None else Seed(0)
-
-    def estimate(ts: FiniteSet):
-        if ts.dim <= EXACT_ENUMERATION_MAX_DIM:
-            return brute_force_bernoulli_sup(ts)
-        return mc_sup(ProcessKind.BERNOULLI, ts, samples, seed)
-
-    s_img = estimate(pair.image)
-    s_src = estimate(pair.source)
+    s_img = expected_sup(ProcessKind.BERNOULLI, pair.image, samples, seed)
+    s_src = expected_sup(ProcessKind.BERNOULLI, pair.source, samples, seed)
     return ComparisonReport(
         quantity="contracted-sup-ratio",
         lhs_label=f"S_B(image) [{s_img.method.value}]",

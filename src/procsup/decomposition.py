@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chaining import greedy_forest_bounds
-from .core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, Point, ProcessKind, Seed, distinct_rows
+from .core import FiniteSet, Point, ProcessKind, Seed, distinct_rows
 from .errors import ParameterError
 from .moments import _BLOCK_BYTES, MomentModel
 from .reports import ComparisonReport, safe_ratio
-from .suprema import SupEstimate, brute_force_bernoulli_sup, mc_sup
+from .suprema import SupEstimate, expected_sup
 
 
 @dataclass(frozen=True)
@@ -262,10 +262,7 @@ def decompose_by_sweep(
         if refined != thresholds:
             thresholds, mode, ell1_sup, gamma2 = refined, "per-point", ell1, gamma
 
-    if kind is ProcessKind.BERNOULLI and ts.dim <= EXACT_ENUMERATION_MAX_DIM:
-        reference = brute_force_bernoulli_sup(ts)
-    else:
-        reference = mc_sup(kind, ts, samples, seed)
+    reference = expected_sup(kind, ts, samples, seed)
     objective = ell1_sup + gamma2
     _, tails = split_rows(ts.matrix, thresholds)
     p_pick = choose_p(math.sqrt(_row_sums(tails * tails).max()), k_constant, reference.value)

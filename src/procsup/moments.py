@@ -364,27 +364,22 @@ class MomentModel:
         return self.kind.value
 
     def norm(self, t: Point, p) -> float:
-        if self.kind is ModelKind.BERNOULLI_PROXY:
-            return bernoulli_norm_proxy(t, int(p)).value
-        if self.kind is ModelKind.BERNOULLI_EXACT:
-            return bernoulli_norm_exact(t, p)
-        if self.kind is ModelKind.GAUSSIAN_EXACT:
-            return gaussian_norm_exact(t, p)
-        assert self.process is not None and self.seed is not None
-        return mc_norm(self.process, t, p, self.samples, self.seed)[0]
+        """``||X_t||_p`` under this model: the one-row case of :meth:`norms`."""
+        return float(self.norms(t.array[None, :], p)[0])
 
     def norms(self, ts: np.ndarray, p) -> np.ndarray:
-        """:meth:`norm` of every row of the ``(k, d)`` array ``ts``.
+        """``||X_t||_p`` for every row ``t`` of the ``(k, d)`` array ``ts``.
 
         The Gaussian route is one ``vecdot``, which rounds each row like the
-        1-D dot product behind :func:`gaussian_norm_exact`, so it matches
-        :meth:`norm` bit for bit.  The Monte Carlo route is one
-        :func:`mc_norms` call: the rows share one draw stream (common random
-        numbers), so each value has the law of :meth:`norm`'s but not its
-        bits, and values of one call are correlated; a one-row call gives
-        :meth:`norm`'s bits.  Both routes reject non-finite rows with the
-        same :class:`ValidationError`.  The other routes evaluate
-        :meth:`norm` row by row.
+        1-D dot product behind :func:`gaussian_norm_exact`, so it matches it
+        bit for bit.  The Monte Carlo route is one :func:`mc_norms` call:
+        the rows share one draw stream (common random numbers), so each
+        value has the law of :func:`mc_norm`'s but not its bits, and values
+        of one call are correlated; a one-row call gives :func:`mc_norm`'s
+        bits.  Both routes reject non-finite rows with the same
+        :class:`ValidationError`.  The Bernoulli routes evaluate
+        :func:`bernoulli_norm_proxy` or :func:`bernoulli_norm_exact` row by
+        row.
         """
         if self.kind is ModelKind.GAUSSIAN_EXACT:
             rows = _finite_rows(ts)
@@ -392,4 +387,6 @@ class MomentModel:
         if self.kind is ModelKind.MONTE_CARLO:
             assert self.process is not None and self.seed is not None
             return mc_norms(self.process, ts, p, self.samples, self.seed)[0]
-        return np.array([self.norm(Point(t), p) for t in ts], dtype=np.float64)
+        if self.kind is ModelKind.BERNOULLI_PROXY:
+            return np.array([bernoulli_norm_proxy(Point(t), int(p)).value for t in ts], dtype=np.float64)
+        return np.array([bernoulli_norm_exact(Point(t), p) for t in ts], dtype=np.float64)

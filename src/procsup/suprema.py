@@ -72,3 +72,19 @@ def mc_sup(kind: ProcessKind, ts: FiniteSet, samples: int, seed: Seed) -> SupEst
         samples=samples,
         seed=seed,
     )
+
+
+def expected_sup(kind: ProcessKind, ts: FiniteSet, samples: int, seed: Seed, exact: bool = False) -> SupEstimate:
+    """``E sup_{t in T} X_t`` by the route every caller shares.
+
+    Bernoulli suprema are enumerated up to ``dim <= EXACT_ENUMERATION_MAX_DIM``
+    and estimated by Monte Carlo above it; Gaussian suprema are always Monte
+    Carlo.  ``exact=True`` demands enumeration: it raises
+    :class:`ParameterError` for the Gaussian process and
+    :class:`CapacityError` above the dimension cap.
+    """
+    if exact and kind is ProcessKind.GAUSSIAN:
+        raise ParameterError("no exact supremum oracle for the Gaussian process")
+    if kind is ProcessKind.BERNOULLI and (exact or ts.dim <= EXACT_ENUMERATION_MAX_DIM):
+        return brute_force_bernoulli_sup(ts)
+    return mc_sup(kind, ts, samples, seed)

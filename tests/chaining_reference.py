@@ -1,0 +1,150 @@
+"""The exhaustive tree search that the bottom-up representative DP replaced, kept as a reference.
+
+``reference_exhaustive_gamma`` is the recursive search with a memoised
+``g(level, block, rep)`` per partition sequence, over the partitions the
+recursive ``_refinements`` below lists; ``exhaustive_gamma`` must return
+the same value, per-point sums and tree.
+"""
+
+import math
+
+from procsup.chaining import (
+    EXHAUSTIVE_MAX_POINTS,
+    Block,
+    ChainBound,
+    PartitionTree,
+    _exhaustive_depth,
+    _set_partitions,
+    chain_bound,
+    level_budget,
+)
+from procsup.core import FiniteSet, Point
+from procsup.errors import CapacityError
+from procsup.moments import MomentModel
+
+
+def _refinements(partition: tuple[tuple[int, ...], ...], max_blocks: int):
+    """All partitions refining ``partition`` with at most ``max_blocks`` blocks."""
+
+    def rec(i: int, acc: tuple[tuple[int, ...], ...]):
+        if len(acc) + (len(partition) - i) > max_blocks:
+            return
+        if i == len(partition):
+            yield tuple(sorted(acc))
+            return
+        for sub in _set_partitions(partition[i]):
+            yield from rec(i + 1, acc + sub)
+
+    yield from rec(0, ())
+
+
+def reference_exhaustive_gamma(ts: FiniteSet, model: MomentModel) -> ChainBound:
+    """Exact minimum chain sum over *all* admissible trees and representatives.
+
+    Enumerates every nested partition sequence down to singletons (depth
+    bounded as in :func:`_exhaustive_depth`), optimising representative
+    choices by dynamic programming over each sequence.  Ground truth for
+    greedy trees; capped at ``|T| <= 5`` points.
+    """
+    n = len(ts)
+    if n > EXHAUSTIVE_MAX_POINTS:
+        raise CapacityError(f"exhaustive search capped at {EXHAUSTIVE_MAX_POINTS} points, got {n}")
+    if n == 1:
+        tree = PartitionTree(n_points=1, levels=((Block((0,), 0),),))
+        return chain_bound(ts, tree, model)
+
+    depth = _exhaustive_depth(n, ts.dim, model)
+    cache: dict[tuple[int, int, int], float] = {}
+
+    def inc(a: int, b: int, lvl: int) -> float:
+        if a == b:
+            return 0.0
+        key = (min(a, b), max(a, b), lvl)
+        if key not in cache:
+            cache[key] = model.norm(Point(ts.matrix[key[1]] - ts.matrix[key[0]]), 1 << lvl)
+        return cache[key]
+
+    singletons = tuple((i,) for i in range(n))
+    best_value = math.inf
+    best_chain: list | None = None
+    # chains[k] is the partition at level k+1; level 0 is always {everything}.
+    stack: list[tuple[tuple[int, ...], ...]] = []
+
+    def chain_cost(chain: list[tuple[tuple[int, ...], ...]]) -> tuple[float, list[dict]]:
+        # g(level, block, rep): cheapest worst-case tail below `block` given its rep.
+        memo: dict[tuple[int, tuple[int, ...], int], float] = {}
+        choice: dict[tuple[int, tuple[int, ...], int], dict[tuple[int, ...], int]] = {}
+        full = tuple(range(n))
+
+        def children_of(level: int, block: tuple[int, ...]):
+            return [c for c in chain[level] if c[0] in block and set(c) <= set(block)]
+
+        def g(level: int, block: tuple[int, ...], rep: int) -> float:
+            key = (level, block, rep)
+            if key in memo:
+                return memo[key]
+            if level == len(chain):
+                memo[key] = 0.0
+                return 0.0
+            worst = 0.0
+            picks: dict[tuple[int, ...], int] = {}
+            for child in children_of(level, block):
+                best_child = math.inf
+                best_rep = child[0]
+                for s in child:
+                    cost = inc(rep, s, level + 1) + g(level + 1, child, s)
+                    if cost < best_child:
+                        best_child, best_rep = cost, s
+                picks[child] = best_rep
+                worst = max(worst, best_child)
+            memo[key] = worst
+            choice[key] = picks
+            return worst
+
+        value = math.inf
+        root = -1
+        for r in range(n):
+            v = g(0, full, r)
+            if v < value:
+                value, root = v, r
+        # Rebuild the chosen representatives, level by level.
+        reps: list[dict[tuple[int, ...], int]] = [{full: root}]
+        for level in range(len(chain)):
+            layer: dict[tuple[int, ...], int] = {}
+            for block, rep in reps[level].items():
+                for child, s in choice[(level, block, rep)].items():
+                    layer[child] = s
+            reps.append(layer)
+        return value, reps
+
+    def descend(level: int) -> None:
+        nonlocal best_value, best_chain
+        prev = stack[-1] if stack else (tuple(range(n)),)
+        if level == depth:
+            if prev != singletons:
+                if len(singletons) > level_budget(level):
+                    return
+                stack.append(singletons)
+                value, reps = chain_cost(stack)
+                if value < best_value:
+                    best_value, best_chain = value, (list(stack), reps)
+                stack.pop()
+            else:
+                value, reps = chain_cost(stack)
+                if value < best_value:
+                    best_value, best_chain = value, (list(stack), reps)
+            return
+        cap = min(level_budget(level), n)
+        for part in _refinements(prev, cap):
+            stack.append(part)
+            descend(level + 1)
+            stack.pop()
+
+    descend(1)
+    assert best_chain is not None
+    chain, reps = best_chain
+    levels = [(Block(tuple(range(n)), rep=reps[0][tuple(range(n))]),)]
+    for level, part in enumerate(chain, start=1):
+        levels.append(tuple(Block(block, rep=reps[level][block]) for block in part))
+    tree = PartitionTree(n_points=n, levels=tuple(levels))
+    return chain_bound(ts, tree, model)

@@ -33,6 +33,7 @@ from procsup.errors import CapacityError, ParameterError, ValidationError
 from procsup.moments import ModelKind, MomentModel
 from procsup.suprema import brute_force_bernoulli_sup
 
+from chaining_reference import reference_exhaustive_gamma
 from mc_reference import reference_shared_stream_norms
 
 
@@ -309,6 +310,39 @@ def test_exhaustive_point_cap():
     ts = _random_set(0, EXHAUSTIVE_MAX_POINTS + 1, 3)
     with pytest.raises(CapacityError):
         exhaustive_gamma(ts, MomentModel.gaussian_exact())
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        MomentModel.gaussian_exact(),
+        MomentModel.bernoulli_exact(),
+        MomentModel.bernoulli_proxy(),
+        MomentModel.monte_carlo(ProcessKind.GAUSSIAN, 64, Seed(3)),
+    ],
+    ids=lambda m: m.kind.value,
+)
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+def test_exhaustive_matches_the_recursive_reference(model, count):
+    # d = 9 searches deeper than the first singleton level under the proxy and
+    # Monte Carlo; integer grids and sign vectors make cost ties common.
+    gen = rng.stream(count, "exh-reference")
+    for dim in (3, 9):
+        normal = rng.standard_normal(gen, (count, dim))
+        for rows in (normal, np.round(2.0 * normal), np.where(normal < 0.0, -1.0, 1.0)):
+            rows = rows[distinct_rows(rows)[0]]
+            ts = FiniteSet(name=f"exh-{dim}", points=rows)
+            got, want = exhaustive_gamma(ts, model), reference_exhaustive_gamma(ts, model)
+            assert got.value == want.value
+            assert np.array(got.per_point).tobytes() == np.array(want.per_point).tobytes()
+            assert got.tree.to_dict() == want.tree.to_dict()
+
+
+def test_exhaustive_step_ties_go_to_the_lowest_index():
+    # Equal increments from rep 0 to points 1 and 2 with equal tails: the old strict < kept 1.
+    inc = [[0.0, 2.0, 2.0], [2.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+    assert chaining._best_step(inc, [0.5, 0.5, 0.5], 0, (1, 2)) == (2.5, 1)
+    assert chaining._best_step(inc, [0.5, 0.5, 0.0], 0, (1, 2)) == (2.0, 2)
 
 
 # --- sum-set combiner ---

@@ -83,6 +83,14 @@ def test_gamma_greedy_vs_exhaustive(tmp_path):
     assert greedy["results"]["tree"]["levels"][0][0]["members"] == [0, 1, 2, 3]
 
 
+def test_gamma_exhaustive_over_the_cap_exits_2_without_a_report(tmp_path, capsys):
+    set_path = _gen(tmp_path, count=6)
+    out = tmp_path / "e.json"
+    assert _run(["gamma", "--set", str(set_path), "--exhaustive", "--out", str(out)]) == 2
+    assert "exhaustive search capped at 5 points, got 6" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_t2_passes_on_generated_set(tmp_path):
     set_path = _gen(tmp_path)
     doc = _report(tmp_path, ["verify-t2", "--set", str(set_path), "--kind", "bernoulli"])

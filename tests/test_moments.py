@@ -11,6 +11,7 @@ from procsup import moments, rng
 from procsup.core import FiniteSet, Point, ProcessKind, Seed
 from procsup.errors import CapacityError, ParameterError, ValidationError
 from procsup.moments import (
+    ModelKind,
     MomentModel,
     bernoulli_norm_exact,
     bernoulli_norm_proxy,
@@ -265,6 +266,23 @@ def test_moment_model_routes_match_direct_calls():
     assert MomentModel.bernoulli_exact().norm(t, 3) == bernoulli_norm_exact(t, 3)
     assert MomentModel.gaussian_exact().norm(t, 3) == gaussian_norm_exact(t, 3)
     assert MomentModel.bernoulli_proxy().norm(t, 3) == bernoulli_norm_proxy(t, 3).value
+
+
+@pytest.mark.parametrize("model", [
+    MomentModel.bernoulli_proxy(),
+    MomentModel.bernoulli_exact(),
+    MomentModel.gaussian_exact(),
+    MomentModel.monte_carlo(ProcessKind.BERNOULLI, 200, Seed(4)),
+], ids=lambda m: m.kind.value)
+@pytest.mark.parametrize("d", [1, 5, 17])
+def test_norm_is_the_one_row_case_of_norms(model, d):
+    rows = rng.standard_normal(rng.stream(d, "norm-vs-norms"), (4, d))
+    for p in (1, 2, 3, 8):
+        for row in rows:
+            assert np.float64(model.norm(Point(row), p)).tobytes() == model.norms(row[None, :], p).tobytes()
+        if model.kind is not ModelKind.MONTE_CARLO:  # a Monte Carlo batch shares one stream
+            want = [model.norm(Point(row), p) for row in rows]
+            assert np.array(want).tobytes() == model.norms(rows, p).tobytes()
 
 
 # --- the shared sign enumerator and Monte Carlo accumulator ---

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from procsup.core import FiniteSet, Point, ProcessKind, Seed, generate_set
+from procsup.core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, Point, ProcessKind, Seed, generate_set
 from procsup.errors import CapacityError, ParameterError, ValidationError
 from procsup.moments import bernoulli_norm_exact
-from procsup.suprema import EstimateMethod, SupEstimate, brute_force_bernoulli_sup, mc_sup
+from procsup.suprema import EstimateMethod, SupEstimate, brute_force_bernoulli_sup, expected_sup, mc_sup
 
 coords = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -100,6 +100,30 @@ def test_mc_sup_validates_samples():
     ts = FiniteSet(name="v", points=(Point((1.0,)),))
     with pytest.raises(ParameterError):
         mc_sup(ProcessKind.BERNOULLI, ts, 1, Seed(0))
+
+
+@pytest.mark.parametrize(
+    "kind, dim, method",
+    [
+        (ProcessKind.BERNOULLI, EXACT_ENUMERATION_MAX_DIM, EstimateMethod.EXACT),
+        (ProcessKind.BERNOULLI, EXACT_ENUMERATION_MAX_DIM + 1, EstimateMethod.MONTE_CARLO),
+        (ProcessKind.GAUSSIAN, 3, EstimateMethod.MONTE_CARLO),
+    ],
+)
+def test_expected_sup_route_table(kind, dim, method):
+    ts = generate_set("random_sphere", dim, 2, Seed(1))
+    est = expected_sup(kind, ts, 100, Seed(2))
+    assert est.method is method
+    oracle = brute_force_bernoulli_sup(ts) if method is EstimateMethod.EXACT else mc_sup(kind, ts, 100, Seed(2))
+    assert est == oracle
+
+
+def test_expected_sup_exact_route_errors():
+    with pytest.raises(ParameterError, match="no exact supremum oracle for the Gaussian process"):
+        expected_sup(ProcessKind.GAUSSIAN, generate_set("random_sphere", 3, 2, Seed(1)), 100, Seed(2), exact=True)
+    wide = generate_set("random_sphere", EXACT_ENUMERATION_MAX_DIM + 1, 2, Seed(1))
+    with pytest.raises(CapacityError):
+        expected_sup(ProcessKind.BERNOULLI, wide, 100, Seed(2), exact=True)
 
 
 def test_sup_estimate_invariants():
