@@ -11,10 +11,11 @@ over ``T`` is at most four times the best such sum.
 
 This module provides
 
-* the tree data structure with a strict validator,
+* the tree, stored as int arrays per level (``levels`` is a view of them as
+  :class:`Block` tuples), and the one level checker, shared with the forest,
 * a deterministic greedy builder (farthest-point centers, budgets split
   proportionally among parents) that also grows a whole forest of trees,
-  one split per level for all of them, with array checks on every level,
+  one split per level for all of them,
 * the chain-sum evaluator for any :class:`~procsup.moments.MomentModel`,
 * a combiner that turns trees on ``A`` and ``B`` into a tree on the sum set
   ``A + B`` (products of blocks, one level deeper), and
@@ -28,7 +29,7 @@ import heapq
 import itertools
 import math
 import numbers
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -74,123 +75,210 @@ class Block:
             raise ValidationError(f"representative {self.rep} is not a member of {self.members}")
 
 
-def _is_index_type(kind: type) -> bool:
-    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
+def _all_indices(values) -> bool:
+    """Whether every value is an integer, a bool excluded; the test runs once per type."""
+    return all(issubclass(t, numbers.Integral) and not issubclass(t, bool) for t in set(map(type, values)))
 
 
 def _check_indices(values: tuple, what: str) -> None:
     """Reject any value that is not an integer (a bool included), naming the first."""
-    if not all(map(_is_index_type, set(map(type, values)))):  # a few types, however many values
-        bad = next(v for v in values if not _is_index_type(type(v)))
+    if not _all_indices(values):
+        bad = next(v for v in values if not _all_indices((v,)))
         raise ValidationError(f"{what} must be an integer, got {bad!r}")
 
 
-def _raise_first_stray(k: int, idx: np.ndarray, n: int) -> None:
-    """Name the first of ``idx``, level ``k``'s members, that repeats or lies outside ``[0, n)``."""
-    order = np.argsort(idx, kind="stable")
-    bad = (idx < 0) | (idx >= n)
-    bad[order[1:]] |= idx[order[1:]] == idx[order[:-1]]  # later occurrences only
-    j = bad.argmax()
-    if 0 <= idx[j] < n:
-        raise ValidationError(f"level {k}: point {idx[j]} appears in two blocks")
-    raise ValidationError(f"level {k}: point index {idx[j]} out of range")
+class _Level(NamedTuple):
+    """One level of a tree or forest: members block after block (each ascending), sizes, representatives."""
+
+    order: np.ndarray
+    sizes: np.ndarray
+    reps: np.ndarray
 
 
-@dataclass(frozen=True)
+def _check_level(k: int, parent: _Level | None, level: _Level, counts: np.ndarray, last: bool = False) -> None:
+    """Check level ``k`` of the trees over consecutive runs of ``counts`` points with array passes.
+
+    The root must be one block per tree holding its run of points.  Below
+    it, faults are named in the order a scan meets them: sizes that do not
+    lay out ``order``; a tree over ``2^(2^k)`` blocks; the first member
+    (blocks end to end) that repeats or is out of range; uncovered points;
+    the first block under two ``parent`` blocks (so also under two trees);
+    the first representative outside its block.  ``last`` asks for
+    singletons.  Any fault raises :class:`ValidationError`.
+    """
+    order, sizes, reps = level
+    n = int(counts.sum())
+    if k == 0:
+        starts = np.cumsum(counts) - counts
+        if (len(sizes) != len(counts) or (sizes != counts).any() or len(order) != n
+                or (order != np.arange(n)).any() or (reps < starts).any() or (reps >= starts + counts).any()):
+            raise ValidationError("level 0 must be the single block holding every point")
+    else:
+        if len(reps) != len(sizes) or sizes.min(initial=1) < 1 or sizes.sum() != len(order):
+            raise ValidationError(f"level {k}: block sizes do not lay out its {len(order)} members")
+        firsts = np.cumsum(sizes) - sizes
+        tree = np.minimum(np.searchsorted(np.cumsum(counts), order[firsts], side="right"), len(counts) - 1)
+        most = int(np.bincount(tree, minlength=len(counts)).max())
+        if most > level_budget(k):
+            raise ValidationError(f"level {k} has {most} blocks, over the budget {level_budget(k)}")
+        inside = (order >= 0) & (order < n)
+        seen = np.bincount(order[inside].astype(np.intp), minlength=n)
+        if not inside.all() or seen.max(initial=0) > 1:
+            ranked = np.argsort(order, kind="stable")
+            bad = ~inside
+            bad[ranked[1:]] |= order[ranked[1:]] == order[ranked[:-1]]  # later occurrences only
+            j = bad.argmax()
+            if inside[j]:
+                raise ValidationError(f"level {k}: point {order[j]} appears in two blocks")
+            raise ValidationError(f"level {k}: point index {order[j]} out of range")
+        if len(order) < n:
+            raise ValidationError(f"level {k}: points {np.flatnonzero(seen == 0).tolist()} not covered")
+        owner = _owners(level, n)
+        block, up = owner[order], _owners(parent, n)[order]
+
+        def members(b: int) -> tuple[int, ...]:
+            return tuple(order[firsts[b] : firsts[b] + sizes[b]].tolist())
+
+        straddling = np.flatnonzero(up != up[firsts][block])
+        if straddling.size:
+            raise ValidationError(f"level {k}: block {members(block[straddling[0]])} straddles parent blocks")
+        held = (reps >= 0) & (reps < n)
+        held[held] = owner[reps[held]] == np.flatnonzero(held)
+        if not held.all():
+            b = held.argmin()
+            raise ValidationError(f"representative {reps[b]} is not a member of {members(b)}")
+    if last and (sizes != 1).any():
+        raise ValidationError("deepest level must consist of singletons")
+
+
+def _level_arrays(n_points: int, levels: list[list[tuple[tuple, int]]]) -> tuple[_Level, ...]:
+    """Lay out blocks, given level by level as (sorted members, representative) pairs, as arrays.
+
+    Names the faults ahead of :meth:`PartitionTree.validate`'s: ``n_points``
+    not a positive integer, no levels, then (after a root that is not every
+    point) a member that is not a 64-bit integer.
+    """
+    _check_indices((n_points,), "n_points")
+    if n_points < 1:
+        raise ValidationError("tree needs at least one point")
+    if not levels:
+        raise ValidationError("tree needs at least the root level")
+    sizes = [np.fromiter((len(m) for m, _ in level), np.intp, len(level)) for level in levels]
+    try:  # a member that is itself a sequence makes the array ragged
+        flat = np.array(list(itertools.chain.from_iterable(m for level in levels for m, _ in level)))
+        if flat.dtype.kind not in "iu" or flat.ndim != 1:
+            raise ValueError
+    except ValueError:
+        root_members = itertools.chain.from_iterable(m for m, _ in levels[0])
+        root = _Level(np.fromiter(root_members, object, sizes[0].sum()), sizes[0],
+                      np.fromiter((r for _, r in levels[0]), object, len(levels[0])))
+        _check_level(0, None, root, np.array([n_points]))
+        raise ValidationError("point indices must be 64-bit integers") from None
+    orders = np.split(flat, np.cumsum([s.sum() for s in sizes])[:-1])
+    return tuple(_Level(o, s, np.array([r for _, r in level], dtype=flat.dtype))
+                 for o, s, level in zip(orders, sizes, levels))
+
+
+def _owners(level: _Level, n: int) -> np.ndarray:
+    """Each of the ``n`` points' block number in ``level``, which must cover them."""
+    owner = np.empty(n, dtype=np.intp)
+    owner[level.order] = np.repeat(np.arange(len(level.sizes)), level.sizes)
+    return owner
+
+
+def _runs(level: _Level) -> Iterator[tuple[list[int], int]]:
+    """Each block of ``level`` as its member list and representative."""
+    members, ends = level.order.tolist(), np.cumsum(level.sizes).tolist()
+    return zip(map(members.__getitem__, map(slice, [0, *ends], ends)), level.reps.tolist())
+
+
 class PartitionTree:
-    n_points: int
-    levels: tuple[tuple[Block, ...], ...]
+    """An admissible partition tree over the points ``0 .. n_points - 1``.
 
-    def __post_init__(self) -> None:
-        self.validate()
+    ``arrays`` holds one :class:`_Level` of read-only int arrays per level;
+    ``levels`` shows them as tuples of :class:`Block`, built on first use.
+    ``PartitionTree(n_points, levels)`` lays blocks out as arrays and runs
+    :meth:`validate`.
+    """
+
+    __slots__ = ("n_points", "arrays", "_blocks")
+
+    def __init__(self, n_points: int, levels: Iterable[Iterable[Block]]) -> None:
+        blocks = tuple(map(tuple, levels))
+        arrays = _level_arrays(n_points, [[(b.members, b.rep) for b in level] for level in blocks])
+        self._assign(n_points, arrays, blocks)
+
+    @classmethod
+    def _from_arrays(cls, n_points: int, arrays: tuple[_Level, ...], checked: bool = False) -> PartitionTree:
+        tree = object.__new__(cls)
+        tree._assign(n_points, arrays, None, checked)
+        return tree
+
+    def _assign(self, n_points: int, arrays: tuple[_Level, ...], blocks, checked: bool = False) -> None:
+        self.n_points, self.arrays, self._blocks = n_points, arrays, blocks
+        if not checked:
+            self.validate()
+        self.arrays = tuple(_Level(*(a.astype(np.intp, copy=False) for a in level)) for level in arrays)
+        for a in itertools.chain(*self.arrays):
+            a.flags.writeable = False
+
+    def validate(self) -> None:
+        """Check admissibility, level by level, with :func:`_check_level`."""
+        counts = np.array([self.n_points])
+        for k, level in enumerate(self.arrays):
+            _check_level(k, self.arrays[k - 1] if k else None, level, counts, last=k == self.depth)
 
     @property
     def depth(self) -> int:
-        return len(self.levels) - 1
+        return len(self.arrays) - 1
 
-    def validate(self) -> None:
-        """Check admissibility with array passes over all levels at once.
-
-        Faults are named as a scan level by level meets them: for each level
-        in turn its block budget, then its first member (blocks laid end to
-        end) that repeats an earlier one or is out of range, then the points
-        it leaves uncovered, then its first block with members under two
-        parent blocks.
-        """
-        n = self.n_points
-        _check_indices((n,), "n_points")
-        if n < 1:
-            raise ValidationError("tree needs at least one point")
-        if not self.levels:
-            raise ValidationError("tree needs at least the root level")
-        if len(self.levels[0]) != 1 or self.levels[0][0].members != tuple(range(n)):
-            raise ValidationError("level 0 must be the single block holding every point")
-        members = [block.members for level in self.levels for block in level]
-        try:  # a member that is itself a sequence makes the array ragged
-            idx = np.array(list(itertools.chain.from_iterable(members)))
-            if idx.dtype.kind not in "iu":
-                raise ValueError
-        except ValueError:
-            raise ValidationError("point indices must be 64-bit integers") from None
-        depth = len(self.levels)
-        sizes = np.fromiter(map(len, members), np.intp, len(members))
-        block_level = np.repeat(np.arange(depth), [len(level) for level in self.levels])
-        block_of = np.repeat(np.arange(len(members)), sizes)  # blocks numbered across levels
-        level_of = block_level[block_of]
-        starts = np.searchsorted(level_of, np.arange(depth + 1))  # each level's entries
-        inside = (idx >= 0) & (idx < n)
-        owner = np.full((depth, n), -1, dtype=np.intp)
-        owner[level_of[inside], idx[inside]] = block_of[inside]
-        filled = (owner >= 0).sum(axis=1)  # a level with a repeat or a stray index has too few
-        below = inside & (level_of > 0)
-        parent = owner[level_of[below] - 1, idx[below]]
-        some_parent = np.empty(len(members), dtype=np.intp)
-        some_parent[block_of[below]] = parent
-        straddling = block_of[below][some_parent[block_of[below]] != parent]
-        straddles = np.bincount(block_level[straddling], minlength=depth)
-        for k, level in enumerate(self.levels):
-            if k >= 1 and len(level) > level_budget(k):
-                raise ValidationError(
-                    f"level {k} has {len(level)} blocks, over the budget {level_budget(k)}"
-                )
-            if starts[k + 1] - starts[k] > filled[k]:
-                _raise_first_stray(k, idx[starts[k] : starts[k + 1]], n)
-            if filled[k] < n:
-                missing = np.flatnonzero(owner[k] < 0).tolist()
-                raise ValidationError(f"level {k}: points {missing} not covered")
-            if straddles[k]:
-                block = members[straddling[block_level[straddling] == k].min()]
-                raise ValidationError(f"level {k}: block {block} straddles parent blocks")
-        if len(self.levels[-1]) != n:  # every level partitions the points
-            raise ValidationError("deepest level must consist of singletons")
+    @property
+    def levels(self) -> tuple[tuple[Block, ...], ...]:
+        """The tree as tuples of :class:`Block`, root first, built from the arrays on first use."""
+        if self._blocks is None:
+            self._blocks = tuple(tuple(Block(tuple(m), r) for m, r in _runs(level)) for level in self.arrays)
+        return self._blocks
 
     def to_dict(self) -> dict:
         return {
             "n_points": self.n_points,
-            "levels": [
-                [{"members": list(b.members), "rep": b.rep} for b in level]
-                for level in self.levels
-            ],
+            "levels": [[{"members": m, "rep": r} for m, r in _runs(level)] for level in self.arrays],
         }
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PartitionTree):
+            return NotImplemented
+        return (self.n_points == other.n_points and len(self.arrays) == len(other.arrays)
+                and all(map(np.array_equal, itertools.chain(*self.arrays), itertools.chain(*other.arrays))))
 
 
 def tree_from_dict(doc: dict) -> PartitionTree:
     """Rebuild a tree from :meth:`PartitionTree.to_dict` output.
 
     ``n_points``, every ``rep`` and every member must be integers: a bool,
-    float or string is rejected, not converted.
+    float or string is rejected, not converted.  Members are sorted as in
+    :class:`Block`; a document with a bad block is read block by block,
+    which names its first fault.
     """
+    try:
+        levels = [[(tuple(sorted(block["members"])), block["rep"]) for block in level]
+                  for level in doc["levels"]]
+        pairs = list(itertools.chain.from_iterable(levels))
+        values = itertools.chain(itertools.chain.from_iterable(m for m, _ in pairs), (r for _, r in pairs))
+        if _all_indices(values) and all(m and r in m for m, r in pairs):
+            return PartitionTree._from_arrays(doc["n_points"], _level_arrays(doc["n_points"], levels))
+    except (KeyError, TypeError):
+        pass
     try:
         levels = []
         for n, level in enumerate(doc["levels"]):
-            blocks = []
+            levels.append([])
             for b, block in enumerate(level):
                 members, rep = tuple(block["members"]), block["rep"]
                 _check_indices(members, f"level {n}: block {b} member")
                 _check_indices((rep,), f"level {n}: block {b} rep")
-                blocks.append(Block(members, rep))
-            levels.append(tuple(blocks))
-        return PartitionTree(n_points=doc["n_points"], levels=tuple(levels))
+                levels[-1].append(Block(members, rep))
+        return PartitionTree(n_points=doc["n_points"], levels=levels)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed partition tree document: {exc}") from exc
 
@@ -296,99 +384,38 @@ def _split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps:
     return order[np.argsort(label, kind="stable")], np.bincount(label, minlength=child_reps.size), child_reps
 
 
-class _Level(NamedTuple):
-    """One level of a forest of trees over disjoint runs of rows.
-
-    ``order`` lists the blocks' members (row indices) block after block,
-    ``sizes`` and ``reps`` give each block's size and representative, and
-    ``tree`` the tree each block belongs to.  A tree's blocks are
-    contiguous, and the trees follow the order of their rows.
-    """
-
-    order: np.ndarray
-    sizes: np.ndarray
-    reps: np.ndarray
-    tree: np.ndarray
-
-
-def _check_level(lvl: int, parent: _Level | None, level: _Level, counts: np.ndarray) -> None:
-    """Check one level of the forest over runs of ``counts`` rows with array passes.
-
-    Every point is covered once; every block is nonempty, lies inside one
-    tree and (below the root) inside one parent block, and holds its
-    representative; each tree keeps within its budget, one block at the
-    root and ``min(2^(2^lvl), count)`` below.  Any fault raises
-    :class:`ValidationError`.
-    """
-    order, sizes, reps, tree = level
-    n, n_blocks = int(counts.sum()), len(sizes)
-    if len(order) != n or (n and (order.min() < 0 or order.max() >= n)):
-        raise ValidationError(f"forest level {lvl}: members are not the {n} points")
-    if np.bincount(order, minlength=n).max(initial=1) > 1:
-        raise ValidationError(f"forest level {lvl}: a point appears in two blocks")
-    if len(reps) != n_blocks or len(tree) != n_blocks or sizes.min(initial=1) < 1 or sizes.sum() != n:
-        raise ValidationError(f"forest level {lvl}: block sizes do not partition the points")
-    block = np.empty(n, dtype=np.intp)
-    block[order] = np.repeat(np.arange(n_blocks), sizes)
-    if (reps < 0).any() or (reps >= n).any() or (block[reps] != np.arange(n_blocks)).any():
-        raise ValidationError(f"forest level {lvl}: a representative lies outside its block")
-    if (np.repeat(np.arange(len(counts)), counts)[order] != np.repeat(tree, sizes)).any():
-        raise ValidationError(f"forest level {lvl}: a block straddles trees")
-    if parent is not None:
-        up = np.empty(n, dtype=np.intp)
-        up[parent.order] = np.repeat(np.arange(len(parent.sizes)), parent.sizes)
-        up = up[order]
-        if (up != np.repeat(up[np.cumsum(sizes) - sizes], sizes)).any():
-            raise ValidationError(f"forest level {lvl}: a block straddles parent blocks")
-    cap = min(level_budget(lvl), n) if lvl else 1
-    if (np.bincount(tree, minlength=len(counts)) > np.minimum(counts, cap)).any():
-        raise ValidationError(f"forest level {lvl}: a tree exceeds its block budget")
-
-
 def _grow(coords: np.ndarray, counts) -> Iterator[_Level]:
     """Yield the levels of the greedy trees over consecutive runs of ``counts`` rows of ``coords``.
 
     Level ``n`` splits every level ``n-1`` block with :func:`_split_level`,
     all trees at once, under each tree's budget ``min(2^(2^n), count)``
-    distributed among its blocks by :func:`_allocate_children`.  A tree
-    bottoms out in singletons at the least ``n`` with ``2^(2^n) >= count``;
-    after that its blocks keep their points and representatives.  Every
-    level passes :func:`_check_level`, and the last must be all singletons.
+    distributed among its blocks.  A tree bottoms out in singletons at the
+    least ``n`` with ``2^(2^n) >= count``.  A lone block takes the whole
+    budget, a budget that covers its tree splits every block into
+    singletons, and only the other trees need :func:`_allocate_children`.
+    Every level passes :func:`_check_level`; the last is all singletons.
     """
     counts = np.asarray(counts, dtype=np.intp)
     if not counts.size or counts.min() < 1 or counts.sum() != len(coords):
         raise ParameterError("a forest needs trees of at least one point each, covering the rows")
-    starts = np.cumsum(counts) - counts
-    level = _Level(np.arange(len(coords)), counts, starts, np.arange(len(counts)))
-    _check_level(0, None, level, counts)
-    yield level
     depth = 0 if counts.max() == 1 else 1
     while level_budget(depth) < counts.max():
         depth += 1
+    level = _Level(np.arange(len(coords)), counts, np.cumsum(counts) - counts)
+    _check_level(0, None, level, counts, last=depth == 0)
+    yield level
+    tree = np.arange(len(counts))  # each block's tree
     for lvl in range(1, depth + 1):
-        budgets = np.minimum(counts, min(level_budget(lvl), len(coords))).tolist()
-        bounds = np.searchsorted(level.tree, np.arange(len(counts) + 1)).tolist()
-        sizes = level.sizes.tolist()
-        alloc = np.ones(len(sizes), dtype=np.intp)
-        for t in np.flatnonzero(np.diff(bounds) < counts).tolist():  # trees not yet all singletons
+        budgets = np.minimum(counts, min(level_budget(lvl), len(coords)))
+        alloc = np.minimum(level.sizes, budgets[tree])
+        bounds, sizes = np.searchsorted(tree, np.arange(len(counts) + 1)).tolist(), level.sizes.tolist()
+        for t in np.flatnonzero((budgets < counts) & (np.diff(bounds) > 1)).tolist():
             a, b = bounds[t], bounds[t + 1]
-            alloc[a:b] = _allocate_children(budgets[t], sizes[a:b])
-        child = _Level(*_split_level(coords, level.order, level.sizes, level.reps, alloc),
-                       np.repeat(level.tree, alloc))
-        _check_level(lvl, level, child, counts)
-        level = child
+            alloc[a:b] = _allocate_children(int(budgets[t]), sizes[a:b])
+        child = _Level(*_split_level(coords, *level, alloc))
+        _check_level(lvl, level, child, counts, last=lvl == depth)
+        level, tree = child, np.repeat(tree, alloc)
         yield level
-    if level.sizes.max(initial=1) > 1:
-        raise ValidationError(f"forest level {depth}: the deepest level is not all singletons")
-
-
-def _blocks(order: np.ndarray, sizes: np.ndarray, reps: np.ndarray) -> tuple[Block, ...]:
-    """The level laid out as in :func:`_split_level`, as blocks."""
-    members = order.tolist()
-    ends = np.cumsum(sizes).tolist()
-    return tuple(
-        Block(tuple(members[a:b]), rep=r) for a, b, r in zip([0, *ends], ends, reps.tolist())
-    )
 
 
 def build_partition_greedy(ts: FiniteSet) -> PartitionTree:
@@ -397,11 +424,10 @@ def build_partition_greedy(ts: FiniteSet) -> PartitionTree:
     Level ``n`` splits every level ``n-1`` block with farthest-point centers
     in l2, under the total budget ``min(2^(2^n), |T|)`` distributed
     proportionally among parents.  The tree bottoms out in singletons at the
-    least ``n`` with ``2^(2^n) >= |T|``.  The levels pass the forest's level
-    checks and then :meth:`PartitionTree.validate`.
+    least ``n`` with ``2^(2^n) >= |T|``.  The tree keeps :func:`_grow`'s
+    level arrays, each checked once as it grew.
     """
-    levels = tuple(_blocks(level.order, level.sizes, level.reps) for level in _grow(ts.matrix, [len(ts)]))
-    return PartitionTree(n_points=len(ts), levels=levels)
+    return PartitionTree._from_arrays(len(ts), tuple(_grow(ts.matrix, [len(ts)])), checked=True)
 
 
 @dataclass(frozen=True)
@@ -414,44 +440,35 @@ class ChainBound:
     model: MomentModel
 
 
-def _chain_step(coords: np.ndarray, model: MomentModel, lvl: int, order: np.ndarray, sizes: np.ndarray,
-                reps: np.ndarray, prev_rep: np.ndarray, sums: np.ndarray) -> None:
-    """Add level ``lvl``'s increments to the chain sums ``sums`` in place.
+def _chain_sums(coords: np.ndarray, levels: Iterable[_Level], model: MomentModel) -> np.ndarray:
+    """Each point's chain sum down ``levels`` (root first), one :meth:`MomentModel.norms` call per level.
 
-    The level is laid out as in :func:`_split_level`; ``prev_rep`` holds
-    each point's representative one level up and moves down to this level.
-    Every block's increment from its parent's representative to its own,
-    ``x[max] - x[min]`` of the two indices, goes through one
-    :meth:`MomentModel.norms` call; blocks that keep their parent's
-    representative add exactly 0.0, which leaves a sum's bits alone.
+    ``prev_rep`` holds each point's representative one level up.  Every
+    block's increment from its parent's representative to its own,
+    ``x[max] - x[min]`` of the two indices, goes through its level's norms
+    call; blocks that keep their parent's representative add exactly 0.0,
+    which leaves a sum's bits alone.
     """
-    parent_reps = prev_rep[order[np.cumsum(sizes) - sizes]]
-    moved = parent_reps != reps
-    lo = np.minimum(parent_reps, reps)[moved]
-    hi = np.maximum(parent_reps, reps)[moved]
-    steps = np.zeros(len(sizes))
-    steps[moved] = model.norms(coords[hi] - coords[lo], 1 << lvl)
-    sums[order] += np.repeat(steps, sizes)
-    prev_rep[order] = np.repeat(reps, sizes)
+    levels = iter(levels)
+    root = next(levels)
+    sums, prev_rep = np.zeros(len(coords)), np.repeat(root.reps, root.sizes)
+    for lvl, (order, sizes, reps) in enumerate(levels, start=1):
+        parent_reps = prev_rep[order[np.cumsum(sizes) - sizes]]
+        moved = parent_reps != reps
+        lo = np.minimum(parent_reps, reps)[moved]
+        hi = np.maximum(parent_reps, reps)[moved]
+        steps = np.zeros(len(sizes))
+        steps[moved] = model.norms(coords[hi] - coords[lo], 1 << lvl)
+        sums[order] += np.repeat(steps, sizes)
+        prev_rep[order] = np.repeat(reps, sizes)
+    return sums
 
 
 def chain_bound(ts: FiniteSet, tree: PartitionTree, model: MomentModel) -> ChainBound:
-    """Evaluate ``max_t sum_n ||X_(rep_n(t)) - X_(rep_(n-1)(t))||_(2^n)``.
-
-    Each level is turned into arrays and taken by :func:`_chain_step`, one
-    :meth:`MomentModel.norms` call per level.
-    """
+    """Evaluate ``max_t sum_n ||X_(rep_n(t)) - X_(rep_(n-1)(t))||_(2^n)`` with :func:`_chain_sums`."""
     if tree.n_points != len(ts):
         raise ParameterError(f"tree covers {tree.n_points} points but the set has {len(ts)}")
-    n = len(ts)
-    sums = np.zeros(n)
-    prev_rep = np.full(n, tree.levels[0][0].rep)
-    for lvl, level in enumerate(tree.levels[1:], start=1):
-        sizes = np.fromiter((len(b.members) for b in level), np.intp, len(level))
-        members = np.fromiter(itertools.chain.from_iterable(b.members for b in level), np.intp, n)
-        reps = np.fromiter((b.rep for b in level), np.intp, len(level))
-        _chain_step(ts.matrix, model, lvl, members, sizes, reps, prev_rep, sums)
-    per_point = tuple(sums.tolist())
+    per_point = tuple(_chain_sums(ts.matrix, tree.arrays, model).tolist())
     return ChainBound(value=max(per_point), per_point=per_point, tree=tree, model=model)
 
 
@@ -460,20 +477,14 @@ def greedy_forest_bounds(coords: np.ndarray, counts, model: MomentModel) -> tupl
 
     Each run is one set (its rows distinct) and gets the tree
     :func:`build_partition_greedy` would build on it, grown all at once by
-    :func:`_grow` with one :func:`_chain_step` per level.  Returns each
-    tree's bound, the segment max of its points' chain sums, and the sums
-    themselves; both equal :func:`chain_bound` on the one-set tree bit for
-    bit when the model's norms are row by row (not Monte Carlo, whose rows
-    share a stream).
+    :func:`_grow` and summed by :func:`_chain_sums` level by level.  Returns
+    each tree's bound, the segment max of its points' chain sums, and the
+    sums themselves; both equal :func:`chain_bound` on the one-set tree bit
+    for bit when the model's norms are row by row (not Monte Carlo, whose
+    rows share a stream).
     """
-    counts = np.asarray(counts, dtype=np.intp)
-    starts = np.cumsum(counts) - counts
-    sums = np.zeros(len(coords))
-    prev_rep = np.repeat(starts, counts)
-    for lvl, level in enumerate(_grow(coords, counts)):
-        if lvl:
-            _chain_step(coords, model, lvl, level.order, level.sizes, level.reps, prev_rep, sums)
-    return np.maximum.reduceat(sums, starts), sums
+    sums = _chain_sums(coords, _grow(coords, counts), model)
+    return np.maximum.reduceat(sums, np.cumsum(counts) - counts), sums
 
 
 def combine_sum_set(
@@ -502,38 +513,24 @@ def combine_sum_set(
     if tree_a.n_points != len(ts_a) or tree_b.n_points != len(ts_b):
         raise ParameterError("trees do not match their sets")
 
-    # Row ia * |B| + ib is a_ia + b_ib; pair_point[ia][ib] is its index in
-    # the sum set and owns[ia][ib] says whether (ia, ib) produced it first.
+    # Row ia * |B| + ib is a_ia + b_ib; sum point p is row first[p], its pair (pair_a[p], pair_b[p]).
     sums = (ts_a.matrix[:, None, :] + ts_b.matrix[None, :, :]).reshape(-1, ts_a.dim)
     first, slot = distinct_rows(sums)
-    shape = (len(ts_a), len(ts_b))
-    pair_point = slot.reshape(shape).tolist()
-    owns = (first[slot] == np.arange(slot.size)).reshape(shape).tolist()
-    total = len(first)
+    pair_a, pair_b = np.divmod(first, len(ts_b))
 
-    def marginal(tree: PartitionTree, n: int) -> tuple[Block, ...]:
-        return tree.levels[min(n, tree.depth)]
+    def product(n: int) -> _Level:
+        """The nonempty products of the two trees' level-n blocks, in their nested order."""
+        la, lb = tree_a.arrays[min(n, tree_a.depth)], tree_b.arrays[min(n, tree_b.depth)]
+        key = _owners(la, len(ts_a))[pair_a] * len(lb.sizes) + _owners(lb, len(ts_b))[pair_b]
+        order = np.argsort(key, kind="stable")
+        keys, sizes = np.unique(key, return_counts=True)
+        rep = slot[la.reps[keys // len(lb.sizes)] * len(ts_b) + lb.reps[keys % len(lb.sizes)]]
+        return _Level(order, sizes, np.where(key[rep] == keys, rep, order[np.cumsum(sizes) - sizes]))
 
-    def product_blocks(n: int) -> list[Block]:
-        blocks = []
-        for blk_a in marginal(tree_a, n):
-            for blk_b in marginal(tree_b, n):
-                members = [pair_point[ia][ib] for ia in blk_a.members
-                           for ib in blk_b.members if owns[ia][ib]]
-                if not members:
-                    continue
-                rep_candidate = pair_point[blk_a.rep][blk_b.rep]
-                rep = rep_candidate if rep_candidate in members else min(members)
-                blocks.append(Block(members=tuple(members), rep=rep))
-        return blocks
-
-    root_rep = pair_point[tree_a.levels[0][0].rep][tree_b.levels[0][0].rep]
-    levels: list[tuple[Block, ...]] = [(Block(tuple(range(total)), rep=root_rep),)]
-    depth = max(tree_a.depth, tree_b.depth) + 1
-    for n in range(1, depth + 1):
-        levels.append(tuple(product_blocks(n - 1)))
+    # the roots' product is the root, and level n's products are level n + 1
+    levels = [product(0)] + [product(n) for n in range(max(tree_a.depth, tree_b.depth) + 1)]
     combined = FiniteSet(name=f"{ts_a.name}+{ts_b.name}", points=sums[first])
-    return combined, PartitionTree(n_points=total, levels=tuple(levels))
+    return combined, PartitionTree._from_arrays(len(first), tuple(levels))
 
 
 def _set_partitions(items: tuple[int, ...]):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import numbers
 import re
 import tracemalloc
 
@@ -249,12 +250,81 @@ def test_array_validator_names_each_fault_like_the_dict_validator():
             PartitionTree(n_points=1, levels=((Block((0,), 0),), (Block((stray,), stray),)))
 
 
+def _reference_tree_from_dict(doc):
+    """The block-by-block reader: integer checks, then each Block, then the public constructor."""
+    levels = []
+    for n, level in enumerate(doc["levels"]):
+        blocks = []
+        for b, block in enumerate(level):
+            members, rep = tuple(block["members"]), block["rep"]
+            for what, values in (("member", members), ("rep", (rep,))):
+                bad = [v for v in values if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
+                if bad:
+                    raise ValidationError(f"level {n}: block {b} {what} must be an integer, got {bad[0]!r}")
+            blocks.append(Block(members, rep))
+        levels.append(tuple(blocks))
+    return PartitionTree(n_points=doc["n_points"], levels=tuple(levels))
+
+
+_ODD_VALUES = ["unsorted", "rep", "numpy", -1, 2**70, True, False]
+
+
+@given(st.integers(2, 30), st.integers(0, 2), st.integers(0, 2**31), st.data())
+def test_tree_from_dict_raises_and_accepts_what_the_blocks_do(count, rounds, seed, data):
+    tree = build_partition_greedy(_random_set(seed, count, 2, "corrupt-doc"))
+    levels = [[(list(b.members), b.rep) for b in level] for level in tree.levels]
+    for _ in range(rounds):
+        _corrupt(levels, count, data.draw)
+    for _ in range(data.draw(st.integers(0, 2))):
+        level = levels[data.draw(st.integers(0, len(levels) - 1))]
+        b = data.draw(st.integers(0, len(level) - 1))
+        members, rep = level[b]
+        odd = data.draw(st.sampled_from(_ODD_VALUES))
+        if odd == "unsorted":
+            members.reverse()
+        elif odd == "rep":
+            level[b] = (members, data.draw(st.integers(-1, count)))
+        elif odd == "numpy":
+            kind = data.draw(st.sampled_from([np.int64, np.int32, np.uint16]))
+            level[b] = ([kind(m) for m in members], kind(rep))
+        else:
+            members.insert(data.draw(st.integers(0, len(members))), odd)
+    n_points = data.draw(st.sampled_from([count, np.int64(count)]))
+    doc = {"n_points": n_points, "levels": [[{"members": m, "rep": r} for m, r in level] for level in levels]}
+    try:
+        want = _reference_tree_from_dict(doc)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            tree_from_dict(doc)
+        assert str(got.value) == str(exc)
+    else:
+        got = tree_from_dict(doc)
+        assert got == want and got.to_dict() == want.to_dict()
+
+
+def test_tree_keeps_read_only_arrays_and_shows_them_as_blocks():
+    tree = build_partition_greedy(_random_set(2, 30, 3))
+    assert all(isinstance(level, tuple) and all(isinstance(b, Block) for b in level) for level in tree.levels)
+    assert tree.levels is tree.levels
+    again = PartitionTree(n_points=30, levels=tree.levels)
+    assert again == tree and again.to_dict() == tree.to_dict() and again.levels == tree.levels
+    assert tree != build_partition_greedy(_random_set(3, 30, 3))
+    for array in itertools.chain(*tree.arrays):
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
 def test_sequence_members_raise_validation_errors():
     # a list member sorts and is its own rep, but makes the index array ragged
     with pytest.raises(ValidationError, match="indices must be 64-bit integers"):
         PartitionTree(n_points=1, levels=((Block((0,), 0),), (Block(([0],), [0]),)))
     with pytest.raises(ValidationError, match="indices must be 64-bit integers"):
         PartitionTree(n_points=2, levels=((Block((0, 1), 0),), (Block(([0],), [0]), Block((1,), 1))))
+
+
+def test_sequence_members_at_the_root_fail_the_root_check():
+    with pytest.raises(ValidationError, match="level 0 must be the single block"):
+        PartitionTree(n_points=1, levels=((Block(([0],), [0]),),))
 
 
 def test_unsortable_members_raise_validation_errors():
@@ -575,6 +645,13 @@ def test_heap_allocation_matches_the_linear_scan_everywhere(sizes, extra):
     assert _allocate_children(budget, sizes) == _reference_allocate(budget, sizes)
 
 
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=12), st.integers(0, 300), st.integers(1, 300))
+def test_allocation_closed_forms_match_the_heap(sizes, extra, budget):
+    # the forest skips the heap for a lone block and for a budget that covers every point
+    assert _allocate_children(budget, sizes[:1]) == [min(budget, sizes[0])]
+    assert _allocate_children(sum(sizes) + extra, sizes) == sizes
+
+
 def test_greedy_tree_splits_points_whose_distance_underflows():
     # |1e-200 - 0|^2 underflows to 0, so both points look like the first center
     ts = FiniteSet(name="tiny", points=[(0.0,), (1e-200,)])
@@ -635,7 +712,8 @@ def test_forest_matches_one_greedy_tree_and_chain_bound_per_set(sets):
     coords = np.concatenate(sets)
     trees = [build_partition_greedy(FiniteSet(name="s", points=rows)) for rows in sets]
     for lvl, level in enumerate(_grow(coords, counts)):
-        blocks = list(zip(level.tree.tolist(), np.split(level.order, np.cumsum(level.sizes)[:-1]),
+        tree_of = np.searchsorted(starts, level.order[np.cumsum(level.sizes) - level.sizes], side="right") - 1
+        blocks = list(zip(tree_of.tolist(), np.split(level.order, np.cumsum(level.sizes)[:-1]),
                           level.reps.tolist()))
         for t, tree in enumerate(trees):
             want = [(b.members, b.rep) for b in tree.levels[min(lvl, tree.depth)]]
@@ -671,27 +749,32 @@ def test_forest_levels_pass_their_checks():
 def _corruptions(counts, levels):
     """Corrupted copies of level 2, each breaking exactly one rule, with the rule's message."""
     parent, level = levels[1], levels[2]
-    order, sizes, reps, tree = (a.copy() for a in level)
+    order, sizes, reps = (a.copy() for a in level)
+    starts = np.cumsum(counts) - counts
+    tree = np.searchsorted(starts, order[np.cumsum(sizes) - sizes], side="right") - 1
     repeated = order.copy()
     repeated[1] = repeated[0]
     yield "two blocks", _with_arrays(level, order=repeated)
-    yield "not the", _with_arrays(level, order=np.append(order, 0))
+    yield "sizes", _with_arrays(level, order=np.append(order, 0))
     outside = order.copy()
     outside[3] = counts.sum()
-    yield "not the", _with_arrays(level, order=outside)
-    yield "partition", _with_arrays(level, sizes=np.insert(sizes, 1, 0), reps=np.insert(reps, 1, reps[1]),
-                                tree=np.insert(tree, 1, tree[1]))
+    yield "out of range", _with_arrays(level, order=outside)
+    yield "sizes", _with_arrays(level, sizes=np.insert(sizes, 1, 0), reps=np.insert(reps, 1, reps[1]))
     moved_rep = reps.copy()
     moved_rep[5] = reps[6]
     yield "representative", _with_arrays(level, reps=moved_rep)
-    wrong_tree = tree.copy()
-    wrong_tree[-1] = 0
-    yield "straddles trees", _with_arrays(level, tree=wrong_tree)
+    # move a non-representative point of tree 2 to the end of tree 1's last block, in another tree
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    free = [j for j in range(len(order)) if order[j] not in reps and tree[block[j]] == 2]
+    last_of_1 = np.flatnonzero(tree == 1)[-1]
+    moved, grown = sizes.copy(), np.cumsum(sizes)[last_of_1]
+    moved[block[free[0]]] -= 1
+    moved[last_of_1] += 1
+    yield "straddles parent blocks", _with_arrays(
+        level, order=np.insert(np.delete(order, free[0]), grown, order[free[0]]), sizes=moved)
     # swap two non-representative points of one tree between blocks under different parents
     up = np.empty(len(order), dtype=np.intp)
     up[parent.order] = np.repeat(np.arange(len(parent.sizes)), parent.sizes)
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    free = [j for j in range(len(order)) if order[j] not in reps and tree[block[j]] == 2]
     a, b = next((a, b) for a in free for b in free if up[order[a]] != up[order[b]])
     swapped = order.copy()
     swapped[a], swapped[b] = order[b], order[a]
@@ -708,9 +791,8 @@ def test_each_forest_level_check_fires_on_corrupted_arrays():
         _check_level(1, levels[0], levels[2], counts)
     # the root holds one block per tree
     root = levels[0]
-    split_root = _Level(root.order, np.array([1, 4, 5, 20, 3]), np.array([0, 1, 5, 10, 30]),
-                        np.array([0, 1, 1, 2, 3]))
-    with pytest.raises(ValidationError, match="budget"):
+    split_root = _Level(root.order, np.array([1, 4, 5, 20, 3]), np.array([0, 1, 5, 10, 30]))
+    with pytest.raises(ValidationError, match="level 0 must be"):
         _check_level(0, None, split_root, counts)
 
 
@@ -720,9 +802,12 @@ def test_forest_growth_rejects_over_budget_and_unfinished_trees(monkeypatch):
     monkeypatch.setattr(chaining, "_allocate_children", lambda budget, sizes: [s for s in sizes])
     with pytest.raises(ValidationError, match="budget"):
         list(_grow(coords, counts))
-    monkeypatch.setattr(chaining, "_allocate_children", lambda budget, sizes: [1] * len(sizes))
-    with pytest.raises(ValidationError, match="not all singletons"):
-        list(_grow(coords, counts))
+    # the last level's budget covers every tree, so no allocator can leave it unfinished;
+    # growth checks it with last=True, which rejects a level that is not all singletons
+    monkeypatch.undo()
+    counts, levels = _forest_levels()
+    with pytest.raises(ValidationError, match="singletons"):
+        _check_level(2, levels[1], levels[2], counts, last=True)
 
 
 @pytest.mark.parametrize("counts", [[], [0, 3], [2, 2]])
