@@ -39,8 +39,10 @@ from .decomposition import decompose_by_sweep, verify_two_sided
 from .errors import ParameterError, ProcsupError
 from .moments import (
     MomentModel,
+    bernoulli_exact_route,
     bernoulli_norm_proxy,
     bernoulli_norms_exact,
+    check_proxy_order,
     gaussian_norm_exact,
 )
 from .oleszkiewicz import (
@@ -108,9 +110,12 @@ def cmd_moments(args: argparse.Namespace) -> int:
     enumerable = ts.dim <= EXACT_ENUMERATION_MAX_DIM
     rows = []
     violations = 0
+    for p in args.p:  # the proxy's order check, before any norm is computed
+        check_proxy_order(p)
     for i, t in enumerate(ts.points):
-        decs = [bernoulli_norm_proxy(t, p) for p in args.p]  # validates p before enumerating
-        exacts = bernoulli_norms_exact(t, args.p) if enumerable else [None] * len(decs)
+        # the exact norms first: an overflowing l1 norm fails before the proxy overflows
+        exacts = bernoulli_norms_exact(t, args.p) if enumerable else [None] * len(args.p)
+        decs = [bernoulli_norm_proxy(t, p) for p in args.p]
         for p, dec, exact in zip(args.p, decs, exacts):
             row = {
                 "point": i,
@@ -123,6 +128,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
             if exact is not None:
                 ratio = safe_ratio(dec.value, exact)
                 row["bernoulli_exact"] = exact
+                row["bernoulli_route"] = bernoulli_exact_route(p)
                 row["sandwich_ratio"] = ratio
                 if exact > 0 and not (1.0 - _REL_SLACK) <= ratio <= 4.0 * (1.0 + _REL_SLACK):
                     violations += 1

@@ -8,9 +8,15 @@ computes three ways:
 * a closed-form *proxy* for the Bernoulli norm, splitting ``t`` into its
   ``p`` largest coordinates (an l1 contribution) plus the l2 tail weighted
   by ``sqrt(p)``; the proxy sandwiches the true norm within a factor 4,
-* *exact* values — sign enumeration for Bernoulli (dimension-capped), the
-  Gamma-function formula for Gaussian,
+* *exact* values — for Bernoulli (dimension-capped) the cosh series at even
+  integer orders ``2 <= p <= COSH_MAX_ORDER`` and sign enumeration at every
+  other order, the Gamma-function formula for Gaussian,
 * a seeded Monte Carlo estimate with a delta-method standard error.
+
+The cosh series rests on ``E B_t^p = p! [lambda^p] prod_i cosh(lambda t_i)``
+for even p: a sum of nonnegative terms, so nothing cancels, that costs
+``O(d p^2)`` per vector instead of ``2^(d-1)`` sign patterns, and that runs
+for a whole matrix of vectors at once.
 
 The :class:`MomentModel` wrapper lets downstream code (chaining bounds,
 decompositions) pick any of these routes through one ``norm(t, p)`` call,
@@ -18,9 +24,10 @@ or one ``norms(rows, p)`` call for a batch.  A Monte Carlo batch, such as
 one level of a chain bound, is estimated by :func:`mc_norms` against one
 shared draw stream keyed by the whole batch: common random numbers.  Each
 estimate keeps its law, but the estimates of one batch are correlated; a
-one-row batch is :func:`mc_norm` bit for bit.
+one-row batch is :func:`mc_norm` bit for bit.  An exact Bernoulli batch at
+an even order is one cosh-series pass over all its rows.
 
-Every exact oracle and Monte Carlo estimate in the package reduces
+Every enumerated oracle and Monte Carlo estimate in the package reduces
 ``sum_i xi_i m_i`` over the rows of a coefficient matrix ``m``; the two
 shared engines for that live here: :func:`signed_row_sums` enumerates the
 sign patterns and :func:`mc_mean` draws ``xi`` and accumulates a mean and
@@ -30,12 +37,14 @@ its standard error.  Both work in blocks of at most ``_BLOCK_BYTES``.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
 from .core import EXACT_ENUMERATION_MAX_DIM, Point, ProcessKind, Seed
@@ -43,6 +52,11 @@ from .errors import CapacityError, ParameterError, ValidationError
 
 #: Byte budget of one block of sign sums or Monte Carlo products.
 _BLOCK_BYTES = 8 << 20
+
+#: Largest even order the cosh series serves.  Its recurrence needs the
+#: binomials ``C(p, 2l)``, at most ``C(1024, 512) ~ 4.5e306`` here; the
+#: middle binomial outgrows float64 from ``C(1030, 515)`` on.
+COSH_MAX_ORDER = 1024
 
 
 def rearrange(t: Point) -> Point:
@@ -93,14 +107,20 @@ class MomentDecomposition:
     value: float
 
 
+def check_proxy_order(p) -> int:
+    """``p`` as an int, if the proxy serves it: an integer >= 1."""
+    p = _check_trim_count(p)
+    if p < 1:
+        raise ParameterError(f"proxy needs p >= 1, got {p}")
+    return p
+
+
 def bernoulli_norm_proxy(t: Point, p: int) -> MomentDecomposition:
     """Closed-form stand-in for ``||B_t||_p``: l1 head plus sqrt(p) times l2 tail.
 
     Sandwich guarantee: ``||B_t||_p <= value <= 4 ||B_t||_p`` for integer p >= 1.
     """
-    p = _check_trim_count(p)
-    if p < 1:
-        raise ParameterError(f"proxy needs p >= 1, got {p}")
+    p = check_proxy_order(p)
     head = ell1_part(t, p)
     tail = tail_l2(t, p)
     return MomentDecomposition(p=p, ell1=head, tail=tail, value=head + math.sqrt(p) * tail)
@@ -155,31 +175,113 @@ def signed_row_sums(m: np.ndarray) -> Iterator[np.ndarray]:
         yield (high[:, None, :] + low[None, :, :]).reshape(-1, n)
 
 
-def bernoulli_norms_exact(t: Point, ps, d_max: int = EXACT_ENUMERATION_MAX_DIM) -> list[float]:
-    """``||B_t||_p`` for every order in ``ps``, from one enumeration of the sign patterns.
+def _is_cosh_order(q: float) -> bool:
+    """Whether the cosh series serves the checked order ``q``: an even integer up to ``COSH_MAX_ORDER``."""
+    return q <= COSH_MAX_ORDER and q % 2.0 == 0.0
 
-    Only available for dim <= ``d_max`` (2^dim work); any real p >= 1.  The
-    patterns do not depend on p, so every block of sign sums is scaled once
-    and raised to each order in turn; each order's value is the same, bit
-    for bit, as a pass of its own would give.
+
+def bernoulli_exact_route(p) -> str:
+    """The route of an exact Bernoulli norm of order ``p``: ``"cosh-series"`` or ``"enumeration"``."""
+    return "cosh-series" if _is_cosh_order(_check_moment_order(p)) else "enumeration"
+
+
+def _check_enumerable(dim: int, d_max: int) -> None:
+    if dim > d_max:
+        raise CapacityError(f"exact Bernoulli norm needs dim <= {d_max}, got {dim}")
+
+
+def _l1_scales(rows: np.ndarray) -> np.ndarray:
+    """The l1 norm of every row of the finite ``(k, d)`` matrix; an overflowing one is a :class:`ParameterError`."""
+    with np.errstate(over="ignore"):
+        scales = np.abs(rows).sum(axis=1)
+    if not np.isfinite(scales).all():  # dividing by inf would give NaN norms
+        k = int(np.isinf(scales).argmax())
+        raise ParameterError(f"the l1 norm of row {k} overflows float64")
+    return scales
+
+
+@functools.lru_cache(maxsize=16)
+def _even_binomials(half: int) -> np.ndarray:
+    """Read-only ``(half + 1, half + 1)`` table of ``C(2j, 2l)`` at ``[j, l]``, zero where ``l > j``."""
+    table = np.zeros((half + 1, half + 1))
+    table[0, 0] = 1.0
+    row = [1]
+    for n in range(1, 2 * half + 1):  # Pascal's triangle in exact integers, rounded once
+        row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
+        if n % 2 == 0:
+            table[n // 2, : n // 2 + 1] = [float(c) for c in row[::2]]
+    table.flags.writeable = False
+    return table
+
+
+def _cosh_norms(rows: np.ndarray, scales: np.ndarray, qs) -> np.ndarray:
+    """``||B_t||_q`` for every row ``t`` of ``rows`` (l1 norms ``scales``) at every even order in ``qs``.
+
+    With ``x_i = (t_i / ||t||_1)^2`` and ``M_j = E (B_t / ||t||_1)^(2j)``,
+    each coordinate in turn updates ``M_j <- sum_{l <= j} C(2j, 2l) x_i^l
+    M_{j-l}`` from ``M = (1, 0, ..., 0)``: the even moments of a sum with one
+    more independent term.  Every term is nonnegative and every ``M_j`` is at
+    most 1, so nothing cancels or overflows.  One einsum per coordinate
+    updates all rows; each row's arithmetic does not depend on the others,
+    so a row of a batch gets the bits of a one-row call.  The result has
+    shape ``(k, len(qs))``; a zero row gives 0.
+    """
+    half = int(max(qs)) // 2
+    binomials = _even_binomials(half)
+    us = np.abs(rows) / np.where(scales > 0.0, scales, 1.0)[:, None]
+    powers = 2 * np.arange(half + 1)
+    # M reversed in columns 0..half, zeros after: window [r, j, l] reads M_{j-l}, or 0 when l > j.
+    padded = np.zeros((len(rows), 2 * half + 1))
+    padded[:, half] = 1.0
+    window = sliding_window_view(padded, half + 1, axis=1)[:, ::-1]
+    for u in us.T:
+        padded[:, half::-1] = np.einsum("jl,rl,rjl->rj", binomials, u[:, None] ** powers, window)
+    norms = np.empty((len(rows), len(qs)))
+    for c, q in enumerate(qs):
+        # Python floats, so one row rounds exactly as a scalar computation would.
+        ms = padded[:, half - int(q) // 2].tolist()
+        norms[:, c] = [scale * m ** (1.0 / q) for scale, m in zip(scales.tolist(), ms)]
+    return norms
+
+
+def bernoulli_norms_exact(t: Point, ps, d_max: int = EXACT_ENUMERATION_MAX_DIM) -> list[float]:
+    """``||B_t||_p`` for every order in ``ps``.
+
+    Only available for dim <= ``d_max``; any real p >= 1.  Even integer
+    orders up to ``COSH_MAX_ORDER`` come from one cosh-series pass
+    (``O(dim p^2)``, exact up to rounding).  Every other order comes from
+    one enumeration of the ``2^(dim-1)`` sign patterns, run only when such
+    an order is asked for: the patterns do not depend on p, so every block
+    of sign sums is scaled once and raised to each order in turn, and each
+    order's value is the same, bit for bit, as a pass of its own would give.
+    An l1 norm of ``t`` that overflows float64 is a :class:`ParameterError`.
     """
     qs = [_check_moment_order(p) for p in ps]
-    if t.dim > d_max:
-        raise CapacityError(f"exact Bernoulli norm needs dim <= {d_max}, got {t.dim}")
-    scale = float(np.abs(t.array).sum())  # the largest |sum|, so no power overflows
-    if scale == 0.0:
-        return [0.0] * len(qs)
-    parts: list[list[float]] = [[] for _ in qs]
+    _check_enumerable(t.dim, d_max)
+    row = t.array[None, :]
+    scales = _l1_scales(row)
+    norms = [0.0] * len(qs)
+    even = [i for i, q in enumerate(qs) if _is_cosh_order(q)]
+    if even:
+        for i, value in zip(even, _cosh_norms(row, scales, [qs[i] for i in even])[0].tolist()):
+            norms[i] = value
+    rest = [i for i, q in enumerate(qs) if not _is_cosh_order(q)]
+    scale = float(scales[0])  # the largest |sum|, so no power overflows
+    if not rest or scale == 0.0:
+        return norms
+    parts: list[list[float]] = [[] for _ in rest]
     for s in signed_row_sums(t.array[:, None]):
         a = np.abs(s) / scale
-        for part, q in zip(parts, qs):
-            part.append(float((a**q).sum()))
+        for part, i in zip(parts, rest):
+            part.append(float((a ** qs[i]).sum()))
     patterns = 1 << (t.dim - 1)
-    return [scale * (sum(part) / patterns) ** (1.0 / q) for part, q in zip(parts, qs)]
+    for part, i in zip(parts, rest):
+        norms[i] = scale * (sum(part) / patterns) ** (1.0 / qs[i])
+    return norms
 
 
 def bernoulli_norm_exact(t: Point, p, d_max: int = EXACT_ENUMERATION_MAX_DIM) -> float:
-    """``||B_t||_p`` by exact enumeration: :func:`bernoulli_norms_exact` for one order."""
+    """``||B_t||_p``, exactly: :func:`bernoulli_norms_exact` for one order."""
     return bernoulli_norms_exact(t, (p,), d_max)[0]
 
 
@@ -223,26 +325,36 @@ def mc_mean(
     chunks are merged with the pairwise update of Chan, Golub & LeVeque,
     which keeps the variance accurate even when the mean is far larger than
     the spread.  Each column is reduced as a contiguous row, so it gets the
-    same bits as a one-statistic call.
+    same bits as a one-statistic call; the columns are transposed a group
+    at a time, so the transposed copy stays within an eighth of the block
+    budget.
     """
     rows = max(4, _BLOCK_BYTES // (8 * max(m.shape)) // 4 * 4)
-    shift = None
-    count, mean, m2 = 0, 0.0, 0.0
+    shift = mean = m2 = None
+    count = 0
     while count < samples:
         k = min(rows, samples - count)
-        ys = np.ascontiguousarray(statistic(_draw(kind, gen, (k, m.shape[0])) @ m).T)
+        block = statistic(_draw(kind, gen, (k, m.shape[0])) @ m)
+        columns = block.reshape(k, -1)
         if shift is None:
-            shift = ys.mean(axis=-1, keepdims=True)
-        ys -= shift
-        chunk_mean = ys.mean(axis=-1, keepdims=True)
-        delta = chunk_mean - mean
+            shift, mean, m2 = (np.zeros((columns.shape[1], 1)) for _ in range(3))
         total = count + k
-        mean = mean + delta * k / total
-        ys -= chunk_mean
-        ys **= 2
-        m2 = m2 + (ys.sum(axis=-1, keepdims=True) + delta * delta * count * k / total)
+        group = max(1, _BLOCK_BYTES // (64 * k))
+        for lo in range(0, columns.shape[1], group):
+            cols = slice(lo, lo + group)
+            ys = np.ascontiguousarray(columns[:, cols].T)
+            if count == 0:
+                shift[cols] = ys.mean(axis=-1, keepdims=True)
+            ys -= shift[cols]
+            chunk_mean = ys.mean(axis=-1, keepdims=True)
+            delta = chunk_mean - mean[cols]
+            mean[cols] = mean[cols] + delta * k / total
+            ys -= chunk_mean
+            ys **= 2
+            m2[cols] = m2[cols] + (ys.sum(axis=-1, keepdims=True) + delta * delta * count * k / total)
         count = total
-    return (shift + mean)[..., 0], np.sqrt(m2 / (samples - 1) / samples)[..., 0]
+    shape = block.shape[1:]
+    return (shift + mean).reshape(shape), np.sqrt(m2 / (samples - 1) / samples).reshape(shape)
 
 
 def mc_norms(
@@ -376,10 +488,13 @@ class MomentModel:
         the rows share one draw stream (common random numbers), so each
         value has the law of :func:`mc_norm`'s but not its bits, and values
         of one call are correlated; a one-row call gives :func:`mc_norm`'s
-        bits.  Both routes reject non-finite rows with the same
-        :class:`ValidationError`.  The Bernoulli routes evaluate
-        :func:`bernoulli_norm_proxy` or :func:`bernoulli_norm_exact` row by
-        row.
+        bits.  The exact Bernoulli route at an even order up to
+        ``COSH_MAX_ORDER`` is one cosh-series pass over all rows; each row
+        gets the bits of :func:`bernoulli_norm_exact`.  At any other order it
+        evaluates :func:`bernoulli_norm_exact` row by row, and the proxy
+        route evaluates :func:`bernoulli_norm_proxy` row by row.  Every route
+        but the proxy rejects non-finite rows with the same
+        :class:`ValidationError`.
         """
         if self.kind is ModelKind.GAUSSIAN_EXACT:
             rows = _finite_rows(ts)
@@ -389,4 +504,11 @@ class MomentModel:
             return mc_norms(self.process, ts, p, self.samples, self.seed)[0]
         if self.kind is ModelKind.BERNOULLI_PROXY:
             return np.array([bernoulli_norm_proxy(Point(t), int(p)).value for t in ts], dtype=np.float64)
-        return np.array([bernoulli_norm_exact(Point(t), p) for t in ts], dtype=np.float64)
+        rows = _finite_rows(ts)
+        q = _check_moment_order(p)
+        if len(rows):  # an empty batch needs no oracle
+            _check_enumerable(rows.shape[1], EXACT_ENUMERATION_MAX_DIM)
+        scales = _l1_scales(rows)
+        if not _is_cosh_order(q):
+            return np.array([bernoulli_norm_exact(Point(t), p) for t in rows], dtype=np.float64)
+        return _cosh_norms(rows, scales, (q,))[:, 0]

@@ -177,8 +177,9 @@ def generate_functionals(norm: NormKind, dim: int, extra: int, seed: Seed) -> Fu
 def _coefficient_norm(coeffs: np.ndarray, ps) -> list[float]:
     """``||sum_i eps_i c_i||_p`` for the scalar coefficients ``c``, at every order in ``ps``.
 
-    Exact (one sign enumeration shared by all orders) up to the term-count
-    cap, the proxy order by order beyond it.
+    Exact up to the term-count cap (:func:`bernoulli_norms_exact`: the cosh
+    series for the even orders, one sign enumeration shared by the odd
+    ones), the proxy order by order beyond it.
     """
     point = Point(coeffs)
     if coeffs.size <= EXACT_ENUMERATION_MAX_DIM:

@@ -72,6 +72,26 @@ def test_moments_rejects_order_zero_with_the_proxy_message(tmp_path, capsys, ord
     assert not out.exists()
 
 
+def test_moments_rows_name_their_exact_route(tmp_path):
+    set_path = _gen(tmp_path)
+    doc = _report(tmp_path, ["moments", "--set", str(set_path), "--p", "1", "2", "3", "4", "1024", "1026"])
+    routes = {row["p"]: row["bernoulli_route"] for row in doc["results"]["rows"]}
+    assert routes == {1: "enumeration", 2: "cosh-series", 3: "enumeration", 4: "cosh-series",
+                      1024: "cosh-series", 1026: "enumeration"}
+    wide = _gen(tmp_path, "wide.set", dim=21, count=2)
+    doc = _report(tmp_path, ["moments", "--set", str(wide), "--p", "2"], "wide.json")
+    assert all("bernoulli_exact" not in row and "bernoulli_route" not in row for row in doc["results"]["rows"])
+
+
+def test_moments_on_an_overflowing_l1_norm_exits_2_without_a_report(tmp_path, capsys):
+    set_path = tmp_path / "huge.set"
+    save_set(FiniteSet(name="huge", points=[[1.0, 0.0], [1e308, 1e308]]), set_path)
+    out = tmp_path / "r.json"
+    assert _run(["moments", "--set", str(set_path), "--p", "1", "2", "3", "--out", str(out)]) == 2
+    assert "error: the l1 norm of row 0 overflows float64" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gamma_greedy_vs_exhaustive(tmp_path):
     set_path = _gen(tmp_path, count=4)
     greedy = _report(tmp_path, ["gamma", "--set", str(set_path)], "g.json")

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from procsup import moments, rng
-from procsup.core import FiniteSet, Point, ProcessKind, Seed
+from procsup.chaining import build_partition_greedy, chain_bound
+from procsup.core import FiniteSet, Point, ProcessKind, Seed, generate_set
 from procsup.errors import CapacityError, ParameterError, ValidationError
 from procsup.moments import (
     ModelKind,
     MomentModel,
     bernoulli_norm_exact,
     bernoulli_norm_proxy,
+    bernoulli_exact_route,
     bernoulli_norms_exact,
     ell1_part,
     gaussian_moment_constant,
@@ -136,6 +138,17 @@ def _one_order_reference(t, p):
     return scale * (total / (1 << (t.dim - 1))) ** (1.0 / q)
 
 
+def _assert_matches_reference(t, ps, got):
+    # Orders that enumeration serves keep its bits; the cosh series' even
+    # orders agree with it to 1e-12 relative.
+    for p, value in zip(ps, got):
+        want = _one_order_reference(t, p)
+        if moments.bernoulli_exact_route(p) == "enumeration":
+            assert value == want
+        else:
+            assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 magnitudes = st.sampled_from([0.0, -0.0, 1e-5, 3e-3, 0.7, 1.0, 2.0, 3.0, 41.5, 1e5])
 entries = st.one_of(
     st.integers(min_value=-4, max_value=4).map(float),  # ties and cancelling sums
@@ -154,7 +167,7 @@ def test_norms_equal_the_one_order_route_bit_for_bit(xs, ps, small_blocks):
         if small_blocks:
             mp.setattr(moments, "_BLOCK_BYTES", 64)  # eight sums per block
         got = bernoulli_norms_exact(t, ps)
-        assert got == [_one_order_reference(t, p) for p in ps]
+        _assert_matches_reference(t, ps, got)
         assert [bernoulli_norm_exact(t, p) for p in ps] == got
 
 
@@ -167,10 +180,104 @@ def test_norms_of_c_and_minus_c_are_equal_bit_for_bit(xs, ps):
 def test_norms_exact_at_twenty_terms_and_for_no_orders():
     t = Point(rng.standard_normal(rng.stream(7, "twenty"), 20))
     ps = (1, 2, 3, 8, 2, 1.5)
-    assert bernoulli_norms_exact(t, ps) == [_one_order_reference(t, p) for p in ps]
+    _assert_matches_reference(t, ps, bernoulli_norms_exact(t, ps))
     assert bernoulli_norms_exact(t, ()) == []
     assert bernoulli_norms_exact(Point((0.0, -0.0)), (1, 3)) == [0.0, 0.0]
 
+
+
+# --- even orders by the cosh series ---
+
+even_orders = st.sampled_from([2, 4, 6, 8, 10, 16, 32, 64, 100, 128, 256, 512, 1000, 1024, 2.0, 8.0])
+
+
+def test_exact_route_is_the_cosh_series_for_even_integer_orders_up_to_1024():
+    assert [bernoulli_exact_route(p) for p in (2, 4.0, 32, 1000, 1024)] == ["cosh-series"] * 5
+    assert [bernoulli_exact_route(p) for p in (1, 3, 2.5, 7.25, 1026, 2048)] == ["enumeration"] * 6
+    assert moments.COSH_MAX_ORDER == 1024
+    with pytest.raises(ParameterError, match="moment order"):
+        bernoulli_exact_route(0.5)
+
+
+@given(st.lists(entries, min_size=1, max_size=14), st.lists(even_orders, min_size=1, max_size=6))
+def test_cosh_series_equals_enumeration_to_1e_12(xs, ps):
+    t = Point(np.array(xs))
+    got = bernoulli_norms_exact(t, ps)
+    for p, value in zip(ps, got):
+        assert value == pytest.approx(_one_order_reference(t, p), rel=1e-12, abs=0.0)
+
+
+def test_cosh_series_equals_enumeration_at_twenty_terms_up_to_order_1024():
+    t = Point(rng.standard_normal(rng.stream(8, "cosh-twenty"), 20))
+    ps = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+    for p, value in zip(ps, bernoulli_norms_exact(t, ps)):
+        assert value == pytest.approx(_one_order_reference(t, p), rel=1e-12, abs=0.0)
+
+
+matrices = st.integers(min_value=1, max_value=14).flatmap(
+    lambda d: st.lists(st.lists(entries, min_size=d, max_size=d), min_size=1, max_size=6)
+).map(np.array)
+
+
+@given(matrices, even_orders)
+def test_cosh_batch_rows_equal_one_row_calls_bit_for_bit(m, p):
+    model = MomentModel.bernoulli_exact()
+    batch = model.norms(m, p)
+    for row, value in zip(m, batch):
+        one = model.norms(row[None, :], p)
+        assert one.tobytes() == np.float64(value).tobytes()
+        assert bernoulli_norms_exact(Point(row), (p,)) == [value]
+        assert model.norm(Point(row), p) == value
+        # an order's value does not depend on the orders that share its call
+        assert bernoulli_norms_exact(Point(row), (1024, p, 2))[1] == value
+
+
+def test_cosh_series_edge_rows():
+    model = MomentModel.bernoulli_exact()
+    assert model.norms(np.zeros((0, 3)), 4).shape == (0,)
+    assert model.norms(np.array([[0.0, -0.0], [3.0, 4.0]]), 2).tolist() == [0.0, pytest.approx(5.0, rel=1e-15)]
+    assert bernoulli_norms_exact(Point((-2.5,)), (2, 1024)) == [2.5, 2.5]
+    with pytest.raises(CapacityError):
+        model.norms(np.ones((2, 21)), 2)
+    with pytest.raises(ValidationError, match="^increment rows must be finite$"):
+        model.norms(np.array([[1.0, np.nan]]), 2)
+
+
+def _count_passes(monkeypatch):
+    passes = []
+    enumerate_signs = moments.signed_row_sums
+
+    def counting(m):
+        passes.append(m.shape)
+        return enumerate_signs(m)
+
+    monkeypatch.setattr(moments, "signed_row_sums", counting)
+    return passes
+
+
+def test_even_orders_make_no_enumeration_pass(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    ts = generate_set("random_sphere", 20, 24, Seed(3))
+    bound = chain_bound(ts, build_partition_greedy(ts), MomentModel.bernoulli_exact())
+    assert bound.tree.depth >= 2 and passes == []
+    t = ts.points[0]
+    bernoulli_norms_exact(t, (2, 4, 8))
+    assert passes == []
+    bernoulli_norms_exact(t, (1, 2, 3))
+    assert passes == [(20, 1)]
+
+
+@pytest.mark.parametrize("ps", [(1, 2, 3), (2,), (3,), ()])
+def test_exact_norms_reject_an_overflowing_l1_norm(ps):
+    with pytest.raises(ParameterError, match="^the l1 norm of row 0 overflows float64$"):
+        bernoulli_norms_exact(Point((1e308, 1e308)), ps)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_exact_model_rejects_an_overflowing_l1_norm(p):
+    rows = np.array([[1.0, 2.0], [1e308, -1e308]])
+    with pytest.raises(ParameterError, match="^the l1 norm of row 1 overflows float64$"):
+        MomentModel.bernoulli_exact().norms(rows, p)
 
 # --- the proxy and its decomposition ---
 
