@@ -39,11 +39,11 @@ from .decomposition import decompose_by_sweep, verify_two_sided
 from .errors import ParameterError, ProcsupError
 from .moments import (
     MomentModel,
+    bernoulli_exact_norms,
     bernoulli_exact_route,
-    bernoulli_norm_proxy,
-    bernoulli_norms_exact,
     check_proxy_order,
-    gaussian_norm_exact,
+    gaussian_norms,
+    proxy_norms,
 )
 from .oleszkiewicz import (
     NormKind,
@@ -108,25 +108,27 @@ def cmd_moments(args: argparse.Namespace) -> int:
     """Per-point moment decompositions, with the sandwich asserted when exact."""
     ts = load_set(args.set)
     enumerable = ts.dim <= EXACT_ENUMERATION_MAX_DIM
-    rows = []
-    violations = 0
     for p in args.p:  # the proxy's order check, before any norm is computed
         check_proxy_order(p)
-    for i, t in enumerate(ts.points):
-        # the exact norms first: an overflowing l1 norm fails before the proxy overflows
-        exacts = bernoulli_norms_exact(t, args.p) if enumerable else [None] * len(args.p)
-        decs = [bernoulli_norm_proxy(t, p) for p in args.p]
-        for p, dec, exact in zip(args.p, decs, exacts):
+    # the exact norms first: an overflowing l1 norm fails before the proxy's checks
+    exacts = bernoulli_exact_norms(ts.matrix, args.p).tolist() if enumerable else [[None] * len(args.p)] * len(ts)
+    proxies = [[part.tolist() for part in proxy_norms(ts.matrix, p)] for p in args.p]
+    gaussians = [gaussian_norms(ts.matrix, p).tolist() for p in args.p]
+    rows = []
+    violations = 0
+    for i, point_exacts in enumerate(exacts):
+        for c, (p, exact) in enumerate(zip(args.p, point_exacts)):
+            ell1, tail, proxy = (part[i] for part in proxies[c])
             row = {
                 "point": i,
                 "p": p,
-                "ell1_part": dec.ell1,
-                "tail_l2": dec.tail,
-                "proxy": dec.value,
-                "gaussian_exact": gaussian_norm_exact(t, p),
+                "ell1_part": ell1,
+                "tail_l2": tail,
+                "proxy": proxy,
+                "gaussian_exact": gaussians[c][i],
             }
             if exact is not None:
-                ratio = safe_ratio(dec.value, exact)
+                ratio = safe_ratio(proxy, exact)
                 row["bernoulli_exact"] = exact
                 row["bernoulli_route"] = bernoulli_exact_route(p)
                 row["sandwich_ratio"] = ratio

@@ -2,30 +2,33 @@
 
 For a coefficient vector ``t`` the Bernoulli variable ``B_t = sum_i eps_i t_i``
 (independent uniform signs) and the Gaussian variable ``G_t = sum_i g_i t_i``
-have p-th moment norms ``||B_t||_p`` and ``||G_t||_p`` that this module
-computes three ways:
+have p-th moment norms ``||B_t||_p`` and ``||G_t||_p``.  This module has one
+route per way of computing them, and each takes a whole ``(k, d)`` matrix
+of rows:
 
-* a closed-form *proxy* for the Bernoulli norm, splitting ``t`` into its
-  ``p`` largest coordinates (an l1 contribution) plus the l2 tail weighted
-  by ``sqrt(p)``; the proxy sandwiches the true norm within a factor 4,
-* *exact* values — for Bernoulli (dimension-capped) the cosh series at even
-  integer orders ``2 <= p <= COSH_MAX_ORDER`` and sign enumeration at every
-  other order, the Gamma-function formula for Gaussian,
-* a seeded Monte Carlo estimate with a delta-method standard error.
+* :func:`proxy_norms`, a closed-form *proxy* for the Bernoulli norm: the
+  ``p`` largest magnitudes of each row (an l1 head, one ``np.partition``)
+  plus ``sqrt(p)`` times the l2 norm of the rest; within a factor 4,
+* :func:`bernoulli_exact_norms` (dimension-capped): the cosh series at even
+  integer orders ``2 <= p <= COSH_MAX_ORDER``, sign enumeration at others,
+* :func:`gaussian_norms`, the Gamma-function formula (one ``vecdot``),
+* :func:`mc_norms`, seeded Monte Carlo with delta-method standard errors.
+
+Every route rejects a non-finite row with one :class:`ValidationError`, and
+an l1 or l2 norm that overflows float64 with a :class:`ParameterError`
+naming the row.  The one-vector functions (:func:`ell1_part`,
+:func:`tail_l2`, :func:`bernoulli_norm_proxy`, :func:`bernoulli_norms_exact`,
+:func:`gaussian_norm_exact`, :func:`mc_norm`) are one-row calls of these.
 
 The cosh series rests on ``E B_t^p = p! [lambda^p] prod_i cosh(lambda t_i)``
 for even p: a sum of nonnegative terms, so nothing cancels, that costs
-``O(d p^2)`` per vector instead of ``2^(d-1)`` sign patterns, and that runs
-for a whole matrix of vectors at once.
+``O(d p^2)`` per vector instead of ``2^(d-1)`` sign patterns.
 
-The :class:`MomentModel` wrapper lets downstream code (chaining bounds,
-decompositions) pick any of these routes through one ``norm(t, p)`` call,
-or one ``norms(rows, p)`` call for a batch.  A Monte Carlo batch, such as
-one level of a chain bound, is estimated by :func:`mc_norms` against one
-shared draw stream keyed by the whole batch: common random numbers.  Each
-estimate keeps its law, but the estimates of one batch are correlated; a
-one-row batch is :func:`mc_norm` bit for bit.  An exact Bernoulli batch at
-an even order is one cosh-series pass over all its rows.
+:class:`MomentModel` lets downstream code (chaining bounds, decompositions)
+pick a route through one ``norms(rows, p)`` call, which gives each row the
+bits of its one-row call, except under Monte Carlo: a Monte Carlo batch,
+such as one level of a chain bound, shares one draw stream keyed by the
+whole batch (common random numbers), so its estimates are correlated.
 
 Every enumerated oracle and Monte Carlo estimate in the package reduces
 ``sum_i xi_i m_i`` over the rows of a coefficient matrix ``m``; the two
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -66,6 +68,30 @@ def rearrange(t: Point) -> Point:
     return Point(a[order])
 
 
+def _finite_rows(ts) -> np.ndarray:
+    """``ts`` as a C-ordered ``(k, d)`` float matrix; every entry must be finite."""
+    rows = np.ascontiguousarray(ts, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise ValidationError(f"increment rows must form a (k, d) matrix with d >= 1, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise ValidationError("increment rows must be finite")
+    return rows
+
+
+def _norms(a: np.ndarray, order: int) -> np.ndarray:
+    """The l1 (``order`` 1) or l2 (``order`` 2) norm of every row of the finite matrix ``a``.
+
+    A norm that overflows float64 is a :class:`ParameterError` naming the
+    first such row: reported, or divided by, it would give inf, NaN or 0.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.abs(a).sum(axis=1) if order == 1 else np.sqrt(np.vecdot(a, a))
+    if not np.isfinite(norms).all():
+        k = int(np.isinf(norms).argmax())
+        raise ParameterError(f"the l{order} norm of row {k} overflows float64")
+    return norms
+
+
 def _check_trim_count(p: int) -> int:
     if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
         raise ParameterError(f"p must be an integer, got {p!r}")
@@ -74,27 +100,26 @@ def _check_trim_count(p: int) -> int:
     return int(p)
 
 
+def _trimmed(rows, p) -> tuple[np.ndarray, int]:
+    """``|rows|``, each row's ``p`` largest magnitudes moved to its columns ``cut:``, and ``cut``."""
+    p = _check_trim_count(p)
+    a = np.abs(_finite_rows(rows))
+    cut = max(a.shape[1] - p, 0)
+    if 0 < cut < a.shape[1]:
+        a = np.partition(a, cut, axis=1)
+    return a, cut
+
+
 def ell1_part(t: Point, p: int) -> float:
     """Sum of the ``p`` largest absolute coordinates (all of them if p >= dim)."""
-    p = _check_trim_count(p)
-    if p == 0:
-        return 0.0
-    a = np.abs(t.array)
-    if p >= a.size:
-        return float(a.sum())
-    return float(np.partition(a, a.size - p)[a.size - p :].sum())
+    a, cut = _trimmed(t.array[None, :], p)
+    return float(_norms(a[:, cut:], 1)[0])
 
 
 def tail_l2(t: Point, p: int) -> float:
     """l2 norm of what remains after deleting the ``p`` largest absolute coordinates."""
-    p = _check_trim_count(p)
-    a = np.abs(t.array)
-    if p == 0:
-        return float(np.linalg.norm(a))
-    if p >= a.size:
-        return 0.0
-    rest = np.partition(a, a.size - p)[: a.size - p]
-    return float(np.linalg.norm(rest))
+    a, cut = _trimmed(t.array[None, :], p)
+    return float(_norms(a[:, :cut], 2)[0])
 
 
 @dataclass(frozen=True)
@@ -115,15 +140,23 @@ def check_proxy_order(p) -> int:
     return p
 
 
-def bernoulli_norm_proxy(t: Point, p: int) -> MomentDecomposition:
-    """Closed-form stand-in for ``||B_t||_p``: l1 head plus sqrt(p) times l2 tail.
+def proxy_norms(rows, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Bernoulli proxy of every row of the ``(k, d)`` matrix ``rows``: l1 heads, l2 tails and values.
 
-    Sandwich guarantee: ``||B_t||_p <= value <= 4 ||B_t||_p`` for integer p >= 1.
+    A row's value is its head (the sum of its ``p`` largest magnitudes) plus
+    ``sqrt(p)`` times its tail (the l2 norm of the rest).  Sandwich
+    guarantee: ``||B_t||_p <= value <= 4 ||B_t||_p`` for integer p >= 1.
     """
     p = check_proxy_order(p)
-    head = ell1_part(t, p)
-    tail = tail_l2(t, p)
-    return MomentDecomposition(p=p, ell1=head, tail=tail, value=head + math.sqrt(p) * tail)
+    a, cut = _trimmed(rows, p)
+    head, tail = _norms(a[:, cut:], 1), _norms(a[:, :cut], 2)
+    return head, tail, head + math.sqrt(p) * tail
+
+
+def bernoulli_norm_proxy(t: Point, p: int) -> MomentDecomposition:
+    """Closed-form stand-in for ``||B_t||_p``: the one-row case of :func:`proxy_norms`."""
+    head, tail, value = (float(x[0]) for x in proxy_norms(t.array[None, :], p))
+    return MomentDecomposition(p=int(p), ell1=head, tail=tail, value=value)
 
 
 def _check_moment_order(p) -> float:
@@ -143,9 +176,14 @@ def gaussian_moment_constant(p) -> float:
     return math.sqrt(2.0) * math.exp((math.lgamma((q + 1.0) / 2.0) - math.lgamma(0.5)) / q)
 
 
+def gaussian_norms(rows, p) -> np.ndarray:
+    """``||G_t||_p`` for every row ``t`` of ``rows``: its l2 norm times :func:`gaussian_moment_constant`."""
+    return gaussian_moment_constant(p) * _norms(_finite_rows(rows), 2)
+
+
 def gaussian_norm_exact(t: Point, p) -> float:
-    """``||G_t||_p``, which is the l2 norm of t times :func:`gaussian_moment_constant`."""
-    return float(np.linalg.norm(t.array)) * gaussian_moment_constant(p)
+    """``||G_t||_p``: the one-row case of :func:`gaussian_norms`."""
+    return float(gaussian_norms(t.array[None, :], p)[0])
 
 
 def signed_row_sums(m: np.ndarray) -> Iterator[np.ndarray]:
@@ -183,21 +221,6 @@ def _is_cosh_order(q: float) -> bool:
 def bernoulli_exact_route(p) -> str:
     """The route of an exact Bernoulli norm of order ``p``: ``"cosh-series"`` or ``"enumeration"``."""
     return "cosh-series" if _is_cosh_order(_check_moment_order(p)) else "enumeration"
-
-
-def _check_enumerable(dim: int, d_max: int) -> None:
-    if dim > d_max:
-        raise CapacityError(f"exact Bernoulli norm needs dim <= {d_max}, got {dim}")
-
-
-def _l1_scales(rows: np.ndarray) -> np.ndarray:
-    """The l1 norm of every row of the finite ``(k, d)`` matrix; an overflowing one is a :class:`ParameterError`."""
-    with np.errstate(over="ignore"):
-        scales = np.abs(rows).sum(axis=1)
-    if not np.isfinite(scales).all():  # dividing by inf would give NaN norms
-        k = int(np.isinf(scales).argmax())
-        raise ParameterError(f"the l1 norm of row {k} overflows float64")
-    return scales
 
 
 @functools.lru_cache(maxsize=16)
@@ -244,60 +267,53 @@ def _cosh_norms(rows: np.ndarray, scales: np.ndarray, qs) -> np.ndarray:
     return norms
 
 
-def bernoulli_norms_exact(t: Point, ps, d_max: int = EXACT_ENUMERATION_MAX_DIM) -> list[float]:
-    """``||B_t||_p`` for every order in ``ps``.
+def bernoulli_exact_norms(rows, ps) -> np.ndarray:
+    """``||B_t||_p`` for every row ``t`` of the ``(k, d)`` matrix ``rows`` at every order in ``ps``.
 
-    Only available for dim <= ``d_max``; any real p >= 1.  Even integer
-    orders up to ``COSH_MAX_ORDER`` come from one cosh-series pass
-    (``O(dim p^2)``, exact up to rounding).  Every other order comes from
-    one enumeration of the ``2^(dim-1)`` sign patterns, run only when such
-    an order is asked for: the patterns do not depend on p, so every block
-    of sign sums is scaled once and raised to each order in turn, and each
-    order's value is the same, bit for bit, as a pass of its own would give.
-    An l1 norm of ``t`` that overflows float64 is a :class:`ParameterError`.
+    The result has shape ``(k, len(ps))``.  Only available for d <=
+    ``EXACT_ENUMERATION_MAX_DIM`` (an empty batch needs no oracle); any real
+    p >= 1.  Even integer orders up to ``COSH_MAX_ORDER`` come from one
+    cosh-series pass over all rows (``O(d p^2)`` per row, exact up to
+    rounding).  Every other order comes from one enumeration of each
+    nonzero row's ``2^(d-1)`` sign patterns, run only when such an order is
+    asked for.  A value depends on neither the other rows nor the other
+    orders of the call.  An l1 norm that overflows float64 is a
+    :class:`ParameterError`.
     """
+    rows = _finite_rows(rows)
     qs = [_check_moment_order(p) for p in ps]
-    _check_enumerable(t.dim, d_max)
-    row = t.array[None, :]
-    scales = _l1_scales(row)
-    norms = [0.0] * len(qs)
-    even = [i for i, q in enumerate(qs) if _is_cosh_order(q)]
+    k, d = rows.shape
+    if k and d > EXACT_ENUMERATION_MAX_DIM:
+        raise CapacityError(f"exact Bernoulli norm needs dim <= {EXACT_ENUMERATION_MAX_DIM}, got {d}")
+    scales = _norms(rows, 1)
+    norms = np.zeros((k, len(qs)))
+    even = [c for c, q in enumerate(qs) if _is_cosh_order(q)]
     if even:
-        for i, value in zip(even, _cosh_norms(row, scales, [qs[i] for i in even])[0].tolist()):
-            norms[i] = value
-    rest = [i for i, q in enumerate(qs) if not _is_cosh_order(q)]
-    scale = float(scales[0])  # the largest |sum|, so no power overflows
-    if not rest or scale == 0.0:
-        return norms
-    parts: list[list[float]] = [[] for _ in rest]
-    for s in signed_row_sums(t.array[:, None]):
-        a = np.abs(s) / scale
-        for part, i in zip(parts, rest):
-            part.append(float((a ** qs[i]).sum()))
-    patterns = 1 << (t.dim - 1)
-    for part, i in zip(parts, rest):
-        norms[i] = scale * (sum(part) / patterns) ** (1.0 / qs[i])
+        norms[:, even] = _cosh_norms(rows, scales, [qs[c] for c in even])
+    rest = [c for c, q in enumerate(qs) if not _is_cosh_order(q)]
+    for i in np.flatnonzero(scales) if rest else ():
+        # The patterns do not depend on the order, so each block of sign sums
+        # is scaled once and raised to each order in turn: the bits of a pass
+        # per order.
+        scale = float(scales[i])  # the largest |sum|, so no power overflows
+        parts: list[list[float]] = [[] for _ in rest]
+        for s in signed_row_sums(rows[i, :, None]):
+            a = np.abs(s) / scale
+            for part, c in zip(parts, rest):
+                part.append(float((a ** qs[c]).sum()))
+        for part, c in zip(parts, rest):
+            norms[i, c] = scale * (sum(part) / (1 << (d - 1))) ** (1.0 / qs[c])
     return norms
 
 
-def bernoulli_norm_exact(t: Point, p, d_max: int = EXACT_ENUMERATION_MAX_DIM) -> float:
+def bernoulli_norms_exact(t: Point, ps) -> list[float]:
+    """``||B_t||_p`` for every order in ``ps``: the one-row case of :func:`bernoulli_exact_norms`."""
+    return bernoulli_exact_norms(t.array[None, :], ps)[0].tolist()
+
+
+def bernoulli_norm_exact(t: Point, p) -> float:
     """``||B_t||_p``, exactly: :func:`bernoulli_norms_exact` for one order."""
-    return bernoulli_norms_exact(t, (p,), d_max)[0]
-
-
-def _content_label(prefix: str, kind: ProcessKind, m: np.ndarray, p: float) -> str:
-    digest = hashlib.sha256(m.tobytes() + f"|{kind.value}|{p!r}".encode()).hexdigest()
-    return f"{prefix}:{digest}"
-
-
-def _finite_rows(ts) -> np.ndarray:
-    """``ts`` as a C-ordered ``(k, d)`` float matrix; every entry must be finite."""
-    rows = np.ascontiguousarray(ts, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] == 0:
-        raise ValidationError(f"increment rows must form a (k, d) matrix with d >= 1, got shape {rows.shape}")
-    if not np.isfinite(rows).all():
-        raise ValidationError("increment rows must be finite")
-    return rows
+    return bernoulli_norms_exact(t, (p,))[0]
 
 
 def _draw(kind: ProcessKind, gen: np.random.Generator, size) -> np.ndarray:
@@ -376,16 +392,12 @@ def mc_norms(
     if samples < 2:
         raise ParameterError(f"Monte Carlo norms need samples >= 2, got {samples}")
     rows = _finite_rows(rows)
-    with np.errstate(over="ignore"):
-        scales = np.sqrt(np.vecdot(rows, rows))
-    if not np.isfinite(scales).all():  # dividing by inf would estimate every norm as 0
-        k = int(np.isinf(scales).argmax())
-        raise ParameterError(f"the l2 norm of row {k} overflows float64")
+    scales = _norms(rows, 2)
     estimates, stderrs = np.zeros(len(rows)), np.zeros(len(rows))
     live = np.flatnonzero(scales > 0.0)
     if live.size == 0:
         return estimates, stderrs
-    gen = rng.stream(seed.value, _content_label("mc-norm", kind, rows, q))
+    gen = rng.content_stream(seed.value, "mc-norm", rows, f"|{kind.value}|{q!r}")
     m = (rows[live] / scales[live, None]).T
 
     def statistic(ys: np.ndarray) -> np.ndarray:
@@ -480,35 +492,17 @@ class MomentModel:
         return float(self.norms(t.array[None, :], p)[0])
 
     def norms(self, ts: np.ndarray, p) -> np.ndarray:
-        """``||X_t||_p`` for every row ``t`` of the ``(k, d)`` array ``ts``.
+        """``||X_t||_p`` for every row ``t`` of the ``(k, d)`` array ``ts``: one call of this model's route.
 
-        The Gaussian route is one ``vecdot``, which rounds each row like the
-        1-D dot product behind :func:`gaussian_norm_exact`, so it matches it
-        bit for bit.  The Monte Carlo route is one :func:`mc_norms` call:
-        the rows share one draw stream (common random numbers), so each
-        value has the law of :func:`mc_norm`'s but not its bits, and values
-        of one call are correlated; a one-row call gives :func:`mc_norm`'s
-        bits.  The exact Bernoulli route at an even order up to
-        ``COSH_MAX_ORDER`` is one cosh-series pass over all rows; each row
-        gets the bits of :func:`bernoulli_norm_exact`.  At any other order it
-        evaluates :func:`bernoulli_norm_exact` row by row, and the proxy
-        route evaluates :func:`bernoulli_norm_proxy` row by row.  Every route
-        but the proxy rejects non-finite rows with the same
-        :class:`ValidationError`.
+        Each row gets the bits of its one-row call (the proxy's at order
+        ``int(p)``), except under Monte Carlo: there the rows share one
+        :func:`mc_norms` stream, so their estimates are correlated.
         """
-        if self.kind is ModelKind.GAUSSIAN_EXACT:
-            rows = _finite_rows(ts)
-            return np.sqrt(np.vecdot(rows, rows)) * gaussian_moment_constant(p)
-        if self.kind is ModelKind.MONTE_CARLO:
-            assert self.process is not None and self.seed is not None
-            return mc_norms(self.process, ts, p, self.samples, self.seed)[0]
         if self.kind is ModelKind.BERNOULLI_PROXY:
-            return np.array([bernoulli_norm_proxy(Point(t), int(p)).value for t in ts], dtype=np.float64)
-        rows = _finite_rows(ts)
-        q = _check_moment_order(p)
-        if len(rows):  # an empty batch needs no oracle
-            _check_enumerable(rows.shape[1], EXACT_ENUMERATION_MAX_DIM)
-        scales = _l1_scales(rows)
-        if not _is_cosh_order(q):
-            return np.array([bernoulli_norm_exact(Point(t), p) for t in rows], dtype=np.float64)
-        return _cosh_norms(rows, scales, (q,))[:, 0]
+            return proxy_norms(ts, int(p))[2]
+        if self.kind is ModelKind.BERNOULLI_EXACT:
+            return bernoulli_exact_norms(ts, (p,))[:, 0]
+        if self.kind is ModelKind.GAUSSIAN_EXACT:
+            return gaussian_norms(ts, p)
+        assert self.process is not None and self.seed is not None
+        return mc_norms(self.process, ts, p, self.samples, self.seed)[0]

@@ -21,7 +21,6 @@ for the euclidean norm they are uniform points of the unit sphere.
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,12 +39,13 @@ from .core import (
     ProcessKind,
     Seed,
     content_digest,
+    distinct_rows,
     point_matrix,
     read_points_file,
 )
 from .errors import ParameterError, ParseError, ValidationError
 from .contraction import ContractionReport, MappedPair, fit_min_C
-from .moments import bernoulli_norm_proxy, bernoulli_norms_exact, mc_mean, signed_row_sums
+from .moments import bernoulli_exact_norms, mc_mean, proxy_norms, signed_row_sums
 from .reports import ComparisonReport, dumps, safe_ratio
 
 _DUAL_SLACK = 1e-12
@@ -174,27 +174,6 @@ def generate_functionals(norm: NormKind, dim: int, extra: int, seed: Seed) -> Fu
     return FunctionalSample(functionals=tuple(map(Point, rows)), norm=norm, seed=seed)
 
 
-def _coefficient_norm(coeffs: np.ndarray, ps) -> list[float]:
-    """``||sum_i eps_i c_i||_p`` for the scalar coefficients ``c``, at every order in ``ps``.
-
-    Exact up to the term-count cap (:func:`bernoulli_norms_exact`: the cosh
-    series for the even orders, one sign enumeration shared by the odd
-    ones), the proxy order by order beyond it.
-    """
-    point = Point(coeffs)
-    if coeffs.size <= EXACT_ENUMERATION_MAX_DIM:
-        return bernoulli_norms_exact(point, ps)
-    return [bernoulli_norm_proxy(point, p).value for p in ps]
-
-
-def _sign_canonical(coeffs: np.ndarray) -> bytes:
-    """A key shared by ``c`` and ``-c``: the first nonzero made positive, ``-0.0`` folded."""
-    nonzero = np.flatnonzero(coeffs)
-    if nonzero.size and coeffs[nonzero[0]] < 0:
-        coeffs = -coeffs
-    return (coeffs + 0.0).tobytes()
-
-
 def _check_sysmatch(x_sys: VectorSystem, y_sys: VectorSystem, funcs: FunctionalSample) -> None:
     if x_sys.terms != y_sys.terms:
         raise ParameterError(f"systems have {x_sys.terms} vs {y_sys.terms} terms")
@@ -237,28 +216,29 @@ def weak_moment_constant(
     """max over functionals w and p <= p_max of ||<w,X>||_p / ||<w,Y>||_p.
 
     Pairs where both norms vanish are skipped (they impose no constraint);
-    a positive numerator over a zero denominator reports ``inf``.  Each
-    coefficient vector is evaluated at all orders in one call, once per
-    call of this function up to sign: ``c`` and ``-c`` have the same norms,
-    bit for bit, so the signed basis functionals ``+e_j`` and ``-e_j`` share one.
+    a positive numerator over a zero denominator reports ``inf``.  The
+    coefficient vectors ``<w, X>`` and ``<w, Y>`` of every functional are
+    stacked and deduplicated up to sign (``c`` and ``-c`` have the same
+    norms, bit for bit, so ``+e_j`` and ``-e_j`` share one), then evaluated
+    at all orders in one call: exactly up to the term-count cap
+    (:func:`bernoulli_exact_norms`), by the proxy beyond it.
     """
     _check_sysmatch(x_sys, y_sys, funcs)
     if p_max < 1:
         raise ParameterError(f"p_max must be >= 1, got {p_max}")
     orders = range(1, p_max + 1)
-    memo: dict[bytes, list[float]] = {}
-
-    def norms(coeffs: np.ndarray) -> list[float]:
-        key = _sign_canonical(coeffs)
-        if key not in memo:
-            memo[key] = _coefficient_norm(coeffs, orders)
-        return memo[key]
-
+    # rows 2k and 2k + 1 are <w_k, X> and <w_k, Y>; the dedup key makes each one's first nonzero positive
+    coeffs = np.stack([m @ w.array for w in funcs.functionals for m in (x_sys.matrix, y_sys.matrix)])
+    lead = coeffs[np.arange(len(coeffs)), (coeffs != 0.0).argmax(axis=1)]
+    first, slot = distinct_rows(np.where(lead[:, None] < 0.0, -coeffs, coeffs))
+    if x_sys.terms <= EXACT_ENUMERATION_MAX_DIM:
+        table = bernoulli_exact_norms(coeffs[first], orders)
+    else:
+        table = np.stack([proxy_norms(coeffs[first], p)[2] for p in orders], axis=1)
+    norms = table[slot].tolist()
     best = WeakMomentResult(0.0, -1, 0, 0.0, 0.0)
-    for k, w in enumerate(funcs.functionals):
-        nums = norms(x_sys.matrix @ w.array)
-        dens = norms(y_sys.matrix @ w.array)
-        for p, num, den in zip(orders, nums, dens):
+    for k in range(len(funcs)):
+        for p, num, den in zip(orders, norms[2 * k], norms[2 * k + 1]):
             if num == 0.0 and den == 0.0:
                 continue
             ratio = safe_ratio(num, den)
@@ -337,8 +317,7 @@ def _exact_strong_moment(system: VectorSystem) -> float:
 def _mc_strong_moment(system: VectorSystem, samples: int, seed: Seed) -> tuple[float, float]:
     if samples < 2:
         raise ParameterError(f"Monte Carlo needs samples >= 2, got {samples}")
-    digest = hashlib.sha256(system.matrix.tobytes() + system.norm.value.encode()).hexdigest()
-    gen = rng.stream(seed.value, f"strong-moment:{digest}")
+    gen = rng.content_stream(seed.value, "strong-moment", system.matrix, system.norm.value)
     mean, stderr = mc_mean(ProcessKind.BERNOULLI, gen, system.matrix, samples, system.norm_of)
     return float(mean), float(stderr)
 

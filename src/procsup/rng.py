@@ -32,6 +32,15 @@ def stream(seed: int, label: str, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def content_stream(seed: int, prefix: str, m: np.ndarray, tag: str) -> np.random.Generator:
+    """The stream labelled ``prefix:`` plus the SHA-256 hex digest of ``m``'s bytes and ``tag``.
+
+    Keyed by content, so a computation's draws depend only on its inputs.
+    """
+    digest = hashlib.sha256(m.tobytes() + tag.encode()).hexdigest()
+    return stream(seed, f"{prefix}:{digest}")
+
+
 def uniform_open(gen: np.random.Generator, size) -> np.ndarray:
     """Uniforms on the open interval (0, 1): (k + 0.5) / 2**53 for a 53-bit k."""
     high = gen.integers(0, 1 << 53, size=size, dtype=np.uint64)

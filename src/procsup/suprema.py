@@ -8,7 +8,6 @@ process kind.
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass
 
 from . import rng
@@ -62,8 +61,7 @@ def mc_sup(kind: ProcessKind, ts: FiniteSet, samples: int, seed: Seed) -> SupEst
     """
     if samples < 2:
         raise ParameterError(f"mc_sup needs samples >= 2, got {samples}")
-    digest = hashlib.sha256(ts.matrix.tobytes() + kind.value.encode()).hexdigest()
-    gen = rng.stream(seed.value, f"mc-sup:{digest}")
+    gen = rng.content_stream(seed.value, "mc-sup", ts.matrix, kind.value)
     mean, stderr = mc_mean(kind, gen, ts.matrix.T, samples, lambda ys: ys.max(axis=1))
     return SupEstimate(
         value=float(mean),

@@ -88,7 +88,17 @@ def test_moments_on_an_overflowing_l1_norm_exits_2_without_a_report(tmp_path, ca
     save_set(FiniteSet(name="huge", points=[[1.0, 0.0], [1e308, 1e308]]), set_path)
     out = tmp_path / "r.json"
     assert _run(["moments", "--set", str(set_path), "--p", "1", "2", "3", "--out", str(out)]) == 2
-    assert "error: the l1 norm of row 0 overflows float64" in capsys.readouterr().err
+    assert "error: the l1 norm of row 1 overflows float64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_moments_on_an_overflowing_l2_norm_exits_2_without_a_report(tmp_path, capsys):
+    # d = 21 skips the exact norms; the Gaussian norm of row 1 squares 1e200
+    set_path = tmp_path / "huge21.set"
+    save_set(FiniteSet(name="huge21", points=[[0.0] * 21, [1e200] + [0.0] * 20]), set_path)
+    out = tmp_path / "r.json"
+    assert _run(["moments", "--set", str(set_path), "--p", "1", "2", "--out", str(out)]) == 2
+    assert "error: the l2 norm of row 1 overflows float64" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -14,6 +14,7 @@ from procsup.errors import CapacityError, ParameterError, ValidationError
 from procsup.moments import (
     ModelKind,
     MomentModel,
+    bernoulli_exact_norms,
     bernoulli_norm_exact,
     bernoulli_norm_proxy,
     bernoulli_exact_route,
@@ -21,9 +22,11 @@ from procsup.moments import (
     ell1_part,
     gaussian_moment_constant,
     gaussian_norm_exact,
+    gaussian_norms,
     mc_mean,
     mc_norm,
     mc_norms,
+    proxy_norms,
     rearrange,
     signed_row_sums,
     tail_l2,
@@ -32,6 +35,13 @@ from procsup.oleszkiewicz import NormKind, VectorSystem, strong_moment_ratio
 from procsup.suprema import brute_force_bernoulli_sup
 
 from mc_reference import reference_mc_mean, reference_mc_norm
+from moments_reference import (
+    reference_bernoulli_norm_proxy,
+    reference_bernoulli_norms_exact,
+    reference_ell1_part,
+    reference_gaussian_norm_exact,
+    reference_tail_l2,
+)
 
 coords = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 vectors = st.lists(coords, min_size=1, max_size=9).map(lambda xs: Point(tuple(xs)))
@@ -540,6 +550,8 @@ def test_mc_norms_rejects_bad_arguments():
     MomentModel.gaussian_exact(),
     MomentModel.monte_carlo(ProcessKind.GAUSSIAN, 10, Seed(1)),
     MomentModel.monte_carlo(ProcessKind.BERNOULLI, 10, Seed(1)),
+    MomentModel.bernoulli_proxy(),
+    MomentModel.bernoulli_exact(),
 ])
 def test_norms_rejects_non_finite_rows_on_both_batched_routes(model, bad):
     rows = np.array([[1.0, 2.0], [bad, 0.0]])
@@ -552,3 +564,95 @@ def test_monte_carlo_norms_route_is_one_mc_norms_call():
     rows = rng.standard_normal(rng.stream(6, "route"), (5, 4))
     assert model.norms(rows, 4).tobytes() == mc_norms(ProcessKind.GAUSSIAN, rows, 4, 300, Seed(6))[0].tobytes()
     assert model.norms(rows[:1], 4)[0] == model.norm(Point(rows[0]), 4)
+
+
+# --- the row-matrix routes against the one-vector references ---
+
+
+@st.composite
+def _row_matrices(draw, max_dim):
+    """``(k, d)`` rows with ``1 <= d <= max_dim``: drawn entries, or rounded normals that tie."""
+    d = draw(st.integers(1, max_dim))
+    k = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        cells = st.one_of(entries, st.sampled_from([0.0, -0.0]))
+        return np.array(draw(st.lists(st.lists(cells, min_size=d, max_size=d), min_size=k, max_size=k)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-5, 5))
+    return np.round(gen.standard_normal((k, d)), draw(st.integers(0, 2))) * scale
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@given(_row_matrices(24), st.data())
+def test_proxy_rows_equal_the_one_vector_reference_bit_for_bit(m, data):
+    p = data.draw(st.integers(0, m.shape[1] + 2))
+    points = [Point(row) for row in m]
+    assert _bits([ell1_part(t, p) for t in points]) == _bits([reference_ell1_part(t, p) for t in points])
+    assert _bits([tail_l2(t, p) for t in points]) == _bits([reference_tail_l2(t, p) for t in points])
+    if p == 0:
+        return
+    want = [reference_bernoulli_norm_proxy(t, p) for t in points]
+    head, tail, value = proxy_norms(m, p)
+    assert head.tobytes() == _bits([w.ell1 for w in want])
+    assert tail.tobytes() == _bits([w.tail for w in want])
+    assert value.tobytes() == _bits([w.value for w in want])
+    assert MomentModel.bernoulli_proxy().norms(m, p).tobytes() == value.tobytes()
+    for t, w in zip(points, want):
+        got = bernoulli_norm_proxy(t, p)
+        assert got.p == w.p and _bits([got.ell1, got.tail, got.value]) == _bits([w.ell1, w.tail, w.value])
+
+
+@given(_row_matrices(24), st.one_of(st.integers(1, 12), st.floats(1.0, 12.0)))
+def test_gaussian_rows_equal_the_one_vector_reference_bit_for_bit(m, p):
+    want = _bits([reference_gaussian_norm_exact(Point(row), p) for row in m])
+    assert gaussian_norms(m, p).tobytes() == want
+    assert MomentModel.gaussian_exact().norms(m, p).tobytes() == want
+    assert _bits([gaussian_norm_exact(Point(row), p) for row in m]) == want
+
+
+@given(_row_matrices(14), order_lists, st.booleans())
+def test_exact_rows_equal_the_one_vector_reference_bit_for_bit(m, ps, small_blocks):
+    with pytest.MonkeyPatch.context() as mp:
+        if small_blocks:
+            mp.setattr(moments, "_BLOCK_BYTES", 64)  # eight sums per block
+        want = np.array([reference_bernoulli_norms_exact(Point(row), ps) for row in m]).reshape(len(m), len(ps))
+        got = bernoulli_exact_norms(m, ps)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for c, p in enumerate(ps):
+            assert MomentModel.bernoulli_exact().norms(m, p).tobytes() == want[:, c].tobytes()
+        assert _bits([bernoulli_norms_exact(Point(row), ps) for row in m]) == want.tobytes()
+
+
+def test_exact_rows_at_twenty_terms_and_over_the_cap():
+    m = rng.standard_normal(rng.stream(9, "exact-rows-twenty"), (2, 20))
+    ps = (1, 3, 2.5, 8)
+    want = np.array([reference_bernoulli_norms_exact(Point(row), ps) for row in m])
+    assert bernoulli_exact_norms(m, ps).tobytes() == want.tobytes()
+    for d in (21, 24):
+        with pytest.raises(CapacityError, match=f"^exact Bernoulli norm needs dim <= 20, got {d}$"):
+            bernoulli_exact_norms(np.ones((1, d)), ps)
+    assert bernoulli_exact_norms(np.ones((0, 24)), ps).shape == (0, 4)  # an empty batch needs no oracle
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gaussian_norm_exact(Point((1e200,)), 2), "l2 norm of row 0"),
+    (lambda: MomentModel.gaussian_exact().norms(np.array([[1.0, 0.0], [1e200, 0.0]]), 2), "l2 norm of row 1"),
+    (lambda: bernoulli_norm_proxy(Point((1e200, 1e200)), 1), "l2 norm of row 0"),
+    (lambda: bernoulli_norm_proxy(Point((1e308, 1e308)), 2), "l1 norm of row 0"),
+    (lambda: proxy_norms(np.array([[1.0, 2.0], [1e308, 1e308]]), 2), "l1 norm of row 1"),
+    (lambda: MomentModel.bernoulli_proxy().norms(np.array([[1.0, 2.0], [1e200, 1e200]]), 1), "l2 norm of row 1"),
+    (lambda: tail_l2(Point((1e200, 1.0)), 0), "l2 norm of row 0"),
+    (lambda: ell1_part(Point((1e308, 1e308)), 5), "l1 norm of row 0"),
+], ids=["gaussian", "gaussian-model", "proxy-tail", "proxy-head", "proxy-rows", "proxy-model", "tail", "head"])
+def test_proxy_and_gaussian_routes_reject_overflowing_norms(call, message):
+    with pytest.raises(ParameterError, match=f"^the {message} overflows float64$"):
+        call()
+
+
+def test_large_but_finite_norms_still_pass_the_overflow_check():
+    assert gaussian_norm_exact(Point((1e150, -1e150)), 2) == reference_gaussian_norm_exact(Point((1e150, -1e150)), 2)
+    dec = bernoulli_norm_proxy(Point((1e300, 1e150, 1.0)), 1)  # the head holds the huge coordinate
+    assert (dec.ell1, dec.tail) == (1e300, reference_tail_l2(Point((1e300, 1e150, 1.0)), 1))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -34,3 +36,12 @@ def test_standard_normal_moments():
     g = rng.standard_normal(rng.stream(2, "g"), 200_000)
     assert abs(g.mean()) < 0.01
     assert abs(g.std() - 1.0) < 0.01
+
+
+def test_content_streams_keep_the_labels_of_the_inline_digests():
+    # the labels that key the mc-norm, mc-sup and strong-moment streams
+    m = np.arange(6.0).reshape(2, 3)
+    for prefix, tag in (("mc-norm", "|gaussian|2.0"), ("mc-sup", "bernoulli"), ("strong-moment", "sup")):
+        label = f"{prefix}:{hashlib.sha256(m.tobytes() + tag.encode()).hexdigest()}"
+        want = rng.uniform_open(rng.stream(5, label), 8)
+        assert rng.uniform_open(rng.content_stream(5, prefix, m, tag), 8).tobytes() == want.tobytes()
