@@ -34,7 +34,11 @@ Every enumerated oracle and Monte Carlo estimate in the package reduces
 ``sum_i xi_i m_i`` over the rows of a coefficient matrix ``m``; the two
 shared engines for that live here: :func:`signed_row_sums` enumerates the
 sign patterns and :func:`mc_mean` draws ``xi`` and accumulates a mean and
-its standard error.  Both work in blocks of at most ``_BLOCK_BYTES``.
+its standard error.  Both work in blocks of at most ``_BLOCK_BYTES``.  A
+block of sign sums is laid out along its long axis: point-major when it
+holds many sign patterns per column, so a maximum over the columns is a
+pass of elementwise maxima over contiguous pattern vectors, and row-major
+otherwise or on request.  The layout moves no value.
 """
 
 from __future__ import annotations
@@ -54,6 +58,13 @@ from .errors import CapacityError, ParameterError, ValidationError
 
 #: Byte budget of one block of sign sums or Monte Carlo products.
 _BLOCK_BYTES = 8 << 20
+
+#: Sign patterns per column from which blocks of sign sums are laid out
+#: point-major.  numpy reduces many short rows slowly and a few long
+#: contiguous runs fast; below this many patterns per column (above about
+#: 360 columns at the default budget) the two layouts cost the same, and
+#: below 4 the transposed block costs more than the faster reduction saves.
+_POINT_MAJOR_PATTERNS = 8
 
 #: Largest even order the cosh series serves.  Its recurrence needs the
 #: binomials ``C(p, 2l)``, at most ``C(1024, 512) ~ 4.5e306`` here; the
@@ -78,17 +89,18 @@ def _finite_rows(ts) -> np.ndarray:
     return rows
 
 
-def _norms(a: np.ndarray, order: int) -> np.ndarray:
+def _norms(a: np.ndarray, order: int, row: str = "row") -> np.ndarray:
     """The l1 (``order`` 1) or l2 (``order`` 2) norm of every row of the finite matrix ``a``.
 
     A norm that overflows float64 is a :class:`ParameterError` naming the
-    first such row: reported, or divided by, it would give inf, NaN or 0.
+    first such row (called ``row`` in the message): reported, or divided
+    by, it would give inf, NaN or 0.
     """
     with np.errstate(over="ignore"):
         norms = np.abs(a).sum(axis=1) if order == 1 else np.sqrt(np.vecdot(a, a))
     if not np.isfinite(norms).all():
         k = int(np.isinf(norms).argmax())
-        raise ParameterError(f"the l{order} norm of row {k} overflows float64")
+        raise ParameterError(f"the l{order} norm of {row} {k} overflows float64")
     return norms
 
 
@@ -186,7 +198,7 @@ def gaussian_norm_exact(t: Point, p) -> float:
     return float(gaussian_norms(t.array[None, :], p)[0])
 
 
-def signed_row_sums(m: np.ndarray) -> Iterator[np.ndarray]:
+def signed_row_sums(m: np.ndarray, row_major: bool = False) -> Iterator[np.ndarray]:
     """Yield ``sum_i eps_i m_i`` for every sign pattern with ``eps_0 = +1``.
 
     ``m`` is a ``(k, n)`` coefficient matrix; the ``2^(k-1)`` sums come out
@@ -196,6 +208,19 @@ def signed_row_sums(m: np.ndarray) -> Iterator[np.ndarray]:
     for a run of their sign patterns.  Pinning the first sign is lossless
     for statistics invariant under a global flip; for a maximum use
     ``max(eps) + max(-eps) = max(eps) - min(eps)``.
+
+    Blocks are laid out along their long axis.  When the first (largest)
+    block holds at least ``_POINT_MAJOR_PATTERNS`` sign patterns per
+    column, every block is the transpose of a C-ordered ``(n, rows)``
+    array (point-major), so a reduction over axis 1 runs as elementwise
+    maxima or sums across contiguous pattern vectors; otherwise every
+    block is C-ordered (row-major), so each pattern's row is one
+    contiguous run.  The layout follows from the block shape alone and
+    moves no value: each entry is the same addition either way, and the
+    pattern partition does not depend on it.  A reduction whose bits
+    depend on the order it visits a row (numpy sums 8 or more columns of a
+    contiguous row pairwise, and across rows in sequence) passes
+    ``row_major=True`` to keep every block C-ordered.
     """
     k, n = m.shape
     rows = max(1, _BLOCK_BYTES // (8 * n))
@@ -206,11 +231,17 @@ def signed_row_sums(m: np.ndarray) -> Iterator[np.ndarray]:
     high_rows = k - low_rows
     shifts = np.arange(high_rows, dtype=np.uint64)
     step = max(1, rows // len(low))
+    point_major = not row_major and len(low) * min(step, 1 << high_rows) >= _POINT_MAJOR_PATTERNS * n
+    if point_major:
+        low = np.ascontiguousarray(low.T)
     for start in range(0, 1 << high_rows, step):
         codes = np.arange(start, min(start + step, 1 << high_rows), dtype=np.uint64)
         signs = 1.0 - 2.0 * ((codes[:, None] >> shifts) & 1).astype(np.float64)
         high = signs @ m[low_rows:]
-        yield (high[:, None, :] + low[None, :, :]).reshape(-1, n)
+        if point_major:
+            yield (np.ascontiguousarray(high.T)[:, :, None] + low[:, None, :]).reshape(n, -1).T
+        else:
+            yield (high[:, None, :] + low[None, :, :]).reshape(-1, n)
 
 
 def _is_cosh_order(q: float) -> bool:

@@ -45,7 +45,7 @@ from .core import (
 )
 from .errors import ParameterError, ParseError, ValidationError
 from .contraction import ContractionReport, MappedPair, fit_min_C
-from .moments import bernoulli_exact_norms, mc_mean, proxy_norms, signed_row_sums
+from .moments import _norms, bernoulli_exact_norms, mc_mean, proxy_norms, signed_row_sums
 from .reports import ComparisonReport, dumps, safe_ratio
 
 _DUAL_SLACK = 1e-12
@@ -310,8 +310,23 @@ def check_weak_contraction(
 
 
 def _exact_strong_moment(system: VectorSystem) -> float:
-    sums = signed_row_sums(system.matrix)  # eps_0 = +1; the norm is even
-    return sum(float(system.norm_of(s).sum()) for s in sums) / (1 << (system.terms - 1))
+    """``E ||sum_i eps_i x_i||`` over the sign patterns with ``eps_0 = +1`` (the norm is even).
+
+    A maximum is exact in any order, so the sup norm takes the blocks in
+    the layout their shape picks; numpy sums a row of squares pairwise only
+    when the row is contiguous, so the euclidean norm takes them row-major.
+    Coordinate j of every sum is at most the l1 norm of the vectors' j-th
+    coordinates, so a coordinate whose l1 norm overflows float64 fails
+    before the enumeration; a total that still overflows (for the
+    euclidean norm, a squared coordinate) fails after it.
+    """
+    _norms(system.matrix.T, 1, "coordinate")
+    sums = signed_row_sums(system.matrix, row_major=system.norm is NormKind.EUCLIDEAN)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(float(system.norm_of(s).sum()) for s in sums)
+    if not math.isfinite(total):
+        raise ParameterError(f"the {system.norm.value} norms of the sign sums of system {system.name!r} overflow float64")
+    return total / (1 << (system.terms - 1))
 
 
 def _mc_strong_moment(system: VectorSystem, samples: int, seed: Seed) -> tuple[float, float]:

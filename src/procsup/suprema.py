@@ -2,18 +2,32 @@
 
 ``S(T) = E sup_{t in T} X_t`` is computed either exactly (Bernoulli case,
 by enumerating all 2^d sign patterns) or by seeded Monte Carlo for either
-process kind.
+process kind.  The enumeration reduces each block of sign sums along its
+long axis: when a block holds many sign patterns per point, as elementwise
+maxima and minima across contiguous pattern vectors, and otherwise row by
+row.  Either way every pattern's span ``max - min`` and every block's sum
+of spans is the same, so the value keeps its bits.
+
+A set whose sums can leave float64 fails with a :class:`ParameterError`
+naming a point, before any pattern is enumerated or any draw is made: a
+point whose l1 norm (the largest ``|<eps, t>|``) overflows for the exact
+supremum, or whose l2 norm overflows for Monte Carlo.  A total that still
+overflows (``2^(d-1)`` spans of up to ``2 max ||t||_1``, or a Monte Carlo
+variance) fails the same way once it is reached.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import rng
 from .core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, ProcessKind, Seed
 from .errors import CapacityError, ParameterError, ValidationError
-from .moments import mc_mean, signed_row_sums
+from .moments import _norms, mc_mean, signed_row_sums
 
 
 class EstimateMethod(enum.Enum):
@@ -42,12 +56,19 @@ def brute_force_bernoulli_sup(ts: FiniteSet) -> SupEstimate:
     Capped at dim <= 20.  Only the patterns with ``eps_0 = +1`` are
     enumerated: each stands for itself and its negation, whose maximum is
     minus its minimum.  The enumeration runs in fixed-size blocks, so
-    memory stays flat regardless of dimension.
+    memory stays flat regardless of dimension.  A point whose l1 norm
+    overflows float64 fails before the enumeration, and a total of spans
+    that overflows fails after it, each with a :class:`ParameterError`.
     """
     d = ts.dim
     if d > EXACT_ENUMERATION_MAX_DIM:
         raise CapacityError(f"exact Bernoulli supremum needs dim <= {EXACT_ENUMERATION_MAX_DIM}, got {d}")
-    total = sum(float((s.max(axis=1) - s.min(axis=1)).sum()) for s in signed_row_sums(ts.matrix.T))
+    scales = _norms(ts.matrix, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(float((s.max(axis=1) - s.min(axis=1)).sum()) for s in signed_row_sums(ts.matrix.T))
+    if not math.isfinite(total):
+        k = int(scales.argmax())
+        raise ParameterError(f"the l1 norm of row {k} overflows float64 summed over 2^{d - 1} sign patterns")
     return SupEstimate(value=total / (1 << d), stderr=0.0, method=EstimateMethod.EXACT)
 
 
@@ -57,12 +78,19 @@ def mc_sup(kind: ProcessKind, ts: FiniteSet, samples: int, seed: Seed) -> SupEst
     Bitwise deterministic for fixed inputs: the draw stream is keyed by the
     seed together with a content hash of ``(kind, T)``.  Samples are drawn
     in chunks sized so that each ``chunk x |T|`` block of process values
-    stays within a fixed byte budget, whatever ``|T|``.
+    stays within a fixed byte budget, whatever ``|T|``.  A point whose l2
+    norm overflows float64 fails before the draws, and a mean or stderr
+    that overflows fails after them, each with a :class:`ParameterError`.
     """
     if samples < 2:
         raise ParameterError(f"mc_sup needs samples >= 2, got {samples}")
+    scales = _norms(ts.matrix, 2)
     gen = rng.content_stream(seed.value, "mc-sup", ts.matrix, kind.value)
-    mean, stderr = mc_mean(kind, gen, ts.matrix.T, samples, lambda ys: ys.max(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, stderr = mc_mean(kind, gen, ts.matrix.T, samples, lambda ys: ys.max(axis=1))
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        k = int(scales.argmax())
+        raise ParameterError(f"the l2 norm of row {k} overflows float64 in the Monte Carlo variance")
     return SupEstimate(
         value=float(mean),
         stderr=float(stderr),

@@ -2,9 +2,12 @@
 
 Each fixture under ``tests/golden/`` is rebuilt here and compared byte for
 byte: ``gamma`` reports (tree included) for a 60-point d=8 sphere under two
-exact models, an exhaustive ``gamma`` report on 5 points, and the tree
+exact models, an exhaustive ``gamma`` report on 5 points, the tree
 :func:`~procsup.chaining.combine_sum_set` builds on two pairs of small sets
-(one generic, one with colliding sums).  Regenerate a fixture only when a
+(one generic, one with colliding sums), exact ``sup`` reports on both sides
+of the sign enumerator's block layout switch (64 points at d=20, 2 000
+points at d=12), and ``oleszkiewicz`` reports for 20-term systems under the
+sup norm (d=6) and the euclidean norm (d=9).  Regenerate a fixture only when a
 change is meant to move these bytes::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -23,10 +26,20 @@ from procsup.reports import dumps
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _cli_report(tmp: Path, gen: list[str], gamma: list[str]) -> bytes:
+def _cli_report(tmp: Path, gen: list[str], args: list[str], verb: str = "gamma") -> bytes:
     set_path, out = tmp / "golden.set", tmp / "golden.json"
     assert cli.run(["gen", *gen, "--out", str(set_path)]) == 0
-    assert cli.run(["gamma", "--set", str(set_path), *gamma, "--out", str(out)]) == 0
+    assert cli.run([verb, "--set", str(set_path), *args, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _oleszkiewicz_report(tmp: Path, norm: str, dim: str) -> bytes:
+    paths, out = (tmp / "x.set", tmp / "y.set"), tmp / "golden.json"
+    for path, seed in zip(paths, ("11", "12")):
+        gen = ["gen", "--kind", "sphere", "--dim", dim, "--count", "20", "--seed", seed, "--out", str(path)]
+        assert cli.run(gen) == 0
+    argv = ["oleszkiewicz", "--x", str(paths[0]), "--y", str(paths[1]), "--norm", norm, "--out", str(out)]
+    assert cli.run(argv) == 0
     return out.read_bytes()
 
 
@@ -37,6 +50,8 @@ def _combined_tree(set_a: FiniteSet, set_b: FiniteSet) -> bytes:
 
 _SPHERE = ["--kind", "sphere", "--dim", "8", "--count", "60", "--seed", "1"]
 _FIVE = ["--kind", "sphere", "--dim", "12", "--count", "5", "--seed", "4"]
+_SUP_64 = ["--kind", "sphere", "--dim", "20", "--count", "64", "--seed", "6"]
+_SUP_2000 = ["--kind", "sphere", "--dim", "12", "--count", "2000", "--seed", "6"]
 _GRID_A = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
 _GRID_B = np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 0.0], [0.0, 2.0], [1.0, 0.0]])
 
@@ -47,6 +62,14 @@ CASES = {
         lambda tmp: _cli_report(tmp, _SPHERE, ["--model", "bernoulli-exact"]),
     "gamma-exhaustive-bernoulli-proxy.json":
         lambda tmp: _cli_report(tmp, _FIVE, ["--exhaustive", "--model", "bernoulli-proxy"]),
+    "sup-exact-sphere-64-d20.json":  # point-major blocks
+        lambda tmp: _cli_report(tmp, _SUP_64, ["--exact"], verb="sup"),
+    "sup-exact-sphere-2000-d12.json":  # row-major blocks
+        lambda tmp: _cli_report(tmp, _SUP_2000, ["--exact"], verb="sup"),
+    "oleszkiewicz-sup-d6.json":
+        lambda tmp: _oleszkiewicz_report(tmp, "sup", "6"),
+    "oleszkiewicz-euclidean-d9.json":
+        lambda tmp: _oleszkiewicz_report(tmp, "euclidean", "9"),
     "combine-sphere-tree.json":
         lambda tmp: _combined_tree(generate_set("random_sphere", 3, 4, Seed(7)),
                                    generate_set("random_sphere", 3, 5, Seed(8))),
