@@ -306,10 +306,18 @@ def _allocate_children(budget: int, sizes: list[int]) -> list[int]:
     return alloc
 
 
-def _farthest_points(x: np.ndarray, member: np.ndarray, first: np.ndarray, k: np.ndarray):
-    """Farthest-point traversals of the rows of ``x``, all rows one step at a time.
+class DistanceOverflow(ParameterError):
+    """A squared l2 distance between two rows of a greedy split's coordinates overflows float64."""
 
-    ``x`` is ``(rows, width, d)`` with ``member`` marking the real entries
+    def __init__(self, a: int, b: int) -> None:
+        self.rows = (min(a, b), max(a, b))
+        super().__init__(f"the squared l2 distance between points {self.rows[0]} and {self.rows[1]} overflows float64")
+
+
+def _farthest_points(coords: np.ndarray, idx: np.ndarray, member: np.ndarray, first: np.ndarray, k: np.ndarray):
+    """Farthest-point traversals of the rows ``coords[idx]``, all rows one step at a time.
+
+    ``idx`` is ``(rows, width)`` with ``member`` marking the real entries
     (the rest is padding); ``first`` is each row's seed position; ``k``,
     nonincreasing, is each row's number of centers, so the rows still
     choosing form a prefix.  ``near`` tracks each member's distance to its
@@ -317,8 +325,11 @@ def _farthest_points(x: np.ndarray, member: np.ndarray, first: np.ndarray, k: np
     keeps them out of the ``argmax`` (ties to the lowest position) and the
     centers in their own blocks even when a distance underflows to 0.
     Returns each entry's center number (nearest, ties to the earliest) and
-    the mask of chosen centers.
+    the mask of chosen centers.  A squared distance that overflows float64
+    raises :class:`DistanceOverflow` naming the two points (indices into
+    ``coords``), with no warning: no distance is ever infinite.
     """
+    x = coords[idx]
     rows = np.arange(len(x))
     near = np.where(member, np.inf, -np.inf)
     assign = np.zeros(member.shape, dtype=np.intp)
@@ -327,8 +338,15 @@ def _farthest_points(x: np.ndarray, member: np.ndarray, first: np.ndarray, k: np
     for j, a in enumerate(active.tolist()):
         row, region, d2 = rows[:a], near[:a], diff[:a]
         c = first if j == 0 else region.argmax(axis=1)
-        np.subtract(x[:a], x[row, c][:, None, :], out=d2)
-        dist = np.sqrt(np.add.reduce(np.multiply(d2, d2, out=d2), axis=-1))
+        try:
+            with np.errstate(over="raise"):
+                np.subtract(x[:a], x[row, c][:, None, :], out=d2)
+                dist = np.sqrt(np.add.reduce(np.multiply(d2, d2, out=d2), axis=-1))
+        except FloatingPointError:
+            with np.errstate(over="ignore"):
+                far = np.add.reduce(np.square(x[:a] - x[row, c][:, None, :]), axis=-1) == np.inf
+            r, p = np.argwhere(far)[0]
+            raise DistanceOverflow(int(idx[r, c[r]]), int(idx[r, p])) from None
         dist[row, c] = -np.inf
         np.copyto(assign[:a], j, where=dist < region)
         np.minimum(region, dist, out=region)
@@ -377,7 +395,7 @@ def _split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps:
         member = col < size
         idx = order[start + np.minimum(col, size - 1)]
         first = (idx == reps[parents, None]).argmax(axis=1)
-        assign, center = _farthest_points(coords[idx], member, first, k)
+        assign, center = _farthest_points(coords, idx, member, first, k)
         label[(start + col)[member]] += assign[member]
         row, pos = np.nonzero(center)
         child_reps[first_child[parents][row] + assign[row, pos]] = idx[row, pos]

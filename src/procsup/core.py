@@ -160,9 +160,30 @@ def distinct_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(run_first), slot
 
 
+#: How :func:`content_digest` lays out its input; echoed into every report.
+CONTENT_HASH_RULE = (
+    "sha256 over the fields in name order: a scalar as the JSON line [name, value], "
+    'an array as the JSON line [name, "<f8", shape] then its C-order little-endian float64 bytes'
+)
+
+
 def content_digest(**fields) -> str:
-    """SHA-256 of the JSON of ``fields``; arrays enter as nested lists."""
-    return hashlib.sha256(json.dumps(fields, default=np.ndarray.tolist).encode()).hexdigest()
+    """SHA-256 hex digest of ``fields``, taken field by field in name order.
+
+    A scalar field adds the UTF-8 of ``json.dumps([name, value]) + "\\n"``.
+    An array field adds ``json.dumps([name, "<f8", list(shape)]) + "\\n"``
+    and then the bytes of ``np.ascontiguousarray(a, dtype="<f8")``, so the
+    digest depends on the values bit for bit (``-0.0`` differs from
+    ``0.0``), never on the array's memory order or byte order.
+    """
+    h = hashlib.sha256()
+    for name, value in sorted(fields.items()):
+        if isinstance(value, np.ndarray):
+            h.update(f"{json.dumps([name, '<f8', list(value.shape)])}\n".encode())
+            h.update(np.ascontiguousarray(value, dtype="<f8"))
+        else:
+            h.update(f"{json.dumps([name, value])}\n".encode())
+    return h.hexdigest()
 
 
 class FiniteSet:

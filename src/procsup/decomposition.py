@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chaining import greedy_forest_bounds
+from .chaining import DistanceOverflow, greedy_forest_bounds
 from .core import FiniteSet, Point, ProcessKind, Seed, distinct_rows
 from .errors import ParameterError
 from .moments import _BLOCK_BYTES, MomentModel
@@ -172,6 +172,9 @@ def _objectives(ts: FiniteSet, thresholds: np.ndarray) -> tuple[list[float], lis
     model.  The rows go in groups whose ``(K, |T|+1, d)`` tail block fits in
     ``_BLOCK_BYTES >> 4``; a group's families are deduplicated by one
     :func:`distinct_rows` call keyed by row and bounded as one forest.
+    A head whose l1 norm overflows float64, or tails whose greedy tree
+    meets an overflowing squared distance, raise :class:`ParameterError`
+    naming the set's points.
     """
     n, d = ts.matrix.shape
     group = max(1, (_BLOCK_BYTES >> 4) // (8 * (n + 1) * d))
@@ -179,14 +182,24 @@ def _objectives(ts: FiniteSet, thresholds: np.ndarray) -> tuple[list[float], lis
     for lo in range(0, len(thresholds), group):
         r = thresholds[lo : lo + group]
         heads, tails = split_rows(ts.matrix, r)
-        ell1 += _row_sums(np.abs(heads)).max(axis=1).tolist()
+        with np.errstate(over="ignore"):
+            head_l1 = _row_sums(np.abs(heads))
+        if np.isinf(head_l1).any():
+            point = np.argwhere(np.isinf(head_l1))[0, 1]
+            raise ParameterError(f"the l1 norm of the head of point {point} overflows float64")
+        ell1 += head_l1.max(axis=1).tolist()
         keyed = np.zeros((len(r), n + 1, d + 1))
         keyed[:, 1:, :d] = tails
         keyed[:, :, d] = np.arange(len(r))[:, None]
         keyed = keyed.reshape(-1, d + 1)
         first, _ = distinct_rows(keyed)
         counts = np.bincount(first // (n + 1), minlength=len(r))
-        gamma += greedy_forest_bounds(keyed[first, :d], counts, MomentModel.gaussian_exact())[0].tolist()
+        try:
+            gamma += greedy_forest_bounds(keyed[first, :d], counts, MomentModel.gaussian_exact())[0].tolist()
+        except DistanceOverflow as exc:
+            a, b = (int(first[row] % (n + 1)) - 1 for row in exc.rows)  # -1: the adjoined zero point
+            pair = f"the origin and the tail of point {b}" if a < 0 else f"the tails of points {a} and {b}"
+            raise ParameterError(f"the squared l2 distance between {pair} overflows float64") from None
     return ell1, gamma
 
 

@@ -3,7 +3,11 @@
 Every CLI run emits one JSON document built by :func:`build_report`.  The
 document carries the full configuration, content hashes of the inputs and
 the package-wide design constants in force, so a report is reproducible
-from its own header.  Nothing time- or host-dependent is included unless
+from its own header.  An input's hash is :func:`~procsup.core.content_digest`
+of its fields: SHA-256 over each field in name order, a scalar as the JSON
+line ``[name, value]`` and a matrix as the JSON line ``[name, "<f8", shape]``
+followed by its C-order little-endian float64 bytes; the rule is echoed as
+``design_decisions.content_hash``.  Nothing time- or host-dependent is included unless
 explicitly requested, which keeps repeated runs byte-identical.
 
 :func:`to_json` (and the set-file writers, through :func:`dumps`) walks the
@@ -26,7 +30,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .core import EXACT_ENUMERATION_MAX_DIM
+from .core import CONTENT_HASH_RULE, EXACT_ENUMERATION_MAX_DIM
 
 SCHEMA = "procsup-report"
 SCHEMA_VERSION = 1
@@ -40,6 +44,7 @@ DESIGN_DECISIONS = {
     "partition_depth_rule": "least n with 2^(2^n) >= |F|",
     "random_streams": "philox keyed by (seed, purpose-label, content-hash)",
     "gaussian_draws": "inverse-cdf on 53-bit uniforms",
+    "content_hash": CONTENT_HASH_RULE,
 }
 
 

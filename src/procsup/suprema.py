@@ -2,11 +2,12 @@
 
 ``S(T) = E sup_{t in T} X_t`` is computed either exactly (Bernoulli case,
 by enumerating all 2^d sign patterns) or by seeded Monte Carlo for either
-process kind.  The enumeration reduces each block of sign sums along its
-long axis: when a block holds many sign patterns per point, as elementwise
-maxima and minima across contiguous pattern vectors, and otherwise row by
-row.  Either way every pattern's span ``max - min`` and every block's sum
-of spans is the same, so the value keeps its bits.
+process kind.  The enumeration is capped at dim 20 and at 2^32 sign sums
+``|T| * 2^(d-1)`` (:class:`CapacityError`).  It reduces each block of sign
+sums along its long axis: when a block holds many sign patterns per point,
+as elementwise maxima and minima across contiguous pattern vectors, and
+otherwise row by row.  Either way every pattern's span ``max - min`` and
+every block's sum of spans is the same, so the value keeps its bits.
 
 A set whose sums can leave float64 fails with a :class:`ParameterError`
 naming a point, before any pattern is enumerated or any draw is made: a
@@ -28,6 +29,10 @@ from . import rng
 from .core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, ProcessKind, Seed
 from .errors import CapacityError, ParameterError, ValidationError
 from .moments import _norms, mc_mean, signed_row_sums
+
+#: Most sign sums, ``|T| * 2^(d-1)``, that one exact supremum may enumerate
+#: (about 8 000 points at d=20, some 10 s on one core).
+EXACT_SUP_MAX_SUMS = 1 << 32
 
 
 class EstimateMethod(enum.Enum):
@@ -53,7 +58,9 @@ class SupEstimate:
 def brute_force_bernoulli_sup(ts: FiniteSet) -> SupEstimate:
     """Exact ``E max_{t in T} <eps, t>`` by averaging over all sign patterns.
 
-    Capped at dim <= 20.  Only the patterns with ``eps_0 = +1`` are
+    Capped at dim <= 20 and at ``|T| * 2^(d-1) <= EXACT_SUP_MAX_SUMS`` sign
+    sums, each a :class:`CapacityError` raised before any pattern is
+    enumerated.  Only the patterns with ``eps_0 = +1`` are
     enumerated: each stands for itself and its negation, whose maximum is
     minus its minimum.  The enumeration runs in fixed-size blocks, so
     memory stays flat regardless of dimension.  A point whose l1 norm
@@ -63,6 +70,10 @@ def brute_force_bernoulli_sup(ts: FiniteSet) -> SupEstimate:
     d = ts.dim
     if d > EXACT_ENUMERATION_MAX_DIM:
         raise CapacityError(f"exact Bernoulli supremum needs dim <= {EXACT_ENUMERATION_MAX_DIM}, got {d}")
+    if len(ts) << (d - 1) > EXACT_SUP_MAX_SUMS:
+        raise CapacityError(
+            f"exact Bernoulli supremum needs |T|*2^(d-1) <= 2^32 sign sums, got {len(ts)}*2^{d - 1}"
+        )
     scales = _norms(ts.matrix, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         total = sum(float((s.max(axis=1) - s.min(axis=1)).sum()) for s in signed_row_sums(ts.matrix.T))

@@ -814,3 +814,46 @@ def test_forest_growth_rejects_over_budget_and_unfinished_trees(monkeypatch):
 def test_forest_needs_nonempty_trees_covering_the_rows(counts):
     with pytest.raises(ParameterError):
         list(_grow(np.zeros((3, 2)), counts))
+
+
+# --- squared distances that leave float64 ---
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows, pair", [
+    ([[1.0, 0.0], [1e308, 1e308]], (0, 1)),  # a norm that overflows
+    ([[-1e308, 0.0], [1e308, 0.0]], (0, 1)),  # finite norms, an overflowing difference
+    ([[0.0, 0.0], [1.0, 0.0], [1.3e154, 0.0], [-1.3e154, 0.0]], (2, 3)),  # only a later center's square
+])
+def test_an_overflowing_squared_distance_names_its_points_without_a_warning(rows, pair):
+    ts = FiniteSet(name="huge", points=rows)
+    message = f"^the squared l2 distance between points {pair[0]} and {pair[1]} overflows float64$"
+    with pytest.raises(chaining.DistanceOverflow, match=message) as info:
+        build_partition_greedy(ts)
+    assert info.value.rows == pair
+    with pytest.raises(ParameterError, match=message):
+        greedy_forest_bounds(ts.matrix, [len(ts)], MomentModel.gaussian_exact())
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_points_a_short_distance_apart_still_build():
+    # no norm check: only the distances the traversal takes must square finitely
+    ts = FiniteSet(name="far-off", points=[[1e200, 0.0], [1e200, 1.0], [1e200, 3.0]])
+    tree = build_partition_greedy(ts)
+    assert tree.to_dict() == _reference_build(ts).to_dict()
+    model = MomentModel.gaussian_exact()
+    assert chain_bound(ts, tree, model).value == 3.0 * model.norm(Point((0.0, 1.0)), 2)
+
+
+@given(_tree_inputs(), st.integers(440, 520))
+def test_greedy_trees_keep_their_bits_until_a_squared_distance_overflows(ts, exponent):
+    scaled = FiniteSet(name="scaled", points=np.ldexp(ts.matrix, exponent))  # exact: no subnormal, no overflow
+    with np.errstate(over="ignore"):
+        squares = ((scaled.matrix[:, None, :] - scaled.matrix[None, :, :]) ** 2).sum(axis=-1)
+        want = _reference_build(scaled).to_dict()
+    try:
+        got = build_partition_greedy(scaled).to_dict()
+    except chaining.DistanceOverflow as exc:
+        assert squares[exc.rows] == np.inf  # so a set whose squares all fit always builds
+    else:
+        assert got == want == build_partition_greedy(ts).to_dict()

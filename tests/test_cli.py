@@ -358,3 +358,16 @@ def test_report_bytes_equal_the_earlier_route(tmp_path, monkeypatch, verb):
 def test_gen_file_bytes_equal_json_dumps(tmp_path):
     text = _gen(tmp_path, count=40).read_text()
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", [[[1.0, 0.0], [1e308, 1e308]], [[-1e308, 0.0], [1e308, 0.0]]])
+@pytest.mark.parametrize("argv", [["gamma"], ["gamma", "--model", "gaussian-exact"],
+                                  ["gamma", "--model", "monte-carlo", "--samples", "100"], ["decompose"]])
+def test_overflowing_distances_exit_2_naming_a_point_without_a_report(tmp_path, capsys, rows, argv):
+    set_path, out = tmp_path / "huge.set", tmp_path / "r.json"
+    save_set(FiniteSet(name="huge", points=rows), set_path)
+    assert _run([*argv, "--set", str(set_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the ") and "point" in err and err.endswith(" overflows float64\n")
+    assert not out.exists()

@@ -258,3 +258,21 @@ def test_decompose_reports_the_objective_of_its_split(rows, per_point):
     parts = reference_objective(ts, result.split.thresholds)
     assert (result.ell1_sup, result.gamma2_bound) == parts
     assert result.objective == parts[0] + parts[1]
+
+
+# --- heads and tails that leave float64 ---
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows, message", [
+    ([[1.0, 0.0], [1e308, 1e308]], "the l1 norm of the head of point 1 overflows float64"),
+    ([[-1e308, 0.0], [1e308, 0.0]],
+     "the squared l2 distance between the origin and the tail of point 0 overflows float64"),
+    ([[1.3e154, 0.0], [-1.3e154, 0.0], [0.0, 0.0]],
+     "the squared l2 distance between the tails of points 0 and 1 overflows float64"),
+])
+@pytest.mark.parametrize("per_point", [False, True])
+def test_an_overflowing_head_or_tail_names_a_point_without_a_warning(rows, message, per_point):
+    ts = FiniteSet(name="huge", points=rows)
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        decompose_by_sweep(ts, samples=100, seed=Seed(0), per_point=per_point)

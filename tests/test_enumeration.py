@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 
 from procsup import cli, moments, oleszkiewicz, rng
 from procsup.core import FiniteSet, ProcessKind, Seed, save_set
-from procsup.errors import ParameterError
+from procsup.errors import CapacityError, ParameterError
 from procsup.moments import _POINT_MAJOR_PATTERNS, bernoulli_exact_norms, signed_row_sums
 from procsup.oleszkiewicz import NormKind, VectorSystem, _exact_strong_moment
-from procsup.suprema import brute_force_bernoulli_sup, mc_sup
+from procsup.suprema import EXACT_SUP_MAX_SUMS, brute_force_bernoulli_sup, mc_sup
 
 from enumeration_reference import (
     reference_bernoulli_sup,
@@ -233,4 +233,23 @@ def test_sup_on_an_overflowing_point_exits_2_without_a_report(tmp_path, capsys, 
     save_set(_HUGE, set_path)
     assert cli.run(["sup", "--set", str(set_path), *argv, "--out", str(out)]) == 2
     assert "row 1 overflows float64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# --- the point limit ---
+
+
+def test_exact_suprema_stop_at_2_32_sign_sums_before_enumerating(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("procsup.suprema.signed_row_sums", None)  # reached only within the limit
+    rows = np.random.default_rng(5).standard_normal((8193, 20))
+    assert EXACT_SUP_MAX_SUMS == 8192 << 19
+    with pytest.raises(TypeError):  # 8 192 points at d=20: exactly the limit, so it enumerates
+        brute_force_bernoulli_sup(FiniteSet(name="at", points=rows[:-1]))
+    message = r"^exact Bernoulli supremum needs \|T\|\*2\^\(d-1\) <= 2\^32 sign sums, got 8193\*2\^19$"
+    with pytest.raises(CapacityError, match=message):
+        brute_force_bernoulli_sup(FiniteSet(name="over", points=rows))
+    set_path, out = tmp_path / "over.set", tmp_path / "sup.json"
+    save_set(FiniteSet(name="over", points=rows), set_path)
+    assert cli.run(["sup", "--set", str(set_path), "--exact", "--out", str(out)]) == 2
+    assert "got 8193*2^19" in capsys.readouterr().err
     assert not out.exists()
