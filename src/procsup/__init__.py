@@ -9,7 +9,6 @@ counter-based randomness.
 from .core import (
     EXACT_ENUMERATION_MAX_DIM,
     FiniteSet,
-    Point,
     ProcessKind,
     Seed,
     SetKind,
@@ -21,17 +20,12 @@ from .core import (
 )
 from .errors import CapacityError, ParameterError, ParseError, ProcsupError, ValidationError
 from .moments import (
-    MomentDecomposition,
     MomentModel,
-    bernoulli_norm_exact,
-    bernoulli_norm_proxy,
-    bernoulli_norms_exact,
-    ell1_part,
+    bernoulli_exact_norms,
     gaussian_moment_constant,
-    gaussian_norm_exact,
-    mc_norm,
-    rearrange,
-    tail_l2,
+    gaussian_norms,
+    mc_norms,
+    proxy_norms,
 )
 from .suprema import EstimateMethod, SupEstimate, brute_force_bernoulli_sup, mc_sup
 from .chaining import (
@@ -54,15 +48,14 @@ from .contraction import (
     check_condition,
     compare_suprema,
     fit_min_C,
-    trimmed_sq_distance,
 )
 from .decomposition import (
     DecompositionResult,
     SplitRule,
     choose_p,
     decompose_by_sweep,
+    split_rows,
     sweep_objectives,
-    threshold_split,
     verify_two_sided,
 )
 from .oleszkiewicz import (
@@ -79,6 +72,6 @@ from .oleszkiewicz import (
 )
 from .reports import ComparisonReport
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,15 +26,15 @@ from .chaining import (
     exhaustive_gamma,
 )
 from .contraction import CoordinateMap, apply_map, check_condition, fit_min_C
-from .core import FiniteSet, Point, ProcessKind, Seed, generate_set
+from .core import FiniteSet, ProcessKind, Seed, generate_set
 from .decomposition import decompose_by_sweep, split_rows, sweep_objectives, verify_two_sided
 from .moments import (
     MomentModel,
-    bernoulli_norm_proxy,
-    bernoulli_norms_exact,
+    bernoulli_exact_norms,
     gaussian_moment_constant,
-    gaussian_norm_exact,
-    mc_norm,
+    gaussian_norms,
+    mc_norms,
+    proxy_norms,
 )
 from .suprema import brute_force_bernoulli_sup, mc_sup
 
@@ -64,10 +64,10 @@ class CriterionResult:
         }
 
 
-def _mixed_vectors(seed: int, count: int, dim: int, label: str) -> list[Point]:
-    """Coefficient vectors from rotating distributions: normal, uniform,
-    sparse, flat-signed, and heavy-tailed."""
-    out: list[Point] = []
+def _mixed_vectors(seed: int, count: int, dim: int, label: str) -> np.ndarray:
+    """A ``(count, dim)`` matrix of coefficient vectors from rotating
+    distributions: normal, uniform, sparse, flat-signed, and heavy-tailed."""
+    out = np.empty((count, dim))
     for i in range(count):
         gen = rng.stream(seed, f"{label}:vector", index=i)
         style = i % 5
@@ -83,7 +83,7 @@ def _mixed_vectors(seed: int, count: int, dim: int, label: str) -> list[Point]:
             row = rng.rademacher(gen, dim) / math.sqrt(dim)
         else:
             row = rng.standard_normal(gen, dim) ** 3
-        out.append(Point(row))
+        out[i] = row
     return out
 
 
@@ -100,9 +100,10 @@ def criterion_1_moment_sandwich(seed: int = DEFAULT_SEED) -> CriterionResult:
     worst_lower = math.inf  # min proxy / exact, must stay >= 1
     worst_upper = 0.0  # max proxy / exact, must stay <= 4
     failures = 0
-    for t in vectors:
-        for p, exact in zip(orders, bernoulli_norms_exact(t, orders)):
-            proxy = bernoulli_norm_proxy(t, p).value
+    exacts = bernoulli_exact_norms(vectors, orders).tolist()
+    proxies = np.stack([proxy_norms(vectors, p)[2] for p in orders], axis=1).tolist()
+    for exact_row, proxy_row in zip(exacts, proxies):
+        for exact, proxy in zip(exact_row, proxy_row):
             if exact == 0.0:
                 if proxy != 0.0:
                     failures += 1
@@ -134,9 +135,9 @@ def criterion_2_moment_regularity(seed: int = DEFAULT_SEED) -> CriterionResult:
     sqrt3 = math.sqrt(3.0)
     worst_bernoulli = 0.0
     failures = 0
-    for t in vectors:
+    for norms in bernoulli_exact_norms(vectors, (2, 4, 8, 16)).tolist():
         # (low, high) = (||X||_q, ||X||_2q) for q in (2, 4, 8)
-        for low, high in itertools.pairwise(bernoulli_norms_exact(t, (2, 4, 8, 16))):
+        for low, high in itertools.pairwise(norms):
             if low == 0.0:
                 continue
             worst_bernoulli = max(worst_bernoulli, high / low)
@@ -218,7 +219,7 @@ def criterion_4_exhaustive_gamma(seed: int = DEFAULT_SEED) -> CriterionResult:
             failures += 1
         worst_gap = max(worst_gap, exact - greedy)
         if size == 2:
-            want = float(np.linalg.norm(ts.points[1].array - ts.points[0].array))
+            want = float(np.linalg.norm(ts.matrix[1] - ts.matrix[0]))
             err = abs(exact - want) / want
             two_point_err = max(two_point_err, err)
             if err > 1e-12:
@@ -374,8 +375,8 @@ def criterion_9_mc_consistency(seed: int = DEFAULT_SEED) -> CriterionResult:
     vectors = _mixed_vectors(seed, 10, 12, "c9a")
     for i, t in enumerate(vectors):
         for p in (1, 2, 4):
-            est, stderr = mc_norm(ProcessKind.GAUSSIAN, t, p, 100_000, Seed((seed + i) % 2**64))
-            want = gaussian_norm_exact(t, p)
+            (est,), (stderr,) = mc_norms(ProcessKind.GAUSSIAN, t[None, :], p, 100_000, Seed((seed + i) % 2**64))
+            (want,) = gaussian_norms(t[None, :], p)
             if abs(est - want) > 3.0 * stderr:
                 norm_misses += 1
     if norm_misses:

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FiniteSet, Point, ProcessKind, Seed, distinct_rows
+from .core import FiniteSet, ProcessKind, Seed, distinct_rows
 from .errors import CapacityError, ParameterError, ValidationError
 from .moments import _BLOCK_BYTES, EXACT_ENUMERATION_MAX_DIM, ModelKind, MomentModel
 from .reports import ComparisonReport, safe_ratio
@@ -623,7 +623,8 @@ def exhaustive_gamma(ts: FiniteSet, model: MomentModel) -> ChainBound:
     level, so ``cost[r]`` is the cheapest worst-case tail below the block of
     ``r`` with ``r`` as its representative.  The first sequence with the
     least value wins.  Ground truth for greedy trees; capped at
-    ``|T| <= 5`` points.
+    ``|T| <= 5`` points.  A pair whose squared l2 distance overflows
+    float64 raises :class:`DistanceOverflow` before any norm is computed.
     """
     n = len(ts)
     if n > EXHAUSTIVE_MAX_POINTS:
@@ -633,12 +634,18 @@ def exhaustive_gamma(ts: FiniteSet, model: MomentModel) -> ChainBound:
         return chain_bound(ts, tree, model)
 
     depth = _exhaustive_depth(n, ts.dim, model)
-    # inc[lvl][a][b] = ||X_b - X_a||_{2^lvl}, one norm call per pair and level.
-    x = ts.matrix
+    # inc[lvl][a][b] = ||X_b - X_a||_{2^lvl}, one norm call on the row of each pair per level.
+    pairs = list(itertools.combinations(range(n), 2))
+    first, second = np.array(pairs).T
+    with np.errstate(over="ignore"):
+        rows = ts.matrix[second] - ts.matrix[first]
+        far = ~np.isfinite(np.vecdot(rows, rows))
+    if far.any():
+        raise DistanceOverflow(*pairs[far.argmax()])
     inc = [[[0.0] * n for _ in range(n)] for _ in range(depth + 1)]
     for lvl in range(1, depth + 1):
-        for a, b in itertools.combinations(range(n), 2):
-            inc[lvl][a][b] = inc[lvl][b][a] = model.norm(Point(x[b] - x[a]), 1 << lvl)
+        for k, (a, b) in enumerate(pairs):
+            inc[lvl][a][b] = inc[lvl][b][a] = float(model.norms(rows[k : k + 1], 1 << lvl)[0])
 
     best = None
     for chain in _chains(n, depth):

@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FiniteSet, Point, ProcessKind, Seed, distinct_rows
+from .core import FiniteSet, ProcessKind, Seed, distinct_rows
 from .errors import ParameterError, ValidationError
-from .moments import tail_l2
 from .reports import ComparisonReport, safe_ratio
 from .suprema import expected_sup
 
@@ -36,11 +35,6 @@ FIT_CAP = 1024.0
 
 #: The largest squared pair distance whose ``C^2`` multiple stays finite for every C up to FIT_CAP.
 _PROFILE_MAX = float(np.finfo(np.float64).max) / FIT_CAP**2
-
-
-def trimmed_sq_distance(s: Point, t: Point, p: int) -> float:
-    """``trim2(t - s, p)``: squared l2 distance ignoring the p worst coordinates."""
-    return tail_l2(t - s, p) ** 2
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Domain types: points, finite index sets, process kinds, seeds, generators, files.
+"""Domain types: finite index sets, process kinds, seeds, generators, files.
 
 A canonical process over a finite index set ``T ⊂ R^d`` attaches to each
 point ``t`` the random variable ``X_t = sum_i t_i xi_i`` where the ``xi_i``
@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -60,62 +59,10 @@ class Seed:
             raise ParameterError(f"seed value must lie in [0, 2^64), got {self.value}")
 
 
-class Point:
-    """A point of the index set: a read-only float64 vector in R^d.
-
-    ``array`` is the data (always a validated copy); ``coords`` gives it as
-    a tuple of floats.  Equality and hashing follow the coordinates, so
-    ``-0.0`` equals ``0.0``.
-    """
-
-    __slots__ = ("array",)
-
-    def __init__(self, coords) -> None:
-        a = np.array(coords, dtype=np.float64)
-        if a.ndim != 1 or a.size == 0:
-            raise ValidationError("a point needs at least one coordinate")
-        bad = ~np.isfinite(a)
-        if bad.any():
-            raise ValidationError(f"coordinate {bad.argmax()} is not finite: {a[bad.argmax()]}")
-        a.setflags(write=False)
-        self.array = a
-
-    @property
-    def coords(self) -> tuple[float, ...]:
-        return tuple(self.array.tolist())
-
-    @property
-    def dim(self) -> int:
-        return self.array.size
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Point) and bool(np.array_equal(self.array, other.array))
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
-
-    def __repr__(self) -> str:
-        return f"Point(coords={self.coords!r})"
-
-    def __sub__(self, other: "Point") -> "Point":
-        if self.dim != other.dim:
-            raise ParameterError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Point(self.array - other.array)
-
-    def __add__(self, other: "Point") -> "Point":
-        if self.dim != other.dim:
-            raise ParameterError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Point(self.array + other.array)
-
-    @staticmethod
-    def zero(dim: int) -> "Point":
-        return Point(np.zeros(dim))
-
-
 def point_matrix(rows, owner: str, noun: str = "point") -> np.ndarray:
     """``rows`` as a validated, read-only ``(n, d)`` float64 matrix (always a copy).
 
-    ``rows`` is an array or a sequence of points or coordinate sequences.
+    ``rows`` is an array or a sequence of coordinate sequences.
     There must be at least one row, every row must have the same ``d >= 1``
     coordinates and every coordinate must be finite; the messages name
     ``owner`` and the offending row.
@@ -124,7 +71,7 @@ def point_matrix(rows, owner: str, noun: str = "point") -> np.ndarray:
         arrays = []
         for i, row in enumerate(rows):
             try:
-                arrays.append(np.asarray(row.array if isinstance(row, Point) else row, dtype=np.float64))
+                arrays.append(np.asarray(row, dtype=np.float64))
             except OverflowError as exc:
                 raise ValidationError(f"{owner}: {noun} {i}: {exc}") from None
         if len({a.shape for a in arrays}) > 1:
@@ -189,9 +136,9 @@ def content_digest(**fields) -> str:
 class FiniteSet:
     """A named, duplicate-free, finite family of points of one dimension.
 
-    ``FiniteSet(name=..., points=...)`` takes a sequence of points or an
-    ``(n, d)`` array.  The data is ``matrix``, one validated, read-only
-    ``(n, d)`` float64 array; ``points`` gives its rows as :class:`Point`.
+    ``FiniteSet(name=..., points=...)`` takes an ``(n, d)`` array or a
+    sequence of coordinate sequences.  The data is ``matrix``, one
+    validated, read-only ``(n, d)`` float64 array.
     """
 
     def __init__(self, name: str, points) -> None:
@@ -220,10 +167,6 @@ class FiniteSet:
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
-
-    @cached_property
-    def points(self) -> tuple[Point, ...]:
-        return tuple(map(Point, self.matrix))
 
     def content_hash(self) -> str:
         """SHA-256 over the coordinate data (name excluded)."""

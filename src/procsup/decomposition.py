@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chaining import DistanceOverflow, greedy_forest_bounds
-from .core import FiniteSet, Point, ProcessKind, Seed, distinct_rows
+from .core import FiniteSet, ProcessKind, Seed, distinct_rows
 from .errors import ParameterError
 from .moments import _BLOCK_BYTES, MomentModel
 from .reports import ComparisonReport, safe_ratio
@@ -66,24 +66,15 @@ def split_rows(m: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
     ``r`` is one threshold, or one per row of a matrix ``m``.  The tail
     keeps the coordinates with ``0 < |m_i| <= r`` and the head the rest;
     the other side holds ``0.0`` there, so head + tail rebuilds ``m``.
+    A negative or NaN threshold raises :class:`ParameterError`.
     """
+    r = np.asarray(r)
+    bad = ~(r >= 0.0)  # NaN fails too
+    if bad.any():
+        raise ParameterError(f"threshold must be nonnegative, got {r[bad][0]}")
     a = np.abs(m)
-    small = (a > 0.0) & (a <= np.asarray(r)[..., None])
+    small = (a > 0.0) & (a <= r[..., None])
     return np.where(small, 0.0, m), np.where(small, m, 0.0)
-
-
-def threshold_split(t: Point, r: float) -> tuple[Point, Point]:
-    """Split ``t`` into (head, tail) points at magnitude ``r``.
-
-    The tail keeps coordinates with ``0 < |t_i| <= r``, the head everything
-    larger; each coordinate lands wholly on one side, so head + tail
-    reconstructs ``t`` exactly (bitwise).  This is :func:`split_rows` on one
-    point; the sweep splits the whole matrix at once.
-    """
-    if not r >= 0:  # NaN fails too
-        raise ParameterError(f"threshold must be nonnegative, got {r}")
-    head, tail = split_rows(t.array, r)
-    return Point(head), Point(tail)
 
 
 def _check_k(k_constant: float) -> None:

@@ -16,19 +16,18 @@ of rows:
 
 Every route rejects a non-finite row with one :class:`ValidationError`, and
 an l1 or l2 norm that overflows float64 with a :class:`ParameterError`
-naming the row.  The one-vector functions (:func:`ell1_part`,
-:func:`tail_l2`, :func:`bernoulli_norm_proxy`, :func:`bernoulli_norms_exact`,
-:func:`gaussian_norm_exact`, :func:`mc_norm`) are one-row calls of these.
+naming the row.  One vector is a one-row matrix: ``proxy_norms(t[None, :], p)``.
 
 The cosh series rests on ``E B_t^p = p! [lambda^p] prod_i cosh(lambda t_i)``
 for even p: a sum of nonnegative terms, so nothing cancels, that costs
 ``O(d p^2)`` per vector instead of ``2^(d-1)`` sign patterns.
 
 :class:`MomentModel` lets downstream code (chaining bounds, decompositions)
-pick a route through one ``norms(rows, p)`` call, which gives each row the
-bits of its one-row call, except under Monte Carlo: a Monte Carlo batch,
-such as one level of a chain bound, shares one draw stream keyed by the
-whole batch (common random numbers), so its estimates are correlated.
+pick a route through one ``norms(rows, p)`` call.  A row's value does not
+depend on the other rows of the call, except under Monte Carlo: a Monte
+Carlo batch, such as one level of a chain bound, shares one draw stream
+keyed by the whole batch (common random numbers), so its estimates are
+correlated.
 
 Every enumerated oracle and Monte Carlo estimate in the package reduces
 ``sum_i xi_i m_i`` over the rows of a coefficient matrix ``m``; the two
@@ -53,7 +52,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
-from .core import EXACT_ENUMERATION_MAX_DIM, Point, ProcessKind, Seed
+from .core import EXACT_ENUMERATION_MAX_DIM, ProcessKind, Seed
 from .errors import CapacityError, ParameterError, ValidationError
 
 #: Byte budget of one block of sign sums or Monte Carlo products.
@@ -70,13 +69,6 @@ _POINT_MAJOR_PATTERNS = 8
 #: binomials ``C(p, 2l)``, at most ``C(1024, 512) ~ 4.5e306`` here; the
 #: middle binomial outgrows float64 from ``C(1030, 515)`` on.
 COSH_MAX_ORDER = 1024
-
-
-def rearrange(t: Point) -> Point:
-    """Absolute coordinates sorted nonincreasingly (ties keep original order)."""
-    a = np.abs(t.array)
-    order = np.argsort(-a, kind="stable")
-    return Point(a[order])
 
 
 def _finite_rows(ts) -> np.ndarray:
@@ -104,52 +96,15 @@ def _norms(a: np.ndarray, order: int, row: str = "row") -> np.ndarray:
     return norms
 
 
-def _check_trim_count(p: int) -> int:
+def check_proxy_order(p) -> int:
+    """``p`` as an int, if the proxy serves it: an integer >= 1."""
     if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
         raise ParameterError(f"p must be an integer, got {p!r}")
     if p < 0:
         raise ParameterError(f"p must be >= 0, got {p}")
-    return int(p)
-
-
-def _trimmed(rows, p) -> tuple[np.ndarray, int]:
-    """``|rows|``, each row's ``p`` largest magnitudes moved to its columns ``cut:``, and ``cut``."""
-    p = _check_trim_count(p)
-    a = np.abs(_finite_rows(rows))
-    cut = max(a.shape[1] - p, 0)
-    if 0 < cut < a.shape[1]:
-        a = np.partition(a, cut, axis=1)
-    return a, cut
-
-
-def ell1_part(t: Point, p: int) -> float:
-    """Sum of the ``p`` largest absolute coordinates (all of them if p >= dim)."""
-    a, cut = _trimmed(t.array[None, :], p)
-    return float(_norms(a[:, cut:], 1)[0])
-
-
-def tail_l2(t: Point, p: int) -> float:
-    """l2 norm of what remains after deleting the ``p`` largest absolute coordinates."""
-    a, cut = _trimmed(t.array[None, :], p)
-    return float(_norms(a[:, :cut], 2)[0])
-
-
-@dataclass(frozen=True)
-class MomentDecomposition:
-    """The proxy value together with its two ingredients."""
-
-    p: int
-    ell1: float
-    tail: float
-    value: float
-
-
-def check_proxy_order(p) -> int:
-    """``p`` as an int, if the proxy serves it: an integer >= 1."""
-    p = _check_trim_count(p)
     if p < 1:
         raise ParameterError(f"proxy needs p >= 1, got {p}")
-    return p
+    return int(p)
 
 
 def proxy_norms(rows, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,15 +115,12 @@ def proxy_norms(rows, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     guarantee: ``||B_t||_p <= value <= 4 ||B_t||_p`` for integer p >= 1.
     """
     p = check_proxy_order(p)
-    a, cut = _trimmed(rows, p)
+    a = np.abs(_finite_rows(rows))
+    cut = max(a.shape[1] - p, 0)
+    if cut:  # move each row's p largest magnitudes to its columns cut:
+        a = np.partition(a, cut, axis=1)
     head, tail = _norms(a[:, cut:], 1), _norms(a[:, :cut], 2)
     return head, tail, head + math.sqrt(p) * tail
-
-
-def bernoulli_norm_proxy(t: Point, p: int) -> MomentDecomposition:
-    """Closed-form stand-in for ``||B_t||_p``: the one-row case of :func:`proxy_norms`."""
-    head, tail, value = (float(x[0]) for x in proxy_norms(t.array[None, :], p))
-    return MomentDecomposition(p=int(p), ell1=head, tail=tail, value=value)
 
 
 def _check_moment_order(p) -> float:
@@ -191,11 +143,6 @@ def gaussian_moment_constant(p) -> float:
 def gaussian_norms(rows, p) -> np.ndarray:
     """``||G_t||_p`` for every row ``t`` of ``rows``: its l2 norm times :func:`gaussian_moment_constant`."""
     return gaussian_moment_constant(p) * _norms(_finite_rows(rows), 2)
-
-
-def gaussian_norm_exact(t: Point, p) -> float:
-    """``||G_t||_p``: the one-row case of :func:`gaussian_norms`."""
-    return float(gaussian_norms(t.array[None, :], p)[0])
 
 
 def signed_row_sums(m: np.ndarray, row_major: bool = False) -> Iterator[np.ndarray]:
@@ -337,16 +284,6 @@ def bernoulli_exact_norms(rows, ps) -> np.ndarray:
     return norms
 
 
-def bernoulli_norms_exact(t: Point, ps) -> list[float]:
-    """``||B_t||_p`` for every order in ``ps``: the one-row case of :func:`bernoulli_exact_norms`."""
-    return bernoulli_exact_norms(t.array[None, :], ps)[0].tolist()
-
-
-def bernoulli_norm_exact(t: Point, p) -> float:
-    """``||B_t||_p``, exactly: :func:`bernoulli_norms_exact` for one order."""
-    return bernoulli_norms_exact(t, (p,))[0]
-
-
 def _draw(kind: ProcessKind, gen: np.random.Generator, size) -> np.ndarray:
     if kind is ProcessKind.BERNOULLI:
         return rng.rademacher(gen, size)
@@ -445,26 +382,6 @@ def mc_norms(
     return estimates, stderrs
 
 
-def mc_norm(
-    kind: ProcessKind,
-    t: Point,
-    p,
-    samples: int,
-    seed: Seed,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of ``||X_t||_p`` with a delta-method stderr.
-
-    The one-row case of :func:`mc_norms`.  Deterministic for fixed
-    ``(kind, t, p, samples, seed)``: the draw stream is keyed by seed plus a
-    content hash, so unrelated computations cannot perturb it.  Monte Carlo
-    chain bounds do not call it: they estimate each level's increments
-    together, on one stream per level, so an increment's value there has
-    this estimate's law but not its bits.
-    """
-    estimates, stderrs = mc_norms(kind, t.array[None, :], p, samples, seed)
-    return float(estimates[0]), float(stderrs[0])
-
-
 class ModelKind(enum.Enum):
     BERNOULLI_PROXY = "bernoulli-proxy"
     BERNOULLI_EXACT = "bernoulli-exact"
@@ -518,16 +435,12 @@ class MomentModel:
             return f"monte-carlo[{self.process.value},n={self.samples},seed={self.seed.value}]"
         return self.kind.value
 
-    def norm(self, t: Point, p) -> float:
-        """``||X_t||_p`` under this model: the one-row case of :meth:`norms`."""
-        return float(self.norms(t.array[None, :], p)[0])
-
     def norms(self, ts: np.ndarray, p) -> np.ndarray:
         """``||X_t||_p`` for every row ``t`` of the ``(k, d)`` array ``ts``: one call of this model's route.
 
-        Each row gets the bits of its one-row call (the proxy's at order
-        ``int(p)``), except under Monte Carlo: there the rows share one
-        :func:`mc_norms` stream, so their estimates are correlated.
+        The proxy takes the order ``int(p)``.  A row's value does not depend
+        on the other rows, except under Monte Carlo: there the rows share
+        one :func:`mc_norms` stream, so their estimates are correlated.
         """
         if self.kind is ModelKind.BERNOULLI_PROXY:
             return proxy_norms(ts, int(p))[2]

@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +34,6 @@ from .core import (
     SET_FORMAT,
     SYSTEM_FORMAT,
     FiniteSet,
-    Point,
     ProcessKind,
     Seed,
     content_digest,
@@ -59,8 +57,8 @@ class NormKind(enum.Enum):
 class VectorSystem:
     """The terms ``x_1..x_n`` of a random series, plus the ambient norm.
 
-    ``vectors`` (points or an array) become ``matrix``, validated as a set's
-    but with repeats allowed.
+    ``vectors`` (an array or coordinate sequences) become ``matrix``,
+    validated as a set's but with repeats allowed.
     """
 
     def __init__(self, name: str, vectors, norm: NormKind) -> None:
@@ -75,10 +73,6 @@ class VectorSystem:
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
-
-    @cached_property
-    def vectors(self) -> tuple[Point, ...]:
-        return tuple(map(Point, self.matrix))
 
     def content_hash(self) -> str:
         return content_digest(norm=self.norm.value, vectors=self.matrix)
@@ -129,24 +123,25 @@ def _dual_norm(w: np.ndarray, norm: NormKind) -> float:
     return float(np.linalg.norm(w))
 
 
-@dataclass(frozen=True)
 class FunctionalSample:
-    """Functionals from the dual unit ball used to probe weak moments."""
+    """Functionals from the dual unit ball used to probe weak moments.
 
-    functionals: tuple[Point, ...]
-    norm: NormKind
-    seed: Seed
+    ``functionals`` (an array or coordinate sequences) become ``matrix``,
+    one validated, read-only ``(m, d)`` float64 array with a functional
+    per row, each of dual norm at most 1.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.functionals:
-            raise ValidationError("a functional sample cannot be empty")
-        for i, w in enumerate(self.functionals):
-            d = _dual_norm(w.array, self.norm)
+    def __init__(self, functionals, norm: NormKind, seed: Seed) -> None:
+        self.matrix = point_matrix(functionals, "functional sample", "functional")
+        self.norm = norm
+        self.seed = seed
+        for i, w in enumerate(self.matrix):
+            d = _dual_norm(w, norm)
             if d > 1.0 + _DUAL_SLACK:
                 raise ValidationError(f"functional {i} has dual norm {d} > 1")
 
     def __len__(self) -> int:
-        return len(self.functionals)
+        return self.matrix.shape[0]
 
 
 def generate_functionals(norm: NormKind, dim: int, extra: int, seed: Seed) -> FunctionalSample:
@@ -161,7 +156,8 @@ def generate_functionals(norm: NormKind, dim: int, extra: int, seed: Seed) -> Fu
         raise ParameterError(f"dim must be >= 1, got {dim}")
     if extra < 0:
         raise ParameterError(f"extra must be >= 0, got {extra}")
-    rows = [row for j in range(dim) for row in (np.eye(dim)[j], -np.eye(dim)[j])]
+    eye = np.eye(dim)  # one matrix: a row view of a fresh one per row would keep dim of them alive
+    rows = [row for j in range(dim) for row in (eye[j], -eye[j])]
     for i in range(extra):
         gen = rng.stream(seed.value, f"functionals:{norm.value}", index=i)
         if norm is NormKind.SUP:
@@ -171,7 +167,7 @@ def generate_functionals(norm: NormKind, dim: int, extra: int, seed: Seed) -> Fu
         else:
             g = rng.standard_normal(gen, dim)
             rows.append(g / np.linalg.norm(g))
-    return FunctionalSample(functionals=tuple(map(Point, rows)), norm=norm, seed=seed)
+    return FunctionalSample(functionals=rows, norm=norm, seed=seed)
 
 
 def _check_sysmatch(x_sys: VectorSystem, y_sys: VectorSystem, funcs: FunctionalSample) -> None:
@@ -183,7 +179,7 @@ def _check_sysmatch(x_sys: VectorSystem, y_sys: VectorSystem, funcs: FunctionalS
         raise ParameterError("systems must share one ambient norm")
     if funcs.norm is not x_sys.norm:
         raise ParameterError("functional sample was drawn for a different norm")
-    if funcs.functionals[0].dim != x_sys.dim:
+    if funcs.matrix.shape[1] != x_sys.dim:
         raise ParameterError("functionals do not match the ambient dimension")
 
 
@@ -228,7 +224,7 @@ def weak_moment_constant(
         raise ParameterError(f"p_max must be >= 1, got {p_max}")
     orders = range(1, p_max + 1)
     # rows 2k and 2k + 1 are <w_k, X> and <w_k, Y>; the dedup key makes each one's first nonzero positive
-    coeffs = np.stack([m @ w.array for w in funcs.functionals for m in (x_sys.matrix, y_sys.matrix)])
+    coeffs = np.stack([m @ w for w in funcs.matrix for m in (x_sys.matrix, y_sys.matrix)])
     lead = coeffs[np.arange(len(coeffs)), (coeffs != 0.0).argmax(axis=1)]
     first, slot = distinct_rows(np.where(lead[:, None] < 0.0, -coeffs, coeffs))
     if x_sys.terms <= EXACT_ENUMERATION_MAX_DIM:
@@ -266,9 +262,9 @@ def check_weak_contraction(
     per_functional: list[float | None] = []
     worst_report: ContractionReport | None = None
     worst_index = -1
-    for k, w in enumerate(funcs.functionals):
-        a = x_sys.matrix @ w.array
-        b = y_sys.matrix @ w.array
+    for k, w in enumerate(funcs.matrix):
+        a = x_sys.matrix @ w
+        b = y_sys.matrix @ w
         if not a.any():
             per_functional.append(1.0)  # nothing to dominate
             continue
@@ -296,7 +292,7 @@ def check_weak_contraction(
         worst_report, worst_index = ContractionReport(1.0, p_max, (0, 1, 0), 0.0, "weak-coefficients"), 0
     context = {
         "worst_functional": worst_index,
-        "functional": list(funcs.functionals[worst_index].coords),
+        "functional": funcs.matrix[worst_index].tolist(),
         "per_functional_c": ["infeasible" if c is None else c for c in per_functional],
     }
     return ContractionReport(

@@ -6,6 +6,7 @@ recursive ``_refinements`` below lists; ``exhaustive_gamma`` must return
 the same value, per-point sums and tree.
 """
 
+import itertools
 import math
 
 from procsup.chaining import (
@@ -18,7 +19,7 @@ from procsup.chaining import (
     chain_bound,
     level_budget,
 )
-from procsup.core import FiniteSet, Point
+from procsup.core import FiniteSet
 from procsup.errors import CapacityError
 from procsup.moments import MomentModel
 
@@ -54,6 +55,7 @@ def reference_exhaustive_gamma(ts: FiniteSet, model: MomentModel) -> ChainBound:
         return chain_bound(ts, tree, model)
 
     depth = _exhaustive_depth(n, ts.dim, model)
+    rows = {(a, b): (ts.matrix[b] - ts.matrix[a])[None, :] for a, b in itertools.combinations(range(n), 2)}
     cache: dict[tuple[int, int, int], float] = {}
 
     def inc(a: int, b: int, lvl: int) -> float:
@@ -61,7 +63,7 @@ def reference_exhaustive_gamma(ts: FiniteSet, model: MomentModel) -> ChainBound:
             return 0.0
         key = (min(a, b), max(a, b), lvl)
         if key not in cache:
-            cache[key] = model.norm(Point(ts.matrix[key[1]] - ts.matrix[key[0]]), 1 << lvl)
+            cache[key] = float(model.norms(rows[key[:2]], 1 << lvl)[0])
         return cache[key]
 
     singletons = tuple((i,) for i in range(n))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from procsup.core import FILE_VERSION, _ROWS_KEY, Point
+from procsup.core import FILE_VERSION, _ROWS_KEY
 from procsup.errors import ParseError, ValidationError
 
 
@@ -76,7 +76,7 @@ def _point_matrix(rows, owner, noun="point"):
         arrays = []
         for i, row in enumerate(rows):
             try:
-                arrays.append(np.asarray(row.array if isinstance(row, Point) else row, dtype=np.float64))
+                arrays.append(np.asarray(row, dtype=np.float64))
             except OverflowError as exc:
                 raise ValidationError(f"{owner}: {noun} {i}: {exc}") from None
         if len({a.shape for a in arrays}) > 1:

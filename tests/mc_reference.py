@@ -41,14 +41,15 @@ def _finish(scale, q, mean, se_mean):
 
 
 def reference_mc_norm(kind, t, p, samples, seed):
-    """``||X_t||_p`` from a stream of its own, keyed by the content of ``t``."""
+    """``||X_t||_p`` of the vector ``t`` from a stream of its own, keyed by the content of ``t``."""
+    t = np.ascontiguousarray(t, dtype=np.float64)
     q = float(p)
-    scale = float(np.linalg.norm(t.array))
+    scale = float(np.linalg.norm(t))
     if scale == 0.0:
         return 0.0, 0.0
-    digest = hashlib.sha256(t.array.tobytes() + f"|{kind.value}|{q!r}".encode()).hexdigest()
+    digest = hashlib.sha256(t.tobytes() + f"|{kind.value}|{q!r}".encode()).hexdigest()
     gen = rng.stream(seed.value, f"mc-norm:{digest}")
-    mean, se_mean = reference_mc_mean(kind, gen, t.array / scale, samples, lambda ys: np.abs(ys) ** q)
+    mean, se_mean = reference_mc_mean(kind, gen, t / scale, samples, lambda ys: np.abs(ys) ** q)
     return _finish(scale, q, mean, se_mean)
 
 

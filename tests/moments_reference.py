@@ -5,8 +5,9 @@
 ``reference_gaussian_norm_exact`` the Gaussian norm and
 ``reference_bernoulli_norms_exact`` the exact Bernoulli norms (the cosh
 series, which both share, at even orders; one sign enumeration for the
-others), each for one vector.  The row-matrix routes must give every row
-these bits wherever the reference returns a finite value.
+others), each for one vector ``t``, a 1-D float64 array.  The row-matrix
+routes must give every row these bits wherever the reference returns a
+finite value.
 """
 
 import math
@@ -14,12 +15,10 @@ import math
 import numpy as np
 
 from procsup import moments
-from procsup.core import EXACT_ENUMERATION_MAX_DIM, Point
+from procsup.core import EXACT_ENUMERATION_MAX_DIM
 from procsup.errors import CapacityError, ParameterError
 from procsup.moments import (
-    MomentDecomposition,
     _check_moment_order,
-    _check_trim_count,
     _cosh_norms,
     _is_cosh_order,
     check_proxy_order,
@@ -27,40 +26,36 @@ from procsup.moments import (
 )
 
 
-def reference_ell1_part(t: Point, p: int) -> float:
+def reference_ell1_part(t: np.ndarray, p: int) -> float:
     """Sum of the ``p`` largest absolute coordinates (all of them if p >= dim)."""
-    p = _check_trim_count(p)
-    if p == 0:
-        return 0.0
-    a = np.abs(t.array)
+    p = check_proxy_order(p)
+    a = np.abs(t)
     if p >= a.size:
         return float(a.sum())
     return float(np.partition(a, a.size - p)[a.size - p :].sum())
 
 
-def reference_tail_l2(t: Point, p: int) -> float:
+def reference_tail_l2(t: np.ndarray, p: int) -> float:
     """l2 norm of what remains after deleting the ``p`` largest absolute coordinates."""
-    p = _check_trim_count(p)
-    a = np.abs(t.array)
-    if p == 0:
-        return float(np.linalg.norm(a))
+    p = check_proxy_order(p)
+    a = np.abs(t)
     if p >= a.size:
         return 0.0
     rest = np.partition(a, a.size - p)[: a.size - p]
     return float(np.linalg.norm(rest))
 
 
-def reference_bernoulli_norm_proxy(t: Point, p: int) -> MomentDecomposition:
-    """Closed-form stand-in for ``||B_t||_p``: l1 head plus sqrt(p) times l2 tail."""
+def reference_bernoulli_norm_proxy(t: np.ndarray, p: int) -> tuple[float, float, float]:
+    """Closed-form stand-in for ``||B_t||_p``: (l1 head, l2 tail, head plus sqrt(p) times tail)."""
     p = check_proxy_order(p)
     head = reference_ell1_part(t, p)
     tail = reference_tail_l2(t, p)
-    return MomentDecomposition(p=p, ell1=head, tail=tail, value=head + math.sqrt(p) * tail)
+    return head, tail, head + math.sqrt(p) * tail
 
 
-def reference_gaussian_norm_exact(t: Point, p) -> float:
+def reference_gaussian_norm_exact(t: np.ndarray, p) -> float:
     """``||G_t||_p``, which is the l2 norm of t times :func:`gaussian_moment_constant`."""
-    return float(np.linalg.norm(t.array)) * gaussian_moment_constant(p)
+    return float(np.linalg.norm(t)) * gaussian_moment_constant(p)
 
 
 def _l1_scales(rows: np.ndarray) -> np.ndarray:
@@ -72,12 +67,12 @@ def _l1_scales(rows: np.ndarray) -> np.ndarray:
     return scales
 
 
-def reference_bernoulli_norms_exact(t: Point, ps) -> list[float]:
+def reference_bernoulli_norms_exact(t: np.ndarray, ps) -> list[float]:
     """``||B_t||_p`` for every order in ``ps``: one cosh-series pass, one shared enumeration."""
     qs = [_check_moment_order(p) for p in ps]
-    if t.dim > EXACT_ENUMERATION_MAX_DIM:
-        raise CapacityError(f"exact Bernoulli norm needs dim <= {EXACT_ENUMERATION_MAX_DIM}, got {t.dim}")
-    row = t.array[None, :]
+    if t.size > EXACT_ENUMERATION_MAX_DIM:
+        raise CapacityError(f"exact Bernoulli norm needs dim <= {EXACT_ENUMERATION_MAX_DIM}, got {t.size}")
+    row = t[None, :]
     scales = _l1_scales(row)
     norms = [0.0] * len(qs)
     even = [i for i, q in enumerate(qs) if _is_cosh_order(q)]
@@ -89,11 +84,11 @@ def reference_bernoulli_norms_exact(t: Point, ps) -> list[float]:
     if not rest or scale == 0.0:
         return norms
     parts: list[list[float]] = [[] for _ in rest]
-    for s in moments.signed_row_sums(t.array[:, None]):
+    for s in moments.signed_row_sums(t[:, None]):
         a = np.abs(s) / scale
         for part, i in zip(parts, rest):
             part.append(float((a ** qs[i]).sum()))
-    patterns = 1 << (t.dim - 1)
+    patterns = 1 << (t.size - 1)
     for part, i in zip(parts, rest):
         norms[i] = scale * (sum(part) / patterns) ** (1.0 / qs[i])
     return norms

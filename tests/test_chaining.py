@@ -29,7 +29,7 @@ from procsup.chaining import (
     tree_from_dict,
     verify_sup_bound,
 )
-from procsup.core import FiniteSet, Point, ProcessKind, Seed, distinct_rows
+from procsup.core import FiniteSet, ProcessKind, Seed, distinct_rows
 from procsup.errors import CapacityError, ParameterError, ValidationError
 from procsup.moments import ModelKind, MomentModel
 from procsup.suprema import brute_force_bernoulli_sup
@@ -41,7 +41,7 @@ from mc_reference import reference_shared_stream_norms
 def _random_set(seed, count, dim, label="chaining-test"):
     gen = rng.stream(seed, label)
     rows = rng.standard_normal(gen, (count, dim))
-    return FiniteSet(name=f"{label}-{seed}", points=tuple(Point(tuple(map(float, r))) for r in rows))
+    return FiniteSet(name=f"{label}-{seed}", points=rows)
 
 
 def test_level_budgets():
@@ -341,8 +341,7 @@ def test_greedy_tree_is_admissible_and_terminal(count, seed):
 
 
 def test_chain_bound_two_points_is_increment_norm():
-    s, t = Point((0.0, 0.0)), Point((3.0, 4.0))
-    ts = FiniteSet(name="pair", points=(s, t))
+    ts = FiniteSet(name="pair", points=[[0.0, 0.0], [3.0, 4.0]])
     bound = chain_bound(ts, build_partition_greedy(ts), MomentModel.gaussian_exact())
     assert bound.value == pytest.approx(5.0, rel=1e-12)  # ||t - s||_2 at p = 2
 
@@ -371,7 +370,7 @@ def test_exhaustive_never_exceeds_greedy(model, count):
 def test_exhaustive_two_point_gaussian_is_distance():
     for seed in range(8):
         ts = _random_set(seed, 2, 6, "exh-pair")
-        want = float(np.linalg.norm(ts.points[1].array - ts.points[0].array))
+        want = float(np.linalg.norm(ts.matrix[1] - ts.matrix[0]))
         got = exhaustive_gamma(ts, MomentModel.gaussian_exact()).value
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -420,11 +419,11 @@ def test_exhaustive_step_ties_go_to_the_lowest_index():
 
 def test_combine_sum_set_with_origin_shifts_levels():
     ts = _random_set(5, 4, 3, "comb-base")
-    zero = FiniteSet(name="origin", points=(Point.zero(3),))
+    zero = FiniteSet(name="origin", points=np.zeros((1, 3)))
     combined, tree = combine_sum_set(
         zero, build_partition_greedy(zero), ts, build_partition_greedy(ts)
     )
-    assert combined.points == ts.points  # 0 + B = B, order preserved
+    assert np.array_equal(combined.matrix, ts.matrix)  # 0 + B = B, order preserved
     base = build_partition_greedy(ts)
     model = MomentModel.gaussian_exact()
     got = chain_bound(combined, tree, model)
@@ -440,8 +439,8 @@ def test_combine_sum_set_covers_all_sums():
     combined, tree = combine_sum_set(
         a, build_partition_greedy(a), b, build_partition_greedy(b)
     )
-    want = {tuple(pa.array + pb.array) for pa in a.points for pb in b.points}
-    assert {p.coords for p in combined.points} == want
+    want = {tuple((pa + pb).tolist()) for pa in a.matrix for pb in b.matrix}
+    assert set(map(tuple, combined.matrix.tolist())) == want
     assert tree.n_points == len(combined)
 
 
@@ -543,7 +542,7 @@ def _reference_chain_bound(ts, tree, model):
     Each block that moved its representative contributes the norm of
     ``x[max] - x[min]`` of the two representatives.  Monte Carlo norms of a
     level share one stream, keyed by that level's increments in block
-    order; every other model takes one ``model.norm`` call per increment.
+    order; every other model takes one one-row ``model.norms`` call per increment.
     """
     sums = [0.0] * len(ts)
     prev_rep = {i: tree.levels[0][0].rep for i in range(len(ts))}
@@ -556,7 +555,7 @@ def _reference_chain_bound(ts, tree, model):
             values = [est for est, _ in reference_shared_stream_norms(
                 model.process, rows, 1 << lvl, model.samples, model.seed)]
         else:
-            values = [model.norm(Point(row), 1 << lvl) for row in rows]
+            values = [model.norms(row[None, :], 1 << lvl)[0] for row in rows]
         steps = iter(values)
         for block, (a, b) in zip(level, ends):
             step = next(steps) if a != b else 0.0
@@ -835,6 +834,30 @@ def test_an_overflowing_squared_distance_names_its_points_without_a_warning(rows
         greedy_forest_bounds(ts.matrix, [len(ts)], MomentModel.gaussian_exact())
 
 
+_OVERFLOW_MODELS = [
+    MomentModel.bernoulli_proxy(),
+    MomentModel.bernoulli_exact(),
+    MomentModel.gaussian_exact(),
+    MomentModel.monte_carlo(ProcessKind.GAUSSIAN, 100, Seed(1)),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", _OVERFLOW_MODELS, ids=lambda m: m.kind.value)
+@pytest.mark.parametrize("rows, pair", [
+    ([[1.0, 0.0], [1e308, 1e308]], (0, 1)),  # a norm that overflows
+    ([[-1e308, 0.0], [1e308, 0.0]], (0, 1)),  # finite norms, an overflowing difference
+    ([[0.0, 0.0], [1.0, 0.0], [1.3e154, 0.0], [-1.3e154, 0.0]], (2, 3)),  # only the last pair's square
+])
+def test_exhaustive_search_names_an_overflowing_pair_before_any_norm(monkeypatch, rows, pair, model):
+    calls = []
+    monkeypatch.setattr(MomentModel, "norms", lambda self, ts, p: calls.append(p))
+    message = f"^the squared l2 distance between points {pair[0]} and {pair[1]} overflows float64$"
+    with pytest.raises(chaining.DistanceOverflow, match=message) as info:
+        exhaustive_gamma(FiniteSet(name="huge", points=rows), model)
+    assert info.value.rows == pair and calls == []
+
+
 @pytest.mark.filterwarnings("error")
 def test_huge_points_a_short_distance_apart_still_build():
     # no norm check: only the distances the traversal takes must square finitely
@@ -842,7 +865,7 @@ def test_huge_points_a_short_distance_apart_still_build():
     tree = build_partition_greedy(ts)
     assert tree.to_dict() == _reference_build(ts).to_dict()
     model = MomentModel.gaussian_exact()
-    assert chain_bound(ts, tree, model).value == 3.0 * model.norm(Point((0.0, 1.0)), 2)
+    assert chain_bound(ts, tree, model).value == 3.0 * model.norms(np.array([[0.0, 1.0]]), 2)[0]
 
 
 @given(_tree_inputs(), st.integers(440, 520))

@@ -40,7 +40,7 @@ def test_gen_accepts_friendly_aliases(tmp_path):
     path = tmp_path / "simplex.set"
     assert _run(["gen", "--kind", "simplex", "--dim", "3", "--count", "3",
                  "--out", str(path)]) == 0
-    assert load_set(path).points[0].coords == (1.0, 0.0, 0.0)
+    assert load_set(path).matrix[0].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_sup_exact_simplex_value(tmp_path):
@@ -370,4 +370,18 @@ def test_overflowing_distances_exit_2_naming_a_point_without_a_report(tmp_path, 
     assert _run([*argv, "--set", str(set_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: the ") and "point" in err and err.endswith(" overflows float64\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", [[[1.0, 0.0], [1e308, 1e308]], [[-1e308, 0.0], [1e308, 0.0]]])
+@pytest.mark.parametrize("model", [["bernoulli-proxy"], ["bernoulli-exact"], ["gaussian-exact"],
+                                   ["monte-carlo", "--samples", "100"]])
+def test_exhaustive_search_on_an_overflowing_pair_exits_2_without_a_report(tmp_path, capsys, rows, model):
+    set_path, out = tmp_path / "huge.set", tmp_path / "r.json"
+    save_set(FiniteSet(name="huge", points=rows), set_path)
+    argv = ["gamma", "--exhaustive", "--model", *model, "--set", str(set_path), "--out", str(out)]
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the squared l2 distance between points 0 and 1 overflows float64\n"
     assert not out.exists()

@@ -13,13 +13,13 @@ from procsup.contraction import (
     CoordinateMap,
     MappedPair,
     _PairTable,
+    _trim_profiles,
     apply_map,
     check_condition,
     compare_suprema,
     fit_min_C,
-    trimmed_sq_distance,
 )
-from procsup.core import FiniteSet, Point, Seed, distinct_rows
+from procsup.core import FiniteSet, Seed, distinct_rows
 from procsup.errors import ParameterError, ValidationError
 from procsup.oleszkiewicz import NormKind, VectorSystem, check_weak_contraction, generate_functionals
 
@@ -27,15 +27,12 @@ from procsup.oleszkiewicz import NormKind, VectorSystem, check_weak_contraction,
 def _random_set(seed, count=6, dim=5, label="contraction-test"):
     gen = rng.stream(seed, label)
     rows = rng.standard_normal(gen, (count, dim))
-    return FiniteSet(name=f"{label}-{seed}", points=tuple(Point(tuple(map(float, r))) for r in rows))
+    return FiniteSet(name=f"{label}-{seed}", points=rows)
 
 
 def test_trimmed_sq_distance_manual():
-    s, t = Point((3.0, 1.0)), Point((0.0, 0.0))
-    assert trimmed_sq_distance(s, t, 0) == pytest.approx(10.0, rel=1e-15)
-    assert trimmed_sq_distance(s, t, 1) == pytest.approx(1.0, rel=1e-15)  # drop the largest square
-    assert trimmed_sq_distance(s, t, 2) == 0.0
-    assert trimmed_sq_distance(s, t, 9) == 0.0  # over-trim clamps to zero
+    # trim2(t - s, p) for s = (3, 1), t = 0 at p = 0, 1, 2: dropping the largest square leaves 1
+    assert _trim_profiles(np.array([[0.0, 0.0]]) - np.array([[3.0, 1.0]])).tolist() == [[10.0, 1.0, 0.0]]
 
 
 def test_coordinate_map_validation():
@@ -51,12 +48,11 @@ def test_coordinate_map_validation():
 
 
 def test_apply_map_dedups_image_and_keeps_correspondence():
-    t = Point((1.0, -2.0))
-    ts = FiniteSet(name="pm", points=(t, Point((-1.0, 2.0))))
+    ts = FiniteSet(name="pm", points=[[1.0, -2.0], [-1.0, 2.0]])
     pair = apply_map(ts, CoordinateMap("abs"))
     assert len(pair.image) == 1  # |t| == |-t|
     assert pair.correspondence == (0, 0)
-    assert pair.image.points[0] == Point((1.0, 2.0))
+    assert pair.image.matrix.tolist() == [[1.0, 2.0]]
 
 
 @pytest.mark.parametrize("name,params", [("abs", ()), ("clamp", (-1.0, 1.0)),
@@ -349,12 +345,12 @@ def test_fit_at_a_trim_breakpoint_is_exact():
 
 def test_weak_contraction_of_a_zero_source_is_infeasible():
     a = (0.5, -1.5, 2.0)
-    x = VectorSystem(name="x", vectors=tuple(Point((v, 0.0)) for v in a), norm=NormKind.SUP)
-    y = VectorSystem(name="y", vectors=(Point((0.0, 0.0)),) * 3, norm=NormKind.SUP)
+    x = VectorSystem(name="x", vectors=[(v, 0.0) for v in a], norm=NormKind.SUP)
+    y = VectorSystem(name="y", vectors=np.zeros((3, 2)), norm=NormKind.SUP)
     funcs = generate_functionals(NormKind.SUP, 2, 0, Seed(0))
     report = check_weak_contraction(x, y, funcs)
     assert report.context["worst_functional"] == 0  # e_1 reads the coefficients a
-    assert funcs.functionals[0].coords == (1.0, 0.0)
+    assert funcs.matrix[0].tolist() == [1.0, 0.0]
     assert report.c_star is None  # at p = 0 the condition reads a.a <= 0 for every C
     assert report.margin == float(np.dot(a, a)) == 6.5
     assert report.worst_pair == (0, 1, 0)

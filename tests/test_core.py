@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from procsup.core import (
     FiniteSet,
     ParseError,
-    Point,
     Seed,
     SetKind,
     ValidationError,
@@ -17,6 +16,7 @@ from procsup.core import (
     generate_set,
     has_disjoint_supports,
     load_set,
+    point_matrix,
     read_points_file,
     save_set,
 )
@@ -26,69 +26,57 @@ from json_reference import read_points_file as reference_read_points_file
 from json_reference import set_file_json
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
-points = st.lists(coords, min_size=1, max_size=6).map(lambda xs: Point(tuple(xs)))
 
 
 def test_point_rejects_nan_and_inf():
-    with pytest.raises(ValidationError):
-        Point((1.0, math.nan))
-    with pytest.raises(ValidationError):
-        Point((math.inf,))
+    with pytest.raises(ValidationError, match="^m: point 0: coordinate 1 is not finite: nan$"):
+        point_matrix([[1.0, math.nan]], "m")
+    with pytest.raises(ValidationError, match="^m: vector 1: coordinate 0 is not finite: inf$"):
+        point_matrix([[1.0], [math.inf]], "m", "vector")
 
 
 def test_point_rejects_empty():
-    with pytest.raises(ValidationError):
-        Point(())
-
-
-def test_point_arithmetic_dim_mismatch():
-    with pytest.raises(ParameterError, match="dimension mismatch"):
-        Point((1.0,)) - Point((1.0, 2.0))
-
-
-@given(points, points)
-def test_point_sub_add_roundtrip(s, t):
-    if s.dim != t.dim:
-        s = Point(s.coords[:1] * t.dim)
-    assert np.allclose(((t - s) + s).array, t.array)
+    with pytest.raises(ValidationError, match="^m: points must be rows of one or more coordinates$"):
+        point_matrix([[]], "m")
+    with pytest.raises(ValidationError, match="^m has no points$"):
+        point_matrix([], "m")
 
 
 def test_finite_set_rejects_duplicates():
     with pytest.raises(ValidationError, match=r"0.*2|duplicate"):
-        FiniteSet(name="dup", points=(Point((1.0, 0.0)), Point((0.0, 1.0)), Point((1.0, 0.0))))
+        FiniteSet(name="dup", points=[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
 
 
 def test_finite_set_rejects_mixed_dims():
     with pytest.raises(ValidationError):
-        FiniteSet(name="mixed", points=(Point((1.0,)), Point((1.0, 2.0))))
+        FiniteSet(name="mixed", points=[[1.0], [1.0, 2.0]])
 
 
 def test_matrix_is_readonly():
-    ts = FiniteSet(name="ro", points=(Point((1.0, 2.0)),))
+    ts = FiniteSet(name="ro", points=[[1.0, 2.0]])
     with pytest.raises(ValueError):
         ts.matrix[0, 0] = 9.0
 
 
 def test_content_hash_tracks_content_not_name():
-    a = FiniteSet(name="a", points=(Point((1.0, 2.0)), Point((3.0, 4.0))))
-    b = FiniteSet(name="b", points=(Point((1.0, 2.0)), Point((3.0, 4.0))))
-    c = FiniteSet(name="a", points=(Point((1.0, 2.0)), Point((3.0, 4.5))))
+    a = FiniteSet(name="a", points=[[1.0, 2.0], [3.0, 4.0]])
+    b = FiniteSet(name="b", points=[[1.0, 2.0], [3.0, 4.0]])
+    c = FiniteSet(name="a", points=[[1.0, 2.0], [3.0, 4.5]])
     assert a.content_hash() == b.content_hash()
     assert a.content_hash() != c.content_hash()
 
 
 def test_disjoint_supports():
-    yes = FiniteSet(name="y", points=(Point((1.0, 0.0, 0.0)), Point((0.0, 2.0, 3.0))))
-    no = FiniteSet(name="n", points=(Point((1.0, 1.0, 0.0)), Point((0.0, 2.0, 3.0))))
+    yes = FiniteSet(name="y", points=[[1.0, 0.0, 0.0], [0.0, 2.0, 3.0]])
+    no = FiniteSet(name="n", points=[[1.0, 1.0, 0.0], [0.0, 2.0, 3.0]])
     assert has_disjoint_supports(yes)
     assert not has_disjoint_supports(no)
 
 
 def test_center_at_zero_shifts_first_point_to_origin():
-    ts = FiniteSet(name="c", points=(Point((1.0, 2.0)), Point((3.0, 5.0))))
+    ts = FiniteSet(name="c", points=[[1.0, 2.0], [3.0, 5.0]])
     centered = center_at_zero(ts)
-    assert centered.points[0] == Point((0.0, 0.0))
-    assert centered.points[1] == Point((2.0, 3.0))
+    assert centered.matrix.tolist() == [[0.0, 0.0], [2.0, 3.0]]
 
 
 # --- generators ---
@@ -132,8 +120,7 @@ def test_random_sphere_radius():
 
 def test_simplex_vertices_are_scaled_basis():
     ts = generate_set(SetKind.SIMPLEX_VERTICES, 4, 3, Seed(0))
-    for i, p in enumerate(ts.points):
-        arr = p.array
+    for i, arr in enumerate(ts.matrix):
         assert arr[i] == 1.0 and np.count_nonzero(arr) == 1
 
 
@@ -166,11 +153,11 @@ def test_generate_set_rejects_bad_kind_and_sizes():
 @given(st.lists(st.lists(coords, min_size=3, max_size=3), min_size=1, max_size=5, unique_by=tuple))
 def test_save_load_roundtrip_is_exact(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("sets") / "t.set"
-    ts = FiniteSet(name="rt", points=tuple(Point(tuple(r)) for r in rows))
+    ts = FiniteSet(name="rt", points=rows)
     save_set(ts, path)
     back = load_set(path)
     assert back.name == ts.name
-    assert back.points == ts.points  # exact float equality, not approximate
+    assert back.matrix.tobytes() == ts.matrix.tobytes()  # exact float equality, not approximate
 
 
 def test_load_set_reports_json_line(tmp_path):
@@ -240,23 +227,26 @@ def test_load_set_rejects_values_it_would_have_to_coerce(tmp_path, doc, match):
 def test_finite_set_from_array_matches_from_points(rows):
     array = np.array(rows, dtype=np.float64)
     a = FiniteSet(name="a", points=array)
-    b = FiniteSet(name="a", points=tuple(Point(r) for r in rows))
+    b = FiniteSet(name="a", points=tuple(map(tuple, rows)))
     assert a.matrix.tobytes() == b.matrix.tobytes()
     assert a.content_hash() == b.content_hash()
-    assert a.points == b.points
-    assert [p.coords for p in a.points] == [tuple(r) for r in rows]
+    assert a.matrix.tolist() == rows
     array[0, 0] = 1e6  # the set holds its own copy
     assert a.matrix.tobytes() == b.matrix.tobytes()
 
 
 def test_matrix_and_point_arrays_are_readonly():
-    for ts in (FiniteSet(name="ro", points=np.eye(2)), FiniteSet(name="ro", points=(Point((1.0, 2.0)),))):
+    for ts in (FiniteSet(name="ro", points=np.eye(2)), FiniteSet(name="ro", points=[(1.0, 2.0)])):
         with pytest.raises(ValueError):
             ts.matrix[0, 0] = 9.0
         with pytest.raises(ValueError):
-            ts.points[0].array[0] = 9.0
+            ts.matrix[0][0] = 9.0  # a row view is read-only too
+    source = np.eye(2)
+    matrix = point_matrix(source, "m")
     with pytest.raises(ValueError):
-        Point((1.0, 2.0)).array[0] = 9.0
+        matrix[0, 0] = 9.0
+    source[0, 0] = 9.0  # the matrix is a copy
+    assert matrix[0, 0] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -264,9 +254,9 @@ def test_matrix_and_point_arrays_are_readonly():
     [
         (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), "duplicate points at indices 0 and 2"),
         (np.array([[0.0, 1.0], [1.0, 0.0], [-0.0, 1.0]]), "duplicate points at indices 0 and 2"),
-        ((Point((1.0, 0.0)), Point((0.0, 1.0)), Point((1.0, -0.0))), "duplicate points at indices 0 and 2"),
+        (((1.0, 0.0), (0.0, 1.0), (1.0, -0.0)), "duplicate points at indices 0 and 2"),
         ([[1.0], [1.0, 2.0]], "mixes dimensions"),
-        ((Point((1.0,)), Point((1.0, 2.0))), "mixes dimensions"),
+        ((np.array([1.0]), np.array([1.0, 2.0])), "mixes dimensions"),
         ((), "no points"),
         (np.empty((0, 2)), "no points"),
         (np.array([[1.0], [math.nan]]), "point 1: coordinate 0 is not finite"),
@@ -276,16 +266,6 @@ def test_matrix_and_point_arrays_are_readonly():
 def test_finite_set_validation_messages(points, match):
     with pytest.raises(ValidationError, match=match):
         FiniteSet(name="bad", points=points)
-
-
-def test_point_keeps_its_public_face():
-    p = Point((1.0, -0.0, 2.5))
-    assert p.coords == (1.0, -0.0, 2.5) and p.dim == 3
-    assert p == Point((1.0, 0.0, 2.5)) and hash(p) == hash(Point((1.0, 0.0, 2.5)))
-    assert p != Point((1.0, 0.0)) and p != (1.0, -0.0, 2.5)
-    assert (p + p - p).coords == p.coords
-    assert Point.zero(2).coords == (0.0, 0.0)
-    assert repr(p) == "Point(coords=(1.0, -0.0, 2.5))"
 
 
 # --- set files: one writer, and a loader that checks rows in bulk ---

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,56 +9,64 @@ from hypothesis import strategies as st
 from decomposition_reference import reference_objective, reference_refine_per_point
 from procsup import decomposition
 from procsup.chaining import build_partition_greedy, chain_bound
-from procsup.core import FiniteSet, Point, ProcessKind, Seed, generate_set, has_disjoint_supports
+from procsup.core import FiniteSet, ProcessKind, Seed, generate_set, has_disjoint_supports
 from procsup.decomposition import (
     SplitRule,
     _refine_per_point,
     choose_p,
     decompose_by_sweep,
+    split_rows,
     sweep_objectives,
-    threshold_split,
     verify_two_sided,
 )
 from procsup.errors import ParameterError
 from procsup.moments import _BLOCK_BYTES, MomentModel
 
 coords = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
-vectors = st.lists(coords, min_size=1, max_size=8).map(lambda xs: Point(tuple(xs)))
+vectors = st.lists(coords, min_size=1, max_size=8).map(np.array)
 radii = st.floats(min_value=0.0, max_value=7.0, allow_nan=False)
+matrices = st.integers(1, 8).flatmap(
+    lambda d: st.lists(st.lists(coords, min_size=d, max_size=d), min_size=1, max_size=4)
+).map(np.array)
 
 
 def _blocks_set(seed):
     return generate_set("disjoint_blocks", 24, 4, Seed(seed), (6,))
 
 
-@given(vectors, radii)
-def test_split_reconstructs_exactly(t, r):
-    head, tail = threshold_split(t, r)
-    assert tuple(h + s for h, s in zip(head.coords, tail.coords)) == t.coords
+@given(matrices, st.data())
+def test_split_reconstructs_exactly(m, data):
+    # one threshold for every row, or one per row
+    r = data.draw(st.one_of(radii, st.lists(radii, min_size=len(m), max_size=len(m)).map(np.array)))
+    head, tail = split_rows(m, r)
+    assert np.array_equal(head + tail, m)
 
 
 @given(vectors, radii)
 def test_split_parts_have_disjoint_supports(t, r):
-    head, tail = threshold_split(t, r)
-    for h, s in zip(head.coords, tail.coords):
-        assert h == 0.0 or s == 0.0
+    head, tail = split_rows(t, r)
+    assert ((head == 0.0) | (tail == 0.0)).all()
 
 
 @given(vectors, radii)
 def test_split_tail_is_bounded_by_radius(t, r):
-    _, tail = threshold_split(t, r)
-    assert all(abs(s) <= r for s in tail.coords)
+    _, tail = split_rows(t, r)
+    assert (np.abs(tail) <= r).all()
 
 
 def test_split_rejects_negative_radius():
-    with pytest.raises(ParameterError):
-        threshold_split(Point((1.0,)), -0.5)
+    with pytest.raises(ParameterError, match="^threshold must be nonnegative, got -0.5$"):
+        split_rows(np.ones(1), -0.5)
+    with pytest.raises(ParameterError, match="^threshold must be nonnegative, got -0.5$"):
+        split_rows(np.ones((2, 1)), np.array([1.0, -0.5]))
 
 
 @pytest.mark.parametrize("r", [math.nan, -math.nan])
 def test_split_rejects_a_nan_radius(r):
     with pytest.raises(ParameterError):
-        threshold_split(Point((1.0, 0.5)), r)
+        split_rows(np.array([1.0, 0.5]), r)
+    with pytest.raises(ParameterError):
+        split_rows(np.ones((2, 2)), np.array([1.0, r]))
 
 
 @pytest.mark.parametrize("thresholds, mode", [((math.nan,), "global"), ((1.0, math.nan), "per-point")])
@@ -120,7 +129,7 @@ def test_sweep_contains_zero_and_is_optimal_on_grid():
 def test_decompose_ties_resolve_to_smallest_threshold():
     # a one-point set over {-1, 1} coords: thresholds 0 and 1 differ, and the
     # winner must be reported at the smallest grid value achieving the optimum
-    ts = FiniteSet(name="pm", points=(Point((1.0, -1.0)),))
+    ts = FiniteSet(name="pm", points=[[1.0, -1.0]])
     result = decompose_by_sweep(ts, samples=2000, seed=Seed(0))
     entries = sweep_objectives(ts)
     winners = [e.threshold for e in entries if e.objective <= result.objective * (1 + 1e-12)]
@@ -164,11 +173,11 @@ def test_decompose_records_choose_p():
 def _reference_objective(ts, r):
     """The per-point scalar split, left-to-right sums and dict dedup the array sweep replaced."""
     ell1, family = [], {(0.0,) * ts.dim: None}  # dict keys: first wins, -0.0 == 0.0
-    for point in ts.points:
-        small = [0.0 < abs(x) <= r for x in point.coords]
-        ell1.append(sum(abs(0.0 if s else x) for x, s in zip(point.coords, small)))
-        family.setdefault(tuple(x if s else 0.0 for x, s in zip(point.coords, small)), None)
-    tails = FiniteSet(name="tails", points=[Point(t) for t in family])
+    for point in ts.matrix.tolist():
+        small = [0.0 < abs(x) <= r for x in point]
+        ell1.append(sum(abs(0.0 if s else x) for x, s in zip(point, small)))
+        family.setdefault(tuple(x if s else 0.0 for x, s in zip(point, small)), None)
+    tails = FiniteSet(name="tails", points=list(family))
     return max(ell1), chain_bound(tails, build_partition_greedy(tails), MomentModel.gaussian_exact()).value
 
 

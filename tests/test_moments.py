@@ -9,27 +9,19 @@ from scipy import integrate
 
 from procsup import moments, rng
 from procsup.chaining import build_partition_greedy, chain_bound
-from procsup.core import FiniteSet, Point, ProcessKind, Seed, generate_set
+from procsup.core import FiniteSet, ProcessKind, Seed, generate_set
 from procsup.errors import CapacityError, ParameterError, ValidationError
 from procsup.moments import (
     ModelKind,
     MomentModel,
     bernoulli_exact_norms,
-    bernoulli_norm_exact,
-    bernoulli_norm_proxy,
     bernoulli_exact_route,
-    bernoulli_norms_exact,
-    ell1_part,
     gaussian_moment_constant,
-    gaussian_norm_exact,
     gaussian_norms,
     mc_mean,
-    mc_norm,
     mc_norms,
     proxy_norms,
-    rearrange,
     signed_row_sums,
-    tail_l2,
 )
 from procsup.oleszkiewicz import NormKind, VectorSystem, strong_moment_ratio
 from procsup.suprema import brute_force_bernoulli_sup
@@ -44,8 +36,18 @@ from moments_reference import (
 )
 
 coords = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
-vectors = st.lists(coords, min_size=1, max_size=9).map(lambda xs: Point(tuple(xs)))
+vectors = st.lists(coords, min_size=1, max_size=9).map(np.array)
 orders = st.integers(min_value=1, max_value=12)
+
+
+def _exact(t: np.ndarray, p) -> float:
+    """``||B_t||_p`` of the vector ``t``: a one-row call of the exact route."""
+    return float(bernoulli_exact_norms(t[None, :], (p,))[0, 0])
+
+
+def _proxy(t: np.ndarray, p) -> float:
+    """The proxy of the vector ``t`` at order ``p``: a one-row call of the proxy route."""
+    return float(proxy_norms(t[None, :], p)[2][0])
 
 
 def _moment_by_quadrature(p: float) -> float:
@@ -76,76 +78,73 @@ def test_gaussian_moment_constant_rejects_small_p():
 
 @given(vectors, orders)
 def test_gaussian_norm_is_l2_scaled(t, p):
-    want = gaussian_moment_constant(p) * float(np.linalg.norm(t.array))
-    assert gaussian_norm_exact(t, p) == pytest.approx(want, rel=1e-12, abs=1e-300)
+    want = gaussian_moment_constant(p) * float(np.linalg.norm(t))
+    assert gaussian_norms(t[None, :], p)[0] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 # --- exact Bernoulli norms ---
 
 
 def test_bernoulli_exact_frozen_values():
-    assert bernoulli_norm_exact(Point((1.0, 1.0)), 2) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    assert _exact(np.ones(2), 2) == pytest.approx(math.sqrt(2.0), rel=1e-14)
     # E|e1+e2+e3+e4| with four fair signs: 2*(6*0 + 8*2 + 2*4)/16/2 = 1.5
-    assert bernoulli_norm_exact(Point((1.0,) * 4), 1) == pytest.approx(1.5, rel=1e-14)
-    assert bernoulli_norm_exact(Point((1.0,)), 7) == pytest.approx(1.0, rel=1e-14)
+    assert _exact(np.ones(4), 1) == pytest.approx(1.5, rel=1e-14)
+    assert _exact(np.ones(1), 7) == pytest.approx(1.0, rel=1e-14)
 
 
 @given(vectors)
 def test_bernoulli_second_moment_is_l2(t):
-    assert bernoulli_norm_exact(t, 2) == pytest.approx(
-        float(np.linalg.norm(t.array)), rel=1e-12, abs=1e-12
-    )
+    assert _exact(t, 2) == pytest.approx(float(np.linalg.norm(t)), rel=1e-12, abs=1e-12)
 
 
 @given(vectors, orders, st.randoms(use_true_random=False))
 def test_bernoulli_exact_permutation_and_sign_invariant(t, p, rnd):
-    reference = bernoulli_norm_exact(t, p)
-    shuffled = list(t.coords)
+    reference = _exact(t, p)
+    shuffled = t.tolist()
     rnd.shuffle(shuffled)
-    flipped = Point(tuple(c if rnd.random() < 0.5 else -c for c in shuffled))
-    assert bernoulli_norm_exact(flipped, p) == pytest.approx(reference, rel=1e-12, abs=1e-12)
+    flipped = np.array([c if rnd.random() < 0.5 else -c for c in shuffled])
+    assert _exact(flipped, p) == pytest.approx(reference, rel=1e-12, abs=1e-12)
 
 
 @given(vectors, orders)
 def test_bernoulli_exact_doubling_scale_is_exact(t, p):
     # multiplying by 2 only shifts exponents, so equality is bitwise
-    doubled = Point(tuple(2.0 * c for c in t.coords))
-    assert bernoulli_norm_exact(doubled, p) == 2.0 * bernoulli_norm_exact(t, p)
+    assert _exact(2.0 * t, p) == 2.0 * _exact(t, p)
 
 
 @given(vectors, orders, orders)
 def test_bernoulli_exact_monotone_in_order(t, p, q):
     lo, hi = sorted((p, q))
-    assert bernoulli_norm_exact(t, lo) <= bernoulli_norm_exact(t, hi) * (1 + 1e-12)
+    assert _exact(t, lo) <= _exact(t, hi) * (1 + 1e-12)
 
 
 @given(vectors, st.integers(min_value=1, max_value=6))
 def test_kahane_doubling_within_sqrt3(t, q):
-    lhs = bernoulli_norm_exact(t, 2 * q)
-    rhs = math.sqrt(3.0) * bernoulli_norm_exact(t, q)
+    lhs = _exact(t, 2 * q)
+    rhs = math.sqrt(3.0) * _exact(t, q)
     assert lhs <= rhs * (1 + 1e-12)
 
 
 def test_bernoulli_exact_dimension_cap():
     with pytest.raises(CapacityError):
-        bernoulli_norm_exact(Point((1.0,) * 21), 2)
+        _exact(np.ones(21), 2)
     with pytest.raises(CapacityError):
-        bernoulli_norms_exact(Point((1.0,) * 21), (1, 2))
+        bernoulli_exact_norms(np.ones((1, 21)), (1, 2))
     with pytest.raises(ParameterError, match="moment order"):  # orders are checked first
-        bernoulli_norms_exact(Point((1.0,) * 21), (2, 0.5))
+        bernoulli_exact_norms(np.ones((1, 21)), (2, 0.5))
 
 
 # --- several orders from one enumeration ---
 
 
 def _one_order_reference(t, p):
-    # The one-order route that bernoulli_norms_exact replaced, kept verbatim.
+    # The one-order enumeration that the multi-order exact route replaced, kept verbatim.
     q = moments._check_moment_order(p)
-    scale = float(np.abs(t.array).sum())
+    scale = float(np.abs(t).sum())
     if scale == 0.0:
         return 0.0
-    total = sum(float(((np.abs(s) / scale) ** q).sum()) for s in signed_row_sums(t.array[:, None]))
-    return scale * (total / (1 << (t.dim - 1))) ** (1.0 / q)
+    total = sum(float(((np.abs(s) / scale) ** q).sum()) for s in signed_row_sums(t[:, None]))
+    return scale * (total / (1 << (t.size - 1))) ** (1.0 / q)
 
 
 def _assert_matches_reference(t, ps, got):
@@ -172,27 +171,27 @@ order_lists = st.lists(
 
 @given(st.lists(entries, min_size=1, max_size=14), order_lists, st.booleans())
 def test_norms_equal_the_one_order_route_bit_for_bit(xs, ps, small_blocks):
-    t = Point(np.array(xs))
+    t = np.array(xs)
     with pytest.MonkeyPatch.context() as mp:
         if small_blocks:
             mp.setattr(moments, "_BLOCK_BYTES", 64)  # eight sums per block
-        got = bernoulli_norms_exact(t, ps)
+        got = bernoulli_exact_norms(t[None, :], ps)[0].tolist()
         _assert_matches_reference(t, ps, got)
-        assert [bernoulli_norm_exact(t, p) for p in ps] == got
+        assert [_exact(t, p) for p in ps] == got
 
 
 @given(st.lists(entries, min_size=1, max_size=14), order_lists)
 def test_norms_of_c_and_minus_c_are_equal_bit_for_bit(xs, ps):
     c = np.array(xs)
-    assert bernoulli_norms_exact(Point(-c), ps) == bernoulli_norms_exact(Point(c), ps)
+    assert bernoulli_exact_norms(-c[None, :], ps).tolist() == bernoulli_exact_norms(c[None, :], ps).tolist()
 
 
 def test_norms_exact_at_twenty_terms_and_for_no_orders():
-    t = Point(rng.standard_normal(rng.stream(7, "twenty"), 20))
+    t = rng.standard_normal(rng.stream(7, "twenty"), 20)
     ps = (1, 2, 3, 8, 2, 1.5)
-    _assert_matches_reference(t, ps, bernoulli_norms_exact(t, ps))
-    assert bernoulli_norms_exact(t, ()) == []
-    assert bernoulli_norms_exact(Point((0.0, -0.0)), (1, 3)) == [0.0, 0.0]
+    _assert_matches_reference(t, ps, bernoulli_exact_norms(t[None, :], ps)[0].tolist())
+    assert bernoulli_exact_norms(t[None, :], ()).shape == (1, 0)
+    assert bernoulli_exact_norms(np.array([[0.0, -0.0]]), (1, 3)).tolist() == [[0.0, 0.0]]
 
 
 
@@ -211,16 +210,16 @@ def test_exact_route_is_the_cosh_series_for_even_integer_orders_up_to_1024():
 
 @given(st.lists(entries, min_size=1, max_size=14), st.lists(even_orders, min_size=1, max_size=6))
 def test_cosh_series_equals_enumeration_to_1e_12(xs, ps):
-    t = Point(np.array(xs))
-    got = bernoulli_norms_exact(t, ps)
+    t = np.array(xs)
+    got = bernoulli_exact_norms(t[None, :], ps)[0]
     for p, value in zip(ps, got):
         assert value == pytest.approx(_one_order_reference(t, p), rel=1e-12, abs=0.0)
 
 
 def test_cosh_series_equals_enumeration_at_twenty_terms_up_to_order_1024():
-    t = Point(rng.standard_normal(rng.stream(8, "cosh-twenty"), 20))
+    t = rng.standard_normal(rng.stream(8, "cosh-twenty"), 20)
     ps = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-    for p, value in zip(ps, bernoulli_norms_exact(t, ps)):
+    for p, value in zip(ps, bernoulli_exact_norms(t[None, :], ps)[0]):
         assert value == pytest.approx(_one_order_reference(t, p), rel=1e-12, abs=0.0)
 
 
@@ -236,17 +235,16 @@ def test_cosh_batch_rows_equal_one_row_calls_bit_for_bit(m, p):
     for row, value in zip(m, batch):
         one = model.norms(row[None, :], p)
         assert one.tobytes() == np.float64(value).tobytes()
-        assert bernoulli_norms_exact(Point(row), (p,)) == [value]
-        assert model.norm(Point(row), p) == value
+        assert bernoulli_exact_norms(row[None, :], (p,)).tobytes() == one.tobytes()
         # an order's value does not depend on the orders that share its call
-        assert bernoulli_norms_exact(Point(row), (1024, p, 2))[1] == value
+        assert bernoulli_exact_norms(row[None, :], (1024, p, 2))[0, 1] == value
 
 
 def test_cosh_series_edge_rows():
     model = MomentModel.bernoulli_exact()
     assert model.norms(np.zeros((0, 3)), 4).shape == (0,)
     assert model.norms(np.array([[0.0, -0.0], [3.0, 4.0]]), 2).tolist() == [0.0, pytest.approx(5.0, rel=1e-15)]
-    assert bernoulli_norms_exact(Point((-2.5,)), (2, 1024)) == [2.5, 2.5]
+    assert bernoulli_exact_norms(np.array([[-2.5]]), (2, 1024)).tolist() == [[2.5, 2.5]]
     with pytest.raises(CapacityError):
         model.norms(np.ones((2, 21)), 2)
     with pytest.raises(ValidationError, match="^increment rows must be finite$"):
@@ -270,17 +268,17 @@ def test_even_orders_make_no_enumeration_pass(monkeypatch):
     ts = generate_set("random_sphere", 20, 24, Seed(3))
     bound = chain_bound(ts, build_partition_greedy(ts), MomentModel.bernoulli_exact())
     assert bound.tree.depth >= 2 and passes == []
-    t = ts.points[0]
-    bernoulli_norms_exact(t, (2, 4, 8))
+    t = ts.matrix[:1]
+    bernoulli_exact_norms(t, (2, 4, 8))
     assert passes == []
-    bernoulli_norms_exact(t, (1, 2, 3))
+    bernoulli_exact_norms(t, (1, 2, 3))
     assert passes == [(20, 1)]
 
 
 @pytest.mark.parametrize("ps", [(1, 2, 3), (2,), (3,), ()])
 def test_exact_norms_reject_an_overflowing_l1_norm(ps):
     with pytest.raises(ParameterError, match="^the l1 norm of row 0 overflows float64$"):
-        bernoulli_norms_exact(Point((1e308, 1e308)), ps)
+        bernoulli_exact_norms(np.array([[1e308, 1e308]]), ps)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -293,70 +291,84 @@ def test_exact_model_rejects_an_overflowing_l1_norm(p):
 
 
 def test_decomposition_parts_manual():
-    t = Point((3.0, -2.0, 1.0))
-    assert ell1_part(t, 1) == 3.0 and tail_l2(t, 1) == pytest.approx(math.sqrt(5.0))
-    assert ell1_part(t, 2) == 5.0 and tail_l2(t, 2) == 1.0
-    assert ell1_part(t, 5) == 6.0 and tail_l2(t, 5) == 0.0
+    t = np.array([[3.0, -2.0, 1.0]])
+    for p, head, tail in [(1, 3.0, math.sqrt(5.0)), (2, 5.0, 1.0), (5, 6.0, 0.0)]:
+        got_head, got_tail, value = proxy_norms(t, p)
+        assert got_head[0] == head and got_tail[0] == pytest.approx(tail)
+        assert value[0] == got_head[0] + math.sqrt(p) * got_tail[0]
 
 
 def test_rearrange_gives_nonincreasing_magnitudes():
-    assert rearrange(Point((1.0, -3.0, 2.0))).coords == (3.0, 2.0, 1.0)
+    # the head at order p sums the p largest magnitudes: a prefix of the rearrangement (3, 2, 1)
+    assert [proxy_norms(np.array([[1.0, -3.0, 2.0]]), p)[0][0] for p in (1, 2, 3)] == [3.0, 5.0, 6.0]
 
 
 @given(vectors, orders)
 def test_proxy_sandwich_against_exact(t, p):
-    exact = bernoulli_norm_exact(t, p)
-    proxy = bernoulli_norm_proxy(t, p).value
+    exact = _exact(t, p)
+    proxy = _proxy(t, p)
     assert exact * (1 - 1e-12) <= proxy <= 4.0 * exact * (1 + 1e-12) + 1e-300
 
 
 @given(vectors, orders)
 def test_proxy_dominates_l2(t, p):
-    assert bernoulli_norm_proxy(t, p).value >= float(np.linalg.norm(t.array)) * (1 - 1e-12)
+    assert _proxy(t, p) >= float(np.linalg.norm(t)) * (1 - 1e-12)
 
 
 @given(vectors, orders)
 def test_proxy_doubling_growth(t, p):
     # doubling the order costs at most a factor 1 + sqrt(2)
-    small = bernoulli_norm_proxy(t, p).value
-    big = bernoulli_norm_proxy(t, 2 * p).value
+    small = _proxy(t, p)
+    big = _proxy(t, 2 * p)
     assert big <= (1.0 + math.sqrt(2.0)) * small * (1 + 1e-12)
 
 
-@given(vectors, orders)
-def test_proxy_is_rearrangement_invariant(t, p):
-    assert bernoulli_norm_proxy(rearrange(t), p).value == pytest.approx(
-        bernoulli_norm_proxy(t, p).value, rel=1e-13, abs=0.0
-    )
+@given(vectors, orders, st.randoms(use_true_random=False))
+def test_proxy_is_rearrangement_invariant(t, p, rnd):
+    # the row, its magnitudes permuted, and its rearrangement (magnitudes in nonincreasing order)
+    order = list(range(t.size))
+    rnd.shuffle(order)
+    rows = np.stack([t, np.abs(t)[order], -np.sort(-np.abs(t))])
+    values = proxy_norms(rows, p)[2]
+    assert values[1:] == pytest.approx([values[0]] * 2, rel=1e-13, abs=0.0)
 
 
 def test_proxy_rejects_bad_order():
     with pytest.raises(ParameterError):
-        bernoulli_norm_proxy(Point((1.0,)), 0)
+        proxy_norms(np.ones((1, 1)), 0)
 
 
 # --- Monte Carlo route ---
 
 
+def _mc(kind, t, p, samples, seed) -> tuple[float, float]:
+    """Estimate and stderr of ``||X_t||_p`` for the vector ``t``: a one-row call of the Monte Carlo route."""
+    est, stderr = mc_norms(kind, t[None, :], p, samples, seed)
+    return float(est[0]), float(stderr[0])
+
+
 def test_mc_norm_is_deterministic_and_content_keyed():
-    t = Point((1.0, -2.0, 0.5))
-    a = mc_norm(ProcessKind.GAUSSIAN, t, 3, 4000, Seed(11))
-    b = mc_norm(ProcessKind.GAUSSIAN, t, 3, 4000, Seed(11))
+    t = np.array([1.0, -2.0, 0.5])
+    a = _mc(ProcessKind.GAUSSIAN, t, 3, 4000, Seed(11))
+    b = _mc(ProcessKind.GAUSSIAN, t, 3, 4000, Seed(11))
     assert a == b
-    c = mc_norm(ProcessKind.GAUSSIAN, t, 3, 4000, Seed(12))
+    c = _mc(ProcessKind.GAUSSIAN, t, 3, 4000, Seed(12))
     assert a != c
+    # the stream is keyed by the row's content: another row draws another stream
+    est, _ = _mc(ProcessKind.GAUSSIAN, 2.0 * t, 3, 4000, Seed(11))
+    assert est != 2.0 * a[0]
 
 
 def test_mc_norm_zero_vector():
-    assert mc_norm(ProcessKind.BERNOULLI, Point((0.0, 0.0)), 2, 100, Seed(0)) == (0.0, 0.0)
+    assert _mc(ProcessKind.BERNOULLI, np.zeros(2), 2, 100, Seed(0)) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("kind,p", [(ProcessKind.GAUSSIAN, 1), (ProcessKind.GAUSSIAN, 4),
                                     (ProcessKind.BERNOULLI, 2)])
 def test_mc_norm_agrees_with_exact(kind, p):
-    t = Point((1.0, -0.7, 0.4, 2.2, -1.3))
-    est, stderr = mc_norm(kind, t, p, 60_000, Seed(5))
-    exact = (gaussian_norm_exact if kind is ProcessKind.GAUSSIAN else bernoulli_norm_exact)(t, p)
+    t = np.array([1.0, -0.7, 0.4, 2.2, -1.3])
+    est, stderr = _mc(kind, t, p, 60_000, Seed(5))
+    exact = gaussian_norms(t[None, :], p)[0] if kind is ProcessKind.GAUSSIAN else _exact(t, p)
     assert abs(est - exact) <= 4.0 * stderr
 
 
@@ -379,10 +391,10 @@ def test_moment_model_validation():
 
 
 def test_moment_model_routes_match_direct_calls():
-    t = Point((0.3, -1.1, 2.0))
-    assert MomentModel.bernoulli_exact().norm(t, 3) == bernoulli_norm_exact(t, 3)
-    assert MomentModel.gaussian_exact().norm(t, 3) == gaussian_norm_exact(t, 3)
-    assert MomentModel.bernoulli_proxy().norm(t, 3) == bernoulli_norm_proxy(t, 3).value
+    t = np.array([[0.3, -1.1, 2.0]])
+    assert MomentModel.bernoulli_exact().norms(t, 3).tobytes() == bernoulli_exact_norms(t, (3,))[:, 0].tobytes()
+    assert MomentModel.gaussian_exact().norms(t, 3).tobytes() == gaussian_norms(t, 3).tobytes()
+    assert MomentModel.bernoulli_proxy().norms(t, 3).tobytes() == proxy_norms(t, 3)[2].tobytes()
 
 
 @pytest.mark.parametrize("model", [
@@ -395,11 +407,10 @@ def test_moment_model_routes_match_direct_calls():
 def test_norm_is_the_one_row_case_of_norms(model, d):
     rows = rng.standard_normal(rng.stream(d, "norm-vs-norms"), (4, d))
     for p in (1, 2, 3, 8):
-        for row in rows:
-            assert np.float64(model.norm(Point(row), p)).tobytes() == model.norms(row[None, :], p).tobytes()
+        one_row = [model.norms(row[None, :], p) for row in rows]
+        assert all(one.shape == (1,) for one in one_row)
         if model.kind is not ModelKind.MONTE_CARLO:  # a Monte Carlo batch shares one stream
-            want = [model.norm(Point(row), p) for row in rows]
-            assert np.array(want).tobytes() == model.norms(rows, p).tobytes()
+            assert np.concatenate(one_row).tobytes() == model.norms(rows, p).tobytes()
 
 
 # --- the shared sign enumerator and Monte Carlo accumulator ---
@@ -419,17 +430,17 @@ def test_enumeration_matches_itertools_brute_force(monkeypatch, d, block_bytes):
         np.sort(pinned, axis=0), np.sort(sums[signs[:, 0] > 0], axis=0), rtol=1e-12, atol=1e-12
     )
     # Exact supremum over the five columns of m, as points of R^d.
-    points = FiniteSet(name="cols", points=tuple(Point(tuple(c)) for c in m.T))
+    points = FiniteSet(name="cols", points=m.T)
     assert brute_force_bernoulli_sup(points).value == pytest.approx(
         sums.max(axis=1).mean(), rel=1e-12
     )
     # Exact norms of the first column.
     for p in (1, 2, 3, 8):
         expected = np.mean(np.abs(sums[:, 0]) ** p) ** (1.0 / p)
-        assert bernoulli_norm_exact(Point(tuple(m[:, 0])), p) == pytest.approx(expected, rel=1e-12)
+        assert _exact(m[:, 0], p) == pytest.approx(expected, rel=1e-12)
     # Strong moments of the d rows of m, as a series in R^5.
     for norm in NormKind:
-        system = VectorSystem(name="rows", vectors=tuple(Point(tuple(r)) for r in m), norm=norm)
+        system = VectorSystem(name="rows", vectors=m, norm=norm)
         expected = np.mean(system.norm_of(sums))
         assert strong_moment_ratio(system, system).lhs == pytest.approx(expected, rel=1e-12)
 
@@ -471,7 +482,7 @@ def test_mc_mean_variance_survives_a_large_mean(monkeypatch, seed):
 def _one_row_cases(draw):
     d = draw(st.integers(1, 40))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    t = Point(gen.standard_normal(d) * 10.0 ** gen.uniform(-6, 6))
+    t = gen.standard_normal(d) * 10.0 ** gen.uniform(-6, 6)
     p = draw(st.one_of(st.integers(1, 9), st.floats(1.0, 9.0)))
     # 4-row chunks up to one chunk of the whole run; counts off the multiple of 4 included
     chunk_rows = draw(st.sampled_from([4, 12, 1 << 20]))
@@ -483,11 +494,10 @@ def _one_row_cases(draw):
 def test_one_row_mc_norms_is_the_scalar_estimator_bit_for_bit(case):
     kind, t, p, samples, chunk_rows = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(moments, "_BLOCK_BYTES", 8 * t.dim * chunk_rows)
-        est, stderr = mc_norms(kind, t.array[None, :], p, samples, Seed(9))
+        mp.setattr(moments, "_BLOCK_BYTES", 8 * t.size * chunk_rows)
+        est, stderr = mc_norms(kind, t[None, :], p, samples, Seed(9))
         ref = reference_mc_norm(kind, t, p, samples, Seed(9))
         assert np.array([est[0], stderr[0]]).tobytes() == np.array(ref).tobytes()
-        assert np.array(mc_norm(kind, t, p, samples, Seed(9))).tobytes() == np.array(ref).tobytes()
 
 
 @pytest.mark.parametrize("kind", list(ProcessKind))
@@ -514,7 +524,7 @@ def test_mc_norms_of_a_64_row_level_are_within_three_sigma(seed, p):
     # 4 sigma (Bonferroni over 64 columns at 0.5%), is not.
     rows = rng.standard_normal(rng.stream(seed, "mc-level"), (64, 32))
     est, stderr = mc_norms(ProcessKind.GAUSSIAN, rows, p, 20_000, Seed(seed))
-    exact = np.array([gaussian_norm_exact(Point(r), p) for r in rows])
+    exact = gaussian_norms(rows, p)
     assert (stderr > 0.0).all()
     z = np.abs(est - exact) / stderr
     assert (z > 3.0).sum() <= 2 and (z <= 4.0).all()
@@ -542,7 +552,7 @@ def test_mc_norms_rejects_bad_arguments():
     with pytest.raises(ParameterError, match="^the l2 norm of row 1 overflows float64$"):
         mc_norms(ProcessKind.GAUSSIAN, np.array([[1.0, 2.0], [1e200, 1e200]]), 2, 10, Seed(0))
     with pytest.raises(ParameterError, match="overflows"):
-        mc_norm(ProcessKind.BERNOULLI, Point((1e200, -1e200)), 2, 10, Seed(0))
+        mc_norms(ProcessKind.BERNOULLI, np.array([[1e200, -1e200]]), 2, 10, Seed(0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -563,7 +573,7 @@ def test_monte_carlo_norms_route_is_one_mc_norms_call():
     model = MomentModel.monte_carlo(ProcessKind.GAUSSIAN, 300, Seed(6))
     rows = rng.standard_normal(rng.stream(6, "route"), (5, 4))
     assert model.norms(rows, 4).tobytes() == mc_norms(ProcessKind.GAUSSIAN, rows, 4, 300, Seed(6))[0].tobytes()
-    assert model.norms(rows[:1], 4)[0] == model.norm(Point(rows[0]), 4)
+    assert model.norms(rows[:1], 4).tobytes() == mc_norms(ProcessKind.GAUSSIAN, rows[:1], 4, 300, Seed(6))[0].tobytes()
 
 
 # --- the row-matrix routes against the one-vector references ---
@@ -589,28 +599,28 @@ def _bits(values) -> bytes:
 @given(_row_matrices(24), st.data())
 def test_proxy_rows_equal_the_one_vector_reference_bit_for_bit(m, data):
     p = data.draw(st.integers(0, m.shape[1] + 2))
-    points = [Point(row) for row in m]
-    assert _bits([ell1_part(t, p) for t in points]) == _bits([reference_ell1_part(t, p) for t in points])
-    assert _bits([tail_l2(t, p) for t in points]) == _bits([reference_tail_l2(t, p) for t in points])
     if p == 0:
+        with pytest.raises(ParameterError, match="proxy needs p >= 1"):
+            proxy_norms(m, p)
         return
-    want = [reference_bernoulli_norm_proxy(t, p) for t in points]
+    want = [reference_bernoulli_norm_proxy(row, p) for row in m]
+    assert _bits([w[0] for w in want]) == _bits([reference_ell1_part(row, p) for row in m])
+    assert _bits([w[1] for w in want]) == _bits([reference_tail_l2(row, p) for row in m])
     head, tail, value = proxy_norms(m, p)
-    assert head.tobytes() == _bits([w.ell1 for w in want])
-    assert tail.tobytes() == _bits([w.tail for w in want])
-    assert value.tobytes() == _bits([w.value for w in want])
+    assert head.tobytes() == _bits([w[0] for w in want])
+    assert tail.tobytes() == _bits([w[1] for w in want])
+    assert value.tobytes() == _bits([w[2] for w in want])
     assert MomentModel.bernoulli_proxy().norms(m, p).tobytes() == value.tobytes()
-    for t, w in zip(points, want):
-        got = bernoulli_norm_proxy(t, p)
-        assert got.p == w.p and _bits([got.ell1, got.tail, got.value]) == _bits([w.ell1, w.tail, w.value])
+    for row, w in zip(m, want):
+        assert np.concatenate(proxy_norms(row[None, :], p)).tobytes() == _bits(w)
 
 
 @given(_row_matrices(24), st.one_of(st.integers(1, 12), st.floats(1.0, 12.0)))
 def test_gaussian_rows_equal_the_one_vector_reference_bit_for_bit(m, p):
-    want = _bits([reference_gaussian_norm_exact(Point(row), p) for row in m])
+    want = _bits([reference_gaussian_norm_exact(row, p) for row in m])
     assert gaussian_norms(m, p).tobytes() == want
     assert MomentModel.gaussian_exact().norms(m, p).tobytes() == want
-    assert _bits([gaussian_norm_exact(Point(row), p) for row in m]) == want
+    assert np.concatenate([gaussian_norms(row[None, :], p) for row in m]).tobytes() == want
 
 
 @given(_row_matrices(14), order_lists, st.booleans())
@@ -618,18 +628,18 @@ def test_exact_rows_equal_the_one_vector_reference_bit_for_bit(m, ps, small_bloc
     with pytest.MonkeyPatch.context() as mp:
         if small_blocks:
             mp.setattr(moments, "_BLOCK_BYTES", 64)  # eight sums per block
-        want = np.array([reference_bernoulli_norms_exact(Point(row), ps) for row in m]).reshape(len(m), len(ps))
+        want = np.array([reference_bernoulli_norms_exact(row, ps) for row in m]).reshape(len(m), len(ps))
         got = bernoulli_exact_norms(m, ps)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         for c, p in enumerate(ps):
             assert MomentModel.bernoulli_exact().norms(m, p).tobytes() == want[:, c].tobytes()
-        assert _bits([bernoulli_norms_exact(Point(row), ps) for row in m]) == want.tobytes()
+        assert np.concatenate([bernoulli_exact_norms(row[None, :], ps) for row in m]).tobytes() == want.tobytes()
 
 
 def test_exact_rows_at_twenty_terms_and_over_the_cap():
     m = rng.standard_normal(rng.stream(9, "exact-rows-twenty"), (2, 20))
     ps = (1, 3, 2.5, 8)
-    want = np.array([reference_bernoulli_norms_exact(Point(row), ps) for row in m])
+    want = np.array([reference_bernoulli_norms_exact(row, ps) for row in m])
     assert bernoulli_exact_norms(m, ps).tobytes() == want.tobytes()
     for d in (21, 24):
         with pytest.raises(CapacityError, match=f"^exact Bernoulli norm needs dim <= 20, got {d}$"):
@@ -638,14 +648,14 @@ def test_exact_rows_at_twenty_terms_and_over_the_cap():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: gaussian_norm_exact(Point((1e200,)), 2), "l2 norm of row 0"),
+    (lambda: gaussian_norms(np.array([[1e200]]), 2), "l2 norm of row 0"),
     (lambda: MomentModel.gaussian_exact().norms(np.array([[1.0, 0.0], [1e200, 0.0]]), 2), "l2 norm of row 1"),
-    (lambda: bernoulli_norm_proxy(Point((1e200, 1e200)), 1), "l2 norm of row 0"),
-    (lambda: bernoulli_norm_proxy(Point((1e308, 1e308)), 2), "l1 norm of row 0"),
+    (lambda: proxy_norms(np.array([[1e200, 1e200]]), 1), "l2 norm of row 0"),
+    (lambda: proxy_norms(np.array([[1e308, 1e308]]), 2), "l1 norm of row 0"),
     (lambda: proxy_norms(np.array([[1.0, 2.0], [1e308, 1e308]]), 2), "l1 norm of row 1"),
     (lambda: MomentModel.bernoulli_proxy().norms(np.array([[1.0, 2.0], [1e200, 1e200]]), 1), "l2 norm of row 1"),
-    (lambda: tail_l2(Point((1e200, 1.0)), 0), "l2 norm of row 0"),
-    (lambda: ell1_part(Point((1e308, 1e308)), 5), "l1 norm of row 0"),
+    (lambda: proxy_norms(np.array([[1.0, 2.0, 3.0], [1e200, 1e200, 1.0]]), 1), "l2 norm of row 1"),
+    (lambda: proxy_norms(np.array([[0.0, 0.0], [1e308, 1e308]]), 5), "l1 norm of row 1"),
 ], ids=["gaussian", "gaussian-model", "proxy-tail", "proxy-head", "proxy-rows", "proxy-model", "tail", "head"])
 def test_proxy_and_gaussian_routes_reject_overflowing_norms(call, message):
     with pytest.raises(ParameterError, match=f"^the {message} overflows float64$"):
@@ -653,6 +663,8 @@ def test_proxy_and_gaussian_routes_reject_overflowing_norms(call, message):
 
 
 def test_large_but_finite_norms_still_pass_the_overflow_check():
-    assert gaussian_norm_exact(Point((1e150, -1e150)), 2) == reference_gaussian_norm_exact(Point((1e150, -1e150)), 2)
-    dec = bernoulli_norm_proxy(Point((1e300, 1e150, 1.0)), 1)  # the head holds the huge coordinate
-    assert (dec.ell1, dec.tail) == (1e300, reference_tail_l2(Point((1e300, 1e150, 1.0)), 1))
+    t = np.array([1e150, -1e150])
+    assert gaussian_norms(t[None, :], 2)[0] == reference_gaussian_norm_exact(t, 2)
+    t = np.array([1e300, 1e150, 1.0])
+    head, tail, _ = proxy_norms(t[None, :], 1)  # the head holds the huge coordinate
+    assert (head[0], tail[0]) == (1e300, reference_tail_l2(t, 1))

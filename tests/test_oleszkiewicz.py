@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from procsup import moments, rng
-from procsup.core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, Point, Seed
+from procsup.core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, Seed
 from procsup.errors import ParameterError, ParseError, ValidationError
-from procsup.moments import bernoulli_norm_exact, bernoulli_norm_proxy
+from procsup.moments import bernoulli_exact_norms, proxy_norms
 from procsup.oleszkiewicz import (
     FunctionalSample,
     NormKind,
@@ -28,32 +29,28 @@ from procsup.suprema import brute_force_bernoulli_sup
 
 
 def _basis_system(dim, scale=1.0, norm=NormKind.SUP):
-    vectors = tuple(
-        Point(tuple(scale if j == i else 0.0 for j in range(dim))) for i in range(dim)
-    )
-    return VectorSystem(name=f"basis-{dim}-{scale}", vectors=vectors, norm=norm)
+    return VectorSystem(name=f"basis-{dim}-{scale}", vectors=scale * np.eye(dim), norm=norm)
 
 
 def _random_system(seed, terms, dim, norm=NormKind.SUP):
     gen = rng.stream(seed, "ole-test")
     rows = rng.standard_normal(gen, (terms, dim))
-    vectors = tuple(Point(tuple(map(float, r))) for r in rows)
-    return VectorSystem(name=f"rand-{seed}", vectors=vectors, norm=norm)
+    return VectorSystem(name=f"rand-{seed}", vectors=rows, norm=norm)
 
 
 def test_system_validation():
     with pytest.raises(ValidationError):
         VectorSystem(name="empty", vectors=(), norm=NormKind.SUP)
     with pytest.raises(ValidationError):
-        VectorSystem(name="mixed", vectors=(Point((1.0,)), Point((1.0, 2.0))), norm=NormKind.SUP)
+        VectorSystem(name="mixed", vectors=([1.0], [1.0, 2.0]), norm=NormKind.SUP)
 
 
 def test_functionals_live_in_the_dual_ball():
     for norm in NormKind:
         sample = generate_functionals(norm, 5, 12, Seed(3))
         assert len(sample) == 2 * 5 + 12
-        for w in sample.functionals:
-            arr = w.array
+        assert sample.matrix.shape == (2 * 5 + 12, 5) and not sample.matrix.flags.writeable
+        for arr in sample.matrix:
             dual = np.abs(arr).sum() if norm is NormKind.SUP else np.linalg.norm(arr)
             assert dual <= 1.0 + 1e-9
 
@@ -61,14 +58,40 @@ def test_functionals_live_in_the_dual_ball():
 def test_functionals_deterministic():
     a = generate_functionals(NormKind.SUP, 4, 6, Seed(1))
     b = generate_functionals(NormKind.SUP, 4, 6, Seed(1))
-    assert a.functionals == b.functionals
+    assert a.matrix.tobytes() == b.matrix.tobytes()
+
+
+def test_functionals_hold_one_basis_matrix():
+    # a row view of a fresh identity matrix per functional would keep dim of them alive: 64 MB at dim 200
+    tracemalloc.start()
+    try:
+        sample = generate_functionals(NormKind.SUP, 200, 0, Seed(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.matrix[:2].tolist() == [[1.0] + [0.0] * 199, [-1.0] + [-0.0] * 199]
+    assert peak < 4 << 20
+
+
+def test_functional_sample_is_one_validated_matrix():
+    with pytest.raises(ValidationError, match=r"^functional 1 has dual norm 1.5 > 1$"):
+        FunctionalSample(functionals=[[1.0, 0.0], [0.5, -1.0]], norm=NormKind.SUP, seed=Seed(0))
+    with pytest.raises(ValidationError, match="^functional sample has no functionals$"):
+        FunctionalSample(functionals=[], norm=NormKind.SUP, seed=Seed(0))
+    with pytest.raises(ValidationError, match="functional 0: coordinate 1 is not finite"):
+        FunctionalSample(functionals=[[0.0, math.nan]], norm=NormKind.EUCLIDEAN, seed=Seed(0))
+    rows = np.array([[0.6, 0.8]])
+    sample = FunctionalSample(functionals=rows, norm=NormKind.EUCLIDEAN, seed=Seed(0))
+    rows[0, 0] = 9.0  # the sample holds its own copy
+    assert sample.matrix.tolist() == [[0.6, 0.8]] and not sample.matrix.flags.writeable
+    assert len(sample) == 1
 
 
 def test_weak_constant_on_halved_system():
     y = _random_system(5, 6, 4)
     x = VectorSystem(
         name="half",
-        vectors=tuple(Point(tuple(0.5 * c for c in v.coords)) for v in y.vectors),
+        vectors=0.5 * y.matrix,
         norm=NormKind.SUP,
     )
     funcs = generate_functionals(NormKind.SUP, 4, 8, Seed(2))
@@ -83,9 +106,7 @@ def test_weak_constant_on_halved_system():
 def test_weak_constant_reports_infinity_when_y_degenerate():
     x = _basis_system(3)
     # term counts must match x; repeated terms are legal in a series
-    y = VectorSystem(
-        name="zeros", vectors=(Point((0.0, 0.0, 0.0)),) * 3, norm=NormKind.SUP
-    )
+    y = VectorSystem(name="zeros", vectors=np.zeros((3, 3)), norm=NormKind.SUP)
     funcs = generate_functionals(NormKind.SUP, 3, 0, Seed(0))
     weak = weak_moment_constant(x, y, funcs)
     assert math.isinf(weak.value)
@@ -113,9 +134,7 @@ def test_strong_moment_cross_checks_against_sign_supremum():
     sys_ = _random_system(8, terms=6, dim=3)
     report = strong_moment_ratio(sys_, sys_)
     cols = sys_.matrix.T
-    pts = [Point(tuple(map(float, c))) for c in cols]
-    pts += [Point(tuple(-v for v in p.coords)) for p in pts]
-    sup = brute_force_bernoulli_sup(FiniteSet(name="cols", points=tuple(pts)))
+    sup = brute_force_bernoulli_sup(FiniteSet(name="cols", points=np.concatenate([cols, -cols])))
     assert report.lhs == pytest.approx(sup.value, rel=1e-12)
 
 
@@ -138,7 +157,7 @@ def test_system_save_load_roundtrip(tmp_path):
     path = tmp_path / "sys.json"
     save_vector_system(sys_, path)
     back = load_vector_system(path)
-    assert back.vectors == sys_.vectors
+    assert back.matrix.tobytes() == sys_.matrix.tobytes()
     assert back.norm is sys_.norm
     doc = {"format": "vector-system", "version": 1, "name": sys_.name, "norm": "euclidean",
            "dim": 4, "vectors": sys_.matrix.tolist()}
@@ -178,19 +197,19 @@ def test_system_load_rejects_values_it_would_have_to_coerce(tmp_path, dim, rows,
 
 def _reference_coefficient_norm(coeffs, p):
     # The one-order helper that weak_moment_constant used to call per order.
-    point = Point(coeffs)
+    row = coeffs[None, :]
     if coeffs.size <= EXACT_ENUMERATION_MAX_DIM:
-        return bernoulli_norm_exact(point, p)
-    return bernoulli_norm_proxy(point, p).value
+        return bernoulli_exact_norms(row, (p,))[0, 0]
+    return proxy_norms(row, p)[2][0]
 
 
 def _reference_weak_moment_constant(x_sys, y_sys, funcs, p_max=8):
     # The per-order loop weak_moment_constant replaced, kept verbatim.
     _check_sysmatch(x_sys, y_sys, funcs)
     best = WeakMomentResult(0.0, -1, 0, 0.0, 0.0)
-    for k, w in enumerate(funcs.functionals):
-        a = x_sys.matrix @ w.array
-        b = y_sys.matrix @ w.array
+    for k, w in enumerate(funcs.matrix):
+        a = x_sys.matrix @ w
+        b = y_sys.matrix @ w
         for p in range(1, p_max + 1):
             num = _reference_coefficient_norm(a, p)
             den = _reference_coefficient_norm(b, p)
@@ -204,9 +223,9 @@ def _reference_weak_moment_constant(x_sys, y_sys, funcs, p_max=8):
 
 def _with_repeats(funcs, picks):
     """``funcs`` plus, for each ``(index, sign)`` pick, that functional again times the sign."""
-    rows = [w.array for w in funcs.functionals]
+    rows = list(funcs.matrix)
     rows += [sign * rows[i % len(rows)] for i, sign in picks]
-    return FunctionalSample(functionals=tuple(map(Point, rows)), norm=funcs.norm, seed=funcs.seed)
+    return FunctionalSample(functionals=rows, norm=funcs.norm, seed=funcs.seed)
 
 
 grid = st.integers(min_value=-2, max_value=2).map(float)
