@@ -296,12 +296,18 @@ def mc_mean(
     m: np.ndarray,
     samples: int,
     statistic: Callable[[np.ndarray], np.ndarray],
+    radius: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of ``statistic(xi @ m)`` over ``samples`` draws of ``xi``.
 
     ``xi`` has one coordinate per row of ``m`` and is drawn from ``gen`` in
     chunks whose rows are a multiple of 4, so the draw stream does not
     depend on the chunking (numpy packs four int8 signs per 32-bit word).
+    A chunk's ``(k, d)`` draws and ``(k, n)`` products ``xi @ m`` together
+    stay within ``_BLOCK_BYTES`` (for a vector ``m``, the draws alone); the
+    draws are freed before the statistic runs, and each chunk is freed
+    before the next is drawn.  Given a ``radius``, each draw is rescaled to
+    that l2 length before the product.
     The statistic maps a chunk of ``k`` draws to a fresh array of ``k``
     values, which this function then overwrites, or to a ``(k, c)`` block
     for ``c`` statistics of the same draws; the result has shape ``()`` or
@@ -313,13 +319,19 @@ def mc_mean(
     at a time, so the transposed copy stays within an eighth of the block
     budget.
     """
-    rows = max(4, _BLOCK_BYTES // (8 * max(m.shape)) // 4 * 4)
+    rows = max(4, _BLOCK_BYTES // (8 * sum(m.shape)) // 4 * 4)
     shift = mean = m2 = None
     count = 0
     while count < samples:
         k = min(rows, samples - count)
-        block = statistic(_draw(kind, gen, (k, m.shape[0])) @ m)
-        columns = block.reshape(k, -1)
+        xs = _draw(kind, gen, (k, m.shape[0]))
+        if radius is not None:
+            xs *= (radius / np.sqrt(np.vecdot(xs, xs)))[:, None]
+        products = xs @ m
+        del xs
+        block = statistic(products)
+        del products
+        shape, columns = block.shape[1:], block.reshape(k, -1)
         if shift is None:
             shift, mean, m2 = (np.zeros((columns.shape[1], 1)) for _ in range(3))
         total = count + k
@@ -336,8 +348,8 @@ def mc_mean(
             ys -= chunk_mean
             ys **= 2
             m2[cols] = m2[cols] + (ys.sum(axis=-1, keepdims=True) + delta * delta * count * k / total)
+        del block, columns, ys
         count = total
-    shape = block.shape[1:]
     return (shift + mean).reshape(shape), np.sqrt(m2 / (samples - 1) / samples).reshape(shape)
 
 

@@ -23,6 +23,9 @@ from scipy.special import ndtri
 
 _KEY_BYTES = 16  # Philox-4x64 key width
 
+#: Integers drawn per call while filling a block of uniforms (512 KiB of uint64).
+_PIECE = 1 << 16
+
 
 def stream(seed: int, label: str, index: int = 0) -> np.random.Generator:
     """Return the Philox generator keyed by ``(seed, label, index)``."""
@@ -42,14 +45,27 @@ def content_stream(seed: int, prefix: str, m: np.ndarray, tag: str) -> np.random
 
 
 def uniform_open(gen: np.random.Generator, size) -> np.ndarray:
-    """Uniforms on the open interval (0, 1): (k + 0.5) / 2**53 for a 53-bit k."""
-    high = gen.integers(0, 1 << 53, size=size, dtype=np.uint64)
-    return (high.astype(np.float64) + 0.5) * (2.0**-53)
+    """Uniforms on the open interval (0, 1): (k + 0.5) / 2**53 for a 53-bit k.
+
+    The integers are drawn ``_PIECE`` at a time into the float result, so
+    the block of integers never exceeds one piece.  Each 53-bit integer
+    takes one 64-bit word of the stream, so the pieces draw what one call
+    of the whole size draws.
+    """
+    u = np.empty(size)
+    flat = u.reshape(-1)
+    for lo in range(0, flat.size, _PIECE):
+        piece = flat[lo : lo + _PIECE]
+        piece[...] = gen.integers(0, 1 << 53, size=piece.size, dtype=np.uint64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
-    """Standard normals via inverse-CDF on :func:`uniform_open` draws."""
-    return ndtri(uniform_open(gen, size))
+    """Standard normals via inverse-CDF on :func:`uniform_open` draws, computed in place."""
+    u = uniform_open(gen, size)
+    return ndtri(u, out=u)
 
 
 def rademacher(gen: np.random.Generator, size) -> np.ndarray:

@@ -3,7 +3,11 @@
 These are the accumulator and the norm estimator as they stood before the
 Monte Carlo routes were batched.  The batched code must reproduce them bit
 for bit wherever it claims to: a one-column statistic, a one-row norm, and
-each column of a shared-stream level.
+each column of a shared-stream level.  The chunk rule is ``mc_mean``'s: a
+chunk's draws and products together fit ``_BLOCK_BYTES``.
+
+:func:`reference_one_sided_mc_sup` is the supremum estimator as it stood
+before the antithetic one: one evaluation ``max_t <xi, t>`` per draw.
 """
 
 import hashlib
@@ -16,7 +20,8 @@ from procsup import moments, rng
 
 def reference_mc_mean(kind, gen, m, samples, statistic):
     """Mean and stderr of one scalar statistic, chunked and merged as ``mc_mean`` does."""
-    rows = max(4, moments._BLOCK_BYTES // (8 * max(m.shape)) // 4 * 4)
+    width = m.shape[1] if m.ndim == 2 else 1  # a vector m is one column
+    rows = max(4, moments._BLOCK_BYTES // (8 * (m.shape[0] + width)) // 4 * 4)
     shift = None
     count, mean, m2 = 0, 0.0, 0.0
     while count < samples:
@@ -32,6 +37,12 @@ def reference_mc_mean(kind, gen, m, samples, statistic):
         m2 += float(((ys - chunk_mean) ** 2).sum()) + delta * delta * count * k / total
         count = total
     return shift + mean, math.sqrt(m2 / (samples - 1) / samples)
+
+
+def reference_one_sided_mc_sup(kind, ts, samples, seed):
+    """Mean and stderr of ``max_t <xi, t>`` over ``samples`` draws, from ``mc_sup``'s stream."""
+    gen = rng.content_stream(seed.value, "mc-sup", ts.matrix, kind.value)
+    return reference_mc_mean(kind, gen, ts.matrix.T, samples, lambda ys: ys.max(axis=1))
 
 
 def _finish(scale, q, mean, se_mean):

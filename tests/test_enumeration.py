@@ -192,9 +192,18 @@ def test_an_overflowing_point_fails_before_the_draws(kind):
 
 @pytest.mark.filterwarnings("error")
 def test_an_overflowing_monte_carlo_variance_fails_after_the_draws():
-    ts = FiniteSet(name="wide", points=np.array([[1.2e154], [-1e154]]))
+    ts = FiniteSet(name="wide", points=np.array([[1.2e154, 0.0], [-1e154, 0.0]]))
     with pytest.raises(ParameterError, match="^the l2 norm of row 0 overflows float64 in the Monte Carlo variance$"):
         mc_sup(ProcessKind.GAUSSIAN, ts, 100, Seed(1))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_one_dimensional_monte_carlo_supremum_is_its_closed_form():
+    # Every draw of g, rescaled to length E|g|, has half-span E|g| * (1.2e154 + 1e154) / 2.
+    ts = FiniteSet(name="wide", points=np.array([[1.2e154], [-1e154]]))
+    est = mc_sup(ProcessKind.GAUSSIAN, ts, 100, Seed(1))
+    assert est.value == pytest.approx(math.sqrt(2.0 / math.pi) * 1.1e154, rel=1e-15)
+    assert est.stderr <= 1e-15 * est.value
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -514,6 +515,20 @@ def test_vector_mc_mean_is_the_scalar_accumulator_per_column(monkeypatch, kind, 
     for j in range(3):
         ref = reference_mc_mean(kind, rng.stream(2, "mc-mean"), m, 103, lambda ys: ys[:, j] ** 3)
         assert np.array([means[j], stderrs[j]]).tobytes() == np.array(ref).tobytes()
+
+
+@pytest.mark.parametrize("count", [3, 48, 64])
+def test_a_chunk_of_draws_and_products_fits_the_block_budget(count):
+    # The levels of a 64-point d=32 chain bound under 20 000 Gaussian samples:
+    # few rows make the draws the larger block, many rows the products.
+    rows = rng.standard_normal(rng.stream(count, "mc-budget"), (count, 32))
+    tracemalloc.start()
+    try:
+        mc_norms(ProcessKind.GAUSSIAN, rows, 2, 20_000, Seed(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= moments._BLOCK_BYTES + (1 << 20)
 
 
 @pytest.mark.parametrize("seed", range(3))

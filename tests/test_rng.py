@@ -1,8 +1,9 @@
 import hashlib
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from procsup import rng
 
@@ -24,6 +25,22 @@ def test_streams_separate_by_label_and_index():
 def test_uniform_open_stays_inside_unit_interval():
     u = rng.uniform_open(rng.stream(0, "u"), 100_000)
     assert u.min() > 0.0 and u.max() < 1.0
+
+
+@given(st.integers(0, 3 * rng._PIECE + 5), st.integers(1, 3))
+@example(0, 1)
+@example(rng._PIECE, 1)
+@example(rng._PIECE + 1, 1)
+@example(rng._PIECE - 1, 3)
+def test_uniforms_drawn_in_pieces_are_one_draw_of_the_whole_size(count, width):
+    # the one-call formula: every 53-bit integer of the block drawn at once
+    whole = rng.stream(4, "pieces").integers(0, 1 << 53, size=(count, width), dtype=np.uint64)
+    want = (whole.astype(np.float64) + 0.5) * (2.0**-53)
+    gen = rng.stream(4, "pieces")
+    assert rng.uniform_open(gen, (count, width)).tobytes() == want.tobytes()
+    assert rng.standard_normal(rng.stream(4, "pieces"), (count, width)).tobytes() == ndtri(want).tobytes()
+    # and the stream goes on from the same place
+    assert gen.integers(0, 1 << 62) == rng.stream(4, "pieces").integers(0, 1 << 62, size=count * width + 1)[-1]
 
 
 def test_rademacher_values_and_balance():

@@ -6,10 +6,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from procsup import moments, rng
 from procsup.core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, ProcessKind, Seed, generate_set
 from procsup.errors import CapacityError, ParameterError, ValidationError
 from procsup.moments import bernoulli_exact_norms
-from procsup.suprema import EstimateMethod, SupEstimate, brute_force_bernoulli_sup, expected_sup, mc_sup
+from procsup.suprema import (
+    EstimateMethod,
+    SupEstimate,
+    _half_span,
+    brute_force_bernoulli_sup,
+    chi_mean,
+    expected_sup,
+    mc_sup,
+)
+
+from mc_reference import reference_one_sided_mc_sup
 
 coords = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -138,3 +149,105 @@ def test_mc_sup_memory_does_not_grow_with_the_set():
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+
+
+# --- the antithetic, radius-conditioned Monte Carlo supremum ---
+
+
+def _symmetric(dim, half_count, seed):
+    half = generate_set("random_sphere", dim, half_count, Seed(seed)).matrix
+    return FiniteSet(name="sym", points=np.vstack([half, -half]))
+
+
+@pytest.mark.parametrize(
+    "kind, ts, samples, most",
+    [
+        (ProcessKind.BERNOULLI, generate_set("random_sphere", 24, 60, Seed(1)), 100_000, 1.02),
+        (ProcessKind.BERNOULLI, generate_set("random_sphere", 32, 256, Seed(1)), 100_000, 1.02),
+        (ProcessKind.GAUSSIAN, generate_set("random_sphere", 50, 2000, Seed(1)), 20_000, 0.7),
+        # T = -T: a draw's two evaluations agree, so it carries one evaluation's information.
+        (ProcessKind.BERNOULLI, _symmetric(24, 30, 1), 100_000, 1.45),
+        (ProcessKind.GAUSSIAN, _symmetric(24, 30, 1), 100_000, 1.45),
+    ],
+    ids=["bernoulli-24x60", "bernoulli-32x256", "gaussian-50x2000", "symmetric-bernoulli", "symmetric-gaussian"],
+)
+def test_stderr_against_the_one_sided_estimator(kind, ts, samples, most):
+    est = mc_sup(kind, ts, samples, Seed(3))
+    one_sided, one_sided_stderr = reference_one_sided_mc_sup(kind, ts, samples, Seed(3))
+    assert est.samples == samples
+    assert est.stderr <= most * one_sided_stderr
+    assert abs(est.value - one_sided) <= 4.0 * math.hypot(est.stderr, one_sided_stderr)
+
+
+@st.composite
+def _enumerable_sets(draw):
+    """Random sets at d <= 12; symmetric ones (T = -T); and ones with a duplicated
+    coordinate, a repeated row of the coefficient matrix ``T.T`` that the draws multiply."""
+    dim = draw(st.integers(1, 11))
+    m = np.array(draw(st.lists(st.lists(coords, min_size=dim, max_size=dim), min_size=1, max_size=6)))
+    shape = draw(st.sampled_from(["random", "symmetric", "duplicate-coordinate"]))
+    if shape == "symmetric":
+        m = np.vstack([m, -m])
+    elif shape == "duplicate-coordinate":
+        m = np.hstack([m, m[:, :1]])
+    return FiniteSet(name=shape, points=np.unique(m, axis=0))
+
+
+@given(_enumerable_sets(), st.integers(0, 2**32 - 1))
+def test_mc_sup_is_within_four_sigma_of_the_enumeration(ts, seed):
+    exact = brute_force_bernoulli_sup(ts).value
+    est = mc_sup(ProcessKind.BERNOULLI, ts, 4000, Seed(seed))
+    # The slack covers rounding where every draw gives the exact value (stderr 0).
+    assert abs(est.value - exact) <= 4.0 * est.stderr + 1e-12 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("kind", list(ProcessKind))
+def test_mc_sup_is_the_mean_half_span_of_its_draws(kind):
+    # One chunk, so the accumulator's mean and variance are numpy's over the pair samples.
+    ts = generate_set("random_sphere", 5, 7, Seed(4))
+    gen = rng.content_stream(8, "mc-sup", ts.matrix, kind.value)
+    xs = moments._draw(kind, gen, (51, 5))  # ceil(101 / 2) draws
+    if kind is ProcessKind.GAUSSIAN:
+        xs *= chi_mean(5) / np.linalg.norm(xs, axis=1, keepdims=True)
+    ys = xs @ ts.matrix.T
+    pairs = (ys.max(axis=1) - ys.min(axis=1)) / 2.0
+    est = mc_sup(kind, ts, 101, Seed(8))
+    assert est.samples == 101
+    assert est.value == pytest.approx(pairs.mean(), rel=1e-13)
+    assert est.stderr == pytest.approx(pairs.std(ddof=1) / math.sqrt(51), rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", list(ProcessKind))
+def test_a_one_point_monte_carlo_supremum_is_zero(kind):
+    est = mc_sup(kind, FiniteSet(name="one", points=[[0.3, -2.0, 5.0]]), 1000, Seed(1))
+    assert est.value == 0.0 and est.stderr == 0.0
+
+
+@pytest.mark.parametrize("kind", list(ProcessKind))
+@pytest.mark.parametrize("samples", [2, 3, 4, 5])
+def test_a_few_samples_give_a_finite_stderr(kind, samples):
+    est = mc_sup(kind, generate_set("random_sphere", 4, 6, Seed(2)), samples, Seed(5))
+    assert est.samples == samples
+    assert math.isfinite(est.value) and math.isfinite(est.stderr) and est.stderr > 0.0
+
+
+def test_chi_mean_closed_forms():
+    assert chi_mean(1) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-15)
+    assert chi_mean(2) == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-15)
+    assert chi_mean(3) == pytest.approx(math.sqrt(8.0 / math.pi), rel=1e-15)
+    d = 10**6  # the series' next term, 5 / (128 d^3), is below 1e-19
+    assert chi_mean(d) == pytest.approx(math.sqrt(d) * (1.0 - 1.0 / (4 * d) + 1.0 / (32 * d * d)), rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_half_span_of_values_that_fit_float64_stays_finite():
+    top = np.finfo(np.float64).max
+    assert _half_span(np.array([[1e308, -1e308], [top, -top], [-top, top]])).tolist() == [1e308, top, top]
+    # The largest coordinate whose l2 norm mc_sup admits: the span of the
+    # two points is exact, and every draw gives it.
+    a = 1.3e154
+    est = mc_sup(ProcessKind.BERNOULLI, FiniteSet(name="wide", points=[[a], [-a]]), 100, Seed(1))
+    assert (est.value, est.stderr) == (a, 0.0)
+    # +-1e308 fails before the draws, as every set with an overflowing l2 norm does.
+    with pytest.raises(ParameterError, match="^the l2 norm of row 0 overflows float64$"):
+        mc_sup(ProcessKind.BERNOULLI, FiniteSet(name="huge", points=[[1e308], [-1e308]]), 100, Seed(1))
