@@ -2,8 +2,13 @@
 
 Every report-producing verb emits a self-describing document: the parsed
 configuration, the content hashes of the input artifacts, the design
-decisions in force, and the results.  Paths never enter the document, so
-the same inputs produce byte-identical reports from any working directory.
+decisions in force, and the results.  A report's configuration is every
+option of its verb, in the order the verb declares them, except its input
+paths, ``--out`` and ``--stamp``; where a verb resolves an option before it
+runs (``contract``'s ``--p-max`` and ``--map`` with its params, ``suite``'s
+``--only``), the report carries the resolved value.  Paths never enter the
+document, so the same inputs produce byte-identical reports from any
+working directory.
 
 Exit codes: 0 success, 2 parameter/validation/parse problem, 3 a verified
 assertion failed (a sandwich or bound violation, a failed suite criterion).
@@ -25,7 +30,14 @@ from .chaining import (
     exhaustive_gamma,
     verify_sup_bound,
 )
-from .contraction import CoordinateMap, apply_map, check_condition, compare_suprema, fit_min_C
+from .contraction import (
+    _MAP_ARITY,
+    CoordinateMap,
+    apply_map,
+    check_condition,
+    compare_suprema,
+    fit_min_C,
+)
 from .core import (
     EXACT_ENUMERATION_MAX_DIM,
     ProcessKind,
@@ -38,6 +50,7 @@ from .core import (
 from .decomposition import decompose_by_sweep, verify_two_sided
 from .errors import ParameterError, ProcsupError
 from .moments import (
+    ModelKind,
     MomentModel,
     bernoulli_exact_norms,
     bernoulli_exact_route,
@@ -76,24 +89,26 @@ def _resolve_set_kind(name: str) -> SetKind:
     return _KIND_ALIASES.get(name) or SetKind(name)
 
 
-def _emit(doc: dict, args: argparse.Namespace) -> None:
+def _values(kinds) -> list[str]:
+    return [k.value for k in kinds]
+
+
+#: Parsed options that stay out of a report's config: argparse's own, the
+#: input paths (the report carries their content hashes), where the report
+#: goes, and the map params (``contract``'s resolved ``map`` label names them).
+_NOT_CONFIG = frozenset({"command", "handler", "set", "source", "x", "y", "out", "stamp", "map_params"})
+
+
+def _write_report(args: argparse.Namespace, inputs: dict, results) -> None:
+    """Build the report of ``args.command`` and write it to ``--out`` or stdout."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    stamp = datetime.now(timezone.utc).isoformat() if args.stamp == "now" else args.stamp
+    doc = build_report(args.command, config, inputs, results, stamp=stamp)
     text = to_csv(doc) if args.format == "csv" else to_json(doc)
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _stamp(args: argparse.Namespace) -> str | None:
-    if args.stamp is None:
-        return None
-    if args.stamp == "now":
-        return datetime.now(timezone.utc).isoformat()
-    return args.stamp
-
-
-def _report(args: argparse.Namespace, command: str, config: dict, inputs: dict, results) -> dict:
-    return build_report(command, config, inputs, results, stamp=_stamp(args))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -140,16 +155,13 @@ def cmd_moments(args: argparse.Namespace) -> int:
         "rows": rows,
         "sandwich": {"checked": enumerable, "violations": violations},
     }
-    config = {"p": list(args.p), "format": args.format}
-    doc = _report(args, "moments", config, {"set": ts.content_hash()}, results)
-    _emit(doc, args)
+    _write_report(args, {"set": ts.content_hash()}, results)
     return 3 if violations else 0
 
 
 def cmd_sup(args: argparse.Namespace) -> int:
     ts = load_set(args.set)
-    kind = ProcessKind(args.kind)
-    est = expected_sup(kind, ts, args.samples, Seed(args.seed), exact=args.exact)
+    est = expected_sup(ProcessKind(args.kind), ts, args.samples, Seed(args.seed), exact=args.exact)
     results = {
         "set": ts.name,
         "dim": ts.dim,
@@ -159,26 +171,15 @@ def cmd_sup(args: argparse.Namespace) -> int:
         "method": est.method.value,
         "samples": est.samples,
     }
-    config = {
-        "kind": kind.value,
-        "exact": bool(args.exact),
-        "samples": args.samples,
-        "seed": args.seed,
-        "format": args.format,
-    }
-    doc = _report(args, "sup", config, {"set": ts.content_hash()}, results)
-    _emit(doc, args)
+    _write_report(args, {"set": ts.content_hash()}, results)
     return 0
 
 
 def _model_from_args(args: argparse.Namespace) -> MomentModel:
-    if args.model == "monte-carlo":
+    kind = ModelKind(args.model)
+    if kind is ModelKind.MONTE_CARLO:
         return MomentModel.monte_carlo(ProcessKind(args.process), args.samples, Seed(args.seed))
-    return {
-        "bernoulli-proxy": MomentModel.bernoulli_proxy,
-        "bernoulli-exact": MomentModel.bernoulli_exact,
-        "gaussian-exact": MomentModel.gaussian_exact,
-    }[args.model]()
+    return MomentModel(kind)
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
@@ -199,32 +200,15 @@ def cmd_gamma(args: argparse.Namespace) -> int:
         "per_point": list(bound.per_point),
         "tree": bound.tree.to_dict(),
     }
-    config = {
-        "model": args.model,
-        "exhaustive": bool(args.exhaustive),
-        "process": args.process,
-        "samples": args.samples,
-        "seed": args.seed,
-        "format": args.format,
-    }
-    doc = _report(args, "gamma", config, {"set": ts.content_hash()}, results)
-    _emit(doc, args)
+    _write_report(args, {"set": ts.content_hash()}, results)
     return 0
 
 
 def cmd_verify_t2(args: argparse.Namespace) -> int:
     ts = load_set(args.set)
-    kind = ProcessKind(args.kind)
-    report = verify_sup_bound(ts, kind, samples=args.samples, seed=Seed(args.seed), exact=args.exact)
-    config = {
-        "kind": kind.value,
-        "exact": bool(args.exact),
-        "samples": args.samples,
-        "seed": args.seed,
-        "format": args.format,
-    }
-    doc = _report(args, "verify-t2", config, {"set": ts.content_hash()}, report.to_dict())
-    _emit(doc, args)
+    report = verify_sup_bound(ts, ProcessKind(args.kind), samples=args.samples, seed=Seed(args.seed),
+                              exact=args.exact)
+    _write_report(args, {"set": ts.content_hash()}, report.to_dict())
     return 3 if report.violation else 0
 
 
@@ -233,9 +217,10 @@ def cmd_contract(args: argparse.Namespace) -> int:
     ts = load_set(args.source)
     cmap = CoordinateMap(args.map, tuple(args.map_params))
     pair = apply_map(ts, cmap)
-    p_max = args.p_max if args.p_max is not None else ts.dim
-    check = None if args.check_at is None else check_condition(pair, args.check_at, p_max)
-    fit = fit_min_C(pair, p_max=p_max)
+    args.map = cmap.label  # the report's config carries the resolved map and trim count
+    args.p_max = ts.dim if args.p_max is None else args.p_max
+    check = None if args.check_at is None else check_condition(pair, args.check_at, args.p_max)
+    fit = fit_min_C(pair, p_max=args.p_max)
     suprema = compare_suprema(pair, samples=args.samples, seed=Seed(args.seed))
     results = {
         "source": ts.name,
@@ -253,46 +238,20 @@ def cmd_contract(args: argparse.Namespace) -> int:
         }
         if not check.satisfied:
             code = 3
-    config = {
-        "map": cmap.label,
-        "p_max": p_max,
-        "check_at": args.check_at,
-        "samples": args.samples,
-        "seed": args.seed,
-        "format": args.format,
-    }
-    doc = _report(args, "contract", config, {"source": ts.content_hash()}, results)
-    _emit(doc, args)
+    _write_report(args, {"source": ts.content_hash()}, results)
     return code
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     ts = load_set(args.set)
-    kind = ProcessKind(args.kind)
-    result = decompose_by_sweep(
-        ts,
-        kind,
-        samples=args.samples,
-        seed=Seed(args.seed),
-        per_point=args.per_point,
-        k_constant=args.k,
-    )
-    two_sided = verify_two_sided(ts, result)
+    result = decompose_by_sweep(ts, ProcessKind(args.kind), samples=args.samples, seed=Seed(args.seed),
+                                per_point=args.per_point, k_constant=args.k)
     results = {
         "set": ts.name,
         "decomposition": result.to_dict(),
-        "two_sided": two_sided.to_dict(),
+        "two_sided": verify_two_sided(ts, result).to_dict(),
     }
-    config = {
-        "kind": kind.value,
-        "samples": args.samples,
-        "seed": args.seed,
-        "per_point": bool(args.per_point),
-        "k": args.k,
-        "format": args.format,
-    }
-    doc = _report(args, "decompose", config, {"set": ts.content_hash()}, results)
-    _emit(doc, args)
+    _write_report(args, {"set": ts.content_hash()}, results)
     return 0
 
 
@@ -315,17 +274,7 @@ def cmd_oleszkiewicz(args: argparse.Namespace) -> int:
         "strong": strong.to_dict(),
         "strong_over_weak": safe_ratio(strong.ratio, weak.value),
     }
-    config = {
-        "norm": norm.value,
-        "extra_functionals": args.extra_functionals,
-        "p_max": args.p_max,
-        "samples": args.samples,
-        "seed": args.seed,
-        "format": args.format,
-    }
-    inputs = {"x": x_sys.content_hash(), "y": y_sys.content_hash()}
-    doc = _report(args, "oleszkiewicz", config, inputs, results)
-    _emit(doc, args)
+    _write_report(args, {"x": x_sys.content_hash(), "y": y_sys.content_hash()}, results)
     return 0
 
 
@@ -338,13 +287,12 @@ def _sanitize_details(details: dict) -> dict:
 def cmd_suite(args: argparse.Namespace) -> int:
     from . import acceptance
 
-    if args.only:
-        unknown = sorted(set(args.only) - {i + 1 for i in range(len(acceptance.ALL_CRITERIA))})
-        if unknown:
-            raise ParameterError(f"no such criterion: {unknown}")
-        criteria = [acceptance.ALL_CRITERIA[i - 1] for i in sorted(set(args.only))]
-    else:
-        criteria = list(acceptance.ALL_CRITERIA)
+    args.only = sorted(set(args.only)) if args.only else None
+    numbers = args.only or range(1, len(acceptance.ALL_CRITERIA) + 1)
+    unknown = [n for n in numbers if not 1 <= n <= len(acceptance.ALL_CRITERIA)]
+    if unknown:
+        raise ParameterError(f"no such criterion: {unknown}")
+    criteria = [acceptance.ALL_CRITERIA[n - 1] for n in numbers]
     results = []
     for criterion in criteria:
         outcome = criterion(args.seed)
@@ -353,11 +301,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
         entry["details"] = _sanitize_details(entry.get("details", {}))
         results.append(entry)
     passed = all(r["passed"] for r in results)
-    config = {"seed": args.seed, "only": sorted(set(args.only)) if args.only else None,
-              "format": args.format}
-    doc = _report(args, "suite", config, {}, {"criteria": results, "all_passed": passed})
     if args.out:
-        _emit(doc, args)
+        _write_report(args, {}, {"criteria": results, "all_passed": passed})
     print(f"{sum(r['passed'] for r in results)}/{len(results)} criteria passed")
     return 0 if passed else 3
 
@@ -415,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sup", help="expected supremum of the canonical process")
     p.add_argument("--set", required=True, metavar="PATH")
-    p.add_argument("--kind", choices=("bernoulli", "gaussian"), default="bernoulli")
+    p.add_argument("--kind", choices=_values(ProcessKind), default="bernoulli")
     p.add_argument("--exact", action="store_true",
                    help="force exact enumeration (Bernoulli only, dim <= "
                         f"{EXACT_ENUMERATION_MAX_DIM})")
@@ -426,12 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="chaining functional via admissible partition trees")
     p.add_argument("--set", required=True, metavar="PATH")
-    p.add_argument("--model",
-                   choices=("bernoulli-proxy", "bernoulli-exact", "gaussian-exact", "monte-carlo"),
-                   default="gaussian-exact")
+    p.add_argument("--model", choices=_values(ModelKind), default="gaussian-exact")
     p.add_argument("--exhaustive", action="store_true",
                    help=f"search all admissible trees (at most {EXHAUSTIVE_MAX_POINTS} points)")
-    p.add_argument("--process", choices=("bernoulli", "gaussian"), default="bernoulli",
+    p.add_argument("--process", choices=_values(ProcessKind), default="bernoulli",
                    help="process for the monte-carlo model")
     p.add_argument("--samples", type=int, default=20_000)
     p.add_argument("--seed", type=int, default=0)
@@ -440,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-t2", help="check E sup <= 4 x chain bound on one set")
     p.add_argument("--set", required=True, metavar="PATH")
-    p.add_argument("--kind", choices=("bernoulli", "gaussian"), default="bernoulli")
+    p.add_argument("--kind", choices=_values(ProcessKind), default="bernoulli")
     p.add_argument("--exact", action="store_true", help="force the exact supremum route")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
@@ -449,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contract", help="coordinatewise maps: fit C and compare suprema")
     p.add_argument("--source", required=True, metavar="PATH")
-    p.add_argument("--map", required=True, choices=("scale", "clamp", "abs", "soft_threshold"))
+    p.add_argument("--map", required=True, choices=tuple(_MAP_ARITY))
     p.add_argument("--map-params", type=float, nargs="*", default=[])
     p.add_argument("--p-max", type=int, default=None,
                    help="largest trim count checked (default: the dimension)")
@@ -462,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="best threshold split against the measured supremum")
     p.add_argument("--set", required=True, metavar="PATH")
-    p.add_argument("--kind", choices=("bernoulli", "gaussian"), default="bernoulli")
+    p.add_argument("--kind", choices=_values(ProcessKind), default="bernoulli")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--per-point", action="store_true",
@@ -476,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, metavar="PATH",
                    help="vector-system file (or a finite-set file; --norm supplies the norm)")
     p.add_argument("--y", required=True, metavar="PATH")
-    p.add_argument("--norm", choices=("sup", "euclidean"), default="sup")
+    p.add_argument("--norm", choices=_values(NormKind), default="sup")
     p.add_argument("--extra-functionals", type=int, default=8)
     p.add_argument("--p-max", type=int, default=8)
     p.add_argument("--samples", type=int, default=100_000)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -82,12 +83,21 @@ def _check_k(k_constant: float) -> None:
         raise ParameterError(f"k constant must be finite and nonnegative, got {k_constant}")
 
 
+#: Every integer below this is a float64, so ``math.sqrt(p)`` sees ``p`` itself.
+_FLOAT_EXACT_P = 1 << 53
+
+
 def choose_p(tail_norm: float, k_constant: float, sup_reference: float):
     """Smallest integer ``p >= 1`` with ``sqrt(p) * tail_norm >= k * sup_reference``.
 
-    Returns ``math.inf`` when the tail vanishes but the target is positive
-    (no finite moment order can reach it).  A NaN or negative tail norm and
-    a non-finite or negative ``k`` raise :class:`ParameterError`.
+    Below ``2**53`` the inequality is tested in float64, as written; from
+    ``2**53`` on, where ``float(p)`` no longer tells neighbours apart, it is
+    decided exactly, as ``p * tail_norm**2 >= (k * sup_reference)**2`` in
+    rationals.  Either way the answer takes a bounded number of steps for
+    any finite ``k``.  Returns ``math.inf`` when the tail vanishes but the
+    target is positive (no finite moment order can reach it).  A NaN or
+    negative tail norm and a non-finite or negative ``k`` raise
+    :class:`ParameterError`.
     """
     if not tail_norm >= 0:  # NaN fails too
         raise ParameterError(f"tail norm must be nonnegative, got {tail_norm}")
@@ -97,7 +107,11 @@ def choose_p(tail_norm: float, k_constant: float, sup_reference: float):
         return 1
     if tail_norm == 0.0:
         return math.inf
-    p = max(1, math.ceil((target / tail_norm) ** 2))
+    if math.sqrt(_FLOAT_EXACT_P - 1) * tail_norm < target:
+        ratio = (Fraction(k_constant) * Fraction(sup_reference) / Fraction(tail_norm)) ** 2
+        return max(_FLOAT_EXACT_P, -(-ratio.numerator // ratio.denominator))
+    # the answer is below 2**53, so the float estimate is finite and within a few steps of it
+    p = min(max(1, math.ceil((target / tail_norm) ** 2)), _FLOAT_EXACT_P - 1)
     while p > 1 and math.sqrt(p - 1) * tail_norm >= target:
         p -= 1
     while math.sqrt(p) * tail_norm < target:
@@ -279,7 +293,7 @@ def decompose_by_sweep(
         k_emp=safe_ratio(objective, reference.value),
         extras={
             "sweep": [e.to_dict() for e in entries],
-            "choose_p": "inf" if math.isinf(p_pick) else p_pick,
+            "choose_p": "inf" if p_pick == math.inf else p_pick,  # an int may exceed any float
             "k_constant": k_constant,
         },
     )

@@ -320,16 +320,32 @@ def _exact_strong_moment(system: VectorSystem) -> float:
     sums = signed_row_sums(system.matrix, row_major=system.norm is NormKind.EUCLIDEAN)
     with np.errstate(over="ignore", invalid="ignore"):
         total = sum(float(system.norm_of(s).sum()) for s in sums)
-    if not math.isfinite(total):
-        raise ParameterError(f"the {system.norm.value} norms of the sign sums of system {system.name!r} overflow float64")
+    _check_sign_sum_norms(system, total)
     return total / (1 << (system.terms - 1))
 
 
+def _check_sign_sum_norms(system: VectorSystem, value: float, where: str = "") -> None:
+    if not math.isfinite(value):
+        raise ParameterError(
+            f"the {system.norm.value} norms of the sign sums of system {system.name!r} overflow float64{where}"
+        )
+
+
 def _mc_strong_moment(system: VectorSystem, samples: int, seed: Seed) -> tuple[float, float]:
+    """Monte Carlo ``E ||sum_i eps_i x_i||`` and its stderr, with the overflow checks of :func:`_exact_strong_moment`.
+
+    A coordinate whose l1 norm overflows float64 fails before the draws;
+    a mean that still overflows fails after them with the exact route's
+    message, and a stderr that overflows names the Monte Carlo variance.
+    """
     if samples < 2:
         raise ParameterError(f"Monte Carlo needs samples >= 2, got {samples}")
+    _norms(system.matrix.T, 1, "coordinate")
     gen = rng.content_stream(seed.value, "strong-moment", system.matrix, system.norm.value)
-    mean, stderr = mc_mean(ProcessKind.BERNOULLI, gen, system.matrix, samples, system.norm_of)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, stderr = mc_mean(ProcessKind.BERNOULLI, gen, system.matrix, samples, system.norm_of)
+    _check_sign_sum_norms(system, mean)
+    _check_sign_sum_norms(system, stderr, " in the Monte Carlo variance")
     return float(mean), float(stderr)
 
 

@@ -149,6 +149,17 @@ def test_decompose_rejects_a_non_finite_or_negative_k(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["1e17", "1e200", "1.7976931348623157e308"])
+def test_decompose_reports_the_exact_order_for_a_huge_k(tmp_path, value):
+    # the least order lies above 2**53, where float64 no longer tells orders apart
+    set_path = _gen(tmp_path, dim=6, count=5)
+    argv = ["decompose", "--set", str(set_path), "--samples", "200", "--k", value]
+    pick = _report(tmp_path, argv)["results"]["decomposition"]["extras"]["choose_p"]
+    assert isinstance(pick, int) and pick > 2**53
+    assert _run(argv + ["--format", "csv", "--out", str(tmp_path / "d.csv")]) == 0
+    assert f"results.decomposition.extras.choose_p,{pick}\n" in (tmp_path / "d.csv").read_text()
+
+
 def test_decompose_and_oleszkiewicz_run(tmp_path):
     set_path = _gen(tmp_path)
     dec = _report(tmp_path, ["decompose", "--set", str(set_path), "--samples", "2000",
@@ -385,3 +396,53 @@ def test_exhaustive_search_on_an_overflowing_pair_exits_2_without_a_report(tmp_p
     err = capsys.readouterr().err
     assert err == "error: the squared l2 distance between points 0 and 1 overflows float64\n"
     assert not out.exists()
+
+
+# A report's config is every option of its verb, in the order the verb declares
+# them, except its input paths, --out and --stamp (and contract's --map-params,
+# which its resolved map label carries).  These lists are the config keys every
+# verb reported before that rule was written down once.
+_CONFIG_KEYS = [
+    (["moments", "--set", "{s}", "--p", "1", "2"], ["p", "format"]),
+    (["sup", "--set", "{s}", "--exact"], ["kind", "exact", "samples", "seed", "format"]),
+    (["gamma", "--set", "{s}"], ["model", "exhaustive", "process", "samples", "seed", "format"]),
+    (["verify-t2", "--set", "{s}", "--samples", "500"], ["kind", "exact", "samples", "seed", "format"]),
+    (["contract", "--source", "{s}", "--map", "scale", "--map-params", "0.5", "--samples", "500"],
+     ["map", "p_max", "check_at", "samples", "seed", "format"]),
+    (["decompose", "--set", "{s}", "--samples", "500"], ["kind", "samples", "seed", "per_point", "k", "format"]),
+    (["oleszkiewicz", "--x", "{s}", "--y", "{s}", "--extra-functionals", "2", "--samples", "500"],
+     ["norm", "extra_functionals", "p_max", "samples", "seed", "format"]),
+    (["suite", "--only", "2", "2"], ["seed", "only", "format"]),
+]
+
+
+@pytest.mark.parametrize("argv, keys", _CONFIG_KEYS, ids=[argv[0] for argv, _ in _CONFIG_KEYS])
+def test_config_keys_keep_their_order_and_leave_out_every_path(tmp_path, capsys, argv, keys):
+    set_path = _gen(tmp_path, "input-path-marker.set")
+    argv = [str(set_path) if a == "{s}" else a for a in argv]
+    texts = {}
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"r.{fmt}"
+        assert _run(argv + ["--format", fmt, "--out", str(out)]) == 0
+        texts[fmt] = out.read_text()
+    if argv[0] != "suite":  # suite writes a report only to --out
+        capsys.readouterr()
+        assert _run(argv) == 0
+        texts["stdout"] = capsys.readouterr().out
+    for text in texts.values():
+        assert "input-path-marker" not in text and str(tmp_path) not in text
+    assert list(json.loads(texts["json"])["config"]) == sorted(keys)  # json sorts its keys
+    rows = [k for k, _ in csv.reader(io.StringIO(texts["csv"])) if k.startswith("config.")]
+    assert list(dict.fromkeys(k.split(".")[1].split("[")[0] for k in rows)) == keys
+
+
+def test_config_carries_the_resolved_options(tmp_path):
+    set_path = _gen(tmp_path)  # d = 6
+    contract = ["contract", "--source", str(set_path), "--map", "clamp", "--map-params", "-0.5", "0.5",
+                "--samples", "500"]
+    config = _report(tmp_path, contract)["config"]
+    assert (config["map"], config["p_max"], config["check_at"]) == ("clamp(-0.5, 0.5)", 6, None)
+    config = _report(tmp_path, contract + ["--p-max", "2", "--check-at", "2"])["config"]
+    assert (config["map"], config["p_max"], config["check_at"]) == ("clamp(-0.5, 0.5)", 2, 2.0)
+    assert _report(tmp_path, ["suite", "--only", "4", "2", "4"])["config"]["only"] == [2, 4]
+    assert _report(tmp_path, ["suite", "--only", "2"])["config"] == {"seed": 20260815, "only": [2], "format": "json"}

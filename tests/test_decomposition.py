@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,6 +116,49 @@ def test_choose_p_is_minimal(tail, target):
     assert math.sqrt(p) * tail >= target
     if p > 1:
         assert math.sqrt(p - 1) * tail < target
+
+
+def _least_p_exactly(tail, k, sup):
+    """The least integer p >= 1 with p * tail**2 >= (k * sup)**2, in rationals."""
+    ratio = (Fraction(k) * Fraction(sup) / Fraction(tail)) ** 2
+    return max(1, -(-ratio.numerator // ratio.denominator))
+
+
+def _float_loop_choose_p(tail, k, sup):
+    """The float-only walk choose_p used before it had an exact branch (it ends below 2**53)."""
+    target = k * sup
+    p = max(1, math.ceil((target / tail) ** 2))
+    while p > 1 and math.sqrt(p - 1) * tail >= target:
+        p -= 1
+    while math.sqrt(p) * tail < target:
+        p += 1
+    return p
+
+
+@pytest.mark.parametrize("k, want", [(1e8, 10**16), (1e17, 10**34), (1e200, int(Fraction(1e200)) ** 2)])
+def test_choose_p_is_exact_above_two_to_the_53(k, want):
+    # float(p - 1) == float(p) up there: the float walk returned 10**16 - 1 at k = 1e8,
+    # never ended at k = 1e17 and overflowed at k = 1e200
+    assert choose_p(1.0, k, 1.0) == want
+
+
+@given(st.floats(min_value=1e-300, max_value=1e300), st.floats(min_value=0.0, max_value=1e300),
+       st.floats(min_value=1e-300, max_value=1e300))
+@example(1.0, math.sqrt(2**53 - 1), 1.0)  # the largest k the float test answers (p = 2**53 - 3)
+@example(1.0, math.nextafter(math.sqrt(2**53 - 1), math.inf), 1.0)  # the next float: p = 2**53 + 2
+def test_choose_p_matches_the_exact_least_order(tail, k, sup):
+    p, want = choose_p(tail, k, sup), _least_p_exactly(tail, k, sup)
+    if p >= 2**53:
+        assert p == max(2**53, want)
+    else:  # the float predicate decides, as it always did; it is off by rounding only
+        assert math.sqrt(p) * tail >= k * sup
+        assert p == 1 or math.sqrt(p - 1) * tail < k * sup
+        assert abs(p - want) <= 1 + want * 2**-48
+
+
+@given(st.floats(min_value=1e-30, max_value=1e30), st.floats(min_value=0.0, max_value=9.4e7))
+def test_choose_p_keeps_the_float_walk_below_two_to_the_53(tail, ratio):
+    assert choose_p(tail, 1.0, ratio * tail) == _float_loop_choose_p(tail, 1.0, ratio * tail)
 
 
 def test_sweep_contains_zero_and_is_optimal_on_grid():

@@ -19,10 +19,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from procsup import cli, moments, oleszkiewicz, rng
-from procsup.core import FiniteSet, ProcessKind, Seed, save_set
+from procsup.core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, ProcessKind, Seed, save_set
 from procsup.errors import CapacityError, ParameterError
 from procsup.moments import _POINT_MAJOR_PATTERNS, bernoulli_exact_norms, signed_row_sums
-from procsup.oleszkiewicz import NormKind, VectorSystem, _exact_strong_moment
+from procsup.oleszkiewicz import (
+    NormKind,
+    VectorSystem,
+    _exact_strong_moment,
+    _mc_strong_moment,
+    strong_moment_ratio,
+)
 from procsup.suprema import EXACT_SUP_MAX_SUMS, brute_force_bernoulli_sup, mc_sup
 
 from enumeration_reference import (
@@ -217,6 +223,31 @@ def test_an_overflowing_strong_moment_fails(norm):
     else:
         with pytest.raises(ParameterError, match="^the euclidean norms of the sign sums of system 'squares'"):
             _exact_strong_moment(squares)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("terms", [EXACT_ENUMERATION_MAX_DIM, EXACT_ENUMERATION_MAX_DIM + 1])
+@pytest.mark.parametrize("norm", list(NormKind))
+def test_both_strong_moment_routes_reject_an_overflowing_system_alike(norm, terms):
+    # 20 terms are enumerated and 21 drawn; both routes fail with one message and no warning
+    ones = VectorSystem("ones", np.ones((terms, 2)), norm)
+    with pytest.raises(ParameterError, match="^the l1 norm of coordinate 0 overflows float64$"):
+        strong_moment_ratio(VectorSystem("huge", np.full((terms, 2), 1e308), norm), ones, samples=100)
+    if norm is NormKind.EUCLIDEAN:  # columns whose l1 norms fit float64, sign sums whose norms do not
+        wide = VectorSystem("wide", np.full((terms, 2), 1e200), norm)
+        with pytest.raises(ParameterError, match="^the euclidean norms of the sign sums of system 'wide' overflow float64$"):
+            strong_moment_ratio(wide, ones, samples=100)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_monte_carlo_strong_moment_variance_fails_after_the_draws():
+    # sup norms of at most 21e200 fit float64, their squared spread does not
+    wide = VectorSystem("wide", np.full((EXACT_ENUMERATION_MAX_DIM + 1, 2), 1e200), NormKind.SUP)
+    with pytest.raises(ParameterError, match="^the sup norms of the sign sums of system 'wide' overflow float64 "
+                                             "in the Monte Carlo variance$"):
+        _mc_strong_moment(wide, 100, Seed(1))
+    mean, stderr = _mc_strong_moment(VectorSystem("fits", wide.matrix * 1e-50, NormKind.SUP), 100, Seed(1))
+    assert math.isfinite(mean) and math.isfinite(stderr)
 
 
 @given(
