@@ -25,7 +25,6 @@ This module provides
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import numbers
@@ -44,8 +43,9 @@ from .suprema import expected_sup
 #: Upper bound constant: E sup <= SUP_BOUND_FACTOR * (best chain sum).
 SUP_BOUND_FACTOR = 4.0
 
-#: Hard cap for the exhaustive tree search.
+#: Hard caps for the exhaustive tree search: points, and partition sequences weighed.
 EXHAUSTIVE_MAX_POINTS = 5
+EXHAUSTIVE_MAX_SEQUENCES = 2**15
 
 
 def level_budget(n: int) -> int:
@@ -283,27 +283,23 @@ def tree_from_dict(doc: dict) -> PartitionTree:
         raise ValidationError(f"malformed partition tree document: {exc}") from exc
 
 
-def _allocate_children(budget: int, sizes: list[int]) -> list[int]:
-    """Distribute ``budget`` child slots among parents, one each, rest by need.
+def _allocate_children(budget: int, sizes: np.ndarray, tree: np.ndarray) -> np.ndarray:
+    """Each block's number of children, the blocks of each tree sharing ``budget`` slots.
 
-    "Need" is the ratio of a parent's size to its current allocation, so
-    large parents split more; allocations never exceed the parent's size and
-    ties go to the earliest parent.  A heap keyed ``(-need, index)`` hands out
-    one slot per pop; a parent leaves it once its allocation reaches its size.
+    ``sizes`` and ``tree`` (nondecreasing) are int arrays, one entry a block.
+    Every block gets one child; a tree's ``budget - blocks`` spare slots then
+    go one at a time to its block of largest need ``size / allocation``, ties
+    to the earliest, never past its size.  Needs ``s/1 > s/2 > ...`` strictly
+    fall: one sort ranks every tree's largest, ``min(size - 1, spare)`` a block.
     """
-    alloc = [1] * len(sizes)
-    heap = [(-float(s), i) for i, s in enumerate(sizes) if s > 1]
-    heapq.heapify(heap)
-    for _ in range(budget - len(sizes)):
-        if not heap:
-            break
-        i = heap[0][1]
-        alloc[i] += 1
-        if alloc[i] < sizes[i]:
-            heapq.heapreplace(heap, (-(sizes[i] / alloc[i]), i))
-        else:
-            heapq.heappop(heap)
-    return alloc
+    spare = np.maximum(budget - np.bincount(tree), 0)
+    offers = np.minimum(sizes - 1, spare[tree])
+    block = np.repeat(np.arange(len(sizes)), offers)
+    held = np.arange(block.size) - np.repeat(np.cumsum(offers) - offers, offers) + 1  # allocation before the offer
+    owner = tree[block]  # nondecreasing, so each tree's run of ranked offers stays in place
+    rank = np.lexsort((block, -(sizes[block] / held), owner))
+    won = np.arange(block.size) - np.searchsorted(owner, owner) < spare[owner]
+    return 1 + np.bincount(block[rank[won]], minlength=len(sizes))
 
 
 class DistanceOverflow(ParameterError):
@@ -406,12 +402,10 @@ def _grow(coords: np.ndarray, counts) -> Iterator[_Level]:
     """Yield the levels of the greedy trees over consecutive runs of ``counts`` rows of ``coords``.
 
     Level ``n`` splits every level ``n-1`` block with :func:`_split_level`,
-    all trees at once, under each tree's budget ``min(2^(2^n), count)``
-    distributed among its blocks.  A tree bottoms out in singletons at the
-    least ``n`` with ``2^(2^n) >= count``.  A lone block takes the whole
-    budget, a budget that covers its tree splits every block into
-    singletons, and only the other trees need :func:`_allocate_children`.
-    Every level passes :func:`_check_level`; the last is all singletons.
+    all trees at once, each tree's budget ``min(2^(2^n), count)`` shared
+    among its blocks by :func:`_allocate_children`.  A tree bottoms out in
+    singletons at the least ``n`` with ``2^(2^n) >= count``.  Every level
+    passes :func:`_check_level`; the last is all singletons.
     """
     counts = np.asarray(counts, dtype=np.intp)
     if not counts.size or counts.min() < 1 or counts.sum() != len(coords):
@@ -424,12 +418,7 @@ def _grow(coords: np.ndarray, counts) -> Iterator[_Level]:
     yield level
     tree = np.arange(len(counts))  # each block's tree
     for lvl in range(1, depth + 1):
-        budgets = np.minimum(counts, min(level_budget(lvl), len(coords)))
-        alloc = np.minimum(level.sizes, budgets[tree])
-        bounds, sizes = np.searchsorted(tree, np.arange(len(counts) + 1)).tolist(), level.sizes.tolist()
-        for t in np.flatnonzero((budgets < counts) & (np.diff(bounds) > 1)).tolist():
-            a, b = bounds[t], bounds[t + 1]
-            alloc[a:b] = _allocate_children(int(budgets[t]), sizes[a:b])
+        alloc = _allocate_children(min(level_budget(lvl), len(coords)), level.sizes, tree)
         child = _Level(*_split_level(coords, *level, alloc))
         _check_level(lvl, level, child, counts, last=lvl == depth)
         level, tree = child, np.repeat(tree, alloc)
@@ -596,13 +585,19 @@ def _chains(n: int, depth: int) -> list[tuple[tuple[tuple[int, ...], ...], ...]]
 
     ``P_0`` is the whole set; each later level refines the one above within
     its block budget, and a sequence not yet at singletons by level
-    ``depth - 1`` splits into them at ``depth``.
+    ``depth - 1`` splits into them at ``depth``.  Every sequence extends to
+    at least one at the next level, so the first level past
+    ``EXHAUSTIVE_MAX_SEQUENCES`` raises :class:`CapacityError` as it grows.
     """
     singletons = tuple((i,) for i in range(n))
     chains = [((tuple(range(n)),),)]
     for level in range(1, depth):
         cap = min(level_budget(level), n)
-        chains = [c + (p,) for c in chains for p in _refinements(c[-1], cap)]
+        grown = (c + (p,) for c in chains for p in _refinements(c[-1], cap))
+        chains = list(itertools.islice(grown, EXHAUSTIVE_MAX_SEQUENCES + 1))
+        if len(chains) > EXHAUSTIVE_MAX_SEQUENCES:
+            raise CapacityError(f"exhaustive search capped at {EXHAUSTIVE_MAX_SEQUENCES} partition sequences, "
+                                f"got more at depth {depth} over {n} points")
     return [c if c[-1] == singletons else c + (singletons,) for c in chains]
 
 
@@ -622,9 +617,12 @@ def exhaustive_gamma(ts: FiniteSet, model: MomentModel) -> ChainBound:
     dynamic program from the leaves up.  A point lies in one block per
     level, so ``cost[r]`` is the cheapest worst-case tail below the block of
     ``r`` with ``r`` as its representative.  The first sequence with the
-    least value wins.  Ground truth for greedy trees; capped at
-    ``|T| <= 5`` points.  A pair whose squared l2 distance overflows
-    float64 raises :class:`DistanceOverflow` before any norm is computed.
+    least value wins.  Ground truth for greedy trees, capped at
+    ``|T| <= 5`` points and at ``EXHAUSTIVE_MAX_SEQUENCES = 2**15`` partition
+    sequences: the proxy and Monte Carlo depths grow as ``log2 d``, and 5
+    points pass the cap at depth 9 (``d > 256``).  Either cap, and then a
+    pair whose squared l2 distance overflows float64
+    (:class:`DistanceOverflow`), raises before any norm is computed.
     """
     n = len(ts)
     if n > EXHAUSTIVE_MAX_POINTS:
@@ -634,6 +632,7 @@ def exhaustive_gamma(ts: FiniteSet, model: MomentModel) -> ChainBound:
         return chain_bound(ts, tree, model)
 
     depth = _exhaustive_depth(n, ts.dim, model)
+    chains = _chains(n, depth)
     # inc[lvl][a][b] = ||X_b - X_a||_{2^lvl}, one norm call on the row of each pair per level.
     pairs = list(itertools.combinations(range(n), 2))
     first, second = np.array(pairs).T
@@ -648,7 +647,7 @@ def exhaustive_gamma(ts: FiniteSet, model: MomentModel) -> ChainBound:
             inc[lvl][a][b] = inc[lvl][b][a] = float(model.norms(rows[k : k + 1], 1 << lvl)[0])
 
     best = None
-    for chain in _chains(n, depth):
+    for chain in chains:
         costs = [[0.0] * n for _ in chain]
         for lvl in range(len(chain) - 1, 0, -1):
             for child in chain[lvl]:

@@ -87,7 +87,9 @@ class MappedPair:
     """A source set, its image, and which image point each source point maps to.
 
     The image is duplicate-free, so maps that collapse points are recorded
-    through ``correspondence`` rather than by repeating image rows.
+    through ``correspondence`` rather than by repeating image rows.  Each
+    entry must be an integer (numpy's too; a bool, float or string is
+    rejected, not converted) indexing the image.
     """
 
     source: FiniteSet
@@ -101,6 +103,8 @@ class MappedPair:
                 f"correspondence length {len(self.correspondence)} != source size {len(self.source)}"
             )
         for i, c in enumerate(self.correspondence):
+            if isinstance(c, bool) or not isinstance(c, numbers.Integral):
+                raise ValidationError(f"correspondence[{i}] must be an integer, got {c!r}")
             if not 0 <= c < len(self.image):
                 raise ValidationError(f"correspondence[{i}] = {c} is not an image index")
         if self.source.dim != self.image.dim:

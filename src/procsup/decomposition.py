@@ -30,7 +30,7 @@ import numpy as np
 
 from .chaining import DistanceOverflow, greedy_forest_bounds
 from .core import FiniteSet, ProcessKind, Seed, distinct_rows
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 from .moments import _BLOCK_BYTES, MomentModel
 from .reports import ComparisonReport, safe_ratio
 from .suprema import SupEstimate, expected_sup
@@ -213,6 +213,29 @@ def _magnitudes(m: np.ndarray) -> list[float]:
     return np.unique(np.abs(m[m != 0.0])).tolist()
 
 
+#: Cap on the tree rows a decomposition grows; see :func:`_tree_rows`.
+DECOMPOSE_MAX_ROWS = 2**20
+
+#: Most coordinate-descent passes of the per-point refinement.
+_DESCENT_PASSES = 3
+
+
+def _tree_rows(m: np.ndarray, per_point: bool) -> int:
+    """Tree rows a decomposition of the rows of ``m`` grows, at most.
+
+    Each candidate split grows one tail tree of ``|T| + 1`` rows.  The sweep
+    weighs ``1 +`` (distinct nonzero magnitudes) candidates; each per-point
+    descent pass weighs, for every point ``i``, ``1 +`` (its distinct
+    nonzero magnitudes).  Sorting each row's magnitudes counts those as the
+    nonzero steps up from 0.
+    """
+    candidates = 1 + len(_magnitudes(m))
+    if per_point:
+        steps = np.diff(np.sort(np.abs(m), axis=1), axis=1, prepend=0.0)
+        candidates += _DESCENT_PASSES * (len(m) + int(np.count_nonzero(steps)))
+    return candidates * (len(m) + 1)
+
+
 def sweep_objectives(ts: FiniteSet) -> list[SweepEntry]:
     """Evaluate the split objective at every global candidate threshold.
 
@@ -224,18 +247,19 @@ def sweep_objectives(ts: FiniteSet) -> list[SweepEntry]:
     return [SweepEntry(r, a, b, a + b) for r, a, b in zip(grid, ell1, gamma)]
 
 
-def _refine_per_point(ts: FiniteSet, start: SweepEntry, passes: int = 3) -> tuple[tuple[float, ...], float, float]:
+def _refine_per_point(ts: FiniteSet, start: SweepEntry) -> tuple[tuple[float, ...], float, float]:
     """Deterministic coordinate descent over per-point threshold grids, from ``start``'s threshold.
 
     Each point's whole grid is evaluated at once, with the other points at
     their current thresholds; the scan over it then skips the current
     threshold and moves on a strict improvement.  Every trial differs from
     the current best only at that point, so this is the one-trial-at-a-time
-    descent.  Returns the thresholds with their ``ell1_sup`` and ``gamma2``.
+    descent, stopped after ``_DESCENT_PASSES`` passes or a pass without a
+    move.  Returns the thresholds with their ``ell1_sup`` and ``gamma2``.
     """
     best = [start.threshold] * len(ts)
     best_obj, parts = start.objective, (start.ell1_sup, start.gamma2_bound)
-    for _ in range(passes):
+    for _ in range(_DESCENT_PASSES):
         improved = False
         for i, row in enumerate(ts.matrix):
             grid = [0.0, *_magnitudes(row)]
@@ -266,10 +290,19 @@ def decompose_by_sweep(
     settle on its own magnitude grid.  The reported ``ell1_sup`` and
     ``gamma2_bound`` are those the sweep or the descent computed for the
     chosen split.  The reference supremum is exact for the Bernoulli process
-    up to the dimension cap, Monte Carlo otherwise.  A non-finite or
-    negative ``k_constant`` raises :class:`ParameterError` before the sweep.
+    up to the dimension cap, Monte Carlo otherwise.  Before the sweep, a
+    non-finite or negative ``k_constant`` raises :class:`ParameterError`,
+    and tail trees of more than ``DECOMPOSE_MAX_ROWS = 2**20`` rows in all
+    raise :class:`CapacityError`: the sweep grows ``(1 +`` distinct
+    magnitudes ``)·(|T| + 1)`` rows, and ``per_point`` adds up to three
+    passes of ``Σ_i (1 +`` distinct magnitudes of point ``i)·(|T| + 1)``.
+    A sphere in 16 dimensions passes the cap at 256 points, 125 with
+    ``per_point``.
     """
     _check_k(k_constant)
+    rows = _tree_rows(ts.matrix, per_point)
+    if rows > DECOMPOSE_MAX_ROWS:
+        raise CapacityError(f"decomposition capped at {DECOMPOSE_MAX_ROWS} tail tree rows, got {rows}")
     seed = seed if seed is not None else Seed(0)
     entries = sweep_objectives(ts)
     winner = min(entries, key=lambda e: e.objective)

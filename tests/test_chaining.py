@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from procsup import chaining, rng
+from procsup import chaining, moments, rng
 from procsup.chaining import (
     EXHAUSTIVE_MAX_POINTS,
+    EXHAUSTIVE_MAX_SEQUENCES,
     SUP_BOUND_FACTOR,
     Block,
     PartitionTree,
@@ -29,7 +30,7 @@ from procsup.chaining import (
     tree_from_dict,
     verify_sup_bound,
 )
-from procsup.core import FiniteSet, ProcessKind, Seed, distinct_rows
+from procsup.core import FiniteSet, ProcessKind, Seed, distinct_rows, generate_set
 from procsup.errors import CapacityError, ParameterError, ValidationError
 from procsup.moments import ModelKind, MomentModel
 from procsup.suprema import brute_force_bernoulli_sup
@@ -122,6 +123,18 @@ def test_tree_from_dict_rejects_what_it_would_have_to_coerce(path, value, messag
     else:
         doc["n_points"] = value
     with pytest.raises(ValidationError, match=re.escape(message)):
+        tree_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc, fault", [
+    ({"n_points": 1, "levels": [[{"members": [0]}]]}, "'rep'"),
+    ({"n_points": 1, "levels": [[{"rep": 0}]]}, "'members'"),
+    ({"n_points": 1}, "'levels'"),
+    ({"levels": [[{"members": [0], "rep": 0}]]}, "'n_points'"),
+    ({"n_points": 1, "levels": [5]}, "'int' object is not iterable"),
+])
+def test_tree_from_dict_names_a_malformed_document(doc, fault):
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'malformed partition tree document: {fault}')}$"):
         tree_from_dict(doc)
 
 
@@ -381,6 +394,37 @@ def test_exhaustive_point_cap():
         exhaustive_gamma(ts, MomentModel.gaussian_exact())
 
 
+def test_exhaustive_sequence_counts_on_five_points():
+    counts = [len(chaining._chains(5, depth)) for depth in range(2, 9)]
+    assert counts == [51, 357, 1303, 3454, 7555, 14531, 25487]
+    with pytest.raises(CapacityError, match=f"capped at {EXHAUSTIVE_MAX_SEQUENCES} partition sequences"):
+        chaining._chains(5, 9)  # 41 708 sequences
+
+
+@pytest.mark.parametrize(
+    "model",
+    [MomentModel.bernoulli_proxy(), MomentModel.monte_carlo(ProcessKind.BERNOULLI, 64, Seed(3))],
+    ids=lambda m: m.kind.value,
+)
+def test_exhaustive_sequence_cap_raises_before_any_norm(monkeypatch, model):
+    # ceil(log2 512) = 9 levels: 41 708 sequences on 5 points, over the cap
+    ts = generate_set("random_sphere", 512, 5, Seed(1))
+    calls = []
+    monkeypatch.setattr(MomentModel, "norms", lambda self, ts, p: calls.append(p))
+    monkeypatch.setattr(moments, "mc_norms", lambda *args: calls.append(args))
+    message = (f"^exhaustive search capped at {EXHAUSTIVE_MAX_SEQUENCES} partition sequences, "
+               "got more at depth 9 over 5 points$")
+    with pytest.raises(CapacityError, match=message):
+        exhaustive_gamma(ts, model)
+    assert calls == []
+
+
+def test_exhaustive_search_at_depth_eight_still_runs():
+    ts = generate_set("random_sphere", 256, 5, Seed(1))
+    model = MomentModel.bernoulli_proxy()
+    assert exhaustive_gamma(ts, model).value <= chain_bound(ts, build_partition_greedy(ts), model).value
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -481,6 +525,15 @@ def test_verify_sup_bound_gaussian_mc():
     report = verify_sup_bound(ts, ProcessKind.GAUSSIAN, samples=20_000, seed=Seed(1))
     assert not report.violation
     assert report.lhs_stderr > 0.0
+
+
+def test_verify_sup_bound_takes_the_proxy_above_the_exact_dimension():
+    ts = FiniteSet(name="v", points=np.random.default_rng(3).standard_normal((4, 24)))
+    report = verify_sup_bound(ts, ProcessKind.BERNOULLI, samples=2000, seed=Seed(1))
+    assert (report.lhs_label, report.rhs_label) == ("E sup [bernoulli, monte-carlo]", "chain bound [bernoulli-proxy]")
+    assert report.rhs == chain_bound(ts, build_partition_greedy(ts), MomentModel.bernoulli_proxy()).value
+    assert (report.lhs, report.rhs, report.lhs_stderr) == (5.465983967095026, 17.573175389517154, 0.06988302910182463)
+    assert not report.violation and report.extras == {"set": "v", "tree_depth": 1, "samples": 2000}
 
 
 def test_verify_sup_bound_rejects_gaussian_exact():
@@ -621,6 +674,11 @@ def test_level_batched_build_matches_the_original_at_d8_and_d17(seed):
         assert got.per_point == _reference_chain_bound(ts, tree, MomentModel.gaussian_exact())[1]
 
 
+def _allocate_one(budget, sizes):
+    """The one-tree forest's allocation, as a list."""
+    return _allocate_children(budget, np.array(sizes), np.zeros(len(sizes), dtype=np.intp)).tolist()
+
+
 @pytest.mark.parametrize(
     "budget, sizes",
     [
@@ -635,20 +693,41 @@ def test_level_batched_build_matches_the_original_at_d8_and_d17(seed):
     ],
 )
 def test_heap_allocation_matches_the_linear_scan(budget, sizes):
-    assert _allocate_children(budget, sizes) == _reference_allocate(budget, sizes)
+    # the name predates the one-sort allocator, which replaced a heap with the same allocations
+    assert _allocate_one(budget, sizes) == _reference_allocate(budget, sizes)
 
 
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=12), st.integers(0, 200))
 def test_heap_allocation_matches_the_linear_scan_everywhere(sizes, extra):
     budget = len(sizes) + extra
-    assert _allocate_children(budget, sizes) == _reference_allocate(budget, sizes)
+    assert _allocate_one(budget, sizes) == _reference_allocate(budget, sizes)
 
 
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=12), st.integers(0, 300), st.integers(1, 300))
 def test_allocation_closed_forms_match_the_heap(sizes, extra, budget):
-    # the forest skips the heap for a lone block and for a budget that covers every point
-    assert _allocate_children(budget, sizes[:1]) == [min(budget, sizes[0])]
-    assert _allocate_children(sum(sizes) + extra, sizes) == sizes
+    # a lone block takes the budget, and a budget covering every point splits every block fully
+    assert _allocate_one(budget, sizes[:1]) == [min(budget, sizes[0])]
+    assert _allocate_one(sum(sizes) + extra, sizes) == sizes
+
+
+@st.composite
+def _forests(draw):
+    """1-12 trees of 1-8 blocks each, and a budget below, at or above one tree's size."""
+    trees = draw(st.lists(st.lists(st.integers(1, 12), min_size=1, max_size=8), min_size=1, max_size=12))
+    size = sum(draw(st.sampled_from(trees)))
+    budget = draw(st.sampled_from([max(size - 1, 1), size, size + 1, max(size // 2, 1), 2 * size]))
+    return trees, budget
+
+
+@given(_forests())
+def test_forest_allocation_matches_the_linear_scan_tree_by_tree(forest):
+    trees, budget = forest
+    sizes = np.array(list(itertools.chain.from_iterable(trees)))
+    tree = np.repeat(np.arange(len(trees)), [len(t) for t in trees])
+    alloc = _allocate_children(budget, sizes, tree)
+    bounds = np.cumsum([0] + [len(t) for t in trees])
+    for t, blocks in enumerate(trees):
+        assert alloc[bounds[t] : bounds[t + 1]].tolist() == _reference_allocate(budget, blocks)
 
 
 def test_greedy_tree_splits_points_whose_distance_underflows():
@@ -798,7 +877,7 @@ def test_each_forest_level_check_fires_on_corrupted_arrays():
 def test_forest_growth_rejects_over_budget_and_unfinished_trees(monkeypatch):
     counts = [20, 3]
     coords = np.random.default_rng(4).standard_normal((23, 2))
-    monkeypatch.setattr(chaining, "_allocate_children", lambda budget, sizes: [s for s in sizes])
+    monkeypatch.setattr(chaining, "_allocate_children", lambda budget, sizes, tree: sizes.copy())
     with pytest.raises(ValidationError, match="budget"):
         list(_grow(coords, counts))
     # the last level's budget covers every tree, so no allocator can leave it unfinished;

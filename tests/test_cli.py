@@ -121,6 +121,24 @@ def test_gamma_exhaustive_over_the_cap_exits_2_without_a_report(tmp_path, capsys
     assert not out.exists()
 
 
+def test_gamma_exhaustive_past_the_sequence_cap_exits_2_without_a_report(tmp_path, capsys):
+    set_path = _gen(tmp_path, dim=512, count=5)
+    out = tmp_path / "e.json"
+    argv = ["gamma", "--set", str(set_path), "--exhaustive", "--model", "bernoulli-proxy", "--out", str(out)]
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: exhaustive search capped at 32768 partition sequences, got more at depth 9 over 5 points\n"
+    assert not out.exists()
+
+
+def test_decompose_past_the_row_cap_exits_2_without_a_report(tmp_path, capsys):
+    set_path = _gen(tmp_path, dim=16, count=300)
+    out = tmp_path / "d.json"
+    assert _run(["decompose", "--set", str(set_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: decomposition capped at 1048576 tail tree rows, got 1445101\n"
+    assert not out.exists()
+
+
 def test_verify_t2_passes_on_generated_set(tmp_path):
     set_path = _gen(tmp_path)
     doc = _report(tmp_path, ["verify-t2", "--set", str(set_path), "--kind", "bernoulli"])

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -156,6 +157,41 @@ def test_mapped_pair_validates_correspondence():
         MappedPair(source=src, image=img, correspondence=(0,), map_label="x")
     with pytest.raises(ValidationError):
         MappedPair(source=src, image=img, correspondence=(0, 5), map_label="x")
+
+
+@pytest.mark.parametrize("correspondence, index", [
+    ((0, 1.0), 1),
+    ((0.5, 1), 0),
+    ((0, np.float64(1.0)), 1),
+    ((0, True), 1),  # a bool is not an index, though it compares equal to one
+    ((np.bool_(False), 1), 0),
+    ((0, "1"), 1),
+])
+def test_mapped_pair_rejects_a_correspondence_it_would_have_to_coerce(correspondence, index):
+    src = _random_set(1, count=2, dim=2)
+    img = _random_set(2, count=2, dim=2)
+    message = f"correspondence[{index}] must be an integer, got {correspondence[index]!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        MappedPair(source=src, image=img, correspondence=correspondence, map_label="x")
+
+
+def test_mapped_pair_accepts_numpy_integers():
+    src = _random_set(1, count=2, dim=2)
+    img = _random_set(2, count=2, dim=2)
+    pair = MappedPair(source=src, image=img, correspondence=(np.int64(1), np.int32(0)), map_label="x")
+    assert fit_min_C(pair, p_max=2) == fit_min_C(MappedPair(src, img, (1, 0), "x"), p_max=2)
+
+
+def test_check_condition_tol_accepts_a_failure_within_it_and_keeps_its_margin():
+    # scaling by 1 + 1e-12 fails C = 1 by a margin of about 1e-11
+    ts = FiniteSet(name="t", points=[[1.0, 2.0], [-0.5, 0.25], [0.0, 1.0]])
+    pair = apply_map(ts, CoordinateMap("scale", (1 + 1e-12,)))
+    strict = check_condition(pair, 1.0, p_max=2)
+    assert strict == CheckResult(satisfied=False, margin=1.0626166613292298e-11, worst_pair=(0, 1, 0))
+    assert check_condition(pair, 1.0, p_max=2, tol=1e-9) == CheckResult(True, strict.margin, strict.worst_pair)
+    assert check_condition(pair, 1.0, p_max=2, tol=1e-12) == strict
+    with pytest.raises(ParameterError, match=r"^tol must be nonnegative, got -1e-09$"):
+        check_condition(pair, 1.0, p_max=2, tol=-1e-9)
 
 
 @pytest.mark.parametrize("name,params", [("abs", ()), ("clamp", (-0.8, 0.8)),

@@ -20,7 +20,7 @@ from procsup.decomposition import (
     sweep_objectives,
     verify_two_sided,
 )
-from procsup.errors import ParameterError
+from procsup.errors import CapacityError, ParameterError
 from procsup.moments import _BLOCK_BYTES, MomentModel
 
 coords = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
@@ -329,3 +329,34 @@ def test_an_overflowing_head_or_tail_names_a_point_without_a_warning(rows, messa
     ts = FiniteSet(name="huge", points=rows)
     with pytest.raises(ParameterError, match=f"^{message}$"):
         decompose_by_sweep(ts, samples=100, seed=Seed(0), per_point=per_point)
+
+
+# --- the cap on the tail tree rows a decomposition grows ---
+
+
+def test_tree_rows_count_the_sweep_and_every_per_point_pass():
+    m = np.array([[0.0, 1.0, 1.0, -1.0, 2.0], [0.0, 0.0, 0.0, 0.0, 0.0], [3.0, 3.0, 3.0, 0.0, -3.0]])
+    # the sweep: 0, 1, 2, 3; a pass: 0, 1, 2 for point 0, 0 for point 1 and 0, 3 for point 2
+    assert decomposition._tree_rows(m, per_point=False) == 4 * 4
+    assert decomposition._tree_rows(m, per_point=True) == (4 + 3 * (3 + 1 + 2)) * 4
+
+
+def test_sweep_fit_and_criterion_sets_stay_under_the_row_cap():
+    sphere = generate_set("random_sphere", 16, 40, Seed(1))
+    assert decomposition._tree_rows(sphere.matrix, per_point=False) == 641 * 41
+    blocks = generate_set("disjoint_blocks", 64, 8, Seed(1), params=[8])
+    assert decomposition._tree_rows(blocks.matrix, per_point=True) < decomposition.DECOMPOSE_MAX_ROWS
+
+
+@pytest.mark.parametrize("count, per_point", [(256, False), (150, True)])
+def test_decomposition_over_the_row_cap_raises_before_the_sweep(monkeypatch, count, per_point):
+    # 16-dim spheres: 4 097 x 257 sweep rows at 256 points; at 150 points the sweep's
+    # 2 401 x 151 rows fit, and three descent passes of 150 x 17 x 151 more do not
+    ts = generate_set("random_sphere", 16, count, Seed(1))
+    calls = []
+    monkeypatch.setattr(decomposition, "greedy_forest_bounds", lambda *args: calls.append(args))
+    rows = decomposition._tree_rows(ts.matrix, per_point)
+    message = f"^decomposition capped at {decomposition.DECOMPOSE_MAX_ROWS} tail tree rows, got {rows}$"
+    with pytest.raises(CapacityError, match=message):
+        decompose_by_sweep(ts, samples=100, per_point=per_point)
+    assert calls == []

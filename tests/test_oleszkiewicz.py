@@ -277,3 +277,45 @@ def test_weak_moment_constant_enumerates_each_vector_once_up_to_sign(monkeypatch
     passes.clear()
     _reference_weak_moment_constant(x_sys, y_sys, funcs, p_max=8)
     assert len(passes) == 16 * 4 * 2  # only the odd orders 1, 3, 5, 7 enumerate
+
+
+# --- weak contraction branches: zero image vectors, an infeasible functional, all-zero images ---
+
+
+def _weak_pair(x_rows):
+    y = VectorSystem(name="y", vectors=[[1.0, 2.0], [1.0, 1.0]], norm=NormKind.SUP)
+    return VectorSystem(name="x", vectors=x_rows, norm=NormKind.SUP), y, generate_functionals(NormKind.SUP, 2, 0, Seed(0))
+
+
+def test_weak_contraction_gives_a_zero_image_vector_one_and_never_the_worst():
+    # +-e_0 see x's zero column: nothing to dominate, so 1.0; the worst is the first fitted functional
+    report = check_weak_contraction(*_weak_pair([[0.0, 1.0], [0.0, 0.5]]))
+    assert report.context == {"worst_functional": 2, "functional": [0.0, 1.0], "per_functional_c": [1.0] * 4}
+    assert (report.c_star, report.p_max, report.worst_pair, report.margin) == (1.0, 2, (0, 1, 2), 0.0)
+
+
+def test_weak_contraction_stops_at_the_first_infeasible_functional():
+    report = check_weak_contraction(*_weak_pair([[5000.0, 10000.0], [5000.0, 5000.0]]))
+    assert report.context == {"worst_functional": 0, "functional": [1.0, 0.0], "per_functional_c": ["infeasible"]}
+    assert (report.c_star, report.worst_pair, report.margin) == (None, (0, 1, 0), 47902848.0)
+
+
+def test_weak_contraction_of_all_zero_images_is_one_at_the_first_functional():
+    report = check_weak_contraction(*_weak_pair([[0.0, 0.0], [0.0, 0.0]]))
+    assert report.context == {"worst_functional": 0, "functional": [1.0, 0.0], "per_functional_c": [1.0] * 4}
+    assert (report.c_star, report.p_max, report.worst_pair, report.margin) == (1.0, 2, (0, 1, 0), 0.0)
+
+
+@pytest.mark.parametrize("y_rows, y_norm, funcs, message", [
+    ([[1.0, 0.0]], NormKind.SUP, (NormKind.SUP, 2), "systems have 2 vs 1 terms"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], NormKind.SUP, (NormKind.SUP, 2), "systems have ambient dims 2 vs 3"),
+    ([[1.0, 0.0], [0.0, 1.0]], NormKind.EUCLIDEAN, (NormKind.SUP, 2), "systems must share one ambient norm"),
+    ([[1.0, 0.0], [0.0, 1.0]], NormKind.SUP, (NormKind.EUCLIDEAN, 2), "functional sample was drawn for a different norm"),
+    ([[1.0, 0.0], [0.0, 1.0]], NormKind.SUP, (NormKind.SUP, 3), "functionals do not match the ambient dimension"),
+])
+def test_mismatched_systems_and_functionals_are_named(y_rows, y_norm, funcs, message):
+    x = _basis_system(2)
+    y = VectorSystem(name="y", vectors=y_rows, norm=y_norm)
+    sample = generate_functionals(*funcs, 0, Seed(0))
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        _check_sysmatch(x, y, sample)
