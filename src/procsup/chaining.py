@@ -310,45 +310,6 @@ class DistanceOverflow(ParameterError):
         super().__init__(f"the squared l2 distance between points {self.rows[0]} and {self.rows[1]} overflows float64")
 
 
-def _farthest_points(coords: np.ndarray, idx: np.ndarray, member: np.ndarray, first: np.ndarray, k: np.ndarray):
-    """Farthest-point traversals of the rows ``coords[idx]``, all rows one step at a time.
-
-    ``idx`` is ``(rows, width)`` with ``member`` marking the real entries
-    (the rest is padding); ``first`` is each row's seed position; ``k``,
-    nonincreasing, is each row's number of centers, so the rows still
-    choosing form a prefix.  ``near`` tracks each member's distance to its
-    nearest center and is ``-inf`` on padding and chosen centers, which
-    keeps them out of the ``argmax`` (ties to the lowest position) and the
-    centers in their own blocks even when a distance underflows to 0.
-    Returns each entry's center number (nearest, ties to the earliest) and
-    the mask of chosen centers.  A squared distance that overflows float64
-    raises :class:`DistanceOverflow` naming the two points (indices into
-    ``coords``), with no warning: no distance is ever infinite.
-    """
-    x = coords[idx]
-    rows = np.arange(len(x))
-    near = np.where(member, np.inf, -np.inf)
-    assign = np.zeros(member.shape, dtype=np.intp)
-    diff = np.empty_like(x)
-    active = np.searchsorted(-k, -np.arange(k[0]))  # rows with k > j
-    for j, a in enumerate(active.tolist()):
-        row, region, d2 = rows[:a], near[:a], diff[:a]
-        c = first if j == 0 else region.argmax(axis=1)
-        try:
-            with np.errstate(over="raise"):
-                np.subtract(x[:a], x[row, c][:, None, :], out=d2)
-                dist = np.sqrt(np.add.reduce(np.multiply(d2, d2, out=d2), axis=-1))
-        except FloatingPointError:
-            with np.errstate(over="ignore"):
-                far = np.add.reduce(np.square(x[:a] - x[row, c][:, None, :]), axis=-1) == np.inf
-            r, p = np.argwhere(far)[0]
-            raise DistanceOverflow(int(idx[r, c[r]]), int(idx[r, p])) from None
-        dist[row, c] = -np.inf
-        np.copyto(assign[:a], j, where=dist < region)
-        np.minimum(region, dist, out=region)
-    return assign, member & (near == -np.inf)
-
-
 def _split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps: np.ndarray,
                  alloc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split every block of one level into its ``alloc`` children by farthest-point centers.
@@ -361,12 +322,15 @@ def _split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps:
     the member farthest from all chosen centers, ties to the lowest point
     index; members then join their nearest center, ties to the earliest
     center.  Children follow their parent's position, then the order their
-    centers were chosen.  Parents are padded to rows and traversed
-    together, largest ``alloc`` first, in chunks of at most
-    ``_BLOCK_BYTES`` of coordinates (a larger parent goes alone).  Beyond
-    1/128 of that budget a chunk also keeps its sizes within a factor 2, so
-    padding at most doubles the work; below it, fewer steps matter more.
-    A parent's children depend only on its own rows, never on its chunk.
+    centers were chosen.  The splitting parents lie end to end, largest
+    ``alloc`` first, in runs of at most ``_BLOCK_BYTES`` of coordinates (a
+    larger parent alone); at step ``j`` those with ``alloc > j`` are a
+    prefix of the run, and each takes the segment argmax of ``near``, its
+    members' distances to their nearest center, ``-inf`` on centers (so
+    they stay in their own blocks even when a distance underflows to 0).
+    A parent's children depend only on its own rows, never on its run.  A
+    squared distance that overflows float64 raises :class:`DistanceOverflow`,
+    with no warning, naming the center and the run's first such member.
     """
     starts = np.cumsum(sizes) - sizes
     first_child = np.cumsum(alloc) - alloc
@@ -374,27 +338,40 @@ def _split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps:
     child_reps = np.repeat(reps, alloc)
     split = np.flatnonzero(alloc > 1)
     split = split[np.argsort(-alloc[split], kind="stable")]
-    row_bytes = 8 * coords.shape[1]
-    lo, widths = 0, sizes[split].tolist()
+    ends = np.cumsum(sizes[split])
+    lo, rows = 0, _BLOCK_BYTES // (8 * coords.shape[1])
     while lo < len(split):
-        hi, narrow, width = lo + 1, widths[lo], widths[lo]
-        while hi < len(split):
-            wider, narrower = max(width, widths[hi]), min(narrow, widths[hi])
-            padded = (hi + 1 - lo) * wider * row_bytes
-            if padded > _BLOCK_BYTES or (wider > 2 * narrower and padded > _BLOCK_BYTES >> 7):
-                break
-            hi, narrow, width = hi + 1, narrower, wider
-        parents = split[lo:hi]
-        lo = hi
-        size, k, start = sizes[parents, None], alloc[parents], starts[parents, None]
-        col = np.arange(width)
-        member = col < size
-        idx = order[start + np.minimum(col, size - 1)]
-        first = (idx == reps[parents, None]).argmax(axis=1)
-        assign, center = _farthest_points(coords, idx, member, first, k)
-        label[(start + col)[member]] += assign[member]
-        row, pos = np.nonzero(center)
-        child_reps[first_child[parents][row] + assign[row, pos]] = idx[row, pos]
+        hi = max(int(np.searchsorted(ends, ends[lo] - sizes[split[lo]] + rows, side="right")), lo + 1)
+        parents, lo = split[lo:hi], hi
+        size, k = sizes[parents], alloc[parents]
+        tops = np.cumsum(size)
+        seg = tops - size
+        pos = np.repeat(starts[parents] - seg, size) + np.arange(tops[-1])
+        idx = order[pos]
+        x, near, assign = coords[idx], np.full(len(idx), np.inf), np.zeros(len(idx), dtype=np.intp)
+        c = np.flatnonzero(idx == np.repeat(reps[parents], size))
+        with np.errstate(over="raise"):
+            for j, a in enumerate(np.searchsorted(-k, -np.arange(k[0])).tolist()):  # a parents with k > j
+                m, region = tops[a - 1], near[: tops[a - 1]]
+                if j:
+                    hit = np.flatnonzero(region == np.repeat(np.maximum.reduceat(region, seg[:a]), size[:a]))
+                    c = hit[np.searchsorted(hit, seg[:a])]  # each segment's first maximum
+                d2 = np.repeat(x[c], size[:a], axis=0)
+                try:
+                    np.subtract(x[:m], d2, out=d2)
+                    dist = np.sqrt(np.add.reduce(np.multiply(d2, d2, out=d2), axis=-1))
+                except FloatingPointError:
+                    with np.errstate(over="ignore"):
+                        far = np.add.reduce(np.square(x[:m] - np.repeat(x[c], size[:a], axis=0)), axis=-1)
+                    p = (far == np.inf).argmax()
+                    raise DistanceOverflow(int(np.repeat(idx[c], size[:a])[p]), int(idx[p])) from None
+                del d2
+                dist[c] = -np.inf
+                np.copyto(assign[:m], j, where=dist < region)
+                np.minimum(region, dist, out=region)
+        centers = pos[near == -np.inf]  # each child's center, at its position in order
+        label[pos] += assign
+        child_reps[label[centers]] = order[centers]
     return order[np.argsort(label, kind="stable")], np.bincount(label, minlength=child_reps.size), child_reps
 
 

@@ -56,7 +56,9 @@ class CoordinateMap:
         for i, x in enumerate(self.params):
             if not np.isfinite(x):
                 raise ParameterError(f"param {i} must be finite, got {x!r}")
-        if self.name == "clamp" and len(self.params) == 2 and self.params[0] > self.params[1]:
+        if self.name == "clamp" and len(self.params) == 1:
+            raise ParameterError("map 'clamp' takes 0 or 2 params (lo, hi), got 1")
+        if self.name == "clamp" and self.params and self.params[0] > self.params[1]:
             raise ParameterError(f"clamp needs lo <= hi, got {self.params}")
         if self.name == "soft_threshold" and self.params and self.params[0] < 0:
             raise ParameterError(f"soft_threshold needs a nonnegative level, got {self.params[0]}")
@@ -71,7 +73,7 @@ class CoordinateMap:
         if self.name == "scale":
             return self.params[0] * xs
         if self.name == "clamp":
-            lo, hi = self.params if len(self.params) == 2 else (-1.0, 1.0)
+            lo, hi = self.params or (-1.0, 1.0)
             return np.clip(xs, lo, hi)
         if self.name == "abs":
             return np.abs(xs)

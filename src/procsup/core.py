@@ -19,12 +19,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, ValidationError
+from .errors import CapacityError, ParameterError, ParseError, ValidationError
 from . import rng
 
 #: Largest coordinate dimension for which exact sign enumeration (2^d terms)
 #: is allowed.  Shared by the exact Bernoulli moment and supremum oracles.
 EXACT_ENUMERATION_MAX_DIM = 20
+
+#: Most coordinates (count x dim) :func:`generate_set` draws: 32 MiB of float64.
+GENERATE_MAX_COORDINATES = 2**22
 
 SET_FORMAT = "finite-set"
 SYSTEM_FORMAT = "vector-system"
@@ -285,7 +288,8 @@ def generate_set(
     """Deterministically generate one of the named set families.
 
     The same ``(kind, dim, count, seed, params)`` always yields the same set,
-    coordinate for coordinate.
+    coordinate for coordinate.  A set of more than ``GENERATE_MAX_COORDINATES``
+    coordinates raises :class:`CapacityError` before any draw.
     """
     if isinstance(kind, str):
         try:
@@ -299,6 +303,9 @@ def generate_set(
         raise ParameterError(f"dim must be >= 1, got {dim}")
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
+    if count * dim > GENERATE_MAX_COORDINATES:
+        raise CapacityError(f"set generation capped at {GENERATE_MAX_COORDINATES} coordinates, "
+                            f"got {count} points of dim {dim}")
     for i, x in enumerate(params):
         if not math.isfinite(x):
             raise ParameterError(f"param {i} must be finite, got {x!r}")

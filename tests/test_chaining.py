@@ -806,6 +806,30 @@ def test_forest_matches_one_greedy_tree_and_chain_bound_per_set(sets):
             assert sums[starts[t] : starts[t] + counts[t]].tobytes() == np.array(bound.per_point).tobytes()
 
 
+def _grown(coords, counts, block_bytes=None):
+    """The bytes of ``_grow``'s level arrays, with the split's run budget patched to ``block_bytes``."""
+    with pytest.MonkeyPatch.context() as patch:
+        if block_bytes is not None:
+            patch.setattr(chaining, "_BLOCK_BYTES", block_bytes)
+        return [a.tobytes() for level in _grow(coords, counts) for a in level]
+
+
+@given(_tree_inputs())
+def test_a_split_in_many_runs_builds_the_one_run_tree(ts):
+    # 8 bytes put each parent in a run of its own; 56*d and 2400*d bytes gather a few or many
+    want = _grown(ts.matrix, [len(ts)])
+    for block_bytes in (8, 56 * ts.dim, 2400 * ts.dim):
+        assert _grown(ts.matrix, [len(ts)], block_bytes) == want
+
+
+@given(_forest_sets())
+def test_a_forest_split_in_many_runs_grows_the_one_run_forest(sets):
+    coords, counts = np.concatenate(sets), [len(rows) for rows in sets]
+    want = _grown(coords, counts)
+    for block_bytes in (8, 56 * coords.shape[1], 2400 * coords.shape[1]):
+        assert _grown(coords, counts, block_bytes) == want
+
+
 def _forest_levels():
     gen = np.random.default_rng(11)
     counts = np.array([1, 9, 20, 3])
@@ -911,6 +935,22 @@ def test_an_overflowing_squared_distance_names_its_points_without_a_warning(rows
     assert info.value.rows == pair
     with pytest.raises(ParameterError, match=message):
         greedy_forest_bounds(ts.matrix, [len(ts)], MomentModel.gaussian_exact())
+
+
+_LATE = [[0.0, 0.0], [1.0, 0.0], [1.3e154, 0.0], [-1.3e154, 0.0]]  # overflows at the second center only
+_EARLY = [[1.0, 0.0], [1e308, 1e308]]  # overflows at the first center
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sets, pair", [
+    ((_LATE, _EARLY), (4, 5)),  # the earliest step wins, though its tree comes second
+    ((_EARLY, _LATE), (0, 1)),
+    ((_LATE, _LATE), (2, 3)),  # one step: the first parent in run order wins
+])
+def test_a_forest_names_the_earliest_overflow_then_the_first_parent(sets, pair):
+    with pytest.raises(chaining.DistanceOverflow) as info:
+        list(_grow(np.concatenate(sets), [len(rows) for rows in sets]))
+    assert info.value.rows == pair
 
 
 _OVERFLOW_MODELS = [

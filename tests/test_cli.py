@@ -139,6 +139,24 @@ def test_decompose_past_the_row_cap_exits_2_without_a_report(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_over_the_coordinate_cap_exits_2_without_a_file(tmp_path, capsys):
+    out = tmp_path / "huge.set"
+    argv = ["gen", "--kind", "sphere", "--dim", "1000", "--count", "100000000", "--out", str(out)]
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: set generation capped at 4194304 coordinates, got 100000000 points of dim 1000\n"
+    assert not out.exists()
+
+
+def test_contract_with_one_clamp_param_exits_2_without_a_report(tmp_path, capsys):
+    set_path = _gen(tmp_path)
+    out = tmp_path / "c.json"
+    argv = ["contract", "--source", str(set_path), "--map", "clamp", "--map-params", "0.5", "--out", str(out)]
+    assert _run(argv) == 2
+    assert capsys.readouterr().err == "error: map 'clamp' takes 0 or 2 params (lo, hi), got 1\n"
+    assert not out.exists()
+
+
 def test_verify_t2_passes_on_generated_set(tmp_path):
     set_path = _gen(tmp_path)
     doc = _report(tmp_path, ["verify-t2", "--set", str(set_path), "--kind", "bernoulli"])

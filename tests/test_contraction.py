@@ -43,9 +43,19 @@ def test_coordinate_map_validation():
         CoordinateMap("scale")  # missing factor
     with pytest.raises(ParameterError, match="lo <= hi"):
         CoordinateMap("clamp", (2.0, -1.0))
+    with pytest.raises(ParameterError, match=r"^map 'clamp' takes 0 or 2 params \(lo, hi\), got 1$"):
+        CoordinateMap("clamp", (0.5,))
     with pytest.raises(ParameterError, match="nonnegative"):
         CoordinateMap("soft_threshold", (-0.5,))
     assert CoordinateMap("scale", (2.0,)).label == "scale(2.0)"
+
+
+def test_clamp_clips_to_its_bounds_or_to_the_unit_interval():
+    xs = np.array([-3.0, -0.75, 0.25, 2.0])
+    assert CoordinateMap("clamp").apply(xs).tolist() == [-1.0, -0.75, 0.25, 1.0]
+    assert CoordinateMap("clamp", (-0.5, 0.5)).apply(xs).tolist() == [-0.5, -0.5, 0.25, 0.5]
+    assert CoordinateMap("clamp").label == "clamp"
+    assert CoordinateMap("clamp", (-0.5, 0.5)).label == "clamp(-0.5, 0.5)"
 
 
 def test_apply_map_dedups_image_and_keeps_correspondence():

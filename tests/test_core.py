@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from procsup import rng
 from procsup.core import (
+    GENERATE_MAX_COORDINATES,
     FiniteSet,
     ParseError,
     Seed,
@@ -20,7 +22,7 @@ from procsup.core import (
     read_points_file,
     save_set,
 )
-from procsup.errors import ParameterError
+from procsup.errors import CapacityError, ParameterError
 
 from json_reference import read_points_file as reference_read_points_file
 from json_reference import set_file_json
@@ -146,6 +148,26 @@ def test_generate_set_rejects_bad_kind_and_sizes():
     with pytest.raises(ParameterError):
         generate_set(SetKind.RANDOM_SPHERE, 3, 0, Seed(0))
 
+
+@pytest.mark.parametrize("kind, dim, count", [
+    (SetKind.RANDOM_SPHERE, 1000, 100_000_000),  # 745 GiB of draws
+    (SetKind.CUBE_VERTICES, 40, 2**40),
+    (SetKind.ELLIPSOID_SAMPLE, 16, 262_145),  # one point past the cap
+    (SetKind.SIMPLEX_VERTICES, 2049, 2048),
+])
+def test_generate_set_over_the_coordinate_cap_raises_before_any_draw(monkeypatch, kind, dim, count):
+    streams = []
+    monkeypatch.setattr(rng, "stream", lambda *args, **kwargs: streams.append(args))
+    message = f"^set generation capped at {GENERATE_MAX_COORDINATES} coordinates, got {count} points of dim {dim}$"
+    with pytest.raises(CapacityError, match=message):
+        generate_set(kind, dim, count, Seed(0))
+    assert streams == []
+
+
+def test_generate_set_at_the_coordinate_cap_runs():
+    assert GENERATE_MAX_COORDINATES == 2048 * 2048
+    ts = generate_set(SetKind.SIMPLEX_VERTICES, 2048, 2048, Seed(0))
+    assert ts.matrix.shape == (2048, 2048) and (ts.matrix == np.eye(2048)).all()
 
 # --- serialization ---
 
