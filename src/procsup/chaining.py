@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FiniteSet, ProcessKind, Seed, distinct_rows
+from .core import GENERATE_MAX_COORDINATES, FiniteSet, ProcessKind, Seed, distinct_rows
 from .errors import CapacityError, ParameterError, ValidationError
 from .moments import _BLOCK_BYTES, EXACT_ENUMERATION_MAX_DIM, ModelKind, MomentModel
 from .reports import ComparisonReport, safe_ratio
@@ -330,7 +330,10 @@ def _split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps:
     they stay in their own blocks even when a distance underflows to 0).
     A parent's children depend only on its own rows, never on its run.  A
     squared distance that overflows float64 raises :class:`DistanceOverflow`,
-    with no warning, naming the center and the run's first such member.
+    with no warning, naming the center and the first such member of the
+    first parent, in split order, that overflows when split alone: a run
+    that overflows is split again a parent at a time, so the pair does not
+    depend on ``_BLOCK_BYTES``.
     """
     starts = np.cumsum(sizes) - sizes
     first_child = np.cumsum(alloc) - alloc
@@ -350,6 +353,7 @@ def _split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps:
         idx = order[pos]
         x, near, assign = coords[idx], np.full(len(idx), np.inf), np.zeros(len(idx), dtype=np.intp)
         c = np.flatnonzero(idx == np.repeat(reps[parents], size))
+        overflow = False
         with np.errstate(over="raise"):
             for j, a in enumerate(np.searchsorted(-k, -np.arange(k[0])).tolist()):  # a parents with k > j
                 m, region = tops[a - 1], near[: tops[a - 1]]
@@ -361,6 +365,9 @@ def _split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps:
                     np.subtract(x[:m], d2, out=d2)
                     dist = np.sqrt(np.add.reduce(np.multiply(d2, d2, out=d2), axis=-1))
                 except FloatingPointError:
+                    if len(parents) > 1:
+                        overflow = True
+                        break
                     with np.errstate(over="ignore"):
                         far = np.add.reduce(np.square(x[:m] - np.repeat(x[c], size[:a], axis=0)), axis=-1)
                     p = (far == np.inf).argmax()
@@ -369,6 +376,9 @@ def _split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps:
                 dist[c] = -np.inf
                 np.copyto(assign[:m], j, where=dist < region)
                 np.minimum(region, dist, out=region)
+        if overflow:  # split the run again a parent at a time
+            lo, rows = lo - len(parents), 0
+            continue
         centers = pos[near == -np.inf]  # each child's center, at its position in order
         label[pos] += assign
         child_reps[label[centers]] = order[centers]
@@ -490,12 +500,17 @@ def combine_sum_set(
     block of the first (lowest ``(i_a, i_b)``) pair producing it, and any
     block whose product representative was claimed by an outside block falls
     back to its lowest member as representative.  Collisions never occur for
-    generic (e.g. randomly drawn) inputs.
+    generic (e.g. randomly drawn) inputs.  A sum set of more than
+    ``GENERATE_MAX_COORDINATES`` coordinates is a :class:`CapacityError`,
+    raised before any sum is formed.
     """
     if ts_a.dim != ts_b.dim:
         raise ParameterError(f"dimension mismatch: {ts_a.dim} vs {ts_b.dim}")
     if tree_a.n_points != len(ts_a) or tree_b.n_points != len(ts_b):
         raise ParameterError("trees do not match their sets")
+    if len(ts_a) * len(ts_b) * ts_a.dim > GENERATE_MAX_COORDINATES:
+        raise CapacityError(f"sum set capped at {GENERATE_MAX_COORDINATES} coordinates, "
+                            f"got {len(ts_a)} x {len(ts_b)} points of dim {ts_a.dim}")
 
     # Row ia * |B| + ib is a_ia + b_ib; sum point p is row first[p], its pair (pair_a[p], pair_b[p]).
     sums = (ts_a.matrix[:, None, :] + ts_b.matrix[None, :, :]).reshape(-1, ts_a.dim)

@@ -10,7 +10,8 @@ of rows:
   ``p`` largest magnitudes of each row (an l1 head, one ``np.partition``)
   plus ``sqrt(p)`` times the l2 norm of the rest; within a factor 4,
 * :func:`bernoulli_exact_norms` (dimension-capped): the cosh series at even
-  integer orders ``2 <= p <= COSH_MAX_ORDER``, sign enumeration at others,
+  integer orders ``2 <= p <= COSH_MAX_ORDER``, meet in the middle at odd
+  integer orders ``1 <= p <= MEET_MAX_ORDER``, sign enumeration at others,
 * :func:`gaussian_norms`, the Gamma-function formula (one ``vecdot``),
 * :func:`mc_norms`, seeded Monte Carlo with delta-method standard errors.
 
@@ -20,7 +21,13 @@ naming the row.  One vector is a one-row matrix: ``proxy_norms(t[None, :], p)``.
 
 The cosh series rests on ``E B_t^p = p! [lambda^p] prod_i cosh(lambda t_i)``
 for even p: a sum of nonnegative terms, so nothing cancels, that costs
-``O(d p^2)`` per vector instead of ``2^(d-1)`` sign patterns.
+``O(d p^2)`` per vector instead of ``2^(d-1)`` sign patterns.  Meet in the
+middle (Horowitz--Sahni) rests on ``sum_b |a + b|^p = sum_j C(p, j) a^(p-j)
+(sum_(b >= -a) b^j - sum_(b < -a) b^j)`` for odd p: the ``2^(d-1)``
+patterns are pairs of a half-sum ``a`` over the first half of the
+coordinates and ``b`` over the second, so one sort of the ``2^floor(d/2)``
+``b``, their power prefix sums and one ``searchsorted`` of the ``a`` serve
+all pairs, in ``O(2^(d/2) d p)`` work per vector.
 
 :class:`MomentModel` lets downstream code (chaining bounds, decompositions)
 pick a route through one ``norms(rows, p)`` call.  A row's value does not
@@ -69,6 +76,11 @@ _POINT_MAJOR_PATTERNS = 8
 #: binomials ``C(p, 2l)``, at most ``C(1024, 512) ~ 4.5e306`` here; the
 #: middle binomial outgrows float64 from ``C(1030, 515)`` on.
 COSH_MAX_ORDER = 1024
+
+#: Largest odd order the meet-in-the-middle route serves, the range its
+#: equality tests against enumeration cover; enumeration serves the odd
+#: orders above it.
+MEET_MAX_ORDER = 31
 
 
 def _finite_rows(ts) -> np.ndarray:
@@ -145,6 +157,14 @@ def gaussian_norms(rows, p) -> np.ndarray:
     return gaussian_moment_constant(p) * _norms(_finite_rows(rows), 2)
 
 
+def _doubled(first: np.ndarray, steps) -> np.ndarray:
+    """``first`` plus every signed sum of ``steps``: the table doubles once per step, ``+`` half first."""
+    sums = first
+    for step in steps:
+        sums = np.concatenate([sums + step, sums - step])
+    return sums
+
+
 def signed_row_sums(m: np.ndarray, row_major: bool = False) -> Iterator[np.ndarray]:
     """Yield ``sum_i eps_i m_i`` for every sign pattern with ``eps_0 = +1``.
 
@@ -172,9 +192,7 @@ def signed_row_sums(m: np.ndarray, row_major: bool = False) -> Iterator[np.ndarr
     k, n = m.shape
     rows = max(1, _BLOCK_BYTES // (8 * n))
     low_rows = min(k // 2 + 1, rows.bit_length())
-    low = m[:1]
-    for row in m[1:low_rows]:
-        low = np.concatenate([low + row, low - row])
+    low = _doubled(m[:1], m[1:low_rows])
     high_rows = k - low_rows
     shifts = np.arange(high_rows, dtype=np.uint64)
     step = max(1, rows // len(low))
@@ -197,8 +215,11 @@ def _is_cosh_order(q: float) -> bool:
 
 
 def bernoulli_exact_route(p) -> str:
-    """The route of an exact Bernoulli norm of order ``p``: ``"cosh-series"`` or ``"enumeration"``."""
-    return "cosh-series" if _is_cosh_order(_check_moment_order(p)) else "enumeration"
+    """The route of an exact Bernoulli norm of order ``p``: cosh-series, meet-in-the-middle or enumeration."""
+    q = _check_moment_order(p)
+    if _is_cosh_order(q):
+        return "cosh-series"
+    return "meet-in-the-middle" if q <= MEET_MAX_ORDER and q % 2.0 == 1.0 else "enumeration"
 
 
 @functools.lru_cache(maxsize=16)
@@ -245,18 +266,95 @@ def _cosh_norms(rows: np.ndarray, scales: np.ndarray, qs) -> np.ndarray:
     return norms
 
 
+def _powers(x: np.ndarray, top: int) -> np.ndarray:
+    """``x^j`` at ``[i, j]`` for every entry ``x_i`` and ``j = 0..top``, by running products."""
+    table = np.repeat(x[:, None], top + 1, axis=1)
+    table[:, 0] = 1.0
+    return np.cumprod(table, axis=1)
+
+
+def _meet_norms(rows: np.ndarray, scales: np.ndarray, qs) -> np.ndarray:
+    """``||B_t||_q`` for every row ``t`` of ``rows`` (l1 norms ``scales``) at every odd order in ``qs``.
+
+    Each nonzero row is flipped so that its first nonzero coordinate is
+    positive, divided by its l1 norm and split in halves: the
+    ``2^(ceil(d/2)-1)`` sums ``a`` of the first half (``eps_0`` pinned) and
+    the ``2^floor(d/2)`` sums ``b`` of the second, sorted once.  Column ``j``
+    of the prefix table holds the running sums of ``b^j``, added by a
+    log-depth scan, so each carries ``O(d)`` roundings rather than
+    ``O(2^(d/2))``.  One ``searchsorted`` then reads ``D_j(a) = sum_(b >= -a)
+    b^j - sum_(b < -a) b^j`` for every ``a``, and ``sum_b |a + b|^q =
+    sum_j C(q, j) a^(q-j) D_j(a)``.  The ``b`` come in pairs ``+-b``, so
+    ``sum_b |a + b|^q >= sum_b (|a| + |b|)^q / 2``, which bounds the sum of
+    the terms' magnitudes: the expansion loses at most a factor 2 to
+    cancellation.  Each row is computed on its own and each order from its
+    own columns, so a value depends on neither the other rows nor the other
+    orders, ``c`` and ``-c`` give the same bits, and a zero row gives 0.
+    """
+    k, d = rows.shape
+    orders = [int(q) for q in qs]
+    top = max(orders)
+    binomials = [np.array([float(math.comb(p, j)) for j in range(p + 1)]) for p in orders]
+    norms = np.zeros((k, len(qs)))
+    for i in np.flatnonzero(scales):
+        t, scale = rows[i], float(scales[i])
+        u = t / (scale if t[np.flatnonzero(t)[0]] > 0.0 else -scale)
+        a = _doubled(u[:1], u[1 : (d + 1) // 2])
+        b = np.sort(_doubled(np.zeros(1), u[(d + 1) // 2 :]))
+        prefix = np.vstack([np.zeros(top + 1), _powers(b, top)])  # row r: the sums over the r smallest b
+        step = 1
+        while step < len(b):  # each row adds the one ``step`` above it, doubling the reach
+            prefix[step + 1 :] = prefix[step + 1 :] + prefix[1:-step]
+            step *= 2
+        diffs = prefix[-1] - 2.0 * prefix[np.searchsorted(b, -a)]
+        powers = _powers(a, top)
+        for c, (p, binomial) in enumerate(zip(orders, binomials)):
+            terms = powers[:, p::-1] * diffs[:, : p + 1] * binomial
+            norms[i, c] = scale * (float(terms.sum(axis=1).sum()) / (1 << (d - 1))) ** (1.0 / p)
+    return norms
+
+
+def _enumerated_norms(rows: np.ndarray, scales: np.ndarray, qs) -> np.ndarray:
+    """``||B_t||_q`` for every row ``t`` of ``rows`` (l1 norms ``scales``) at every order in ``qs``.
+
+    One enumeration of each nonzero row's ``2^(d-1)`` sign patterns serves
+    every order.  The patterns do not depend on the order, so each block of
+    sign sums is scaled once and raised to each order in turn: the bits of a
+    pass per order.  A zero row gives 0.
+    """
+    k, d = rows.shape
+    norms = np.zeros((k, len(qs)))
+    for i in np.flatnonzero(scales):
+        scale = float(scales[i])  # the largest |sum|, so no power overflows
+        parts: list[list[float]] = [[] for _ in qs]
+        for s in signed_row_sums(rows[i, :, None]):
+            a = np.abs(s) / scale
+            for part, q in zip(parts, qs):
+                part.append(float((a**q).sum()))
+        for c, (part, q) in enumerate(zip(parts, qs)):
+            norms[i, c] = scale * (sum(part) / (1 << (d - 1))) ** (1.0 / q)
+    return norms
+
+
+#: Each exact route's evaluator, by the name :func:`bernoulli_exact_route` gives it.
+_EXACT_ROUTES = {"cosh-series": _cosh_norms, "meet-in-the-middle": _meet_norms, "enumeration": _enumerated_norms}
+
+
 def bernoulli_exact_norms(rows, ps) -> np.ndarray:
     """``||B_t||_p`` for every row ``t`` of the ``(k, d)`` matrix ``rows`` at every order in ``ps``.
 
     The result has shape ``(k, len(ps))``.  Only available for d <=
     ``EXACT_ENUMERATION_MAX_DIM`` (an empty batch needs no oracle); any real
-    p >= 1.  Even integer orders up to ``COSH_MAX_ORDER`` come from one
-    cosh-series pass over all rows (``O(d p^2)`` per row, exact up to
-    rounding).  Every other order comes from one enumeration of each
-    nonzero row's ``2^(d-1)`` sign patterns, run only when such an order is
-    asked for.  A value depends on neither the other rows nor the other
-    orders of the call.  An l1 norm that overflows float64 is a
-    :class:`ParameterError`.
+    p >= 1.  Each order goes to its :func:`bernoulli_exact_route`, exact up
+    to rounding: even integer orders up to ``COSH_MAX_ORDER`` to one
+    cosh-series pass over all rows (``O(d p^2)`` per row); odd integer
+    orders up to ``MEET_MAX_ORDER`` to meet in the middle, one sort and
+    prefix table of ``2^floor(d/2)`` half-sums per nonzero row, shared by
+    those orders; every other order to one enumeration of each nonzero
+    row's ``2^(d-1)`` sign patterns, shared by those orders.  A route runs
+    only when one of its orders is asked for.  A value depends on neither
+    the other rows nor the other orders of the call.  An l1 norm that
+    overflows float64 is a :class:`ParameterError`.
     """
     rows = _finite_rows(rows)
     qs = [_check_moment_order(p) for p in ps]
@@ -265,22 +363,11 @@ def bernoulli_exact_norms(rows, ps) -> np.ndarray:
         raise CapacityError(f"exact Bernoulli norm needs dim <= {EXACT_ENUMERATION_MAX_DIM}, got {d}")
     scales = _norms(rows, 1)
     norms = np.zeros((k, len(qs)))
-    even = [c for c, q in enumerate(qs) if _is_cosh_order(q)]
-    if even:
-        norms[:, even] = _cosh_norms(rows, scales, [qs[c] for c in even])
-    rest = [c for c, q in enumerate(qs) if not _is_cosh_order(q)]
-    for i in np.flatnonzero(scales) if rest else ():
-        # The patterns do not depend on the order, so each block of sign sums
-        # is scaled once and raised to each order in turn: the bits of a pass
-        # per order.
-        scale = float(scales[i])  # the largest |sum|, so no power overflows
-        parts: list[list[float]] = [[] for _ in rest]
-        for s in signed_row_sums(rows[i, :, None]):
-            a = np.abs(s) / scale
-            for part, c in zip(parts, rest):
-                part.append(float((a ** qs[c]).sum()))
-        for part, c in zip(parts, rest):
-            norms[i, c] = scale * (sum(part) / (1 << (d - 1))) ** (1.0 / qs[c])
+    routes = [bernoulli_exact_route(q) for q in qs]
+    for route, route_norms in _EXACT_ROUTES.items():
+        cols = [c for c, r in enumerate(routes) if r == route]
+        if cols:
+            norms[:, cols] = route_norms(rows, scales, [qs[c] for c in cols])
     return norms
 
 

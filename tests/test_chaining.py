@@ -500,6 +500,24 @@ def test_combiner_subadditivity_sqrt3(seed):
     assert lhs <= math.sqrt(3.0) * rhs * (1 + 1e-12)
 
 
+def test_combine_sum_set_over_the_coordinate_cap_raises_before_any_sum(monkeypatch):
+    a, b = _random_set(1, 200, 8, "cap-a"), _random_set(2, 200, 8, "cap-b")
+    tree_a, tree_b = build_partition_greedy(a), build_partition_greedy(b)
+    monkeypatch.setattr(chaining, "GENERATE_MAX_COORDINATES", 200 * 200 * 8 - 1)
+    message = "^sum set capped at 319999 coordinates, got 200 x 200 points of dim 8$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=message):
+            combine_sum_set(a, tree_a, b, tree_b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10  # the 2.5 MB of sums was never formed
+    monkeypatch.setattr(chaining, "GENERATE_MAX_COORDINATES", 200 * 200 * 8)
+    combined, _ = combine_sum_set(a, tree_a, b, tree_b)
+    assert combined.matrix.size == 200 * 200 * 8
+
+
 def test_combine_dimension_mismatch():
     a = _random_set(1, 2, 3)
     b = _random_set(2, 2, 4)
@@ -939,17 +957,21 @@ def test_an_overflowing_squared_distance_names_its_points_without_a_warning(rows
 
 _LATE = [[0.0, 0.0], [1.0, 0.0], [1.3e154, 0.0], [-1.3e154, 0.0]]  # overflows at the second center only
 _EARLY = [[1.0, 0.0], [1e308, 1e308]]  # overflows at the first center
+_SAFE = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("block_bytes", [None, 8], ids=["one-run", "a-run-per-parent"])
 @pytest.mark.parametrize("sets, pair", [
-    ((_LATE, _EARLY), (4, 5)),  # the earliest step wins, though its tree comes second
-    ((_EARLY, _LATE), (0, 1)),
-    ((_LATE, _LATE), (2, 3)),  # one step: the first parent in run order wins
+    ((_LATE, _EARLY), (2, 3)),  # the first parent in split order wins, though the second overflows at an earlier step
+    ((_EARLY, _LATE), (4, 5)),  # four children split before two
+    ((_LATE, _LATE), (2, 3)),  # equal allocations split in tree order
+    ((_SAFE, _EARLY), (4, 5)),  # a parent that splits cleanly names nothing
 ])
-def test_a_forest_names_the_earliest_overflow_then_the_first_parent(sets, pair):
-    with pytest.raises(chaining.DistanceOverflow) as info:
-        list(_grow(np.concatenate(sets), [len(rows) for rows in sets]))
+def test_a_forest_names_the_first_overflowing_parent_in_split_order(sets, pair, block_bytes):
+    message = f"^the squared l2 distance between points {pair[0]} and {pair[1]} overflows float64$"
+    with pytest.raises(chaining.DistanceOverflow, match=message) as info:
+        _grown(np.concatenate(sets), [len(rows) for rows in sets], block_bytes)
     assert info.value.rows == pair
 
 

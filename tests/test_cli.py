@@ -76,7 +76,7 @@ def test_moments_rows_name_their_exact_route(tmp_path):
     set_path = _gen(tmp_path)
     doc = _report(tmp_path, ["moments", "--set", str(set_path), "--p", "1", "2", "3", "4", "1024", "1026"])
     routes = {row["p"]: row["bernoulli_route"] for row in doc["results"]["rows"]}
-    assert routes == {1: "enumeration", 2: "cosh-series", 3: "enumeration", 4: "cosh-series",
+    assert routes == {1: "meet-in-the-middle", 2: "cosh-series", 3: "meet-in-the-middle", 4: "cosh-series",
                       1024: "cosh-series", 1026: "enumeration"}
     wide = _gen(tmp_path, "wide.set", dim=21, count=2)
     doc = _report(tmp_path, ["moments", "--set", str(wide), "--p", "2"], "wide.json")

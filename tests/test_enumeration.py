@@ -156,7 +156,7 @@ def test_ambient_norms_of_every_block_keep_the_reference_bits(monkeypatch, norm,
 
 @given(
     st.integers(min_value=1, max_value=14),
-    st.sampled_from([1, 3, 1.5]),
+    st.sampled_from([1.5, 2.5, 33]),  # the orders enumeration still serves
     st.sampled_from(["default", "one", "switch"]),
     st.sampled_from(["generic", "ties", "zeros"]),
     st.integers(min_value=0, max_value=2**32),

@@ -27,6 +27,7 @@ from procsup.moments import (
 from procsup.oleszkiewicz import NormKind, VectorSystem, strong_moment_ratio
 from procsup.suprema import brute_force_bernoulli_sup
 
+from enumeration_reference import reference_enumerated_norm
 from mc_reference import reference_mc_mean, reference_mc_norm
 from moments_reference import (
     reference_bernoulli_norm_proxy,
@@ -138,6 +139,9 @@ def test_bernoulli_exact_dimension_cap():
 # --- several orders from one enumeration ---
 
 
+_ROUTE_TOLERANCES = {"cosh-series": 1e-12, "meet-in-the-middle": 1e-13}
+
+
 def _one_order_reference(t, p):
     # The one-order enumeration that the multi-order exact route replaced, kept verbatim.
     q = moments._check_moment_order(p)
@@ -149,14 +153,15 @@ def _one_order_reference(t, p):
 
 
 def _assert_matches_reference(t, ps, got):
-    # Orders that enumeration serves keep its bits; the cosh series' even
-    # orders agree with it to 1e-12 relative.
+    # Orders that enumeration serves keep its bits; meet in the middle's odd
+    # orders agree with it to 1e-13 relative, the cosh series' even ones to 1e-12.
     for p, value in zip(ps, got):
         want = _one_order_reference(t, p)
-        if moments.bernoulli_exact_route(p) == "enumeration":
+        route = moments.bernoulli_exact_route(p)
+        if route == "enumeration":
             assert value == want
         else:
-            assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert value == pytest.approx(want, rel=_ROUTE_TOLERANCES[route], abs=0.0)
 
 
 magnitudes = st.sampled_from([0.0, -0.0, 1e-5, 3e-3, 0.7, 1.0, 2.0, 3.0, 41.5, 1e5])
@@ -203,8 +208,9 @@ even_orders = st.sampled_from([2, 4, 6, 8, 10, 16, 32, 64, 100, 128, 256, 512, 1
 
 def test_exact_route_is_the_cosh_series_for_even_integer_orders_up_to_1024():
     assert [bernoulli_exact_route(p) for p in (2, 4.0, 32, 1000, 1024)] == ["cosh-series"] * 5
-    assert [bernoulli_exact_route(p) for p in (1, 3, 2.5, 7.25, 1026, 2048)] == ["enumeration"] * 6
-    assert moments.COSH_MAX_ORDER == 1024
+    assert [bernoulli_exact_route(p) for p in (1, 3, 5.0, 7, 29, 31)] == ["meet-in-the-middle"] * 6
+    assert [bernoulli_exact_route(p) for p in (1.5, 2.5, 7.25, 33, 1025, 1026, 2048)] == ["enumeration"] * 7
+    assert (moments.COSH_MAX_ORDER, moments.MEET_MAX_ORDER) == (1024, 31)
     with pytest.raises(ParameterError, match="moment order"):
         bernoulli_exact_route(0.5)
 
@@ -272,8 +278,79 @@ def test_even_orders_make_no_enumeration_pass(monkeypatch):
     t = ts.matrix[:1]
     bernoulli_exact_norms(t, (2, 4, 8))
     assert passes == []
-    bernoulli_exact_norms(t, (1, 2, 3))
-    assert passes == [(20, 1)]
+
+
+def test_odd_orders_up_to_the_cap_make_no_enumeration_pass(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    t = generate_set("random_sphere", 20, 2, Seed(3)).matrix
+    bernoulli_exact_norms(t, range(1, moments.MEET_MAX_ORDER + 1))
+    assert passes == []
+    bernoulli_exact_norms(t[:1], (2.5,))
+    bernoulli_exact_norms(t[:1], (moments.MEET_MAX_ORDER + 2,))
+    assert passes == [(20, 1)] * 2
+    passes.clear()
+    bernoulli_exact_norms(t, (1, 2.5, 3, 33, 4))  # one pass per row serves both enumerated orders
+    assert passes == [(20, 1)] * 2
+
+
+# --- odd orders by meet in the middle ---
+
+odd_orders = st.lists(st.sampled_from(range(1, 32, 2)), min_size=1, max_size=4)
+# zero, repeated and mixed-scale coordinates: spikes among tiny ones, grid ties, the full float range
+meet_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-9, -3e-12, 5.0, 1e9]),
+    st.integers(min_value=-3, max_value=3).map(float),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@given(st.integers(1, 20).flatmap(lambda d: st.lists(meet_entries, min_size=d, max_size=d)), odd_orders)
+def test_meet_in_the_middle_equals_enumeration_to_1e_13(xs, ps):
+    t = np.array(xs)
+    got = bernoulli_exact_norms(t[None, :], ps)[0]
+    if not np.abs(t).sum():
+        assert got.tolist() == [0.0] * len(ps)
+        return
+    for p, value in zip(ps, got):
+        assert value == pytest.approx(reference_enumerated_norm(t, p), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("t", [
+    np.array([-2.5]),
+    np.ones(20),
+    np.array([1e-9] + [0.0] * 18 + [5.0]),
+    np.array([0.0, -0.0, 3.0, 3.0, -3.0, 1e-300, 7.0]),
+    np.ldexp(rng.standard_normal(rng.stream(10, "meet-scales"), 20), np.arange(-40, 40, 4)),
+], ids=["one-term", "all-ones", "spike", "zeros-and-ties", "mixed-scales"])
+def test_meet_in_the_middle_edge_rows(t):
+    ps = range(1, moments.MEET_MAX_ORDER + 1, 2)
+    got = bernoulli_exact_norms(t[None, :], ps)[0]
+    for p, value in zip(ps, got):
+        assert value == pytest.approx(reference_enumerated_norm(t, p), rel=1e-13, abs=0.0)
+
+
+@given(matrices, odd_orders)
+def test_meet_batch_rows_equal_one_row_calls_and_minus_rows_bit_for_bit(m, ps):
+    batch = bernoulli_exact_norms(m, ps)
+    assert bernoulli_exact_norms(-m, ps).tobytes() == batch.tobytes()
+    for row, values in zip(m, batch):
+        assert bernoulli_exact_norms(row[None, :], ps).tobytes() == values.tobytes()
+        for p, value in zip(ps, values):
+            assert MomentModel.bernoulli_exact().norms(row[None, :], p).tobytes() == value.tobytes()
+
+
+def test_meet_norms_of_c_and_minus_c_are_equal_bit_for_bit_at_twenty_terms():
+    # generic rows: without the flip to a positive first coordinate, some orders differ in the last bit
+    m = rng.standard_normal(rng.stream(11, "meet-orders"), (8, 20))
+    ps = range(1, moments.MEET_MAX_ORDER + 1, 2)
+    assert bernoulli_exact_norms(-m, ps).tobytes() == bernoulli_exact_norms(m, ps).tobytes()
+
+
+def test_an_odd_order_does_not_depend_on_the_orders_beside_it():
+    m = rng.standard_normal(rng.stream(11, "meet-orders"), (3, 20))
+    alone = bernoulli_exact_norms(m, (3,))
+    assert alone[:, 0].tobytes() == bernoulli_exact_norms(m, (1, 3, 2.5))[:, 1].tobytes()
+    assert alone[:, 0].tobytes() == bernoulli_exact_norms(m, (31, 3, 2))[:, 1].tobytes()
 
 
 @pytest.mark.parametrize("ps", [(1, 2, 3), (2,), (3,), ()])
@@ -638,6 +715,17 @@ def test_gaussian_rows_equal_the_one_vector_reference_bit_for_bit(m, p):
     assert np.concatenate([gaussian_norms(row[None, :], p) for row in m]).tobytes() == want
 
 
+def _assert_exact_rows_match(got: np.ndarray, want: np.ndarray, ps) -> None:
+    # The one-vector reference's cosh series and enumeration keep their bits;
+    # its odd orders up to the cap moved to meet in the middle, within 1e-13.
+    assert got.shape == want.shape
+    for c, p in enumerate(ps):
+        if bernoulli_exact_route(p) == "meet-in-the-middle":
+            np.testing.assert_allclose(got[:, c], want[:, c], rtol=1e-13, atol=0.0)
+        else:
+            assert got[:, c].tobytes() == want[:, c].tobytes()
+
+
 @given(_row_matrices(14), order_lists, st.booleans())
 def test_exact_rows_equal_the_one_vector_reference_bit_for_bit(m, ps, small_blocks):
     with pytest.MonkeyPatch.context() as mp:
@@ -645,21 +733,21 @@ def test_exact_rows_equal_the_one_vector_reference_bit_for_bit(m, ps, small_bloc
             mp.setattr(moments, "_BLOCK_BYTES", 64)  # eight sums per block
         want = np.array([reference_bernoulli_norms_exact(row, ps) for row in m]).reshape(len(m), len(ps))
         got = bernoulli_exact_norms(m, ps)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        _assert_exact_rows_match(got, want, ps)
         for c, p in enumerate(ps):
-            assert MomentModel.bernoulli_exact().norms(m, p).tobytes() == want[:, c].tobytes()
-        assert np.concatenate([bernoulli_exact_norms(row[None, :], ps) for row in m]).tobytes() == want.tobytes()
+            assert MomentModel.bernoulli_exact().norms(m, p).tobytes() == got[:, c].tobytes()
+        assert np.concatenate([bernoulli_exact_norms(row[None, :], ps) for row in m]).tobytes() == got.tobytes()
 
 
 def test_exact_rows_at_twenty_terms_and_over_the_cap():
     m = rng.standard_normal(rng.stream(9, "exact-rows-twenty"), (2, 20))
-    ps = (1, 3, 2.5, 8)
+    ps = (1, 3, 2.5, 8, 33)
     want = np.array([reference_bernoulli_norms_exact(row, ps) for row in m])
-    assert bernoulli_exact_norms(m, ps).tobytes() == want.tobytes()
+    _assert_exact_rows_match(bernoulli_exact_norms(m, ps), want, ps)
     for d in (21, 24):
         with pytest.raises(CapacityError, match=f"^exact Bernoulli norm needs dim <= 20, got {d}$"):
             bernoulli_exact_norms(np.ones((1, d)), ps)
-    assert bernoulli_exact_norms(np.ones((0, 24)), ps).shape == (0, 4)  # an empty batch needs no oracle
+    assert bernoulli_exact_norms(np.ones((0, 24)), ps).shape == (0, 5)  # an empty batch needs no oracle
 
 
 @pytest.mark.parametrize("call, message", [

@@ -260,23 +260,24 @@ def test_weak_moment_constant_matches_the_per_order_loop_at_twenty_terms():
     assert got == _reference_weak_moment_constant(x_sys, y_sys, funcs, p_max=3)
 
 
-def test_weak_moment_constant_enumerates_each_vector_once_up_to_sign(monkeypatch):
+def test_weak_moment_constant_evaluates_each_vector_once_up_to_sign(monkeypatch):
     # dim 6 gives the 12 signed basis functionals, which pair up, plus 4
-    # extras: 10 distinct coefficient vectors per system, one pass each.
-    passes = []
+    # extras: 10 distinct coefficient vectors per system, one row each.
+    rows, passes = [], []
 
-    def counting(m):
-        passes.append(m.shape)
-        return iter(())  # count the passes only; every norm then reads 0
+    def counting(ts, scales, qs):
+        rows.append(len(ts))
+        return np.zeros((len(ts), len(qs)))  # count the rows only; every odd-order norm then reads 0
 
-    monkeypatch.setattr(moments, "signed_row_sums", counting)
+    monkeypatch.setitem(moments._EXACT_ROUTES, "meet-in-the-middle", counting)
+    monkeypatch.setattr(moments, "signed_row_sums", lambda m: passes.append(m.shape) or iter(()))
     x_sys, y_sys = _random_system(1, 20, 6), _random_system(2, 20, 6)
     funcs = generate_functionals(NormKind.SUP, 6, 4, Seed(3))
     weak_moment_constant(x_sys, y_sys, funcs, p_max=8)
-    assert len(passes) == 20
-    passes.clear()
+    assert rows == [20] and passes == []  # one call; the odd orders 1, 3, 5, 7 enumerate nothing
+    rows.clear()
     _reference_weak_moment_constant(x_sys, y_sys, funcs, p_max=8)
-    assert len(passes) == 16 * 4 * 2  # only the odd orders 1, 3, 5, 7 enumerate
+    assert rows == [1] * (16 * 4 * 2) and passes == []  # one call per functional, system and odd order
 
 
 # --- weak contraction branches: zero image vectors, an infeasible functional, all-zero images ---
