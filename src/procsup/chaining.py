@@ -37,7 +37,7 @@ import numpy as np
 from .core import GENERATE_MAX_COORDINATES, FiniteSet, ProcessKind, Seed, distinct_rows
 from .errors import CapacityError, ParameterError, ValidationError
 from .moments import _BLOCK_BYTES, EXACT_ENUMERATION_MAX_DIM, ModelKind, MomentModel
-from .reports import ComparisonReport, safe_ratio
+from .reports import BlockColumns, Columnar, ComparisonReport, safe_ratio
 from .suprema import expected_sup
 
 #: Upper bound constant: E sup <= SUP_BOUND_FACTOR * (best chain sum).
@@ -192,13 +192,14 @@ def _runs(level: _Level) -> Iterator[tuple[list[int], int]]:
     return zip(map(members.__getitem__, map(slice, [0, *ends], ends)), level.reps.tolist())
 
 
-class PartitionTree:
+class PartitionTree(Columnar):
     """An admissible partition tree over the points ``0 .. n_points - 1``.
 
     ``arrays`` holds one :class:`_Level` of read-only int arrays per level;
     ``levels`` shows them as tuples of :class:`Block`, built on first use.
     ``PartitionTree(n_points, levels)`` lays blocks out as arrays and runs
-    :meth:`validate`.
+    :meth:`validate`.  A report writes the tree from its arrays
+    (:meth:`columns`); :meth:`to_dict` is the same document in plain values.
     """
 
     __slots__ = ("n_points", "arrays", "_blocks")
@@ -238,6 +239,9 @@ class PartitionTree:
         if self._blocks is None:
             self._blocks = tuple(tuple(Block(tuple(m), r) for m, r in _runs(level)) for level in self.arrays)
         return self._blocks
+
+    def columns(self) -> dict:
+        return {"n_points": self.n_points, "levels": [BlockColumns(*level) for level in self.arrays]}
 
     def to_dict(self) -> dict:
         return {

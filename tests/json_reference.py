@@ -2,7 +2,8 @@
 
 Reports were written by deep-copying the document through ``encode`` and
 then calling ``json.dumps(indent=2, sort_keys=True)``; CSV flattened that
-same copy; set files were ``json.dumps(doc, indent=2)``; and the loader
+same copy; a value written from its columns (a partition tree) was its
+``to_dict()``; set files were ``json.dumps(doc, indent=2)``; and the loader
 checked rows one at a time before building the matrix row by row.
 ``procsup.reports.dumps``, ``to_csv``, ``core.save_set`` and
 ``core.read_points_file`` must give the same bytes and the same errors.
@@ -20,6 +21,7 @@ import numpy as np
 
 from procsup.core import FILE_VERSION, _ROWS_KEY
 from procsup.errors import ParseError, ValidationError
+from procsup.reports import Columnar
 
 
 def _encode_float(x):
@@ -35,6 +37,8 @@ def encode(value):
         return int(value)
     if isinstance(value, (float, np.floating)):
         return _encode_float(float(value))
+    if isinstance(value, Columnar):
+        return encode(value.to_dict())
     if isinstance(value, dict):
         return {k: encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, np.ndarray)):

@@ -6,6 +6,7 @@ import pytest
 
 from json_reference import report_csv, report_json
 from procsup import cli, reports
+from procsup.chaining import PartitionTree, tree_from_dict
 from procsup.core import FiniteSet, SetKind, load_set, save_set
 
 
@@ -111,6 +112,19 @@ def test_gamma_greedy_vs_exhaustive(tmp_path):
     assert exhaustive["results"]["value"] <= greedy["results"]["value"] * (1 + 1e-12)
     assert greedy["results"]["model"] == "gaussian-exact"
     assert greedy["results"]["tree"]["levels"][0][0]["members"] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("extra", [[], ["--exhaustive"]])
+def test_gamma_writes_its_json_tree_from_the_level_arrays(tmp_path, monkeypatch, extra):
+    calls = []
+    to_dict = PartitionTree.to_dict
+    monkeypatch.setattr(PartitionTree, "to_dict", lambda tree: calls.append(tree) or to_dict(tree))
+    argv = ["gamma", "--set", str(_gen(tmp_path, count=4)), *extra]
+    tree = _report(tmp_path, argv)["results"]["tree"]
+    assert calls == []
+    assert _run(argv + ["--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
+    assert len(calls) == 1  # CSV flattens the tree's dict form
+    assert tree_from_dict(tree) == calls[0] and calls[0].to_dict() == tree
 
 
 def test_gamma_exhaustive_over_the_cap_exits_2_without_a_report(tmp_path, capsys):

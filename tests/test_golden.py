@@ -4,7 +4,8 @@ Each fixture under ``tests/golden/`` is rebuilt here and compared byte for
 byte: ``gamma`` reports (tree included) for a 60-point d=8 sphere under two
 exact models, an exhaustive ``gamma`` report on 5 points, the tree
 :func:`~procsup.chaining.combine_sum_set` builds on two pairs of small sets
-(one generic, one with colliding sums), exact ``sup`` reports on both sides
+(one generic, one with colliding sums; its dict form and its level arrays
+written alike), exact ``sup`` reports on both sides
 of the sign enumerator's block layout switch (64 points at d=20, 2 000
 points at d=12), and ``oleszkiewicz`` reports for 20-term systems under the
 sup norm (d=6) and the euclidean norm (d=9).  Regenerate a fixture only when a
@@ -45,7 +46,9 @@ def _oleszkiewicz_report(tmp: Path, norm: str, dim: str) -> bytes:
 
 def _combined_tree(set_a: FiniteSet, set_b: FiniteSet) -> bytes:
     _, tree = combine_sum_set(set_a, build_partition_greedy(set_a), set_b, build_partition_greedy(set_b))
-    return dumps(tree.to_dict()).encode() + b"\n"
+    text = dumps(tree.to_dict())
+    assert dumps(tree) == text  # the tree written from its level arrays
+    return text.encode() + b"\n"
 
 
 _SPHERE = ["--kind", "sphere", "--dim", "8", "--count", "60", "--seed", "1"]

@@ -8,15 +8,25 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from json_reference import encode, report_csv, report_json
+from procsup.chaining import (
+    PartitionTree,
+    build_partition_greedy,
+    combine_sum_set,
+    exhaustive_gamma,
+    tree_from_dict,
+)
+from procsup.core import FiniteSet, Seed, distinct_rows, generate_set
+from procsup.moments import MomentModel
 from procsup.reports import (
     DESIGN_DECISIONS,
     SCHEMA,
     SCHEMA_VERSION,
+    BlockColumns,
     ComparisonReport,
     build_report,
     dumps,
@@ -228,3 +238,65 @@ def test_csv_writes_numpy_leaves_as_plain_values():
     table = dict(list(csv.reader(io.StringIO(to_csv(doc))))[1:])
     assert (table["results.x"], table["results.v[0][1]"], table["results.b"]) == ("2.5", "2", "False")
     assert encode(doc)["results"]["v"] == [[1, 2]]
+
+
+# --- a partition tree written from its level arrays ---
+
+
+_int64s = st.integers(-(2**63), 2**63 - 1)
+
+
+@given(st.lists(st.tuples(st.lists(_int64s, min_size=1, max_size=4), _int64s), max_size=8), st.integers(0, 3))
+def test_block_columns_write_the_bytes_of_their_list_of_dicts(blocks, depth):
+    level = BlockColumns(
+        np.array([m for members, _ in blocks for m in members], dtype=np.int64),
+        np.array([len(members) for members, _ in blocks], dtype=np.intp),
+        np.array([r for _, r in blocks], dtype=np.int64),
+    )
+    plain = [{"members": members, "rep": r} for members, r in blocks]
+    for _ in range(depth):
+        level, plain = {"x": [level, 1]}, {"x": [plain, 1]}
+    assert dumps(level) == dumps(plain) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+    assert dumps(level, sort_keys=False) == dumps(plain, sort_keys=False)
+
+
+def _assert_tree_writes_as_its_dict(tree: PartitionTree) -> None:
+    """The tree, at the top level and at a report's depth, gives the bytes of its ``to_dict()``."""
+    plain = tree.to_dict()
+    assert dumps(tree) == dumps(plain) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+    assert dumps(tree, sort_keys=False) == dumps(plain, sort_keys=False)
+    results = lambda form: {"set": "s", "value": 1.5, "per_point": [0.5, math.inf], "tree": form}
+    doc, plain_doc = (build_report("gamma", {"seed": 1}, {"set": "h"}, results(form)) for form in (tree, plain))
+    assert to_json(doc) == to_json(plain_doc) == report_json(plain_doc) == report_json(doc)
+    assert to_csv(doc) == to_csv(plain_doc) == report_csv(plain_doc)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 300), st.integers(1, 6), st.booleans(), st.integers(0, 2**31))
+@example(1, 3, False, 0)  # the one-point set
+def test_greedy_trees_write_as_their_dicts(count, dim, grid, seed):
+    gen = np.random.default_rng(seed)
+    # a small integer grid repeats rows; they collapse to the distinct ones
+    rows = gen.integers(-2, 3, (count, dim)).astype(float) if grid else gen.standard_normal((count, dim))
+    ts = FiniteSet(name="tree-bytes", points=rows[distinct_rows(rows)[0]])
+    tree = build_partition_greedy(ts)
+    _assert_tree_writes_as_its_dict(tree)
+    _assert_tree_writes_as_its_dict(tree_from_dict(tree.to_dict()))
+    _assert_tree_writes_as_its_dict(PartitionTree(tree.n_points, tree.levels))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+def test_exhaustive_trees_write_as_their_dicts(count):
+    ts = generate_set("random_sphere", 4, count, Seed(count))
+    _assert_tree_writes_as_its_dict(exhaustive_gamma(ts, MomentModel.gaussian_exact()).tree)
+
+
+@pytest.mark.parametrize("sets", [
+    (generate_set("random_sphere", 3, 4, Seed(7)), generate_set("random_sphere", 3, 5, Seed(8))),
+    (FiniteSet(name="grid-a", points=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 1.0]]),
+     FiniteSet(name="grid-b", points=[[0.0, 0.0], [1.0, 1.0], [-1.0, 0.0], [0.0, 2.0], [1.0, 0.0]])),
+], ids=["sphere", "grid"])
+def test_combined_trees_write_as_their_dicts(sets):
+    set_a, set_b = sets
+    _, tree = combine_sum_set(set_a, build_partition_greedy(set_a), set_b, build_partition_greedy(set_b))
+    _assert_tree_writes_as_its_dict(tree)
