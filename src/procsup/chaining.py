@@ -314,30 +314,96 @@ class DistanceOverflow(ParameterError):
         super().__init__(f"the squared l2 distance between points {self.rows[0]} and {self.rows[1]} overflows float64")
 
 
-def _split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps: np.ndarray,
+def _pairwise_columns(rows: np.ndarray) -> np.ndarray:
+    """The ``(n, d)`` ``rows`` as the C-contiguous ``(d, n)`` columns :func:`_sum_rows_pairwise` sums.
+
+    Each full block of 8 coordinates is stored bit-reversed, as rows ``0, 4,
+    2, 6, 1, 5, 3, 7``, so that the block's eight accumulators join in
+    numpy's order by halving contiguous rows three times.  Below 8
+    coordinates, and in the last ``d % 8``, the order is unchanged.
+    """
+    d = rows.shape[1]
+    layout = np.arange(d)
+    full = d - d % 8
+    layout[:full] = layout[:full].reshape(-1, 8)[:, [0, 4, 2, 6, 1, 5, 3, 7]].ravel()
+    return np.ascontiguousarray(rows[:, layout].T)
+
+
+def _sum_rows_pairwise(q: np.ndarray) -> np.ndarray:
+    """Sum the ``d`` rows of ``q``, laid out as :func:`_pairwise_columns` does, into ``q[0]`` in place.
+
+    The rows are summed in numpy's pairwise order, so each column ends with
+    the bits ``np.add.reduce`` gives the matching row of the ``(m, d)``
+    array, for entries that are not ``-0.0`` (squares never are): below 8 rows
+    one after another; from 8 to 128, eight accumulators over rows ``j,
+    j+8, ...`` joined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the
+    tail rows one after another; above 128, both halves split at ``n//2 -
+    (n//2) % 8`` and then added, which keeps every block of 8 aligned.  An
+    overflow raises where that reduce raises under ``errstate(over="raise")``.
+    Returns ``q[0]``.
+    """
+    n = len(q)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        total = _sum_rows_pairwise(q[:half])
+        np.add(total, _sum_rows_pairwise(q[half:]), total)
+        return total
+    total, tail = q[0], 1
+    if n >= 8:
+        head, tail = q[:8], n - n % 8
+        for i in range(8, tail, 8):
+            np.add(head, q[i : i + 8], head)
+        for width in (4, 2, 1):  # r0 r4 r2 r6 | r1 r5 r3 r7, then r01 r45 | r23 r67, then r0123 | r4567
+            np.add(head[:width], head[width : 2 * width], head[:width])
+    for i in range(tail, n):
+        np.add(total, q[i], total)
+    return total
+
+
+def _squared_distances(xt: np.ndarray, centers: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each column of ``xt`` to its center's column, ``counts[i]`` columns to ``centers[i]``, squared.
+
+    ``xt`` holds ``d`` coordinate rows laid out by :func:`_pairwise_columns`.
+    """
+    q = xt[:, centers].repeat(counts, axis=1)
+    np.subtract(xt, q, q)
+    return _sum_rows_pairwise(np.multiply(q, q, q))
+
+
+def _split_level(coords_t: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps: np.ndarray,
                  alloc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split every block of one level into its ``alloc`` children by farthest-point centers.
 
-    A level is ``order`` (its blocks' members, block after block, each
-    ascending) with each block's size and representative; the blocks may
-    belong to many trees over disjoint rows of ``coords`` (a forest), since
-    each block is split on its own.  The parent's representative seeds its
-    traversal (so one child always inherits it); each further center is
-    the member farthest from all chosen centers, ties to the lowest point
-    index; members then join their nearest center, ties to the earliest
-    center.  Children follow their parent's position, then the order their
-    centers were chosen.  The splitting parents lie end to end, largest
-    ``alloc`` first, in runs of at most ``_BLOCK_BYTES`` of coordinates (a
-    larger parent alone); at step ``j`` those with ``alloc > j`` are a
-    prefix of the run, and each takes the segment argmax of ``near``, its
-    members' distances to their nearest center, ``-inf`` on centers (so
-    they stay in their own blocks even when a distance underflows to 0).
-    A parent's children depend only on its own rows, never on its run.  A
-    squared distance that overflows float64 raises :class:`DistanceOverflow`,
-    with no warning, naming the center and the first such member of the
-    first parent, in split order, that overflows when split alone: a run
-    that overflows is split again a parent at a time, so the pair does not
-    depend on ``_BLOCK_BYTES``.
+    ``coords_t`` holds the points column-major, as :func:`_pairwise_columns`
+    lays them out: point ``i`` is column ``i``.  A level is ``order`` (its
+    blocks' members, block after block, each ascending) with each block's
+    size and representative; the blocks may belong to many trees over
+    disjoint points (a forest), since each block is split on its own.  The parent's
+    representative seeds its traversal (so one child always inherits it);
+    each further center is the member farthest from all chosen centers,
+    ties to the lowest point index; members then join their nearest
+    center, ties to the earliest center.  Children follow their parent's
+    position, then the order their centers were chosen.  The splitting
+    parents lie end to end, largest ``alloc`` first, in runs of at most
+    ``_BLOCK_BYTES`` of coordinates (a larger parent alone); at step ``j``
+    those with ``alloc > j`` are a prefix of the run, and each takes the
+    segment argmax of ``near``, its members' distances to their nearest
+    center, ``-inf`` on centers (so they stay in their own blocks even when
+    a distance underflows to 0).  A parent's children depend only on its
+    own rows, never on its run.
+
+    A run's coordinates are gathered once from ``coords_t`` into a
+    C-contiguous ``(d, len)`` array ``xt``, with no row-major copy.  A step
+    repeats the active centers' columns into a ``(d, m)`` buffer, subtracts
+    and squares it in place and sums its ``d`` rows in place with
+    :func:`_sum_rows_pairwise`, in numpy's pairwise order: one after another
+    below 8 rows, eight accumulators over every eighth row up to 128, halves
+    above.  So every distance has the bits ``np.add.reduce(axis=-1)`` gives
+    its row-major ``(m, d)`` form.  A squared distance that overflows float64
+    raises :class:`DistanceOverflow`, with no warning, naming the center and
+    the first such member of the first parent, in split order, that
+    overflows when split alone: a run that overflows is split again a
+    parent at a time, so the pair does not depend on ``_BLOCK_BYTES``.
     """
     starts = np.cumsum(sizes) - sizes
     first_child = np.cumsum(alloc) - alloc
@@ -346,7 +412,7 @@ def _split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps:
     split = np.flatnonzero(alloc > 1)
     split = split[np.argsort(-alloc[split], kind="stable")]
     ends = np.cumsum(sizes[split])
-    lo, rows = 0, _BLOCK_BYTES // (8 * coords.shape[1])
+    lo, rows = 0, _BLOCK_BYTES // (8 * len(coords_t))
     while lo < len(split):
         hi = max(int(np.searchsorted(ends, ends[lo] - sizes[split[lo]] + rows, side="right")), lo + 1)
         parents, lo = split[lo:hi], hi
@@ -355,7 +421,8 @@ def _split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps:
         seg = tops - size
         pos = np.repeat(starts[parents] - seg, size) + np.arange(tops[-1])
         idx = order[pos]
-        x, near, assign = coords[idx], np.full(len(idx), np.inf), np.zeros(len(idx), dtype=np.intp)
+        xt = np.take(coords_t, idx, axis=1)  # (d, len), C-contiguous
+        near, assign = np.full(len(idx), np.inf), np.zeros(len(idx), dtype=np.intp)
         c = np.flatnonzero(idx == np.repeat(reps[parents], size))
         overflow = False
         with np.errstate(over="raise"):
@@ -364,19 +431,15 @@ def _split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps:
                 if j:
                     hit = np.flatnonzero(region == np.repeat(np.maximum.reduceat(region, seg[:a]), size[:a]))
                     c = hit[np.searchsorted(hit, seg[:a])]  # each segment's first maximum
-                d2 = np.repeat(x[c], size[:a], axis=0)
                 try:
-                    np.subtract(x[:m], d2, out=d2)
-                    dist = np.sqrt(np.add.reduce(np.multiply(d2, d2, out=d2), axis=-1))
+                    dist = np.sqrt(_squared_distances(xt[:, :m], c, size[:a]))
                 except FloatingPointError:
                     if len(parents) > 1:
                         overflow = True
                         break
                     with np.errstate(over="ignore"):
-                        far = np.add.reduce(np.square(x[:m] - np.repeat(x[c], size[:a], axis=0)), axis=-1)
-                    p = (far == np.inf).argmax()
+                        p = (_squared_distances(xt[:, :m], c, size[:a]) == np.inf).argmax()
                     raise DistanceOverflow(int(np.repeat(idx[c], size[:a])[p]), int(idx[p])) from None
-                del d2
                 dist[c] = -np.inf
                 np.copyto(assign[:m], j, where=dist < region)
                 np.minimum(region, dist, out=region)
@@ -396,7 +459,8 @@ def _grow(coords: np.ndarray, counts) -> Iterator[_Level]:
     all trees at once, each tree's budget ``min(2^(2^n), count)`` shared
     among its blocks by :func:`_allocate_children`.  A tree bottoms out in
     singletons at the least ``n`` with ``2^(2^n) >= count``.  Every level
-    passes :func:`_check_level`; the last is all singletons.
+    passes :func:`_check_level`; the last is all singletons.  The splits
+    read one column-major copy of ``coords``, :func:`_pairwise_columns`.
     """
     counts = np.asarray(counts, dtype=np.intp)
     if not counts.size or counts.min() < 1 or counts.sum() != len(coords):
@@ -407,10 +471,11 @@ def _grow(coords: np.ndarray, counts) -> Iterator[_Level]:
     level = _Level(np.arange(len(coords)), counts, np.cumsum(counts) - counts)
     _check_level(0, None, level, counts, last=depth == 0)
     yield level
+    coords_t = _pairwise_columns(coords)
     tree = np.arange(len(counts))  # each block's tree
     for lvl in range(1, depth + 1):
         alloc = _allocate_children(min(level_budget(lvl), len(coords)), level.sizes, tree)
-        child = _Level(*_split_level(coords, *level, alloc))
+        child = _Level(*_split_level(coords_t, *level, alloc))
         _check_level(lvl, level, child, counts, last=lvl == depth)
         level, tree = child, np.repeat(tree, alloc)
         yield level

@@ -98,12 +98,16 @@ def distinct_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``first``, each distinct row's first index, and ``slot``, each
     row's position in ``first``, so that ``m[first][slot]`` equals ``m``.
+    Each row is sorted as one opaque element of its bytes, after ``+ 0.0``
+    folds ``-0.0`` into ``0.0``, so equal bytes are equal rows; the sort is
+    stable, so each run of equal rows starts at its first index.
     """
-    key = m + 0.0  # -0.0 + 0.0 is +0.0: equal rows sort together
-    order = np.lexsort(key.T)  # stable: each run of equal rows starts at its first index
-    ranked = key[order]
+    key = np.ascontiguousarray(m + 0.0)
+    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).reshape(len(key))
+    order = rows.argsort(kind="stable")
+    ranked = rows[order]
     starts = np.ones(len(m), dtype=bool)
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts[1:] = ranked[1:] != ranked[:-1]
     run_first = order[starts]
     slot = np.empty(len(m), dtype=np.intp)
     slot[order] = np.argsort(np.argsort(run_first))[np.cumsum(starts) - 1]

@@ -1,14 +1,19 @@
-"""The exhaustive tree search that the bottom-up representative DP replaced, kept as a reference.
+"""Chaining routes that faster ones replaced, kept as references.
 
 ``reference_exhaustive_gamma`` is the recursive search with a memoised
 ``g(level, block, rep)`` per partition sequence, over the partitions the
 recursive ``_refinements`` below lists; ``exhaustive_gamma`` must return
-the same value, per-point sums and tree.
+the same value, per-point sums and tree.  ``reference_split_level`` is the
+greedy split with row-major distances; ``_split_level`` must return the
+same level arrays.
 """
 
 import itertools
 import math
 
+import numpy as np
+
+from procsup import chaining
 from procsup.chaining import (
     EXHAUSTIVE_MAX_POINTS,
     Block,
@@ -150,3 +155,63 @@ def reference_exhaustive_gamma(ts: FiniteSet, model: MomentModel) -> ChainBound:
         levels.append(tuple(Block(block, rep=reps[level][block]) for block in part))
     tree = PartitionTree(n_points=n, levels=tuple(levels))
     return chain_bound(ts, tree, model)
+
+
+def reference_split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps: np.ndarray,
+                           alloc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The greedy split with row-major distances, as it was before they went column-major.
+
+    Each step repeats the active centers' rows into an ``(m, d)`` buffer,
+    subtracts and squares in place and sums each row with
+    ``np.add.reduce(axis=-1)``; the run's coordinates are gathered row-major.
+    ``chaining._split_level`` must return the same ``(order, sizes, reps)``
+    and name the same pair in :class:`~procsup.chaining.DistanceOverflow`.
+    """
+    starts = np.cumsum(sizes) - sizes
+    first_child = np.cumsum(alloc) - alloc
+    label = np.repeat(first_child, sizes)
+    child_reps = np.repeat(reps, alloc)
+    split = np.flatnonzero(alloc > 1)
+    split = split[np.argsort(-alloc[split], kind="stable")]
+    ends = np.cumsum(sizes[split])
+    lo, rows = 0, chaining._BLOCK_BYTES // (8 * coords.shape[1])
+    while lo < len(split):
+        hi = max(int(np.searchsorted(ends, ends[lo] - sizes[split[lo]] + rows, side="right")), lo + 1)
+        parents, lo = split[lo:hi], hi
+        size, k = sizes[parents], alloc[parents]
+        tops = np.cumsum(size)
+        seg = tops - size
+        pos = np.repeat(starts[parents] - seg, size) + np.arange(tops[-1])
+        idx = order[pos]
+        x, near, assign = coords[idx], np.full(len(idx), np.inf), np.zeros(len(idx), dtype=np.intp)
+        c = np.flatnonzero(idx == np.repeat(reps[parents], size))
+        overflow = False
+        with np.errstate(over="raise"):
+            for j, a in enumerate(np.searchsorted(-k, -np.arange(k[0])).tolist()):  # a parents with k > j
+                m, region = tops[a - 1], near[: tops[a - 1]]
+                if j:
+                    hit = np.flatnonzero(region == np.repeat(np.maximum.reduceat(region, seg[:a]), size[:a]))
+                    c = hit[np.searchsorted(hit, seg[:a])]  # each segment's first maximum
+                d2 = np.repeat(x[c], size[:a], axis=0)
+                try:
+                    np.subtract(x[:m], d2, out=d2)
+                    dist = np.sqrt(np.add.reduce(np.multiply(d2, d2, out=d2), axis=-1))
+                except FloatingPointError:
+                    if len(parents) > 1:
+                        overflow = True
+                        break
+                    with np.errstate(over="ignore"):
+                        far = np.add.reduce(np.square(x[:m] - np.repeat(x[c], size[:a], axis=0)), axis=-1)
+                    p = (far == np.inf).argmax()
+                    raise chaining.DistanceOverflow(int(np.repeat(idx[c], size[:a])[p]), int(idx[p])) from None
+                del d2
+                dist[c] = -np.inf
+                np.copyto(assign[:m], j, where=dist < region)
+                np.minimum(region, dist, out=region)
+        if overflow:  # split the run again a parent at a time
+            lo, rows = lo - len(parents), 0
+            continue
+        centers = pos[near == -np.inf]  # each child's center, at its position in order
+        label[pos] += assign
+        child_reps[label[centers]] = order[centers]
+    return order[np.argsort(label, kind="stable")], np.bincount(label, minlength=child_reps.size), child_reps

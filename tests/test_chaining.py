@@ -35,7 +35,7 @@ from procsup.errors import CapacityError, ParameterError, ValidationError
 from procsup.moments import ModelKind, MomentModel
 from procsup.suprema import brute_force_bernoulli_sup
 
-from chaining_reference import reference_exhaustive_gamma
+from chaining_reference import reference_exhaustive_gamma, reference_split_level
 from mc_reference import reference_shared_stream_norms
 
 
@@ -846,6 +846,95 @@ def test_a_forest_split_in_many_runs_grows_the_one_run_forest(sets):
     want = _grown(coords, counts)
     for block_bytes in (8, 56 * coords.shape[1], 2400 * coords.shape[1]):
         assert _grown(coords, counts, block_bytes) == want
+
+
+# --- the column-major split against the row-major one it replaced ---
+
+
+def test_pairwise_row_sums_have_the_bits_of_add_reduce():
+    # d < 8 sums in order, 8 <= d <= 128 through eight accumulators and a tail, d > 128 in halves;
+    # a numpy release that changes its summation order fails here, naming d
+    gen = np.random.default_rng(5)
+    for d in range(1, 301):
+        q = gen.standard_normal((d, 9)) ** 2 * 10.0 ** gen.uniform(-12, 12, (d, 9))
+        q[:, 0] = 0.0
+        q[gen.random((d, 9)) < 0.2] = 0.0
+        rows = np.ascontiguousarray(q.T)
+        want = np.add.reduce(rows, axis=-1)
+        assert chaining._sum_rows_pairwise(chaining._pairwise_columns(rows)).tobytes() == want.tobytes(), d
+
+
+def _sum_or_overflow(sum_rows, q):
+    with np.errstate(over="raise"):
+        try:
+            return sum_rows(q).tobytes()
+        except FloatingPointError:
+            return "overflow"
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 17, 128, 129, 136, 300])
+def test_pairwise_row_sums_overflow_where_add_reduce_does(d):
+    # terms near float64's largest value / d: whether a sum overflows turns on its rounding order
+    gen = np.random.default_rng(d)
+    outcomes = set()
+    for _ in range(40):
+        q = np.minimum(gen.uniform(0.5, 1.5, (d, 1)), d) * (np.finfo(float).max / d)  # each term finite
+        rows = np.ascontiguousarray(q.T)
+        want = _sum_or_overflow(lambda x: np.add.reduce(x, axis=-1), rows)
+        assert _sum_or_overflow(chaining._sum_rows_pairwise, chaining._pairwise_columns(rows)) == want
+        outcomes.add(want == "overflow")
+    assert outcomes == {True, False} or d == 1
+
+
+@st.composite
+def _split_forests(draw):
+    """Forests at d in {1, 2, 7, 8, 9, 16, 129}: normal, integer grids, underflowing or overflowing squares."""
+    dim = draw(st.sampled_from([1, 2, 7, 8, 9, 16, 129]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        count = draw(st.integers(1, 30))
+        style = draw(st.sampled_from(["normal", "grid", "tiny", "huge"]))
+        if style == "normal":
+            rows = gen.standard_normal((count, dim)) * 10.0 ** gen.uniform(-3, 3, (count, 1))
+        elif style == "grid":  # exact distance ties
+            rows = gen.integers(-2, 3, (count, dim)).astype(float)
+        elif style == "tiny":  # every squared difference underflows to 0
+            rows = gen.integers(-3, 4, (count, dim)) * 1e-170
+        else:  # some squared distances overflow, some do not
+            rows = gen.integers(-3, 4, (count, dim)) * 1e154 / np.sqrt(dim)
+        first, _ = distinct_rows(rows)
+        sets.append(rows[first])
+    return sets, draw(st.sampled_from([None, 8, 64 * dim]))
+
+
+def _split_outcome(split, coords, level, alloc):
+    try:
+        return [a.tobytes() for a in split(coords, *level, alloc)]
+    except chaining.DistanceOverflow as exc:
+        return exc.rows
+
+
+@given(_split_forests())
+def test_the_column_major_split_matches_the_row_major_reference(forest):
+    sets, block_bytes = forest
+    coords = np.concatenate(sets)
+    coords_t = chaining._pairwise_columns(coords)
+    counts = np.array([len(rows) for rows in sets])
+    level, tree = _Level(np.arange(len(coords)), counts, np.cumsum(counts) - counts), np.arange(len(counts))
+    lvl = 0
+    with pytest.MonkeyPatch.context() as patch:
+        if block_bytes is not None:
+            patch.setattr(chaining, "_BLOCK_BYTES", block_bytes)
+        while level.sizes.max() > 1:
+            lvl += 1
+            alloc = _allocate_children(min(level_budget(lvl), len(coords)), level.sizes, tree)
+            want = _split_outcome(reference_split_level, coords, level, alloc)
+            assert _split_outcome(chaining._split_level, coords_t, level, alloc) == want
+            if isinstance(want, tuple):  # the same DistanceOverflow.rows
+                break
+            level = _Level(*reference_split_level(coords, *level, alloc))
+            tree = np.repeat(tree, alloc)
 
 
 def _forest_levels():

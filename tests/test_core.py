@@ -15,6 +15,7 @@ from procsup.core import (
     SetKind,
     ValidationError,
     center_at_zero,
+    distinct_rows,
     generate_set,
     has_disjoint_supports,
     load_set,
@@ -47,6 +48,33 @@ def test_point_rejects_empty():
 def test_finite_set_rejects_duplicates():
     with pytest.raises(ValidationError, match=r"0.*2|duplicate"):
         FiniteSet(name="dup", points=[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+
+
+def _reference_distinct_rows(m):
+    """The lexsort over ``d`` keys that one sort of each row's bytes replaced."""
+    key = m + 0.0
+    order = np.lexsort(key.T)
+    ranked = key[order]
+    starts = np.ones(len(m), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    run_first = order[starts]
+    slot = np.empty(len(m), dtype=np.intp)
+    slot[order] = np.argsort(np.argsort(run_first))[np.cumsum(starts) - 1]
+    return np.sort(run_first), slot
+
+
+@given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+def test_distinct_rows_matches_the_lexsort_reference(count, dim, seed, strided):
+    # few values, so rows repeat; some differ only in the sign of a zero, some in one low byte
+    gen = np.random.default_rng(seed)
+    m = gen.choice([-1.5, -0.0, 0.0, 5e-324, 1e-300, 2.0], (count, 2 * dim if strided else dim))
+    if strided:
+        m = m[:, ::2]
+    first, slot = distinct_rows(m)
+    want_first, want_slot = _reference_distinct_rows(m)
+    assert first.tolist() == want_first.tolist() and slot.tolist() == want_slot.tolist()
+    assert first.dtype == slot.dtype == np.intp
+    assert (m[first][slot] == m).all()
 
 
 def test_finite_set_rejects_mixed_dims():
