@@ -72,6 +72,6 @@ from .oleszkiewicz import (
 )
 from .reports import ComparisonReport
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,8 +11,10 @@ over ``T`` is at most four times the best such sum.
 
 This module provides
 
-* the tree, stored as int arrays per level (``levels`` is a view of them as
-  :class:`Block` tuples), and the one level checker, shared with the forest,
+* the tree, stored as one :class:`~procsup.reports.TreeLevel` of int arrays
+  per level (``levels`` is a view of them as :class:`Block` tuples), with
+  one reader from plain ``(members, rep)`` pairs, shared by the constructor
+  and :func:`tree_from_dict`, and one level checker, shared with the forest,
 * a deterministic greedy builder (farthest-point centers, budgets split
   proportionally among parents) that also grows a whole forest of trees,
   one split per level for all of them,
@@ -27,17 +29,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import GENERATE_MAX_COORDINATES, FiniteSet, ProcessKind, Seed, distinct_rows
+from .core import (GENERATE_MAX_COORDINATES, FiniteSet, ProcessKind, Seed, check_integers, distinct_rows,
+                   integer_types)
 from .errors import CapacityError, ParameterError, ValidationError
 from .moments import _BLOCK_BYTES, EXACT_ENUMERATION_MAX_DIM, ModelKind, MomentModel
-from .reports import BlockColumns, Columnar, ComparisonReport, safe_ratio
+from .reports import ComparisonReport, TreeLevel, safe_ratio
 from .suprema import expected_sup
 
 #: Upper bound constant: E sup <= SUP_BOUND_FACTOR * (best chain sum).
@@ -55,47 +58,14 @@ def level_budget(n: int) -> int:
     return 1 << (1 << n)
 
 
-@dataclass(frozen=True)
-class Block:
-    """A partition block: sorted member indices plus one of them as representative."""
+class Block(NamedTuple):
+    """One block of :attr:`PartitionTree.levels`: its members, ascending, and its representative."""
 
     members: tuple[int, ...]
     rep: int
 
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValidationError("a block cannot be empty")
-        try:
-            ordered = tuple(sorted(self.members))
-        except TypeError as exc:  # members that do not sort cannot be point indices
-            raise ValidationError(f"block members must be integers: {exc}") from None
-        if ordered != self.members:
-            object.__setattr__(self, "members", ordered)
-        if self.rep not in self.members:
-            raise ValidationError(f"representative {self.rep} is not a member of {self.members}")
 
-
-def _all_indices(values) -> bool:
-    """Whether every value is an integer, a bool excluded; the test runs once per type."""
-    return all(issubclass(t, numbers.Integral) and not issubclass(t, bool) for t in set(map(type, values)))
-
-
-def _check_indices(values: tuple, what: str) -> None:
-    """Reject any value that is not an integer (a bool included), naming the first."""
-    if not _all_indices(values):
-        bad = next(v for v in values if not _all_indices((v,)))
-        raise ValidationError(f"{what} must be an integer, got {bad!r}")
-
-
-class _Level(NamedTuple):
-    """One level of a tree or forest: members block after block (each ascending), sizes, representatives."""
-
-    order: np.ndarray
-    sizes: np.ndarray
-    reps: np.ndarray
-
-
-def _check_level(k: int, parent: _Level | None, level: _Level, counts: np.ndarray, last: bool = False) -> None:
+def _check_level(k: int, parent: TreeLevel | None, level: TreeLevel, counts: np.ndarray, last: bool = False) -> None:
     """Check level ``k`` of the trees over consecutive runs of ``counts`` points with array passes.
 
     The root must be one block per tree holding its run of points.  Below
@@ -151,75 +121,96 @@ def _check_level(k: int, parent: _Level | None, level: _Level, counts: np.ndarra
         raise ValidationError("deepest level must consist of singletons")
 
 
-def _level_arrays(n_points: int, levels: list[list[tuple[tuple, int]]]) -> tuple[_Level, ...]:
-    """Lay out blocks, given level by level as (sorted members, representative) pairs, as arrays.
+def _check_blocks(pairs: list[tuple], ends: list[int]) -> None:
+    """Raise the first fault of the ``(members, rep)`` blocks, level ``n`` ending at ``ends[n]``.
 
-    Names the faults ahead of :meth:`PartitionTree.validate`'s: ``n_points``
-    not a positive integer, no levels, then (after a root that is not every
-    point) a member that is not a 64-bit integer.
+    Block by block in document order: a member that is not an integer (a
+    bool included), then a representative that is not, an empty block, a
+    representative outside its block.
     """
-    _check_indices((n_points,), "n_points")
-    if n_points < 1:
-        raise ValidationError("tree needs at least one point")
-    if not levels:
-        raise ValidationError("tree needs at least the root level")
-    sizes = [np.fromiter((len(m) for m, _ in level), np.intp, len(level)) for level in levels]
-    try:  # a member that is itself a sequence makes the array ragged
-        flat = np.array(list(itertools.chain.from_iterable(m for level in levels for m, _ in level)))
-        if flat.dtype.kind not in "iu" or flat.ndim != 1:
-            raise ValueError
-    except ValueError:
-        root_members = itertools.chain.from_iterable(m for m, _ in levels[0])
-        root = _Level(np.fromiter(root_members, object, sizes[0].sum()), sizes[0],
-                      np.fromiter((r for _, r in levels[0]), object, len(levels[0])))
-        _check_level(0, None, root, np.array([n_points]))
-        raise ValidationError("point indices must be 64-bit integers") from None
-    orders = np.split(flat, np.cumsum([s.sum() for s in sizes])[:-1])
-    return tuple(_Level(o, s, np.array([r for _, r in level], dtype=flat.dtype))
-                 for o, s, level in zip(orders, sizes, levels))
+    for n, (start, end) in enumerate(zip([0, *ends], ends)):
+        for b, (members, rep) in enumerate(pairs[start:end]):
+            check_integers(members, f"level {n}: block {b} member", ValidationError)
+            check_integers((rep,), f"level {n}: block {b} rep", ValidationError)
+            if not len(members):
+                raise ValidationError("a block cannot be empty")
+            if rep not in members:
+                raise ValidationError(f"representative {rep} is not a member of {tuple(sorted(members))}")
 
 
-def _owners(level: _Level, n: int) -> np.ndarray:
+def _owners(level: TreeLevel, n: int) -> np.ndarray:
     """Each of the ``n`` points' block number in ``level``, which must cover them."""
     owner = np.empty(n, dtype=np.intp)
     owner[level.order] = np.repeat(np.arange(len(level.sizes)), level.sizes)
     return owner
 
 
-def _runs(level: _Level) -> Iterator[tuple[list[int], int]]:
-    """Each block of ``level`` as its member list and representative."""
-    members, ends = level.order.tolist(), np.cumsum(level.sizes).tolist()
-    return zip(map(members.__getitem__, map(slice, [0, *ends], ends)), level.reps.tolist())
-
-
-class PartitionTree(Columnar):
+class PartitionTree:
     """An admissible partition tree over the points ``0 .. n_points - 1``.
 
-    ``arrays`` holds one :class:`_Level` of read-only int arrays per level;
-    ``levels`` shows them as tuples of :class:`Block`, built on first use.
-    ``PartitionTree(n_points, levels)`` lays blocks out as arrays and runs
-    :meth:`validate`.  A report writes the tree from its arrays
-    (:meth:`columns`); :meth:`to_dict` is the same document in plain values.
+    ``arrays`` holds one :class:`~procsup.reports.TreeLevel` of read-only int
+    arrays per level; ``levels`` shows them as tuples of :class:`Block`,
+    built on first use.  ``PartitionTree(n_points, levels)`` is the one
+    reader from plain values: it takes each level as ``(members, rep)``
+    pairs (:class:`Block` among them), lays them out as arrays and runs
+    :meth:`validate`.  A report writes the tree's :meth:`columns`;
+    :meth:`to_dict` is the same document in plain values, the form
+    :func:`tree_from_dict` reads.
     """
 
     __slots__ = ("n_points", "arrays", "_blocks")
 
-    def __init__(self, n_points: int, levels: Iterable[Iterable[Block]]) -> None:
-        blocks = tuple(map(tuple, levels))
-        arrays = _level_arrays(n_points, [[(b.members, b.rep) for b in level] for level in blocks])
-        self._assign(n_points, arrays, blocks)
+    def __init__(self, n_points: int, levels: Iterable[Iterable[tuple]]) -> None:
+        """Read ``levels``, each a sequence of ``(members, rep)`` pairs, both the pair and ``members`` sequences.
+
+        Every pair is read before any is checked.  Faults raise
+        :class:`ValidationError`: first a fault inside a block, named block
+        by block in document order by :func:`_check_blocks`; then
+        ``n_points`` not a positive integer, no levels, a member outside
+        int64, and what :meth:`validate` finds.  Members are sorted within
+        each block.
+        """
+        pairs, ends = [], []
+        for level in levels:
+            pairs.extend(level)
+            ends.append(len(pairs))
+        blocks, reps = list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
+        members = list(itertools.chain.from_iterable(blocks))
+        if not (integer_types(members) and integer_types(reps)):
+            _check_blocks(pairs, ends)
+        try:
+            check_integers((n_points,), "n_points", ValidationError)
+            if n_points < 1:
+                raise ValidationError("tree needs at least one point")
+            if not ends:
+                raise ValidationError("tree needs at least the root level")
+            try:
+                order, reps = np.fromiter(members, np.int64, len(members)), np.fromiter(reps, np.int64, len(reps))
+            except OverflowError:
+                raise ValidationError("point indices must be 64-bit integers") from None
+            sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
+            block = np.repeat(np.arange(len(sizes)), sizes)
+            if ((order[1:] < order[:-1]) & (block[1:] == block[:-1])).any():  # sort each block's members
+                order = order[np.lexsort((order, block))]
+            cuts = ends[:-1]
+            starts = np.append(np.cumsum(sizes) - sizes, len(order))
+            columns = np.split(order, starts[cuts]), np.split(sizes, cuts), np.split(reps, cuts)
+            self._assign(n_points, tuple(map(TreeLevel, *columns)))
+        except ValidationError:
+            _check_blocks(pairs, ends)  # a fault inside a block is named first
+            raise
 
     @classmethod
-    def _from_arrays(cls, n_points: int, arrays: tuple[_Level, ...], checked: bool = False) -> PartitionTree:
+    def _from_arrays(cls, n_points: int, arrays: tuple[TreeLevel, ...], checked: bool = False) -> PartitionTree:
         tree = object.__new__(cls)
-        tree._assign(n_points, arrays, None, checked)
+        tree._assign(n_points, arrays, checked)
         return tree
 
-    def _assign(self, n_points: int, arrays: tuple[_Level, ...], blocks, checked: bool = False) -> None:
-        self.n_points, self.arrays, self._blocks = n_points, arrays, blocks
+    def _assign(self, n_points: int, arrays: tuple[TreeLevel, ...], checked: bool = False) -> None:
+        self.n_points, self.arrays, self._blocks = n_points, arrays, None
         if not checked:
             self.validate()
-        self.arrays = tuple(_Level(*(a.astype(np.intp, copy=False) for a in level)) for level in arrays)
+        self.arrays = tuple(TreeLevel(*(a.astype(np.intp, copy=False) for a in level)) for level in arrays)
         for a in itertools.chain(*self.arrays):
             a.flags.writeable = False
 
@@ -237,16 +228,17 @@ class PartitionTree(Columnar):
     def levels(self) -> tuple[tuple[Block, ...], ...]:
         """The tree as tuples of :class:`Block`, root first, built from the arrays on first use."""
         if self._blocks is None:
-            self._blocks = tuple(tuple(Block(tuple(m), r) for m, r in _runs(level)) for level in self.arrays)
+            self._blocks = tuple(tuple(Block(tuple(m), r) for m, r in level.blocks()) for level in self.arrays)
         return self._blocks
 
     def columns(self) -> dict:
-        return {"n_points": self.n_points, "levels": [BlockColumns(*level) for level in self.arrays]}
+        """The report document: ``n_points`` and each level's :class:`~procsup.reports.TreeLevel`."""
+        return {"n_points": self.n_points, "levels": list(self.arrays)}
 
     def to_dict(self) -> dict:
         return {
             "n_points": self.n_points,
-            "levels": [[{"members": m, "rep": r} for m, r in _runs(level)] for level in self.arrays],
+            "levels": [[{"members": m, "rep": r} for m, r in level.blocks()] for level in self.arrays],
         }
 
     def __eq__(self, other) -> bool:
@@ -257,32 +249,15 @@ class PartitionTree(Columnar):
 
 
 def tree_from_dict(doc: dict) -> PartitionTree:
-    """Rebuild a tree from :meth:`PartitionTree.to_dict` output.
+    """Rebuild a tree from :meth:`PartitionTree.to_dict` output with the :class:`PartitionTree` reader.
 
     ``n_points``, every ``rep`` and every member must be integers: a bool,
-    float or string is rejected, not converted.  Members are sorted as in
-    :class:`Block`; a document with a bad block is read block by block,
-    which names its first fault.
+    float or string is rejected, not converted.  A missing key or a value
+    of the wrong shape raises :class:`ValidationError` naming it.
     """
     try:
-        levels = [[(tuple(sorted(block["members"])), block["rep"]) for block in level]
-                  for level in doc["levels"]]
-        pairs = list(itertools.chain.from_iterable(levels))
-        values = itertools.chain(itertools.chain.from_iterable(m for m, _ in pairs), (r for _, r in pairs))
-        if _all_indices(values) and all(m and r in m for m, r in pairs):
-            return PartitionTree._from_arrays(doc["n_points"], _level_arrays(doc["n_points"], levels))
-    except (KeyError, TypeError):
-        pass
-    try:
-        levels = []
-        for n, level in enumerate(doc["levels"]):
-            levels.append([])
-            for b, block in enumerate(level):
-                members, rep = tuple(block["members"]), block["rep"]
-                _check_indices(members, f"level {n}: block {b} member")
-                _check_indices((rep,), f"level {n}: block {b} rep")
-                levels[-1].append(Block(members, rep))
-        return PartitionTree(n_points=doc["n_points"], levels=levels)
+        levels = (((block["members"], block["rep"]) for block in level) for level in doc["levels"])
+        return PartitionTree(doc["n_points"], levels)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed partition tree document: {exc}") from exc
 
@@ -452,7 +427,7 @@ def _split_level(coords_t: np.ndarray, order: np.ndarray, sizes: np.ndarray, rep
     return order[np.argsort(label, kind="stable")], np.bincount(label, minlength=child_reps.size), child_reps
 
 
-def _grow(coords: np.ndarray, counts) -> Iterator[_Level]:
+def _grow(coords: np.ndarray, counts) -> Iterator[TreeLevel]:
     """Yield the levels of the greedy trees over consecutive runs of ``counts`` rows of ``coords``.
 
     Level ``n`` splits every level ``n-1`` block with :func:`_split_level`,
@@ -468,14 +443,14 @@ def _grow(coords: np.ndarray, counts) -> Iterator[_Level]:
     depth = 0 if counts.max() == 1 else 1
     while level_budget(depth) < counts.max():
         depth += 1
-    level = _Level(np.arange(len(coords)), counts, np.cumsum(counts) - counts)
+    level = TreeLevel(np.arange(len(coords)), counts, np.cumsum(counts) - counts)
     _check_level(0, None, level, counts, last=depth == 0)
     yield level
     coords_t = _pairwise_columns(coords)
     tree = np.arange(len(counts))  # each block's tree
     for lvl in range(1, depth + 1):
         alloc = _allocate_children(min(level_budget(lvl), len(coords)), level.sizes, tree)
-        child = _Level(*_split_level(coords_t, *level, alloc))
+        child = TreeLevel(*_split_level(coords_t, *level, alloc))
         _check_level(lvl, level, child, counts, last=lvl == depth)
         level, tree = child, np.repeat(tree, alloc)
         yield level
@@ -503,7 +478,7 @@ class ChainBound:
     model: MomentModel
 
 
-def _chain_sums(coords: np.ndarray, levels: Iterable[_Level], model: MomentModel) -> np.ndarray:
+def _chain_sums(coords: np.ndarray, levels: Iterable[TreeLevel], model: MomentModel) -> np.ndarray:
     """Each point's chain sum down ``levels`` (root first), one :meth:`MomentModel.norms` call per level.
 
     ``prev_rep`` holds each point's representative one level up.  Every
@@ -586,14 +561,14 @@ def combine_sum_set(
     first, slot = distinct_rows(sums)
     pair_a, pair_b = np.divmod(first, len(ts_b))
 
-    def product(n: int) -> _Level:
+    def product(n: int) -> TreeLevel:
         """The nonempty products of the two trees' level-n blocks, in their nested order."""
         la, lb = tree_a.arrays[min(n, tree_a.depth)], tree_b.arrays[min(n, tree_b.depth)]
         key = _owners(la, len(ts_a))[pair_a] * len(lb.sizes) + _owners(lb, len(ts_b))[pair_b]
         order = np.argsort(key, kind="stable")
         keys, sizes = np.unique(key, return_counts=True)
         rep = slot[la.reps[keys // len(lb.sizes)] * len(ts_b) + lb.reps[keys % len(lb.sizes)]]
-        return _Level(order, sizes, np.where(key[rep] == keys, rep, order[np.cumsum(sizes) - sizes]))
+        return TreeLevel(order, sizes, np.where(key[rep] == keys, rep, order[np.cumsum(sizes) - sizes]))
 
     # the roots' product is the root, and level n's products are level n + 1
     levels = [product(0)] + [product(n) for n in range(max(tree_a.depth, tree_b.depth) + 1)]

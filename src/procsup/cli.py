@@ -198,7 +198,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
         "model": model.label,
         "value": bound.value,
         "per_point": list(bound.per_point),
-        "tree": bound.tree,
+        "tree": bound.tree.columns(),
     }
     _write_report(args, {"set": ts.content_hash()}, results)
     return 0

@@ -20,12 +20,11 @@ one — :func:`compare_suprema` reports the empirical ratio.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FiniteSet, ProcessKind, Seed, distinct_rows
+from .core import FiniteSet, ProcessKind, Seed, check_integers, distinct_rows
 from .errors import ParameterError, ValidationError
 from .reports import ComparisonReport, safe_ratio
 from .suprema import expected_sup
@@ -105,8 +104,7 @@ class MappedPair:
                 f"correspondence length {len(self.correspondence)} != source size {len(self.source)}"
             )
         for i, c in enumerate(self.correspondence):
-            if isinstance(c, bool) or not isinstance(c, numbers.Integral):
-                raise ValidationError(f"correspondence[{i}] must be an integer, got {c!r}")
+            check_integers((c,), f"correspondence[{i}]", ValidationError)
             if not 0 <= c < len(self.image):
                 raise ValidationError(f"correspondence[{i}] = {c} is not an image index")
         if self.source.dim != self.image.dim:
@@ -229,8 +227,7 @@ class _PairTable:
 
 
 def _check_order(p_max: int) -> None:
-    if isinstance(p_max, bool) or not isinstance(p_max, numbers.Integral):
-        raise ParameterError(f"p_max must be an integer, got {p_max!r}")
+    check_integers((p_max,), "p_max")
     if p_max < 0:
         raise ParameterError(f"p_max must be >= 0, got {p_max}")
 

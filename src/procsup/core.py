@@ -13,13 +13,14 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, ParseError, ValidationError
+from .errors import CapacityError, ParameterError, ParseError, ProcsupError, ValidationError
 from . import rng
 
 #: Largest coordinate dimension for which exact sign enumeration (2^d terms)
@@ -60,6 +61,21 @@ class Seed:
             raise ParameterError(f"seed value must be an int, got {type(self.value).__name__}")
         if not 0 <= self.value < 2**64:
             raise ParameterError(f"seed value must lie in [0, 2^64), got {self.value}")
+
+
+def integer_types(values) -> bool:
+    """Whether every one of ``values`` is an integer, numpy's included and a bool not; each type is tested once."""
+    return all(issubclass(t, numbers.Integral) and not issubclass(t, bool) for t in set(map(type, values)))
+
+
+def check_integers(values: Sequence, what: str, error: type[ProcsupError] = ParameterError) -> None:
+    """Raise ``error`` naming the first of ``values`` that :func:`integer_types` rejects.
+
+    The message is ``"{what} must be an integer, got {value!r}"``.
+    """
+    if not integer_types(values):
+        bad = next(v for v in values if not integer_types((v,)))
+        raise error(f"{what} must be an integer, got {bad!r}")
 
 
 def point_matrix(rows, owner: str, noun: str = "point") -> np.ndarray:

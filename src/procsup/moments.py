@@ -59,7 +59,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
-from .core import EXACT_ENUMERATION_MAX_DIM, ProcessKind, Seed
+from .core import EXACT_ENUMERATION_MAX_DIM, ProcessKind, Seed, check_integers
 from .errors import CapacityError, ParameterError, ValidationError
 
 #: Byte budget of one block of sign sums or Monte Carlo products.
@@ -110,8 +110,7 @@ def _norms(a: np.ndarray, order: int, row: str = "row") -> np.ndarray:
 
 def check_proxy_order(p) -> int:
     """``p`` as an int, if the proxy serves it: an integer >= 1."""
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
-        raise ParameterError(f"p must be an integer, got {p!r}")
+    check_integers((p,), "p")
     if p < 0:
         raise ParameterError(f"p must be >= 0, got {p}")
     if p < 1:

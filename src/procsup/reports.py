@@ -17,12 +17,11 @@ document once and writes it: the bytes are those of stdlib
 tuples and arrays as lists).  ``build_report`` does not copy the results;
 whatever json cannot write raises ``TypeError`` when the report is written.
 
-A :class:`Columnar` value (the partition tree of a ``gamma`` report) is
-written from its columns: ``columns()`` gives its document with each list
-of blocks as a :class:`BlockColumns` (a flat members array, block sizes and
-representatives), and that level is written in one pass over its arrays,
-with no dict per block.  The bytes are those of its ``to_dict()``, which is
-also what :func:`to_csv` flattens.
+A :class:`TreeLevel` is one level of a partition tree given by its arrays;
+``PartitionTree.columns()`` puts one per level into a ``gamma`` report.
+:func:`dumps` writes it in one pass over the arrays and :func:`to_csv`
+flattens it straight into rows, with no dict per block; both give what its
+plain list of blocks ``[{"members": [...], "rep": r}, ...]`` gives.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -152,40 +151,25 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-@dataclass(frozen=True, eq=False)
-class BlockColumns:
-    """A list of blocks ``{"members": [...], "rep": r}`` given column by column.
+class TreeLevel(NamedTuple):
+    """One level of a partition tree: a list of blocks ``{"members": [...], "rep": r}`` given by int arrays.
 
-    ``members`` holds every block's members end to end and ``sizes`` each
-    block's count (at least 1), so the members column is ragged; ``rep`` is
-    each block's representative.  All three are int arrays.  It stands in a
-    :meth:`Columnar.columns` document, where :func:`dumps` writes it with
-    :func:`_write_blocks`.
+    ``order`` holds every block's members end to end, each block ascending,
+    ``sizes`` each block's count (at least 1) and ``reps`` each block's
+    representative.  :func:`dumps` writes it with :func:`_write_blocks`.
     """
 
-    members: np.ndarray
+    order: np.ndarray
     sizes: np.ndarray
-    rep: np.ndarray
+    reps: np.ndarray
+
+    def blocks(self) -> Iterator[tuple[list[int], int]]:
+        """Each block as its member list and representative."""
+        members, ends = self.order.tolist(), np.cumsum(self.sizes).tolist()
+        return zip(map(members.__getitem__, map(slice, [0, *ends], ends)), self.reps.tolist())
 
 
-class Columnar:
-    """A value that reports write from its columns.
-
-    :func:`dumps` writes ``columns()``, a document whose block lists may be
-    :class:`BlockColumns`; :func:`to_csv` flattens ``to_dict()``, the same
-    document in plain values, block lists as lists of dicts.
-    """
-
-    __slots__ = ()
-
-    def columns(self) -> Any:
-        raise NotImplementedError
-
-    def to_dict(self) -> Any:
-        raise NotImplementedError
-
-
-def _write_blocks(level: BlockColumns, pad: str, out: list[str]) -> None:
+def _write_blocks(level: TreeLevel, pad: str, out: list[str]) -> None:
     """Append the text ``_write`` gives for ``level``'s list of blocks, indented from ``pad``.
 
     Each member and representative is written once; a block of more than
@@ -197,13 +181,13 @@ def _write_blocks(level: BlockColumns, pad: str, out: list[str]) -> None:
         return
     i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
     head = "{\n" + i2 + '"members": [\n' + i3
-    members = list(map(int.__repr__, level.members.tolist()))
+    members = list(map(int.__repr__, level.order.tolist()))
     if len(members) > n:  # runs of members joined block by block
         ends = np.cumsum(level.sizes).tolist()
         members = list(map((",\n" + i3).join, map(members.__getitem__, map(slice, [0, *ends], ends))))
     text = [None, "\n" + i2 + "],\n" + i2 + '"rep": ', None, "\n" + i1 + "},\n" + i1 + head] * n
     text[0::4] = members
-    text[2::4] = map(int.__repr__, level.rep.tolist())
+    text[2::4] = map(int.__repr__, level.reps.tolist())
     text[-1] = "\n" + i1 + "}"
     out.append("[\n" + i1 + head)
     out.extend(text)
@@ -232,13 +216,10 @@ def _write(value, pad: str, out: list[str], sort_keys: bool) -> None:
         if not value.ndim:
             raise TypeError("iteration over a 0-d array")
         value = value.tolist()
+    elif isinstance(value, TreeLevel):  # a tuple, written as its list of blocks
+        _write_blocks(value, pad, out)
+        return
     elif not isinstance(value, (list, tuple)):
-        if isinstance(value, BlockColumns):
-            _write_blocks(value, pad, out)
-            return
-        if isinstance(value, Columnar):
-            _write(value.columns(), pad, out, sort_keys)
-            return
         leaf = _leaf(value)
         scalar = _SCALAR_TEXT.get(type(leaf))
         # json writes subclasses of the plain types and raises TypeError for the rest
@@ -266,8 +247,8 @@ def dumps(doc, *, sort_keys: bool = True) -> str:
 
     The bytes are those of ``json.dumps(doc, indent=2, sort_keys=sort_keys)
     + "\\n"`` after the leaf rules of :func:`_leaf` (tuples and arrays are
-    written as lists), with each :class:`Columnar` value replaced by its
-    ``to_dict()``; anything else json cannot write raises ``TypeError``.
+    written as lists), with each :class:`TreeLevel` written as its list of
+    blocks; anything else json cannot write raises ``TypeError``.
     """
     out: list[str] = []
     _write(doc, "", out, sort_keys)
@@ -311,11 +292,13 @@ def _flatten(prefix: str, value, rows: list[tuple[str, Any]]) -> None:
     if isinstance(value, dict):
         for k in sorted(value) if prefix.startswith("design_decisions") else value:
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
+    elif isinstance(value, TreeLevel):  # the rows of its list of blocks
+        for b, (members, rep) in enumerate(value.blocks()):
+            rows.extend((f"{prefix}[{b}].members[{j}]", m) for j, m in enumerate(members))
+            rows.append((f"{prefix}[{b}].rep", rep))
     elif isinstance(value, (list, tuple, np.ndarray)):
         for i, v in enumerate(value):
             _flatten(f"{prefix}[{i}]", v, rows)
-    elif isinstance(value, Columnar):
-        _flatten(prefix, value.to_dict(), rows)
     else:
         rows.append((prefix, _leaf(value)))
 

@@ -5,11 +5,13 @@
 recursive ``_refinements`` below lists; ``exhaustive_gamma`` must return
 the same value, per-point sums and tree.  ``reference_split_level`` is the
 greedy split with row-major distances; ``_split_level`` must return the
-same level arrays.
+same level arrays.  ``ReferenceBlock`` is the block that checked itself as
+it was made, before the tree's reader took over its checks.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +27,28 @@ from procsup.chaining import (
     level_budget,
 )
 from procsup.core import FiniteSet
-from procsup.errors import CapacityError
+from procsup.errors import CapacityError, ValidationError
 from procsup.moments import MomentModel
+
+
+@dataclass(frozen=True)
+class ReferenceBlock:
+    """A partition block: sorted member indices plus one of them as representative."""
+
+    members: tuple[int, ...]
+    rep: int
+
+    def __post_init__(self) -> None:
+        if not self.members:
+            raise ValidationError("a block cannot be empty")
+        try:
+            ordered = tuple(sorted(self.members))
+        except TypeError as exc:  # members that do not sort cannot be point indices
+            raise ValidationError(f"block members must be integers: {exc}") from None
+        if ordered != self.members:
+            object.__setattr__(self, "members", ordered)
+        if self.rep not in self.members:
+            raise ValidationError(f"representative {self.rep} is not a member of {self.members}")
 
 
 def _refinements(partition: tuple[tuple[int, ...], ...], max_blocks: int):

@@ -20,7 +20,6 @@ from procsup.chaining import (
     _allocate_children,
     _check_level,
     _grow,
-    _Level,
     build_partition_greedy,
     chain_bound,
     combine_sum_set,
@@ -33,9 +32,10 @@ from procsup.chaining import (
 from procsup.core import FiniteSet, ProcessKind, Seed, distinct_rows, generate_set
 from procsup.errors import CapacityError, ParameterError, ValidationError
 from procsup.moments import ModelKind, MomentModel
+from procsup.reports import TreeLevel
 from procsup.suprema import brute_force_bernoulli_sup
 
-from chaining_reference import reference_exhaustive_gamma, reference_split_level
+from chaining_reference import ReferenceBlock, reference_exhaustive_gamma, reference_split_level
 from mc_reference import reference_shared_stream_norms
 
 
@@ -52,10 +52,16 @@ def test_level_budgets():
 
 
 def test_block_sorts_members_and_checks_rep():
-    b = Block(members=(3, 1, 2), rep=2)
-    assert b.members == (1, 2, 3)
-    with pytest.raises(ValidationError):
-        Block(members=(0, 1), rep=5)
+    # a Block is a plain pair; the tree's reader sorts each block's members and checks its rep
+    assert Block(members=(3, 1, 2), rep=5) == ((3, 1, 2), 5)
+    tree = PartitionTree(n_points=4, levels=[[(range(4), 2)], [((3, 1, 2), 2), ([0], 0)],
+                                             [((i,), i) for i in (3, 1, 2, 0)]])
+    assert tree.levels[:2] == ((Block((0, 1, 2, 3), 2),), (Block((1, 2, 3), 2), Block((0,), 0)))
+    assert tree.to_dict()["levels"][1] == [{"members": [1, 2, 3], "rep": 2}, {"members": [0], "rep": 0}]
+    with pytest.raises(ValidationError, match=re.escape("representative 5 is not a member of (0, 1)")):
+        PartitionTree(n_points=2, levels=[[((1, 0), 5)]])
+    with pytest.raises(ValidationError, match="^a block cannot be empty$"):
+        PartitionTree(n_points=2, levels=[[((0, 1), 0)], [((1,), 1), ((), 0), ((0,), 0)]])
 
 
 def test_tree_validation_rejects_bad_structures():
@@ -211,15 +217,16 @@ def test_array_validator_raises_what_the_dict_validator_raises(count, rounds, se
     levels = [[(list(b.members), b.rep) for b in level] for level in tree.levels]
     for _ in range(rounds):
         _corrupt(levels, count, data.draw)
-    blocks = tuple(tuple(Block(tuple(m), rep) for m, rep in level) for level in levels)
+    blocks = tuple(tuple(ReferenceBlock(tuple(m), rep) for m, rep in level) for level in levels)
     try:
         _reference_validate(count, blocks)
     except ValidationError as exc:
         with pytest.raises(ValidationError) as got:
-            PartitionTree(n_points=count, levels=blocks)
+            PartitionTree(n_points=count, levels=levels)
         assert str(got.value) == str(exc)
     else:
-        PartitionTree(n_points=count, levels=blocks)
+        pairs = [[(b.members, b.rep) for b in level] for level in blocks]
+        assert PartitionTree(n_points=count, levels=levels) == PartitionTree(n_points=count, levels=pairs)
 
 
 def test_array_validator_names_each_fault_like_the_dict_validator():
@@ -258,13 +265,14 @@ def test_array_validator_names_each_fault_like_the_dict_validator():
         PartitionTree(n_points=6, levels=six)
     with pytest.raises(ValidationError, match="n_points must be an integer, got 1.0"):
         PartitionTree(n_points=1.0, levels=((Block((0,), 0),),))
-    for stray in (0.0, 2**70):
-        with pytest.raises(ValidationError, match="indices must be 64-bit integers"):
-            PartitionTree(n_points=1, levels=((Block((0,), 0),), (Block((stray,), stray),)))
+    with pytest.raises(ValidationError, match=re.escape("level 1: block 0 member must be an integer, got 0.0")):
+        PartitionTree(n_points=1, levels=((Block((0,), 0),), (Block((0.0,), 0.0),)))
+    with pytest.raises(ValidationError, match="indices must be 64-bit integers"):
+        PartitionTree(n_points=1, levels=((Block((0,), 0),), (Block((2**70,), 2**70),)))
 
 
 def _reference_tree_from_dict(doc):
-    """The block-by-block reader: integer checks, then each Block, then the public constructor."""
+    """The block-by-block reader: integer checks, then each ReferenceBlock, then the public constructor."""
     levels = []
     for n, level in enumerate(doc["levels"]):
         blocks = []
@@ -274,7 +282,8 @@ def _reference_tree_from_dict(doc):
                 bad = [v for v in values if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
                 if bad:
                     raise ValidationError(f"level {n}: block {b} {what} must be an integer, got {bad[0]!r}")
-            blocks.append(Block(members, rep))
+            block = ReferenceBlock(members, rep)
+            blocks.append((block.members, block.rep))
         levels.append(tuple(blocks))
     return PartitionTree(n_points=doc["n_points"], levels=tuple(levels))
 
@@ -328,21 +337,23 @@ def test_tree_keeps_read_only_arrays_and_shows_them_as_blocks():
 
 
 def test_sequence_members_raise_validation_errors():
-    # a list member sorts and is its own rep, but makes the index array ragged
-    with pytest.raises(ValidationError, match="indices must be 64-bit integers"):
+    # a list member is its own rep, but it is not an integer
+    message = re.escape("level 1: block 0 member must be an integer, got [0]")
+    with pytest.raises(ValidationError, match=message):
         PartitionTree(n_points=1, levels=((Block((0,), 0),), (Block(([0],), [0]),)))
-    with pytest.raises(ValidationError, match="indices must be 64-bit integers"):
+    with pytest.raises(ValidationError, match=message):
         PartitionTree(n_points=2, levels=((Block((0, 1), 0),), (Block(([0],), [0]), Block((1,), 1))))
 
 
 def test_sequence_members_at_the_root_fail_the_root_check():
-    with pytest.raises(ValidationError, match="level 0 must be the single block"):
+    # the member check comes before the root's
+    with pytest.raises(ValidationError, match=re.escape("level 0: block 0 member must be an integer, got [0]")):
         PartitionTree(n_points=1, levels=((Block(([0],), [0]),),))
 
 
 def test_unsortable_members_raise_validation_errors():
-    with pytest.raises(ValidationError, match="block members must be integers"):
-        Block((0, "a"), 0)
+    with pytest.raises(ValidationError, match=re.escape("level 0: block 0 member must be an integer, got 'a'")):
+        PartitionTree(n_points=2, levels=((Block((0, "a"), 0),),))
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31))
@@ -921,7 +932,7 @@ def test_the_column_major_split_matches_the_row_major_reference(forest):
     coords = np.concatenate(sets)
     coords_t = chaining._pairwise_columns(coords)
     counts = np.array([len(rows) for rows in sets])
-    level, tree = _Level(np.arange(len(coords)), counts, np.cumsum(counts) - counts), np.arange(len(counts))
+    level, tree = TreeLevel(np.arange(len(coords)), counts, np.cumsum(counts) - counts), np.arange(len(counts))
     lvl = 0
     with pytest.MonkeyPatch.context() as patch:
         if block_bytes is not None:
@@ -933,7 +944,7 @@ def test_the_column_major_split_matches_the_row_major_reference(forest):
             assert _split_outcome(chaining._split_level, coords_t, level, alloc) == want
             if isinstance(want, tuple):  # the same DistanceOverflow.rows
                 break
-            level = _Level(*reference_split_level(coords, *level, alloc))
+            level = TreeLevel(*reference_split_level(coords, *level, alloc))
             tree = np.repeat(tree, alloc)
 
 
@@ -1000,7 +1011,7 @@ def test_each_forest_level_check_fires_on_corrupted_arrays():
         _check_level(1, levels[0], levels[2], counts)
     # the root holds one block per tree
     root = levels[0]
-    split_root = _Level(root.order, np.array([1, 4, 5, 20, 3]), np.array([0, 1, 5, 10, 30]))
+    split_root = TreeLevel(root.order, np.array([1, 4, 5, 20, 3]), np.array([0, 1, 5, 10, 30]))
     with pytest.raises(ValidationError, match="level 0 must be"):
         _check_level(0, None, split_root, counts)
 

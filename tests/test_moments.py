@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -414,6 +415,10 @@ def test_proxy_is_rearrangement_invariant(t, p, rnd):
 def test_proxy_rejects_bad_order():
     with pytest.raises(ParameterError):
         proxy_norms(np.ones((1, 1)), 0)
+    for p in (2.0, True, "2"):
+        with pytest.raises(ParameterError, match=f"^p must be an integer, got {re.escape(repr(p))}$"):
+            proxy_norms(np.ones((1, 1)), p)
+    assert proxy_norms(np.ones((1, 1)), np.int64(2))[2].tolist() == [1.0]
 
 
 # --- Monte Carlo route ---

@@ -26,8 +26,8 @@ from procsup.reports import (
     DESIGN_DECISIONS,
     SCHEMA,
     SCHEMA_VERSION,
-    BlockColumns,
     ComparisonReport,
+    TreeLevel,
     build_report,
     dumps,
     safe_ratio,
@@ -248,7 +248,7 @@ _int64s = st.integers(-(2**63), 2**63 - 1)
 
 @given(st.lists(st.tuples(st.lists(_int64s, min_size=1, max_size=4), _int64s), max_size=8), st.integers(0, 3))
 def test_block_columns_write_the_bytes_of_their_list_of_dicts(blocks, depth):
-    level = BlockColumns(
+    level = TreeLevel(
         np.array([m for members, _ in blocks for m in members], dtype=np.int64),
         np.array([len(members) for members, _ in blocks], dtype=np.intp),
         np.array([r for _, r in blocks], dtype=np.int64),
@@ -261,14 +261,15 @@ def test_block_columns_write_the_bytes_of_their_list_of_dicts(blocks, depth):
 
 
 def _assert_tree_writes_as_its_dict(tree: PartitionTree) -> None:
-    """The tree, at the top level and at a report's depth, gives the bytes of its ``to_dict()``."""
-    plain = tree.to_dict()
-    assert dumps(tree) == dumps(plain) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
-    assert dumps(tree, sort_keys=False) == dumps(plain, sort_keys=False)
+    """The tree's columns, at the top level and at a report's depth, give the JSON and CSV of its ``to_dict()``."""
+    plain, columns = tree.to_dict(), tree.columns()
+    assert dumps(columns) == dumps(plain) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+    assert dumps(columns, sort_keys=False) == dumps(plain, sort_keys=False)
+    assert to_csv(columns) == to_csv(plain) == report_csv(plain)
     results = lambda form: {"set": "s", "value": 1.5, "per_point": [0.5, math.inf], "tree": form}
-    doc, plain_doc = (build_report("gamma", {"seed": 1}, {"set": "h"}, results(form)) for form in (tree, plain))
+    doc, plain_doc = (build_report("gamma", {"seed": 1}, {"set": "h"}, results(form)) for form in (columns, plain))
     assert to_json(doc) == to_json(plain_doc) == report_json(plain_doc) == report_json(doc)
-    assert to_csv(doc) == to_csv(plain_doc) == report_csv(plain_doc)
+    assert to_csv(doc) == to_csv(plain_doc) == report_csv(plain_doc) == report_csv(doc)
 
 
 @settings(deadline=None)
