@@ -1,18 +1,18 @@
-"""The package's verification suite: ten seeded, deterministic criteria.
+"""The package's verification suite: ten seeded criteria, run by ``procsup suite`` and the tests.
 
 Each criterion exercises one guaranteed relationship end to end (sandwich
-bounds, moment regularity, chaining domination, combiner subadditivity,
-contraction calibration, decomposition bookkeeping, Monte Carlo against
-exact oracles, and report determinism) at sizes fixed here.  The functions
-return structured results; the CLI ``suite`` subcommand and the test suite
-both consume them.
+bounds, moment regularity, chaining domination by the ``verify-t2``
+verifier, combiner subadditivity, contraction by the ``contract`` verifier
+and its calibration, decomposition bookkeeping, Monte Carlo against exact
+oracles, and report determinism) at sizes fixed here.  No verdict reads the
+clock; the test suite holds the time budgets.  Criterion 3's Gaussian half
+and criterion 9 are Monte Carlo checks, reproducible at the pinned seed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +24,9 @@ from .chaining import (
     chain_bound,
     combine_sum_set,
     exhaustive_gamma,
+    verify_sup_bound,
 )
-from .contraction import CoordinateMap, apply_map, check_condition, fit_min_C
+from .contraction import CoordinateMap, apply_map, check_condition, compare_suprema, fit_min_C
 from .core import FiniteSet, ProcessKind, Seed, generate_set
 from .decomposition import decompose_by_sweep, split_rows, sweep_objectives, verify_two_sided
 from .moments import (
@@ -94,7 +95,6 @@ def _random_set(seed: int, label: str, index: int, count: int, dim: int) -> Fini
 
 def criterion_1_moment_sandwich(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Proxy sandwich: exact <= proxy <= 4 * exact on mixed vectors, d = 12."""
-    start = time.perf_counter()
     orders = (1, 2, 3, 4, 8, 16)
     vectors = _mixed_vectors(seed, 50, 12, "c1")
     worst_lower = math.inf  # min proxy / exact, must stay >= 1
@@ -113,18 +113,16 @@ def criterion_1_moment_sandwich(seed: int = DEFAULT_SEED) -> CriterionResult:
             worst_upper = max(worst_upper, ratio)
             if not (1.0 - _REL_SLACK) <= ratio <= 4.0 * (1.0 + _REL_SLACK):
                 failures += 1
-    runtime = time.perf_counter() - start
     return CriterionResult(
         1,
         "moment sandwich (exact <= proxy <= 4*exact)",
-        failures == 0 and runtime < 60.0,
+        failures == 0,
         {
             "vectors": len(vectors),
             "orders": list(orders),
             "min_ratio": worst_lower,
             "max_ratio": worst_upper,
             "failures": failures,
-            "runtime_s": round(runtime, 3),
         },
     )
 
@@ -169,37 +167,24 @@ def _criterion_3_corpus(seed: int) -> list[FiniteSet]:
 
 
 def criterion_3_sup_vs_chain_bound(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """E sup <= 4 * greedy chain bound, exactly (Bernoulli) and within MC noise (Gaussian)."""
-    start = time.perf_counter()
+    """E sup <= 4 * greedy chain bound by :func:`verify_sup_bound`: exact (Bernoulli), within MC noise (Gaussian)."""
     failures = 0
-    worst_bernoulli = 0.0
-    worst_gaussian = 0.0
+    worst = dict.fromkeys(ProcessKind, 0.0)
     for i, ts in enumerate(_criterion_3_corpus(seed)):
-        tree = build_partition_greedy(ts)
-        s_b = brute_force_bernoulli_sup(ts).value
-        bound_b = chain_bound(ts, tree, MomentModel.bernoulli_exact()).value
-        if s_b > SUP_BOUND_FACTOR * bound_b * (1.0 + _REL_SLACK):
-            failures += 1
-        if bound_b > 0:
-            worst_bernoulli = max(worst_bernoulli, s_b / bound_b)
-        est = mc_sup(ProcessKind.GAUSSIAN, ts, 100_000, Seed((seed + i) % 2**64))
-        bound_g = chain_bound(ts, tree, MomentModel.gaussian_exact()).value
-        if est.value > SUP_BOUND_FACTOR * bound_g + 3.0 * est.stderr:
-            failures += 1
-        if bound_g > 0:
-            worst_gaussian = max(worst_gaussian, est.value / bound_g)
-    runtime = time.perf_counter() - start
+        for kind in ProcessKind:
+            report = verify_sup_bound(ts, kind, samples=100_000, seed=Seed((seed + i) % 2**64))
+            failures += int(report.violation)
+            worst[kind] = max(worst[kind], report.ratio)
     return CriterionResult(
         3,
         "expected supremum within 4x the greedy chain bound",
-        failures == 0 and runtime < 300.0,
+        failures == 0,
         {
             "sets": 23,
-            "worst_bernoulli_ratio": worst_bernoulli,
-            "worst_gaussian_ratio": worst_gaussian,
+            "worst_bernoulli_ratio": worst[ProcessKind.BERNOULLI],
+            "worst_gaussian_ratio": worst[ProcessKind.GAUSSIAN],
             "bound_factor": SUP_BOUND_FACTOR,
             "failures": failures,
-            "runtime_s": round(runtime, 3),
         },
     )
 
@@ -265,7 +250,7 @@ def criterion_5_sum_set_combiner(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def criterion_6_classical_contraction(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """1-Lipschitz coordinatewise maps never increase the Bernoulli supremum."""
+    """1-Lipschitz coordinatewise maps never increase the Bernoulli supremum (:func:`compare_suprema`)."""
     maps = [CoordinateMap("abs"), CoordinateMap("clamp", (-1.0, 1.0)), CoordinateMap("soft_threshold", (0.5,))]
     failures = 0
     worst_ratio = 0.0
@@ -273,12 +258,9 @@ def criterion_6_classical_contraction(seed: int = DEFAULT_SEED) -> CriterionResu
         ts = _random_set(seed, "c6", i, count=16, dim=10)
         for cmap in maps:
             pair = apply_map(ts, cmap)
-            s_src = brute_force_bernoulli_sup(pair.source).value
-            s_img = brute_force_bernoulli_sup(pair.image).value
-            if s_img > s_src + 1e-12:
-                failures += 1
-            if s_src > 0:
-                worst_ratio = max(worst_ratio, s_img / s_src)
+            sups = compare_suprema(pair)
+            failures += int(sups.lhs > sups.rhs + 1e-12)
+            worst_ratio = max(worst_ratio, sups.ratio)
             if not check_condition(pair, 1.0, p_max=10, tol=1e-12).satisfied:
                 failures += 1
     return CriterionResult(

@@ -719,9 +719,9 @@ def verify_sup_bound(
     """Check ``E sup <= 4 * chain bound`` on one set, exactly where possible.
 
     The supremum takes :func:`~procsup.suprema.expected_sup`'s route:
-    Bernoulli suprema are enumerated exactly up to the dimension cap (and by
-    Monte Carlo beyond it, unless ``exact`` demands enumeration); Gaussian
-    suprema are always Monte Carlo.  The
+    Bernoulli suprema are enumerated exactly within the dimension and sign-sum
+    caps (and by Monte Carlo beyond them, unless ``exact`` demands
+    enumeration); Gaussian suprema are always Monte Carlo.  The
     chain bound uses the greedy tree under the matching exact model (proxy
     when the Bernoulli dimension exceeds the cap).  The violation flag
     allows Monte Carlo noise of three standard errors.

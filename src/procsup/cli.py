@@ -60,7 +60,7 @@ from .moments import (
 )
 from .oleszkiewicz import (
     NormKind,
-    _read_system,
+    load_vector_system,
     generate_functionals,
     strong_moment_ratio,
     weak_moment_constant,
@@ -258,8 +258,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_oleszkiewicz(args: argparse.Namespace) -> int:
     """Weak/strong moment comparison of two vector systems under one norm."""
     norm = NormKind(args.norm)
-    x_sys = _read_system(args.x, norm)
-    y_sys = _read_system(args.y, norm)
+    x_sys = load_vector_system(args.x, norm)
+    y_sys = load_vector_system(args.y, norm)
     funcs = generate_functionals(x_sys.norm, x_sys.dim, args.extra_functionals, Seed(args.seed))
     weak = weak_moment_constant(x_sys, y_sys, funcs, p_max=args.p_max)
     contraction = check_weak_contraction(x_sys, y_sys, funcs, p_max=args.p_max)
@@ -278,12 +278,6 @@ def cmd_oleszkiewicz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sanitize_details(details: dict) -> dict:
-    # Wall-clock figures measure the machine, not the inputs; dropping them
-    # keeps suite reports byte-stable run to run.
-    return {k: v for k, v in details.items() if k != "runtime_s"}
-
-
 def cmd_suite(args: argparse.Namespace) -> int:
     from . import acceptance
 
@@ -297,9 +291,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
     for criterion in criteria:
         outcome = criterion(args.seed)
         print(outcome.line)
-        entry = outcome.to_dict()
-        entry["details"] = _sanitize_details(entry.get("details", {}))
-        results.append(entry)
+        results.append(outcome.to_dict())
     passed = all(r["passed"] for r in results)
     if args.out:
         _write_report(args, {}, {"criteria": results, "all_passed": passed})
@@ -363,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=_values(ProcessKind), default="bernoulli")
     p.add_argument("--exact", action="store_true",
                    help="force exact enumeration (Bernoulli only, dim <= "
-                        f"{EXACT_ENUMERATION_MAX_DIM})")
+                        f"{EXACT_ENUMERATION_MAX_DIM} and |T|*2^(d-1) <= 2^32)")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     _add_report_flags(p)

@@ -81,22 +81,26 @@ def check_integers(values: Sequence, what: str, error: type[ProcsupError] = Para
 def point_matrix(rows, owner: str, noun: str = "point") -> np.ndarray:
     """``rows`` as a validated, read-only ``(n, d)`` float64 matrix (always a copy).
 
-    ``rows`` is an array or a sequence of coordinate sequences.
+    ``rows`` is an array or a sequence of coordinate sequences, converted by
+    one ``np.array``; only when that fails are the rows looked at one by one.
     There must be at least one row, every row must have the same ``d >= 1``
     coordinates and every coordinate must be finite; the messages name
     ``owner`` and the offending row.
     """
-    if not isinstance(rows, np.ndarray):
+    try:
+        m = np.array(rows, dtype=np.float64)
+    except (OverflowError, ValueError):
+        if isinstance(rows, np.ndarray):
+            raise
         arrays = []
-        for i, row in enumerate(rows):
+        for i, row in enumerate(rows):  # name the first row that overflows, or the mixed dimensions
             try:
                 arrays.append(np.asarray(row, dtype=np.float64))
             except OverflowError as exc:
                 raise ValidationError(f"{owner}: {noun} {i}: {exc}") from None
         if len({a.shape for a in arrays}) > 1:
             raise ValidationError(f"{owner} mixes dimensions {sorted({a.size for a in arrays})}")
-        rows = arrays
-    m = np.array(rows, dtype=np.float64)
+        raise
     if m.ndim and not m.shape[0]:
         raise ValidationError(f"{owner} has no {noun}s")
     if m.ndim != 2 or not m.shape[1]:
@@ -334,18 +338,22 @@ def generate_set(
     return FiniteSet(name=name, points=rows)
 
 
-def save_set(ts: FiniteSet, path: str | Path) -> None:
-    """Write ``ts`` as a set file: ``json.dumps(doc, indent=2)`` bytes, keys in insertion order."""
+def write_points_file(path: str | Path, fmt: str, name: str, matrix: np.ndarray, **fields) -> None:
+    """Write a set or vector-system file: ``json.dumps(doc, indent=2)`` bytes, keys in insertion order.
+
+    The keys are ``format``, ``version``, ``name``, then ``fields`` in their
+    order, then ``dim`` and the rows of ``matrix`` under the format's key.
+    """
     from .reports import dumps  # reports imports this module
 
-    doc = {
-        "format": SET_FORMAT,
-        "version": FILE_VERSION,
-        "name": ts.name,
-        "dim": ts.dim,
-        "points": ts.matrix.tolist(),
-    }
+    doc = {"format": fmt, "version": FILE_VERSION, "name": name, **fields,
+           "dim": matrix.shape[1], _ROWS_KEY[fmt]: matrix.tolist()}
     Path(path).write_text(dumps(doc, sort_keys=False))
+
+
+def save_set(ts: FiniteSet, path: str | Path) -> None:
+    """Write ``ts`` as a set file (:func:`write_points_file`)."""
+    write_points_file(path, SET_FORMAT, ts.name, ts.matrix)
 
 
 def read_points_file(path: str | Path, formats: Sequence[str]) -> tuple[dict, str, np.ndarray]:
@@ -355,7 +363,8 @@ def read_points_file(path: str | Path, formats: Sequence[str]) -> tuple[dict, st
     its name (the file stem when it has none) and its rows as one matrix
     checked by :func:`point_matrix`.
     Coordinates must be JSON numbers: strings, booleans and nulls are
-    rejected, never coerced.
+    rejected, never coerced.  A number beyond float64 fails in
+    :func:`point_matrix`, which names its row.
     """
     path = Path(path)
     try:
@@ -382,17 +391,8 @@ def read_points_file(path: str | Path, formats: Sequence[str]) -> tuple[dict, st
                 raise ValidationError(f"{path}: {noun} {i} does not have {dim} coordinates")
             if any(type(x) not in (int, float) for x in row):
                 raise ValidationError(f"{path}: {noun} {i} has a coordinate that is not a number")
-    try:
-        matrix = np.array(rows, np.float64)
-    except OverflowError:
-        for i, row in enumerate(rows):  # name the row with an int beyond float range
-            try:
-                np.array(row, np.float64)
-            except OverflowError as exc:
-                raise ValidationError(f"{path}: {noun} {i}: {exc}") from None
-        raise
     name = str(doc.get("name") or path.stem)
-    return doc, name, point_matrix(matrix, str(path), noun)
+    return doc, name, point_matrix(rows, str(path), noun)
 
 
 def load_set(path: str | Path) -> FiniteSet:

@@ -30,7 +30,6 @@ import numpy as np
 from . import rng
 from .core import (
     EXACT_ENUMERATION_MAX_DIM,
-    FILE_VERSION,
     SET_FORMAT,
     SYSTEM_FORMAT,
     FiniteSet,
@@ -40,11 +39,12 @@ from .core import (
     distinct_rows,
     point_matrix,
     read_points_file,
+    write_points_file,
 )
 from .errors import ParameterError, ParseError, ValidationError
 from .contraction import ContractionReport, MappedPair, fit_min_C
 from .moments import _norms, bernoulli_exact_norms, mc_mean, proxy_norms, signed_row_sums
-from .reports import ComparisonReport, dumps, safe_ratio
+from .reports import ComparisonReport, safe_ratio
 
 _DUAL_SLACK = 1e-12
 
@@ -85,18 +85,10 @@ class VectorSystem:
 
 
 def save_vector_system(system: VectorSystem, path: str | Path) -> None:
-    doc = {
-        "format": SYSTEM_FORMAT,
-        "version": FILE_VERSION,
-        "name": system.name,
-        "norm": system.norm.value,
-        "dim": system.dim,
-        "vectors": system.matrix.tolist(),
-    }
-    Path(path).write_text(dumps(doc, sort_keys=False))
+    write_points_file(path, SYSTEM_FORMAT, system.name, system.matrix, norm=system.norm.value)
 
 
-def _read_system(path: str | Path, set_norm: NormKind | None = None) -> VectorSystem:
+def load_vector_system(path: str | Path, set_norm: NormKind | None = None) -> VectorSystem:
     """Read a vector-system file or, given ``set_norm``, also a finite-set file.
 
     A set file carries no ambient norm, so ``set_norm`` fills it in; a
@@ -111,10 +103,6 @@ def _read_system(path: str | Path, set_norm: NormKind | None = None) -> VectorSy
         except ValueError:
             raise ParseError(f"{path}: unknown norm {doc.get('norm')!r}") from None
     return VectorSystem(name=name, vectors=matrix, norm=norm)
-
-
-def load_vector_system(path: str | Path) -> VectorSystem:
-    return _read_system(path)
 
 
 def _dual_norm(w: np.ndarray, norm: NormKind) -> float:

@@ -169,14 +169,17 @@ def mc_sup(kind: ProcessKind, ts: FiniteSet, samples: int, seed: Seed) -> SupEst
 def expected_sup(kind: ProcessKind, ts: FiniteSet, samples: int, seed: Seed, exact: bool = False) -> SupEstimate:
     """``E sup_{t in T} X_t`` by the route every caller shares.
 
-    Bernoulli suprema are enumerated up to ``dim <= EXACT_ENUMERATION_MAX_DIM``
-    and estimated by Monte Carlo above it; Gaussian suprema are always Monte
-    Carlo.  ``exact=True`` demands enumeration: it raises
+    Bernoulli suprema are enumerated within both of
+    :func:`brute_force_bernoulli_sup`'s caps, ``dim <=
+    EXACT_ENUMERATION_MAX_DIM`` and ``|T| * 2^(d-1) <= EXACT_SUP_MAX_SUMS``
+    sign sums, and estimated by Monte Carlo above either; Gaussian suprema
+    are always Monte Carlo.  ``exact=True`` demands enumeration: it raises
     :class:`ParameterError` for the Gaussian process and
-    :class:`CapacityError` above the dimension cap.
+    :class:`CapacityError` above either cap.
     """
     if exact and kind is ProcessKind.GAUSSIAN:
         raise ParameterError("no exact supremum oracle for the Gaussian process")
-    if kind is ProcessKind.BERNOULLI and (exact or ts.dim <= EXACT_ENUMERATION_MAX_DIM):
+    enumerable = ts.dim <= EXACT_ENUMERATION_MAX_DIM and len(ts) << (ts.dim - 1) <= EXACT_SUP_MAX_SUMS
+    if kind is ProcessKind.BERNOULLI and (exact or enumerable):
         return brute_force_bernoulli_sup(ts)
     return mc_sup(kind, ts, samples, seed)

@@ -10,6 +10,7 @@ layout switch and exactly at it, over many blocks and one-pattern blocks,
 with signed zeros and tied coordinates, and under both ambient norms.
 """
 
+import json
 import math
 from unittest import mock
 
@@ -293,3 +294,6 @@ def test_exact_suprema_stop_at_2_32_sign_sums_before_enumerating(monkeypatch, tm
     assert cli.run(["sup", "--set", str(set_path), "--exact", "--out", str(out)]) == 2
     assert "got 8193*2^19" in capsys.readouterr().err
     assert not out.exists()
+    # without --exact, the automatic route falls back to Monte Carlo above the sums cap
+    assert cli.run(["sup", "--set", str(set_path), "--samples", "2000", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"]["method"] == "monte-carlo"
