@@ -289,96 +289,51 @@ class DistanceOverflow(ParameterError):
         super().__init__(f"the squared l2 distance between points {self.rows[0]} and {self.rows[1]} overflows float64")
 
 
-def _pairwise_columns(rows: np.ndarray) -> np.ndarray:
-    """The ``(n, d)`` ``rows`` as the C-contiguous ``(d, n)`` columns :func:`_sum_rows_pairwise` sums.
-
-    Each full block of 8 coordinates is stored bit-reversed, as rows ``0, 4,
-    2, 6, 1, 5, 3, 7``, so that the block's eight accumulators join in
-    numpy's order by halving contiguous rows three times.  Below 8
-    coordinates, and in the last ``d % 8``, the order is unchanged.
-    """
-    d = rows.shape[1]
-    layout = np.arange(d)
-    full = d - d % 8
-    layout[:full] = layout[:full].reshape(-1, 8)[:, [0, 4, 2, 6, 1, 5, 3, 7]].ravel()
-    return np.ascontiguousarray(rows[:, layout].T)
-
-
-def _sum_rows_pairwise(q: np.ndarray) -> np.ndarray:
-    """Sum the ``d`` rows of ``q``, laid out as :func:`_pairwise_columns` does, into ``q[0]`` in place.
-
-    The rows are summed in numpy's pairwise order, so each column ends with
-    the bits ``np.add.reduce`` gives the matching row of the ``(m, d)``
-    array, for entries that are not ``-0.0`` (squares never are): below 8 rows
-    one after another; from 8 to 128, eight accumulators over rows ``j,
-    j+8, ...`` joined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the
-    tail rows one after another; above 128, both halves split at ``n//2 -
-    (n//2) % 8`` and then added, which keeps every block of 8 aligned.  An
-    overflow raises where that reduce raises under ``errstate(over="raise")``.
-    Returns ``q[0]``.
-    """
-    n = len(q)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        total = _sum_rows_pairwise(q[:half])
-        np.add(total, _sum_rows_pairwise(q[half:]), total)
-        return total
-    total, tail = q[0], 1
-    if n >= 8:
-        head, tail = q[:8], n - n % 8
-        for i in range(8, tail, 8):
-            np.add(head, q[i : i + 8], head)
-        for width in (4, 2, 1):  # r0 r4 r2 r6 | r1 r5 r3 r7, then r01 r45 | r23 r67, then r0123 | r4567
-            np.add(head[:width], head[width : 2 * width], head[:width])
-    for i in range(tail, n):
-        np.add(total, q[i], total)
-    return total
-
-
 def _squared_distances(xt: np.ndarray, centers: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Each column of ``xt`` to its center's column, ``counts[i]`` columns to ``centers[i]``, squared.
 
-    ``xt`` holds ``d`` coordinate rows laid out by :func:`_pairwise_columns`.
+    ``xt`` holds ``d`` coordinate rows and at least two columns (a splitting
+    parent has two or more members), so the reduce adds the squared
+    differences row after row: each distance sums its coordinates in index
+    order.
     """
     q = xt[:, centers].repeat(counts, axis=1)
     np.subtract(xt, q, q)
-    return _sum_rows_pairwise(np.multiply(q, q, q))
+    return np.add.reduce(np.multiply(q, q, q), axis=0)
 
 
 def _split_level(coords_t: np.ndarray, order: np.ndarray, sizes: np.ndarray, reps: np.ndarray,
                  alloc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split every block of one level into its ``alloc`` children by farthest-point centers.
 
-    ``coords_t`` holds the points column-major, as :func:`_pairwise_columns`
-    lays them out: point ``i`` is column ``i``.  A level is ``order`` (its
-    blocks' members, block after block, each ascending) with each block's
-    size and representative; the blocks may belong to many trees over
-    disjoint points (a forest), since each block is split on its own.  The parent's
-    representative seeds its traversal (so one child always inherits it);
-    each further center is the member farthest from all chosen centers,
-    ties to the lowest point index; members then join their nearest
-    center, ties to the earliest center.  Children follow their parent's
-    position, then the order their centers were chosen.  The splitting
-    parents lie end to end, largest ``alloc`` first, in runs of at most
-    ``_BLOCK_BYTES`` of coordinates (a larger parent alone); at step ``j``
-    those with ``alloc > j`` are a prefix of the run, and each takes the
-    segment argmax of ``near``, its members' distances to their nearest
-    center, ``-inf`` on centers (so they stay in their own blocks even when
-    a distance underflows to 0).  A parent's children depend only on its
-    own rows, never on its run.
+    ``coords_t`` holds the points column-major, one row a coordinate: point
+    ``i`` is column ``i``.  A level is ``order`` (its blocks' members, block
+    after block, each ascending) with each block's size and representative;
+    the blocks may belong to many trees over disjoint points (a forest),
+    since each block is split on its own.  The parent's representative
+    seeds its traversal (so one child always inherits it); each further
+    center is the member farthest from all chosen centers, ties to the
+    lowest point index; members then join their nearest center, ties to the
+    earliest center.  Children follow their parent's position, then the
+    order their centers were chosen.  The splitting parents lie end to end,
+    largest ``alloc`` first, in runs of at most ``_BLOCK_BYTES`` of
+    coordinates (a larger parent alone); at step ``j`` those with
+    ``alloc > j`` are a prefix of the run, and each takes the segment argmax
+    of ``near``, its members' distances to their nearest center, ``-inf`` on
+    centers (so they stay in their own blocks even when a distance
+    underflows to 0).  A parent's children depend only on its own rows,
+    never on its run.
 
     A run's coordinates are gathered once from ``coords_t`` into a
     C-contiguous ``(d, len)`` array ``xt``, with no row-major copy.  A step
     repeats the active centers' columns into a ``(d, m)`` buffer, subtracts
-    and squares it in place and sums its ``d`` rows in place with
-    :func:`_sum_rows_pairwise`, in numpy's pairwise order: one after another
-    below 8 rows, eight accumulators over every eighth row up to 128, halves
-    above.  So every distance has the bits ``np.add.reduce(axis=-1)`` gives
-    its row-major ``(m, d)`` form.  A squared distance that overflows float64
-    raises :class:`DistanceOverflow`, with no warning, naming the center and
-    the first such member of the first parent, in split order, that
-    overflows when split alone: a run that overflows is split again a
-    parent at a time, so the pair does not depend on ``_BLOCK_BYTES``.
+    and squares it in place and adds its ``d`` rows one after another, so
+    every distance sums its coordinates in index order, whatever ``d``.  A
+    squared distance that overflows float64 raises :class:`DistanceOverflow`,
+    with no warning, naming the center and the first such member of the
+    first parent, in split order, that overflows when split alone: a run
+    that overflows is split again a parent at a time, so the pair does not
+    depend on ``_BLOCK_BYTES``.
     """
     starts = np.cumsum(sizes) - sizes
     first_child = np.cumsum(alloc) - alloc
@@ -435,7 +390,8 @@ def _grow(coords: np.ndarray, counts) -> Iterator[TreeLevel]:
     among its blocks by :func:`_allocate_children`.  A tree bottoms out in
     singletons at the least ``n`` with ``2^(2^n) >= count``.  Every level
     passes :func:`_check_level`; the last is all singletons.  The splits
-    read one column-major copy of ``coords``, :func:`_pairwise_columns`.
+    read one C-contiguous ``(d, n)`` copy of ``coords`` and sum each squared
+    distance's coordinates in index order.
     """
     counts = np.asarray(counts, dtype=np.intp)
     if not counts.size or counts.min() < 1 or counts.sum() != len(coords):
@@ -446,7 +402,7 @@ def _grow(coords: np.ndarray, counts) -> Iterator[TreeLevel]:
     level = TreeLevel(np.arange(len(coords)), counts, np.cumsum(counts) - counts)
     _check_level(0, None, level, counts, last=depth == 0)
     yield level
-    coords_t = _pairwise_columns(coords)
+    coords_t = np.ascontiguousarray(coords.T)
     tree = np.arange(len(counts))  # each block's tree
     for lvl in range(1, depth + 1):
         alloc = _allocate_children(min(level_budget(lvl), len(coords)), level.sizes, tree)

@@ -78,29 +78,49 @@ def check_integers(values: Sequence, what: str, error: type[ProcsupError] = Para
         raise error(f"{what} must be an integer, got {bad!r}")
 
 
+def _number_rows(rows, owner: str, noun: str) -> np.ndarray:
+    """``rows`` converted one row at a time, naming the first fault.
+
+    A row must hold real numbers (``numbers.Real``: no strings, no
+    containers) that fit float64, and all rows must share one shape.
+    """
+    arrays = []
+    for i, row in enumerate(rows):
+        try:
+            a = np.asarray(row)
+            numeric = a.dtype.kind in "biuf" or a.dtype == object and all(isinstance(x, numbers.Real) for x in a.flat)
+        except ValueError:  # a ragged row
+            numeric = False
+        if not numeric:
+            raise ValidationError(f"{owner}: {noun} {i} has a coordinate that is not a number")
+        try:
+            arrays.append(a.astype(np.float64))
+        except OverflowError as exc:
+            raise ValidationError(f"{owner}: {noun} {i}: {exc}") from None
+    if len({a.shape for a in arrays}) > 1:
+        raise ValidationError(f"{owner} mixes dimensions {sorted({a.size for a in arrays})}")
+    return np.array(arrays, dtype=np.float64)
+
+
 def point_matrix(rows, owner: str, noun: str = "point") -> np.ndarray:
     """``rows`` as a validated, read-only ``(n, d)`` float64 matrix (always a copy).
 
-    ``rows`` is an array or a sequence of coordinate sequences, converted by
-    one ``np.array``; only when that fails are the rows looked at one by one.
+    ``rows`` is an array or a sequence of coordinate sequences, read by one
+    ``np.asarray``; only when that fails or gives an object or text array
+    are the rows looked at one by one (:func:`_number_rows`), so a string
+    is rejected, never coerced.
     There must be at least one row, every row must have the same ``d >= 1``
-    coordinates and every coordinate must be finite; the messages name
-    ``owner`` and the offending row.
+    coordinates and every coordinate must be a finite real number; the
+    messages name ``owner`` and the offending row.
     """
     try:
-        m = np.array(rows, dtype=np.float64)
-    except (OverflowError, ValueError):
-        if isinstance(rows, np.ndarray):
-            raise
-        arrays = []
-        for i, row in enumerate(rows):  # name the first row that overflows, or the mixed dimensions
-            try:
-                arrays.append(np.asarray(row, dtype=np.float64))
-            except OverflowError as exc:
-                raise ValidationError(f"{owner}: {noun} {i}: {exc}") from None
-        if len({a.shape for a in arrays}) > 1:
-            raise ValidationError(f"{owner} mixes dimensions {sorted({a.size for a in arrays})}")
-        raise
+        m = np.asarray(rows)
+    except ValueError:  # ragged rows
+        m = None
+    if m is not None and m.dtype.kind in "biuf":
+        m = m.astype(np.float64, copy=not isinstance(rows, (list, tuple)))  # asarray copied a list or tuple
+    elif m is None or m.ndim:
+        m = _number_rows(rows, owner, noun)
     if m.ndim and not m.shape[0]:
         raise ValidationError(f"{owner} has no {noun}s")
     if m.ndim != 2 or not m.shape[1]:

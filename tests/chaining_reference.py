@@ -4,9 +4,11 @@
 ``g(level, block, rep)`` per partition sequence, over the partitions the
 recursive ``_refinements`` below lists; ``exhaustive_gamma`` must return
 the same value, per-point sums and tree.  ``reference_split_level`` is the
-greedy split with row-major distances; ``_split_level`` must return the
-same level arrays.  ``ReferenceBlock`` is the block that checked itself as
-it was made, before the tree's reader took over its checks.
+greedy split with row-major distances, each summing its coordinates in
+index order by a running sum, which no layout or blocking of numpy's
+reduce can change; ``_split_level`` must return the same level arrays.
+``ReferenceBlock`` is the block that checked itself as it was made, before
+the tree's reader took over its checks.
 """
 
 import itertools
@@ -184,10 +186,11 @@ def reference_split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarr
     """The greedy split with row-major distances, as it was before they went column-major.
 
     Each step repeats the active centers' rows into an ``(m, d)`` buffer,
-    subtracts and squares in place and sums each row with
-    ``np.add.reduce(axis=-1)``; the run's coordinates are gathered row-major.
-    ``chaining._split_level`` must return the same ``(order, sizes, reps)``
-    and name the same pair in :class:`~procsup.chaining.DistanceOverflow`.
+    subtracts and squares in place and sums each row in index order, as the
+    last entry of its ``np.cumsum``; the run's coordinates are gathered
+    row-major.  ``chaining._split_level`` must return the same ``(order,
+    sizes, reps)`` and name the same pair in
+    :class:`~procsup.chaining.DistanceOverflow`.
     """
     starts = np.cumsum(sizes) - sizes
     first_child = np.cumsum(alloc) - alloc
@@ -217,13 +220,13 @@ def reference_split_level(coords: np.ndarray, order: np.ndarray, sizes: np.ndarr
                 d2 = np.repeat(x[c], size[:a], axis=0)
                 try:
                     np.subtract(x[:m], d2, out=d2)
-                    dist = np.sqrt(np.add.reduce(np.multiply(d2, d2, out=d2), axis=-1))
+                    dist = np.sqrt(np.cumsum(np.multiply(d2, d2, out=d2), axis=-1)[:, -1])
                 except FloatingPointError:
                     if len(parents) > 1:
                         overflow = True
                         break
                     with np.errstate(over="ignore"):
-                        far = np.add.reduce(np.square(x[:m] - np.repeat(x[c], size[:a], axis=0)), axis=-1)
+                        far = np.cumsum(np.square(x[:m] - np.repeat(x[c], size[:a], axis=0)), axis=-1)[:, -1]
                     p = (far == np.inf).argmax()
                     raise chaining.DistanceOverflow(int(np.repeat(idx[c], size[:a])[p]), int(idx[p])) from None
                 del d2

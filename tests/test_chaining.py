@@ -696,7 +696,7 @@ def test_level_batched_build_matches_the_original_on_full_grids(dim, side):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_level_batched_build_matches_the_original_at_d8_and_d17(seed):
-    # d >= 8 is where add.reduce switches to pairwise summation
+    # from d = 8 the reference's row-major norms sum in another order than the split; without ties the trees agree
     for dim in (8, 17):
         ts = _random_set(seed, 300, dim, "batched-wide")
         tree = build_partition_greedy(ts)
@@ -864,54 +864,57 @@ def test_a_forest_split_in_many_runs_grows_the_one_run_forest(sets):
 # --- the column-major split against the row-major one it replaced ---
 
 
-def test_pairwise_row_sums_have_the_bits_of_add_reduce():
-    # d < 8 sums in order, 8 <= d <= 128 through eight accumulators and a tail, d > 128 in halves;
-    # a numpy release that changes its summation order fails here, naming d
+def test_squared_distances_sum_coordinates_in_index_order():
+    # against a running sum of each row-major row, at every d up to 300 and at 2 and 9 columns;
+    # a numpy release that reorders an axis-0 reduce fails here, naming d
     gen = np.random.default_rng(5)
     for d in range(1, 301):
-        q = gen.standard_normal((d, 9)) ** 2 * 10.0 ** gen.uniform(-12, 12, (d, 9))
-        q[:, 0] = 0.0
-        q[gen.random((d, 9)) < 0.2] = 0.0
-        rows = np.ascontiguousarray(q.T)
-        want = np.add.reduce(rows, axis=-1)
-        assert chaining._sum_rows_pairwise(chaining._pairwise_columns(rows)).tobytes() == want.tobytes(), d
+        x = gen.standard_normal((9, d)) * 10.0 ** gen.uniform(-6, 6, (9, d))
+        x[gen.random((9, d)) < 0.2] = 0.0
+        for centers, counts in (([0], [2]), ([0, 4], [4, 5])):
+            rows = x[: sum(counts)]
+            want = np.cumsum((rows - np.repeat(rows[centers], counts, axis=0)) ** 2, axis=-1)[:, -1]
+            got = chaining._squared_distances(np.ascontiguousarray(rows.T), np.array(centers), np.array(counts))
+            assert got.tobytes() == want.tobytes(), d
 
 
-def _sum_or_overflow(sum_rows, q):
+def _sum_or_overflow(total):
     with np.errstate(over="raise"):
         try:
-            return sum_rows(q).tobytes()
+            return total().tobytes()
         except FloatingPointError:
             return "overflow"
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 17, 128, 129, 136, 300])
-def test_pairwise_row_sums_overflow_where_add_reduce_does(d):
-    # terms near float64's largest value / d: whether a sum overflows turns on its rounding order
+def test_squared_distances_overflow_where_an_index_order_sum_does(d):
+    # squares near float64's largest value / d: whether a sum overflows turns on its rounding order
     gen = np.random.default_rng(d)
     outcomes = set()
     for _ in range(40):
-        q = np.minimum(gen.uniform(0.5, 1.5, (d, 1)), d) * (np.finfo(float).max / d)  # each term finite
-        rows = np.ascontiguousarray(q.T)
-        want = _sum_or_overflow(lambda x: np.add.reduce(x, axis=-1), rows)
-        assert _sum_or_overflow(chaining._sum_rows_pairwise, chaining._pairwise_columns(rows)) == want
+        far = np.sqrt(np.minimum(gen.uniform(0.5, 1.5, d), d) * (np.finfo(float).max / d))
+        xt = np.stack([np.zeros(d), far], axis=1)  # the origin and the far point, as columns
+        want = _sum_or_overflow(lambda: np.cumsum(far * far)[-1:])
+        assert _sum_or_overflow(lambda: chaining._squared_distances(xt, np.array([0]), np.array([2]))[1:]) == want
         outcomes.add(want == "overflow")
     assert outcomes == {True, False} or d == 1
 
 
 @st.composite
 def _split_forests(draw):
-    """Forests at d in {1, 2, 7, 8, 9, 16, 129}: normal, integer grids, underflowing or overflowing squares."""
+    """Forests at d in {1, 2, 7, 8, 9, 16, 129}: normal, integer or 0.1 grids, underflowing or overflowing squares."""
     dim = draw(st.sampled_from([1, 2, 7, 8, 9, 16, 129]))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sets = []
     for _ in range(draw(st.integers(1, 4))):
         count = draw(st.integers(1, 30))
-        style = draw(st.sampled_from(["normal", "grid", "tiny", "huge"]))
+        style = draw(st.sampled_from(["normal", "grid", "decimal", "tiny", "huge"]))
         if style == "normal":
             rows = gen.standard_normal((count, dim)) * 10.0 ** gen.uniform(-3, 3, (count, 1))
         elif style == "grid":  # exact distance ties
             rows = gen.integers(-2, 3, (count, dim)).astype(float)
+        elif style == "decimal":  # inexact ties: the summation order picks the last bit
+            rows = np.round(gen.standard_normal((count, dim)), 1)
         elif style == "tiny":  # every squared difference underflows to 0
             rows = gen.integers(-3, 4, (count, dim)) * 1e-170
         else:  # some squared distances overflow, some do not
@@ -932,7 +935,7 @@ def _split_outcome(split, coords, level, alloc):
 def test_the_column_major_split_matches_the_row_major_reference(forest):
     sets, block_bytes = forest
     coords = np.concatenate(sets)
-    coords_t = chaining._pairwise_columns(coords)
+    coords_t = np.ascontiguousarray(coords.T)
     counts = np.array([len(rows) for rows in sets])
     level, tree = TreeLevel(np.arange(len(coords)), counts, np.cumsum(counts) - counts), np.arange(len(counts))
     lvl = 0

@@ -311,6 +311,11 @@ def test_matrix_and_point_arrays_are_readonly():
         (np.empty((0, 2)), "no points"),
         (np.array([[1.0], [math.nan]]), "point 1: coordinate 0 is not finite"),
         (np.ones(3), "rows"),
+        # rows a ragged object array, a number beyond float64, a dict or a string: never coerced
+        (np.array([[1.0, 2.0], [3.0]], dtype=object), "set 'bad' mixes dimensions"),
+        (np.array([[1.0, 2.0], [10**400, 1.0]], dtype=object), "set 'bad': point 1: int too large to convert"),
+        ([[1.0, 2.0], [{}, 1.0]], "set 'bad': point 1 has a coordinate that is not a number"),
+        ([[1.0, 2.0], ["1.0", 2.0]], "set 'bad': point 1 has a coordinate that is not a number"),
     ],
 )
 def test_finite_set_validation_messages(points, match):
