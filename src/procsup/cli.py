@@ -346,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="moment decompositions and the sandwich check")
     p.add_argument("--set", required=True, metavar="PATH")
     p.add_argument("--p", type=int, nargs="+", default=[1, 2, 4, 8],
-                   help="moment orders, integers >= 1 (default: 1 2 4 8); non-integer exact orders are "
-                        "library-only (bernoulli_exact_norms)")
+                   help="moment orders, integers >= 1 (default: 1 2 4 8); integers 1..1024 where exact "
+                        "norms are computed (d <= 20)")
     _add_report_flags(p)
     p.set_defaults(handler=cmd_moments)
 

@@ -9,9 +9,9 @@ of rows:
 * :func:`proxy_norms`, a closed-form *proxy* for the Bernoulli norm: the
   ``p`` largest magnitudes of each row (an l1 head, one ``np.partition``)
   plus ``sqrt(p)`` times the l2 norm of the rest; within a factor 4,
-* :func:`bernoulli_exact_norms` (dimension-capped): the cosh series at even
-  integer orders ``2 <= p <= COSH_MAX_ORDER``, meet in the middle at odd
-  integer orders ``1 <= p <= MEET_MAX_ORDER``, sign enumeration at others,
+* :func:`bernoulli_exact_norms` (dimension-capped), at integer orders
+  ``1 <= p <= EXACT_MAX_ORDER``: the cosh series at even orders, meet in
+  the middle at odd ones,
 * :func:`gaussian_norms`, the Gamma-function formula (one ``vecdot``),
 * :func:`mc_norms`, seeded Monte Carlo with delta-method standard errors.
 
@@ -72,15 +72,10 @@ _BLOCK_BYTES = 8 << 20
 #: below 4 the transposed block costs more than the faster reduction saves.
 _POINT_MAJOR_PATTERNS = 8
 
-#: Largest even order the cosh series serves.  Its recurrence needs the
-#: binomials ``C(p, 2l)``, at most ``C(1024, 512) ~ 4.5e306`` here; the
-#: middle binomial outgrows float64 from ``C(1030, 515)`` on.
-COSH_MAX_ORDER = 1024
-
-#: Largest odd order the meet-in-the-middle route serves, the range its
-#: equality tests against enumeration cover; enumeration serves the odd
-#: orders above it.
-MEET_MAX_ORDER = 31
+#: Largest order of an exact Bernoulli norm.  Both routes need the binomials
+#: ``C(p, j)``, at most ``C(1024, 512) ~ 4.5e306`` here; the middle binomial
+#: outgrows float64 from ``C(1030, 515)`` on.
+EXACT_MAX_ORDER = 1024
 
 
 def _finite_rows(ts) -> np.ndarray:
@@ -208,17 +203,17 @@ def signed_row_sums(m: np.ndarray, row_major: bool = False) -> Iterator[np.ndarr
             yield (high[:, None, :] + low[None, :, :]).reshape(-1, n)
 
 
-def _is_cosh_order(q: float) -> bool:
-    """Whether the cosh series serves the checked order ``q``: an even integer up to ``COSH_MAX_ORDER``."""
-    return q <= COSH_MAX_ORDER and q % 2.0 == 0.0
+def _check_exact_order(p) -> int:
+    """``p`` as an int, if an exact Bernoulli norm serves it: an integer ``1 <= p <= EXACT_MAX_ORDER``."""
+    q = float(p)
+    if not (1.0 <= q <= EXACT_MAX_ORDER and q.is_integer()):
+        raise ParameterError(f"exact Bernoulli norms need an integer moment order 1 <= p <= {EXACT_MAX_ORDER}, got {p}")
+    return int(q)
 
 
 def bernoulli_exact_route(p) -> str:
-    """The route of an exact Bernoulli norm of order ``p``: cosh-series, meet-in-the-middle or enumeration."""
-    q = _check_moment_order(p)
-    if _is_cosh_order(q):
-        return "cosh-series"
-    return "meet-in-the-middle" if q <= MEET_MAX_ORDER and q % 2.0 == 1.0 else "enumeration"
+    """The route of an exact Bernoulli norm of order ``p``: cosh-series if even, meet-in-the-middle if odd."""
+    return "meet-in-the-middle" if _check_exact_order(p) % 2 else "cosh-series"
 
 
 @functools.lru_cache(maxsize=16)
@@ -236,7 +231,7 @@ def _even_binomials(half: int) -> np.ndarray:
 
 
 def _cosh_norms(rows: np.ndarray, scales: np.ndarray, qs) -> np.ndarray:
-    """``||B_t||_q`` for every row ``t`` of ``rows`` (l1 norms ``scales``) at every even order in ``qs``.
+    """``||B_t||_q`` for every row ``t`` of ``rows`` (l1 norms ``scales``) at every even integer order in ``qs``.
 
     With ``x_i = (t_i / ||t||_1)^2`` and ``M_j = E (B_t / ||t||_1)^(2j)``,
     each coordinate in turn updates ``M_j <- sum_{l <= j} C(2j, 2l) x_i^l
@@ -247,7 +242,7 @@ def _cosh_norms(rows: np.ndarray, scales: np.ndarray, qs) -> np.ndarray:
     so a row of a batch gets the bits of a one-row call.  The result has
     shape ``(k, len(qs))``; a zero row gives 0.
     """
-    half = int(max(qs)) // 2
+    half = max(qs) // 2
     binomials = _even_binomials(half)
     us = np.abs(rows) / np.where(scales > 0.0, scales, 1.0)[:, None]
     powers = 2 * np.arange(half + 1)
@@ -260,7 +255,7 @@ def _cosh_norms(rows: np.ndarray, scales: np.ndarray, qs) -> np.ndarray:
     norms = np.empty((len(rows), len(qs)))
     for c, q in enumerate(qs):
         # Python floats, so one row rounds exactly as a scalar computation would.
-        ms = padded[:, half - int(q) // 2].tolist()
+        ms = padded[:, half - q // 2].tolist()
         norms[:, c] = [scale * m ** (1.0 / q) for scale, m in zip(scales.tolist(), ms)]
     return norms
 
@@ -272,8 +267,16 @@ def _powers(x: np.ndarray, top: int) -> np.ndarray:
     return np.cumprod(table, axis=1)
 
 
+def _binomials(p: int) -> np.ndarray:
+    """``C(p, j)`` for ``j = 0..p``: exact integers by the multiplicative recurrence, each rounded once."""
+    row = [1]
+    for j in range(p):
+        row.append(row[-1] * (p - j) // (j + 1))
+    return np.array([float(c) for c in row])
+
+
 def _meet_norms(rows: np.ndarray, scales: np.ndarray, qs) -> np.ndarray:
-    """``||B_t||_q`` for every row ``t`` of ``rows`` (l1 norms ``scales``) at every odd order in ``qs``.
+    """``||B_t||_q`` for every row ``t`` of ``rows`` (l1 norms ``scales``) at every odd integer order in ``qs``.
 
     Each nonzero row is flipped so that its first nonzero coordinate is
     positive, divided by its l1 norm and split in halves: the
@@ -291,9 +294,8 @@ def _meet_norms(rows: np.ndarray, scales: np.ndarray, qs) -> np.ndarray:
     orders, ``c`` and ``-c`` give the same bits, and a zero row gives 0.
     """
     k, d = rows.shape
-    orders = [int(q) for q in qs]
-    top = max(orders)
-    binomials = [np.array([float(math.comb(p, j)) for j in range(p + 1)]) for p in orders]
+    top = max(qs)
+    binomials = [_binomials(p) for p in qs]
     norms = np.zeros((k, len(qs)))
     for i in np.flatnonzero(scales):
         t, scale = rows[i], float(scales[i])
@@ -307,62 +309,39 @@ def _meet_norms(rows: np.ndarray, scales: np.ndarray, qs) -> np.ndarray:
             step *= 2
         diffs = prefix[-1] - 2.0 * prefix[np.searchsorted(b, -a)]
         powers = _powers(a, top)
-        for c, (p, binomial) in enumerate(zip(orders, binomials)):
+        for c, (p, binomial) in enumerate(zip(qs, binomials)):
             terms = powers[:, p::-1] * diffs[:, : p + 1] * binomial
             norms[i, c] = scale * (float(terms.sum(axis=1).sum()) / (1 << (d - 1))) ** (1.0 / p)
     return norms
 
 
-def _enumerated_norms(rows: np.ndarray, scales: np.ndarray, qs) -> np.ndarray:
-    """``||B_t||_q`` for every row ``t`` of ``rows`` (l1 norms ``scales``) at every order in ``qs``.
-
-    One enumeration of each nonzero row's ``2^(d-1)`` sign patterns serves
-    every order.  The patterns do not depend on the order, so each block of
-    sign sums is scaled once and raised to each order in turn: the bits of a
-    pass per order.  A zero row gives 0.
-    """
-    k, d = rows.shape
-    norms = np.zeros((k, len(qs)))
-    for i in np.flatnonzero(scales):
-        scale = float(scales[i])  # the largest |sum|, so no power overflows
-        parts: list[list[float]] = [[] for _ in qs]
-        for s in signed_row_sums(rows[i, :, None]):
-            a = np.abs(s) / scale
-            for part, q in zip(parts, qs):
-                part.append(float((a**q).sum()))
-        for c, (part, q) in enumerate(zip(parts, qs)):
-            norms[i, c] = scale * (sum(part) / (1 << (d - 1))) ** (1.0 / q)
-    return norms
-
-
 #: Each exact route's evaluator, by the name :func:`bernoulli_exact_route` gives it.
-_EXACT_ROUTES = {"cosh-series": _cosh_norms, "meet-in-the-middle": _meet_norms, "enumeration": _enumerated_norms}
+_EXACT_ROUTES = {"cosh-series": _cosh_norms, "meet-in-the-middle": _meet_norms}
 
 
 def bernoulli_exact_norms(rows, ps) -> np.ndarray:
     """``||B_t||_p`` for every row ``t`` of the ``(k, d)`` matrix ``rows`` at every order in ``ps``.
 
     The result has shape ``(k, len(ps))``.  Only available for d <=
-    ``EXACT_ENUMERATION_MAX_DIM`` (an empty batch needs no oracle); any real
-    p >= 1.  Each order goes to its :func:`bernoulli_exact_route`, exact up
-    to rounding: even integer orders up to ``COSH_MAX_ORDER`` to one
-    cosh-series pass over all rows (``O(d p^2)`` per row); odd integer
-    orders up to ``MEET_MAX_ORDER`` to meet in the middle, one sort and
-    prefix table of ``2^floor(d/2)`` half-sums per nonzero row, shared by
-    those orders; every other order to one enumeration of each nonzero
-    row's ``2^(d-1)`` sign patterns, shared by those orders.  A route runs
-    only when one of its orders is asked for.  A value depends on neither
-    the other rows nor the other orders of the call.  An l1 norm that
-    overflows float64 is a :class:`ParameterError`.
+    ``EXACT_ENUMERATION_MAX_DIM`` (an empty batch needs no oracle) and
+    integer orders ``1 <= p <= EXACT_MAX_ORDER``; any other order is a
+    :class:`ParameterError` before any work.  Each order goes to its
+    :func:`bernoulli_exact_route`, exact up to rounding: even orders to one
+    cosh-series pass over all rows (``O(d p^2)`` per row), odd orders to
+    meet in the middle, one sort and prefix table of ``2^floor(d/2)``
+    half-sums per nonzero row, shared by those orders.  A route runs only
+    when one of its orders is asked for.  A value depends on neither the
+    other rows nor the other orders of the call.  An l1 norm that overflows
+    float64 is a :class:`ParameterError`.
     """
+    qs = [_check_exact_order(p) for p in ps]
+    routes = [bernoulli_exact_route(q) for q in qs]
     rows = _finite_rows(rows)
-    qs = [_check_moment_order(p) for p in ps]
     k, d = rows.shape
     if k and d > EXACT_ENUMERATION_MAX_DIM:
         raise CapacityError(f"exact Bernoulli norm needs dim <= {EXACT_ENUMERATION_MAX_DIM}, got {d}")
     scales = _norms(rows, 1)
     norms = np.zeros((k, len(qs)))
-    routes = [bernoulli_exact_route(q) for q in qs]
     for route, route_norms in _EXACT_ROUTES.items():
         cols = [c for c, r in enumerate(routes) if r == route]
         if cols:
@@ -536,12 +515,12 @@ class MomentModel:
     def norms(self, ts: np.ndarray, p) -> np.ndarray:
         """``||X_t||_p`` for every row ``t`` of the ``(k, d)`` array ``ts``: one call of this model's route.
 
-        The proxy takes the order ``int(p)``.  A row's value does not depend
+        The proxy and the exact route take integer orders only.  A row's value does not depend
         on the other rows, except under Monte Carlo: there the rows share
         one :func:`mc_norms` stream, so their estimates are correlated.
         """
         if self.kind is ModelKind.BERNOULLI_PROXY:
-            return proxy_norms(ts, int(p))[2]
+            return proxy_norms(ts, p)[2]
         if self.kind is ModelKind.BERNOULLI_EXACT:
             return bernoulli_exact_norms(ts, (p,))[:, 0]
         if self.kind is ModelKind.GAUSSIAN_EXACT:

@@ -205,7 +205,8 @@ def weak_moment_constant(
     stacked and deduplicated up to sign (``c`` and ``-c`` have the same
     norms, bit for bit, so ``+e_j`` and ``-e_j`` share one), then evaluated
     at all orders in one call: exactly up to the term-count cap
-    (:func:`bernoulli_exact_norms`), by the proxy beyond it.
+    (:func:`bernoulli_exact_norms`, so ``p_max <= 1024`` there), by the
+    proxy beyond it.
     """
     _check_sysmatch(x_sys, y_sys, funcs)
     if p_max < 1:

@@ -7,8 +7,8 @@ ambient norms it used), with unchanged bodies, except that the block
 budget is read from :mod:`procsup.moments` at call time, so a test that
 patches ``moments._BLOCK_BYTES`` moves both enumerators' block partition.
 ``reference_enumerated_norm`` is the exact Bernoulli norm's per-row loop
-at one order the cosh series does not serve.  The current code must give
-these bits wherever they are finite.
+at one order, which meet in the middle must match to 1e-13 relative.  The
+current code must give the other references' bits wherever they are finite.
 """
 
 import numpy as np

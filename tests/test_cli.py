@@ -73,12 +73,16 @@ def test_moments_rejects_order_zero_with_the_proxy_message(tmp_path, capsys, ord
     assert not out.exists()
 
 
-def test_moments_rows_name_their_exact_route(tmp_path):
+def test_moments_rows_name_their_exact_route(tmp_path, capsys):
     set_path = _gen(tmp_path)
-    doc = _report(tmp_path, ["moments", "--set", str(set_path), "--p", "1", "2", "3", "4", "1024", "1026"])
+    doc = _report(tmp_path, ["moments", "--set", str(set_path), "--p", "1", "2", "3", "4", "33", "1024"])
     routes = {row["p"]: row["bernoulli_route"] for row in doc["results"]["rows"]}
     assert routes == {1: "meet-in-the-middle", 2: "cosh-series", 3: "meet-in-the-middle", 4: "cosh-series",
-                      1024: "cosh-series", 1026: "enumeration"}
+                      33: "meet-in-the-middle", 1024: "cosh-series"}
+    out = tmp_path / "over.json"  # no exact route serves an order above 1024
+    assert _run(["moments", "--set", str(set_path), "--p", "2", "1026", "--out", str(out)]) == 2
+    assert "exact Bernoulli norms need an integer moment order 1 <= p <= 1024, got 1026" in capsys.readouterr().err
+    assert not out.exists()
     wide = _gen(tmp_path, "wide.set", dim=21, count=2)
     doc = _report(tmp_path, ["moments", "--set", str(wide), "--p", "2"], "wide.json")
     assert all("bernoulli_exact" not in row and "bernoulli_route" not in row for row in doc["results"]["rows"])

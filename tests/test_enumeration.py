@@ -4,8 +4,8 @@
 holds at least ``_POINT_MAJOR_PATTERNS`` sign patterns per column, and
 row-major otherwise or on request (the euclidean strong moment asks).
 Every block must hold the same values as the row-major reference enumerator
-(``tests/enumeration_reference.py``), and the exact supremum, strong moment
-and enumerated norm must keep the reference's bits: on both sides of the
+(``tests/enumeration_reference.py``), and the exact supremum and strong
+moment must keep the reference's bits: on both sides of the
 layout switch and exactly at it, over many blocks and one-pattern blocks,
 with signed zeros and tied coordinates, and under both ambient norms.
 """
@@ -34,7 +34,6 @@ from procsup.suprema import EXACT_SUP_MAX_SUMS, brute_force_bernoulli_sup, mc_su
 
 from enumeration_reference import (
     reference_bernoulli_sup,
-    reference_enumerated_norm,
     reference_norm_of,
     reference_signed_row_sums,
     reference_strong_moment,
@@ -155,19 +154,14 @@ def test_ambient_norms_of_every_block_keep_the_reference_bits(monkeypatch, norm,
         assert system.norm_of(block).tobytes() == reference_norm_of(norm, ref).tobytes()
 
 
-@given(
-    st.integers(min_value=1, max_value=14),
-    st.sampled_from([1.5, 2.5, 33]),  # the orders enumeration still serves
-    st.sampled_from(["default", "one", "switch"]),
-    st.sampled_from(["generic", "ties", "zeros"]),
-    st.integers(min_value=0, max_value=2**32),
-)
-def test_enumerated_norms_keep_the_reference_bits(d, q, rows, style, seed):
-    t = _matrix(seed, (1, d), style)[0]
-    if not np.abs(t).sum():
-        t[0] = 1.0
-    with _patched(_block_bytes(1, rows)):
-        assert _bits(bernoulli_exact_norms(t[None, :], (q,))[0, 0]) == _bits(reference_enumerated_norm(t, q))
+@pytest.mark.parametrize("q", [1.5, 2.5, 1025, 2048])  # orders the exact norm's sign enumeration served
+def test_exact_norms_refuse_the_orders_enumeration_served(monkeypatch, q):
+    monkeypatch.setattr(moments, "signed_row_sums", None)  # never reached
+    t = _matrix(0, (1, 20), "generic")
+    message = f"^exact Bernoulli norms need an integer moment order 1 <= p <= 1024, got {q}$"
+    with pytest.raises(ParameterError, match=message):
+        bernoulli_exact_norms(t, (1, 2, q))
+    assert bernoulli_exact_norms(t, (33, 1023, 1024)).shape == (1, 3)  # meet in the middle and the cosh series
 
 
 # --- sets whose sums leave float64 ---

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from procsup import moments, rng
-from procsup.chaining import build_partition_greedy, chain_bound
-from procsup.core import FiniteSet, ProcessKind, Seed, generate_set
+from procsup.core import FiniteSet, ProcessKind, Seed
 from procsup.errors import CapacityError, ParameterError, ValidationError
 from procsup.moments import (
     ModelKind,
@@ -137,7 +136,7 @@ def test_bernoulli_exact_dimension_cap():
         bernoulli_exact_norms(np.ones((1, 21)), (2, 0.5))
 
 
-# --- several orders from one enumeration ---
+# --- several orders in one call ---
 
 
 _ROUTE_TOLERANCES = {"cosh-series": 1e-12, "meet-in-the-middle": 1e-13}
@@ -154,15 +153,10 @@ def _one_order_reference(t, p):
 
 
 def _assert_matches_reference(t, ps, got):
-    # Orders that enumeration serves keep its bits; meet in the middle's odd
-    # orders agree with it to 1e-13 relative, the cosh series' even ones to 1e-12.
+    # Meet in the middle's odd orders agree with enumeration to 1e-13 relative, the cosh series' even ones to 1e-12.
     for p, value in zip(ps, got):
         want = _one_order_reference(t, p)
-        route = moments.bernoulli_exact_route(p)
-        if route == "enumeration":
-            assert value == want
-        else:
-            assert value == pytest.approx(want, rel=_ROUTE_TOLERANCES[route], abs=0.0)
+        assert value == pytest.approx(want, rel=_ROUTE_TOLERANCES[bernoulli_exact_route(p)], abs=0.0)
 
 
 magnitudes = st.sampled_from([0.0, -0.0, 1e-5, 3e-3, 0.7, 1.0, 2.0, 3.0, 41.5, 1e5])
@@ -171,9 +165,7 @@ entries = st.one_of(
     st.tuples(magnitudes, st.sampled_from([1.0, -1.0])).map(lambda ms: ms[0] * ms[1]),
     st.floats(min_value=-1e5, max_value=1e5, allow_nan=False),
 )
-order_lists = st.lists(
-    st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 16, 1.5, 2.5, 7.25, 1.0]), min_size=1, max_size=8
-)
+order_lists = st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 16, 33, 1.0]), min_size=1, max_size=8)
 
 
 @given(st.lists(entries, min_size=1, max_size=14), order_lists, st.booleans())
@@ -195,7 +187,7 @@ def test_norms_of_c_and_minus_c_are_equal_bit_for_bit(xs, ps):
 
 def test_norms_exact_at_twenty_terms_and_for_no_orders():
     t = rng.standard_normal(rng.stream(7, "twenty"), 20)
-    ps = (1, 2, 3, 8, 2, 1.5)
+    ps = (1, 2, 3, 8, 2, 33)
     _assert_matches_reference(t, ps, bernoulli_exact_norms(t[None, :], ps)[0].tolist())
     assert bernoulli_exact_norms(t[None, :], ()).shape == (1, 0)
     assert bernoulli_exact_norms(np.array([[0.0, -0.0]]), (1, 3)).tolist() == [[0.0, 0.0]]
@@ -209,11 +201,12 @@ even_orders = st.sampled_from([2, 4, 6, 8, 10, 16, 32, 64, 100, 128, 256, 512, 1
 
 def test_exact_route_is_the_cosh_series_for_even_integer_orders_up_to_1024():
     assert [bernoulli_exact_route(p) for p in (2, 4.0, 32, 1000, 1024)] == ["cosh-series"] * 5
-    assert [bernoulli_exact_route(p) for p in (1, 3, 5.0, 7, 29, 31)] == ["meet-in-the-middle"] * 6
-    assert [bernoulli_exact_route(p) for p in (1.5, 2.5, 7.25, 33, 1025, 1026, 2048)] == ["enumeration"] * 7
-    assert (moments.COSH_MAX_ORDER, moments.MEET_MAX_ORDER) == (1024, 31)
-    with pytest.raises(ParameterError, match="moment order"):
-        bernoulli_exact_route(0.5)
+    assert [bernoulli_exact_route(p) for p in (1, 3, 5.0, 7, 29, 31, 33, 1023)] == ["meet-in-the-middle"] * 8
+    assert moments.EXACT_MAX_ORDER == 1024
+    for p in (1.5, 2.5, 7.25, 1025, 1026, 2048, 0.5):
+        with pytest.raises(ParameterError, match=f"^exact Bernoulli norms need an integer moment order "
+                                                 f"1 <= p <= 1024, got {p}$"):
+            bernoulli_exact_route(p)
 
 
 @given(st.lists(entries, min_size=1, max_size=14), st.lists(even_orders, min_size=1, max_size=6))
@@ -259,44 +252,24 @@ def test_cosh_series_edge_rows():
         model.norms(np.array([[1.0, np.nan]]), 2)
 
 
-def _count_passes(monkeypatch):
-    passes = []
-    enumerate_signs = moments.signed_row_sums
+@pytest.mark.parametrize("p", [0.5, 1.5, 2.5, 7.25, 1025, 1026, 2048, math.inf, math.nan])
+def test_out_of_domain_orders_raise_before_any_work(monkeypatch, p):
+    def never(*args, **kwargs):
+        raise AssertionError("an exact norm did work for an order outside its domain")
 
-    def counting(m):
-        passes.append(m.shape)
-        return enumerate_signs(m)
-
-    monkeypatch.setattr(moments, "signed_row_sums", counting)
-    return passes
-
-
-def test_even_orders_make_no_enumeration_pass(monkeypatch):
-    passes = _count_passes(monkeypatch)
-    ts = generate_set("random_sphere", 20, 24, Seed(3))
-    bound = chain_bound(ts, build_partition_greedy(ts), MomentModel.bernoulli_exact())
-    assert bound.tree.depth >= 2 and passes == []
-    t = ts.matrix[:1]
-    bernoulli_exact_norms(t, (2, 4, 8))
-    assert passes == []
-
-
-def test_odd_orders_up_to_the_cap_make_no_enumeration_pass(monkeypatch):
-    passes = _count_passes(monkeypatch)
-    t = generate_set("random_sphere", 20, 2, Seed(3)).matrix
-    bernoulli_exact_norms(t, range(1, moments.MEET_MAX_ORDER + 1))
-    assert passes == []
-    bernoulli_exact_norms(t[:1], (2.5,))
-    bernoulli_exact_norms(t[:1], (moments.MEET_MAX_ORDER + 2,))
-    assert passes == [(20, 1)] * 2
-    passes.clear()
-    bernoulli_exact_norms(t, (1, 2.5, 3, 33, 4))  # one pass per row serves both enumerated orders
-    assert passes == [(20, 1)] * 2
+    for name in ("_finite_rows", "_norms", "signed_row_sums"):
+        monkeypatch.setattr(moments, name, never)
+    for route in moments._EXACT_ROUTES:
+        monkeypatch.setitem(moments._EXACT_ROUTES, route, never)
+    with pytest.raises(ParameterError, match="^exact Bernoulli norms need an integer moment order 1 <= p <= 1024"):
+        bernoulli_exact_norms(np.full((1, 21), np.nan), (1, 2, p))  # over the cap and not finite, too
 
 
 # --- odd orders by meet in the middle ---
 
-odd_orders = st.lists(st.sampled_from(range(1, 32, 2)), min_size=1, max_size=4)
+# every odd order up to 31, and some up to the top of the exact domain
+_ODD_ORDERS = (*range(1, 32, 2), 33, 63, 255, 1023)
+odd_orders = st.lists(st.sampled_from(_ODD_ORDERS), min_size=1, max_size=4)
 # zero, repeated and mixed-scale coordinates: spikes among tiny ones, grid ties, the full float range
 meet_entries = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-9, -3e-12, 5.0, 1e9]),
@@ -324,7 +297,7 @@ def test_meet_in_the_middle_equals_enumeration_to_1e_13(xs, ps):
     np.ldexp(rng.standard_normal(rng.stream(10, "meet-scales"), 20), np.arange(-40, 40, 4)),
 ], ids=["one-term", "all-ones", "spike", "zeros-and-ties", "mixed-scales"])
 def test_meet_in_the_middle_edge_rows(t):
-    ps = range(1, moments.MEET_MAX_ORDER + 1, 2)
+    ps = _ODD_ORDERS
     got = bernoulli_exact_norms(t[None, :], ps)[0]
     for p, value in zip(ps, got):
         assert value == pytest.approx(reference_enumerated_norm(t, p), rel=1e-13, abs=0.0)
@@ -343,14 +316,14 @@ def test_meet_batch_rows_equal_one_row_calls_and_minus_rows_bit_for_bit(m, ps):
 def test_meet_norms_of_c_and_minus_c_are_equal_bit_for_bit_at_twenty_terms():
     # generic rows: without the flip to a positive first coordinate, some orders differ in the last bit
     m = rng.standard_normal(rng.stream(11, "meet-orders"), (8, 20))
-    ps = range(1, moments.MEET_MAX_ORDER + 1, 2)
+    ps = _ODD_ORDERS
     assert bernoulli_exact_norms(-m, ps).tobytes() == bernoulli_exact_norms(m, ps).tobytes()
 
 
 def test_an_odd_order_does_not_depend_on_the_orders_beside_it():
     m = rng.standard_normal(rng.stream(11, "meet-orders"), (3, 20))
     alone = bernoulli_exact_norms(m, (3,))
-    assert alone[:, 0].tobytes() == bernoulli_exact_norms(m, (1, 3, 2.5))[:, 1].tobytes()
+    assert alone[:, 0].tobytes() == bernoulli_exact_norms(m, (1, 3, 1023))[:, 1].tobytes()
     assert alone[:, 0].tobytes() == bernoulli_exact_norms(m, (31, 3, 2))[:, 1].tobytes()
 
 
@@ -478,6 +451,11 @@ def test_moment_model_routes_match_direct_calls():
     assert MomentModel.bernoulli_exact().norms(t, 3).tobytes() == bernoulli_exact_norms(t, (3,))[:, 0].tobytes()
     assert MomentModel.gaussian_exact().norms(t, 3).tobytes() == gaussian_norms(t, 3).tobytes()
     assert MomentModel.bernoulli_proxy().norms(t, 3).tobytes() == proxy_norms(t, 3)[2].tobytes()
+    # a non-integer order raises what the direct call raises, rather than running at a truncated order
+    for model, message in [(MomentModel.bernoulli_proxy(), "^p must be an integer, got 2.5$"),
+                           (MomentModel.bernoulli_exact(), "^exact Bernoulli norms need an integer moment order ")]:
+        with pytest.raises(ParameterError, match=message):
+            model.norms(t, 2.5)
 
 
 @pytest.mark.parametrize("model", [
@@ -721,8 +699,8 @@ def test_gaussian_rows_equal_the_one_vector_reference_bit_for_bit(m, p):
 
 
 def _assert_exact_rows_match(got: np.ndarray, want: np.ndarray, ps) -> None:
-    # The one-vector reference's cosh series and enumeration keep their bits;
-    # its odd orders up to the cap moved to meet in the middle, within 1e-13.
+    # The one-vector reference's cosh series keeps its bits; it enumerates
+    # the odd orders, which meet in the middle matches within 1e-13.
     assert got.shape == want.shape
     for c, p in enumerate(ps):
         if bernoulli_exact_route(p) == "meet-in-the-middle":
@@ -746,13 +724,13 @@ def test_exact_rows_equal_the_one_vector_reference_bit_for_bit(m, ps, small_bloc
 
 def test_exact_rows_at_twenty_terms_and_over_the_cap():
     m = rng.standard_normal(rng.stream(9, "exact-rows-twenty"), (2, 20))
-    ps = (1, 3, 2.5, 8, 33)
+    ps = (1, 3, 8, 33)
     want = np.array([reference_bernoulli_norms_exact(row, ps) for row in m])
     _assert_exact_rows_match(bernoulli_exact_norms(m, ps), want, ps)
     for d in (21, 24):
         with pytest.raises(CapacityError, match=f"^exact Bernoulli norm needs dim <= 20, got {d}$"):
             bernoulli_exact_norms(np.ones((1, d)), ps)
-    assert bernoulli_exact_norms(np.ones((0, 24)), ps).shape == (0, 5)  # an empty batch needs no oracle
+    assert bernoulli_exact_norms(np.ones((0, 24)), ps).shape == (0, 4)  # an empty batch needs no oracle
 
 
 @pytest.mark.parametrize("call, message", [

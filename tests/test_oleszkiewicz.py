@@ -192,7 +192,7 @@ def test_system_load_rejects_values_it_would_have_to_coerce(tmp_path, dim, rows,
         load_vector_system(path)
 
 
-# --- weak moments: every order from one enumeration per distinct vector ---
+# --- weak moments: every order from one route call per distinct vector ---
 
 
 def _reference_coefficient_norm(coeffs, p):
@@ -258,6 +258,14 @@ def test_weak_moment_constant_matches_the_per_order_loop_at_twenty_terms():
     funcs = generate_functionals(NormKind.SUP, 2, 0, Seed(0))
     got = weak_moment_constant(x_sys, y_sys, funcs, p_max=3)
     assert got == _reference_weak_moment_constant(x_sys, y_sys, funcs, p_max=3)
+
+
+def test_weak_moment_constant_takes_exact_orders_up_to_1024_at_twenty_terms():
+    x_sys, y_sys = _random_system(11, 20, 2), _random_system(12, 20, 2)
+    funcs = generate_functionals(NormKind.SUP, 2, 0, Seed(0))
+    with pytest.raises(ParameterError, match="^exact Bernoulli norms need an integer moment order 1 <= p <= 1024, got "
+                                             "1025$"):
+        weak_moment_constant(x_sys, y_sys, funcs, p_max=1025)
 
 
 def test_weak_moment_constant_evaluates_each_vector_once_up_to_sign(monkeypatch):
