@@ -37,6 +37,7 @@ from .moments import (
     mc_norms,
     proxy_norms,
 )
+from .reports import record
 from .suprema import brute_force_bernoulli_sup, mc_sup
 
 #: Seed used when none is given; any u64 works, results stay deterministic.
@@ -57,12 +58,7 @@ class CriterionResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] criterion {self.number}: {self.name}"
 
     def to_dict(self) -> dict:
-        return {
-            "number": self.number,
-            "name": self.name,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return record(self)
 
 
 def _mixed_vectors(seed: int, count: int, dim: int, label: str) -> np.ndarray:

@@ -66,7 +66,7 @@ from .oleszkiewicz import (
     weak_moment_constant,
     check_weak_contraction,
 )
-from .reports import build_report, safe_ratio, to_csv, to_json
+from .reports import build_report, record, safe_ratio, to_csv, to_json
 from .suprema import expected_sup
 
 _REL_SLACK = 1e-9
@@ -162,15 +162,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
 def cmd_sup(args: argparse.Namespace) -> int:
     ts = load_set(args.set)
     est = expected_sup(ProcessKind(args.kind), ts, args.samples, Seed(args.seed), exact=args.exact)
-    results = {
-        "set": ts.name,
-        "dim": ts.dim,
-        "points": len(ts),
-        "value": est.value,
-        "stderr": est.stderr,
-        "method": est.method.value,
-        "samples": est.samples,
-    }
+    results = {"set": ts.name, "dim": ts.dim, "points": len(ts), **record(est, seed=None)}
     _write_report(args, {"set": ts.content_hash()}, results)
     return 0
 
@@ -230,12 +222,7 @@ def cmd_contract(args: argparse.Namespace) -> int:
     }
     code = 0
     if check is not None:
-        results["check"] = {
-            "c": args.check_at,
-            "satisfied": check.satisfied,
-            "margin": check.margin,
-            "worst_pair": list(check.worst_pair),
-        }
+        results["check"] = {"c": args.check_at, **record(check)}
         if not check.satisfied:
             code = 3
     _write_report(args, {"source": ts.content_hash()}, results)

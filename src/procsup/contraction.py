@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import FiniteSet, ProcessKind, Seed, check_integers, distinct_rows
 from .errors import ParameterError, ValidationError
-from .reports import ComparisonReport, safe_ratio
+from .reports import ComparisonReport, record, safe_ratio
 from .suprema import expected_sup
 
 #: Constants above this are treated as "no finite constant works".
@@ -145,14 +145,7 @@ class ContractionReport:
     context: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "c_star": "infeasible" if self.c_star is None else self.c_star,
-            "p_max": self.p_max,
-            "worst_pair": list(self.worst_pair),
-            "margin": self.margin,
-            "map_label": self.map_label,
-            **({"context": self.context} if self.context else {}),
-        }
+        return record(self, c_star="infeasible" if self.c_star is None else self.c_star)
 
 
 def _trim_profiles(diffs: np.ndarray) -> np.ndarray:
@@ -235,17 +228,17 @@ def _check_order(p_max: int) -> None:
 def check_condition(pair: MappedPair, c: float, p_max: int, tol: float = 0.0) -> CheckResult:
     """Does the contraction condition hold at constant ``c`` up to order ``p_max``?
 
-    ``tol`` loosens the margin comparison (useful when the map was computed
-    in floating point and exact ties round either way); the default is
-    strict.
+    ``tol``, finite and nonnegative, loosens the margin comparison (useful
+    when the map was computed in floating point and exact ties round either
+    way); the default is strict.
     """
     if not math.isfinite(c):
         raise ParameterError(f"C must be finite, got {c}")
     if c < 1.0:
         raise ParameterError(f"the condition is defined for C >= 1, got {c}")
     _check_order(p_max)
-    if tol < 0:
-        raise ParameterError(f"tol must be nonnegative, got {tol}")
+    if not 0.0 <= tol < math.inf:  # NaN fails too
+        raise ParameterError(f"tol must be {'nonnegative' if tol < 0 else 'finite'}, got {tol}")
     result = _PairTable(pair).evaluate(c, p_max)
     if tol and not result.satisfied and result.margin <= tol:
         return CheckResult(satisfied=True, margin=result.margin, worst_pair=result.worst_pair)

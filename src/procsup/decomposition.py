@@ -32,7 +32,7 @@ from .chaining import DistanceOverflow, greedy_forest_bounds
 from .core import FiniteSet, ProcessKind, Seed, distinct_rows
 from .errors import CapacityError, ParameterError
 from .moments import _BLOCK_BYTES, MomentModel
-from .reports import ComparisonReport, safe_ratio
+from .reports import ComparisonReport, record, safe_ratio
 from .suprema import SupEstimate, expected_sup
 
 
@@ -46,6 +46,8 @@ class SplitRule:
     def __post_init__(self) -> None:
         if self.mode not in ("global", "per-point"):
             raise ParameterError(f"mode must be 'global' or 'per-point', got {self.mode!r}")
+        if not self.thresholds:
+            raise ParameterError("a split rule needs at least one threshold")
         if not all(r >= 0 for r in self.thresholds):  # NaN fails too
             raise ParameterError("thresholds must be nonnegative numbers")
         if self.mode == "global" and len(set(self.thresholds)) > 1:
@@ -129,6 +131,8 @@ class SweepEntry:
     objective: float
 
     def to_dict(self) -> dict:
+        # spelled out rather than through reports.record: a sweep writes one of these per
+        # candidate threshold, and record's walk over the fields takes about ten times as long
         return {
             "threshold": self.threshold,
             "ell1_sup": self.ell1_sup,
@@ -148,19 +152,8 @@ class DecompositionResult:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "split": self.split.to_dict(),
-            "ell1_sup": self.ell1_sup,
-            "gamma2_bound": self.gamma2_bound,
-            "objective": self.objective,
-            "s_b_reference": {
-                "value": self.s_b_reference.value,
-                "stderr": self.s_b_reference.stderr,
-                "method": self.s_b_reference.method.value,
-            },
-            "k_emp": self.k_emp,
-            **({"extras": self.extras} if self.extras else {}),
-        }
+        return record(self, split=self.split.to_dict(),
+                      s_b_reference=record(self.s_b_reference, samples=None, seed=None))
 
 
 def _row_sums(m: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ from .core import (
 from .errors import ParameterError, ParseError, ValidationError
 from .contraction import ContractionReport, MappedPair, fit_min_C
 from .moments import _norms, bernoulli_exact_norms, mc_mean, proxy_norms, signed_row_sums
-from .reports import ComparisonReport, safe_ratio
+from .reports import ComparisonReport, record, safe_ratio
 
 _DUAL_SLACK = 1e-12
 
@@ -182,13 +182,7 @@ class WeakMomentResult:
     rhs: float
 
     def to_dict(self) -> dict:
-        return {
-            "value": "inf" if math.isinf(self.value) else self.value,
-            "worst_functional": self.worst_functional,
-            "worst_p": self.worst_p,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
+        return record(self)
 
 
 def weak_moment_constant(

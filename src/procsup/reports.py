@@ -10,6 +10,10 @@ followed by its C-order little-endian float64 bytes; the rule is echoed as
 ``design_decisions.content_hash``.  Nothing time- or host-dependent is included unless
 explicitly requested, which keeps repeated runs byte-identical.
 
+Result records serialise by :func:`record`, one rule for every verb's
+sections: fields in declaration order, None and ``{}`` omitted, enums as
+their values, tuples as lists and every other value by :func:`_leaf`.
+
 :func:`to_json` (and the set-file writers, through :func:`dumps`) walks the
 document once and writes it: the bytes are those of stdlib
 ``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` after the leaf rules of
@@ -30,7 +34,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from enum import Enum
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterator, Mapping, NamedTuple
 
@@ -83,29 +88,7 @@ class ComparisonReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out: dict[str, Any] = {
-            "quantity": self.quantity,
-            "lhs_label": self.lhs_label,
-            "rhs_label": self.rhs_label,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": _encode_float(self.ratio),
-            "lhs_stderr": self.lhs_stderr,
-            "rhs_stderr": self.rhs_stderr,
-        }
-        if self.bound_factor is not None:
-            out["bound_factor"] = self.bound_factor
-        if self.violation is not None:
-            out["violation"] = self.violation
-        if self.extras:
-            out["extras"] = self.extras
-        return out
-
-
-def _encode_float(x: float) -> float | str:
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
+        return record(self)
 
 
 def _leaf(value):
@@ -121,8 +104,28 @@ def _leaf(value):
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return _encode_float(float(value))
+        value = float(value)
+        return ("inf" if value > 0 else "-inf") if math.isinf(value) else value
     return value
+
+
+def record(obj, **overrides) -> dict:
+    """The result dataclass ``obj`` as a report section.
+
+    Fields come in declaration order, each replaced by its entry in
+    ``overrides`` if it has one.  A field whose value is None or ``{}`` is
+    left out, so an override of None drops it.  An enum gives its value, a
+    tuple a list, and every other value goes through :func:`_leaf`.
+    """
+    out: dict[str, Any] = {}
+    for f in fields(obj):
+        value = overrides.get(f.name, getattr(obj, f.name))
+        if value is None or (isinstance(value, dict) and not value):
+            continue
+        if isinstance(value, Enum):
+            value = value.value
+        out[f.name] = list(value) if isinstance(value, tuple) else _leaf(value)
+    return out
 
 
 def _float_text(x: float) -> str:

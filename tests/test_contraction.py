@@ -202,6 +202,10 @@ def test_check_condition_tol_accepts_a_failure_within_it_and_keeps_its_margin():
     assert check_condition(pair, 1.0, p_max=2, tol=1e-12) == strict
     with pytest.raises(ParameterError, match=r"^tol must be nonnegative, got -1e-09$"):
         check_condition(pair, 1.0, p_max=2, tol=-1e-9)
+    # a NaN tol must not act as 0, nor an infinite one accept any margin
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match=rf"^tol must be finite, got {tol}$"):
+            check_condition(pair, 1.0, p_max=2, tol=tol)
 
 
 @pytest.mark.parametrize("name,params", [("abs", ()), ("clamp", (-0.8, 0.8)),

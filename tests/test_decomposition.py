@@ -70,8 +70,9 @@ def test_split_rejects_a_nan_radius(r):
         split_rows(np.ones((2, 2)), np.array([1.0, r]))
 
 
-@pytest.mark.parametrize("thresholds, mode", [((math.nan,), "global"), ((1.0, math.nan), "per-point")])
-def test_split_rule_rejects_nan_thresholds(thresholds, mode):
+@pytest.mark.parametrize("thresholds, mode", [((math.nan,), "global"), ((1.0, math.nan), "per-point"),
+                                              ((), "global")])
+def test_split_rule_rejects_nan_thresholds(thresholds, mode):  # and an empty rule, which has no threshold to report
     with pytest.raises(ParameterError):
         SplitRule(thresholds=thresholds, mode=mode)
 

@@ -8,8 +8,13 @@ exact models, an exhaustive ``gamma`` report on 5 points, the tree
 written alike), exact ``sup`` reports on both sides
 of the sign enumerator's block layout switch (64 points at d=20, 2 000
 points at d=12), and ``oleszkiewicz`` reports for 20-term systems under the
-sup norm (d=6) and the euclidean norm (d=9).  Regenerate a fixture only when a
-change is meant to move these bytes::
+sup norm (d=6) and the euclidean norm (d=9).  The result records each verb
+writes through :func:`~procsup.reports.record` are pinned too, in JSON and
+in CSV (whose rows keep each section's field order, which sorted JSON keys
+would hide): ``contract --check-at`` (d=6), ``decompose --per-point``
+(d=6), ``verify-t2`` (d=6) and ``suite --only 1 2 4 5 7``.  Every set has
+d <= 20, so each reference supremum is exact.  Regenerate a fixture only
+when a change is meant to move these bytes::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -27,10 +32,17 @@ from procsup.reports import dumps
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _cli_report(tmp: Path, gen: list[str], args: list[str], verb: str = "gamma") -> bytes:
-    set_path, out = tmp / "golden.set", tmp / "golden.json"
+def _cli_report(tmp: Path, gen: list[str], args: list[str], verb: str = "gamma", fmt: str = "json",
+                set_flag: str = "--set") -> bytes:
+    set_path, out = tmp / "golden.set", tmp / f"golden.{fmt}"
     assert cli.run(["gen", *gen, "--out", str(set_path)]) == 0
-    assert cli.run([verb, "--set", str(set_path), *args, "--out", str(out)]) == 0
+    assert cli.run([verb, set_flag, str(set_path), *args, "--format", fmt, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _suite_report(tmp: Path, fmt: str) -> bytes:
+    out = tmp / f"golden.{fmt}"
+    assert cli.run(["suite", "--only", "1", "2", "4", "5", "7", "--format", fmt, "--out", str(out)]) == 0
     return out.read_bytes()
 
 
@@ -55,6 +67,9 @@ _SPHERE = ["--kind", "sphere", "--dim", "8", "--count", "60", "--seed", "1"]
 _FIVE = ["--kind", "sphere", "--dim", "12", "--count", "5", "--seed", "4"]
 _SUP_64 = ["--kind", "sphere", "--dim", "20", "--count", "64", "--seed", "6"]
 _SUP_2000 = ["--kind", "sphere", "--dim", "12", "--count", "2000", "--seed", "6"]
+_CONTRACT = ["--kind", "sphere", "--dim", "6", "--count", "12", "--seed", "21"]
+_CHECK_AT = ["--map", "scale", "--map-params", "1.5", "--p-max", "3", "--check-at", "2"]
+_DECOMPOSE = ["--kind", "sphere", "--dim", "6", "--count", "6", "--seed", "2"]
 _GRID_A = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
 _GRID_B = np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 0.0], [0.0, 2.0], [1.0, 0.0]])
 
@@ -73,6 +88,20 @@ CASES = {
         lambda tmp: _oleszkiewicz_report(tmp, "sup", "6"),
     "oleszkiewicz-euclidean-d9.json":
         lambda tmp: _oleszkiewicz_report(tmp, "euclidean", "9"),
+    "contract-scale-check.json":
+        lambda tmp: _cli_report(tmp, _CONTRACT, _CHECK_AT, verb="contract", set_flag="--source"),
+    "contract-scale-check.csv":
+        lambda tmp: _cli_report(tmp, _CONTRACT, _CHECK_AT, verb="contract", fmt="csv", set_flag="--source"),
+    "decompose-per-point.json":
+        lambda tmp: _cli_report(tmp, _DECOMPOSE, ["--per-point"], verb="decompose"),
+    "decompose-per-point.csv":
+        lambda tmp: _cli_report(tmp, _DECOMPOSE, ["--per-point"], verb="decompose", fmt="csv"),
+    "verify-t2-bernoulli.json":
+        lambda tmp: _cli_report(tmp, _CONTRACT, ["--kind", "bernoulli"], verb="verify-t2"),
+    "suite-1-2-4-5-7.json":
+        lambda tmp: _suite_report(tmp, "json"),
+    "suite-1-2-4-5-7.csv":
+        lambda tmp: _suite_report(tmp, "csv"),
     "combine-sphere-tree.json":
         lambda tmp: _combined_tree(generate_set("random_sphere", 3, 4, Seed(7)),
                                    generate_set("random_sphere", 3, 5, Seed(8))),

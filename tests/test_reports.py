@@ -5,6 +5,7 @@ import enum
 import io
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from procsup.reports import (
     TreeLevel,
     build_report,
     dumps,
+    record,
     safe_ratio,
     to_csv,
     to_json,
@@ -109,6 +111,40 @@ def test_comparison_report_to_dict_encodes_inf():
     )
     assert checked.to_dict()["violation"] is False
     assert checked.to_dict()["bound_factor"] == 4.0
+    # every float field is encoded the same way, not just the ratio
+    assert ComparisonReport("q", "a", "b", lhs=math.inf, rhs=1.0, ratio=math.inf).to_dict()["lhs"] == "inf"
+
+
+class _Color(enum.Enum):
+    RED = "red"
+
+
+@dataclass(frozen=True)
+class _Record:
+    z: object = 1  # declared before a, so declaration order is not name order
+    a: object = 2
+
+
+@pytest.mark.parametrize("obj, overrides, want", [
+    (_Record(z=None), {}, [("a", 2)]),
+    (_Record(a={}), {}, [("z", 1)]),
+    (_Record(z=0, a=False), {}, [("z", 0), ("a", False)]),
+    (_Record(z=[], a=""), {}, [("z", []), ("a", "")]),
+    (_Record(z={"k": None}, a=[None]), {}, [("z", {"k": None}), ("a", [None])]),
+    (_Record(z=_Color.RED, a=(1, 2.5)), {}, [("z", "red"), ("a", [1, 2.5])]),
+    (_Record(z=math.inf, a=-math.inf), {}, [("z", "inf"), ("a", "-inf")]),
+    (_Record(z=math.nan, a=np.float64(-math.inf)), {}, [("z", math.nan), ("a", "-inf")]),
+    (_Record(z=np.float64(1.5), a=np.int64(3)), {}, [("z", 1.5), ("a", 3)]),
+    (_Record(z=np.bool_(True), a=np.float32(0.5)), {}, [("z", True), ("a", 0.5)]),
+    (_Record(), {"z": "x"}, [("z", "x"), ("a", 2)]),
+    (_Record(), {"a": None}, [("z", 1)]),
+    (_Record(), {"a": math.inf, "z": (3,)}, [("z", [3]), ("a", "inf")]),
+])
+def test_record_rules(obj, overrides, want):
+    out = record(obj, **overrides)
+    assert list(out) == [k for k, _ in want]  # declaration order, whatever the override order
+    # repr tells NaN, numpy scalars and tuples apart where == would not
+    assert repr(list(out.items())) == repr(want)
 
 
 # --- the one-pass writer against the earlier encode + json.dumps route ---
