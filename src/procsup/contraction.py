@@ -160,17 +160,23 @@ def _trim_profiles(diffs: np.ndarray) -> np.ndarray:
     return csum[:, ::-1]
 
 
-class _PairTable:
-    """Trim profiles of every source pair ``i < j`` and of its image pair, one row each."""
+def _difference_rows(pair: MappedPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Difference rows ``t_j - t_i`` of every source pair ``i < j`` and of its image pair, and the pairs."""
+    src = pair.source.matrix
+    img = pair.image.matrix[list(pair.correspondence)]
+    i, j = np.triu_indices(len(src), k=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return src[j] - src[i], img[j] - img[i], np.stack([i, j], axis=1)
 
-    def __init__(self, pair: MappedPair):
-        src = pair.source.matrix
-        img = pair.image.matrix[list(pair.correspondence)]
-        i, j = np.triu_indices(len(src), k=1)
-        self.pairs = np.stack([i, j], axis=1)
+
+class _PairTable:
+    """Trim profiles of source and image difference rows; row ``k`` of each belongs to source pair ``pairs[k]``."""
+
+    def __init__(self, src_diffs: np.ndarray, img_diffs: np.ndarray, pairs: np.ndarray):
+        self.pairs = pairs
         with np.errstate(over="ignore", invalid="ignore"):
-            self.src_prof = _trim_profiles(src[j] - src[i])
-            self.img_prof = _trim_profiles(img[j] - img[i])
+            self.src_prof = _trim_profiles(src_diffs)
+            self.img_prof = _trim_profiles(img_diffs)
         for name, prof in (("source", self.src_prof), ("image", self.img_prof)):
             bad = ~(prof[:, 0] <= _PROFILE_MAX)  # column 0 is the full squared distance; NaN is bad too
             if bad.any():
@@ -239,7 +245,7 @@ def check_condition(pair: MappedPair, c: float, p_max: int, tol: float = 0.0) ->
     _check_order(p_max)
     if not 0.0 <= tol < math.inf:  # NaN fails too
         raise ParameterError(f"tol must be {'nonnegative' if tol < 0 else 'finite'}, got {tol}")
-    result = _PairTable(pair).evaluate(c, p_max)
+    result = _PairTable(*_difference_rows(pair)).evaluate(c, p_max)
     if tol and not result.satisfied and result.margin <= tol:
         return CheckResult(satisfied=True, margin=result.margin, worst_pair=result.worst_pair)
     return result
@@ -270,6 +276,13 @@ def _least_accepted(table: _PairTable, c: float, p_max: int) -> float | None:
     return None if good >= hi else float(np.int64(good).view(np.float64))
 
 
+def _fit(table: _PairTable, p_max: int, map_label: str) -> ContractionReport:
+    """The least constant ``table`` accepts up to order ``p_max``, reported at itself or, if none is, at ``FIT_CAP``."""
+    c = _least_accepted(table, table.least_constant(p_max), p_max)
+    at = table.evaluate(FIT_CAP if c is None else c, p_max)
+    return ContractionReport(c, p_max, at.worst_pair, at.margin, map_label)
+
+
 def fit_min_C(pair: MappedPair, p_max: int | None = None) -> ContractionReport:
     """Least ``C`` satisfying the condition, in closed form.
 
@@ -282,10 +295,7 @@ def fit_min_C(pair: MappedPair, p_max: int | None = None) -> ContractionReport:
     if p_max is None:
         p_max = pair.source.dim
     _check_order(p_max)
-    table = _PairTable(pair)
-    c = _least_accepted(table, table.least_constant(p_max), p_max)
-    at = table.evaluate(FIT_CAP if c is None else c, p_max)
-    return ContractionReport(c, p_max, at.worst_pair, at.margin, pair.map_label)
+    return _fit(_PairTable(*_difference_rows(pair)), p_max, pair.map_label)
 
 
 def compare_suprema(

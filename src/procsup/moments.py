@@ -65,6 +65,10 @@ from .errors import CapacityError, ParameterError, ValidationError
 #: Byte budget of one block of sign sums or Monte Carlo products.
 _BLOCK_BYTES = 8 << 20
 
+#: Most sign sums, ``n * 2^(k-1)``, that one enumeration of a ``(k, n)``
+#: matrix may produce (about 8 000 columns at k=20, some 10 s on one core).
+EXACT_SUP_MAX_SUMS = 1 << 32
+
 #: Sign patterns per column from which blocks of sign sums are laid out
 #: point-major.  numpy reduces many short rows slowly and a few long
 #: contiguous runs fast; below this many patterns per column (above about
@@ -159,6 +163,11 @@ def _doubled(first: np.ndarray, steps) -> np.ndarray:
     return sums
 
 
+def enumerable(k: int, n: int) -> bool:
+    """Whether :func:`signed_row_sums` may enumerate a ``(k, n)`` matrix: ``k <= 20`` and ``n * 2^(k-1) <= 2^32``."""
+    return k <= EXACT_ENUMERATION_MAX_DIM and n << (k - 1) <= EXACT_SUP_MAX_SUMS
+
+
 def signed_row_sums(m: np.ndarray, row_major: bool = False) -> Iterator[np.ndarray]:
     """Yield ``sum_i eps_i m_i`` for every sign pattern with ``eps_0 = +1``.
 
@@ -220,12 +229,8 @@ def bernoulli_exact_route(p) -> str:
 def _even_binomials(half: int) -> np.ndarray:
     """Read-only ``(half + 1, half + 1)`` table of ``C(2j, 2l)`` at ``[j, l]``, zero where ``l > j``."""
     table = np.zeros((half + 1, half + 1))
-    table[0, 0] = 1.0
-    row = [1]
-    for n in range(1, 2 * half + 1):  # Pascal's triangle in exact integers, rounded once
-        row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
-        if n % 2 == 0:
-            table[n // 2, : n // 2 + 1] = [float(c) for c in row[::2]]
+    for j in range(half + 1):
+        table[j, : j + 1] = _binomials(2 * j)[::2]
     table.flags.writeable = False
     return table
 

@@ -10,8 +10,8 @@ Given two finite systems of vectors ``x_1..x_n`` and ``y_1..y_n`` in R^m
 * the *trimmed contraction condition* between the coefficient vectors
   ``(<w, x_i>)_i`` and ``(<w, y_i>)_i``, fitted per functional;
 * *strong moments*: the ratio of ``E || sum_i eps_i x_i ||`` to the same
-  with ``y`` (exact sign enumeration up to the term-count cap, Monte Carlo
-  beyond it).
+  with ``y`` (exact sign enumeration within the sign-sum cap of
+  :func:`~procsup.moments.enumerable`, Monte Carlo beyond it).
 
 Functional samples for the sup norm live in the l1 dual ball (the signed
 basis vectors, which witness every sup, plus random convex combinations);
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,6 @@ from .core import (
     EXACT_ENUMERATION_MAX_DIM,
     SET_FORMAT,
     SYSTEM_FORMAT,
-    FiniteSet,
     ProcessKind,
     Seed,
     content_digest,
@@ -42,8 +41,8 @@ from .core import (
     write_points_file,
 )
 from .errors import ParameterError, ParseError, ValidationError
-from .contraction import ContractionReport, MappedPair, fit_min_C
-from .moments import _norms, bernoulli_exact_norms, mc_mean, proxy_norms, signed_row_sums
+from .contraction import ContractionReport, _PairTable, _check_order, _fit
+from .moments import _norms, bernoulli_exact_norms, enumerable, mc_mean, proxy_norms, signed_row_sums
 from .reports import ComparisonReport, record, safe_ratio
 
 _DUAL_SLACK = 1e-12
@@ -105,12 +104,6 @@ def load_vector_system(path: str | Path, set_norm: NormKind | None = None) -> Ve
     return VectorSystem(name=name, vectors=matrix, norm=norm)
 
 
-def _dual_norm(w: np.ndarray, norm: NormKind) -> float:
-    if norm is NormKind.SUP:
-        return float(np.abs(w).sum())
-    return float(np.linalg.norm(w))
-
-
 class FunctionalSample:
     """Functionals from the dual unit ball used to probe weak moments.
 
@@ -123,10 +116,11 @@ class FunctionalSample:
         self.matrix = point_matrix(functionals, "functional sample", "functional")
         self.norm = norm
         self.seed = seed
-        for i, w in enumerate(self.matrix):
-            d = _dual_norm(w, norm)
-            if d > 1.0 + _DUAL_SLACK:
-                raise ValidationError(f"functional {i} has dual norm {d} > 1")
+        duals = np.abs(self.matrix).sum(axis=1) if norm is NormKind.SUP else np.linalg.norm(self.matrix, axis=1)
+        over = duals > 1.0 + _DUAL_SLACK
+        if over.any():
+            i = int(over.argmax())
+            raise ValidationError(f"functional {i} has dual norm {float(duals[i])} > 1")
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
@@ -234,58 +228,40 @@ def check_weak_contraction(
 ) -> ContractionReport:
     """Fit the trimmed contraction constant between coefficient vectors.
 
-    For each functional ``w`` the pair ``(<w,Y>, <w,X>)`` (source, image) is
-    run through the contraction fitter; the report carries the largest
-    fitted constant and the functional that required it.  An infeasible
-    functional makes the whole report infeasible.
+    For each functional ``w`` the coefficient rows ``<w,Y>`` (source) and
+    ``<w,X>`` (image) are fitted as one pair's difference rows; the report
+    carries the largest fitted constant and the functional that required
+    it.  A zero image row has nothing to dominate (constant 1); a zero
+    source row under a nonzero image fails at ``p = 0`` for every constant.
+    An infeasible functional makes the whole report infeasible.
     """
     _check_sysmatch(x_sys, y_sys, funcs)
     if p_max is None:
         p_max = x_sys.terms
+    _check_order(p_max)
     per_functional: list[float | None] = []
-    worst_report: ContractionReport | None = None
-    worst_index = -1
+    worst, worst_index = None, -1
     for k, w in enumerate(funcs.matrix):
-        a = x_sys.matrix @ w
-        b = y_sys.matrix @ w
+        with np.errstate(over="ignore", invalid="ignore"):  # the table names an overflowing row
+            a, b = x_sys.matrix @ w, y_sys.matrix @ w
         if not a.any():
             per_functional.append(1.0)  # nothing to dominate
             continue
-        if not b.any():
-            # Zero source coefficients cannot dominate a nonzero image: at
-            # p = 0 the condition reads ||a||^2 <= 0 for every C.
-            margin = float(np.dot(a, a))
-            report = ContractionReport(None, p_max, (0, 1, 0), margin, "weak-coefficients")
-            per_functional.append(None)
-            worst_report, worst_index = report, k
-            break
-        zero = np.zeros_like(a)
-        source = FiniteSet(name=f"w{k}-source", points=np.stack([zero, b]))
-        image = FiniteSet(name=f"w{k}-image", points=np.stack([zero, a]))
-        pair = MappedPair(source=source, image=image, correspondence=(0, 1), map_label="weak-coefficients")
-        report = fit_min_C(pair, p_max=p_max)
+        report = _fit(_PairTable(b[None], a[None], np.array([[0, 1]])), p_max, "weak-coefficients")
         per_functional.append(report.c_star)
+        if worst is None or report.c_star is None or report.c_star > worst.c_star:
+            worst, worst_index = report, k
         if report.c_star is None:
-            worst_report, worst_index = report, k
             break
-        if worst_report is None or report.c_star > (worst_report.c_star or 0.0):
-            worst_report, worst_index = report, k
-    if worst_report is None:
+    if worst is None:
         # Every image coefficient vector was zero: C = 1 dominates trivially.
-        worst_report, worst_index = ContractionReport(1.0, p_max, (0, 1, 0), 0.0, "weak-coefficients"), 0
+        worst, worst_index = ContractionReport(1.0, p_max, (0, 1, 0), 0.0, "weak-coefficients"), 0
     context = {
         "worst_functional": worst_index,
         "functional": funcs.matrix[worst_index].tolist(),
         "per_functional_c": ["infeasible" if c is None else c for c in per_functional],
     }
-    return ContractionReport(
-        c_star=worst_report.c_star,
-        p_max=worst_report.p_max,
-        worst_pair=worst_report.worst_pair,
-        margin=worst_report.margin,
-        map_label="weak-coefficients",
-        context=context,
-    )
+    return replace(worst, context=context)
 
 
 def _exact_strong_moment(system: VectorSystem) -> float:
@@ -338,13 +314,13 @@ def strong_moment_ratio(
     samples: int = 100_000,
     seed: Seed | None = None,
 ) -> ComparisonReport:
-    """``E||sum eps x_i|| / E||sum eps y_i||``, exact when the term count allows."""
+    """``E||sum eps x_i|| / E||sum eps y_i||``, exact where :func:`~procsup.moments.enumerable` allows."""
     if x_sys.norm is not y_sys.norm:
         raise ParameterError("systems must share one ambient norm")
     seed = seed if seed is not None else Seed(0)
 
     def estimate(system: VectorSystem) -> tuple[float, float, str]:
-        if system.terms <= EXACT_ENUMERATION_MAX_DIM:
+        if enumerable(system.terms, system.dim):
             return _exact_strong_moment(system), 0.0, "exact"
         value, stderr = _mc_strong_moment(system, samples, seed)
         return value, stderr, "monte-carlo"

@@ -38,11 +38,7 @@ from scipy.special import poch
 from . import rng
 from .core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, ProcessKind, Seed
 from .errors import CapacityError, ParameterError, ValidationError
-from .moments import _norms, mc_mean, signed_row_sums
-
-#: Most sign sums, ``|T| * 2^(d-1)``, that one exact supremum may enumerate
-#: (about 8 000 points at d=20, some 10 s on one core).
-EXACT_SUP_MAX_SUMS = 1 << 32
+from .moments import EXACT_SUP_MAX_SUMS, _norms, enumerable, mc_mean, signed_row_sums
 
 
 class EstimateMethod(enum.Enum):
@@ -172,14 +168,14 @@ def expected_sup(kind: ProcessKind, ts: FiniteSet, samples: int, seed: Seed, exa
     Bernoulli suprema are enumerated within both of
     :func:`brute_force_bernoulli_sup`'s caps, ``dim <=
     EXACT_ENUMERATION_MAX_DIM`` and ``|T| * 2^(d-1) <= EXACT_SUP_MAX_SUMS``
-    sign sums, and estimated by Monte Carlo above either; Gaussian suprema
-    are always Monte Carlo.  ``exact=True`` demands enumeration: it raises
+    sign sums (:func:`~procsup.moments.enumerable`), and estimated by Monte
+    Carlo above either; Gaussian suprema are always Monte Carlo.
+    ``exact=True`` demands enumeration: it raises
     :class:`ParameterError` for the Gaussian process and
     :class:`CapacityError` above either cap.
     """
     if exact and kind is ProcessKind.GAUSSIAN:
         raise ParameterError("no exact supremum oracle for the Gaussian process")
-    enumerable = ts.dim <= EXACT_ENUMERATION_MAX_DIM and len(ts) << (ts.dim - 1) <= EXACT_SUP_MAX_SUMS
-    if kind is ProcessKind.BERNOULLI and (exact or enumerable):
+    if kind is ProcessKind.BERNOULLI and (exact or enumerable(ts.dim, len(ts))):
         return brute_force_bernoulli_sup(ts)
     return mc_sup(kind, ts, samples, seed)

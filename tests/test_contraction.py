@@ -14,6 +14,7 @@ from procsup.contraction import (
     CoordinateMap,
     MappedPair,
     _PairTable,
+    _difference_rows,
     _trim_profiles,
     apply_map,
     check_condition,
@@ -309,7 +310,7 @@ def _assert_fit_matches_reference(pair, p_max, normal=True):
     """``normal``: no squared distance is subnormal, so the closed form itself is within 2 ulps."""
     report = fit_min_C(pair, p_max=p_max)
     ref = _reference_fit(pair, p_max)
-    start = _PairTable(pair).least_constant(p_max)
+    start = _PairTable(*_difference_rows(pair)).least_constant(p_max)
     if ref is None:
         assert report.c_star is None
         assert start > FIT_CAP or not normal
@@ -436,7 +437,7 @@ def test_fit_does_not_move_under_the_clipped_evaluation(monkeypatch, seed):
     for cmap in (CoordinateMap("abs"), CoordinateMap("scale", (2.5,)), CoordinateMap("soft_threshold", (0.3,))):
         pair = apply_map(source, cmap)
         fitted = fit_min_C(pair)
-        table = _PairTable(pair)
+        table = _PairTable(*_difference_rows(pair))
         for c in (1.0, 1.25, 2.5, 4.0, 5.0, 7.0, 1000.0, FIT_CAP):
             assert table.evaluate(c, 5) == _unclipped_evaluate(table, c, 5)
         with monkeypatch.context() as m:

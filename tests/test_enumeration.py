@@ -291,3 +291,14 @@ def test_exact_suprema_stop_at_2_32_sign_sums_before_enumerating(monkeypatch, tm
     # without --exact, the automatic route falls back to Monte Carlo above the sums cap
     assert cli.run(["sup", "--set", str(set_path), "--samples", "2000", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["results"]["method"] == "monte-carlo"
+
+
+def test_strong_moments_stop_at_2_32_sign_sums_before_enumerating(monkeypatch):
+    monkeypatch.setattr("procsup.oleszkiewicz.signed_row_sums", None)  # reached only within the limit
+    vectors = np.random.default_rng(6).standard_normal((20, 8193))
+    with pytest.raises(TypeError):  # 20 terms at dim 8 192: exactly the limit, so it enumerates
+        strong_moment_ratio(*[VectorSystem("at", vectors[:, :-1], NormKind.SUP)] * 2, samples=2000)
+    over = VectorSystem("over", vectors, NormKind.SUP)
+    report = strong_moment_ratio(over, over, samples=2000)
+    assert (report.lhs_label, report.rhs_label) == ("E||sum eps x|| [monte-carlo]", "E||sum eps y|| [monte-carlo]")
+    assert report.lhs_stderr > 0.0

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from procsup import moments, rng
@@ -26,6 +26,8 @@ from procsup.oleszkiewicz import (
 )
 from procsup.reports import safe_ratio
 from procsup.suprema import brute_force_bernoulli_sup
+
+from weak_contraction_reference import reference_check_weak_contraction
 
 
 def _basis_system(dim, scale=1.0, norm=NormKind.SUP):
@@ -313,6 +315,60 @@ def test_weak_contraction_of_all_zero_images_is_one_at_the_first_functional():
     report = check_weak_contraction(*_weak_pair([[0.0, 0.0], [0.0, 0.0]]))
     assert report.context == {"worst_functional": 0, "functional": [1.0, 0.0], "per_functional_c": [1.0] * 4}
     assert (report.c_star, report.p_max, report.worst_pair, report.margin) == (1.0, 2, (0, 1, 0), 0.0)
+
+
+_coefficients = st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.0, 0.5, -3.0])
+
+
+@st.composite
+def _weak_cases(draw):
+    """Small systems with zero columns, repeated rows, zero source or image rows, all-zero images and, with
+    the image scaled by 4096, images that no constant up to ``FIT_CAP`` lets the source dominate."""
+    norm = draw(st.sampled_from(list(NormKind)))
+    terms, dim = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rows = st.lists(st.lists(_coefficients, min_size=dim, max_size=dim), min_size=terms, max_size=terms)
+    x, y = np.array(draw(rows)), np.array(draw(rows))
+    x *= draw(st.sampled_from([1.0, 4096.0]))
+    for m in (x, y):
+        if draw(st.booleans()):
+            m[:, draw(st.integers(0, dim - 1))] = 0.0  # the signed basis functionals of this column read 0
+        if draw(st.booleans()):
+            m[-1] = m[0]
+    blank = draw(st.sampled_from([None, x, y]))
+    if blank is not None:
+        blank[:] = 0.0  # every image row zero, or every source row zero
+    funcs = generate_functionals(norm, dim, draw(st.integers(0, 3)), Seed(draw(st.integers(0, 99))))
+    p_max = draw(st.one_of(st.none(), st.integers(0, terms + 2)))
+    return VectorSystem("x", x, norm), VectorSystem("y", y, norm), funcs, p_max
+
+
+@given(_weak_cases())
+@example((*_weak_pair([[5000.0, 10000.0], [5000.0, 5000.0]]), None))  # infeasible under a nonzero source
+@example((*_weak_pair([[0.0, 1.0], [0.0, 0.5]]), 1))
+def test_weak_contraction_matches_the_set_building_reference(case):
+    x_sys, y_sys, funcs, p_max = case
+    got = check_weak_contraction(x_sys, y_sys, funcs, p_max).to_dict()
+    want = reference_check_weak_contraction(x_sys, y_sys, funcs, p_max).to_dict()
+    worst = funcs.matrix[want["context"]["worst_functional"]]
+    if want["c_star"] == "infeasible" and not (y_sys.matrix @ worst).any():
+        # a zero source row: the fitter's squared norm in place of np.dot
+        assert got.pop("margin") == pytest.approx(want.pop("margin"), rel=1e-12)
+    assert got == want
+
+
+def test_weak_contraction_of_an_overflowing_coefficient_is_a_parameter_error():
+    # 0.6 * 1.7e308 + 0.8 * 1.7e308 overflows to inf
+    x = VectorSystem(name="x", vectors=[[1.7e308, 1.7e308], [0.0, 1.0]], norm=NormKind.EUCLIDEAN)
+    y = VectorSystem(name="y", vectors=[[1.0, 1.0], [1.0, 0.0]], norm=NormKind.EUCLIDEAN)
+    funcs = FunctionalSample(functionals=[[0.6, 0.8]], norm=NormKind.EUCLIDEAN, seed=Seed(0))
+    with np.errstate(over="ignore"):  # the matrix products of the reference and of the weak moments warn
+        assert math.isinf((x.matrix @ funcs.matrix[0])[0])
+        with pytest.raises(ValidationError, match="is not finite"):
+            reference_check_weak_contraction(x, y, funcs)
+        with pytest.raises(ValidationError):  # the CLI computes the weak moments first, and they reject the row
+            weak_moment_constant(x, y, funcs)
+    with pytest.raises(ParameterError, match=r"^squared distance of image pair \(0, 1\) overflows: inf exceeds"):
+        check_weak_contraction(x, y, funcs)
 
 
 @pytest.mark.parametrize("y_rows, y_norm, funcs, message", [
