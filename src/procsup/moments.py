@@ -39,12 +39,18 @@ correlated.
 Every enumerated oracle and Monte Carlo estimate in the package reduces
 ``sum_i xi_i m_i`` over the rows of a coefficient matrix ``m``; the two
 shared engines for that live here: :func:`signed_row_sums` enumerates the
-sign patterns and :func:`mc_mean` draws ``xi`` and accumulates a mean and
-its standard error.  Both work in blocks of at most ``_BLOCK_BYTES``.  A
-block of sign sums is laid out along its long axis: point-major when it
-holds many sign patterns per column, so a maximum over the columns is a
-pass of elementwise maxima over contiguous pattern vectors, and row-major
-otherwise or on request.  The layout moves no value.
+sign patterns and reduces them by the caller's per-pattern statistic, and
+:func:`mc_mean` draws ``xi`` and accumulates a mean and its standard error.
+Both work in blocks of at most ``_BLOCK_BYTES``.  For the enumerator a
+block is the unit of summation: it yields one array of statistic values
+per block, so the caller's sum of each block keeps its bits.  A piece of
+at most ``_PIECE_BYTES`` is the unit of memory: a block's sign sums are
+built, reduced and freed a piece at a time, so they stay in cache and are
+never held whole.  A piece is laid out along its block's long axis:
+point-major when the block holds many sign patterns per column, so a
+maximum over the columns is a pass of elementwise maxima over contiguous
+pattern vectors, and row-major otherwise or on request.  Neither the
+pieces nor the layout move a value.
 """
 
 from __future__ import annotations
@@ -65,8 +71,15 @@ from .errors import CapacityError, ParameterError, ValidationError
 #: Byte budget of one block of sign sums or Monte Carlo products.
 _BLOCK_BYTES = 8 << 20
 
+#: Byte budget of one piece of a block of sign sums, built, reduced and
+#: freed before the next: small enough to stay in a core's L2 cache, large
+#: enough that numpy's per-call overhead stays small (64 KiB pieces were
+#: slower than whole blocks; 256 and 512 KiB were about equally fast).
+_PIECE_BYTES = 256 << 10
+
 #: Most sign sums, ``n * 2^(k-1)``, that one enumeration of a ``(k, n)``
-#: matrix may produce (about 8 000 columns at k=20, some 10 s on one core).
+#: matrix may produce (8 192 columns at k=20: ``procsup sup --exact`` on
+#: such a set takes some 5 s on one core of a 2-vCPU Xeon).
 EXACT_SUP_MAX_SUMS = 1 << 32
 
 #: Sign patterns per column from which blocks of sign sums are laid out
@@ -168,48 +181,78 @@ def enumerable(k: int, n: int) -> bool:
     return k <= EXACT_ENUMERATION_MAX_DIM and n << (k - 1) <= EXACT_SUP_MAX_SUMS
 
 
-def signed_row_sums(m: np.ndarray, row_major: bool = False) -> Iterator[np.ndarray]:
-    """Yield ``sum_i eps_i m_i`` for every sign pattern with ``eps_0 = +1``.
+def signed_row_sums(
+    m: np.ndarray, statistic: Callable[[np.ndarray], np.ndarray], row_major: bool = False
+) -> Iterator[np.ndarray]:
+    """Yield ``statistic`` of ``sum_i eps_i m_i`` for every sign pattern with ``eps_0 = +1``, a block at a time.
 
-    ``m`` is a ``(k, n)`` coefficient matrix; the ``2^(k-1)`` sums come out
-    as ``(rows, n)`` blocks of at most ``_BLOCK_BYTES``.  Each block adds
-    two half-tables by broadcast: the sums over the low half of the rows
-    (``eps_0`` pinned, built by doubling) and the sums over the high half
-    for a run of their sign patterns.  Pinning the first sign is lossless
-    for statistics invariant under a global flip; for a maximum use
-    ``max(eps) + max(-eps) = max(eps) - min(eps)``.
+    ``m`` is a ``(k, n)`` coefficient matrix.  Its ``2^(k-1)`` sign sums are
+    partitioned into blocks of at most ``_BLOCK_BYTES`` of sums, the unit
+    of summation: each yielded array holds one block's statistic values,
+    shape ``(patterns,)`` or ``(patterns, c)``, so a caller that sums each
+    block keeps the block's bits whatever the memory layout below.  A block
+    is the broadcast sum of two half-tables: the sums over the low half of
+    the rows (``eps_0`` pinned, built by doubling) and the sums over the
+    high half for a run of their sign patterns, in that order (high code
+    major, low code minor).  Pinning the first sign is lossless for
+    statistics invariant under a global flip; for a maximum use ``max(eps)
+    + max(-eps) = max(eps) - min(eps)``.
 
-    Blocks are laid out along their long axis.  When the first (largest)
-    block holds at least ``_POINT_MAJOR_PATTERNS`` sign patterns per
-    column, every block is the transpose of a C-ordered ``(n, rows)``
+    A block's sums are never held whole.  They are built in pieces of at
+    most ``_PIECE_BYTES``, the unit of memory, small enough to stay in
+    cache: whole high rows when one high row fits, otherwise a run of low
+    codes of one high row.  Each piece is reduced by ``statistic`` into its
+    slice of the block's values and dropped before the next is built.  The
+    statistic must be row-wise: each output row depends only on its own
+    pattern's sums.
+
+    Pieces are laid out along the block's long axis.  When the first
+    (largest) block holds at least ``_POINT_MAJOR_PATTERNS`` sign patterns
+    per column, every piece is the transpose of a C-ordered ``(n, rows)``
     array (point-major), so a reduction over axis 1 runs as elementwise
-    maxima or sums across contiguous pattern vectors; otherwise every
-    block is C-ordered (row-major), so each pattern's row is one
-    contiguous run.  The layout follows from the block shape alone and
-    moves no value: each entry is the same addition either way, and the
-    pattern partition does not depend on it.  A reduction whose bits
-    depend on the order it visits a row (numpy sums 8 or more columns of a
-    contiguous row pairwise, and across rows in sequence) passes
-    ``row_major=True`` to keep every block C-ordered.
+    maxima or sums across contiguous pattern vectors; otherwise every piece
+    is C-ordered (row-major), so each pattern's row is one contiguous run.
+    The layout follows from the block shape alone and moves no value: each
+    sum is the same addition either way, and the block and piece
+    partitions do not depend on it.  A statistic whose bits depend on the
+    order it visits a row (numpy sums 8 or more columns of a contiguous row
+    pairwise, and across rows in sequence) passes ``row_major=True`` to keep
+    every piece C-ordered.
     """
     k, n = m.shape
     rows = max(1, _BLOCK_BYTES // (8 * n))
     low_rows = min(k // 2 + 1, rows.bit_length())
     low = _doubled(m[:1], m[1:low_rows])
+    width = len(low)
     high_rows = k - low_rows
     shifts = np.arange(high_rows, dtype=np.uint64)
-    step = max(1, rows // len(low))
-    point_major = not row_major and len(low) * min(step, 1 << high_rows) >= _POINT_MAJOR_PATTERNS * n
+    step = max(1, rows // width)
+    point_major = not row_major and width * min(step, 1 << high_rows) >= _POINT_MAJOR_PATTERNS * n
     if point_major:
         low = np.ascontiguousarray(low.T)
+    # a piece is ``tall`` whole high rows, or ``wide`` low codes of one high row
+    piece = max(1, _PIECE_BYTES // (8 * n))
+    tall, wide = max(1, piece // width), min(piece, width)
     for start in range(0, 1 << high_rows, step):
         codes = np.arange(start, min(start + step, 1 << high_rows), dtype=np.uint64)
         signs = 1.0 - 2.0 * ((codes[:, None] >> shifts) & 1).astype(np.float64)
         high = signs @ m[low_rows:]
         if point_major:
-            yield (np.ascontiguousarray(high.T)[:, :, None] + low[:, None, :]).reshape(n, -1).T
-        else:
-            yield (high[:, None, :] + low[None, :, :]).reshape(-1, n)
+            high = np.ascontiguousarray(high.T)
+        values = None
+        for j in range(0, len(codes), tall):
+            for lo in range(0, width, wide):
+                if point_major:
+                    sums = (high[:, j : j + tall, None] + low[:, None, lo : lo + wide]).reshape(n, -1).T
+                else:
+                    sums = (high[j : j + tall, None, :] + low[None, lo : lo + wide, :]).reshape(-1, n)
+                part = statistic(sums)
+                if values is None:
+                    values = np.empty((len(codes) * width, *part.shape[1:]), dtype=part.dtype)
+                at = j * width + lo
+                values[at : at + len(part)] = part
+                del sums, part
+        yield values
 
 
 def _check_exact_order(p) -> int:

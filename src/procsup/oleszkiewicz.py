@@ -194,14 +194,22 @@ def weak_moment_constant(
     norms, bit for bit, so ``+e_j`` and ``-e_j`` share one), then evaluated
     at all orders in one call: exactly up to the term-count cap
     (:func:`bernoulli_exact_norms`, so ``p_max <= 1024`` there), by the
-    proxy beyond it.
+    proxy beyond it.  A coefficient that overflows float64 is a
+    :class:`ParameterError` naming the functional and the system, raised
+    before any norm is taken.
     """
     _check_sysmatch(x_sys, y_sys, funcs)
     if p_max < 1:
         raise ParameterError(f"p_max must be >= 1, got {p_max}")
     orders = range(1, p_max + 1)
     # rows 2k and 2k + 1 are <w_k, X> and <w_k, Y>; the dedup key makes each one's first nonzero positive
-    coeffs = np.stack([m @ w for w in funcs.matrix for m in (x_sys.matrix, y_sys.matrix)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.stack([m @ w for w in funcs.matrix for m in (x_sys.matrix, y_sys.matrix)])
+    overflows = ~np.isfinite(coeffs).all(axis=1)
+    if overflows.any():
+        k, side = divmod(int(overflows.argmax()), 2)
+        name = (x_sys, y_sys)[side].name
+        raise ParameterError(f"coefficient <w_{k}, {'XY'[side]}> of system {name!r} overflows float64")
     lead = coeffs[np.arange(len(coeffs)), (coeffs != 0.0).argmax(axis=1)]
     first, slot = distinct_rows(np.where(lead[:, None] < 0.0, -coeffs, coeffs))
     if x_sys.terms <= EXACT_ENUMERATION_MAX_DIM:
@@ -267,18 +275,21 @@ def check_weak_contraction(
 def _exact_strong_moment(system: VectorSystem) -> float:
     """``E ||sum_i eps_i x_i||`` over the sign patterns with ``eps_0 = +1`` (the norm is even).
 
-    A maximum is exact in any order, so the sup norm takes the blocks in
-    the layout their shape picks; numpy sums a row of squares pairwise only
-    when the row is contiguous, so the euclidean norm takes them row-major.
+    The ambient norm is the enumeration's per-pattern statistic: each
+    cache-sized piece of sign sums is reduced to norms as soon as it is
+    built, and the norms are summed a block at a time.  A maximum is exact
+    in any order, so the sup norm takes the pieces in the layout their
+    block's shape picks; numpy sums a row of squares pairwise only when the
+    row is contiguous, so the euclidean norm takes them row-major.
     Coordinate j of every sum is at most the l1 norm of the vectors' j-th
     coordinates, so a coordinate whose l1 norm overflows float64 fails
     before the enumeration; a total that still overflows (for the
     euclidean norm, a squared coordinate) fails after it.
     """
     _norms(system.matrix.T, 1, "coordinate")
-    sums = signed_row_sums(system.matrix, row_major=system.norm is NormKind.EUCLIDEAN)
+    norms = signed_row_sums(system.matrix, system.norm_of, row_major=system.norm is NormKind.EUCLIDEAN)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = sum(float(system.norm_of(s).sum()) for s in sums)
+        total = sum(float(v.sum()) for v in norms)
     _check_sign_sum_norms(system, total)
     return total / (1 << (system.terms - 1))
 

@@ -3,11 +3,13 @@
 ``S(T) = E sup_{t in T} X_t`` is computed either exactly (Bernoulli case,
 by enumerating all 2^d sign patterns) or by seeded Monte Carlo for either
 process kind.  The enumeration is capped at dim 20 and at 2^32 sign sums
-``|T| * 2^(d-1)`` (:class:`CapacityError`).  It reduces each block of sign
-sums along its long axis: when a block holds many sign patterns per point,
-as elementwise maxima and minima across contiguous pattern vectors, and
-otherwise row by row.  Either way every pattern's span ``max - min`` and
-every block's sum of spans is the same, so the value keeps its bits.
+``|T| * 2^(d-1)`` (:class:`CapacityError`).  It hands
+:func:`~procsup.moments.signed_row_sums` the span ``max - min`` as the
+per-pattern statistic, so each cache-sized piece of sign sums is reduced to
+spans as soon as it is built, along its long axis: when a block holds many
+sign patterns per point, as elementwise maxima and minima across contiguous
+pattern vectors, and otherwise row by row.  Either way every pattern's span
+and every block's sum of spans is the same, so the value keeps its bits.
 
 Monte Carlo is antithetic: each draw ``xi`` also stands for ``-xi``, so a
 draw's sample is the half-span ``(max_t <xi, t> - min_t <xi, t>) / 2``.
@@ -68,10 +70,12 @@ def brute_force_bernoulli_sup(ts: FiniteSet) -> SupEstimate:
     sums, each a :class:`CapacityError` raised before any pattern is
     enumerated.  Only the patterns with ``eps_0 = +1`` are
     enumerated: each stands for itself and its negation, whose maximum is
-    minus its minimum.  The enumeration runs in fixed-size blocks, so
-    memory stays flat regardless of dimension.  A point whose l1 norm
-    overflows float64 fails before the enumeration, and a total of spans
-    that overflows fails after it, each with a :class:`ParameterError`.
+    minus its minimum.  The spans are summed a block at a time, and each
+    block's sign sums are built and reduced to spans in cache-sized pieces,
+    so memory stays flat regardless of dimension: one piece of sums and one
+    block's spans at a time.  A point whose l1 norm overflows float64 fails
+    before the enumeration, and a total of spans that overflows fails after
+    it, each with a :class:`ParameterError`.
     """
     d = ts.dim
     if d > EXACT_ENUMERATION_MAX_DIM:
@@ -82,7 +86,8 @@ def brute_force_bernoulli_sup(ts: FiniteSet) -> SupEstimate:
         )
     scales = _norms(ts.matrix, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = sum(float((s.max(axis=1) - s.min(axis=1)).sum()) for s in signed_row_sums(ts.matrix.T))
+        spans = signed_row_sums(ts.matrix.T, lambda s: s.max(axis=1) - s.min(axis=1))
+        total = sum(float(v.sum()) for v in spans)
     if not math.isfinite(total):
         k = int(scales.argmax())
         raise ParameterError(f"the l1 norm of row {k} overflows float64 summed over 2^{d - 1} sign patterns")

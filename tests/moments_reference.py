@@ -89,7 +89,7 @@ def reference_bernoulli_norms_exact(t: np.ndarray, ps) -> list[float]:
     if not rest or scale == 0.0:
         return norms
     parts: list[list[float]] = [[] for _ in rest]
-    for s in moments.signed_row_sums(t[:, None]):
+    for s in moments.signed_row_sums(t[:, None], lambda s: s):
         a = np.abs(s) / scale
         for part, i in zip(parts, rest):
             part.append(float((a ** qs[i]).sum()))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -237,6 +238,18 @@ def test_oleszkiewicz_rejects_coerced_set_files(tmp_path, capsys):
                  "--out", str(tmp_path / "o.json")]) == 2
     assert "point 0" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_oleszkiewicz_on_an_overflowing_coefficient_exits_2_without_a_warning_or_report(tmp_path, capsys):
+    x, y = tmp_path / "x.set", tmp_path / "y.set"
+    save_set(FiniteSet(name="x", points=[[1.7e308, 1.7e308], [0.0, 1.0]]), x)
+    save_set(FiniteSet(name="y", points=[[1.0, 1.0], [1.0, 0.0]]), y)
+    out = tmp_path / "o.json"
+    assert _run(["oleszkiewicz", "--norm", "euclidean", "--x", str(x), "--y", str(y), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: coefficient <w_\d+, X> of system 'x' overflows float64\n", err), err
+    assert not out.exists()
 
 
 def test_reports_are_byte_identical_across_directories(tmp_path):

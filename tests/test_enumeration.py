@@ -1,17 +1,23 @@
-"""The sign enumerator's block layout moves no bits, and overflowing sets fail fast.
+"""The sign enumerator's pieces and layout move no bits, and overflowing sets fail fast.
 
-``signed_row_sums`` lays its blocks out point-major when the first block
-holds at least ``_POINT_MAJOR_PATTERNS`` sign patterns per column, and
-row-major otherwise or on request (the euclidean strong moment asks).
-Every block must hold the same values as the row-major reference enumerator
-(``tests/enumeration_reference.py``), and the exact supremum and strong
-moment must keep the reference's bits: on both sides of the
-layout switch and exactly at it, over many blocks and one-pattern blocks,
-with signed zeros and tied coordinates, and under both ambient norms.
+``signed_row_sums`` builds each block of sign sums in pieces of at most
+``_PIECE_BYTES`` and hands each piece to the caller's statistic, laid out
+point-major when the first block holds at least ``_POINT_MAJOR_PATTERNS``
+sign patterns per column, and row-major otherwise or on request (the
+euclidean strong moment asks).  Every block must hold the same values as
+the row-major reference enumerator (``tests/enumeration_reference.py``),
+and the exact supremum and strong moment must keep the reference's bits:
+on both sides of the layout switch and exactly at it, over many blocks and
+one-pattern blocks, over one-pattern pieces, pieces that split the low
+half-table and pieces of several high rows, with signed zeros and tied
+coordinates, and under both ambient norms.  Both stay within a few MiB of
+traced memory whatever the block budget.
 """
 
 import json
 import math
+import tracemalloc
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -20,7 +26,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from procsup import cli, moments, oleszkiewicz, rng
-from procsup.core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, ProcessKind, Seed, save_set
+from procsup.core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, ProcessKind, Seed, generate_set, save_set
 from procsup.errors import CapacityError, ParameterError
 from procsup.moments import _POINT_MAJOR_PATTERNS, bernoulli_exact_norms, signed_row_sums
 from procsup.oleszkiewicz import (
@@ -74,18 +80,52 @@ def _block_bytes(n: int, rows: str) -> int | None:
     }[rows]
 
 
-def _patched(block_bytes: int | None):
-    return mock.patch.object(moments, "_BLOCK_BYTES", block_bytes or moments._BLOCK_BYTES)
+def _low_width(k: int, n: int) -> int:
+    """Sign patterns in the low half-table of a ``(k, n)`` enumeration at the current block budget."""
+    rows = max(1, moments._BLOCK_BYTES // (8 * n))
+    return 1 << (min(k // 2 + 1, rows.bit_length()) - 1)
 
+
+def _piece_bytes(k: int, n: int, pieces: str) -> int | None:
+    """A piece budget: the default, one pattern per piece, a run of 3 low codes, or 3 whole high rows."""
+    return {
+        "default": None,
+        "one": 8 * n,
+        "split": 8 * n * 3,
+        "several": 8 * n * _low_width(k, n) * 3,
+    }[pieces]
+
+
+def _patched(block_bytes: int | None, shape: tuple[int, int] | None = None, pieces: str = "default") -> ExitStack:
+    """Patch the block budget, then the piece budget of a ``shape`` enumeration under it."""
+    stack = ExitStack()
+    stack.enter_context(mock.patch.object(moments, "_BLOCK_BYTES", block_bytes or moments._BLOCK_BYTES))
+    piece_bytes = _piece_bytes(*shape, pieces) if shape else None
+    stack.enter_context(mock.patch.object(moments, "_PIECE_BYTES", piece_bytes or moments._PIECE_BYTES))
+    return stack
+
+
+piece_sizes = st.sampled_from(["default", "one", "split", "several"])
 
 layouts = st.tuples(
     st.integers(min_value=1, max_value=14),
     st.sampled_from(["at", "above", "below", "drawn"]),
     st.integers(min_value=1, max_value=300),
     st.sampled_from(["default", "one", "switch", "half-switch"]),
+    piece_sizes,
     st.sampled_from(["generic", "ties", "zeros"]),
     st.integers(min_value=0, max_value=2**32),
 )
+
+
+def _recording(pieces: list, statistic=lambda s: s):
+    """``statistic``, noting the layout ``(C-ordered, transpose C-ordered)`` and bytes of every piece it reduces."""
+
+    def recorded(s: np.ndarray) -> np.ndarray:
+        pieces.append((s.flags.c_contiguous, s.T.flags.c_contiguous, s.nbytes))
+        return statistic(s)
+
+    return recorded
 
 
 def _bits(x: float) -> str:
@@ -94,26 +134,32 @@ def _bits(x: float) -> str:
 
 @given(layouts)
 def test_blocks_hold_the_reference_values_in_their_layout(case):
-    d, where, drawn, rows, style, seed = case
+    d, where, drawn, rows, pieces, style, seed = case
     n = min(_point_count(d, where, drawn), 300)
     m = _matrix(seed, (d, n), style)
-    with _patched(_block_bytes(n, rows)):
-        got, want = list(signed_row_sums(m)), list(reference_signed_row_sums(m))
-        row_major = list(signed_row_sums(m, row_major=True))
-    point_major = len(got[0]) >= _POINT_MAJOR_PATTERNS * n  # the first block is the largest
+    seen, seen_row_major = [], []
+    with _patched(_block_bytes(n, rows), (d, n), pieces):
+        got, want = list(signed_row_sums(m, _recording(seen))), list(reference_signed_row_sums(m))
+        row_major = list(signed_row_sums(m, _recording(seen_row_major), row_major=True))
+        budget = max(moments._PIECE_BYTES, 8 * n)
     for block, ref, row_block in zip(got, want, row_major, strict=True):
         assert block.shape == ref.shape
-        assert np.ascontiguousarray(block).tobytes() == ref.tobytes()  # signed zeros included
-        assert block.T.flags.c_contiguous if point_major else block.flags.c_contiguous
-        assert row_block.flags.c_contiguous and row_block.tobytes() == ref.tobytes()
+        assert block.tobytes() == ref.tobytes()  # signed zeros included
+        assert row_block.tobytes() == ref.tobytes()
+    # The statistic sees each piece in its block's layout: the transpose of a
+    # C-ordered array when the first (largest) block holds many patterns per column.
+    point_major = len(want[0]) >= _POINT_MAJOR_PATTERNS * n
+    assert all((transposed if point_major else ordered) and size <= budget for ordered, transposed, size in seen)
+    assert all(ordered and size <= budget for ordered, _, size in seen_row_major)
+    assert sum(size for *_, size in seen) == sum(ref.nbytes for ref in want)
 
 
 @given(layouts)
 def test_exact_supremum_keeps_the_reference_bits(case):
-    d, where, drawn, rows, style, seed = case
+    d, where, drawn, rows, pieces, style, seed = case
     n = min(_point_count(d, where, drawn), 300)
     ts = _distinct(_matrix(seed, (n, d), style))
-    with _patched(_block_bytes(len(ts), rows)):
+    with _patched(_block_bytes(len(ts), rows), (d, len(ts)), pieces):
         assert _bits(brute_force_bernoulli_sup(ts).value) == _bits(reference_bernoulli_sup(ts.matrix))
 
 
@@ -122,14 +168,66 @@ def test_exact_supremum_keeps_the_reference_bits(case):
     st.integers(min_value=1, max_value=12),
     st.sampled_from(["sup", "euclidean"]),
     st.sampled_from(["default", "one", "switch", "half-switch"]),
+    piece_sizes,
     st.sampled_from(["generic", "ties", "zeros"]),
     st.integers(min_value=0, max_value=2**32),
 )
-def test_exact_strong_moment_keeps_the_reference_bits(terms, dim, norm, rows, style, seed):
+def test_exact_strong_moment_keeps_the_reference_bits(terms, dim, norm, rows, pieces, style, seed):
     vectors = _matrix(seed, (terms, dim), style)
     system = VectorSystem("layout", vectors, NormKind(norm))
-    with _patched(_block_bytes(dim, rows)):
+    with _patched(_block_bytes(dim, rows), (terms, dim), pieces):
         assert _bits(_exact_strong_moment(system)) == _bits(reference_strong_moment(system.matrix, norm))
+
+
+@pytest.mark.parametrize("row_major", [False, True])
+@pytest.mark.parametrize(
+    "pieces, lengths",
+    [
+        ("one", [1] * 512),  # one pattern per piece
+        ("split", ([3] * 10 + [2]) * 16),  # each high row's 32 low codes in runs of 3
+        ("several", [96] * 5 + [32]),  # 16 high rows of 32 patterns, three at a time
+    ],
+)
+def test_pieces_cover_every_block_in_pattern_order(pieces, lengths, row_major):
+    m = _matrix(3, (10, 3), "generic")  # one block: 16 high codes by a low table of 32 patterns
+    seen = []
+    with _patched(None, m.shape, pieces):
+        assert _low_width(*m.shape) == 32
+        got = list(signed_row_sums(m, _recording(seen), row_major=row_major))
+    (want,) = reference_signed_row_sums(m)
+    assert len(got) == 1 and got[0].tobytes() == want.tobytes()
+    assert [size // (8 * 3) for *_, size in seen] == lengths
+
+
+def test_row_major_blocks_at_the_sign_sum_cap_split_each_high_row():
+    # 8 192 columns: two row-major blocks of 8 high codes by 16 low codes, and
+    # 16 sums of 64 KiB each overfill a piece, so each high row is split
+    m = _matrix(4, (9, 8192), "generic")
+    seen = []
+    blocks = list(signed_row_sums(m, _recording(seen, lambda s: s.max(axis=1) - s.min(axis=1))))
+    assert [len(block) for block in blocks] == [128, 128]
+    per_piece = moments._PIECE_BYTES // (8 * 8192)
+    assert 1 < per_piece < 16 and len(seen) == 2 * 8 * -(-16 // per_piece)
+    assert all(ordered and size <= moments._PIECE_BYTES for ordered, _, size in seen)
+    spans = [s.max(axis=1) - s.min(axis=1) for s in reference_signed_row_sums(m)]
+    assert [block.tobytes() for block in blocks] == [span.tobytes() for span in spans]
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_enumerations_stay_within_a_few_mib():
+    # A whole 8 MiB block of sums was 16.65 MiB (supremum) and 17.34 MiB (strong moment) traced.
+    ts = generate_set("random_sphere", 20, 64, Seed(1))
+    system = VectorSystem("x", _matrix(5, (20, 6), "generic"), NormKind.SUP)
+    assert _traced_peak(lambda: brute_force_bernoulli_sup(ts)) < 4 << 20
+    assert _traced_peak(lambda: _exact_strong_moment(system)) < 4 << 20
 
 
 @pytest.mark.parametrize("norm", ["sup", "euclidean"])
@@ -139,19 +237,22 @@ def test_ambient_norms_of_every_block_keep_the_reference_bits(monkeypatch, norm,
     # sequence across rows, so a point-major block must not reach the
     # euclidean norm.  A total over many patterns rounds most such one-ulp
     # differences away, so compare every pattern's norm.
-    blocks = []
+    blocks, pieces = [], []
 
-    def recording(m, **layout):
-        for block in signed_row_sums(m, **layout):
+    def recording(m, statistic, **layout):
+        for block in signed_row_sums(m, _recording(pieces, statistic), **layout):
             blocks.append(block)
             yield block
 
     monkeypatch.setattr(oleszkiewicz, "signed_row_sums", recording)
     system = VectorSystem("wide", _matrix(dim, (14, dim), "generic"), NormKind(norm))
     _exact_strong_moment(system)
-    assert blocks[0].T.flags.c_contiguous == (norm == "sup")  # the sup norm reduces point-major blocks
+    # the sup norm reduces point-major pieces, the euclidean norm C-ordered ones
+    assert {(ordered, transposed) for ordered, transposed, _ in pieces} == (
+        {(False, True)} if norm == "sup" else {(True, False)}
+    )
     for block, ref in zip(blocks, reference_signed_row_sums(system.matrix), strict=True):
-        assert system.norm_of(block).tobytes() == reference_norm_of(norm, ref).tobytes()
+        assert block.tobytes() == reference_norm_of(norm, ref).tobytes()
 
 
 @pytest.mark.parametrize("q", [1.5, 2.5, 1025, 2048])  # orders the exact norm's sign enumeration served

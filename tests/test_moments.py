@@ -148,7 +148,7 @@ def _one_order_reference(t, p):
     scale = float(np.abs(t).sum())
     if scale == 0.0:
         return 0.0
-    total = sum(float(((np.abs(s) / scale) ** q).sum()) for s in signed_row_sums(t[:, None]))
+    total = sum(float(((np.abs(s) / scale) ** q).sum()) for s in signed_row_sums(t[:, None], lambda s: s))
     return scale * (total / (1 << (t.size - 1))) ** (1.0 / q)
 
 
@@ -485,7 +485,7 @@ def test_enumeration_matches_itertools_brute_force(monkeypatch, d, block_bytes):
     m = rng.standard_normal(rng.stream(d, "enumeration-reference"), (d, 5))
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=d)))
     sums = signs @ m  # every sign pattern, eps_0 = -1 included
-    pinned = np.concatenate(list(signed_row_sums(m)))
+    pinned = np.concatenate(list(signed_row_sums(m, lambda s: s)))
     assert pinned.shape == (2 ** (d - 1), 5)
     np.testing.assert_allclose(
         np.sort(pinned, axis=0), np.sort(sums[signs[:, 0] > 0], axis=0), rtol=1e-12, atol=1e-12

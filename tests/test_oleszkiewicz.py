@@ -280,7 +280,7 @@ def test_weak_moment_constant_evaluates_each_vector_once_up_to_sign(monkeypatch)
         return np.zeros((len(ts), len(qs)))  # count the rows only; every odd-order norm then reads 0
 
     monkeypatch.setitem(moments._EXACT_ROUTES, "meet-in-the-middle", counting)
-    monkeypatch.setattr(moments, "signed_row_sums", lambda m: passes.append(m.shape) or iter(()))
+    monkeypatch.setattr(moments, "signed_row_sums", lambda m, *args, **kwargs: passes.append(m.shape) or iter(()))
     x_sys, y_sys = _random_system(1, 20, 6), _random_system(2, 20, 6)
     funcs = generate_functionals(NormKind.SUP, 6, 4, Seed(3))
     weak_moment_constant(x_sys, y_sys, funcs, p_max=8)
@@ -361,14 +361,24 @@ def test_weak_contraction_of_an_overflowing_coefficient_is_a_parameter_error():
     x = VectorSystem(name="x", vectors=[[1.7e308, 1.7e308], [0.0, 1.0]], norm=NormKind.EUCLIDEAN)
     y = VectorSystem(name="y", vectors=[[1.0, 1.0], [1.0, 0.0]], norm=NormKind.EUCLIDEAN)
     funcs = FunctionalSample(functionals=[[0.6, 0.8]], norm=NormKind.EUCLIDEAN, seed=Seed(0))
-    with np.errstate(over="ignore"):  # the matrix products of the reference and of the weak moments warn
+    with np.errstate(over="ignore"):  # the matrix products of the reference warn
         assert math.isinf((x.matrix @ funcs.matrix[0])[0])
         with pytest.raises(ValidationError, match="is not finite"):
             reference_check_weak_contraction(x, y, funcs)
-        with pytest.raises(ValidationError):  # the CLI computes the weak moments first, and they reject the row
-            weak_moment_constant(x, y, funcs)
     with pytest.raises(ParameterError, match=r"^squared distance of image pair \(0, 1\) overflows: inf exceeds"):
         check_weak_contraction(x, y, funcs)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_weak_moments_of_an_overflowing_coefficient_name_the_functional_and_the_system(side):
+    # <w_1, .> = 0.6 * 1.7e308 + 0.8 * 1.7e308 overflows to inf; <w_0, .> fits
+    huge = VectorSystem(name="huge", vectors=[[1.7e308, 1.7e308], [0.0, 1.0]], norm=NormKind.EUCLIDEAN)
+    ones = VectorSystem(name="ones", vectors=[[1.0, 1.0], [1.0, 0.0]], norm=NormKind.EUCLIDEAN)
+    funcs = FunctionalSample(functionals=[[1.0, 0.0], [0.6, 0.8]], norm=NormKind.EUCLIDEAN, seed=Seed(0))
+    systems, letter = ((huge, ones), "X") if side == "x" else ((ones, huge), "Y")
+    with pytest.raises(ParameterError, match=rf"^coefficient <w_1, {letter}> of system 'huge' overflows float64$"):
+        weak_moment_constant(*systems, funcs)
 
 
 @pytest.mark.parametrize("y_rows, y_norm, funcs, message", [
