@@ -12,9 +12,7 @@ from .core import (
     ProcessKind,
     Seed,
     SetKind,
-    center_at_zero,
     generate_set,
-    has_disjoint_supports,
     load_set,
     save_set,
 )

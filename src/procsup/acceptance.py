@@ -320,8 +320,7 @@ def criterion_8_decomposition(seed: int = DEFAULT_SEED) -> CriterionResult:
         heads, tails = split_rows(ts.matrix, result.split.thresholds)
         rebuilt = heads + tails  # each coordinate sits on one side, the other holds 0.0
         failures += int(not np.array_equal(rebuilt, ts.matrix))
-        # Disjointness: no coordinate is nonzero in two points (the column
-        # count of has_disjoint_supports).
+        # Disjointness: no coordinate is nonzero in two points, counted per column.
         failures += int(np.count_nonzero(rebuilt, axis=0).max() > 1)
         best_swept = min(e.objective for e in sweep_objectives(ts))
         if result.objective > best_swept + 1e-12 * max(1.0, best_swept):

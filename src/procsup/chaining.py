@@ -431,7 +431,6 @@ class ChainBound:
     value: float
     per_point: tuple[float, ...]
     tree: PartitionTree
-    model: MomentModel
 
 
 def _chain_sums(coords: np.ndarray, levels: Iterable[TreeLevel], model: MomentModel) -> np.ndarray:
@@ -463,7 +462,7 @@ def chain_bound(ts: FiniteSet, tree: PartitionTree, model: MomentModel) -> Chain
     if tree.n_points != len(ts):
         raise ParameterError(f"tree covers {tree.n_points} points but the set has {len(ts)}")
     per_point = tuple(_chain_sums(ts.matrix, tree.arrays, model).tolist())
-    return ChainBound(value=max(per_point), per_point=per_point, tree=tree, model=model)
+    return ChainBound(value=max(per_point), per_point=per_point, tree=tree)
 
 
 def greedy_forest_bounds(coords: np.ndarray, counts, model: MomentModel) -> tuple[np.ndarray, np.ndarray]:
@@ -669,7 +668,7 @@ def verify_sup_bound(
     ts: FiniteSet,
     kind: ProcessKind,
     samples: int = 100_000,
-    seed: Seed | None = None,
+    seed: Seed = Seed(0),
     exact: bool = False,
 ) -> ComparisonReport:
     """Check ``E sup <= 4 * chain bound`` on one set, exactly where possible.
@@ -682,7 +681,6 @@ def verify_sup_bound(
     when the Bernoulli dimension exceeds the cap).  The violation flag
     allows Monte Carlo noise of three standard errors.
     """
-    seed = seed if seed is not None else Seed(0)
     sup = expected_sup(kind, ts, samples, seed, exact=exact)
     if kind is ProcessKind.GAUSSIAN:
         model = MomentModel.gaussian_exact()

@@ -162,7 +162,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
 def cmd_sup(args: argparse.Namespace) -> int:
     ts = load_set(args.set)
     est = expected_sup(ProcessKind(args.kind), ts, args.samples, Seed(args.seed), exact=args.exact)
-    results = {"set": ts.name, "dim": ts.dim, "points": len(ts), **record(est, seed=None)}
+    results = {"set": ts.name, "dim": ts.dim, "points": len(ts), **record(est)}
     _write_report(args, {"set": ts.content_hash()}, results)
     return 0
 

@@ -24,13 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FiniteSet, ProcessKind, Seed, check_integers, distinct_rows
+from .core import FIT_CAP, FiniteSet, ProcessKind, Seed, check_integers, distinct_rows
 from .errors import ParameterError, ValidationError
 from .reports import ComparisonReport, record, safe_ratio
 from .suprema import expected_sup
-
-#: Constants above this are treated as "no finite constant works".
-FIT_CAP = 1024.0
 
 #: The largest squared pair distance whose ``C^2`` multiple stays finite for every C up to FIT_CAP.
 _PROFILE_MAX = float(np.finfo(np.float64).max) / FIT_CAP**2
@@ -301,10 +298,9 @@ def fit_min_C(pair: MappedPair, p_max: int | None = None) -> ContractionReport:
 def compare_suprema(
     pair: MappedPair,
     samples: int = 100_000,
-    seed: Seed | None = None,
+    seed: Seed = Seed(0),
 ) -> ComparisonReport:
     """Empirical ratio ``S_B(image) / S_B(source)``, exact where enumerable."""
-    seed = seed if seed is not None else Seed(0)
     s_img = expected_sup(ProcessKind.BERNOULLI, pair.image, samples, seed)
     s_src = expected_sup(ProcessKind.BERNOULLI, pair.source, samples, seed)
     return ComparisonReport(

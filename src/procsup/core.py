@@ -27,6 +27,10 @@ from . import rng
 #: is allowed.  Shared by the exact Bernoulli moment and supremum oracles.
 EXACT_ENUMERATION_MAX_DIM = 20
 
+#: Contraction constants above this are treated as "no finite constant works";
+#: echoed into every report as ``fit_min_c_cap``.
+FIT_CAP = 1024.0
+
 #: Most coordinates (count x dim) :func:`generate_set` draws: 32 MiB of float64.
 GENERATE_MAX_COORDINATES = 2**22
 
@@ -218,20 +222,6 @@ class FiniteSet:
     def content_hash(self) -> str:
         """SHA-256 over the coordinate data (name excluded)."""
         return content_digest(dim=self.dim, points=self.matrix)
-
-
-def has_disjoint_supports(ts: FiniteSet) -> bool:
-    """True when no coordinate is nonzero in two different points of ``ts``."""
-    return bool(np.count_nonzero(ts.matrix, axis=0).max() <= 1)
-
-
-def center_at_zero(ts: FiniteSet) -> FiniteSet:
-    """Translate the whole set by minus its first point.
-
-    Pairwise differences (hence every canonical-process increment) are
-    untouched; the resulting set contains the zero point at index 0.
-    """
-    return FiniteSet(name=f"{ts.name}-centered", points=ts.matrix - ts.matrix[0])
 
 
 def _gen_random_sphere(dim: int, count: int, seed: Seed, params: Sequence[float]) -> np.ndarray:

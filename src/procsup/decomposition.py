@@ -53,10 +53,6 @@ class SplitRule:
         if self.mode == "global" and len(set(self.thresholds)) > 1:
             raise ParameterError("global mode requires one shared threshold")
 
-    @property
-    def global_threshold(self) -> float | None:
-        return self.thresholds[0] if self.mode == "global" else None
-
     def to_dict(self) -> dict:
         if self.mode == "global":
             return {"mode": self.mode, "threshold": self.thresholds[0]}
@@ -152,8 +148,7 @@ class DecompositionResult:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return record(self, split=self.split.to_dict(),
-                      s_b_reference=record(self.s_b_reference, samples=None, seed=None))
+        return record(self, split=self.split.to_dict(), s_b_reference=record(self.s_b_reference, samples=None))
 
 
 def _row_sums(m: np.ndarray) -> np.ndarray:
@@ -271,7 +266,7 @@ def decompose_by_sweep(
     ts: FiniteSet,
     kind: ProcessKind = ProcessKind.BERNOULLI,
     samples: int = 100_000,
-    seed: Seed | None = None,
+    seed: Seed = Seed(0),
     per_point: bool = False,
     k_constant: float = 1.0,
 ) -> DecompositionResult:
@@ -296,7 +291,6 @@ def decompose_by_sweep(
     rows = _tree_rows(ts.matrix, per_point)
     if rows > DECOMPOSE_MAX_ROWS:
         raise CapacityError(f"decomposition capped at {DECOMPOSE_MAX_ROWS} tail tree rows, got {rows}")
-    seed = seed if seed is not None else Seed(0)
     entries = sweep_objectives(ts)
     winner = min(entries, key=lambda e: e.objective)
     thresholds = (winner.threshold,) * len(ts)

@@ -112,10 +112,9 @@ class FunctionalSample:
     per row, each of dual norm at most 1.
     """
 
-    def __init__(self, functionals, norm: NormKind, seed: Seed) -> None:
+    def __init__(self, functionals, norm: NormKind) -> None:
         self.matrix = point_matrix(functionals, "functional sample", "functional")
         self.norm = norm
-        self.seed = seed
         duals = np.abs(self.matrix).sum(axis=1) if norm is NormKind.SUP else np.linalg.norm(self.matrix, axis=1)
         over = duals > 1.0 + _DUAL_SLACK
         if over.any():
@@ -149,7 +148,7 @@ def generate_functionals(norm: NormKind, dim: int, extra: int, seed: Seed) -> Fu
         else:
             g = rng.standard_normal(gen, dim)
             rows.append(g / np.linalg.norm(g))
-    return FunctionalSample(functionals=rows, norm=norm, seed=seed)
+    return FunctionalSample(functionals=rows, norm=norm)
 
 
 def _check_sysmatch(x_sys: VectorSystem, y_sys: VectorSystem, funcs: FunctionalSample) -> None:
@@ -163,6 +162,22 @@ def _check_sysmatch(x_sys: VectorSystem, y_sys: VectorSystem, funcs: FunctionalS
         raise ParameterError("functional sample was drawn for a different norm")
     if funcs.matrix.shape[1] != x_sys.dim:
         raise ParameterError("functionals do not match the ambient dimension")
+
+
+def _coefficient_rows(x_sys: VectorSystem, y_sys: VectorSystem, funcs: FunctionalSample) -> np.ndarray:
+    """The coefficient vectors of every functional: rows ``2k`` and ``2k + 1`` are ``<w_k, X>`` and ``<w_k, Y>``.
+
+    A coefficient that overflows float64 is a :class:`ParameterError`
+    naming the functional and the system.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.stack([m @ w for w in funcs.matrix for m in (x_sys.matrix, y_sys.matrix)])
+    overflows = ~np.isfinite(coeffs).all(axis=1)
+    if overflows.any():
+        k, side = divmod(int(overflows.argmax()), 2)
+        name = (x_sys, y_sys)[side].name
+        raise ParameterError(f"coefficient <w_{k}, {'XY'[side]}> of system {name!r} overflows float64")
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -202,14 +217,8 @@ def weak_moment_constant(
     if p_max < 1:
         raise ParameterError(f"p_max must be >= 1, got {p_max}")
     orders = range(1, p_max + 1)
-    # rows 2k and 2k + 1 are <w_k, X> and <w_k, Y>; the dedup key makes each one's first nonzero positive
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = np.stack([m @ w for w in funcs.matrix for m in (x_sys.matrix, y_sys.matrix)])
-    overflows = ~np.isfinite(coeffs).all(axis=1)
-    if overflows.any():
-        k, side = divmod(int(overflows.argmax()), 2)
-        name = (x_sys, y_sys)[side].name
-        raise ParameterError(f"coefficient <w_{k}, {'XY'[side]}> of system {name!r} overflows float64")
+    coeffs = _coefficient_rows(x_sys, y_sys, funcs)
+    # the dedup key makes each row's first nonzero positive
     lead = coeffs[np.arange(len(coeffs)), (coeffs != 0.0).argmax(axis=1)]
     first, slot = distinct_rows(np.where(lead[:, None] < 0.0, -coeffs, coeffs))
     if x_sys.terms <= EXACT_ENUMERATION_MAX_DIM:
@@ -241,17 +250,18 @@ def check_weak_contraction(
     carries the largest fitted constant and the functional that required
     it.  A zero image row has nothing to dominate (constant 1); a zero
     source row under a nonzero image fails at ``p = 0`` for every constant.
-    An infeasible functional makes the whole report infeasible.
+    An infeasible functional makes the whole report infeasible.  A
+    coefficient that overflows float64 is a :class:`ParameterError` naming
+    the functional and the system, raised before any fit.
     """
     _check_sysmatch(x_sys, y_sys, funcs)
     if p_max is None:
         p_max = x_sys.terms
     _check_order(p_max)
+    coeffs = _coefficient_rows(x_sys, y_sys, funcs)
     per_functional: list[float | None] = []
     worst, worst_index = None, -1
-    for k, w in enumerate(funcs.matrix):
-        with np.errstate(over="ignore", invalid="ignore"):  # the table names an overflowing row
-            a, b = x_sys.matrix @ w, y_sys.matrix @ w
+    for k, (a, b) in enumerate(zip(coeffs[0::2], coeffs[1::2])):
         if not a.any():
             per_functional.append(1.0)  # nothing to dominate
             continue
@@ -323,12 +333,11 @@ def strong_moment_ratio(
     x_sys: VectorSystem,
     y_sys: VectorSystem,
     samples: int = 100_000,
-    seed: Seed | None = None,
+    seed: Seed = Seed(0),
 ) -> ComparisonReport:
     """``E||sum eps x_i|| / E||sum eps y_i||``, exact where :func:`~procsup.moments.enumerable` allows."""
     if x_sys.norm is not y_sys.norm:
         raise ParameterError("systems must share one ambient norm")
-    seed = seed if seed is not None else Seed(0)
 
     def estimate(system: VectorSystem) -> tuple[float, float, str]:
         if enumerable(system.terms, system.dim):

@@ -41,7 +41,7 @@ from typing import Any, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .core import CONTENT_HASH_RULE, EXACT_ENUMERATION_MAX_DIM
+from .core import CONTENT_HASH_RULE, EXACT_ENUMERATION_MAX_DIM, FIT_CAP
 
 SCHEMA = "procsup-report"
 SCHEMA_VERSION = 1
@@ -50,7 +50,7 @@ SCHEMA_VERSION = 1
 DESIGN_DECISIONS = {
     "trim_budget_rule": "floor(C*p)",
     "exact_enumeration_max_dim": EXACT_ENUMERATION_MAX_DIM,
-    "fit_min_c_cap": 1024.0,
+    "fit_min_c_cap": FIT_CAP,
     "greedy_tie_break": "lowest-point-index",
     "partition_depth_rule": "least n with 2^(2^n) >= |F|",
     "random_streams": "philox keyed by (seed, purpose-label, content-hash)",

@@ -54,7 +54,6 @@ class SupEstimate:
     stderr: float
     method: EstimateMethod
     samples: int = 0
-    seed: Seed | None = None
 
     def __post_init__(self) -> None:
         if self.method is EstimateMethod.EXACT and (self.stderr != 0.0 or self.samples != 0):
@@ -163,7 +162,6 @@ def mc_sup(kind: ProcessKind, ts: FiniteSet, samples: int, seed: Seed) -> SupEst
         stderr=float(stderr),
         method=EstimateMethod.MONTE_CARLO,
         samples=samples,
-        seed=seed,
     )
 
 

@@ -55,6 +55,13 @@ def test_sup_exact_simplex_value(tmp_path):
     assert doc["inputs"]["set"] == load_set(path).content_hash()
 
 
+def test_sup_monte_carlo_results_keys(tmp_path):
+    set_path = _gen(tmp_path)
+    doc = _report(tmp_path, ["sup", "--set", str(set_path), "--kind", "gaussian", "--samples", "200"])
+    assert sorted(doc["results"]) == ["dim", "method", "points", "samples", "set", "stderr", "value"]
+    assert (doc["results"]["method"], doc["results"]["samples"]) == ("monte-carlo", 200)
+
+
 def test_moments_reports_sandwich(tmp_path):
     set_path = _gen(tmp_path)
     doc = _report(tmp_path, ["moments", "--set", str(set_path), "--p", "1", "2", "4"])
@@ -395,6 +402,13 @@ def test_gen_reads_negative_params_as_values(tmp_path, capsys, value, message):
     assert _run(argv) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_decompose_monte_carlo_reference_keys(tmp_path):
+    set_path = _gen(tmp_path, dim=24, count=4)  # above the enumeration cap: a Monte Carlo reference
+    dec = _report(tmp_path, ["decompose", "--set", str(set_path), "--samples", "200"], "d.json")
+    reference = dec["results"]["decomposition"]["s_b_reference"]
+    assert sorted(reference) == ["method", "stderr", "value"] and reference["method"] == "monte-carlo"
 
 
 _VERBS = [

@@ -14,10 +14,8 @@ from procsup.core import (
     Seed,
     SetKind,
     ValidationError,
-    center_at_zero,
     distinct_rows,
     generate_set,
-    has_disjoint_supports,
     load_set,
     point_matrix,
     read_points_file,
@@ -96,19 +94,6 @@ def test_content_hash_tracks_content_not_name():
     assert a.content_hash() != c.content_hash()
 
 
-def test_disjoint_supports():
-    yes = FiniteSet(name="y", points=[[1.0, 0.0, 0.0], [0.0, 2.0, 3.0]])
-    no = FiniteSet(name="n", points=[[1.0, 1.0, 0.0], [0.0, 2.0, 3.0]])
-    assert has_disjoint_supports(yes)
-    assert not has_disjoint_supports(no)
-
-
-def test_center_at_zero_shifts_first_point_to_origin():
-    ts = FiniteSet(name="c", points=[[1.0, 2.0], [3.0, 5.0]])
-    centered = center_at_zero(ts)
-    assert centered.matrix.tolist() == [[0.0, 0.0], [2.0, 3.0]]
-
-
 # --- generators ---
 
 
@@ -163,7 +148,7 @@ def test_cube_vertices_full_enumeration_is_exact():
 
 def test_disjoint_blocks_have_disjoint_supports():
     ts = generate_set(SetKind.DISJOINT_BLOCKS, 12, 4, Seed(3), (3,))
-    assert has_disjoint_supports(ts)
+    assert np.count_nonzero(ts.matrix, axis=0).max() <= 1  # no coordinate is nonzero in two points
     with pytest.raises(ParameterError, match="block"):
         generate_set(SetKind.DISJOINT_BLOCKS, 12, 4, Seed(3))
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from decomposition_reference import reference_objective, reference_refine_per_point
 from procsup import decomposition
 from procsup.chaining import build_partition_greedy, chain_bound
-from procsup.core import FiniteSet, ProcessKind, Seed, generate_set, has_disjoint_supports
+from procsup.core import FiniteSet, ProcessKind, Seed, generate_set
 from procsup.decomposition import (
     SplitRule,
     _refine_per_point,
@@ -81,9 +81,9 @@ def test_split_rule_modes():
     with pytest.raises(ParameterError):
         SplitRule(thresholds=(1.0, 2.0), mode="global")
     rule = SplitRule(thresholds=(1.0, 1.0), mode="global")
-    assert rule.global_threshold == 1.0
+    assert rule.mode == "global" and set(rule.thresholds) == {1.0}
     per = SplitRule(thresholds=(1.0, 2.0), mode="per-point")
-    assert per.global_threshold is None
+    assert per.mode == "per-point"
     assert per.to_dict()["thresholds"] == [1.0, 2.0]
 
 
@@ -178,13 +178,13 @@ def test_decompose_ties_resolve_to_smallest_threshold():
     result = decompose_by_sweep(ts, samples=2000, seed=Seed(0))
     entries = sweep_objectives(ts)
     winners = [e.threshold for e in entries if e.objective <= result.objective * (1 + 1e-12)]
-    assert result.split.global_threshold == min(winners)
+    assert result.split.mode == "global" and result.split.thresholds == (min(winners),)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_decompose_blocks_reference_is_exact_and_k_emp_finite(seed):
     ts = _blocks_set(seed)
-    assert has_disjoint_supports(ts)
+    assert np.count_nonzero(ts.matrix, axis=0).max() <= 1  # no coordinate is nonzero in two points
     result = decompose_by_sweep(ts, samples=4000, seed=Seed(seed))
     assert result.s_b_reference.method.value == "exact" or ts.dim > 20
     assert math.isfinite(result.k_emp) and result.k_emp > 0

@@ -77,13 +77,13 @@ def test_functionals_hold_one_basis_matrix():
 
 def test_functional_sample_is_one_validated_matrix():
     with pytest.raises(ValidationError, match=r"^functional 1 has dual norm 1.5 > 1$"):
-        FunctionalSample(functionals=[[1.0, 0.0], [0.5, -1.0]], norm=NormKind.SUP, seed=Seed(0))
+        FunctionalSample(functionals=[[1.0, 0.0], [0.5, -1.0]], norm=NormKind.SUP)
     with pytest.raises(ValidationError, match="^functional sample has no functionals$"):
-        FunctionalSample(functionals=[], norm=NormKind.SUP, seed=Seed(0))
+        FunctionalSample(functionals=[], norm=NormKind.SUP)
     with pytest.raises(ValidationError, match="functional 0: coordinate 1 is not finite"):
-        FunctionalSample(functionals=[[0.0, math.nan]], norm=NormKind.EUCLIDEAN, seed=Seed(0))
+        FunctionalSample(functionals=[[0.0, math.nan]], norm=NormKind.EUCLIDEAN)
     rows = np.array([[0.6, 0.8]])
-    sample = FunctionalSample(functionals=rows, norm=NormKind.EUCLIDEAN, seed=Seed(0))
+    sample = FunctionalSample(functionals=rows, norm=NormKind.EUCLIDEAN)
     rows[0, 0] = 9.0  # the sample holds its own copy
     assert sample.matrix.tolist() == [[0.6, 0.8]] and not sample.matrix.flags.writeable
     assert len(sample) == 1
@@ -227,7 +227,7 @@ def _with_repeats(funcs, picks):
     """``funcs`` plus, for each ``(index, sign)`` pick, that functional again times the sign."""
     rows = list(funcs.matrix)
     rows += [sign * rows[i % len(rows)] for i, sign in picks]
-    return FunctionalSample(functionals=rows, norm=funcs.norm, seed=funcs.seed)
+    return FunctionalSample(functionals=rows, norm=funcs.norm)
 
 
 grid = st.integers(min_value=-2, max_value=2).map(float)
@@ -360,12 +360,23 @@ def test_weak_contraction_of_an_overflowing_coefficient_is_a_parameter_error():
     # 0.6 * 1.7e308 + 0.8 * 1.7e308 overflows to inf
     x = VectorSystem(name="x", vectors=[[1.7e308, 1.7e308], [0.0, 1.0]], norm=NormKind.EUCLIDEAN)
     y = VectorSystem(name="y", vectors=[[1.0, 1.0], [1.0, 0.0]], norm=NormKind.EUCLIDEAN)
-    funcs = FunctionalSample(functionals=[[0.6, 0.8]], norm=NormKind.EUCLIDEAN, seed=Seed(0))
+    funcs = FunctionalSample(functionals=[[0.6, 0.8]], norm=NormKind.EUCLIDEAN)
     with np.errstate(over="ignore"):  # the matrix products of the reference warn
         assert math.isinf((x.matrix @ funcs.matrix[0])[0])
         with pytest.raises(ValidationError, match="is not finite"):
             reference_check_weak_contraction(x, y, funcs)
-    with pytest.raises(ParameterError, match=r"^squared distance of image pair \(0, 1\) overflows: inf exceeds"):
+    with pytest.raises(ParameterError, match=r"^coefficient <w_0, X> of system 'x' overflows float64$"):
+        check_weak_contraction(x, y, funcs)
+
+
+def test_weak_contraction_checks_every_coefficient_before_the_first_fit():
+    # <w_0, .> reads the last column, where x = 5000 y: infeasible; <w_1, X> overflows to inf
+    x = VectorSystem(name="x", vectors=[[1.7e308, 1.7e308, 5000.0], [0.0, 1.0, 5000.0]], norm=NormKind.EUCLIDEAN)
+    y = VectorSystem(name="y", vectors=[[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]], norm=NormKind.EUCLIDEAN)
+    first = FunctionalSample(functionals=[[0.0, 0.0, 1.0]], norm=NormKind.EUCLIDEAN)
+    assert check_weak_contraction(x, y, first).c_star is None
+    funcs = FunctionalSample(functionals=[[0.0, 0.0, 1.0], [0.6, 0.8, 0.0]], norm=NormKind.EUCLIDEAN)
+    with pytest.raises(ParameterError, match=r"^coefficient <w_1, X> of system 'x' overflows float64$"):
         check_weak_contraction(x, y, funcs)
 
 
@@ -375,7 +386,7 @@ def test_weak_moments_of_an_overflowing_coefficient_name_the_functional_and_the_
     # <w_1, .> = 0.6 * 1.7e308 + 0.8 * 1.7e308 overflows to inf; <w_0, .> fits
     huge = VectorSystem(name="huge", vectors=[[1.7e308, 1.7e308], [0.0, 1.0]], norm=NormKind.EUCLIDEAN)
     ones = VectorSystem(name="ones", vectors=[[1.0, 1.0], [1.0, 0.0]], norm=NormKind.EUCLIDEAN)
-    funcs = FunctionalSample(functionals=[[1.0, 0.0], [0.6, 0.8]], norm=NormKind.EUCLIDEAN, seed=Seed(0))
+    funcs = FunctionalSample(functionals=[[1.0, 0.0], [0.6, 0.8]], norm=NormKind.EUCLIDEAN)
     systems, letter = ((huge, ones), "X") if side == "x" else ((ones, huge), "Y")
     with pytest.raises(ParameterError, match=rf"^coefficient <w_1, {letter}> of system 'huge' overflows float64$"):
         weak_moment_constant(*systems, funcs)

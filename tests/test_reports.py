@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from json_reference import encode, report_csv, report_json
+from procsup import contraction
 from procsup.chaining import (
     PartitionTree,
     build_partition_greedy,
@@ -50,6 +51,11 @@ def test_build_report_shape_and_stability():
     assert doc["design_decisions"] == DESIGN_DECISIONS
     assert "stamp" not in doc
     assert to_json(doc) == to_json(build_report("demo", {"seed": 1}, {"set": "abc"}, {"x": 1.0}))
+
+
+def test_design_decisions_echo_the_fit_cap():
+    # the very object the contraction fit caps at, not a second literal
+    assert DESIGN_DECISIONS["fit_min_c_cap"] is contraction.FIT_CAP
 
 
 def test_stamp_only_when_asked():
