@@ -30,20 +30,18 @@ from .contraction import CoordinateMap, apply_map, check_condition, compare_supr
 from .core import FiniteSet, ProcessKind, Seed, generate_set
 from .decomposition import decompose_by_sweep, split_rows, sweep_objectives, verify_two_sided
 from .moments import (
+    REL_SLACK,
     MomentModel,
     bernoulli_exact_norms,
     gaussian_moment_constant,
     gaussian_norms,
     mc_norms,
-    proxy_norms,
+    moment_sandwich,
 )
-from .reports import record
 from .suprema import brute_force_bernoulli_sup, mc_sup
 
 #: Seed used when none is given; any u64 works, results stay deterministic.
 DEFAULT_SEED = 20260815
-
-_REL_SLACK = 1e-9  # allowance for float rounding in analytic inequalities
 
 
 @dataclass(frozen=True)
@@ -56,9 +54,6 @@ class CriterionResult:
     @property
     def line(self) -> str:
         return f"[{'PASS' if self.passed else 'FAIL'}] criterion {self.number}: {self.name}"
-
-    def to_dict(self) -> dict:
-        return record(self)
 
 
 def _mixed_vectors(seed: int, count: int, dim: int, label: str) -> np.ndarray:
@@ -90,25 +85,11 @@ def _random_set(seed: int, label: str, index: int, count: int, dim: int) -> Fini
 
 
 def criterion_1_moment_sandwich(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Proxy sandwich: exact <= proxy <= 4 * exact on mixed vectors, d = 12."""
+    """Proxy sandwich by :func:`moment_sandwich`: exact <= proxy <= 4 * exact on mixed vectors, d = 12."""
     orders = (1, 2, 3, 4, 8, 16)
     vectors = _mixed_vectors(seed, 50, 12, "c1")
-    worst_lower = math.inf  # min proxy / exact, must stay >= 1
-    worst_upper = 0.0  # max proxy / exact, must stay <= 4
-    failures = 0
-    exacts = bernoulli_exact_norms(vectors, orders).tolist()
-    proxies = np.stack([proxy_norms(vectors, p)[2] for p in orders], axis=1).tolist()
-    for exact_row, proxy_row in zip(exacts, proxies):
-        for exact, proxy in zip(exact_row, proxy_row):
-            if exact == 0.0:
-                if proxy != 0.0:
-                    failures += 1
-                continue
-            ratio = proxy / exact
-            worst_lower = min(worst_lower, ratio)
-            worst_upper = max(worst_upper, ratio)
-            if not (1.0 - _REL_SLACK) <= ratio <= 4.0 * (1.0 + _REL_SLACK):
-                failures += 1
+    rows, _, failures = moment_sandwich(vectors, orders)
+    ratios = [row.sandwich_ratio for row in rows if row.bernoulli_exact > 0.0]
     return CriterionResult(
         1,
         "moment sandwich (exact <= proxy <= 4*exact)",
@@ -116,8 +97,8 @@ def criterion_1_moment_sandwich(seed: int = DEFAULT_SEED) -> CriterionResult:
         {
             "vectors": len(vectors),
             "orders": list(orders),
-            "min_ratio": worst_lower,
-            "max_ratio": worst_upper,
+            "min_ratio": min(ratios, default=math.inf),
+            "max_ratio": max(ratios, default=0.0),
             "failures": failures,
         },
     )
@@ -135,11 +116,11 @@ def criterion_2_moment_regularity(seed: int = DEFAULT_SEED) -> CriterionResult:
             if low == 0.0:
                 continue
             worst_bernoulli = max(worst_bernoulli, high / low)
-            if high > sqrt3 * low * (1.0 + _REL_SLACK):
+            if high > sqrt3 * low * (1.0 + REL_SLACK):
                 failures += 1
     gaussian_ratios = {q: gaussian_moment_constant(2 * q) / gaussian_moment_constant(q) for q in (2, 4, 8, 16)}
     for q, ratio in gaussian_ratios.items():
-        if ratio > sqrt3 * (1.0 + _REL_SLACK):
+        if ratio > sqrt3 * (1.0 + REL_SLACK):
             failures += 1
     return CriterionResult(
         2,
@@ -233,7 +214,7 @@ def criterion_5_sum_set_combiner(seed: int = DEFAULT_SEED) -> CriterionResult:
         combined_set, combined_tree = combine_sum_set(set_a, tree_a, set_b, tree_b)
         lhs = chain_bound(combined_set, combined_tree, model).value
         rhs = chain_bound(set_a, tree_a, model).value + chain_bound(set_b, tree_b, model).value
-        if lhs > sqrt3 * rhs * (1.0 + _REL_SLACK):
+        if lhs > sqrt3 * rhs * (1.0 + REL_SLACK):
             failures += 1
         if rhs > 0:
             worst = max(worst, lhs / rhs)
@@ -257,8 +238,7 @@ def criterion_6_classical_contraction(seed: int = DEFAULT_SEED) -> CriterionResu
             sups = compare_suprema(pair)
             failures += int(sups.lhs > sups.rhs + 1e-12)
             worst_ratio = max(worst_ratio, sups.ratio)
-            if not check_condition(pair, 1.0, p_max=10, tol=1e-12).satisfied:
-                failures += 1
+            failures += int(check_condition(pair, 1.0, p_max=10).margin > 1e-12)
     return CriterionResult(
         6,
         "classical contraction: 1-Lipschitz images, constant one",

@@ -49,15 +49,7 @@ from .core import (
 )
 from .decomposition import decompose_by_sweep, verify_two_sided
 from .errors import ParameterError, ProcsupError
-from .moments import (
-    ModelKind,
-    MomentModel,
-    bernoulli_exact_norms,
-    bernoulli_exact_route,
-    check_proxy_order,
-    gaussian_norms,
-    proxy_norms,
-)
+from .moments import EXACT_MAX_ORDER, EXACT_SUP_MAX_SUMS, ModelKind, MomentModel, moment_sandwich
 from .oleszkiewicz import (
     NormKind,
     load_vector_system,
@@ -68,8 +60,6 @@ from .oleszkiewicz import (
 )
 from .reports import build_report, record, safe_ratio, to_csv, to_json
 from .suprema import expected_sup
-
-_REL_SLACK = 1e-9
 
 # Friendly aliases accepted by `gen --kind` on top of the canonical names.
 _KIND_ALIASES = {
@@ -122,38 +112,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_moments(args: argparse.Namespace) -> int:
     """Per-point moment decompositions, with the sandwich asserted when exact."""
     ts = load_set(args.set)
-    enumerable = ts.dim <= EXACT_ENUMERATION_MAX_DIM
-    for p in args.p:  # the proxy's order check, before any norm is computed
-        check_proxy_order(p)
-    # the exact norms first: an overflowing l1 norm fails before the proxy's checks
-    exacts = bernoulli_exact_norms(ts.matrix, args.p).tolist() if enumerable else [[None] * len(args.p)] * len(ts)
-    proxies = [[part.tolist() for part in proxy_norms(ts.matrix, p)] for p in args.p]
-    gaussians = [gaussian_norms(ts.matrix, p).tolist() for p in args.p]
-    rows = []
-    violations = 0
-    for i, point_exacts in enumerate(exacts):
-        for c, (p, exact) in enumerate(zip(args.p, point_exacts)):
-            ell1, tail, proxy = (part[i] for part in proxies[c])
-            row = {
-                "point": i,
-                "p": p,
-                "ell1_part": ell1,
-                "tail_l2": tail,
-                "proxy": proxy,
-                "gaussian_exact": gaussians[c][i],
-            }
-            if exact is not None:
-                ratio = safe_ratio(proxy, exact)
-                row["bernoulli_exact"] = exact
-                row["bernoulli_route"] = bernoulli_exact_route(p)
-                row["sandwich_ratio"] = ratio
-                if exact > 0 and not (1.0 - _REL_SLACK) <= ratio <= 4.0 * (1.0 + _REL_SLACK):
-                    violations += 1
-            rows.append(row)
+    rows, checked, violations = moment_sandwich(ts.matrix, args.p)
     results = {
         "set": ts.name,
-        "rows": rows,
-        "sandwich": {"checked": enumerable, "violations": violations},
+        "rows": [record(row) for row in rows],
+        "sandwich": {"checked": checked, "violations": violations},
     }
     _write_report(args, {"set": ts.content_hash()}, results)
     return 3 if violations else 0
@@ -200,7 +163,7 @@ def cmd_verify_t2(args: argparse.Namespace) -> int:
     ts = load_set(args.set)
     report = verify_sup_bound(ts, ProcessKind(args.kind), samples=args.samples, seed=Seed(args.seed),
                               exact=args.exact)
-    _write_report(args, {"set": ts.content_hash()}, report.to_dict())
+    _write_report(args, {"set": ts.content_hash()}, record(report))
     return 3 if report.violation else 0
 
 
@@ -218,7 +181,7 @@ def cmd_contract(args: argparse.Namespace) -> int:
         "source": ts.name,
         "image_points": len(pair.image),
         "fit": fit.to_dict(),
-        "suprema": suprema.to_dict(),
+        "suprema": record(suprema),
     }
     code = 0
     if check is not None:
@@ -236,7 +199,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     results = {
         "set": ts.name,
         "decomposition": result.to_dict(),
-        "two_sided": verify_two_sided(ts, result).to_dict(),
+        "two_sided": record(verify_two_sided(ts, result)),
     }
     _write_report(args, {"set": ts.content_hash()}, results)
     return 0
@@ -256,9 +219,9 @@ def cmd_oleszkiewicz(args: argparse.Namespace) -> int:
         "y": y_sys.name,
         "norm": x_sys.norm.value,
         "functionals": len(funcs),
-        "weak": weak.to_dict(),
+        "weak": record(weak),
         "contraction": contraction.to_dict(),
-        "strong": strong.to_dict(),
+        "strong": record(strong),
         "strong_over_weak": safe_ratio(strong.ratio, weak.value),
     }
     _write_report(args, {"x": x_sys.content_hash(), "y": y_sys.content_hash()}, results)
@@ -278,7 +241,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
     for criterion in criteria:
         outcome = criterion(args.seed)
         print(outcome.line)
-        results.append(outcome.to_dict())
+        results.append(record(outcome))
     passed = all(r["passed"] for r in results)
     if args.out:
         _write_report(args, {}, {"criteria": results, "all_passed": passed})
@@ -333,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="moment decompositions and the sandwich check")
     p.add_argument("--set", required=True, metavar="PATH")
     p.add_argument("--p", type=int, nargs="+", default=[1, 2, 4, 8],
-                   help="moment orders, integers >= 1 (default: 1 2 4 8); integers 1..1024 where exact "
-                        "norms are computed (d <= 20)")
+                   help=f"moment orders, integers >= 1 (default: 1 2 4 8); integers 1..{EXACT_MAX_ORDER} "
+                        f"where exact norms are computed (d <= {EXACT_ENUMERATION_MAX_DIM})")
     _add_report_flags(p)
     p.set_defaults(handler=cmd_moments)
 
@@ -343,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=_values(ProcessKind), default="bernoulli")
     p.add_argument("--exact", action="store_true",
                    help="force exact enumeration (Bernoulli only, dim <= "
-                        f"{EXACT_ENUMERATION_MAX_DIM} and |T|*2^(d-1) <= 2^32)")
+                        f"{EXACT_ENUMERATION_MAX_DIM} and |T|*2^(d-1) <= 2^{EXACT_SUP_MAX_SUMS.bit_length() - 1})")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     _add_report_flags(p)

@@ -228,24 +228,18 @@ def _check_order(p_max: int) -> None:
         raise ParameterError(f"p_max must be >= 0, got {p_max}")
 
 
-def check_condition(pair: MappedPair, c: float, p_max: int, tol: float = 0.0) -> CheckResult:
+def check_condition(pair: MappedPair, c: float, p_max: int) -> CheckResult:
     """Does the contraction condition hold at constant ``c`` up to order ``p_max``?
 
-    ``tol``, finite and nonnegative, loosens the margin comparison (useful
-    when the map was computed in floating point and exact ties round either
-    way); the default is strict.
+    The verdict is strict, ``margin <= 0``; a caller that allows for
+    rounding compares the returned ``margin`` with its own allowance.
     """
     if not math.isfinite(c):
         raise ParameterError(f"C must be finite, got {c}")
     if c < 1.0:
         raise ParameterError(f"the condition is defined for C >= 1, got {c}")
     _check_order(p_max)
-    if not 0.0 <= tol < math.inf:  # NaN fails too
-        raise ParameterError(f"tol must be {'nonnegative' if tol < 0 else 'finite'}, got {tol}")
-    result = _PairTable(*_difference_rows(pair)).evaluate(c, p_max)
-    if tol and not result.satisfied and result.margin <= tol:
-        return CheckResult(satisfied=True, margin=result.margin, worst_pair=result.worst_pair)
-    return result
+    return _PairTable(*_difference_rows(pair)).evaluate(c, p_max)
 
 
 def _least_accepted(table: _PairTable, c: float, p_max: int) -> float | None:

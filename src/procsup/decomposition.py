@@ -38,20 +38,19 @@ from .suprema import SupEstimate, expected_sup
 
 @dataclass(frozen=True)
 class SplitRule:
-    """Thresholds, one per point (a single shared value in global mode)."""
+    """Thresholds, one per point; the rule is global when they are all equal, per-point otherwise."""
 
     thresholds: tuple[float, ...]
-    mode: str = "global"
 
     def __post_init__(self) -> None:
-        if self.mode not in ("global", "per-point"):
-            raise ParameterError(f"mode must be 'global' or 'per-point', got {self.mode!r}")
         if not self.thresholds:
             raise ParameterError("a split rule needs at least one threshold")
         if not all(r >= 0 for r in self.thresholds):  # NaN fails too
             raise ParameterError("thresholds must be nonnegative numbers")
-        if self.mode == "global" and len(set(self.thresholds)) > 1:
-            raise ParameterError("global mode requires one shared threshold")
+
+    @property
+    def mode(self) -> str:
+        return "global" if len(set(self.thresholds)) == 1 else "per-point"
 
     def to_dict(self) -> dict:
         if self.mode == "global":
@@ -275,13 +274,17 @@ def decompose_by_sweep(
     The global sweep is exhaustive over its candidate grid (ties resolve to
     the smallest threshold).  With ``per_point=True`` the winning global
     threshold seeds a coordinate-descent refinement in which each point may
-    settle on its own magnitude grid.  The reported ``ell1_sup`` and
-    ``gamma2_bound`` are those the sweep or the descent computed for the
-    chosen split.  The reference supremum is exact for the Bernoulli process
-    up to the dimension cap, Monte Carlo otherwise.  Before the sweep, a
-    non-finite or negative ``k_constant`` raises :class:`ParameterError`,
-    and tail trees of more than ``DECOMPOSE_MAX_ROWS = 2**20`` rows in all
-    raise :class:`CapacityError`: the sweep grows ``(1 +`` distinct
+    settle on its own magnitude grid.  The descent moves only on a strict
+    improvement over the sweep's minimum, and every point's grid lies inside
+    the sweep's, so it never ends on equal thresholds other than its start:
+    the split's mode is ``per-point`` exactly when the descent moved.  The
+    reported ``ell1_sup`` and ``gamma2_bound`` are those the sweep or the
+    descent computed for the chosen split.  The reference supremum is exact
+    for the Bernoulli process up to the dimension cap, Monte Carlo
+    otherwise.  Before the sweep, a non-finite or negative ``k_constant``
+    raises :class:`ParameterError`, and tail trees of more than
+    ``DECOMPOSE_MAX_ROWS = 2**20`` rows in all raise
+    :class:`CapacityError`: the sweep grows ``(1 +`` distinct
     magnitudes ``)·(|T| + 1)`` rows, and ``per_point`` adds up to three
     passes of ``Σ_i (1 +`` distinct magnitudes of point ``i)·(|T| + 1)``.
     A sphere in 16 dimensions passes the cap at 256 points, 125 with
@@ -293,19 +296,16 @@ def decompose_by_sweep(
         raise CapacityError(f"decomposition capped at {DECOMPOSE_MAX_ROWS} tail tree rows, got {rows}")
     entries = sweep_objectives(ts)
     winner = min(entries, key=lambda e: e.objective)
-    thresholds = (winner.threshold,) * len(ts)
-    mode, ell1_sup, gamma2 = "global", winner.ell1_sup, winner.gamma2_bound
+    thresholds, ell1_sup, gamma2 = (winner.threshold,) * len(ts), winner.ell1_sup, winner.gamma2_bound
     if per_point:
-        refined, ell1, gamma = _refine_per_point(ts, winner)
-        if refined != thresholds:
-            thresholds, mode, ell1_sup, gamma2 = refined, "per-point", ell1, gamma
+        thresholds, ell1_sup, gamma2 = _refine_per_point(ts, winner)
 
     reference = expected_sup(kind, ts, samples, seed)
     objective = ell1_sup + gamma2
     _, tails = split_rows(ts.matrix, thresholds)
     p_pick = choose_p(math.sqrt(_row_sums(tails * tails).max()), k_constant, reference.value)
     return DecompositionResult(
-        split=SplitRule(thresholds=thresholds, mode=mode),
+        split=SplitRule(thresholds=thresholds),
         ell1_sup=ell1_sup,
         gamma2_bound=gamma2,
         objective=objective,

@@ -15,6 +15,10 @@ of rows:
 * :func:`gaussian_norms`, the Gamma-function formula (one ``vecdot``),
 * :func:`mc_norms`, seeded Monte Carlo with delta-method standard errors.
 
+:func:`moment_sandwich` sets the proxy beside the exact norm and checks
+the sandwich ``exact <= proxy <= 4 exact`` up to ``REL_SLACK``: the one
+verifier behind ``procsup moments`` and acceptance criterion 1.
+
 Every route rejects a non-finite row with one :class:`ValidationError`, and
 an l1 or l2 norm that overflows float64 with a :class:`ParameterError`
 naming the row.  One vector is a one-row matrix: ``proxy_norms(t[None, :], p)``.
@@ -67,6 +71,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import rng
 from .core import EXACT_ENUMERATION_MAX_DIM, ProcessKind, Seed, check_integers
 from .errors import CapacityError, ParameterError, ValidationError
+from .reports import safe_ratio
 
 #: Byte budget of one block of sign sums or Monte Carlo products.
 _BLOCK_BYTES = 8 << 20
@@ -93,6 +98,9 @@ _POINT_MAJOR_PATTERNS = 8
 #: ``C(p, j)``, at most ``C(1024, 512) ~ 4.5e306`` here; the middle binomial
 #: outgrows float64 from ``C(1030, 515)`` on.
 EXACT_MAX_ORDER = 1024
+
+#: Relative allowance for float rounding in the package's analytic inequalities.
+REL_SLACK = 1e-9
 
 
 def _finite_rows(ts) -> np.ndarray:
@@ -395,6 +403,55 @@ def bernoulli_exact_norms(rows, ps) -> np.ndarray:
         if cols:
             norms[:, cols] = route_norms(rows, scales, [qs[c] for c in cols])
     return norms
+
+
+@dataclass(frozen=True)
+class MomentRow:
+    """One point's moment decomposition at one order; the exact fields only where d <= ``EXACT_ENUMERATION_MAX_DIM``."""
+
+    point: int
+    p: int
+    ell1_part: float
+    tail_l2: float
+    proxy: float
+    gaussian_exact: float
+    bernoulli_exact: float | None = None
+    bernoulli_route: str | None = None
+    sandwich_ratio: float | None = None
+
+
+def moment_sandwich(rows, ps) -> tuple[list[MomentRow], bool, int]:
+    """Each row's proxy and Gaussian norms at each order in ``ps``, with the sandwich checked where exact norms run.
+
+    Returns the records (point-major, then by order), whether the exact
+    norms ran (d <= ``EXACT_ENUMERATION_MAX_DIM``) and the number of
+    sandwich violations.  A record keeps the sandwich when its exact norm
+    is positive and ``1 - REL_SLACK <= proxy / exact <= 4 (1 + REL_SLACK)``,
+    or when both are 0.  Every order is checked for the proxy first; then
+    the exact norms run, so an overflowing l1 norm fails before the proxy
+    does, then the proxy and the Gaussian norms.
+    """
+    for p in ps:
+        check_proxy_order(p)
+    rows = _finite_rows(rows)
+    checked = rows.shape[1] <= EXACT_ENUMERATION_MAX_DIM
+    exacts = bernoulli_exact_norms(rows, ps).tolist() if checked else [[None] * len(ps)] * len(rows)
+    proxies = [[part.tolist() for part in proxy_norms(rows, p)] for p in ps]
+    gaussians = [gaussian_norms(rows, p).tolist() for p in ps]
+    records, violations = [], 0
+    for i, point_exacts in enumerate(exacts):
+        for c, (p, exact) in enumerate(zip(ps, point_exacts)):
+            fields = (i, p, *(part[i] for part in proxies[c]), gaussians[c][i])
+            if exact is None:
+                records.append(MomentRow(*fields))
+                continue
+            ratio = safe_ratio(fields[4], exact)
+            records.append(MomentRow(*fields, exact, bernoulli_exact_route(p), ratio))
+            if exact == 0.0:
+                violations += ratio != 0.0
+            else:
+                violations += not (1.0 - REL_SLACK <= ratio <= 4.0 * (1.0 + REL_SLACK))
+    return records, checked, violations
 
 
 def _draw(kind: ProcessKind, gen: np.random.Generator, size) -> np.ndarray:

@@ -34,6 +34,7 @@ from .core import (
     SYSTEM_FORMAT,
     ProcessKind,
     Seed,
+    check_integers,
     content_digest,
     distinct_rows,
     point_matrix,
@@ -43,7 +44,7 @@ from .core import (
 from .errors import ParameterError, ParseError, ValidationError
 from .contraction import ContractionReport, _PairTable, _check_order, _fit
 from .moments import _norms, bernoulli_exact_norms, enumerable, mc_mean, proxy_norms, signed_row_sums
-from .reports import ComparisonReport, record, safe_ratio
+from .reports import ComparisonReport, safe_ratio
 
 _DUAL_SLACK = 1e-12
 
@@ -190,9 +191,6 @@ class WeakMomentResult:
     lhs: float
     rhs: float
 
-    def to_dict(self) -> dict:
-        return record(self)
-
 
 def weak_moment_constant(
     x_sys: VectorSystem,
@@ -214,6 +212,7 @@ def weak_moment_constant(
     before any norm is taken.
     """
     _check_sysmatch(x_sys, y_sys, funcs)
+    check_integers((p_max,), "p_max")
     if p_max < 1:
         raise ParameterError(f"p_max must be >= 1, got {p_max}")
     orders = range(1, p_max + 1)

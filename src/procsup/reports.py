@@ -87,9 +87,6 @@ class ComparisonReport:
     violation: bool | None = None
     extras: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return record(self)
-
 
 def _leaf(value):
     """A scalar as reports write it; containers and other objects come back unchanged.

@@ -40,7 +40,7 @@ from scipy.special import poch
 from . import rng
 from .core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, ProcessKind, Seed
 from .errors import CapacityError, ParameterError, ValidationError
-from .moments import EXACT_SUP_MAX_SUMS, _norms, enumerable, mc_mean, signed_row_sums
+from .moments import _norms, enumerable, mc_mean, signed_row_sums
 
 
 class EstimateMethod(enum.Enum):
@@ -66,7 +66,8 @@ def brute_force_bernoulli_sup(ts: FiniteSet) -> SupEstimate:
     """Exact ``E max_{t in T} <eps, t>`` by averaging over all sign patterns.
 
     Capped at dim <= 20 and at ``|T| * 2^(d-1) <= EXACT_SUP_MAX_SUMS`` sign
-    sums, each a :class:`CapacityError` raised before any pattern is
+    sums by :func:`~procsup.moments.enumerable`; past either cap one
+    :class:`CapacityError` naming both is raised before any pattern is
     enumerated.  Only the patterns with ``eps_0 = +1`` are
     enumerated: each stands for itself and its negation, whose maximum is
     minus its minimum.  The spans are summed a block at a time, and each
@@ -77,11 +78,10 @@ def brute_force_bernoulli_sup(ts: FiniteSet) -> SupEstimate:
     it, each with a :class:`ParameterError`.
     """
     d = ts.dim
-    if d > EXACT_ENUMERATION_MAX_DIM:
-        raise CapacityError(f"exact Bernoulli supremum needs dim <= {EXACT_ENUMERATION_MAX_DIM}, got {d}")
-    if len(ts) << (d - 1) > EXACT_SUP_MAX_SUMS:
+    if not enumerable(d, len(ts)):
         raise CapacityError(
-            f"exact Bernoulli supremum needs |T|*2^(d-1) <= 2^32 sign sums, got {len(ts)}*2^{d - 1}"
+            f"exact Bernoulli supremum needs dim <= {EXACT_ENUMERATION_MAX_DIM} and |T|*2^(d-1) <= 2^32 "
+            f"sign sums, got {len(ts)}*2^{d - 1}"
         )
     scales = _norms(ts.matrix, 1)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from procsup import acceptance
+from procsup.reports import record
 
 #: Wall-clock budget, in seconds, of each timed criterion by number.
 BUDGETS_S = {1: 60.0, 3: 300.0}
@@ -35,7 +36,7 @@ def test_criterion(criterion):
 def test_results_carry_numbered_lines():
     result = acceptance.criterion_2_moment_regularity(acceptance.DEFAULT_SEED)
     assert result.line.startswith("[PASS] criterion 2:")
-    assert result.to_dict()["number"] == 2
+    assert record(result)["number"] == 2
 
 
 def test_readme_quick_tour_runs():

@@ -72,6 +72,15 @@ def test_moments_reports_sandwich(tmp_path):
         assert row["bernoulli_exact"] <= row["proxy"] * (1 + 1e-9)
 
 
+def test_moments_on_a_set_with_the_origin_keeps_the_sandwich(tmp_path):
+    set_path = tmp_path / "origin.set"
+    save_set(FiniteSet(name="origin", points=[[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]]), set_path)
+    doc = _report(tmp_path, ["moments", "--set", str(set_path), "--p", "1", "2", "3"])
+    assert doc["results"]["sandwich"] == {"checked": True, "violations": 0}
+    origin = [row for row in doc["results"]["rows"] if row["point"] == 0]
+    assert [(row["bernoulli_exact"], row["proxy"], row["sandwich_ratio"]) for row in origin] == [(0.0, 0.0, 0.0)] * 3
+
+
 @pytest.mark.parametrize("orders", [["0"], ["2", "0"]])
 def test_moments_rejects_order_zero_with_the_proxy_message(tmp_path, capsys, orders):
     set_path = _gen(tmp_path)

@@ -72,8 +72,8 @@ def test_apply_map_dedups_image_and_keeps_correspondence():
 def test_lipschitz_maps_satisfy_condition_at_one(name, params):
     for seed in range(5):
         pair = apply_map(_random_set(seed), CoordinateMap(name, params))
-        result = check_condition(pair, 1.0, p_max=5, tol=1e-12)
-        assert result.satisfied, (name, seed, result.margin)
+        result = check_condition(pair, 1.0, p_max=5)
+        assert result.margin <= 1e-12, (name, seed, result.margin)
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 5.0])
@@ -191,22 +191,6 @@ def test_mapped_pair_accepts_numpy_integers():
     img = _random_set(2, count=2, dim=2)
     pair = MappedPair(source=src, image=img, correspondence=(np.int64(1), np.int32(0)), map_label="x")
     assert fit_min_C(pair, p_max=2) == fit_min_C(MappedPair(src, img, (1, 0), "x"), p_max=2)
-
-
-def test_check_condition_tol_accepts_a_failure_within_it_and_keeps_its_margin():
-    # scaling by 1 + 1e-12 fails C = 1 by a margin of about 1e-11
-    ts = FiniteSet(name="t", points=[[1.0, 2.0], [-0.5, 0.25], [0.0, 1.0]])
-    pair = apply_map(ts, CoordinateMap("scale", (1 + 1e-12,)))
-    strict = check_condition(pair, 1.0, p_max=2)
-    assert strict == CheckResult(satisfied=False, margin=1.0626166613292298e-11, worst_pair=(0, 1, 0))
-    assert check_condition(pair, 1.0, p_max=2, tol=1e-9) == CheckResult(True, strict.margin, strict.worst_pair)
-    assert check_condition(pair, 1.0, p_max=2, tol=1e-12) == strict
-    with pytest.raises(ParameterError, match=r"^tol must be nonnegative, got -1e-09$"):
-        check_condition(pair, 1.0, p_max=2, tol=-1e-9)
-    # a NaN tol must not act as 0, nor an infinite one accept any margin
-    for tol in (math.nan, math.inf):
-        with pytest.raises(ParameterError, match=rf"^tol must be finite, got {tol}$"):
-            check_condition(pair, 1.0, p_max=2, tol=tol)
 
 
 @pytest.mark.parametrize("name,params", [("abs", ()), ("clamp", (-0.8, 0.8)),

@@ -70,21 +70,29 @@ def test_split_rejects_a_nan_radius(r):
         split_rows(np.ones((2, 2)), np.array([1.0, r]))
 
 
-@pytest.mark.parametrize("thresholds, mode", [((math.nan,), "global"), ((1.0, math.nan), "per-point"),
-                                              ((), "global")])
-def test_split_rule_rejects_nan_thresholds(thresholds, mode):  # and an empty rule, which has no threshold to report
+@pytest.mark.parametrize("thresholds", [(math.nan,), (1.0, math.nan), ()])
+def test_split_rule_rejects_nan_thresholds(thresholds):  # and an empty rule, which has no threshold to report
     with pytest.raises(ParameterError):
-        SplitRule(thresholds=thresholds, mode=mode)
+        SplitRule(thresholds=thresholds)
 
 
 def test_split_rule_modes():
-    with pytest.raises(ParameterError):
-        SplitRule(thresholds=(1.0, 2.0), mode="global")
-    rule = SplitRule(thresholds=(1.0, 1.0), mode="global")
+    rule = SplitRule(thresholds=(1.0, 1.0))
     assert rule.mode == "global" and set(rule.thresholds) == {1.0}
-    per = SplitRule(thresholds=(1.0, 2.0), mode="per-point")
+    per = SplitRule(thresholds=(1.0, 2.0))
     assert per.mode == "per-point"
     assert per.to_dict()["thresholds"] == [1.0, 2.0]
+
+
+def test_split_mode_follows_from_the_thresholds():
+    assert SplitRule(thresholds=(0.5,)).to_dict() == {"mode": "global", "threshold": 0.5}
+    assert SplitRule(thresholds=(0.5, 0.0, 0.5)).to_dict() == {"mode": "per-point", "thresholds": [0.5, 0.0, 0.5]}
+    # a per-point descent that does not move keeps the sweep's shared threshold: global
+    ts = generate_set("random_sphere", 3, 3, Seed(0))
+    winner = min(sweep_objectives(ts), key=lambda e: e.objective)
+    result = decompose_by_sweep(ts, samples=200, seed=Seed(0), per_point=True)
+    assert result.split.thresholds == (winner.threshold,) * 3
+    assert result.to_dict()["split"] == {"mode": "global", "threshold": winner.threshold}
 
 
 def test_choose_p_edges():

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from procsup import cli, moments, oleszkiewicz, rng
 from procsup.core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, ProcessKind, Seed, generate_set, save_set
 from procsup.errors import CapacityError, ParameterError
-from procsup.moments import _POINT_MAJOR_PATTERNS, bernoulli_exact_norms, signed_row_sums
+from procsup.moments import _POINT_MAJOR_PATTERNS, EXACT_SUP_MAX_SUMS, bernoulli_exact_norms, signed_row_sums
 from procsup.oleszkiewicz import (
     NormKind,
     VectorSystem,
@@ -36,7 +36,7 @@ from procsup.oleszkiewicz import (
     _mc_strong_moment,
     strong_moment_ratio,
 )
-from procsup.suprema import EXACT_SUP_MAX_SUMS, brute_force_bernoulli_sup, mc_sup
+from procsup.suprema import brute_force_bernoulli_sup, mc_sup
 
 from enumeration_reference import (
     reference_bernoulli_sup,
@@ -381,7 +381,8 @@ def test_exact_suprema_stop_at_2_32_sign_sums_before_enumerating(monkeypatch, tm
     assert EXACT_SUP_MAX_SUMS == 8192 << 19
     with pytest.raises(TypeError):  # 8 192 points at d=20: exactly the limit, so it enumerates
         brute_force_bernoulli_sup(FiniteSet(name="at", points=rows[:-1]))
-    message = r"^exact Bernoulli supremum needs \|T\|\*2\^\(d-1\) <= 2\^32 sign sums, got 8193\*2\^19$"
+    message = (r"^exact Bernoulli supremum needs dim <= 20 and \|T\|\*2\^\(d-1\) <= 2\^32 sign sums, "
+               r"got 8193\*2\^19$")
     with pytest.raises(CapacityError, match=message):
         brute_force_bernoulli_sup(FiniteSet(name="over", points=rows))
     set_path, out = tmp_path / "over.set", tmp_path / "sup.json"

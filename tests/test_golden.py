@@ -1,4 +1,4 @@
-"""Byte-for-byte golden reports for the partition tree's outputs.
+"""Byte-for-byte golden reports: the partition tree's outputs and every verb's result records.
 
 Each fixture under ``tests/golden/`` is rebuilt here and compared byte for
 byte: ``gamma`` reports (tree included) for a 60-point d=8 sphere under two
@@ -12,9 +12,13 @@ sup norm (d=6) and the euclidean norm (d=9).  The result records each verb
 writes through :func:`~procsup.reports.record` are pinned too, in JSON and
 in CSV (whose rows keep each section's field order, which sorted JSON keys
 would hide): ``contract --check-at`` (d=6), ``decompose --per-point``
-(d=6), ``verify-t2`` (d=6) and ``suite --only 1 2 4 5 7``.  Every set has
-d <= 20, so each reference supremum is exact.  Regenerate a fixture only
-when a change is meant to move these bytes::
+(d=6), ``verify-t2`` (d=6) and ``suite --only 1 2 4 5 7``; so are the
+``moments`` rows :func:`~procsup.moments.moment_sandwich` computes, on a
+d=12 sphere at orders 1 2 3 4 8 1024 (JSON and CSV) and, in JSON, on a
+d=21 set past the exact cap, whose rows carry no exact keys.  Every set
+whose supremum is taken has d <= 20, so each reference supremum is
+exact.  Regenerate a fixture only when a change is meant to move these
+bytes::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -70,6 +74,9 @@ _SUP_2000 = ["--kind", "sphere", "--dim", "12", "--count", "2000", "--seed", "6"
 _CONTRACT = ["--kind", "sphere", "--dim", "6", "--count", "12", "--seed", "21"]
 _CHECK_AT = ["--map", "scale", "--map-params", "1.5", "--p-max", "3", "--check-at", "2"]
 _DECOMPOSE = ["--kind", "sphere", "--dim", "6", "--count", "6", "--seed", "2"]
+_MOMENTS_12 = ["--kind", "sphere", "--dim", "12", "--count", "6", "--seed", "3"]
+_MOMENTS_21 = ["--kind", "sphere", "--dim", "21", "--count", "4", "--seed", "3"]
+_ORDERS = ["--p", "1", "2", "3", "4", "8", "1024"]
 _GRID_A = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
 _GRID_B = np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 0.0], [0.0, 2.0], [1.0, 0.0]])
 
@@ -96,6 +103,12 @@ CASES = {
         lambda tmp: _cli_report(tmp, _DECOMPOSE, ["--per-point"], verb="decompose"),
     "decompose-per-point.csv":
         lambda tmp: _cli_report(tmp, _DECOMPOSE, ["--per-point"], verb="decompose", fmt="csv"),
+    "moments-sphere-d12.json":
+        lambda tmp: _cli_report(tmp, _MOMENTS_12, _ORDERS, verb="moments"),
+    "moments-sphere-d12.csv":
+        lambda tmp: _cli_report(tmp, _MOMENTS_12, _ORDERS, verb="moments", fmt="csv"),
+    "moments-sphere-d21.json":  # past the exact cap: no exact keys
+        lambda tmp: _cli_report(tmp, _MOMENTS_21, [], verb="moments"),
     "verify-t2-bernoulli.json":
         lambda tmp: _cli_report(tmp, _CONTRACT, ["--kind", "bernoulli"], verb="verify-t2"),
     "suite-1-2-4-5-7.json":

@@ -21,10 +21,12 @@ from procsup.moments import (
     gaussian_norms,
     mc_mean,
     mc_norms,
+    moment_sandwich,
     proxy_norms,
     signed_row_sums,
 )
 from procsup.oleszkiewicz import NormKind, VectorSystem, strong_moment_ratio
+from procsup.reports import safe_ratio
 from procsup.suprema import brute_force_bernoulli_sup
 
 from enumeration_reference import reference_enumerated_norm
@@ -754,3 +756,37 @@ def test_large_but_finite_norms_still_pass_the_overflow_check():
     t = np.array([1e300, 1e150, 1.0])
     head, tail, _ = proxy_norms(t[None, :], 1)  # the head holds the huge coordinate
     assert (head[0], tail[0]) == (1e300, reference_tail_l2(t, 1))
+
+
+# --- the sandwich verifier ---
+
+
+def test_moment_sandwich_records_each_route_and_checks_the_sandwich():
+    rows = np.array([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0], [3.0, 0.0, 1.0]])
+    records, checked, violations = moment_sandwich(rows, [1, 2])
+    assert (checked, violations) == (True, 0)
+    assert [(r.point, r.p) for r in records] == [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)]
+    for r in records:
+        head, tail, proxy = (float(x[r.point]) for x in proxy_norms(rows, r.p))
+        (exact,) = bernoulli_exact_norms(rows[r.point : r.point + 1], [r.p])[0]
+        assert (r.ell1_part, r.tail_l2, r.proxy) == (head, tail, proxy)
+        assert r.gaussian_exact == gaussian_norms(rows, r.p)[r.point]
+        assert (r.bernoulli_exact, r.bernoulli_route) == (exact, bernoulli_exact_route(r.p))
+        assert r.sandwich_ratio == safe_ratio(proxy, exact)
+    # the origin: exact and proxy both 0, ratio 0, no violation
+    assert [r.sandwich_ratio for r in records if r.point == 1] == [0.0, 0.0]
+
+
+def test_moment_sandwich_counts_a_zero_exact_norm_under_a_nonzero_proxy(monkeypatch):
+    monkeypatch.setattr(moments, "bernoulli_exact_norms", lambda rows, ps: np.zeros((len(rows), len(ps))))
+    records, checked, violations = moment_sandwich(np.array([[1.0, 2.0], [0.0, 0.0]]), [1, 2])
+    assert (checked, violations) == (True, 2)  # point 0 at both orders; the origin keeps the sandwich
+    assert [r.sandwich_ratio for r in records] == [math.inf, math.inf, 0.0, 0.0]
+
+
+def test_moment_sandwich_allows_rounding_at_both_ends_and_no_more(monkeypatch):
+    rows = np.array([[1.0, -2.0, 0.5]])
+    proxy = proxy_norms(rows, 2)[2][0]
+    for ratio, bad in ((1.0 - 1e-12, 0), (1.0 - 1e-6, 1), (4.0 + 1e-12, 0), (4.0 + 1e-6, 1), (2.0, 0)):
+        monkeypatch.setattr(moments, "bernoulli_exact_norms", lambda rows, ps, e=proxy / ratio: np.array([[e]]))
+        assert moment_sandwich(rows, [2])[2] == bad, ratio

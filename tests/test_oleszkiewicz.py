@@ -270,6 +270,15 @@ def test_weak_moment_constant_takes_exact_orders_up_to_1024_at_twenty_terms():
         weak_moment_constant(x_sys, y_sys, funcs, p_max=1025)
 
 
+@pytest.mark.parametrize("p_max", [2.5, True])
+def test_both_weak_analyses_reject_a_non_integer_p_max(p_max):
+    x_sys, y_sys = _random_system(11, 4, 2), _random_system(12, 4, 2)
+    funcs = generate_functionals(NormKind.SUP, 2, 0, Seed(0))
+    for analysis in (weak_moment_constant, check_weak_contraction):
+        with pytest.raises(ParameterError, match=f"^p_max must be an integer, got {p_max!r}$"):
+            analysis(x_sys, y_sys, funcs, p_max=p_max)
+
+
 def test_weak_moment_constant_evaluates_each_vector_once_up_to_sign(monkeypatch):
     # dim 6 gives the 12 signed basis functionals, which pair up, plus 4
     # extras: 10 distinct coefficient vectors per system, one row each.

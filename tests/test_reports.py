@@ -108,17 +108,17 @@ def test_comparison_report_to_dict_encodes_inf():
         rhs=0.0,
         ratio=math.inf,
     )
-    assert report.to_dict()["ratio"] == "inf"
+    assert record(report)["ratio"] == "inf"
     # report-only comparisons carry no verdict field at all
-    assert "violation" not in report.to_dict()
+    assert "violation" not in record(report)
     checked = ComparisonReport(
         quantity="q", lhs_label="a", rhs_label="b", lhs=1.0, rhs=1.0, ratio=1.0,
         bound_factor=4.0, violation=False,
     )
-    assert checked.to_dict()["violation"] is False
-    assert checked.to_dict()["bound_factor"] == 4.0
+    assert record(checked)["violation"] is False
+    assert record(checked)["bound_factor"] == 4.0
     # every float field is encoded the same way, not just the ratio
-    assert ComparisonReport("q", "a", "b", lhs=math.inf, rhs=1.0, ratio=math.inf).to_dict()["lhs"] == "inf"
+    assert record(ComparisonReport("q", "a", "b", lhs=math.inf, rhs=1.0, ratio=math.inf))["lhs"] == "inf"
 
 
 class _Color(enum.Enum):
