@@ -147,7 +147,8 @@ def criterion_3_sup_vs_chain_bound(seed: int = DEFAULT_SEED) -> CriterionResult:
     """E sup <= 4 * greedy chain bound by :func:`verify_sup_bound`: exact (Bernoulli), within MC noise (Gaussian)."""
     failures = 0
     worst = dict.fromkeys(ProcessKind, 0.0)
-    for i, ts in enumerate(_criterion_3_corpus(seed)):
+    corpus = _criterion_3_corpus(seed)
+    for i, ts in enumerate(corpus):
         for kind in ProcessKind:
             report = verify_sup_bound(ts, kind, samples=100_000, seed=Seed((seed + i) % 2**64))
             failures += int(report.violation)
@@ -157,7 +158,7 @@ def criterion_3_sup_vs_chain_bound(seed: int = DEFAULT_SEED) -> CriterionResult:
         "expected supremum within 4x the greedy chain bound",
         failures == 0,
         {
-            "sets": 23,
+            "sets": len(corpus),
             "worst_bernoulli_ratio": worst[ProcessKind.BERNOULLI],
             "worst_gaussian_ratio": worst[ProcessKind.GAUSSIAN],
             "bound_factor": SUP_BOUND_FACTOR,
@@ -172,15 +173,14 @@ def criterion_4_exhaustive_gamma(seed: int = DEFAULT_SEED) -> CriterionResult:
     failures = 0
     worst_gap = 0.0
     two_point_err = 0.0
-    for i in range(30):
-        size = 2 + i % 3
-        ts = _random_set(seed, "c4", i, count=size, dim=6)
+    sets = [_random_set(seed, "c4", i, count=2 + i % 3, dim=6) for i in range(30)]
+    for ts in sets:
         exact = exhaustive_gamma(ts, model).value
         greedy = chain_bound(ts, build_partition_greedy(ts), model).value
         if exact > greedy + 1e-12 * max(1.0, greedy):
             failures += 1
         worst_gap = max(worst_gap, exact - greedy)
-        if size == 2:
+        if len(ts) == 2:
             want = float(np.linalg.norm(ts.matrix[1] - ts.matrix[0]))
             err = abs(exact - want) / want
             two_point_err = max(two_point_err, err)
@@ -191,7 +191,7 @@ def criterion_4_exhaustive_gamma(seed: int = DEFAULT_SEED) -> CriterionResult:
         "exhaustive tree search never exceeds greedy (and is exact on pairs)",
         failures == 0,
         {
-            "instances": 30,
+            "instances": len(sets),
             "worst_exhaustive_minus_greedy": worst_gap,
             "worst_two_point_rel_err": two_point_err,
             "failures": failures,
@@ -205,7 +205,8 @@ def criterion_5_sum_set_combiner(seed: int = DEFAULT_SEED) -> CriterionResult:
     sqrt3 = math.sqrt(3.0)
     failures = 0
     worst = 0.0
-    for i in range(10):
+    pairs = 10
+    for i in range(pairs):
         na, nb = 3 + i % 6, 8 - i % 6
         set_a = _random_set(seed, "c5a", i, count=na, dim=8)
         set_b = _random_set(seed, "c5b", i, count=nb, dim=8)
@@ -222,7 +223,7 @@ def criterion_5_sum_set_combiner(seed: int = DEFAULT_SEED) -> CriterionResult:
         5,
         "sum-set combiner stays within sqrt(3) of the marginal bounds",
         failures == 0,
-        {"pairs": 10, "worst_ratio": worst, "sqrt3": sqrt3, "failures": failures},
+        {"pairs": pairs, "worst_ratio": worst, "sqrt3": sqrt3, "failures": failures},
     )
 
 
@@ -231,8 +232,8 @@ def criterion_6_classical_contraction(seed: int = DEFAULT_SEED) -> CriterionResu
     maps = [CoordinateMap("abs"), CoordinateMap("clamp", (-1.0, 1.0)), CoordinateMap("soft_threshold", (0.5,))]
     failures = 0
     worst_ratio = 0.0
-    for i in range(20):
-        ts = _random_set(seed, "c6", i, count=16, dim=10)
+    sets = [_random_set(seed, "c6", i, count=16, dim=10) for i in range(20)]
+    for ts in sets:
         for cmap in maps:
             pair = apply_map(ts, cmap)
             sups = compare_suprema(pair)
@@ -243,7 +244,7 @@ def criterion_6_classical_contraction(seed: int = DEFAULT_SEED) -> CriterionResu
         6,
         "classical contraction: 1-Lipschitz images, constant one",
         failures == 0,
-        {"sets": 20, "maps": [m.label for m in maps], "worst_ratio": worst_ratio, "failures": failures},
+        {"sets": len(sets), "maps": [m.label for m in maps], "worst_ratio": worst_ratio, "failures": failures},
     )
 
 
@@ -260,7 +261,8 @@ def criterion_7_fit_calibration(seed: int = DEFAULT_SEED) -> CriterionResult:
         if got is None or abs(got - want) > 1e-4:
             failures += 1
     inversions = 0
-    for i in range(100):
+    probes = 100
+    for i in range(probes):
         gen = rng.stream(seed, "c7:probe", index=i)
         ts = _random_set(seed, "c7p", i, count=6, dim=8)
         style = i % 4
@@ -284,7 +286,7 @@ def criterion_7_fit_calibration(seed: int = DEFAULT_SEED) -> CriterionResult:
         7,
         "contraction constant calibration and monotone feasibility",
         failures == 0 and inversions == 0,
-        {"calibration_errors": errs, "probes": 100, "inversions": inversions, "failures": failures},
+        {"calibration_errors": errs, "probes": probes, "inversions": inversions, "failures": failures},
     )
 
 
@@ -293,8 +295,8 @@ def criterion_8_decomposition(seed: int = DEFAULT_SEED) -> CriterionResult:
     failures = 0
     k_emps = []
     lower_ratios = []
-    for i in range(20):
-        s = (seed + i) % 2**64
+    seeds = [(seed + i) % 2**64 for i in range(20)]
+    for s in seeds:
         ts = generate_set("disjoint_blocks", 64, 8, Seed(s), params=[8])
         result = decompose_by_sweep(ts, samples=20_000, seed=Seed(s))
         heads, tails = split_rows(ts.matrix, result.split.thresholds)
@@ -315,7 +317,7 @@ def criterion_8_decomposition(seed: int = DEFAULT_SEED) -> CriterionResult:
         "threshold decomposition: exact rebuild, disjointness, sweep optimality",
         failures == 0,
         {
-            "instances": 20,
+            "instances": len(seeds),
             "k_emp_min": min(k_emps),
             "k_emp_max": max(k_emps),
             "lower_ratio_min": min(lower_ratios),
@@ -330,8 +332,9 @@ def criterion_9_mc_consistency(seed: int = DEFAULT_SEED) -> CriterionResult:
     failures = 0
     norm_misses = 0
     vectors = _mixed_vectors(seed, 10, 12, "c9a")
+    orders = (1, 2, 4)
     for i, t in enumerate(vectors):
-        for p in (1, 2, 4):
+        for p in orders:
             (est,), (stderr,) = mc_norms(ProcessKind.GAUSSIAN, t[None, :], p, 100_000, Seed((seed + i) % 2**64))
             (want,) = gaussian_norms(t[None, :], p)
             if abs(est - want) > 3.0 * stderr:
@@ -339,7 +342,8 @@ def criterion_9_mc_consistency(seed: int = DEFAULT_SEED) -> CriterionResult:
     if norm_misses:
         failures += 1
     sup_misses = 0
-    for i in range(100):
+    trials = 100
+    for i in range(trials):
         ts = _random_set(seed, "c9b", i, count=8, dim=10)
         exact = brute_force_bernoulli_sup(ts).value
         est = mc_sup(ProcessKind.BERNOULLI, ts, 20_000, Seed((seed + i) % 2**64))
@@ -351,7 +355,8 @@ def criterion_9_mc_consistency(seed: int = DEFAULT_SEED) -> CriterionResult:
         9,
         "Monte Carlo matches exact oracles within noise",
         failures == 0,
-        {"norm_checks": 30, "norm_misses": norm_misses, "sup_trials": 100, "sup_misses": sup_misses},
+        {"norm_checks": len(vectors) * len(orders), "norm_misses": norm_misses, "sup_trials": trials,
+         "sup_misses": sup_misses},
     )
 
 

@@ -23,6 +23,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
+from . import acceptance
 from .chaining import (
     EXHAUSTIVE_MAX_POINTS,
     build_partition_greedy,
@@ -229,8 +230,6 @@ def cmd_oleszkiewicz(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    from . import acceptance
-
     args.only = sorted(set(args.only)) if args.only else None
     numbers = args.only or range(1, len(acceptance.ALL_CRITERIA) + 1)
     unknown = [n for n in numbers if not 1 <= n <= len(acceptance.ALL_CRITERIA)]
@@ -371,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_oleszkiewicz)
 
     p = sub.add_parser("suite", help="run the acceptance criteria")
-    p.add_argument("--seed", type=int, default=20260815)
+    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
     p.add_argument("--only", type=int, nargs="*", default=None, metavar="N",
                    help="criterion numbers to run (default: all)")
     _add_report_flags(p)

@@ -26,8 +26,8 @@ import numpy as np
 
 from .core import FIT_CAP, FiniteSet, ProcessKind, Seed, check_integers, distinct_rows
 from .errors import ParameterError, ValidationError
-from .reports import ComparisonReport, record, safe_ratio
-from .suprema import expected_sup
+from .reports import ComparisonReport, record
+from .suprema import estimate_ratio, expected_sup
 
 #: The largest squared pair distance whose ``C^2`` multiple stays finite for every C up to FIT_CAP.
 _PROFILE_MAX = float(np.finfo(np.float64).max) / FIT_CAP**2
@@ -297,14 +297,5 @@ def compare_suprema(
     """Empirical ratio ``S_B(image) / S_B(source)``, exact where enumerable."""
     s_img = expected_sup(ProcessKind.BERNOULLI, pair.image, samples, seed)
     s_src = expected_sup(ProcessKind.BERNOULLI, pair.source, samples, seed)
-    return ComparisonReport(
-        quantity="contracted-sup-ratio",
-        lhs_label=f"S_B(image) [{s_img.method.value}]",
-        rhs_label=f"S_B(source) [{s_src.method.value}]",
-        lhs=s_img.value,
-        rhs=s_src.value,
-        ratio=safe_ratio(s_img.value, s_src.value),
-        lhs_stderr=s_img.stderr,
-        rhs_stderr=s_src.stderr,
-        extras={"map": pair.map_label, "source": pair.source.name},
-    )
+    return estimate_ratio("contracted-sup-ratio", "S_B(image)", s_img, "S_B(source)", s_src,
+                          {"map": pair.map_label, "source": pair.source.name})

@@ -193,18 +193,8 @@ class FiniteSet:
     """
 
     def __init__(self, name: str, points) -> None:
-        self._adopt(name, point_matrix(points, f"set {name!r}"))
-
-    @classmethod
-    def _of_matrix(cls, name: str, matrix: np.ndarray) -> "FiniteSet":
-        """A set over ``matrix``, which :func:`point_matrix` has already returned."""
-        ts = cls.__new__(cls)
-        ts._adopt(name, matrix)
-        return ts
-
-    def _adopt(self, name: str, matrix: np.ndarray) -> None:
         self.name = name
-        self.matrix = matrix
+        self.matrix = point_matrix(points, f"set {name!r}")
         first, slot = distinct_rows(self.matrix)
         firsts = first[slot]  # each row's first occurrence
         repeats = np.flatnonzero(firsts != np.arange(len(slot)))
@@ -322,7 +312,8 @@ def generate_set(
     """Deterministically generate one of the named set families.
 
     The same ``(kind, dim, count, seed, params)`` always yields the same set,
-    coordinate for coordinate.  A set of more than ``GENERATE_MAX_COORDINATES``
+    coordinate for coordinate.  ``dim`` and ``count`` must be positive
+    integers.  A set of more than ``GENERATE_MAX_COORDINATES``
     coordinates raises :class:`CapacityError` before any draw.
     """
     if isinstance(kind, str):
@@ -333,6 +324,8 @@ def generate_set(
             raise ParameterError(f"unknown set kind {kind!r}; expected one of: {valid}") from None
     if isinstance(seed, int):
         seed = Seed(seed)
+    check_integers((dim,), "dim")
+    check_integers((count,), "count")
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
     if count < 1:
@@ -407,5 +400,5 @@ def read_points_file(path: str | Path, formats: Sequence[str]) -> tuple[dict, st
 
 def load_set(path: str | Path) -> FiniteSet:
     """Load a set file; the exact float values written by :func:`save_set` come back."""
-    _, name, matrix = read_points_file(path, (SET_FORMAT,))
-    return FiniteSet._of_matrix(name, matrix)
+    name, matrix = read_points_file(path, (SET_FORMAT,))[1:]  # the document is freed before the set copies the rows
+    return FiniteSet(name=name, points=matrix)

@@ -460,6 +460,13 @@ def _draw(kind: ProcessKind, gen: np.random.Generator, size) -> np.ndarray:
     return rng.standard_normal(gen, size)
 
 
+def check_samples(samples: int) -> None:
+    """The one Monte Carlo ``samples`` rule: an integer of at least 2, as each stderr divides by ``samples - 1``."""
+    check_integers((samples,), "samples")
+    if samples < 2:
+        raise ParameterError(f"Monte Carlo needs samples >= 2, got {samples}")
+
+
 def mc_mean(
     kind: ProcessKind,
     gen: np.random.Generator,
@@ -539,8 +546,7 @@ def mc_norms(
     l2 norm; a zero row gives 0 with stderr 0.
     """
     q = _check_moment_order(p)
-    if samples < 2:
-        raise ParameterError(f"Monte Carlo norms need samples >= 2, got {samples}")
+    check_samples(samples)
     rows = _finite_rows(rows)
     scales = _norms(rows, 2)
     estimates, stderrs = np.zeros(len(rows)), np.zeros(len(rows))
@@ -589,8 +595,7 @@ class MomentModel:
         if self.kind is ModelKind.MONTE_CARLO:
             if self.process is None or self.seed is None:
                 raise ParameterError("Monte Carlo model needs a process kind and a seed")
-            if self.samples < 2:
-                raise ParameterError(f"Monte Carlo model needs samples >= 2, got {self.samples}")
+            check_samples(self.samples)
         elif self.process is not None or self.samples or self.seed is not None:
             raise ParameterError(f"{self.kind.value} model takes no sampling configuration")
 

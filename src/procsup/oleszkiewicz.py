@@ -10,8 +10,9 @@ Given two finite systems of vectors ``x_1..x_n`` and ``y_1..y_n`` in R^m
 * the *trimmed contraction condition* between the coefficient vectors
   ``(<w, x_i>)_i`` and ``(<w, y_i>)_i``, fitted per functional;
 * *strong moments*: the ratio of ``E || sum_i eps_i x_i ||`` to the same
-  with ``y`` (exact sign enumeration within the sign-sum cap of
-  :func:`~procsup.moments.enumerable`, Monte Carlo beyond it).
+  with ``y``, each a supremum over the dual unit ball and so a
+  :class:`~procsup.suprema.SupEstimate` (exact sign enumeration within the
+  sign-sum cap of :func:`~procsup.moments.enumerable`, Monte Carlo beyond it).
 
 Functional samples for the sup norm live in the l1 dual ball (the signed
 basis vectors, which witness every sup, plus random convex combinations);
@@ -43,8 +44,9 @@ from .core import (
 )
 from .errors import ParameterError, ParseError, ValidationError
 from .contraction import ContractionReport, _PairTable, _check_order, _fit
-from .moments import _norms, bernoulli_exact_norms, enumerable, mc_mean, proxy_norms, signed_row_sums
+from .moments import _norms, bernoulli_exact_norms, check_samples, enumerable, mc_mean, proxy_norms, signed_row_sums
 from .reports import ComparisonReport, safe_ratio
+from .suprema import EstimateMethod, SupEstimate, estimate_ratio
 
 _DUAL_SLACK = 1e-12
 
@@ -134,6 +136,8 @@ def generate_functionals(norm: NormKind, dim: int, extra: int, seed: Seed) -> Fu
     of them (uniform simplex weights with independent signs).  For the
     euclidean norm the extras are uniform on the unit sphere.
     """
+    check_integers((dim,), "dim")
+    check_integers((extra,), "extra")
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
     if extra < 0:
@@ -281,7 +285,7 @@ def check_weak_contraction(
     return replace(worst, context=context)
 
 
-def _exact_strong_moment(system: VectorSystem) -> float:
+def _exact_strong_moment(system: VectorSystem) -> SupEstimate:
     """``E ||sum_i eps_i x_i||`` over the sign patterns with ``eps_0 = +1`` (the norm is even).
 
     The ambient norm is the enumeration's per-pattern statistic: each
@@ -300,7 +304,7 @@ def _exact_strong_moment(system: VectorSystem) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         total = sum(float(v.sum()) for v in norms)
     _check_sign_sum_norms(system, total)
-    return total / (1 << (system.terms - 1))
+    return SupEstimate(total / (1 << (system.terms - 1)), 0.0, EstimateMethod.EXACT)
 
 
 def _check_sign_sum_norms(system: VectorSystem, value: float, where: str = "") -> None:
@@ -310,22 +314,21 @@ def _check_sign_sum_norms(system: VectorSystem, value: float, where: str = "") -
         )
 
 
-def _mc_strong_moment(system: VectorSystem, samples: int, seed: Seed) -> tuple[float, float]:
-    """Monte Carlo ``E ||sum_i eps_i x_i||`` and its stderr, with the overflow checks of :func:`_exact_strong_moment`.
+def _mc_strong_moment(system: VectorSystem, samples: int, seed: Seed) -> SupEstimate:
+    """Monte Carlo ``E ||sum_i eps_i x_i||`` with its stderr and the overflow checks of :func:`_exact_strong_moment`.
 
     A coordinate whose l1 norm overflows float64 fails before the draws;
     a mean that still overflows fails after them with the exact route's
     message, and a stderr that overflows names the Monte Carlo variance.
     """
-    if samples < 2:
-        raise ParameterError(f"Monte Carlo needs samples >= 2, got {samples}")
+    check_samples(samples)
     _norms(system.matrix.T, 1, "coordinate")
     gen = rng.content_stream(seed.value, "strong-moment", system.matrix, system.norm.value)
     with np.errstate(over="ignore", invalid="ignore"):
         mean, stderr = mc_mean(ProcessKind.BERNOULLI, gen, system.matrix, samples, system.norm_of)
     _check_sign_sum_norms(system, mean)
     _check_sign_sum_norms(system, stderr, " in the Monte Carlo variance")
-    return float(mean), float(stderr)
+    return SupEstimate(float(mean), float(stderr), EstimateMethod.MONTE_CARLO, samples)
 
 
 def strong_moment_ratio(
@@ -337,23 +340,7 @@ def strong_moment_ratio(
     """``E||sum eps x_i|| / E||sum eps y_i||``, exact where :func:`~procsup.moments.enumerable` allows."""
     if x_sys.norm is not y_sys.norm:
         raise ParameterError("systems must share one ambient norm")
-
-    def estimate(system: VectorSystem) -> tuple[float, float, str]:
-        if enumerable(system.terms, system.dim):
-            return _exact_strong_moment(system), 0.0, "exact"
-        value, stderr = _mc_strong_moment(system, samples, seed)
-        return value, stderr, "monte-carlo"
-
-    ex, se_x, method_x = estimate(x_sys)
-    ey, se_y, method_y = estimate(y_sys)
-    return ComparisonReport(
-        quantity="strong-moment-ratio",
-        lhs_label=f"E||sum eps x|| [{method_x}]",
-        rhs_label=f"E||sum eps y|| [{method_y}]",
-        lhs=ex,
-        rhs=ey,
-        ratio=safe_ratio(ex, ey),
-        lhs_stderr=se_x,
-        rhs_stderr=se_y,
-        extras={"norm": x_sys.norm.value, "terms": x_sys.terms},
-    )
+    ex, ey = [_exact_strong_moment(system) if enumerable(system.terms, system.dim)
+              else _mc_strong_moment(system, samples, seed) for system in (x_sys, y_sys)]
+    return estimate_ratio("strong-moment-ratio", "E||sum eps x||", ex, "E||sum eps y||", ey,
+                          {"norm": x_sys.norm.value, "terms": x_sys.terms})

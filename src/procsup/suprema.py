@@ -2,14 +2,16 @@
 
 ``S(T) = E sup_{t in T} X_t`` is computed either exactly (Bernoulli case,
 by enumerating all 2^d sign patterns) or by seeded Monte Carlo for either
-process kind.  The enumeration is capped at dim 20 and at 2^32 sign sums
-``|T| * 2^(d-1)`` (:class:`CapacityError`).  It hands
-:func:`~procsup.moments.signed_row_sums` the span ``max - min`` as the
-per-pattern statistic, so each cache-sized piece of sign sums is reduced to
-spans as soon as it is built, along its long axis: when a block holds many
-sign patterns per point, as elementwise maxima and minima across contiguous
-pattern vectors, and otherwise row by row.  Either way every pattern's span
-and every block's sum of spans is the same, so the value keeps its bits.
+process kind.  Both routes return a :class:`SupEstimate`, the record that
+strong moments share; :func:`estimate_ratio` reports two side by side.
+The enumeration is capped at dim 20 and at 2^32 sign sums ``|T| * 2^(d-1)``
+(:class:`CapacityError`).  It hands :func:`~procsup.moments.signed_row_sums`
+the span ``max - min`` as the per-pattern statistic, so each cache-sized
+piece of sign sums is reduced to spans as soon as it is built, along its
+long axis: when a block holds many sign patterns per point, as elementwise
+maxima and minima across contiguous pattern vectors, and otherwise row by
+row.  Either way every pattern's span and every block's sum of spans is the
+same, so the value keeps its bits.
 
 Monte Carlo is antithetic: each draw ``xi`` also stands for ``-xi``, so a
 draw's sample is the half-span ``(max_t <xi, t> - min_t <xi, t>) / 2``.
@@ -40,7 +42,8 @@ from scipy.special import poch
 from . import rng
 from .core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, ProcessKind, Seed
 from .errors import CapacityError, ParameterError, ValidationError
-from .moments import _norms, enumerable, mc_mean, signed_row_sums
+from .moments import EXACT_SUP_MAX_SUMS, _norms, check_samples, enumerable, mc_mean, signed_row_sums
+from .reports import ComparisonReport, safe_ratio
 
 
 class EstimateMethod(enum.Enum):
@@ -50,6 +53,8 @@ class EstimateMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class SupEstimate:
+    """An expected supremum or strong moment: exact (no stderr, no samples) or Monte Carlo."""
+
     value: float
     stderr: float
     method: EstimateMethod
@@ -80,8 +85,8 @@ def brute_force_bernoulli_sup(ts: FiniteSet) -> SupEstimate:
     d = ts.dim
     if not enumerable(d, len(ts)):
         raise CapacityError(
-            f"exact Bernoulli supremum needs dim <= {EXACT_ENUMERATION_MAX_DIM} and |T|*2^(d-1) <= 2^32 "
-            f"sign sums, got {len(ts)}*2^{d - 1}"
+            f"exact Bernoulli supremum needs dim <= {EXACT_ENUMERATION_MAX_DIM} and |T|*2^(d-1) <= "
+            f"2^{EXACT_SUP_MAX_SUMS.bit_length() - 1} sign sums, got {len(ts)}*2^{d - 1}"
         )
     scales = _norms(ts.matrix, 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -90,7 +95,7 @@ def brute_force_bernoulli_sup(ts: FiniteSet) -> SupEstimate:
     if not math.isfinite(total):
         k = int(scales.argmax())
         raise ParameterError(f"the l1 norm of row {k} overflows float64 summed over 2^{d - 1} sign patterns")
-    return SupEstimate(value=total / (1 << d), stderr=0.0, method=EstimateMethod.EXACT)
+    return SupEstimate(total / (1 << d), 0.0, EstimateMethod.EXACT)
 
 
 def chi_mean(d: int) -> float:
@@ -146,8 +151,7 @@ def mc_sup(kind: ProcessKind, ts: FiniteSet, samples: int, seed: Seed) -> SupEst
     mean or stderr that overflows fails after them, each with a
     :class:`ParameterError`.
     """
-    if samples < 2:
-        raise ParameterError(f"mc_sup needs samples >= 2, got {samples}")
+    check_samples(samples)
     scales = _norms(ts.matrix, 2)
     gen = rng.content_stream(seed.value, "mc-sup", ts.matrix, kind.value)
     radius = chi_mean(ts.dim) if kind is ProcessKind.GAUSSIAN else None
@@ -157,12 +161,7 @@ def mc_sup(kind: ProcessKind, ts: FiniteSet, samples: int, seed: Seed) -> SupEst
     if not (math.isfinite(mean) and math.isfinite(stderr)):
         k = int(scales.argmax())
         raise ParameterError(f"the l2 norm of row {k} overflows float64 in the Monte Carlo variance")
-    return SupEstimate(
-        value=float(mean),
-        stderr=float(stderr),
-        method=EstimateMethod.MONTE_CARLO,
-        samples=samples,
-    )
+    return SupEstimate(float(mean), float(stderr), EstimateMethod.MONTE_CARLO, samples)
 
 
 def expected_sup(kind: ProcessKind, ts: FiniteSet, samples: int, seed: Seed, exact: bool = False) -> SupEstimate:
@@ -182,3 +181,19 @@ def expected_sup(kind: ProcessKind, ts: FiniteSet, samples: int, seed: Seed, exa
     if kind is ProcessKind.BERNOULLI and (exact or enumerable(ts.dim, len(ts))):
         return brute_force_bernoulli_sup(ts)
     return mc_sup(kind, ts, samples, seed)
+
+
+def estimate_ratio(quantity: str, lhs_label: str, lhs: SupEstimate, rhs_label: str, rhs: SupEstimate,
+                   extras: dict) -> ComparisonReport:
+    """The report of ``lhs / rhs``: each label tagged `` [method]``, each side with its stderr."""
+    return ComparisonReport(
+        quantity=quantity,
+        lhs_label=f"{lhs_label} [{lhs.method.value}]",
+        rhs_label=f"{rhs_label} [{rhs.method.value}]",
+        lhs=lhs.value,
+        rhs=rhs.value,
+        ratio=safe_ratio(lhs.value, rhs.value),
+        lhs_stderr=lhs.stderr,
+        rhs_stderr=rhs.stderr,
+        extras=extras,
+    )

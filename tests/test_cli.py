@@ -369,7 +369,15 @@ def test_gamma_monte_carlo_needs_two_samples(tmp_path, capsys, samples):
     out = tmp_path / "g.json"
     assert _run(["gamma", "--set", str(set_path), "--model", "monte-carlo", "--samples", samples,
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: Monte Carlo model needs samples >= 2, got {samples}\n"
+    assert capsys.readouterr().err == f"error: Monte Carlo needs samples >= 2, got {samples}\n"
+    assert not out.exists()
+
+
+def test_sup_monte_carlo_needs_two_samples(tmp_path, capsys):
+    set_path = _gen(tmp_path, dim=4, count=6)
+    out = tmp_path / "s.json"
+    assert _run(["sup", "--set", str(set_path), "--kind", "gaussian", "--samples", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: Monte Carlo needs samples >= 2, got 1\n"
     assert not out.exists()
 
 

@@ -160,6 +160,10 @@ def test_generate_set_rejects_bad_kind_and_sizes():
         generate_set(SetKind.RANDOM_SPHERE, 0, 3, Seed(0))
     with pytest.raises(ParameterError):
         generate_set(SetKind.RANDOM_SPHERE, 3, 0, Seed(0))
+    with pytest.raises(ParameterError, match=r"^dim must be an integer, got 2\.5$"):
+        generate_set("random_sphere", 2.5, 3, 0)
+    with pytest.raises(ParameterError, match=r"^count must be an integer, got 2\.0$"):
+        generate_set("cube_vertices", 3, 2.0, 0)
 
 
 @pytest.mark.parametrize("kind, dim, count", [
@@ -193,6 +197,8 @@ def test_save_load_roundtrip_is_exact(tmp_path_factory, rows):
     back = load_set(path)
     assert back.name == ts.name
     assert back.matrix.tobytes() == ts.matrix.tobytes()  # exact float equality, not approximate
+    assert back.content_hash() == ts.content_hash()
+    assert not back.matrix.flags.writeable
 
 
 def test_load_set_reports_json_line(tmp_path):

@@ -25,9 +25,9 @@ from procsup.moments import (
     proxy_norms,
     signed_row_sums,
 )
-from procsup.oleszkiewicz import NormKind, VectorSystem, strong_moment_ratio
+from procsup.oleszkiewicz import NormKind, VectorSystem, _mc_strong_moment, strong_moment_ratio
 from procsup.reports import safe_ratio
-from procsup.suprema import brute_force_bernoulli_sup
+from procsup.suprema import brute_force_bernoulli_sup, mc_sup
 
 from enumeration_reference import reference_enumerated_norm
 from mc_reference import reference_mc_mean, reference_mc_norm
@@ -433,9 +433,33 @@ def test_mc_norm_agrees_with_exact(kind, p):
 @pytest.mark.parametrize("samples", [0, 1])
 def test_moment_model_needs_two_samples(samples):
     # the stderr divides by samples - 1
-    with pytest.raises(ParameterError, match=f"^Monte Carlo model needs samples >= 2, got {samples}$"):
+    with pytest.raises(ParameterError, match=f"^Monte Carlo needs samples >= 2, got {samples}$"):
         MomentModel.monte_carlo(ProcessKind.GAUSSIAN, samples, Seed(1))
     assert MomentModel.monte_carlo(ProcessKind.GAUSSIAN, 2, Seed(1)).samples == 2
+
+
+def _mc_entry_points():
+    ts = FiniteSet(name="s", points=np.eye(3))
+    system = VectorSystem("x", np.eye(3), NormKind.SUP)
+    return {
+        "mc_sup": lambda n: mc_sup(ProcessKind.GAUSSIAN, ts, n, Seed(1)),
+        "mc_norms": lambda n: mc_norms(ProcessKind.GAUSSIAN, ts.matrix, 2, n, Seed(1)),
+        "_mc_strong_moment": lambda n: _mc_strong_moment(system, n, Seed(1)),
+        "MomentModel.monte_carlo": lambda n: MomentModel.monte_carlo(ProcessKind.GAUSSIAN, n, Seed(1)),
+    }
+
+
+@pytest.mark.parametrize("entry", ["mc_sup", "mc_norms", "_mc_strong_moment", "MomentModel.monte_carlo"])
+@pytest.mark.parametrize("samples, message", [
+    (2.5, "samples must be an integer, got 2.5"),
+    (True, "samples must be an integer, got True"),
+    (1, "Monte Carlo needs samples >= 2, got 1"),
+])
+def test_every_monte_carlo_entry_point_checks_samples_by_one_rule(entry, samples, message):
+    run = _mc_entry_points()[entry]
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        run(samples)
+    run(np.int64(2))
 
 
 def test_moment_model_validation():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,8 @@ from procsup.oleszkiewicz import (
     WeakMomentResult,
     check_weak_contraction,
     _check_sysmatch,
+    _exact_strong_moment,
+    _mc_strong_moment,
     generate_functionals,
     load_vector_system,
     save_vector_system,
@@ -25,7 +28,7 @@ from procsup.oleszkiewicz import (
     weak_moment_constant,
 )
 from procsup.reports import safe_ratio
-from procsup.suprema import brute_force_bernoulli_sup
+from procsup.suprema import EstimateMethod, SupEstimate, brute_force_bernoulli_sup
 
 from weak_contraction_reference import reference_check_weak_contraction
 
@@ -55,6 +58,15 @@ def test_functionals_live_in_the_dual_ball():
         for arr in sample.matrix:
             dual = np.abs(arr).sum() if norm is NormKind.SUP else np.linalg.norm(arr)
             assert dual <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("dim, extra, message", [
+    (2.5, 1, "dim must be an integer, got 2.5"),
+    (3, 1.0, "extra must be an integer, got 1.0"),
+])
+def test_functionals_take_integer_sizes(dim, extra, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        generate_functionals(NormKind.SUP, dim, extra, Seed(0))
 
 
 def test_functionals_deterministic():
@@ -122,6 +134,7 @@ def test_strong_moment_exact_sup_norm_of_basis_is_one():
     assert report.lhs == pytest.approx(1.0, abs=1e-14)
     assert report.ratio == pytest.approx(1.0, rel=1e-14)
     assert "exact" in report.lhs_label
+    assert _exact_strong_moment(sys_) == SupEstimate(report.lhs, 0.0, EstimateMethod.EXACT)
 
 
 def test_strong_moment_exact_euclidean_of_basis_is_sqrt_dim():
@@ -143,8 +156,11 @@ def test_strong_moment_cross_checks_against_sign_supremum():
 def test_strong_moment_mc_route_for_many_terms():
     sys_ = _random_system(9, terms=25, dim=3)
     report = strong_moment_ratio(sys_, sys_, samples=5000, seed=Seed(1))
-    assert "monte-carlo" in report.lhs_label
+    assert (report.lhs_label, report.rhs_label) == ("E||sum eps x|| [monte-carlo]", "E||sum eps y|| [monte-carlo]")
     assert report.ratio == pytest.approx(1.0, rel=1e-12)  # same content hash, same draws
+    est = _mc_strong_moment(sys_, 5000, Seed(1))
+    assert est == SupEstimate(report.lhs, report.lhs_stderr, EstimateMethod.MONTE_CARLO, 5000)
+    assert report.rhs_stderr == report.lhs_stderr > 0.0
 
 
 def test_norm_mismatch_rejected():
