@@ -39,7 +39,7 @@ import numpy as np
 from .core import (GENERATE_MAX_COORDINATES, FiniteSet, ProcessKind, Seed, check_integers, distinct_rows,
                    integer_types)
 from .errors import CapacityError, ParameterError, ValidationError
-from .moments import _BLOCK_BYTES, EXACT_ENUMERATION_MAX_DIM, ModelKind, MomentModel
+from .moments import _BLOCK_BYTES, DEFAULT_SAMPLES, EXACT_ENUMERATION_MAX_DIM, ModelKind, MomentModel
 from .reports import ComparisonReport, TreeLevel, safe_ratio
 from .suprema import expected_sup
 
@@ -89,7 +89,7 @@ def _check_level(k: int, parent: TreeLevel | None, level: TreeLevel, counts: np.
         firsts = np.cumsum(sizes) - sizes
         tree = np.minimum(np.searchsorted(np.cumsum(counts), order[firsts], side="right"), len(counts) - 1)
         most = int(np.bincount(tree, minlength=len(counts)).max())
-        if most > level_budget(k):
+        if k < 6 and most > level_budget(k):  # from level 6 the budget, 2^64, exceeds any int64 count: build none
             raise ValidationError(f"level {k} has {most} blocks, over the budget {level_budget(k)}")
         inside = (order >= 0) & (order < n)
         seen = np.bincount(order[inside].astype(np.intp), minlength=n)
@@ -667,7 +667,7 @@ def exhaustive_gamma(ts: FiniteSet, model: MomentModel) -> ChainBound:
 def verify_sup_bound(
     ts: FiniteSet,
     kind: ProcessKind,
-    samples: int = 100_000,
+    samples: int = DEFAULT_SAMPLES,
     seed: Seed = Seed(0),
     exact: bool = False,
 ) -> ComparisonReport:

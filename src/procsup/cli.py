@@ -50,7 +50,8 @@ from .core import (
 )
 from .decomposition import decompose_by_sweep, verify_two_sided
 from .errors import ParameterError, ProcsupError
-from .moments import EXACT_MAX_ORDER, EXACT_SUP_MAX_SUMS, ModelKind, MomentModel, moment_sandwich
+from .moments import (DEFAULT_SAMPLES, EXACT_MAX_ORDER, EXACT_SUP_MAX_SUMS, ModelKind, MomentModel, check_samples,
+                      moment_sandwich)
 from .oleszkiewicz import (
     NormKind,
     load_vector_system,
@@ -70,14 +71,6 @@ _KIND_ALIASES = {
     "cube": SetKind.CUBE_VERTICES,
     "blocks": SetKind.DISJOINT_BLOCKS,
 }
-
-
-def _kind_choices() -> list[str]:
-    return sorted({k.value for k in SetKind} | set(_KIND_ALIASES))
-
-
-def _resolve_set_kind(name: str) -> SetKind:
-    return _KIND_ALIASES.get(name) or SetKind(name)
 
 
 def _values(kinds) -> list[str]:
@@ -103,7 +96,7 @@ def _write_report(args: argparse.Namespace, inputs: dict, results) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    kind = _resolve_set_kind(args.kind)
+    kind = _KIND_ALIASES.get(args.kind) or SetKind(args.kind)
     ts = generate_set(kind, args.dim, args.count, Seed(args.seed), tuple(args.params))
     save_set(ts, args.out)
     print(f"wrote {args.out}: {ts.name} ({len(ts)} points, dim {ts.dim}, hash {ts.content_hash()[:12]})")
@@ -131,17 +124,12 @@ def cmd_sup(args: argparse.Namespace) -> int:
     return 0
 
 
-def _model_from_args(args: argparse.Namespace) -> MomentModel:
-    kind = ModelKind(args.model)
-    if kind is ModelKind.MONTE_CARLO:
-        return MomentModel.monte_carlo(ProcessKind(args.process), args.samples, Seed(args.seed))
-    return MomentModel(kind)
-
-
 def cmd_gamma(args: argparse.Namespace) -> int:
     """Chaining functional of a set: greedy tree by default, exhaustive on request."""
     ts = load_set(args.set)
-    model = _model_from_args(args)
+    kind = ModelKind(args.model)
+    model = (MomentModel.monte_carlo(ProcessKind(args.process), args.samples, Seed(args.seed))
+             if kind is ModelKind.MONTE_CARLO else MomentModel(kind))
     if args.exhaustive:
         bound = exhaustive_gamma(ts, model)
         method = "exhaustive"
@@ -257,6 +245,11 @@ def _add_report_flags(p: argparse.ArgumentParser) -> None:
                         "(reports are byte-stable only without it)")
 
 
+def _add_sampling_flags(p: argparse.ArgumentParser, samples: int = DEFAULT_SAMPLES) -> None:
+    p.add_argument("--samples", type=int, default=samples)
+    p.add_argument("--seed", type=int, default=0)
+
+
 #: Negative numbers with an optional fraction and exponent, and ``-inf``/``-nan``.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
@@ -283,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a named family of index sets")
-    p.add_argument("--kind", required=True, choices=_kind_choices())
+    p.add_argument("--kind", required=True, choices=sorted({k.value for k in SetKind} | set(_KIND_ALIASES)))
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -306,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true",
                    help="force exact enumeration (Bernoulli only, dim <= "
                         f"{EXACT_ENUMERATION_MAX_DIM} and |T|*2^(d-1) <= 2^{EXACT_SUP_MAX_SUMS.bit_length() - 1})")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_sampling_flags(p)
     _add_report_flags(p)
     p.set_defaults(handler=cmd_sup)
 
@@ -318,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"search all admissible trees (at most {EXHAUSTIVE_MAX_POINTS} points)")
     p.add_argument("--process", choices=_values(ProcessKind), default="bernoulli",
                    help="process for the monte-carlo model")
-    p.add_argument("--samples", type=int, default=20_000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_sampling_flags(p, samples=20_000)
     _add_report_flags(p)
     p.set_defaults(handler=cmd_gamma)
 
@@ -327,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, metavar="PATH")
     p.add_argument("--kind", choices=_values(ProcessKind), default="bernoulli")
     p.add_argument("--exact", action="store_true", help="force the exact supremum route")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_sampling_flags(p)
     _add_report_flags(p)
     p.set_defaults(handler=cmd_verify_t2)
 
@@ -340,16 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest trim count checked (default: the dimension)")
     p.add_argument("--check-at", type=float, default=None, metavar="C",
                    help="also assert the condition at this constant (exit 3 if it fails)")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_sampling_flags(p)
     _add_report_flags(p)
     p.set_defaults(handler=cmd_contract)
 
     p = sub.add_parser("decompose", help="best threshold split against the measured supremum")
     p.add_argument("--set", required=True, metavar="PATH")
     p.add_argument("--kind", choices=_values(ProcessKind), default="bernoulli")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_sampling_flags(p)
     p.add_argument("--per-point", action="store_true",
                    help="refine the winning global threshold per point")
     p.add_argument("--k", type=float, default=1.0,
@@ -364,8 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm", choices=_values(NormKind), default="sup")
     p.add_argument("--extra-functionals", type=int, default=8)
     p.add_argument("--p-max", type=int, default=8)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_sampling_flags(p)
     _add_report_flags(p)
     p.set_defaults(handler=cmd_oleszkiewicz)
 
@@ -387,6 +374,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if "samples" in args:  # the one samples rule, on every verb that takes samples, before any work
+            check_samples(args.samples)
         return args.handler(args)
     except ProcsupError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,8 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FIT_CAP, FiniteSet, ProcessKind, Seed, check_integers, distinct_rows
+from .core import (FIT_CAP, FiniteSet, ProcessKind, Seed, check_count, check_finite_params, check_integers,
+                   distinct_rows)
 from .errors import ParameterError, ValidationError
+from .moments import DEFAULT_SAMPLES
 from .reports import ComparisonReport, record
 from .suprema import estimate_ratio, expected_sup
 
@@ -49,9 +51,7 @@ class CoordinateMap:
             raise ParameterError(
                 f"map {self.name!r} takes {lo}..{hi} params, got {len(self.params)}"
             )
-        for i, x in enumerate(self.params):
-            if not np.isfinite(x):
-                raise ParameterError(f"param {i} must be finite, got {x!r}")
+        check_finite_params(self.params)
         if self.name == "clamp" and len(self.params) == 1:
             raise ParameterError("map 'clamp' takes 0 or 2 params (lo, hi), got 1")
         if self.name == "clamp" and self.params and self.params[0] > self.params[1]:
@@ -222,12 +222,6 @@ class _PairTable:
         return c
 
 
-def _check_order(p_max: int) -> None:
-    check_integers((p_max,), "p_max")
-    if p_max < 0:
-        raise ParameterError(f"p_max must be >= 0, got {p_max}")
-
-
 def check_condition(pair: MappedPair, c: float, p_max: int) -> CheckResult:
     """Does the contraction condition hold at constant ``c`` up to order ``p_max``?
 
@@ -238,7 +232,7 @@ def check_condition(pair: MappedPair, c: float, p_max: int) -> CheckResult:
         raise ParameterError(f"C must be finite, got {c}")
     if c < 1.0:
         raise ParameterError(f"the condition is defined for C >= 1, got {c}")
-    _check_order(p_max)
+    check_count(p_max, "p_max", 0)
     return _PairTable(*_difference_rows(pair)).evaluate(c, p_max)
 
 
@@ -285,13 +279,13 @@ def fit_min_C(pair: MappedPair, p_max: int | None = None) -> ContractionReport:
     """
     if p_max is None:
         p_max = pair.source.dim
-    _check_order(p_max)
+    check_count(p_max, "p_max", 0)
     return _fit(_PairTable(*_difference_rows(pair)), p_max, pair.map_label)
 
 
 def compare_suprema(
     pair: MappedPair,
-    samples: int = 100_000,
+    samples: int = DEFAULT_SAMPLES,
     seed: Seed = Seed(0),
 ) -> ComparisonReport:
     """Empirical ratio ``S_B(image) / S_B(source)``, exact where enumerable."""

@@ -82,6 +82,20 @@ def check_integers(values: Sequence, what: str, error: type[ProcsupError] = Para
         raise error(f"{what} must be an integer, got {bad!r}")
 
 
+def check_count(value, what: str, low: int) -> None:
+    """The one integer-count rule: ``value`` must pass :func:`check_integers` and be at least ``low``."""
+    check_integers((value,), what)
+    if value < low:
+        raise ParameterError(f"{what} must be >= {low}, got {value}")
+
+
+def check_finite_params(params: Sequence[float]) -> None:
+    """The one finite-params rule of set generators and coordinate maps: every param is a finite number."""
+    for i, x in enumerate(params):
+        if not math.isfinite(x):
+            raise ParameterError(f"param {i} must be finite, got {x!r}")
+
+
 def _number_rows(rows, owner: str, noun: str) -> np.ndarray:
     """``rows`` converted one row at a time, naming the first fault.
 
@@ -313,8 +327,8 @@ def generate_set(
 
     The same ``(kind, dim, count, seed, params)`` always yields the same set,
     coordinate for coordinate.  ``dim`` and ``count`` must be positive
-    integers.  A set of more than ``GENERATE_MAX_COORDINATES``
-    coordinates raises :class:`CapacityError` before any draw.
+    integers (:func:`check_count`) and ``params`` finite.  A set of more
+    than ``GENERATE_MAX_COORDINATES`` coordinates raises :class:`CapacityError` before any draw.
     """
     if isinstance(kind, str):
         try:
@@ -324,18 +338,12 @@ def generate_set(
             raise ParameterError(f"unknown set kind {kind!r}; expected one of: {valid}") from None
     if isinstance(seed, int):
         seed = Seed(seed)
-    check_integers((dim,), "dim")
-    check_integers((count,), "count")
-    if dim < 1:
-        raise ParameterError(f"dim must be >= 1, got {dim}")
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
+    check_count(dim, "dim", 1)
+    check_count(count, "count", 1)
     if count * dim > GENERATE_MAX_COORDINATES:
         raise CapacityError(f"set generation capped at {GENERATE_MAX_COORDINATES} coordinates, "
                             f"got {count} points of dim {dim}")
-    for i, x in enumerate(params):
-        if not math.isfinite(x):
-            raise ParameterError(f"param {i} must be finite, got {x!r}")
+    check_finite_params(params)
     rows = _GENERATORS[kind](dim, count, seed, params)
     name = f"{kind.value}-d{dim}-n{count}-seed{seed.value}"
     return FiniteSet(name=name, points=rows)
@@ -365,9 +373,9 @@ def read_points_file(path: str | Path, formats: Sequence[str]) -> tuple[dict, st
     ``formats`` lists the accepted ``format`` tags.  Returns the document,
     its name (the file stem when it has none) and its rows as one matrix
     checked by :func:`point_matrix`.
-    Coordinates must be JSON numbers: strings, booleans and nulls are
-    rejected, never coerced.  A number beyond float64 fails in
-    :func:`point_matrix`, which names its row.
+    The version must be the JSON integer 1 and coordinates JSON numbers:
+    strings, booleans and nulls are rejected, never coerced.  A number
+    beyond float64 fails in :func:`point_matrix`, which names its row.
     """
     path = Path(path)
     try:
@@ -379,7 +387,7 @@ def read_points_file(path: str | Path, formats: Sequence[str]) -> tuple[dict, st
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt not in formats:
         raise ParseError(f"{path}: not a {' or '.join(formats)} file")
-    if doc.get("version") != FILE_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != FILE_VERSION:
         raise ParseError(f"{path}: unsupported version {doc.get('version')!r}")
     key = _ROWS_KEY[fmt]
     noun = key[:-1]

@@ -31,7 +31,7 @@ import numpy as np
 from .chaining import DistanceOverflow, greedy_forest_bounds
 from .core import FiniteSet, ProcessKind, Seed, distinct_rows
 from .errors import CapacityError, ParameterError
-from .moments import _BLOCK_BYTES, MomentModel
+from .moments import _BLOCK_BYTES, DEFAULT_SAMPLES, MomentModel, check_samples
 from .reports import ComparisonReport, record, safe_ratio
 from .suprema import SupEstimate, expected_sup
 
@@ -264,7 +264,7 @@ def _refine_per_point(ts: FiniteSet, start: SweepEntry) -> tuple[tuple[float, ..
 def decompose_by_sweep(
     ts: FiniteSet,
     kind: ProcessKind = ProcessKind.BERNOULLI,
-    samples: int = 100_000,
+    samples: int = DEFAULT_SAMPLES,
     seed: Seed = Seed(0),
     per_point: bool = False,
     k_constant: float = 1.0,
@@ -282,7 +282,8 @@ def decompose_by_sweep(
     descent computed for the chosen split.  The reference supremum is exact
     for the Bernoulli process up to the dimension cap, Monte Carlo
     otherwise.  Before the sweep, a non-finite or negative ``k_constant``
-    raises :class:`ParameterError`, and tail trees of more than
+    and a ``samples`` that :func:`~procsup.moments.check_samples` rejects
+    raise :class:`ParameterError`, and tail trees of more than
     ``DECOMPOSE_MAX_ROWS = 2**20`` rows in all raise
     :class:`CapacityError`: the sweep grows ``(1 +`` distinct
     magnitudes ``)·(|T| + 1)`` rows, and ``per_point`` adds up to three
@@ -291,6 +292,7 @@ def decompose_by_sweep(
     ``per_point``.
     """
     _check_k(k_constant)
+    check_samples(samples)
     rows = _tree_rows(ts.matrix, per_point)
     if rows > DECOMPOSE_MAX_ROWS:
         raise CapacityError(f"decomposition capped at {DECOMPOSE_MAX_ROWS} tail tree rows, got {rows}")

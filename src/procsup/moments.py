@@ -69,7 +69,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
-from .core import EXACT_ENUMERATION_MAX_DIM, ProcessKind, Seed, check_integers
+from .core import EXACT_ENUMERATION_MAX_DIM, ProcessKind, Seed, check_count, check_integers
 from .errors import CapacityError, ParameterError, ValidationError
 from .reports import safe_ratio
 
@@ -102,6 +102,9 @@ EXACT_MAX_ORDER = 1024
 #: Relative allowance for float rounding in the package's analytic inequalities.
 REL_SLACK = 1e-9
 
+#: The ``samples`` of every library route and CLI verb that takes one, unless it says otherwise.
+DEFAULT_SAMPLES = 100_000
+
 
 def _finite_rows(ts) -> np.ndarray:
     """``ts`` as a C-ordered ``(k, d)`` float matrix; every entry must be finite."""
@@ -130,9 +133,7 @@ def _norms(a: np.ndarray, order: int, row: str = "row") -> np.ndarray:
 
 def check_proxy_order(p) -> int:
     """``p`` as an int, if the proxy serves it: an integer >= 1."""
-    check_integers((p,), "p")
-    if p < 0:
-        raise ParameterError(f"p must be >= 0, got {p}")
+    check_count(p, "p", 0)
     if p < 1:
         raise ParameterError(f"proxy needs p >= 1, got {p}")
     return int(p)
@@ -461,7 +462,10 @@ def _draw(kind: ProcessKind, gen: np.random.Generator, size) -> np.ndarray:
 
 
 def check_samples(samples: int) -> None:
-    """The one Monte Carlo ``samples`` rule: an integer of at least 2, as each stderr divides by ``samples - 1``."""
+    """The one ``samples`` rule: an integer of at least 2, as each Monte Carlo stderr divides by ``samples - 1``.
+
+    Every route and CLI verb that takes ``samples`` applies it before any work, exact routes included.
+    """
     check_integers((samples,), "samples")
     if samples < 2:
         raise ParameterError(f"Monte Carlo needs samples >= 2, got {samples}")

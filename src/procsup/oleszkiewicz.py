@@ -35,7 +35,7 @@ from .core import (
     SYSTEM_FORMAT,
     ProcessKind,
     Seed,
-    check_integers,
+    check_count,
     content_digest,
     distinct_rows,
     point_matrix,
@@ -43,8 +43,9 @@ from .core import (
     write_points_file,
 )
 from .errors import ParameterError, ParseError, ValidationError
-from .contraction import ContractionReport, _PairTable, _check_order, _fit
-from .moments import _norms, bernoulli_exact_norms, check_samples, enumerable, mc_mean, proxy_norms, signed_row_sums
+from .contraction import ContractionReport, _PairTable, _fit
+from .moments import (DEFAULT_SAMPLES, _norms, bernoulli_exact_norms, check_samples, enumerable, mc_mean,
+                      proxy_norms, signed_row_sums)
 from .reports import ComparisonReport, safe_ratio
 from .suprema import EstimateMethod, SupEstimate, estimate_ratio
 
@@ -136,12 +137,8 @@ def generate_functionals(norm: NormKind, dim: int, extra: int, seed: Seed) -> Fu
     of them (uniform simplex weights with independent signs).  For the
     euclidean norm the extras are uniform on the unit sphere.
     """
-    check_integers((dim,), "dim")
-    check_integers((extra,), "extra")
-    if dim < 1:
-        raise ParameterError(f"dim must be >= 1, got {dim}")
-    if extra < 0:
-        raise ParameterError(f"extra must be >= 0, got {extra}")
+    check_count(dim, "dim", 1)
+    check_count(extra, "extra", 0)
     eye = np.eye(dim)  # one matrix: a row view of a fresh one per row would keep dim of them alive
     rows = [row for j in range(dim) for row in (eye[j], -eye[j])]
     for i in range(extra):
@@ -216,9 +213,7 @@ def weak_moment_constant(
     before any norm is taken.
     """
     _check_sysmatch(x_sys, y_sys, funcs)
-    check_integers((p_max,), "p_max")
-    if p_max < 1:
-        raise ParameterError(f"p_max must be >= 1, got {p_max}")
+    check_count(p_max, "p_max", 1)
     orders = range(1, p_max + 1)
     coeffs = _coefficient_rows(x_sys, y_sys, funcs)
     # the dedup key makes each row's first nonzero positive
@@ -260,7 +255,7 @@ def check_weak_contraction(
     _check_sysmatch(x_sys, y_sys, funcs)
     if p_max is None:
         p_max = x_sys.terms
-    _check_order(p_max)
+    check_count(p_max, "p_max", 0)
     coeffs = _coefficient_rows(x_sys, y_sys, funcs)
     per_functional: list[float | None] = []
     worst, worst_index = None, -1
@@ -334,12 +329,16 @@ def _mc_strong_moment(system: VectorSystem, samples: int, seed: Seed) -> SupEsti
 def strong_moment_ratio(
     x_sys: VectorSystem,
     y_sys: VectorSystem,
-    samples: int = 100_000,
+    samples: int = DEFAULT_SAMPLES,
     seed: Seed = Seed(0),
 ) -> ComparisonReport:
-    """``E||sum eps x_i|| / E||sum eps y_i||``, exact where :func:`~procsup.moments.enumerable` allows."""
+    """``E||sum eps x_i|| / E||sum eps y_i||``, exact where :func:`~procsup.moments.enumerable` allows.
+
+    Once the norms match, ``samples`` is checked (:func:`~procsup.moments.check_samples`) before either moment.
+    """
     if x_sys.norm is not y_sys.norm:
         raise ParameterError("systems must share one ambient norm")
+    check_samples(samples)
     ex, ey = [_exact_strong_moment(system) if enumerable(system.terms, system.dim)
               else _mc_strong_moment(system, samples, seed) for system in (x_sys, y_sys)]
     return estimate_ratio("strong-moment-ratio", "E||sum eps x||", ex, "E||sum eps y||", ey,

@@ -174,8 +174,10 @@ def expected_sup(kind: ProcessKind, ts: FiniteSet, samples: int, seed: Seed, exa
     Carlo above either; Gaussian suprema are always Monte Carlo.
     ``exact=True`` demands enumeration: it raises
     :class:`ParameterError` for the Gaussian process and
-    :class:`CapacityError` above either cap.
+    :class:`CapacityError` above either cap.  ``samples`` is checked
+    first (:func:`~procsup.moments.check_samples`), whichever route runs.
     """
+    check_samples(samples)
     if exact and kind is ProcessKind.GAUSSIAN:
         raise ParameterError("no exact supremum oracle for the Gaussian process")
     if kind is ProcessKind.BERNOULLI and (exact or enumerable(ts.dim, len(ts))):

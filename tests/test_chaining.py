@@ -153,6 +153,19 @@ def test_tree_from_dict_keeps_integer_documents():
     assert tree_from_dict(numpy_ints) == tree
 
 
+def test_a_deep_tree_document_builds_no_level_budget():
+    # one point whose singleton level repeats: level 28's budget 2^(2^28) alone would take 32 MiB
+    doc = {"n_points": 1, "levels": [[{"members": [0], "rep": 0}]] * 29}
+    tracemalloc.start()
+    try:
+        tree = tree_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.depth == 28
+    assert peak < 1 << 20
+
+
 def _reference_validate(n_points, levels):
     """The dict-and-set validator that PartitionTree.validate replaced, kept verbatim."""
     if n_points < 1:

@@ -381,6 +381,31 @@ def test_sup_monte_carlo_needs_two_samples(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", [
+    ["sup"],
+    ["gamma", "--model", "gaussian-exact"],
+    ["contract", "--map", "abs"],
+    ["verify-t2"],
+    ["decompose"],
+    ["oleszkiewicz"],
+], ids=lambda verb: verb[0])
+def test_every_verb_taking_samples_checks_them_before_any_work(tmp_path, capsys, monkeypatch, verb):
+    # the set is enumerable, so every verb's suprema would be exact and draw nothing
+    set_path = _gen(tmp_path, dim=4, count=6)
+    inputs = {"contract": ["--source", str(set_path)], "oleszkiewicz": ["--x", str(set_path), "--y", str(set_path)]}
+    out = tmp_path / "r.json"
+
+    def no_work(*args):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(cli, "load_set", no_work)
+    monkeypatch.setattr(cli, "load_vector_system", no_work)
+    argv = [verb[0], *inputs.get(verb[0], ["--set", str(set_path)]), *verb[1:], "--samples", "1", "--out", str(out)]
+    assert _run(argv) == 2
+    assert capsys.readouterr().err == "error: Monte Carlo needs samples >= 2, got 1\n"
+    assert not out.exists()
+
+
 def test_gamma_monte_carlo_reports_are_byte_identical(tmp_path):
     set_path = _gen(tmp_path, dim=8, count=20)
     argv = ["gamma", "--set", str(set_path), "--model", "monte-carlo", "--process", "gaussian",

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from procsup.core import (
     Seed,
     SetKind,
     ValidationError,
+    check_count,
     distinct_rows,
     generate_set,
     load_set,
@@ -21,7 +23,11 @@ from procsup.core import (
     read_points_file,
     save_set,
 )
+from procsup.contraction import CoordinateMap, apply_map, check_condition, fit_min_C
 from procsup.errors import CapacityError, ParameterError
+from procsup.moments import proxy_norms
+from procsup.oleszkiewicz import (NormKind, VectorSystem, check_weak_contraction, generate_functionals,
+                                  weak_moment_constant)
 
 from json_reference import read_points_file as reference_read_points_file
 from json_reference import set_file_json
@@ -151,6 +157,58 @@ def test_disjoint_blocks_have_disjoint_supports():
     assert np.count_nonzero(ts.matrix, axis=0).max() <= 1  # no coordinate is nonzero in two points
     with pytest.raises(ParameterError, match="block"):
         generate_set(SetKind.DISJOINT_BLOCKS, 12, 4, Seed(3))
+
+
+def test_check_count_is_one_integer_rule():
+    for value, message in [(True, "n must be an integer, got True"), (2.0, "n must be an integer, got 2.0"),
+                           (0, "n must be >= 1, got 0")]:
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            check_count(value, "n", 1)
+    check_count(np.int64(1), "n", 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: generate_set("random_sphere", 0, 3, 0), "dim must be >= 1, got 0"),
+    (lambda: generate_set("random_sphere", 3, -2, 0), "count must be >= 1, got -2"),
+    (lambda: generate_functionals(NormKind.SUP, 0, 1, Seed(0)), "dim must be >= 1, got 0"),
+    (lambda: generate_functionals(NormKind.SUP, 2, -1, Seed(0)), "extra must be >= 0, got -1"),
+    (lambda: weak_moment_constant(*_systems(), p_max=0), "p_max must be >= 1, got 0"),
+    (lambda: check_weak_contraction(*_systems(), p_max=-1), "p_max must be >= 0, got -1"),
+    (lambda: check_condition(_pair(), 1.0, -1), "p_max must be >= 0, got -1"),
+    (lambda: fit_min_C(_pair(), p_max=-1), "p_max must be >= 0, got -1"),
+    (lambda: proxy_norms(np.eye(2), -1), "p must be >= 0, got -1"),
+    (lambda: fit_min_C(_pair(), p_max=True), "p_max must be an integer, got True"),
+])
+def test_every_count_goes_through_the_one_rule(call, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def _systems():
+    x = VectorSystem("x", np.eye(2), NormKind.SUP)
+    return x, x, generate_functionals(NormKind.SUP, 2, 0, Seed(0))
+
+
+def _pair():
+    return apply_map(FiniteSet(name="s", points=np.eye(2)), CoordinateMap("abs"))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: generate_set("random_sphere", 2, 2, 0, (1.0, math.nan)),
+    lambda: CoordinateMap("clamp", (-1.0, math.nan)),
+])
+def test_set_generators_and_maps_share_the_finite_params_rule(call):
+    with pytest.raises(ParameterError, match="^param 1 must be finite, got nan$"):
+        call()
+
+
+@pytest.mark.parametrize("fmt, rows", [("finite-set", "points"), ("vector-system", "vectors")])
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_a_file_version_must_be_the_json_integer_one(tmp_path, fmt, rows, version):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"format": fmt, "version": version, "norm": "sup", "dim": 1, rows: [[1.0]]}))
+    with pytest.raises(ParseError, match=f"unsupported version {re.escape(repr(version))}$"):
+        read_points_file(path, (fmt,))
 
 
 def test_generate_set_rejects_bad_kind_and_sizes():

@@ -118,6 +118,17 @@ def test_decompose_rejects_a_bad_k_before_the_sweep(monkeypatch, k):
         decompose_by_sweep(_blocks_set(0), samples=200, seed=Seed(0), k_constant=k)
 
 
+@pytest.mark.parametrize("samples", [1, 2.5])
+def test_decompose_rejects_bad_samples_before_the_sweep(monkeypatch, samples):
+    # the reference supremum of this set is exact, so no draw would ever read samples
+    def no_sweep(ts):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(decomposition, "sweep_objectives", no_sweep)
+    with pytest.raises(ParameterError, match="samples"):
+        decompose_by_sweep(_blocks_set(0), samples=samples, seed=Seed(0))
+
+
 @given(st.floats(min_value=0.01, max_value=10.0), st.floats(min_value=0.01, max_value=10.0))
 def test_choose_p_is_minimal(tail, target):
     p = choose_p(tail, 1.0, target)

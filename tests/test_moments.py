@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import re
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from procsup import moments, rng
-from procsup.core import FiniteSet, ProcessKind, Seed
+from procsup.core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, ProcessKind, Seed
 from procsup.errors import CapacityError, ParameterError, ValidationError
 from procsup.moments import (
     ModelKind,
@@ -25,9 +26,12 @@ from procsup.moments import (
     proxy_norms,
     signed_row_sums,
 )
+from procsup.chaining import verify_sup_bound
+from procsup.contraction import CoordinateMap, apply_map, compare_suprema
+from procsup.decomposition import decompose_by_sweep
 from procsup.oleszkiewicz import NormKind, VectorSystem, _mc_strong_moment, strong_moment_ratio
 from procsup.reports import safe_ratio
-from procsup.suprema import brute_force_bernoulli_sup, mc_sup
+from procsup.suprema import brute_force_bernoulli_sup, expected_sup, mc_sup
 
 from enumeration_reference import reference_enumerated_norm
 from mc_reference import reference_mc_mean, reference_mc_norm
@@ -438,10 +442,20 @@ def test_moment_model_needs_two_samples(samples):
     assert MomentModel.monte_carlo(ProcessKind.GAUSSIAN, 2, Seed(1)).samples == 2
 
 
-def _mc_entry_points():
+def _samples_entry_points():
+    """Every entry point that takes ``samples``, on an exact route where it has one and on Monte Carlo."""
     ts = FiniteSet(name="s", points=np.eye(3))
     system = VectorSystem("x", np.eye(3), NormKind.SUP)
+    wide = VectorSystem("w", np.eye(EXACT_ENUMERATION_MAX_DIM + 1), NormKind.SUP)  # past the enumeration cap
+    pair = apply_map(ts, CoordinateMap("abs"))
     return {
+        "expected_sup[exact]": lambda n: expected_sup(ProcessKind.BERNOULLI, ts, n, Seed(1)),
+        "expected_sup[monte-carlo]": lambda n: expected_sup(ProcessKind.GAUSSIAN, ts, n, Seed(1)),
+        "verify_sup_bound": lambda n: verify_sup_bound(ts, ProcessKind.BERNOULLI, samples=n),
+        "compare_suprema": lambda n: compare_suprema(pair, samples=n),
+        "decompose_by_sweep": lambda n: decompose_by_sweep(ts, samples=n),
+        "strong_moment_ratio[exact]": lambda n: strong_moment_ratio(system, system, samples=n),
+        "strong_moment_ratio[monte-carlo]": lambda n: strong_moment_ratio(wide, wide, samples=n),
         "mc_sup": lambda n: mc_sup(ProcessKind.GAUSSIAN, ts, n, Seed(1)),
         "mc_norms": lambda n: mc_norms(ProcessKind.GAUSSIAN, ts.matrix, 2, n, Seed(1)),
         "_mc_strong_moment": lambda n: _mc_strong_moment(system, n, Seed(1)),
@@ -449,17 +463,29 @@ def _mc_entry_points():
     }
 
 
-@pytest.mark.parametrize("entry", ["mc_sup", "mc_norms", "_mc_strong_moment", "MomentModel.monte_carlo"])
+@pytest.mark.parametrize("entry", list(_samples_entry_points()))
 @pytest.mark.parametrize("samples, message", [
+    (1, "Monte Carlo needs samples >= 2, got 1"),
     (2.5, "samples must be an integer, got 2.5"),
     (True, "samples must be an integer, got True"),
-    (1, "Monte Carlo needs samples >= 2, got 1"),
 ])
-def test_every_monte_carlo_entry_point_checks_samples_by_one_rule(entry, samples, message):
-    run = _mc_entry_points()[entry]
+def test_every_entry_point_taking_samples_checks_them_by_one_rule(entry, samples, message):
+    run = _samples_entry_points()[entry]
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         run(samples)
     run(np.int64(2))
+
+
+def test_strong_moment_ratio_checks_samples_after_the_norms():
+    x, y = VectorSystem("x", np.eye(2), NormKind.SUP), VectorSystem("y", np.eye(2), NormKind.EUCLIDEAN)
+    with pytest.raises(ParameterError, match="^systems must share one ambient norm$"):
+        strong_moment_ratio(x, y, samples=1)
+
+
+def test_every_samples_default_is_the_one_constant():
+    assert moments.DEFAULT_SAMPLES == 100_000
+    for fn in (verify_sup_bound, compare_suprema, decompose_by_sweep, strong_moment_ratio):
+        assert inspect.signature(fn).parameters["samples"].default == moments.DEFAULT_SAMPLES, fn.__name__
 
 
 def test_moment_model_validation():
