@@ -20,7 +20,6 @@ import argparse
 import re
 import sys
 from datetime import datetime, timezone
-from pathlib import Path
 from typing import Sequence
 
 from . import acceptance
@@ -47,6 +46,7 @@ from .core import (
     generate_set,
     load_set,
     save_set,
+    write_text_file,
 )
 from .decomposition import decompose_by_sweep, verify_two_sided
 from .errors import ParameterError, ProcsupError
@@ -60,7 +60,7 @@ from .oleszkiewicz import (
     weak_moment_constant,
     check_weak_contraction,
 )
-from .reports import build_report, record, safe_ratio, to_csv, to_json
+from .reports import build_report, dump, dump_csv, record, safe_ratio
 from .suprema import expected_sup
 
 # Friendly aliases accepted by `gen --kind` on top of the canonical names.
@@ -84,15 +84,15 @@ _NOT_CONFIG = frozenset({"command", "handler", "set", "source", "x", "y", "out",
 
 
 def _write_report(args: argparse.Namespace, inputs: dict, results) -> None:
-    """Build the report of ``args.command`` and write it to ``--out`` or stdout."""
+    """Build the report of ``args.command`` and stream it to ``--out`` (:func:`write_text_file`) or stdout."""
     config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     stamp = datetime.now(timezone.utc).isoformat() if args.stamp == "now" else args.stamp
     doc = build_report(args.command, config, inputs, results, stamp=stamp)
-    text = to_csv(doc) if args.format == "csv" else to_json(doc)
+    write = dump_csv if args.format == "csv" else dump
     if args.out:
-        Path(args.out).write_text(text)
+        write_text_file(args.out, lambda fp: write(doc, fp))
     else:
-        sys.stdout.write(text)
+        write(doc, sys.stdout)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -14,9 +14,11 @@ import itertools
 import json
 import math
 import numbers
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -92,7 +94,11 @@ def check_count(value, what: str, low: int) -> None:
 def check_finite_params(params: Sequence[float]) -> None:
     """The one finite-params rule of set generators and coordinate maps: every param is a finite number."""
     for i, x in enumerate(params):
-        if not math.isfinite(x):
+        try:
+            finite = math.isfinite(x)
+        except (TypeError, OverflowError):  # not a real number, or an int past float64
+            raise ParameterError(f"param {i} must be a finite number, got {x!r}") from None
+        if not finite:
             raise ParameterError(f"param {i} must be finite, got {x!r}")
 
 
@@ -349,17 +355,37 @@ def generate_set(
     return FiniteSet(name=name, points=rows)
 
 
+def write_text_file(path: str | Path, write: Callable[[TextIO], None]) -> None:
+    """Open ``path`` for text and call ``write`` with the file.
+
+    If ``write`` or the close raises, the regular file that was opened is
+    deleted before the error goes on, so a failed write leaves no partial
+    file (a FIFO or a device is left as it is).
+    """
+    fp = open(path, "w")
+    regular = stat.S_ISREG(os.fstat(fp.fileno()).st_mode)
+    try:
+        with fp:
+            write(fp)
+    except BaseException:
+        if regular:
+            os.unlink(os.path.realpath(path))
+        raise
+
+
 def write_points_file(path: str | Path, fmt: str, name: str, matrix: np.ndarray, **fields) -> None:
     """Write a set or vector-system file: ``json.dumps(doc, indent=2)`` bytes, keys in insertion order.
 
     The keys are ``format``, ``version``, ``name``, then ``fields`` in their
     order, then ``dim`` and the rows of ``matrix`` under the format's key.
+    The rows are streamed from the matrix (:func:`~procsup.reports.dump`)
+    through :func:`write_text_file`.
     """
-    from .reports import dumps  # reports imports this module
+    from .reports import dump  # reports imports this module
 
     doc = {"format": fmt, "version": FILE_VERSION, "name": name, **fields,
-           "dim": matrix.shape[1], _ROWS_KEY[fmt]: matrix.tolist()}
-    Path(path).write_text(dumps(doc, sort_keys=False))
+           "dim": matrix.shape[1], _ROWS_KEY[fmt]: matrix}
+    write_text_file(path, lambda fp: dump(doc, fp, sort_keys=False))
 
 
 def save_set(ts: FiniteSet, path: str | Path) -> None:

@@ -14,8 +14,10 @@ Result records serialise by :func:`record`, one rule for every verb's
 sections: fields in declaration order, None and ``{}`` omitted, enums as
 their values, tuples as lists and every other value by :func:`_leaf`.
 
-:func:`to_json` (and the set-file writers, through :func:`dumps`) walks the
-document once and writes it: the bytes are those of stdlib
+:func:`dump` (behind :func:`dumps`, :func:`to_json` and the set-file
+writers) walks the document once and writes it to a text file about 64 KiB
+at a time, so a long list, an array or a tree level is never held whole as
+text: the bytes are those of stdlib
 ``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` after the leaf rules of
 :func:`_leaf` (numpy scalars made plain, ±inf as ``"inf"``/``"-inf"``,
 tuples and arrays as lists).  ``build_report`` does not copy the results;
@@ -23,9 +25,9 @@ whatever json cannot write raises ``TypeError`` when the report is written.
 
 A :class:`TreeLevel` is one level of a partition tree given by its arrays;
 ``PartitionTree.columns()`` puts one per level into a ``gamma`` report.
-:func:`dumps` writes it in one pass over the arrays and :func:`to_csv`
-flattens it straight into rows, with no dict per block; both give what its
-plain list of blocks ``[{"members": [...], "rep": r}, ...]`` gives.
+:func:`dump` writes it in batches of members and :func:`dump_csv` flattens
+it straight into rows, with no dict per block; both give what its plain
+list of blocks ``[{"members": [...], "rep": r}, ...]`` gives.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -156,7 +158,7 @@ class TreeLevel(NamedTuple):
 
     ``order`` holds every block's members end to end, each block ascending,
     ``sizes`` each block's count (at least 1) and ``reps`` each block's
-    representative.  :func:`dumps` writes it with :func:`_write_blocks`.
+    representative.  :func:`dump` writes it with :func:`_write_blocks`.
     """
 
     order: np.ndarray
@@ -169,91 +171,183 @@ class TreeLevel(NamedTuple):
         return zip(map(members.__getitem__, map(slice, [0, *ends], ends)), self.reps.tolist())
 
 
-def _write_blocks(level: TreeLevel, pad: str, out: list[str]) -> None:
-    """Append the text ``_write`` gives for ``level``'s list of blocks, indented from ``pad``.
+#: Text gathered before one write to the file (characters; the text is ASCII).
+#: Below glibc's default 128 KiB mmap threshold: freed 256 KiB pieces raised the
+#: threshold, and the heap then grew unevenly under the next set file's parse
+#: (the peak RSS of repeated 20000-point gamma jobs varied by 5 MB).
+_BATCH_CHARS = 1 << 16
+#: Entries of a list, or coordinates of an array's rows, formatted at once.
+_BATCH_ITEMS = 1 << 11
 
-    Each member and representative is written once; a block of more than
-    one member adds one join, and the rest is a single list over the level.
+
+class _Sink:
+    """Text pieces written to ``fp`` at most ``_BATCH_CHARS`` at a time, or one longer piece alone."""
+
+    def __init__(self, fp) -> None:
+        self.fp, self.parts, self.size = fp, [], 0
+
+    def write(self, text: str) -> None:
+        if self.parts and self.size + len(text) > _BATCH_CHARS:
+            self.flush()
+        self.parts.append(text)
+        self.size += len(text)
+
+    def flush(self) -> None:
+        self.fp.write("".join(self.parts))
+        self.parts.clear()
+        self.size = 0
+
+
+def _write_blocks(level: TreeLevel, pad: str, out: _Sink) -> None:
+    """Write the text ``_write`` gives for ``level``'s list of blocks, indented from ``pad``.
+
+    The blocks are written in runs of about ``_BATCH_CHARS`` of text,
+    reckoning 8 characters to a number.  In a run each member and
+    representative is formatted once, a block of more than one member adds
+    one join, and the rest is a single list; a block longer than a run is
+    a run of its own, whose members are joined a run's worth at a time.
     """
     n = len(level.sizes)
     if not n:
-        out.append("[]")
+        out.write("[]")
         return
     i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
     head = "{\n" + i2 + '"members": [\n' + i3
-    members = list(map(int.__repr__, level.order.tolist()))
-    if len(members) > n:  # runs of members joined block by block
-        ends = np.cumsum(level.sizes).tolist()
-        members = list(map((",\n" + i3).join, map(members.__getitem__, map(slice, [0, *ends], ends))))
-    text = [None, "\n" + i2 + "],\n" + i2 + '"rep": ', None, "\n" + i1 + "},\n" + i1 + head] * n
-    text[0::4] = members
-    text[2::4] = map(int.__repr__, level.reps.tolist())
-    text[-1] = "\n" + i1 + "}"
-    out.append("[\n" + i1 + head)
-    out.extend(text)
-    out.append("\n" + pad + "]")
+    sep, rep_key, between = ",\n" + i3, "\n" + i2 + "],\n" + i2 + '"rep": ', "\n" + i1 + "},\n" + i1 + head
+    ends = np.cumsum(level.sizes)
+    run = max(1, _BATCH_CHARS // (len(sep) + 8))  # members in a run of one block
+    text_ends = ends * (len(sep) + 8) + np.arange(1, n + 1) * (len(rep_key) + len(between) + 8)
+    out.write("[\n" + i1 + head)
+    b0 = 0
+    while b0 < n:
+        m0, t0 = (int(ends[b0 - 1]), int(text_ends[b0 - 1])) if b0 else (0, 0)
+        b1 = max(b0 + 1, int(np.searchsorted(text_ends, t0 + _BATCH_CHARS, side="right")))
+        m1 = int(ends[b1 - 1])
+        if m1 - m0 > run:  # one long block, its members in runs
+            for lo in range(m0, m1, run):
+                chunk = level.order[lo : min(lo + run, m1)].tolist()
+                out.write((sep if lo > m0 else "") + sep.join(map(int.__repr__, chunk)))
+            members = [""]
+        else:
+            members = list(map(int.__repr__, level.order[m0:m1].tolist()))
+            if m1 - m0 > b1 - b0:  # runs of members joined block by block
+                cuts = (ends[b0:b1] - m0).tolist()
+                members = list(map(sep.join, map(members.__getitem__, map(slice, [0, *cuts], cuts))))
+        text = [None, rep_key, None, between] * (b1 - b0)
+        text[0::4] = members
+        text[2::4] = map(int.__repr__, level.reps[b0:b1].tolist())
+        if b1 == n:
+            text[-1] = "\n" + i1 + "}"
+        out.write("".join(text))
+        b0 = b1
+    out.write("\n" + pad + "]")
 
 
-def _write(value, pad: str, out: list[str], sort_keys: bool) -> None:
-    """Append the JSON text of ``value``, indented from ``pad``, to ``out``."""
-    scalar = _SCALAR_TEXT.get(type(value))
-    if scalar is not None:
-        out.append(scalar(value))
+def _scalars_text(items: list, sep: str) -> str | None:
+    """``items`` joined by ``sep`` when all are plain ints or all plain floats, else None.
+
+    Finite floats never spell "inf" or "nan", so only a text holding an
+    "n" is formatted again by the float rule.
+    """
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return sep.join(map(int.__repr__, items))
+    if kinds != {float}:
+        return None
+    text = sep.join(map(float.__repr__, items))
+    return sep.join(map(_float_text, items)) if "n" in text else text
+
+
+def _write_list(value, pad: str, out: _Sink, sort_keys: bool) -> None:
+    """Write a list, tuple or array (of one or more dimensions) as a JSON list, a batch at a time.
+
+    A batch is ``_BATCH_ITEMS`` entries, or for an array of rows whole rows
+    of about ``_BATCH_ITEMS`` coordinates, converted by ``tolist()`` one
+    batch at a time.  A batch of plain ints or floats, or of rows of them,
+    is joined as one text.
+    """
+    n = len(value)
+    if not n:
+        out.write("[]")
         return
     inner = pad + "  "
     sep = ",\n" + inner
+    row_sep, row_open, row_close = ",\n" + inner + "  ", "[\n" + inner + "  ", "\n" + inner + "]"
+    step = _BATCH_ITEMS
+    if isinstance(value, np.ndarray) and value.ndim > 1:
+        step = max(1, _BATCH_ITEMS // max(1, value[0].size))
+    out.write("[\n" + inner)
+    for lo in range(0, n, step):
+        batch = value[lo : lo + step]
+        if isinstance(batch, np.ndarray):
+            batch = batch.tolist()
+        if lo:
+            out.write(sep)
+        text = _scalars_text(batch, sep)
+        if text is None and set(map(type, batch)) == {list}:
+            rows = [_scalars_text(row, row_sep) for row in batch]
+            if None not in rows:
+                text = sep.join([row_open + row + row_close for row in rows])
+        if text is not None:
+            out.write(text)
+            continue
+        for i, v in enumerate(batch):
+            if i:
+                out.write(sep)
+            _write(v, inner, out, sort_keys)
+    out.write("\n" + pad + "]")
+
+
+def _write(value, pad: str, out: _Sink, sort_keys: bool) -> None:
+    """Write the JSON text of ``value``, indented from ``pad``, to ``out``."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        out.write(scalar(value))
+        return
     if isinstance(value, dict):
         if not value:
-            out.append("{}")
+            out.write("{}")
             return
-        out.append("{\n" + inner)
+        inner = pad + "  "
+        sep = ",\n" + inner
+        out.write("{\n" + inner)
         for n, (k, v) in enumerate(sorted(value.items()) if sort_keys else value.items()):
-            out.append((sep if n else "") + _key_text(k) + ": ")
+            out.write((sep if n else "") + _key_text(k) + ": ")
             _write(v, inner, out, sort_keys)
-        out.append("\n" + pad + "}")
-        return
-    if isinstance(value, np.ndarray):
-        if not value.ndim:
-            raise TypeError("iteration over a 0-d array")
-        value = value.tolist()
+        out.write("\n" + pad + "}")
     elif isinstance(value, TreeLevel):  # a tuple, written as its list of blocks
         _write_blocks(value, pad, out)
-        return
-    elif not isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim:
+        _write_list(value, pad, out, sort_keys)
+    elif isinstance(value, np.ndarray):
+        raise TypeError("iteration over a 0-d array")
+    else:
         leaf = _leaf(value)
         scalar = _SCALAR_TEXT.get(type(leaf))
         # json writes subclasses of the plain types and raises TypeError for the rest
-        out.append(scalar(leaf) if scalar is not None else json.dumps(leaf))
-        return
-    if not value:
-        out.append("[]")
-        return
-    kinds = set(map(type, value))
-    if kinds == {int} or kinds == {float}:
-        text = sep.join(map(int.__repr__ if int in kinds else float.__repr__, value))
-        if "n" not in text:  # finite floats never spell "inf" or "nan"
-            out.append("[\n" + inner + text + "\n" + pad + "]")
-            return
-    out.append("[\n" + inner)
-    for n, v in enumerate(value):
-        if n:
-            out.append(sep)
-        _write(v, inner, out, sort_keys)
-    out.append("\n" + pad + "]")
+        out.write(scalar(leaf) if scalar is not None else json.dumps(leaf))
 
 
-def dumps(doc, *, sort_keys: bool = True) -> str:
-    """``doc`` as indented JSON text, newline-terminated, in one pass.
+def dump(doc, fp, *, sort_keys: bool = True) -> None:
+    """Write ``doc`` to the text file ``fp`` as indented JSON, newline-terminated, about 64 KiB at a time.
 
     The bytes are those of ``json.dumps(doc, indent=2, sort_keys=sort_keys)
     + "\\n"`` after the leaf rules of :func:`_leaf` (tuples and arrays are
     written as lists), with each :class:`TreeLevel` written as its list of
-    blocks; anything else json cannot write raises ``TypeError``.
+    blocks; anything else json cannot write raises ``TypeError``, with the
+    text before it already written.
     """
-    out: list[str] = []
+    out = _Sink(fp)
     _write(doc, "", out, sort_keys)
-    out.append("\n")
-    return "".join(out)
+    out.write("\n")
+    out.flush()
+
+
+def dumps(doc, *, sort_keys: bool = True) -> str:
+    """The text :func:`dump` writes, as a string."""
+    buf = io.StringIO()
+    dump(doc, buf, sort_keys=sort_keys)
+    return buf.getvalue()
 
 
 def build_report(
@@ -288,27 +382,34 @@ def to_json(doc: Mapping[str, Any]) -> str:
     return dumps(doc)
 
 
-def _flatten(prefix: str, value, rows: list[tuple[str, Any]]) -> None:
+def _flatten(prefix: str, value, row: Callable[[tuple[str, Any]], Any]) -> None:
     if isinstance(value, dict):
         for k in sorted(value) if prefix.startswith("design_decisions") else value:
-            _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
+            _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], row)
     elif isinstance(value, TreeLevel):  # the rows of its list of blocks
         for b, (members, rep) in enumerate(value.blocks()):
-            rows.extend((f"{prefix}[{b}].members[{j}]", m) for j, m in enumerate(members))
-            rows.append((f"{prefix}[{b}].rep", rep))
+            for j, m in enumerate(members):
+                row((f"{prefix}[{b}].members[{j}]", m))
+            row((f"{prefix}[{b}].rep", rep))
     elif isinstance(value, (list, tuple, np.ndarray)):
         for i, v in enumerate(value):
-            _flatten(f"{prefix}[{i}]", v, rows)
+            _flatten(f"{prefix}[{i}]", v, row)
     else:
-        rows.append((prefix, _leaf(value)))
+        row((prefix, _leaf(value)))
+
+
+def dump_csv(doc: Mapping[str, Any], fp) -> None:
+    """Write the report to the text file ``fp`` as key,value rows (stable order) for plotting tools.
+
+    Each row goes to a ``csv.writer`` on ``fp`` as it is flattened.
+    """
+    writer = csv.writer(fp, lineterminator="\n")
+    writer.writerow(["key", "value"])
+    _flatten("", dict(doc), writer.writerow)
 
 
 def to_csv(doc: Mapping[str, Any]) -> str:
-    """Flatten the report into key,value rows (stable order) for plotting tools."""
-    rows: list[tuple[str, Any]] = []
-    _flatten("", dict(doc), rows)
+    """The text :func:`dump_csv` writes, as a string."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    writer.writerows(rows)
+    dump_csv(doc, buf)
     return buf.getvalue()

@@ -69,6 +69,20 @@ def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
 
 
 def rademacher(gen: np.random.Generator, size) -> np.ndarray:
-    """Independent uniform signs, returned as float64 ±1."""
-    bits = gen.integers(0, 2, size=size, dtype=np.int8)
-    return bits.astype(np.float64) * 2.0 - 1.0
+    """Independent uniform signs, returned as float64 ±1, computed in place.
+
+    Sign ``k`` is +1 when bit 7 of byte ``k`` of the draw's 32-bit words,
+    taken little-endian, is set.  Those are the bits numpy's bounded draw
+    ``gen.integers(0, 2, size, dtype=np.int8)`` keeps (Lemire's method on
+    one byte of each word per value, with nothing rejected), and both take
+    ``ceil(n/4)`` words from the stream, so the signs and the stream after
+    them are that draw's.
+    """
+    out = np.empty(size)
+    flat = out.reshape(-1)
+    words = gen.integers(0, 2**32, size=-(-flat.size // 4), dtype=np.uint32)
+    bits = words.astype("<u4", copy=False).view(np.uint8)[: flat.size]
+    bits >>= 7
+    np.multiply(bits, 2.0, out=flat)
+    flat -= 1.0
+    return out

@@ -18,6 +18,12 @@ import numpy as np
 from procsup import moments, rng
 
 
+def reference_rademacher(gen, size):
+    """Signs as they were drawn before the word route: numpy's bounded int8 draw, mapped to ±1."""
+    bits = gen.integers(0, 2, size=size, dtype=np.int8)
+    return bits.astype(np.float64) * 2.0 - 1.0
+
+
 def reference_mc_mean(kind, gen, m, samples, statistic):
     """Mean and stderr of one scalar statistic, chunked and merged as ``mc_mean`` does."""
     width = m.shape[1] if m.ndim == 2 else 1  # a vector m is one column

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import io
 import json
+import os
 import re
 
 import pytest
@@ -467,27 +469,47 @@ _VERBS = [
 
 @pytest.mark.parametrize("verb", _VERBS, ids=lambda argv: " ".join(argv[:1] + argv[3:]))
 def test_report_bytes_equal_the_earlier_route(tmp_path, monkeypatch, verb):
-    # Every report document a verb builds, written by the one-pass writer and
-    # by encode + json.dumps (and the earlier CSV flattening), gives the same text.
+    # Every report document a verb builds, streamed to --out by the JSON and
+    # CSV writers, is the text encode + json.dumps (and the earlier CSV
+    # flattening) gives for that document.
     seen = []
 
     def checked(write, reference):
-        def wrapper(doc):
-            text = write(doc)
-            assert text == reference(doc)
-            seen.append(text)
-            return text
+        def wrapper(doc, fp):
+            write(doc, fp)
+            seen.append(reference(doc))
         return wrapper
 
-    monkeypatch.setattr(cli, "to_json", checked(reports.to_json, report_json))
-    monkeypatch.setattr(cli, "to_csv", checked(reports.to_csv, report_csv))
+    monkeypatch.setattr(cli, "dump", checked(reports.dump, report_json))
+    monkeypatch.setattr(cli, "dump_csv", checked(reports.dump_csv, report_csv))
     set_path = _gen(tmp_path)
     argv = [str(set_path) if a == "{s}" else a for a in verb]
     for fmt in ("json", "csv"):
         assert _run(argv + ["--format", fmt, "--out", str(tmp_path / f"r.{fmt}")]) == 0
+        assert (tmp_path / f"r.{fmt}").read_text() == seen[-1]
     text = (tmp_path / "r.json").read_text()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     assert len(seen) == 2
+
+
+def test_a_failed_report_write_leaves_no_file(tmp_path, monkeypatch):
+    out = tmp_path / "r.json"
+    sizes = []
+
+    def dump(doc, fp):
+        try:
+            reports.dump(doc, fp)
+        except TypeError:
+            fp.flush()
+            sizes.append(os.path.getsize(out))
+            raise
+
+    monkeypatch.setattr(cli, "dump", dump)
+    args = argparse.Namespace(command="demo", format="json", out=str(out), stamp=None)
+    results = {"a": list(range(200_000)), "z": object()}  # the long list streams out before the object fails
+    with pytest.raises(TypeError):
+        cli._write_report(args, {}, results)
+    assert sizes[0] > 1 << 20 and not out.exists()
 
 
 def test_gen_file_bytes_equal_json_dumps(tmp_path):

@@ -1,13 +1,16 @@
+import errno
+import io
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from procsup import rng
+from procsup import core, rng
 from procsup.core import (
     GENERATE_MAX_COORDINATES,
     FiniteSet,
@@ -193,12 +196,15 @@ def _pair():
     return apply_map(FiniteSet(name="s", points=np.eye(2)), CoordinateMap("abs"))
 
 
-@pytest.mark.parametrize("call", [
-    lambda: generate_set("random_sphere", 2, 2, 0, (1.0, math.nan)),
-    lambda: CoordinateMap("clamp", (-1.0, math.nan)),
+@pytest.mark.parametrize("call, message", [
+    (lambda: generate_set("random_sphere", 2, 2, 0, (1.0, math.nan)), "^param 1 must be finite, got nan$"),
+    (lambda: CoordinateMap("clamp", (-1.0, math.nan)), "^param 1 must be finite, got nan$"),
+    (lambda: generate_set("random_sphere", 2, 2, 0, ("a",)), "^param 0 must be a finite number, got 'a'$"),
+    (lambda: CoordinateMap("scale", ("2",)), "^param 0 must be a finite number, got '2'$"),
+    (lambda: CoordinateMap("scale", (10**400,)), "^param 0 must be a finite number, got 1000"),
 ])
-def test_set_generators_and_maps_share_the_finite_params_rule(call):
-    with pytest.raises(ParameterError, match="^param 1 must be finite, got nan$"):
+def test_set_generators_and_maps_share_the_finite_params_rule(call, message):
+    with pytest.raises(ParameterError, match=message):
         call()
 
 
@@ -395,6 +401,41 @@ def test_saved_set_bytes_equal_json_dumps(tmp_path_factory, rows, name):
     doc = {"format": "finite-set", "version": 1, "name": name, "dim": ts.dim, "points": ts.matrix.tolist()}
     assert path.read_text() == set_file_json(doc)
     assert load_set(path).matrix.tobytes() == ts.matrix.tobytes()
+
+
+def test_save_set_streams_its_rows(tmp_path):
+    ts = generate_set("random_sphere", 50, 4000, 0)
+    tracemalloc.start()
+    try:
+        save_set(ts, tmp_path / "s.set")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20  # 17.2 MiB when the rows were one list and the file one string
+    doc = {"format": "finite-set", "version": 1, "name": ts.name, "dim": 50, "points": ts.matrix.tolist()}
+    assert (tmp_path / "s.set").read_text() == set_file_json(doc)
+
+
+def test_a_failed_set_write_leaves_no_file(tmp_path, monkeypatch):
+    path = tmp_path / "s.set"
+    written = []
+
+    def open_failing_after_one_write(file, mode):
+        fp = open(file, mode)
+
+        def write(text):
+            if written:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written.append(text)
+            return io.TextIOWrapper.write(fp, text)
+
+        fp.write = write
+        return fp
+
+    monkeypatch.setattr(core, "open", open_failing_after_one_write, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_set(generate_set("random_sphere", 50, 4000, 0), path)
+    assert written and not path.exists()
 
 
 def _loader_outcome(read, path):

@@ -5,7 +5,9 @@ import enum
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,10 +16,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from json_reference import encode, report_csv, report_json
-from procsup import contraction
+from procsup import contraction, reports
 from procsup.chaining import (
     PartitionTree,
     build_partition_greedy,
+    chain_bound,
     combine_sum_set,
     exhaustive_gamma,
     tree_from_dict,
@@ -31,6 +34,7 @@ from procsup.reports import (
     ComparisonReport,
     TreeLevel,
     build_report,
+    dump,
     dumps,
     record,
     safe_ratio,
@@ -343,3 +347,95 @@ def test_combined_trees_write_as_their_dicts(sets):
     set_a, set_b = sets
     _, tree = combine_sum_set(set_a, build_partition_greedy(set_a), set_b, build_partition_greedy(set_b))
     _assert_tree_writes_as_its_dict(tree)
+
+
+# --- dump: the same text, written a batch at a time ---
+
+
+class _Writes:
+    """A text file that keeps each write apart."""
+
+    def __init__(self) -> None:
+        self.pieces: list[str] = []
+
+    def write(self, text: str) -> None:
+        self.pieces.append(text)
+
+
+def _streamed(doc) -> list[str]:
+    fp = _Writes()
+    dump(doc, fp)
+    return fp.pieces
+
+
+_N = reports._BATCH_ITEMS
+
+
+@st.composite
+def _long_documents(draw):
+    """Lists, arrays and tree levels around and past one batch, at the real batch sizes."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32)))
+    n = draw(st.sampled_from([0, 1, _N - 1, _N, _N + 1, 2 * _N + 3]) | st.integers(0, 3 * _N))
+    floats = gen.standard_normal(n) * 10.0 ** gen.integers(-300, 300, n)
+    if n and draw(st.booleans()):
+        floats[gen.integers(n)] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    d = draw(st.integers(0, 7))
+    rows = draw(st.sampled_from([0, 1, _N // max(d, 1), _N // max(d, 1) + 1]) | st.integers(0, 3 * _N // max(d, 1)))
+    blocks = draw(st.integers(1, 6000))
+    sizes = gen.integers(1, draw(st.sampled_from([2, 4])), blocks)
+    many = TreeLevel(gen.integers(0, 10**6, int(sizes.sum())), sizes, gen.integers(0, 10**6, blocks))
+    long = draw(st.integers(1, 3 * _N))
+    one = TreeLevel(np.arange(long), np.array([long]), np.array([0]))
+    return {
+        "floats": floats.tolist(),
+        "array": floats,
+        "ints": gen.integers(-(2**63), 2**63, n).tolist(),
+        "matrix": gen.standard_normal((rows, d)),
+        "int_matrix": gen.integers(-(2**40), 2**40, (rows, d)),
+        "empty": np.zeros((0, d)),
+        "mixed": [1, 2.5] * (n // 2),
+        "levels": [many, one, many],
+    }
+
+
+@settings(deadline=None, max_examples=20)
+@given(_long_documents())
+def test_dump_streams_the_bytes_of_json_dumps_in_bounded_writes(doc):
+    pieces = _streamed(doc)
+    assert "".join(pieces) == dumps(doc) == report_json(doc)
+    # a write holds at most a batch of text, or one batch of entries alone, whatever the document's size
+    assert max(map(len, pieces)) < 2 * reports._BATCH_CHARS
+
+
+_tree_levels = st.lists(st.tuples(st.lists(_int64s, min_size=1, max_size=4), _int64s), max_size=8).map(
+    lambda blocks: TreeLevel(
+        np.array([m for members, _ in blocks for m in members], dtype=np.int64),
+        np.array([len(members) for members, _ in blocks], dtype=np.intp),
+        np.array([r for _, r in blocks], dtype=np.int64),
+    )
+)
+
+
+@given(st.recursive(_leaves | _tree_levels, _containers, max_leaves=20), st.integers(1, 3), st.integers(1, 40))
+def test_dump_in_tiny_batches_writes_the_bytes_of_json_dumps(doc, items, chars):
+    with mock.patch.object(reports, "_BATCH_ITEMS", items), mock.patch.object(reports, "_BATCH_CHARS", chars):
+        pieces = _streamed(doc)
+        assert "".join(pieces) == report_json(doc)
+        assert to_csv({"results": doc}) == report_csv({"results": doc})
+
+
+def test_a_20000_point_gamma_report_streams_in_little_memory(tmp_path):
+    ts = generate_set("random_sphere", 8, 20000, 16)
+    bound = chain_bound(ts, build_partition_greedy(ts), MomentModel.gaussian_exact())
+    results = {"set": ts.name, "value": bound.value, "per_point": list(bound.per_point),
+               "tree": bound.tree.columns()}
+    doc = build_report("gamma", {"seed": 0}, {"set": ts.content_hash()}, results)
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "r.json", "w") as fp:
+            dump(doc, fp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20  # 8.9 MiB when the text was built whole
+    assert (tmp_path / "r.json").read_text() == report_json(doc)

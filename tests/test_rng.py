@@ -5,6 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from mc_reference import reference_rademacher
 from procsup import rng
 
 
@@ -47,6 +48,26 @@ def test_rademacher_values_and_balance():
     r = rng.rademacher(rng.stream(1, "r"), 100_000)
     assert set(np.unique(r)) == {-1.0, 1.0}
     assert abs(r.mean()) < 0.02
+
+
+_sizes = st.integers(0, 40) | st.tuples(st.integers(0, 6), st.integers(0, 9))
+
+
+@given(st.lists(st.tuples(st.sampled_from(["signs", "normals", "word"]), _sizes), max_size=8), st.integers(0, 2**63))
+@example([("signs", 1), ("word", 0), ("signs", 5), ("signs", (3, 7))], 0)
+def test_rademacher_signs_are_the_bounded_int8_draw(steps, seed):
+    # other draws between the signs, a lone 32-bit word included, leave both streams at the same place
+    gen, ref = rng.stream(seed, "signs"), rng.stream(seed, "signs")
+    for what, size in steps:
+        if what == "signs":
+            got = rng.rademacher(gen, size)
+            want = reference_rademacher(ref, size)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        elif what == "normals":
+            assert rng.standard_normal(gen, size).tobytes() == rng.standard_normal(ref, size).tobytes()
+        else:
+            assert gen.integers(0, 2**32, dtype=np.uint32) == ref.integers(0, 2**32, dtype=np.uint32)
+    assert gen.integers(0, 2**62) == ref.integers(0, 2**62)
 
 
 def test_standard_normal_moments():
