@@ -51,11 +51,15 @@ EXHAUSTIVE_MAX_POINTS = 5
 EXHAUSTIVE_MAX_SEQUENCES = 2**15
 
 
-def level_budget(n: int) -> int:
-    """Largest admissible number of blocks at level ``n``: 2^(2^n)."""
+def level_budget(n: int, count: int) -> int:
+    """``min(2^(2^n), count)``, the blocks level ``n`` may hold among ``count`` points.
+
+    ``2^(2^n)`` is formed only while it has at most twice as many bits as ``count``.
+    """
     if n < 0:
         raise ParameterError(f"level must be >= 0, got {n}")
-    return 1 << (1 << n)
+    count = int(count)
+    return count if n >= count.bit_length().bit_length() else min(1 << (1 << n), count)
 
 
 class Block(NamedTuple):
@@ -89,8 +93,8 @@ def _check_level(k: int, parent: TreeLevel | None, level: TreeLevel, counts: np.
         firsts = np.cumsum(sizes) - sizes
         tree = np.minimum(np.searchsorted(np.cumsum(counts), order[firsts], side="right"), len(counts) - 1)
         most = int(np.bincount(tree, minlength=len(counts)).max())
-        if k < 6 and most > level_budget(k):  # from level 6 the budget, 2^64, exceeds any int64 count: build none
-            raise ValidationError(f"level {k} has {most} blocks, over the budget {level_budget(k)}")
+        if most > level_budget(k, most):
+            raise ValidationError(f"level {k} has {most} blocks, over the budget {level_budget(k, most)}")
         inside = (order >= 0) & (order < n)
         seen = np.bincount(order[inside].astype(np.intp), minlength=n)
         if not inside.all() or seen.max(initial=0) > 1:
@@ -153,9 +157,8 @@ class PartitionTree:
     built on first use.  ``PartitionTree(n_points, levels)`` is the one
     reader from plain values: it takes each level as ``(members, rep)``
     pairs (:class:`Block` among them), lays them out as arrays and runs
-    :meth:`validate`.  A report writes the tree's :meth:`columns`;
-    :meth:`to_dict` is the same document in plain values, the form
-    :func:`tree_from_dict` reads.
+    :meth:`validate`.  A report writes the tree's :meth:`columns`, and
+    :func:`tree_from_dict` reads the report's ``tree`` section back.
     """
 
     __slots__ = ("n_points", "arrays", "_blocks")
@@ -235,12 +238,6 @@ class PartitionTree:
         """The report document: ``n_points`` and each level's :class:`~procsup.reports.TreeLevel`."""
         return {"n_points": self.n_points, "levels": list(self.arrays)}
 
-    def to_dict(self) -> dict:
-        return {
-            "n_points": self.n_points,
-            "levels": [[{"members": m, "rep": r} for m, r in level.blocks()] for level in self.arrays],
-        }
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PartitionTree):
             return NotImplemented
@@ -249,7 +246,7 @@ class PartitionTree:
 
 
 def tree_from_dict(doc: dict) -> PartitionTree:
-    """Rebuild a tree from :meth:`PartitionTree.to_dict` output with the :class:`PartitionTree` reader.
+    """Rebuild a tree from a report's ``tree`` section with the :class:`PartitionTree` reader.
 
     ``n_points``, every ``rep`` and every member must be integers: a bool,
     float or string is rejected, not converted.  A missing key or a value
@@ -397,7 +394,7 @@ def _grow(coords: np.ndarray, counts) -> Iterator[TreeLevel]:
     if not counts.size or counts.min() < 1 or counts.sum() != len(coords):
         raise ParameterError("a forest needs trees of at least one point each, covering the rows")
     depth = 0 if counts.max() == 1 else 1
-    while level_budget(depth) < counts.max():
+    while level_budget(depth, counts.max()) < counts.max():
         depth += 1
     level = TreeLevel(np.arange(len(coords)), counts, np.cumsum(counts) - counts)
     _check_level(0, None, level, counts, last=depth == 0)
@@ -405,7 +402,7 @@ def _grow(coords: np.ndarray, counts) -> Iterator[TreeLevel]:
     coords_t = np.ascontiguousarray(coords.T)
     tree = np.arange(len(counts))  # each block's tree
     for lvl in range(1, depth + 1):
-        alloc = _allocate_children(min(level_budget(lvl), len(coords)), level.sizes, tree)
+        alloc = _allocate_children(level_budget(lvl, len(coords)), level.sizes, tree)
         child = TreeLevel(*_split_level(coords_t, *level, alloc))
         _check_level(lvl, level, child, counts, last=lvl == depth)
         level, tree = child, np.repeat(tree, alloc)
@@ -564,7 +561,7 @@ def _exhaustive_depth(n_points: int, dim: int, model: MomentModel) -> int:
     get the same conservative depth.
     """
     n_sing = 1
-    while level_budget(n_sing) < n_points:
+    while level_budget(n_sing, n_points) < n_points:
         n_sing += 1
     if model.kind in (ModelKind.BERNOULLI_EXACT, ModelKind.GAUSSIAN_EXACT):
         return n_sing
@@ -583,7 +580,7 @@ def _chains(n: int, depth: int) -> list[tuple[tuple[tuple[int, ...], ...], ...]]
     singletons = tuple((i,) for i in range(n))
     chains = [((tuple(range(n)),),)]
     for level in range(1, depth):
-        cap = min(level_budget(level), n)
+        cap = level_budget(level, n)
         grown = (c + (p,) for c in chains for p in _refinements(c[-1], cap))
         chains = list(itertools.islice(grown, EXHAUSTIVE_MAX_SEQUENCES + 1))
         if len(chains) > EXHAUSTIVE_MAX_SEQUENCES:

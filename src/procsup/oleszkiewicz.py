@@ -11,8 +11,10 @@ Given two finite systems of vectors ``x_1..x_n`` and ``y_1..y_n`` in R^m
   ``(<w, x_i>)_i`` and ``(<w, y_i>)_i``, fitted per functional;
 * *strong moments*: the ratio of ``E || sum_i eps_i x_i ||`` to the same
   with ``y``, each a supremum over the dual unit ball and so a
-  :class:`~procsup.suprema.SupEstimate` (exact sign enumeration within the
-  sign-sum cap of :func:`~procsup.moments.enumerable`, Monte Carlo beyond it).
+  :class:`~procsup.suprema.SupEstimate`: under the sup norm the Bernoulli
+  supremum over the terms' coordinate columns and their negations, by
+  :func:`~procsup.suprema.expected_sup`; under the euclidean norm exact
+  within :func:`~procsup.moments.enumerable`, Monte Carlo beyond it.
 
 Functional samples for the sup norm live in the l1 dual ball (the signed
 basis vectors, which witness every sup, plus random convex combinations);
@@ -22,6 +24,7 @@ for the euclidean norm they are uniform points of the unit sphere.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -33,6 +36,7 @@ from .core import (
     EXACT_ENUMERATION_MAX_DIM,
     SET_FORMAT,
     SYSTEM_FORMAT,
+    FiniteSet,
     ProcessKind,
     Seed,
     check_count,
@@ -47,9 +51,12 @@ from .contraction import ContractionReport, _PairTable, _fit
 from .moments import (DEFAULT_SAMPLES, _norms, bernoulli_exact_norms, check_samples, enumerable, mc_mean,
                       proxy_norms, signed_row_sums)
 from .reports import ComparisonReport, safe_ratio
-from .suprema import EstimateMethod, SupEstimate, estimate_ratio
+from .suprema import EstimateMethod, SupEstimate, estimate_ratio, expected_sup
 
 _DUAL_SLACK = 1e-12
+
+#: The euclidean norm of each row, the strong moment's per-pattern statistic.
+_euclidean_norms = functools.partial(np.linalg.norm, axis=-1)
 
 
 class NormKind(enum.Enum):
@@ -79,12 +86,6 @@ class VectorSystem:
 
     def content_hash(self) -> str:
         return content_digest(norm=self.norm.value, vectors=self.matrix)
-
-    def norm_of(self, xs: np.ndarray) -> np.ndarray:
-        """Ambient norm of each row of ``xs``."""
-        if self.norm is NormKind.SUP:
-            return np.abs(xs).max(axis=-1)
-        return np.linalg.norm(xs, axis=-1)
 
 
 def save_vector_system(system: VectorSystem, path: str | Path) -> None:
@@ -281,21 +282,14 @@ def check_weak_contraction(
 
 
 def _exact_strong_moment(system: VectorSystem) -> SupEstimate:
-    """``E ||sum_i eps_i x_i||`` over the sign patterns with ``eps_0 = +1`` (the norm is even).
+    """Euclidean ``E ||sum_i eps_i x_i||`` over the sign patterns with ``eps_0 = +1`` (the norm is even).
 
-    The ambient norm is the enumeration's per-pattern statistic: each
-    cache-sized piece of sign sums is reduced to norms as soon as it is
-    built, and the norms are summed a block at a time.  A maximum is exact
-    in any order, so the sup norm takes the pieces in the layout their
-    block's shape picks; numpy sums a row of squares pairwise only when the
-    row is contiguous, so the euclidean norm takes them row-major.
-    Coordinate j of every sum is at most the l1 norm of the vectors' j-th
-    coordinates, so a coordinate whose l1 norm overflows float64 fails
-    before the enumeration; a total that still overflows (for the
-    euclidean norm, a squared coordinate) fails after it.
+    Each cache-sized piece of sign sums is reduced to norms as soon as it
+    is built, row-major (numpy sums a row of squares pairwise only when it
+    is contiguous), and the norms are summed a block at a time.  A total
+    that overflows float64 fails after the enumeration.
     """
-    _norms(system.matrix.T, 1, "coordinate")
-    norms = signed_row_sums(system.matrix, system.norm_of, row_major=system.norm is NormKind.EUCLIDEAN)
+    norms = signed_row_sums(system.matrix, _euclidean_norms, row_major=True)
     with np.errstate(over="ignore", invalid="ignore"):
         total = sum(float(v.sum()) for v in norms)
     _check_sign_sum_norms(system, total)
@@ -304,42 +298,53 @@ def _exact_strong_moment(system: VectorSystem) -> SupEstimate:
 
 def _check_sign_sum_norms(system: VectorSystem, value: float, where: str = "") -> None:
     if not math.isfinite(value):
-        raise ParameterError(
-            f"the {system.norm.value} norms of the sign sums of system {system.name!r} overflow float64{where}"
-        )
+        raise ParameterError(f"the euclidean norms of the sign sums of system {system.name!r} overflow float64{where}")
 
 
 def _mc_strong_moment(system: VectorSystem, samples: int, seed: Seed) -> SupEstimate:
-    """Monte Carlo ``E ||sum_i eps_i x_i||`` with its stderr and the overflow checks of :func:`_exact_strong_moment`.
+    """Monte Carlo euclidean ``E ||sum_i eps_i x_i||`` with its stderr.
 
-    A coordinate whose l1 norm overflows float64 fails before the draws;
-    a mean that still overflows fails after them with the exact route's
-    message, and a stderr that overflows names the Monte Carlo variance.
+    A mean that overflows float64 fails after the draws with the exact
+    route's message, and a stderr that overflows names the Monte Carlo variance.
     """
     check_samples(samples)
-    _norms(system.matrix.T, 1, "coordinate")
     gen = rng.content_stream(seed.value, "strong-moment", system.matrix, system.norm.value)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, stderr = mc_mean(ProcessKind.BERNOULLI, gen, system.matrix, samples, system.norm_of)
+        mean, stderr = mc_mean(ProcessKind.BERNOULLI, gen, system.matrix, samples, _euclidean_norms)
     _check_sign_sum_norms(system, mean)
     _check_sign_sum_norms(system, stderr, " in the Monte Carlo variance")
     return SupEstimate(float(mean), float(stderr), EstimateMethod.MONTE_CARLO, samples)
 
 
-def strong_moment_ratio(
-    x_sys: VectorSystem,
-    y_sys: VectorSystem,
-    samples: int = DEFAULT_SAMPLES,
-    seed: Seed = Seed(0),
-) -> ComparisonReport:
-    """``E||sum eps x_i|| / E||sum eps y_i||``, exact where :func:`~procsup.moments.enumerable` allows.
+def _strong_moment(system: VectorSystem, samples: int, seed: Seed) -> SupEstimate:
+    """``E ||sum_i eps_i x_i||``; under the sup norm, the Bernoulli supremum over ``T = {+-v_j}``.
+
+    Coordinate j of every sign sum is at most the l1 norm of the vectors'
+    j-th coordinates, so under either norm a coordinate whose l1 norm
+    overflows float64 fails first.  ``E max_j |<eps, v_j>| = E max_{t in T}
+    <eps, t>`` over the coordinate columns ``v_j``, so one
+    :func:`~procsup.suprema.expected_sup` call takes it; ``+ 0.0`` folds
+    ``-0.0`` and each point of ``T`` is kept once.  The euclidean norm is
+    enumerated where :func:`~procsup.moments.enumerable` allows, drawn beyond.
+    """
+    _norms(system.matrix.T, 1, "coordinate")
+    if system.norm is NormKind.EUCLIDEAN:
+        exact = enumerable(system.terms, system.dim)
+        return _exact_strong_moment(system) if exact else _mc_strong_moment(system, samples, seed)
+    columns = np.concatenate([system.matrix.T, -system.matrix.T]) + 0.0
+    signed = FiniteSet(name=f"+-columns of {system.name}", points=columns[distinct_rows(columns)[0]])
+    return expected_sup(ProcessKind.BERNOULLI, signed, samples, seed)
+
+
+def strong_moment_ratio(x_sys: VectorSystem, y_sys: VectorSystem, samples: int = DEFAULT_SAMPLES,
+                        seed: Seed = Seed(0)) -> ComparisonReport:
+    """``E||sum eps x_i|| / E||sum eps y_i||``, each side by :func:`_strong_moment`.
 
     Once the norms match, ``samples`` is checked (:func:`~procsup.moments.check_samples`) before either moment.
     """
     if x_sys.norm is not y_sys.norm:
         raise ParameterError("systems must share one ambient norm")
     check_samples(samples)
-    ex, ey = [_exact_strong_moment(system) if enumerable(system.terms, system.dim)
-              else _mc_strong_moment(system, samples, seed) for system in (x_sys, y_sys)]
+    ex, ey = (_strong_moment(system, samples, seed) for system in (x_sys, y_sys))
     return estimate_ratio("strong-moment-ratio", "E||sum eps x||", ex, "E||sum eps y||", ey,
                           {"norm": x_sys.norm.value, "terms": x_sys.terms})

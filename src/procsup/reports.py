@@ -14,10 +14,10 @@ Result records serialise by :func:`record`, one rule for every verb's
 sections: fields in declaration order, None and ``{}`` omitted, enums as
 their values, tuples as lists and every other value by :func:`_leaf`.
 
-:func:`dump` (behind :func:`dumps`, :func:`to_json` and the set-file
-writers) walks the document once and writes it to a text file about 64 KiB
-at a time, so a long list, an array or a tree level is never held whole as
-text: the bytes are those of stdlib
+:func:`dump` (behind :func:`dumps` and the set-file writers) walks the
+document once and writes it to a text file about 64 KiB at a time, so a
+long list, an array or a tree level is never held whole as text: the bytes
+are those of stdlib
 ``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` after the leaf rules of
 :func:`_leaf` (numpy scalars made plain, ±inf as ``"inf"``/``"-inf"``,
 tuples and arrays as lists).  ``build_report`` does not copy the results;
@@ -376,10 +376,6 @@ def build_report(
     if stamp is not None:
         doc["stamp"] = stamp
     return doc
-
-
-def to_json(doc: Mapping[str, Any]) -> str:
-    return dumps(doc)
 
 
 def _flatten(prefix: str, value, row: Callable[[tuple[str, Any]], Any]) -> None:

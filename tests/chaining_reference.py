@@ -153,7 +153,7 @@ def reference_exhaustive_gamma(ts: FiniteSet, model: MomentModel) -> ChainBound:
         prev = stack[-1] if stack else (tuple(range(n)),)
         if level == depth:
             if prev != singletons:
-                if len(singletons) > level_budget(level):
+                if len(singletons) > level_budget(level, len(singletons)):
                     return
                 stack.append(singletons)
                 value, reps = chain_cost(stack)
@@ -165,7 +165,7 @@ def reference_exhaustive_gamma(ts: FiniteSet, model: MomentModel) -> ChainBound:
                 if value < best_value:
                     best_value, best_chain = value, (list(stack), reps)
             return
-        cap = min(level_budget(level), n)
+        cap = level_budget(level, n)
         for part in _refinements(prev, cap):
             stack.append(part)
             descend(level + 1)

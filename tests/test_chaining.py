@@ -33,7 +33,7 @@ from procsup.chaining import (
 from procsup.core import FiniteSet, ProcessKind, Seed, distinct_rows, generate_set
 from procsup.errors import CapacityError, ParameterError, ValidationError
 from procsup.moments import ModelKind, MomentModel
-from procsup.reports import TreeLevel
+from procsup.reports import TreeLevel, dumps
 from procsup.suprema import brute_force_bernoulli_sup
 
 from chaining_reference import ReferenceBlock, reference_exhaustive_gamma, reference_split_level
@@ -46,10 +46,29 @@ def _random_set(seed, count, dim, label="chaining-test"):
     return FiniteSet(name=f"{label}-{seed}", points=rows)
 
 
+def _document(tree):
+    """The tree's report section as JSON reads it back."""
+    return json.loads(dumps(tree.columns()))
+
+
 def test_level_budgets():
-    assert [level_budget(n) for n in range(4)] == [2, 4, 16, 256]
+    assert [level_budget(n, 1000) for n in range(4)] == [2, 4, 16, 256]
+    assert [level_budget(n, 10) for n in range(4)] == [2, 4, 10, 10]
+    assert level_budget(6, 2**64) == level_budget(6, 2**64 + 1) == 2**64 and level_budget(7, 2**64) == 2**64
+    assert level_budget(5, np.int64(2**40)) == 2**32
     with pytest.raises(ParameterError):
-        level_budget(-1)
+        level_budget(-1, 10)
+
+
+def test_a_deep_level_budget_builds_no_huge_integer():
+    # 2^(2^40) would take 128 GiB; 2^(2^28) alone traced 34 MiB
+    tracemalloc.start()
+    try:
+        assert level_budget(40, 10) == 10 and level_budget(28, 2**63 - 1) == 2**63 - 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
 
 
 def test_block_sorts_members_and_checks_rep():
@@ -58,7 +77,7 @@ def test_block_sorts_members_and_checks_rep():
     tree = PartitionTree(n_points=4, levels=[[(range(4), 2)], [((3, 1, 2), 2), ([0], 0)],
                                              [((i,), i) for i in (3, 1, 2, 0)]])
     assert tree.levels[:2] == ((Block((0, 1, 2, 3), 2),), (Block((1, 2, 3), 2), Block((0,), 0)))
-    assert tree.to_dict()["levels"][1] == [{"members": [1, 2, 3], "rep": 2}, {"members": [0], "rep": 0}]
+    assert _document(tree)["levels"][1] == [{"members": [1, 2, 3], "rep": 2}, {"members": [0], "rep": 0}]
     with pytest.raises(ValidationError, match=re.escape("representative 5 is not a member of (0, 1)")):
         PartitionTree(n_points=2, levels=[[((1, 0), 5)]])
     with pytest.raises(ValidationError, match="^a block cannot be empty$"):
@@ -97,7 +116,7 @@ def test_tree_budget_enforced():
 
 def test_tree_dict_roundtrip():
     tree = build_partition_greedy(_random_set(3, 7, 4))
-    back = tree_from_dict(tree.to_dict())
+    back = tree_from_dict(_document(tree))
     assert back == tree
 
 
@@ -147,7 +166,7 @@ def test_tree_from_dict_names_a_malformed_document(doc, fault):
 
 def test_tree_from_dict_keeps_integer_documents():
     tree = tree_from_dict(_TWO_LEVELS)
-    assert tree.to_dict() == _TWO_LEVELS
+    assert _document(tree) == _TWO_LEVELS
     numpy_ints = {"n_points": np.int64(2), "levels": [[{"members": list(np.arange(2)), "rep": np.int64(0)}],
                                                        _TWO_LEVELS["levels"][1]]}
     assert tree_from_dict(numpy_ints) == tree
@@ -177,8 +196,8 @@ def _reference_validate(n_points, levels):
     everyone = frozenset(range(n_points))
     prev_owner = None
     for n, level in enumerate(levels):
-        if n >= 1 and len(level) > level_budget(n):
-            raise ValidationError(f"level {n} has {len(level)} blocks, over the budget {level_budget(n)}")
+        if n >= 1 and len(level) > level_budget(n, len(level)):
+            raise ValidationError(f"level {n} has {len(level)} blocks, over the budget {level_budget(n, len(level))}")
         owner = {}
         for b, block in enumerate(level):
             for i in block.members:
@@ -336,7 +355,7 @@ def test_tree_from_dict_raises_and_accepts_what_the_blocks_do(count, rounds, see
         assert str(got.value) == str(exc)
     else:
         got = tree_from_dict(doc)
-        assert got == want and got.to_dict() == want.to_dict()
+        assert got == want and _document(got) == _document(want)
 
 
 def test_tree_keeps_read_only_arrays_and_shows_them_as_blocks():
@@ -344,7 +363,7 @@ def test_tree_keeps_read_only_arrays_and_shows_them_as_blocks():
     assert all(isinstance(level, tuple) and all(isinstance(b, Block) for b in level) for level in tree.levels)
     assert tree.levels is tree.levels
     again = PartitionTree(n_points=30, levels=tree.levels)
-    assert again == tree and again.to_dict() == tree.to_dict() and again.levels == tree.levels
+    assert again == tree and again.levels == tree.levels
     assert tree != build_partition_greedy(_random_set(3, 30, 3))
     for array in itertools.chain(*tree.arrays):
         with pytest.raises(ValueError):
@@ -474,7 +493,7 @@ def test_exhaustive_matches_the_recursive_reference(model, count):
             got, want = exhaustive_gamma(ts, model), reference_exhaustive_gamma(ts, model)
             assert got.value == want.value
             assert np.array(got.per_point).tobytes() == np.array(want.per_point).tobytes()
-            assert got.tree.to_dict() == want.tree.to_dict()
+            assert got.tree == want.tree
 
 
 def test_exhaustive_step_ties_go_to_the_lowest_index():
@@ -624,7 +643,7 @@ def _reference_build(ts):
     n = len(ts)
     levels = [(Block(tuple(range(n)), rep=0),)]
     while any(len(b.members) > 1 for b in levels[-1]):
-        budget = min(level_budget(len(levels)), n)
+        budget = level_budget(len(levels), n)
         alloc = _reference_allocate(budget, [len(b.members) for b in levels[-1]])
         children = []
         for parent, k in zip(levels[-1], alloc):
@@ -691,7 +710,7 @@ _MODELS = (
 @given(_tree_inputs())
 def test_level_batched_build_and_bound_match_the_originals(ts):
     tree = build_partition_greedy(ts)
-    assert tree.to_dict() == _reference_build(ts).to_dict()
+    assert tree == _reference_build(ts)
     for model in _MODELS:
         got = chain_bound(ts, tree, model)
         value, per_point = _reference_chain_bound(ts, tree, model)
@@ -704,7 +723,7 @@ def test_level_batched_build_matches_the_original_on_full_grids(dim, side):
     # every grid point has many equidistant neighbours, so every tie rule is exercised
     rows = np.array(list(itertools.product(range(side), repeat=dim)), dtype=float)
     ts = FiniteSet(name="full-grid", points=rows)
-    assert build_partition_greedy(ts).to_dict() == _reference_build(ts).to_dict()
+    assert build_partition_greedy(ts) == _reference_build(ts)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -713,7 +732,7 @@ def test_level_batched_build_matches_the_original_at_d8_and_d17(seed):
     for dim in (8, 17):
         ts = _random_set(seed, 300, dim, "batched-wide")
         tree = build_partition_greedy(ts)
-        assert tree.to_dict() == _reference_build(ts).to_dict()
+        assert tree == _reference_build(ts)
         got = chain_bound(ts, tree, MomentModel.gaussian_exact())
         assert got.per_point == _reference_chain_bound(ts, tree, MomentModel.gaussian_exact())[1]
 
@@ -957,7 +976,7 @@ def test_the_column_major_split_matches_the_row_major_reference(forest):
             patch.setattr(chaining, "_BLOCK_BYTES", block_bytes)
         while level.sizes.max() > 1:
             lvl += 1
-            alloc = _allocate_children(min(level_budget(lvl), len(coords)), level.sizes, tree)
+            alloc = _allocate_children(level_budget(lvl, len(coords)), level.sizes, tree)
             want = _split_outcome(reference_split_level, coords, level, alloc)
             assert _split_outcome(chaining._split_level, coords_t, level, alloc) == want
             if isinstance(want, tuple):  # the same DistanceOverflow.rows
@@ -1122,7 +1141,7 @@ def test_huge_points_a_short_distance_apart_still_build():
     # no norm check: only the distances the traversal takes must square finitely
     ts = FiniteSet(name="far-off", points=[[1e200, 0.0], [1e200, 1.0], [1e200, 3.0]])
     tree = build_partition_greedy(ts)
-    assert tree.to_dict() == _reference_build(ts).to_dict()
+    assert tree == _reference_build(ts)
     model = MomentModel.gaussian_exact()
     assert chain_bound(ts, tree, model).value == 3.0 * model.norms(np.array([[0.0, 1.0]]), 2)[0]
 
@@ -1132,10 +1151,10 @@ def test_greedy_trees_keep_their_bits_until_a_squared_distance_overflows(ts, exp
     scaled = FiniteSet(name="scaled", points=np.ldexp(ts.matrix, exponent))  # exact: no subnormal, no overflow
     with np.errstate(over="ignore"):
         squares = ((scaled.matrix[:, None, :] - scaled.matrix[None, :, :]) ** 2).sum(axis=-1)
-        want = _reference_build(scaled).to_dict()
+        want = _reference_build(scaled)
     try:
-        got = build_partition_greedy(scaled).to_dict()
+        got = build_partition_greedy(scaled)
     except chaining.DistanceOverflow as exc:
         assert squares[exc.rows] == np.inf  # so a set whose squares all fit always builds
     else:
-        assert got == want == build_partition_greedy(ts).to_dict()
+        assert got == want == build_partition_greedy(ts)

@@ -9,7 +9,7 @@ import pytest
 
 from json_reference import report_csv, report_json
 from procsup import cli, reports
-from procsup.chaining import PartitionTree, tree_from_dict
+from procsup.chaining import tree_from_dict
 from procsup.core import FiniteSet, SetKind, load_set, save_set
 
 
@@ -138,16 +138,14 @@ def test_gamma_greedy_vs_exhaustive(tmp_path):
 
 
 @pytest.mark.parametrize("extra", [[], ["--exhaustive"]])
-def test_gamma_writes_its_json_tree_from_the_level_arrays(tmp_path, monkeypatch, extra):
-    calls = []
-    to_dict = PartitionTree.to_dict
-    monkeypatch.setattr(PartitionTree, "to_dict", lambda tree: calls.append(tree) or to_dict(tree))
+def test_gamma_writes_its_json_tree_from_the_level_arrays(tmp_path, extra):
     argv = ["gamma", "--set", str(_gen(tmp_path, count=4)), *extra]
     tree = _report(tmp_path, argv)["results"]["tree"]
     assert _run(argv + ["--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
-    assert calls == []  # JSON and CSV both write the tree from its level arrays
+    columns = tree_from_dict(tree).columns()
+    assert json.loads(reports.dumps(columns)) == tree
     rows = lambda text: [row for row in text.splitlines() if row.startswith("results.tree.")]
-    want = rows(reports.to_csv({"results": {"tree": tree_from_dict(tree).to_dict()}}))
+    want = rows(reports.to_csv({"results": {"tree": columns}}))
     assert want and rows((tmp_path / "r.csv").read_text()) == want
 
 

@@ -6,12 +6,14 @@ point-major when the first block holds at least ``_POINT_MAJOR_PATTERNS``
 sign patterns per column, and row-major otherwise or on request (the
 euclidean strong moment asks).  Every block must hold the same values as
 the row-major reference enumerator (``tests/enumeration_reference.py``),
-and the exact supremum and strong moment must keep the reference's bits:
-on both sides of the layout switch and exactly at it, over many blocks and
-one-pattern blocks, over one-pattern pieces, pieces that split the low
-half-table and pieces of several high rows, with signed zeros and tied
-coordinates, and under both ambient norms.  Both stay within a few MiB of
-traced memory whatever the block budget.
+and the exact supremum and euclidean strong moment must keep the
+reference's bits: on both sides of the layout switch and exactly at it,
+over many blocks and one-pattern blocks, over one-pattern pieces, pieces
+that split the low half-table and pieces of several high rows, with signed
+zeros and tied coordinates.  The sup-norm strong moment is the exact
+supremum over the signed coordinate columns, so it keeps that supremum's
+bits and stays within a few ulps of the reference.  Both enumerations stay
+within a few MiB of traced memory whatever the block budget.
 """
 
 import json
@@ -33,7 +35,6 @@ from procsup.oleszkiewicz import (
     NormKind,
     VectorSystem,
     _exact_strong_moment,
-    _mc_strong_moment,
     strong_moment_ratio,
 )
 from procsup.suprema import brute_force_bernoulli_sup, mc_sup
@@ -166,17 +167,46 @@ def test_exact_supremum_keeps_the_reference_bits(case):
 @given(
     st.integers(min_value=1, max_value=14),
     st.integers(min_value=1, max_value=12),
-    st.sampled_from(["sup", "euclidean"]),
     st.sampled_from(["default", "one", "switch", "half-switch"]),
     piece_sizes,
     st.sampled_from(["generic", "ties", "zeros"]),
     st.integers(min_value=0, max_value=2**32),
 )
-def test_exact_strong_moment_keeps_the_reference_bits(terms, dim, norm, rows, pieces, style, seed):
+def test_exact_euclidean_strong_moment_keeps_the_reference_bits(terms, dim, rows, pieces, style, seed):
     vectors = _matrix(seed, (terms, dim), style)
-    system = VectorSystem("layout", vectors, NormKind(norm))
+    system = VectorSystem("layout", vectors, NormKind.EUCLIDEAN)
     with _patched(_block_bytes(dim, rows), (terms, dim), pieces):
-        assert _bits(_exact_strong_moment(system).value) == _bits(reference_strong_moment(system.matrix, norm))
+        want = reference_strong_moment(system.matrix, "euclidean")
+        assert _bits(_exact_strong_moment(system).value) == _bits(want)
+
+
+_EXTRA_COLUMNS = {
+    "zero": lambda v: np.full(len(v), -0.0),
+    "repeat": lambda v: v[:, 0],
+    "negate": lambda v: -v[:, -1],
+}
+
+
+@given(
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from(["generic", "ties", "zeros"]),
+    st.lists(st.sampled_from(list(_EXTRA_COLUMNS)), max_size=4),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_exact_sup_norm_strong_moment_is_the_supremum_over_the_signed_columns(terms, dim, style, extra, seed):
+    # E max_j |<eps, v_j>| is E max_t <eps, t> over T = {+-v_j}; zero, repeated and
+    # negated columns give repeated points, which T holds once
+    vectors = _matrix(seed, (terms, dim), style)
+    for name in extra:
+        vectors = np.column_stack([vectors, _EXTRA_COLUMNS[name](vectors)])
+    system = VectorSystem("columns", vectors, NormKind.SUP)
+    report = strong_moment_ratio(system, system)
+    assert report.lhs_label == "E||sum eps x|| [exact]"
+    want = reference_strong_moment(system.matrix, "sup")
+    assert abs(report.lhs - want) <= 4e-16 * want
+    signed = _distinct(np.concatenate([vectors.T, -vectors.T]) + 0.0)
+    assert _bits(report.lhs) == _bits(brute_force_bernoulli_sup(signed).value)
 
 
 @pytest.mark.parametrize("row_major", [False, True])
@@ -225,14 +255,13 @@ def _traced_peak(run) -> int:
 def test_enumerations_stay_within_a_few_mib():
     # A whole 8 MiB block of sums was 16.65 MiB (supremum) and 17.34 MiB (strong moment) traced.
     ts = generate_set("random_sphere", 20, 64, Seed(1))
-    system = VectorSystem("x", _matrix(5, (20, 6), "generic"), NormKind.SUP)
+    system = VectorSystem("x", _matrix(5, (20, 6), "generic"), NormKind.EUCLIDEAN)
     assert _traced_peak(lambda: brute_force_bernoulli_sup(ts)) < 4 << 20
     assert _traced_peak(lambda: _exact_strong_moment(system)) < 4 << 20
 
 
-@pytest.mark.parametrize("norm", ["sup", "euclidean"])
 @pytest.mark.parametrize("dim", [7, 8, 9, 16])
-def test_ambient_norms_of_every_block_keep_the_reference_bits(monkeypatch, norm, dim):
+def test_euclidean_norms_of_every_block_keep_the_reference_bits(monkeypatch, dim):
     # numpy sums 8 or more squares pairwise along a contiguous row and in
     # sequence across rows, so a point-major block must not reach the
     # euclidean norm.  A total over many patterns rounds most such one-ulp
@@ -245,14 +274,12 @@ def test_ambient_norms_of_every_block_keep_the_reference_bits(monkeypatch, norm,
             yield block
 
     monkeypatch.setattr(oleszkiewicz, "signed_row_sums", recording)
-    system = VectorSystem("wide", _matrix(dim, (14, dim), "generic"), NormKind(norm))
+    system = VectorSystem("wide", _matrix(dim, (14, dim), "generic"), NormKind.EUCLIDEAN)
     _exact_strong_moment(system)
-    # the sup norm reduces point-major pieces, the euclidean norm C-ordered ones
-    assert {(ordered, transposed) for ordered, transposed, _ in pieces} == (
-        {(False, True)} if norm == "sup" else {(True, False)}
-    )
+    # 14 terms give many patterns per column, yet every piece is C-ordered
+    assert {(ordered, transposed) for ordered, transposed, _ in pieces} == {(True, False)}
     for block, ref in zip(blocks, reference_signed_row_sums(system.matrix), strict=True):
-        assert block.tobytes() == reference_norm_of(norm, ref).tobytes()
+        assert block.tobytes() == reference_norm_of("euclidean", ref).tobytes()
 
 
 @pytest.mark.parametrize("q", [1.5, 2.5, 1025, 2048])  # orders the exact norm's sign enumeration served
@@ -311,14 +338,20 @@ def test_a_one_dimensional_monte_carlo_supremum_is_its_closed_form():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("norm", list(NormKind))
 def test_an_overflowing_strong_moment_fails(norm):
+    huge = VectorSystem("huge", [[1e308], [1e308]], norm)
     with pytest.raises(ParameterError, match="^the l1 norm of coordinate 0 overflows float64$"):
-        _exact_strong_moment(VectorSystem("huge", [[1e308], [1e308]], norm))
+        strong_moment_ratio(huge, huge)
     squares = VectorSystem("squares", [[1e154, 1e154], [1e154, 1e154]], norm)
     if norm is NormKind.SUP:
-        assert _exact_strong_moment(squares).value == 1e154
+        assert strong_moment_ratio(squares, squares).lhs == 1e154
+        # the supremum sums spans 2 * max|s|, which overflow at half the largest sum
+        edge = VectorSystem("edge", [[1e308]], norm)
+        message = r"^the l1 norm of row 0 overflows float64 summed over 2\^0 sign patterns$"
+        with pytest.raises(ParameterError, match=message):
+            strong_moment_ratio(edge, edge)
     else:
         with pytest.raises(ParameterError, match="^the euclidean norms of the sign sums of system 'squares'"):
-            _exact_strong_moment(squares)
+            strong_moment_ratio(squares, squares)
 
 
 @pytest.mark.filterwarnings("error")
@@ -337,13 +370,27 @@ def test_both_strong_moment_routes_reject_an_overflowing_system_alike(norm, term
 
 @pytest.mark.filterwarnings("error")
 def test_an_overflowing_monte_carlo_strong_moment_variance_fails_after_the_draws():
-    # sup norms of at most 21e200 fit float64, their squared spread does not
+    # euclidean norms of at most 21 * 5e152 fit float64 squared, 1000 squared deviations from their mean do not
+    wide = VectorSystem("wide", np.full((EXACT_ENUMERATION_MAX_DIM + 1, 1), 5e152), NormKind.EUCLIDEAN)
+    with pytest.raises(ParameterError, match="^the euclidean norms of the sign sums of system 'wide' overflow "
+                                             "float64 in the Monte Carlo variance$"):
+        strong_moment_ratio(wide, wide, samples=1000)
+    fits = VectorSystem("fits", wide.matrix * 1e-50, NormKind.EUCLIDEAN)
+    est = strong_moment_ratio(fits, fits, samples=1000)
+    assert math.isfinite(est.lhs) and math.isfinite(est.lhs_stderr)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_monte_carlo_sup_norm_strong_moment_fails_the_l2_check_before_the_draws():
+    # sup norms of at most 21e200 fit float64, but each signed column's l2 norm
+    # overflows, so the supremum's check refuses it before the draws
     wide = VectorSystem("wide", np.full((EXACT_ENUMERATION_MAX_DIM + 1, 2), 1e200), NormKind.SUP)
-    with pytest.raises(ParameterError, match="^the sup norms of the sign sums of system 'wide' overflow float64 "
-                                             "in the Monte Carlo variance$"):
-        _mc_strong_moment(wide, 100, Seed(1))
-    est = _mc_strong_moment(VectorSystem("fits", wide.matrix * 1e-50, NormKind.SUP), 100, Seed(1))
-    assert math.isfinite(est.value) and math.isfinite(est.stderr)
+    with pytest.raises(ParameterError, match="^the l2 norm of row 0 overflows float64$"):
+        strong_moment_ratio(wide, wide, samples=100)
+    fits = VectorSystem("fits", wide.matrix * 1e-50, NormKind.SUP)
+    est = strong_moment_ratio(fits, fits, samples=100)
+    assert est.lhs_label == "E||sum eps x|| [monte-carlo]"
+    assert math.isfinite(est.lhs) and math.isfinite(est.lhs_stderr)
 
 
 @given(
@@ -395,12 +442,16 @@ def test_exact_suprema_stop_at_2_32_sign_sums_before_enumerating(monkeypatch, tm
     assert json.loads(out.read_text())["results"]["method"] == "monte-carlo"
 
 
-def test_strong_moments_stop_at_2_32_sign_sums_before_enumerating(monkeypatch):
-    monkeypatch.setattr("procsup.oleszkiewicz.signed_row_sums", None)  # reached only within the limit
-    vectors = np.random.default_rng(6).standard_normal((20, 8193))
-    with pytest.raises(TypeError):  # 20 terms at dim 8 192: exactly the limit, so it enumerates
-        strong_moment_ratio(*[VectorSystem("at", vectors[:, :-1], NormKind.SUP)] * 2, samples=2000)
-    over = VectorSystem("over", vectors, NormKind.SUP)
+@pytest.mark.parametrize("norm, at, module", [
+    (NormKind.SUP, 4096, "suprema"),  # 2 * 4 096 signed columns at d = 20: exactly the limit
+    (NormKind.EUCLIDEAN, 8192, "oleszkiewicz"),  # 20 terms at dim 8 192: exactly the limit
+])
+def test_strong_moments_stop_at_2_32_sign_sums_before_enumerating(monkeypatch, norm, at, module):
+    monkeypatch.setattr(f"procsup.{module}.signed_row_sums", None)  # reached only within the limit
+    vectors = np.random.default_rng(6).standard_normal((20, at + 1))
+    with pytest.raises(TypeError):  # at the limit, so it enumerates
+        strong_moment_ratio(*[VectorSystem("at", vectors[:, :-1], norm)] * 2, samples=2000)
+    over = VectorSystem("over", vectors, norm)
     report = strong_moment_ratio(over, over, samples=2000)
     assert (report.lhs_label, report.rhs_label) == ("E||sum eps x|| [monte-carlo]", "E||sum eps y|| [monte-carlo]")
     assert report.lhs_stderr > 0.0

@@ -4,8 +4,8 @@ Each fixture under ``tests/golden/`` is rebuilt here and compared byte for
 byte: ``gamma`` reports (tree included) for a 60-point d=8 sphere under two
 exact models, an exhaustive ``gamma`` report on 5 points, the tree
 :func:`~procsup.chaining.combine_sum_set` builds on two pairs of small sets
-(one generic, one with colliding sums; its dict form and its level arrays
-written alike), exact ``sup`` reports on both sides
+(one generic, one with colliding sums; written from its level arrays and
+read back to the same tree), exact ``sup`` reports on both sides
 of the sign enumerator's block layout switch (64 points at d=20, 2 000
 points at d=12), and ``oleszkiewicz`` reports for 20-term systems under the
 sup norm (d=6) and the euclidean norm (d=9).  The result records each verb
@@ -23,13 +23,14 @@ bytes::
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from procsup import cli
-from procsup.chaining import build_partition_greedy, combine_sum_set
+from procsup.chaining import build_partition_greedy, combine_sum_set, tree_from_dict
 from procsup.core import FiniteSet, Seed, generate_set
 from procsup.reports import dumps
 
@@ -62,8 +63,8 @@ def _oleszkiewicz_report(tmp: Path, norm: str, dim: str) -> bytes:
 
 def _combined_tree(set_a: FiniteSet, set_b: FiniteSet) -> bytes:
     _, tree = combine_sum_set(set_a, build_partition_greedy(set_a), set_b, build_partition_greedy(set_b))
-    text = dumps(tree.to_dict())
-    assert dumps(tree.columns()) == text  # the tree written from its level arrays
+    text = dumps(tree.columns())
+    assert tree_from_dict(json.loads(text)) == tree
     return text.encode() + b"\n"
 
 

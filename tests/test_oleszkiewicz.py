@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from procsup import moments, rng
-from procsup.core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, Seed
+from procsup import moments, oleszkiewicz, rng
+from procsup.core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, ProcessKind, Seed
 from procsup.errors import ParameterError, ParseError, ValidationError
 from procsup.moments import bernoulli_exact_norms, proxy_norms
 from procsup.oleszkiewicz import (
@@ -28,7 +28,7 @@ from procsup.oleszkiewicz import (
     weak_moment_constant,
 )
 from procsup.reports import safe_ratio
-from procsup.suprema import EstimateMethod, SupEstimate, brute_force_bernoulli_sup
+from procsup.suprema import EstimateMethod, SupEstimate, brute_force_bernoulli_sup, expected_sup, mc_sup
 
 from weak_contraction_reference import reference_check_weak_contraction
 
@@ -134,33 +134,66 @@ def test_strong_moment_exact_sup_norm_of_basis_is_one():
     assert report.lhs == pytest.approx(1.0, abs=1e-14)
     assert report.ratio == pytest.approx(1.0, rel=1e-14)
     assert "exact" in report.lhs_label
-    assert _exact_strong_moment(sys_) == SupEstimate(report.lhs, 0.0, EstimateMethod.EXACT)
+    signed = FiniteSet(name="+-e", points=np.concatenate([np.eye(4), -np.eye(4)]))
+    assert brute_force_bernoulli_sup(signed) == SupEstimate(report.lhs, 0.0, EstimateMethod.EXACT)
 
 
 def test_strong_moment_exact_euclidean_of_basis_is_sqrt_dim():
     sys_ = _basis_system(5, norm=NormKind.EUCLIDEAN)
     report = strong_moment_ratio(sys_, sys_)
     assert report.lhs == pytest.approx(math.sqrt(5.0), rel=1e-14)
+    assert _exact_strong_moment(sys_) == SupEstimate(report.lhs, 0.0, EstimateMethod.EXACT)
+
+
+def _signed_columns(sys_):
+    cols = sys_.matrix.T
+    return FiniteSet(name="cols", points=np.concatenate([cols, -cols]))
 
 
 def test_strong_moment_cross_checks_against_sign_supremum():
-    # E || sum_i eps_i x_i ||_sup equals E sup over the +/- coordinate columns
-    # of the term matrix: two independent enumerations of the same quantity.
+    # E || sum_i eps_i x_i ||_sup is E sup over the +/- coordinate columns of the term matrix
     sys_ = _random_system(8, terms=6, dim=3)
     report = strong_moment_ratio(sys_, sys_)
-    cols = sys_.matrix.T
-    sup = brute_force_bernoulli_sup(FiniteSet(name="cols", points=np.concatenate([cols, -cols])))
-    assert report.lhs == pytest.approx(sup.value, rel=1e-12)
+    assert report.lhs == brute_force_bernoulli_sup(_signed_columns(sys_)).value
 
 
-def test_strong_moment_mc_route_for_many_terms():
-    sys_ = _random_system(9, terms=25, dim=3)
+@pytest.mark.parametrize("norm", list(NormKind))
+def test_strong_moment_mc_route_for_many_terms(norm):
+    sys_ = _random_system(9, terms=25, dim=3, norm=norm)
     report = strong_moment_ratio(sys_, sys_, samples=5000, seed=Seed(1))
     assert (report.lhs_label, report.rhs_label) == ("E||sum eps x|| [monte-carlo]", "E||sum eps y|| [monte-carlo]")
     assert report.ratio == pytest.approx(1.0, rel=1e-12)  # same content hash, same draws
-    est = _mc_strong_moment(sys_, 5000, Seed(1))
+    if norm is NormKind.SUP:
+        est = mc_sup(ProcessKind.BERNOULLI, _signed_columns(sys_), 5000, Seed(1))
+    else:
+        est = _mc_strong_moment(sys_, 5000, Seed(1))
     assert est == SupEstimate(report.lhs, report.lhs_stderr, EstimateMethod.MONTE_CARLO, 5000)
     assert report.rhs_stderr == report.lhs_stderr > 0.0
+
+
+@pytest.mark.parametrize("terms", [6, EXACT_ENUMERATION_MAX_DIM + 1])
+def test_a_sup_norm_side_is_one_expected_sup_call(monkeypatch, terms):
+    calls = []
+
+    def recording(kind, ts, samples, seed, exact=False):
+        calls.append((kind, ts.matrix, samples, seed, exact))
+        return expected_sup(kind, ts, samples, seed, exact)
+
+    monkeypatch.setattr(oleszkiewicz, "expected_sup", recording)
+    monkeypatch.setattr(oleszkiewicz, "_exact_strong_moment", None)  # neither private route is reached
+    monkeypatch.setattr(oleszkiewicz, "_mc_strong_moment", None)
+    x = _random_system(10, terms, 3)
+    c = x.matrix[:, 0]
+    # a zero column (signed), a repeat and a negation: the points c, 0 and -c, each once
+    y = VectorSystem("y", np.column_stack([c, np.full(terms, -0.0), c, -c]), NormKind.SUP)
+    report = strong_moment_ratio(x, y, samples=2000, seed=Seed(5))
+    assert [call[0::2] for call in calls] == [(ProcessKind.BERNOULLI, 2000, False)] * 2
+    assert [call[3] for call in calls] == [Seed(5)] * 2
+    xs, ys = calls[0][1], calls[1][1]
+    assert xs.tobytes() == np.concatenate([x.matrix.T, -x.matrix.T]).tobytes()
+    assert ys.tobytes() == np.stack([c, np.zeros(terms), -c]).tobytes()  # +0.0, not -0.0
+    method = "exact" if terms <= EXACT_ENUMERATION_MAX_DIM else "monte-carlo"
+    assert report.lhs_label == f"E||sum eps x|| [{method}]"
 
 
 def test_norm_mismatch_rejected():
