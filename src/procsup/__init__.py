@@ -19,6 +19,7 @@ from .core import (
 from .errors import CapacityError, ParameterError, ParseError, ProcsupError, ValidationError
 from .moments import (
     MomentModel,
+    MonteCarloModel,
     bernoulli_exact_norms,
     gaussian_moment_constant,
     gaussian_norms,

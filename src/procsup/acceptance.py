@@ -169,7 +169,7 @@ def criterion_3_sup_vs_chain_bound(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_4_exhaustive_gamma(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Exhaustive tree search never exceeds greedy; two-point value is the l2 gap."""
-    model = MomentModel.gaussian_exact()
+    model = MomentModel.GAUSSIAN_EXACT
     failures = 0
     worst_gap = 0.0
     two_point_err = 0.0
@@ -201,7 +201,7 @@ def criterion_4_exhaustive_gamma(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_5_sum_set_combiner(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Combined tree bound <= sqrt(3) * (bound_A + bound_B), Gaussian model."""
-    model = MomentModel.gaussian_exact()
+    model = MomentModel.GAUSSIAN_EXACT
     sqrt3 = math.sqrt(3.0)
     failures = 0
     worst = 0.0

@@ -18,7 +18,8 @@ This module provides
 * a deterministic greedy builder (farthest-point centers, budgets split
   proportionally among parents) that also grows a whole forest of trees,
   one split per level for all of them,
-* the chain-sum evaluator for any :class:`~procsup.moments.MomentModel`,
+* the chain-sum evaluator for any :class:`~procsup.moments.MomentModel` or
+  :class:`~procsup.moments.MonteCarloModel`,
 * a combiner that turns trees on ``A`` and ``B`` into a tree on the sum set
   ``A + B`` (products of blocks, one level deeper), and
 * an exhaustive minimiser over *all* admissible trees for tiny sets, used
@@ -39,7 +40,7 @@ import numpy as np
 from .core import (GENERATE_MAX_COORDINATES, FiniteSet, ProcessKind, Seed, check_integers, distinct_rows,
                    integer_types)
 from .errors import CapacityError, ParameterError, ValidationError
-from .moments import _BLOCK_BYTES, DEFAULT_SAMPLES, EXACT_ENUMERATION_MAX_DIM, ModelKind, MomentModel
+from .moments import _BLOCK_BYTES, DEFAULT_SAMPLES, EXACT_ENUMERATION_MAX_DIM, MomentModel, MonteCarloModel
 from .reports import ComparisonReport, TreeLevel, safe_ratio
 from .suprema import expected_sup
 
@@ -430,8 +431,8 @@ class ChainBound:
     tree: PartitionTree
 
 
-def _chain_sums(coords: np.ndarray, levels: Iterable[TreeLevel], model: MomentModel) -> np.ndarray:
-    """Each point's chain sum down ``levels`` (root first), one :meth:`MomentModel.norms` call per level.
+def _chain_sums(coords: np.ndarray, levels: Iterable[TreeLevel], model: MomentModel | MonteCarloModel) -> np.ndarray:
+    """Each point's chain sum down ``levels`` (root first), one ``model.norms`` call per level.
 
     ``prev_rep`` holds each point's representative one level up.  Every
     block's increment from its parent's representative to its own,
@@ -454,7 +455,7 @@ def _chain_sums(coords: np.ndarray, levels: Iterable[TreeLevel], model: MomentMo
     return sums
 
 
-def chain_bound(ts: FiniteSet, tree: PartitionTree, model: MomentModel) -> ChainBound:
+def chain_bound(ts: FiniteSet, tree: PartitionTree, model: MomentModel | MonteCarloModel) -> ChainBound:
     """Evaluate ``max_t sum_n ||X_(rep_n(t)) - X_(rep_(n-1)(t))||_(2^n)`` with :func:`_chain_sums`."""
     if tree.n_points != len(ts):
         raise ParameterError(f"tree covers {tree.n_points} points but the set has {len(ts)}")
@@ -462,7 +463,9 @@ def chain_bound(ts: FiniteSet, tree: PartitionTree, model: MomentModel) -> Chain
     return ChainBound(value=max(per_point), per_point=per_point, tree=tree)
 
 
-def greedy_forest_bounds(coords: np.ndarray, counts, model: MomentModel) -> tuple[np.ndarray, np.ndarray]:
+def greedy_forest_bounds(
+    coords: np.ndarray, counts, model: MomentModel | MonteCarloModel
+) -> tuple[np.ndarray, np.ndarray]:
     """Chain bounds of the greedy trees over consecutive runs of ``counts`` rows of ``coords``.
 
     Each run is one set (its rows distinct) and gets the tree
@@ -550,7 +553,7 @@ def _refinements(partition: tuple[tuple[int, ...], ...], max_blocks: int):
             yield tuple(sorted(blocks))
 
 
-def _exhaustive_depth(n_points: int, dim: int, model: MomentModel) -> int:
+def _exhaustive_depth(n_points: int, dim: int, model: MomentModel | MonteCarloModel) -> int:
     """Deepest level the exact search must consider.
 
     Splitting later than necessary pays a larger moment order, so for exact
@@ -563,7 +566,7 @@ def _exhaustive_depth(n_points: int, dim: int, model: MomentModel) -> int:
     n_sing = 1
     while level_budget(n_sing, n_points) < n_points:
         n_sing += 1
-    if model.kind in (ModelKind.BERNOULLI_EXACT, ModelKind.GAUSSIAN_EXACT):
+    if model in (MomentModel.BERNOULLI_EXACT, MomentModel.GAUSSIAN_EXACT):
         return n_sing
     return max(n_sing, math.ceil(math.log2(max(dim, 2))))
 
@@ -597,7 +600,7 @@ def _best_step(inc: list[list[float]], cost: list[float], r: int, child: tuple[i
     return min((inc[r][s] + cost[s], s) for s in child)
 
 
-def exhaustive_gamma(ts: FiniteSet, model: MomentModel) -> ChainBound:
+def exhaustive_gamma(ts: FiniteSet, model: MomentModel | MonteCarloModel) -> ChainBound:
     """Exact minimum chain sum over *all* admissible trees and representatives.
 
     Enumerates every nested partition sequence down to singletons (depth
@@ -680,11 +683,11 @@ def verify_sup_bound(
     """
     sup = expected_sup(kind, ts, samples, seed, exact=exact)
     if kind is ProcessKind.GAUSSIAN:
-        model = MomentModel.gaussian_exact()
+        model = MomentModel.GAUSSIAN_EXACT
     elif ts.dim <= EXACT_ENUMERATION_MAX_DIM:
-        model = MomentModel.bernoulli_exact()
+        model = MomentModel.BERNOULLI_EXACT
     else:
-        model = MomentModel.bernoulli_proxy()
+        model = MomentModel.BERNOULLI_PROXY
     bound = chain_bound(ts, build_partition_greedy(ts), model)
     violation = sup.value > SUP_BOUND_FACTOR * bound.value + 3.0 * sup.stderr
     return ComparisonReport(

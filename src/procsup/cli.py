@@ -50,7 +50,7 @@ from .core import (
 )
 from .decomposition import decompose_by_sweep, verify_two_sided
 from .errors import ParameterError, ProcsupError
-from .moments import (DEFAULT_SAMPLES, EXACT_MAX_ORDER, EXACT_SUP_MAX_SUMS, ModelKind, MomentModel, check_samples,
+from .moments import (DEFAULT_SAMPLES, EXACT_MAX_ORDER, EXACT_SUP_MAX_SUMS, MomentModel, MonteCarloModel, check_samples,
                       moment_sandwich)
 from .oleszkiewicz import (
     NormKind,
@@ -127,9 +127,8 @@ def cmd_sup(args: argparse.Namespace) -> int:
 def cmd_gamma(args: argparse.Namespace) -> int:
     """Chaining functional of a set: greedy tree by default, exhaustive on request."""
     ts = load_set(args.set)
-    kind = ModelKind(args.model)
-    model = (MomentModel.monte_carlo(ProcessKind(args.process), args.samples, Seed(args.seed))
-             if kind is ModelKind.MONTE_CARLO else MomentModel(kind))
+    model = (MonteCarloModel(ProcessKind(args.process), args.samples, Seed(args.seed))
+             if args.model == "monte-carlo" else MomentModel(args.model))
     if args.exhaustive:
         bound = exhaustive_gamma(ts, model)
         method = "exhaustive"
@@ -305,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="chaining functional via admissible partition trees")
     p.add_argument("--set", required=True, metavar="PATH")
-    p.add_argument("--model", choices=_values(ModelKind), default="gaussian-exact")
+    p.add_argument("--model", choices=[*_values(MomentModel), "monte-carlo"], default="gaussian-exact")
     p.add_argument("--exhaustive", action="store_true",
                    help=f"search all admissible trees (at most {EXHAUSTIVE_MAX_POINTS} points)")
     p.add_argument("--process", choices=_values(ProcessKind), default="bernoulli",

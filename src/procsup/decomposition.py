@@ -187,7 +187,7 @@ def _objectives(ts: FiniteSet, thresholds: np.ndarray) -> tuple[list[float], lis
         first, _ = distinct_rows(keyed)
         counts = np.bincount(first // (n + 1), minlength=len(r))
         try:
-            gamma += greedy_forest_bounds(keyed[first, :d], counts, MomentModel.gaussian_exact())[0].tolist()
+            gamma += greedy_forest_bounds(keyed[first, :d], counts, MomentModel.GAUSSIAN_EXACT)[0].tolist()
         except DistanceOverflow as exc:
             a, b = (int(first[row] % (n + 1)) - 1 for row in exc.rows)  # -1: the adjoined zero point
             pair = f"the origin and the tail of point {b}" if a < 0 else f"the tails of points {a} and {b}"

@@ -33,12 +33,13 @@ coordinates and ``b`` over the second, so one sort of the ``2^floor(d/2)``
 ``b``, their power prefix sums and one ``searchsorted`` of the ``a`` serve
 all pairs, in ``O(2^(d/2) d p)`` work per vector.
 
-:class:`MomentModel` lets downstream code (chaining bounds, decompositions)
-pick a route through one ``norms(rows, p)`` call.  A row's value does not
-depend on the other rows of the call, except under Monte Carlo: a Monte
-Carlo batch, such as one level of a chain bound, shares one draw stream
-keyed by the whole batch (common random numbers), so its estimates are
-correlated.
+Downstream code (chaining bounds, decompositions) picks a route through one
+``norms(rows, p)`` call of a model: a :class:`MomentModel` member for the
+proxy and the exact routes, or a :class:`MonteCarloModel`, the one model
+with parameters (process, samples, seed).  A row's value does not depend on
+the other rows of the call, except under Monte Carlo: a Monte Carlo batch,
+such as one level of a chain bound, shares one draw stream keyed by the
+whole batch (common random numbers), so its estimates are correlated.
 
 Every enumerated oracle and Monte Carlo estimate in the package reduces
 ``sum_i xi_i m_i`` over the rows of a coefficient matrix ``m``; the two
@@ -547,7 +548,9 @@ def mc_norms(
     a content hash of the whole ``(k, d)`` matrix: common random numbers.
     Each estimate keeps the law it would have with a stream of its own, but
     the estimates of one call are correlated.  Each row is scaled by its own
-    l2 norm; a zero row gives 0 with stderr 0.
+    l2 norm; a zero row gives 0 with stderr 0.  A mean or stderr that
+    overflows float64 (``|y|^p`` at high orders) is a :class:`ParameterError`
+    naming the first such row.
     """
     q = _check_moment_order(p)
     check_samples(samples)
@@ -565,7 +568,11 @@ def mc_norms(
         ys **= q
         return ys
 
-    means, se_means = mc_mean(kind, gen, m, samples, statistic)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, se_means = mc_mean(kind, gen, m, samples, statistic)
+    bad = ~(np.isfinite(means) & np.isfinite(se_means))
+    if bad.any():
+        raise ParameterError(f"the Monte Carlo p-th moment of row {live[bad.argmax()]} overflows float64 at p = {p}")
     # Python floats, so one row rounds exactly as a scalar computation would.
     for i, scale, mean, se_mean in zip(live.tolist(), scales[live].tolist(), means.tolist(), se_means.tolist()):
         if mean > 0.0:
@@ -574,70 +581,47 @@ def mc_norms(
     return estimates, stderrs
 
 
-class ModelKind(enum.Enum):
+class MomentModel(enum.Enum):
+    """An exact or proxy route for increment norms ``||X_t||_p``; :class:`MonteCarloModel` is the sampled one.
+
+    Chaining bounds and decompositions take one model and call its
+    ``norms(rows, p)``, so every route runs through identical code paths.
+    """
+
     BERNOULLI_PROXY = "bernoulli-proxy"
     BERNOULLI_EXACT = "bernoulli-exact"
     GAUSSIAN_EXACT = "gaussian-exact"
-    MONTE_CARLO = "monte-carlo"
-
-
-@dataclass(frozen=True)
-class MomentModel:
-    """A way of evaluating increment norms ``||X_t||_p``.
-
-    Chaining bounds and decompositions are parameterised by one of these so
-    that exact oracles, the Bernoulli proxy and Monte Carlo estimates stay
-    interchangeable routes through identical code paths.
-    """
-
-    kind: ModelKind
-    process: ProcessKind | None = None
-    samples: int = 0
-    seed: Seed | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is ModelKind.MONTE_CARLO:
-            if self.process is None or self.seed is None:
-                raise ParameterError("Monte Carlo model needs a process kind and a seed")
-            check_samples(self.samples)
-        elif self.process is not None or self.samples or self.seed is not None:
-            raise ParameterError(f"{self.kind.value} model takes no sampling configuration")
-
-    @classmethod
-    def bernoulli_proxy(cls) -> "MomentModel":
-        return cls(ModelKind.BERNOULLI_PROXY)
-
-    @classmethod
-    def bernoulli_exact(cls) -> "MomentModel":
-        return cls(ModelKind.BERNOULLI_EXACT)
-
-    @classmethod
-    def gaussian_exact(cls) -> "MomentModel":
-        return cls(ModelKind.GAUSSIAN_EXACT)
-
-    @classmethod
-    def monte_carlo(cls, process: ProcessKind, samples: int, seed: Seed) -> "MomentModel":
-        return cls(ModelKind.MONTE_CARLO, process=process, samples=samples, seed=seed)
 
     @property
     def label(self) -> str:
-        if self.kind is ModelKind.MONTE_CARLO:
-            assert self.process is not None and self.seed is not None
-            return f"monte-carlo[{self.process.value},n={self.samples},seed={self.seed.value}]"
-        return self.kind.value
+        return self.value
 
     def norms(self, ts: np.ndarray, p) -> np.ndarray:
         """``||X_t||_p`` for every row ``t`` of the ``(k, d)`` array ``ts``: one call of this model's route.
 
-        The proxy and the exact route take integer orders only.  A row's value does not depend
-        on the other rows, except under Monte Carlo: there the rows share
-        one :func:`mc_norms` stream, so their estimates are correlated.
+        The proxy and the exact route take integer orders only.  A row's value does not depend on the other rows.
         """
-        if self.kind is ModelKind.BERNOULLI_PROXY:
+        if self is MomentModel.BERNOULLI_PROXY:
             return proxy_norms(ts, p)[2]
-        if self.kind is ModelKind.BERNOULLI_EXACT:
+        if self is MomentModel.BERNOULLI_EXACT:
             return bernoulli_exact_norms(ts, (p,))[:, 0]
-        if self.kind is ModelKind.GAUSSIAN_EXACT:
-            return gaussian_norms(ts, p)
-        assert self.process is not None and self.seed is not None
+        return gaussian_norms(ts, p)
+
+
+@dataclass(frozen=True)
+class MonteCarloModel:
+    """Monte Carlo increment norms: the rows of one ``norms`` call share one :func:`mc_norms` stream."""
+
+    process: ProcessKind
+    samples: int
+    seed: Seed
+
+    def __post_init__(self) -> None:
+        check_samples(self.samples)
+
+    @property
+    def label(self) -> str:
+        return f"monte-carlo[{self.process.value},n={self.samples},seed={self.seed.value}]"
+
+    def norms(self, ts: np.ndarray, p) -> np.ndarray:
         return mc_norms(self.process, ts, p, self.samples, self.seed)[0]

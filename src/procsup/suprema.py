@@ -139,9 +139,11 @@ def mc_sup(kind: ProcessKind, ts: FiniteSet, samples: int, seed: Seed) -> SupEst
     one evaluation's information, and the stderr at equal ``samples`` is
     about ``sqrt(2)`` times the one-sided estimator's for the Bernoulli
     process (1.06-1.19 times for the Gaussian one, where the radius
-    conditioning recovers some).  Half as many draws are made, so the cost
-    per unit of variance is no higher than the one-sided estimator's on
-    any set: equal on a symmetric Bernoulli set, lower elsewhere.
+    conditioning recovers some).  Half as many draws are made, but each
+    costs more than half a one-sided draw: on three 32 x 6 sup-norm systems
+    (12-point symmetric sets, ``samples=100_000``) the antithetic estimate
+    took 0.65 times the one-sided estimator's time with 2.0 times its
+    variance, about 1.3 times its cost per unit of variance.
 
     Bitwise deterministic for fixed inputs: the draw stream is keyed by the
     seed together with a content hash of ``(kind, T)``.  Draws are made in

@@ -19,7 +19,7 @@ def reference_objective(ts, thresholds):
     ell1_sup = float(_row_sums(np.abs(heads)).max())
     tails = np.concatenate([np.zeros((1, ts.dim)), tails])
     family = FiniteSet(name=f"{ts.name}-tails", points=tails[distinct_rows(tails)[0]])
-    gamma = chain_bound(family, build_partition_greedy(family), MomentModel.gaussian_exact())
+    gamma = chain_bound(family, build_partition_greedy(family), MomentModel.GAUSSIAN_EXACT)
     return ell1_sup, gamma.value
 
 

@@ -32,7 +32,7 @@ from procsup.chaining import (
 )
 from procsup.core import FiniteSet, ProcessKind, Seed, distinct_rows, generate_set
 from procsup.errors import CapacityError, ParameterError, ValidationError
-from procsup.moments import ModelKind, MomentModel
+from procsup.moments import MomentModel, MonteCarloModel
 from procsup.reports import TreeLevel, dumps
 from procsup.suprema import brute_force_bernoulli_sup
 
@@ -400,7 +400,7 @@ def test_greedy_tree_is_admissible_and_terminal(count, seed):
 
 def test_chain_bound_two_points_is_increment_norm():
     ts = FiniteSet(name="pair", points=[[0.0, 0.0], [3.0, 4.0]])
-    bound = chain_bound(ts, build_partition_greedy(ts), MomentModel.gaussian_exact())
+    bound = chain_bound(ts, build_partition_greedy(ts), MomentModel.GAUSSIAN_EXACT)
     assert bound.value == pytest.approx(5.0, rel=1e-12)  # ||t - s||_2 at p = 2
 
 
@@ -408,12 +408,12 @@ def test_chain_bound_checks_tree_size():
     ts = _random_set(0, 3, 2)
     other = build_partition_greedy(_random_set(1, 4, 2))
     with pytest.raises(ParameterError):
-        chain_bound(ts, other, MomentModel.gaussian_exact())
+        chain_bound(ts, other, MomentModel.GAUSSIAN_EXACT)
 
 
 @pytest.mark.parametrize(
     "model",
-    [MomentModel.gaussian_exact(), MomentModel.bernoulli_exact(), MomentModel.bernoulli_proxy()],
+    [MomentModel.GAUSSIAN_EXACT, MomentModel.BERNOULLI_EXACT, MomentModel.BERNOULLI_PROXY],
     ids=lambda m: m.label,
 )
 @pytest.mark.parametrize("count", [2, 3, 4, 5])
@@ -429,14 +429,14 @@ def test_exhaustive_two_point_gaussian_is_distance():
     for seed in range(8):
         ts = _random_set(seed, 2, 6, "exh-pair")
         want = float(np.linalg.norm(ts.matrix[1] - ts.matrix[0]))
-        got = exhaustive_gamma(ts, MomentModel.gaussian_exact()).value
+        got = exhaustive_gamma(ts, MomentModel.GAUSSIAN_EXACT).value
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_exhaustive_point_cap():
     ts = _random_set(0, EXHAUSTIVE_MAX_POINTS + 1, 3)
     with pytest.raises(CapacityError):
-        exhaustive_gamma(ts, MomentModel.gaussian_exact())
+        exhaustive_gamma(ts, MomentModel.GAUSSIAN_EXACT)
 
 
 def test_exhaustive_sequence_counts_on_five_points():
@@ -448,8 +448,8 @@ def test_exhaustive_sequence_counts_on_five_points():
 
 @pytest.mark.parametrize(
     "model",
-    [MomentModel.bernoulli_proxy(), MomentModel.monte_carlo(ProcessKind.BERNOULLI, 64, Seed(3))],
-    ids=lambda m: m.kind.value,
+    [MomentModel.BERNOULLI_PROXY, MonteCarloModel(ProcessKind.BERNOULLI, 64, Seed(3))],
+    ids=lambda m: m.label.partition("[")[0],
 )
 def test_exhaustive_sequence_cap_raises_before_any_norm(monkeypatch, model):
     # ceil(log2 512) = 9 levels: 41 708 sequences on 5 points, over the cap
@@ -464,21 +464,33 @@ def test_exhaustive_sequence_cap_raises_before_any_norm(monkeypatch, model):
     assert calls == []
 
 
+@pytest.mark.parametrize("n, dim, depths", [
+    (2, 1, [1, 1, 1, 1]),
+    (3, 9, [4, 1, 1, 4]),
+    (5, 3, [2, 2, 2, 2]),
+    (5, 9, [4, 2, 2, 4]),
+    (5, 512, [9, 2, 2, 9]),
+])
+def test_exhaustive_depth_is_shallow_only_for_the_exact_models(n, dim, depths):
+    models = [*MomentModel, MonteCarloModel(ProcessKind.BERNOULLI, 64, Seed(3))]
+    assert [chaining._exhaustive_depth(n, dim, model) for model in models] == depths
+
+
 def test_exhaustive_search_at_depth_eight_still_runs():
     ts = generate_set("random_sphere", 256, 5, Seed(1))
-    model = MomentModel.bernoulli_proxy()
+    model = MomentModel.BERNOULLI_PROXY
     assert exhaustive_gamma(ts, model).value <= chain_bound(ts, build_partition_greedy(ts), model).value
 
 
 @pytest.mark.parametrize(
     "model",
     [
-        MomentModel.gaussian_exact(),
-        MomentModel.bernoulli_exact(),
-        MomentModel.bernoulli_proxy(),
-        MomentModel.monte_carlo(ProcessKind.GAUSSIAN, 64, Seed(3)),
+        MomentModel.GAUSSIAN_EXACT,
+        MomentModel.BERNOULLI_EXACT,
+        MomentModel.BERNOULLI_PROXY,
+        MonteCarloModel(ProcessKind.GAUSSIAN, 64, Seed(3)),
     ],
-    ids=lambda m: m.kind.value,
+    ids=lambda m: m.label.partition("[")[0],
 )
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
 def test_exhaustive_matches_the_recursive_reference(model, count):
@@ -514,7 +526,7 @@ def test_combine_sum_set_with_origin_shifts_levels():
     )
     assert np.array_equal(combined.matrix, ts.matrix)  # 0 + B = B, order preserved
     base = build_partition_greedy(ts)
-    model = MomentModel.gaussian_exact()
+    model = MomentModel.GAUSSIAN_EXACT
     got = chain_bound(combined, tree, model)
     # the combined tree replays the base splits one level later, where the
     # norm order doubles, so the bound can only grow and by at most sqrt(3)
@@ -535,7 +547,7 @@ def test_combine_sum_set_covers_all_sums():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_combiner_subadditivity_sqrt3(seed):
-    model = MomentModel.gaussian_exact()
+    model = MomentModel.GAUSSIAN_EXACT
     a = _random_set(seed, 4, 5, "sub-a")
     b = _random_set(seed + 100, 5, 5, "sub-b")
     tree_a, tree_b = build_partition_greedy(a), build_partition_greedy(b)
@@ -594,7 +606,7 @@ def test_verify_sup_bound_takes_the_proxy_above_the_exact_dimension():
     ts = FiniteSet(name="v", points=np.random.default_rng(3).standard_normal((4, 24)))
     report = verify_sup_bound(ts, ProcessKind.BERNOULLI, samples=2000, seed=Seed(1))
     assert (report.lhs_label, report.rhs_label) == ("E sup [bernoulli, monte-carlo]", "chain bound [bernoulli-proxy]")
-    assert report.rhs == chain_bound(ts, build_partition_greedy(ts), MomentModel.bernoulli_proxy()).value
+    assert report.rhs == chain_bound(ts, build_partition_greedy(ts), MomentModel.BERNOULLI_PROXY).value
     assert (report.lhs, report.rhs, report.lhs_stderr) == (5.465983967095026, 17.573175389517154, 0.06988302910182463)
     assert not report.violation and report.extras == {"set": "v", "tree_depth": 1, "samples": 2000}
 
@@ -667,7 +679,7 @@ def _reference_chain_bound(ts, tree, model):
         ends = [(prev_rep[block.members[0]], block.rep) for block in level]
         moved = [(min(a, b), max(a, b)) for a, b in ends if a != b]
         rows = np.array([ts.matrix[hi] - ts.matrix[lo] for lo, hi in moved]).reshape(-1, ts.dim)
-        if model.kind is ModelKind.MONTE_CARLO:
+        if isinstance(model, MonteCarloModel):
             values = [est for est, _ in reference_shared_stream_norms(
                 model.process, rows, 1 << lvl, model.samples, model.seed)]
         else:
@@ -700,10 +712,10 @@ def _tree_inputs(draw):
 
 
 _MODELS = (
-    MomentModel.gaussian_exact(),
-    MomentModel.bernoulli_exact(),
-    MomentModel.bernoulli_proxy(),
-    MomentModel.monte_carlo(ProcessKind.BERNOULLI, 16, Seed(3)),
+    MomentModel.GAUSSIAN_EXACT,
+    MomentModel.BERNOULLI_EXACT,
+    MomentModel.BERNOULLI_PROXY,
+    MonteCarloModel(ProcessKind.BERNOULLI, 16, Seed(3)),
 )
 
 
@@ -733,8 +745,8 @@ def test_level_batched_build_matches_the_original_at_d8_and_d17(seed):
         ts = _random_set(seed, 300, dim, "batched-wide")
         tree = build_partition_greedy(ts)
         assert tree == _reference_build(ts)
-        got = chain_bound(ts, tree, MomentModel.gaussian_exact())
-        assert got.per_point == _reference_chain_bound(ts, tree, MomentModel.gaussian_exact())[1]
+        got = chain_bound(ts, tree, MomentModel.GAUSSIAN_EXACT)
+        assert got.per_point == _reference_chain_bound(ts, tree, MomentModel.GAUSSIAN_EXACT)[1]
 
 
 def _allocate_one(budget, sizes):
@@ -861,7 +873,7 @@ def test_forest_matches_one_greedy_tree_and_chain_bound_per_set(sets):
             got = [(tuple((m - starts[t]).tolist()), r - starts[t]) for k, m, r in blocks if k == t]
             assert got == want
     assert lvl == max(tree.depth for tree in trees)
-    for model in (MomentModel.gaussian_exact(), MomentModel.bernoulli_proxy()):
+    for model in (MomentModel.GAUSSIAN_EXACT, MomentModel.BERNOULLI_PROXY):
         values, sums = greedy_forest_bounds(coords, counts, model)
         for t, (rows, tree) in enumerate(zip(sets, trees)):
             bound = chain_bound(FiniteSet(name="s", points=rows), tree, model)
@@ -1089,7 +1101,7 @@ def test_an_overflowing_squared_distance_names_its_points_without_a_warning(rows
         build_partition_greedy(ts)
     assert info.value.rows == pair
     with pytest.raises(ParameterError, match=message):
-        greedy_forest_bounds(ts.matrix, [len(ts)], MomentModel.gaussian_exact())
+        greedy_forest_bounds(ts.matrix, [len(ts)], MomentModel.GAUSSIAN_EXACT)
 
 
 _LATE = [[0.0, 0.0], [1.0, 0.0], [1.3e154, 0.0], [-1.3e154, 0.0]]  # overflows at the second center only
@@ -1113,15 +1125,15 @@ def test_a_forest_names_the_first_overflowing_parent_in_split_order(sets, pair, 
 
 
 _OVERFLOW_MODELS = [
-    MomentModel.bernoulli_proxy(),
-    MomentModel.bernoulli_exact(),
-    MomentModel.gaussian_exact(),
-    MomentModel.monte_carlo(ProcessKind.GAUSSIAN, 100, Seed(1)),
+    MomentModel.BERNOULLI_PROXY,
+    MomentModel.BERNOULLI_EXACT,
+    MomentModel.GAUSSIAN_EXACT,
+    MonteCarloModel(ProcessKind.GAUSSIAN, 100, Seed(1)),
 ]
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("model", _OVERFLOW_MODELS, ids=lambda m: m.kind.value)
+@pytest.mark.parametrize("model", _OVERFLOW_MODELS, ids=lambda m: m.label.partition("[")[0])
 @pytest.mark.parametrize("rows, pair", [
     ([[1.0, 0.0], [1e308, 1e308]], (0, 1)),  # a norm that overflows
     ([[-1e308, 0.0], [1e308, 0.0]], (0, 1)),  # finite norms, an overflowing difference
@@ -1130,6 +1142,7 @@ _OVERFLOW_MODELS = [
 def test_exhaustive_search_names_an_overflowing_pair_before_any_norm(monkeypatch, rows, pair, model):
     calls = []
     monkeypatch.setattr(MomentModel, "norms", lambda self, ts, p: calls.append(p))
+    monkeypatch.setattr(MonteCarloModel, "norms", lambda self, ts, p: calls.append(p))
     message = f"^the squared l2 distance between points {pair[0]} and {pair[1]} overflows float64$"
     with pytest.raises(chaining.DistanceOverflow, match=message) as info:
         exhaustive_gamma(FiniteSet(name="huge", points=rows), model)
@@ -1142,7 +1155,7 @@ def test_huge_points_a_short_distance_apart_still_build():
     ts = FiniteSet(name="far-off", points=[[1e200, 0.0], [1e200, 1.0], [1e200, 3.0]])
     tree = build_partition_greedy(ts)
     assert tree == _reference_build(ts)
-    model = MomentModel.gaussian_exact()
+    model = MomentModel.GAUSSIAN_EXACT
     assert chain_bound(ts, tree, model).value == 3.0 * model.norms(np.array([[0.0, 1.0]]), 2)[0]
 
 

@@ -137,6 +137,20 @@ def test_gamma_greedy_vs_exhaustive(tmp_path):
     assert greedy["results"]["tree"]["levels"][0][0]["members"] == [0, 1, 2, 3]
 
 
+def test_gamma_model_choices_are_the_exact_and_proxy_routes_then_monte_carlo():
+    verbs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    model = next(a for a in verbs.choices["gamma"]._actions if a.dest == "model")
+    assert model.choices == ["bernoulli-proxy", "bernoulli-exact", "gaussian-exact", "monte-carlo"]
+
+
+def test_gamma_monte_carlo_reports_its_sampling_label(tmp_path):
+    # the other three labels are pinned by the gamma goldens
+    argv = ["gamma", "--set", str(_gen(tmp_path, dim=4, count=5)), "--model", "monte-carlo"]
+    doc = _report(tmp_path, argv + ["--samples", "500", "--seed", "7"])
+    assert doc["config"]["model"] == "monte-carlo"
+    assert doc["results"]["model"] == "monte-carlo[bernoulli,n=500,seed=7]"
+
+
 @pytest.mark.parametrize("extra", [[], ["--exhaustive"]])
 def test_gamma_writes_its_json_tree_from_the_level_arrays(tmp_path, extra):
     argv = ["gamma", "--set", str(_gen(tmp_path, count=4)), *extra]

@@ -242,7 +242,7 @@ def _reference_objective(ts, r):
         ell1.append(sum(abs(0.0 if s else x) for x, s in zip(point, small)))
         family.setdefault(tuple(x if s else 0.0 for x, s in zip(point, small)), None)
     tails = FiniteSet(name="tails", points=list(family))
-    return max(ell1), chain_bound(tails, build_partition_greedy(tails), MomentModel.gaussian_exact()).value
+    return max(ell1), chain_bound(tails, build_partition_greedy(tails), MomentModel.GAUSSIAN_EXACT).value
 
 
 # Repeated magnitudes, signed zeros, and arbitrary floats whose sums depend on the order;

@@ -14,8 +14,8 @@ from procsup import moments, rng
 from procsup.core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, ProcessKind, Seed
 from procsup.errors import CapacityError, ParameterError, ValidationError
 from procsup.moments import (
-    ModelKind,
     MomentModel,
+    MonteCarloModel,
     bernoulli_exact_norms,
     bernoulli_exact_route,
     gaussian_moment_constant,
@@ -237,7 +237,7 @@ matrices = st.integers(min_value=1, max_value=14).flatmap(
 
 @given(matrices, even_orders)
 def test_cosh_batch_rows_equal_one_row_calls_bit_for_bit(m, p):
-    model = MomentModel.bernoulli_exact()
+    model = MomentModel.BERNOULLI_EXACT
     batch = model.norms(m, p)
     for row, value in zip(m, batch):
         one = model.norms(row[None, :], p)
@@ -248,7 +248,7 @@ def test_cosh_batch_rows_equal_one_row_calls_bit_for_bit(m, p):
 
 
 def test_cosh_series_edge_rows():
-    model = MomentModel.bernoulli_exact()
+    model = MomentModel.BERNOULLI_EXACT
     assert model.norms(np.zeros((0, 3)), 4).shape == (0,)
     assert model.norms(np.array([[0.0, -0.0], [3.0, 4.0]]), 2).tolist() == [0.0, pytest.approx(5.0, rel=1e-15)]
     assert bernoulli_exact_norms(np.array([[-2.5]]), (2, 1024)).tolist() == [[2.5, 2.5]]
@@ -316,7 +316,7 @@ def test_meet_batch_rows_equal_one_row_calls_and_minus_rows_bit_for_bit(m, ps):
     for row, values in zip(m, batch):
         assert bernoulli_exact_norms(row[None, :], ps).tobytes() == values.tobytes()
         for p, value in zip(ps, values):
-            assert MomentModel.bernoulli_exact().norms(row[None, :], p).tobytes() == value.tobytes()
+            assert MomentModel.BERNOULLI_EXACT.norms(row[None, :], p).tobytes() == value.tobytes()
 
 
 def test_meet_norms_of_c_and_minus_c_are_equal_bit_for_bit_at_twenty_terms():
@@ -343,7 +343,7 @@ def test_exact_norms_reject_an_overflowing_l1_norm(ps):
 def test_exact_model_rejects_an_overflowing_l1_norm(p):
     rows = np.array([[1.0, 2.0], [1e308, -1e308]])
     with pytest.raises(ParameterError, match="^the l1 norm of row 1 overflows float64$"):
-        MomentModel.bernoulli_exact().norms(rows, p)
+        MomentModel.BERNOULLI_EXACT.norms(rows, p)
 
 # --- the proxy and its decomposition ---
 
@@ -438,8 +438,8 @@ def test_mc_norm_agrees_with_exact(kind, p):
 def test_moment_model_needs_two_samples(samples):
     # the stderr divides by samples - 1
     with pytest.raises(ParameterError, match=f"^Monte Carlo needs samples >= 2, got {samples}$"):
-        MomentModel.monte_carlo(ProcessKind.GAUSSIAN, samples, Seed(1))
-    assert MomentModel.monte_carlo(ProcessKind.GAUSSIAN, 2, Seed(1)).samples == 2
+        MonteCarloModel(ProcessKind.GAUSSIAN, samples, Seed(1))
+    assert MonteCarloModel(ProcessKind.GAUSSIAN, 2, Seed(1)).samples == 2
 
 
 def _samples_entry_points():
@@ -459,7 +459,7 @@ def _samples_entry_points():
         "mc_sup": lambda n: mc_sup(ProcessKind.GAUSSIAN, ts, n, Seed(1)),
         "mc_norms": lambda n: mc_norms(ProcessKind.GAUSSIAN, ts.matrix, 2, n, Seed(1)),
         "_mc_strong_moment": lambda n: _mc_strong_moment(VectorSystem("e", np.eye(3), NormKind.EUCLIDEAN), n, Seed(1)),
-        "MomentModel.monte_carlo": lambda n: MomentModel.monte_carlo(ProcessKind.GAUSSIAN, n, Seed(1)),
+        "MonteCarloModel": lambda n: MonteCarloModel(ProcessKind.GAUSSIAN, n, Seed(1)),
     }
 
 
@@ -490,39 +490,37 @@ def test_every_samples_default_is_the_one_constant():
 
 def test_moment_model_validation():
     with pytest.raises(ParameterError):
-        MomentModel.monte_carlo(ProcessKind.GAUSSIAN, 0, Seed(1))
-    with pytest.raises(ParameterError):
-        MomentModel(MomentModel.bernoulli_exact().kind, samples=10)
-    assert MomentModel.gaussian_exact().label == "gaussian-exact"
-    mc = MomentModel.monte_carlo(ProcessKind.BERNOULLI, 100, Seed(2))
+        MonteCarloModel(ProcessKind.GAUSSIAN, 0, Seed(1))
+    assert MomentModel.GAUSSIAN_EXACT.label == "gaussian-exact"
+    mc = MonteCarloModel(ProcessKind.BERNOULLI, 100, Seed(2))
     assert "monte-carlo" in mc.label and "seed=2" in mc.label
 
 
 def test_moment_model_routes_match_direct_calls():
     t = np.array([[0.3, -1.1, 2.0]])
-    assert MomentModel.bernoulli_exact().norms(t, 3).tobytes() == bernoulli_exact_norms(t, (3,))[:, 0].tobytes()
-    assert MomentModel.gaussian_exact().norms(t, 3).tobytes() == gaussian_norms(t, 3).tobytes()
-    assert MomentModel.bernoulli_proxy().norms(t, 3).tobytes() == proxy_norms(t, 3)[2].tobytes()
+    assert MomentModel.BERNOULLI_EXACT.norms(t, 3).tobytes() == bernoulli_exact_norms(t, (3,))[:, 0].tobytes()
+    assert MomentModel.GAUSSIAN_EXACT.norms(t, 3).tobytes() == gaussian_norms(t, 3).tobytes()
+    assert MomentModel.BERNOULLI_PROXY.norms(t, 3).tobytes() == proxy_norms(t, 3)[2].tobytes()
     # a non-integer order raises what the direct call raises, rather than running at a truncated order
-    for model, message in [(MomentModel.bernoulli_proxy(), "^p must be an integer, got 2.5$"),
-                           (MomentModel.bernoulli_exact(), "^exact Bernoulli norms need an integer moment order ")]:
+    for model, message in [(MomentModel.BERNOULLI_PROXY, "^p must be an integer, got 2.5$"),
+                           (MomentModel.BERNOULLI_EXACT, "^exact Bernoulli norms need an integer moment order ")]:
         with pytest.raises(ParameterError, match=message):
             model.norms(t, 2.5)
 
 
 @pytest.mark.parametrize("model", [
-    MomentModel.bernoulli_proxy(),
-    MomentModel.bernoulli_exact(),
-    MomentModel.gaussian_exact(),
-    MomentModel.monte_carlo(ProcessKind.BERNOULLI, 200, Seed(4)),
-], ids=lambda m: m.kind.value)
+    MomentModel.BERNOULLI_PROXY,
+    MomentModel.BERNOULLI_EXACT,
+    MomentModel.GAUSSIAN_EXACT,
+    MonteCarloModel(ProcessKind.BERNOULLI, 200, Seed(4)),
+], ids=lambda m: m.label.partition("[")[0])
 @pytest.mark.parametrize("d", [1, 5, 17])
 def test_norm_is_the_one_row_case_of_norms(model, d):
     rows = rng.standard_normal(rng.stream(d, "norm-vs-norms"), (4, d))
     for p in (1, 2, 3, 8):
         one_row = [model.norms(row[None, :], p) for row in rows]
         assert all(one.shape == (1,) for one in one_row)
-        if model.kind is not ModelKind.MONTE_CARLO:  # a Monte Carlo batch shares one stream
+        if not isinstance(model, MonteCarloModel):  # a Monte Carlo batch shares one stream
             assert np.concatenate(one_row).tobytes() == model.norms(rows, p).tobytes()
 
 
@@ -684,11 +682,11 @@ def test_mc_norms_rejects_bad_arguments():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("model", [
-    MomentModel.gaussian_exact(),
-    MomentModel.monte_carlo(ProcessKind.GAUSSIAN, 10, Seed(1)),
-    MomentModel.monte_carlo(ProcessKind.BERNOULLI, 10, Seed(1)),
-    MomentModel.bernoulli_proxy(),
-    MomentModel.bernoulli_exact(),
+    MomentModel.GAUSSIAN_EXACT,
+    MonteCarloModel(ProcessKind.GAUSSIAN, 10, Seed(1)),
+    MonteCarloModel(ProcessKind.BERNOULLI, 10, Seed(1)),
+    MomentModel.BERNOULLI_PROXY,
+    MomentModel.BERNOULLI_EXACT,
 ])
 def test_norms_rejects_non_finite_rows_on_both_batched_routes(model, bad):
     rows = np.array([[1.0, 2.0], [bad, 0.0]])
@@ -696,8 +694,25 @@ def test_norms_rejects_non_finite_rows_on_both_batched_routes(model, bad):
         model.norms(rows, 2)
 
 
+@pytest.mark.parametrize("p", [400, 1024])
+@pytest.mark.parametrize("norms", [
+    lambda rows, p: mc_norms(ProcessKind.GAUSSIAN, rows, p, 1000, Seed(0)),
+    lambda rows, p: MonteCarloModel(ProcessKind.GAUSSIAN, 1000, Seed(0)).norms(rows, p),
+], ids=["mc_norms", "MonteCarloModel"])
+def test_mc_norms_rejects_an_overflowing_estimate_naming_its_row(norms, p):
+    # |g|^p overflows float64 for |g| > 5.9 at p = 400, where only the variance overflows, and for |g| > 2 at p = 1024
+    rows = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ParameterError, match=f"^the Monte Carlo p-th moment of row 1 overflows float64 at p = {p}$"):
+        norms(rows, p)
+
+
+def test_mc_norms_keeps_finite_estimates_and_zero_rows_at_a_high_order():
+    est, stderr = mc_norms(ProcessKind.BERNOULLI, np.array([[0.0, 0.0], [1.0, 0.0]]), 1024, 1000, Seed(0))
+    assert est.tolist() == [0.0, 1.0] and stderr.tolist() == [0.0, 0.0]
+
+
 def test_monte_carlo_norms_route_is_one_mc_norms_call():
-    model = MomentModel.monte_carlo(ProcessKind.GAUSSIAN, 300, Seed(6))
+    model = MonteCarloModel(ProcessKind.GAUSSIAN, 300, Seed(6))
     rows = rng.standard_normal(rng.stream(6, "route"), (5, 4))
     assert model.norms(rows, 4).tobytes() == mc_norms(ProcessKind.GAUSSIAN, rows, 4, 300, Seed(6))[0].tobytes()
     assert model.norms(rows[:1], 4).tobytes() == mc_norms(ProcessKind.GAUSSIAN, rows[:1], 4, 300, Seed(6))[0].tobytes()
@@ -737,7 +752,7 @@ def test_proxy_rows_equal_the_one_vector_reference_bit_for_bit(m, data):
     assert head.tobytes() == _bits([w[0] for w in want])
     assert tail.tobytes() == _bits([w[1] for w in want])
     assert value.tobytes() == _bits([w[2] for w in want])
-    assert MomentModel.bernoulli_proxy().norms(m, p).tobytes() == value.tobytes()
+    assert MomentModel.BERNOULLI_PROXY.norms(m, p).tobytes() == value.tobytes()
     for row, w in zip(m, want):
         assert np.concatenate(proxy_norms(row[None, :], p)).tobytes() == _bits(w)
 
@@ -746,7 +761,7 @@ def test_proxy_rows_equal_the_one_vector_reference_bit_for_bit(m, data):
 def test_gaussian_rows_equal_the_one_vector_reference_bit_for_bit(m, p):
     want = _bits([reference_gaussian_norm_exact(row, p) for row in m])
     assert gaussian_norms(m, p).tobytes() == want
-    assert MomentModel.gaussian_exact().norms(m, p).tobytes() == want
+    assert MomentModel.GAUSSIAN_EXACT.norms(m, p).tobytes() == want
     assert np.concatenate([gaussian_norms(row[None, :], p) for row in m]).tobytes() == want
 
 
@@ -770,7 +785,7 @@ def test_exact_rows_equal_the_one_vector_reference_bit_for_bit(m, ps, small_bloc
         got = bernoulli_exact_norms(m, ps)
         _assert_exact_rows_match(got, want, ps)
         for c, p in enumerate(ps):
-            assert MomentModel.bernoulli_exact().norms(m, p).tobytes() == got[:, c].tobytes()
+            assert MomentModel.BERNOULLI_EXACT.norms(m, p).tobytes() == got[:, c].tobytes()
         assert np.concatenate([bernoulli_exact_norms(row[None, :], ps) for row in m]).tobytes() == got.tobytes()
 
 
@@ -787,11 +802,11 @@ def test_exact_rows_at_twenty_terms_and_over_the_cap():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: gaussian_norms(np.array([[1e200]]), 2), "l2 norm of row 0"),
-    (lambda: MomentModel.gaussian_exact().norms(np.array([[1.0, 0.0], [1e200, 0.0]]), 2), "l2 norm of row 1"),
+    (lambda: MomentModel.GAUSSIAN_EXACT.norms(np.array([[1.0, 0.0], [1e200, 0.0]]), 2), "l2 norm of row 1"),
     (lambda: proxy_norms(np.array([[1e200, 1e200]]), 1), "l2 norm of row 0"),
     (lambda: proxy_norms(np.array([[1e308, 1e308]]), 2), "l1 norm of row 0"),
     (lambda: proxy_norms(np.array([[1.0, 2.0], [1e308, 1e308]]), 2), "l1 norm of row 1"),
-    (lambda: MomentModel.bernoulli_proxy().norms(np.array([[1.0, 2.0], [1e200, 1e200]]), 1), "l2 norm of row 1"),
+    (lambda: MomentModel.BERNOULLI_PROXY.norms(np.array([[1.0, 2.0], [1e200, 1e200]]), 1), "l2 norm of row 1"),
     (lambda: proxy_norms(np.array([[1.0, 2.0, 3.0], [1e200, 1e200, 1.0]]), 1), "l2 norm of row 1"),
     (lambda: proxy_norms(np.array([[0.0, 0.0], [1e308, 1e308]]), 5), "l1 norm of row 1"),
 ], ids=["gaussian", "gaussian-model", "proxy-tail", "proxy-head", "proxy-rows", "proxy-model", "tail", "head"])

@@ -340,7 +340,7 @@ def test_greedy_trees_write_as_their_dicts(count, dim, grid, seed):
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
 def test_exhaustive_trees_write_as_their_dicts(count):
     ts = generate_set("random_sphere", 4, count, Seed(count))
-    _assert_tree_writes_as_its_dict(exhaustive_gamma(ts, MomentModel.gaussian_exact()).tree)
+    _assert_tree_writes_as_its_dict(exhaustive_gamma(ts, MomentModel.GAUSSIAN_EXACT).tree)
 
 
 @pytest.mark.parametrize("sets", [
@@ -431,7 +431,7 @@ def test_dump_in_tiny_batches_writes_the_bytes_of_json_dumps(doc, items, chars):
 
 def test_a_20000_point_gamma_report_streams_in_little_memory(tmp_path):
     ts = generate_set("random_sphere", 8, 20000, 16)
-    bound = chain_bound(ts, build_partition_greedy(ts), MomentModel.gaussian_exact())
+    bound = chain_bound(ts, build_partition_greedy(ts), MomentModel.GAUSSIAN_EXACT)
     results = {"set": ts.name, "value": bound.value, "per_point": list(bound.per_point),
                "tree": bound.tree.columns()}
     doc = build_report("gamma", {"seed": 0}, {"set": ts.content_hash()}, results)
