@@ -40,7 +40,7 @@ import numpy as np
 from .core import (GENERATE_MAX_COORDINATES, FiniteSet, ProcessKind, Seed, check_integers, distinct_rows,
                    integer_types)
 from .errors import CapacityError, ParameterError, ValidationError
-from .moments import _BLOCK_BYTES, DEFAULT_SAMPLES, EXACT_ENUMERATION_MAX_DIM, MomentModel, MonteCarloModel
+from .moments import _BLOCK_BYTES, DEFAULT_SAMPLES, MomentModel, MonteCarloModel
 from .reports import ComparisonReport, TreeLevel, safe_ratio
 from .suprema import expected_sup
 
@@ -676,18 +676,12 @@ def verify_sup_bound(
     The supremum takes :func:`~procsup.suprema.expected_sup`'s route:
     Bernoulli suprema are enumerated exactly within the dimension and sign-sum
     caps (and by Monte Carlo beyond them, unless ``exact`` demands
-    enumeration); Gaussian suprema are always Monte Carlo.  The
-    chain bound uses the greedy tree under the matching exact model (proxy
-    when the Bernoulli dimension exceeds the cap).  The violation flag
-    allows Monte Carlo noise of three standard errors.
+    enumeration); Gaussian suprema are always Monte Carlo.  The chain bound
+    uses the greedy tree under the process's exact model at any dimension.
+    The violation flag allows Monte Carlo noise of three standard errors.
     """
     sup = expected_sup(kind, ts, samples, seed, exact=exact)
-    if kind is ProcessKind.GAUSSIAN:
-        model = MomentModel.GAUSSIAN_EXACT
-    elif ts.dim <= EXACT_ENUMERATION_MAX_DIM:
-        model = MomentModel.BERNOULLI_EXACT
-    else:
-        model = MomentModel.BERNOULLI_PROXY
+    model = MomentModel.GAUSSIAN_EXACT if kind is ProcessKind.GAUSSIAN else MomentModel.BERNOULLI_EXACT
     bound = chain_bound(ts, build_partition_greedy(ts), model)
     violation = sup.value > SUP_BOUND_FACTOR * bound.value + 3.0 * sup.stderr
     return ComparisonReport(

@@ -9,9 +9,9 @@ of rows:
 * :func:`proxy_norms`, a closed-form *proxy* for the Bernoulli norm: the
   ``p`` largest magnitudes of each row (an l1 head, one ``np.partition``)
   plus ``sqrt(p)`` times the l2 norm of the rest; within a factor 4,
-* :func:`bernoulli_exact_norms` (dimension-capped), at integer orders
-  ``1 <= p <= EXACT_MAX_ORDER``: the cosh series at even orders, meet in
-  the middle at odd ones,
+* :func:`bernoulli_exact_norms`, at integer orders ``1 <= p <= EXACT_MAX_ORDER``:
+  the cosh series at even orders at any dimension, meet in the middle at
+  odd ones up to ``EXACT_ENUMERATION_MAX_DIM``,
 * :func:`gaussian_norms`, the Gamma-function formula (one ``vecdot``),
 * :func:`mc_norms`, seeded Monte Carlo with delta-method standard errors.
 
@@ -99,6 +99,11 @@ _POINT_MAJOR_PATTERNS = 8
 #: ``C(p, j)``, at most ``C(1024, 512) ~ 4.5e306`` here; the middle binomial
 #: outgrows float64 from ``C(1030, 515)`` on.
 EXACT_MAX_ORDER = 1024
+
+#: Largest exact order above ``EXACT_ENUMERATION_MAX_DIM`` coordinates, where only even orders run: the
+#: cosh series' moment ``M_(p/2) >= d^(-p/2)`` is a normal float64 at p = 64 up to d = 4e9 (an all-ones
+#: row of d = 4096 underflows to 0 at p = 1024), and a chain order ``2^n`` passes 32 only past 2^32 points.
+WIDE_EVEN_MAX_ORDER = 64
 
 #: Relative allowance for float rounding in the package's analytic inequalities.
 REL_SLACK = 1e-9
@@ -380,24 +385,28 @@ _EXACT_ROUTES = {"cosh-series": _cosh_norms, "meet-in-the-middle": _meet_norms}
 def bernoulli_exact_norms(rows, ps) -> np.ndarray:
     """``||B_t||_p`` for every row ``t`` of the ``(k, d)`` matrix ``rows`` at every order in ``ps``.
 
-    The result has shape ``(k, len(ps))``.  Only available for d <=
-    ``EXACT_ENUMERATION_MAX_DIM`` (an empty batch needs no oracle) and
-    integer orders ``1 <= p <= EXACT_MAX_ORDER``; any other order is a
-    :class:`ParameterError` before any work.  Each order goes to its
-    :func:`bernoulli_exact_route`, exact up to rounding: even orders to one
-    cosh-series pass over all rows (``O(d p^2)`` per row), odd orders to
-    meet in the middle, one sort and prefix table of ``2^floor(d/2)``
-    half-sums per nonzero row, shared by those orders.  A route runs only
-    when one of its orders is asked for.  A value depends on neither the
-    other rows nor the other orders of the call.  An l1 norm that overflows
-    float64 is a :class:`ParameterError`.
+    The result has shape ``(k, len(ps))``.  Orders must be integers ``1 <=
+    p <= EXACT_MAX_ORDER``, or a :class:`ParameterError` is raised before
+    any work.  Each order goes to its :func:`bernoulli_exact_route`, exact
+    up to rounding: even orders to one cosh-series pass over all rows
+    (``O(d p^2)`` per row) at any d, odd orders to meet in the middle, one
+    sort and prefix table of ``2^floor(d/2)`` half-sums per nonzero row.
+    Above d = ``EXACT_ENUMERATION_MAX_DIM`` an odd order, or one above
+    ``WIDE_EVEN_MAX_ORDER``, is a :class:`CapacityError` before any work (an
+    empty batch needs no oracle).  A route runs only when one of its orders
+    is asked for.  A value depends on neither the other rows nor the other
+    orders of the call.  An overflowing l1 norm is a :class:`ParameterError`.
     """
     qs = [_check_exact_order(p) for p in ps]
     routes = [bernoulli_exact_route(q) for q in qs]
     rows = _finite_rows(rows)
     k, d = rows.shape
     if k and d > EXACT_ENUMERATION_MAX_DIM:
-        raise CapacityError(f"exact Bernoulli norm needs dim <= {EXACT_ENUMERATION_MAX_DIM}, got {d}")
+        if "meet-in-the-middle" in routes:
+            raise CapacityError(f"exact Bernoulli norm needs dim <= {EXACT_ENUMERATION_MAX_DIM}, got {d}")
+        if max(qs, default=0) > WIDE_EVEN_MAX_ORDER:
+            raise CapacityError(f"exact Bernoulli norm above dim {EXACT_ENUMERATION_MAX_DIM} needs p <= "
+                                f"{WIDE_EVEN_MAX_ORDER}, got p = {max(qs)} at dim {d}")
     scales = _norms(rows, 1)
     norms = np.zeros((k, len(qs)))
     for route, route_norms in _EXACT_ROUTES.items():

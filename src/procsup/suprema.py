@@ -6,12 +6,12 @@ process kind.  Both routes return a :class:`SupEstimate`, the record that
 strong moments share; :func:`estimate_ratio` reports two side by side.
 The enumeration is capped at dim 20 and at 2^32 sign sums ``|T| * 2^(d-1)``
 (:class:`CapacityError`).  It hands :func:`~procsup.moments.signed_row_sums`
-the span ``max - min`` as the per-pattern statistic, so each cache-sized
-piece of sign sums is reduced to spans as soon as it is built, along its
-long axis: when a block holds many sign patterns per point, as elementwise
-maxima and minima across contiguous pattern vectors, and otherwise row by
-row.  Either way every pattern's span and every block's sum of spans is the
-same, so the value keeps its bits.
+Monte Carlo's half-span ``max/2 - min/2`` as the per-pattern statistic, so
+each cache-sized piece of sign sums is reduced as soon as it is built,
+along its long axis: when a block holds many sign patterns per point, as
+elementwise maxima and minima across contiguous pattern vectors, and
+otherwise row by row.  Either way every pattern's half-span and every
+block's sum of them is the same, so the value keeps its bits.
 
 Monte Carlo is antithetic: each draw ``xi`` also stands for ``-xi``, so a
 draw's sample is the half-span ``(max_t <xi, t> - min_t <xi, t>) / 2``.
@@ -26,8 +26,8 @@ A set whose sums can leave float64 fails with a :class:`ParameterError`
 naming a point, before any pattern is enumerated or any draw is made: a
 point whose l1 norm (the largest ``|<eps, t>|``) overflows for the exact
 supremum, or whose l2 norm overflows for Monte Carlo.  A total that still
-overflows (``2^(d-1)`` spans of up to ``2 max ||t||_1``, or a Monte Carlo
-variance) fails the same way once it is reached.
+overflows (``2^(d-1)`` half-spans of up to ``max ||t||_1``, or a Monte
+Carlo variance) fails the same way once it is reached.
 """
 
 from __future__ import annotations
@@ -72,15 +72,12 @@ def brute_force_bernoulli_sup(ts: FiniteSet) -> SupEstimate:
 
     Capped at dim <= 20 and at ``|T| * 2^(d-1) <= EXACT_SUP_MAX_SUMS`` sign
     sums by :func:`~procsup.moments.enumerable`; past either cap one
-    :class:`CapacityError` naming both is raised before any pattern is
-    enumerated.  Only the patterns with ``eps_0 = +1`` are
-    enumerated: each stands for itself and its negation, whose maximum is
-    minus its minimum.  The spans are summed a block at a time, and each
-    block's sign sums are built and reduced to spans in cache-sized pieces,
-    so memory stays flat regardless of dimension: one piece of sums and one
-    block's spans at a time.  A point whose l1 norm overflows float64 fails
-    before the enumeration, and a total of spans that overflows fails after
-    it, each with a :class:`ParameterError`.
+    :class:`CapacityError` naming both is raised before any work.  Only the
+    patterns with ``eps_0 = +1`` are enumerated: each also stands for its
+    negation, so the pair's mean is :func:`_half_span`.  Half-spans are
+    summed from cache-sized pieces of sign sums, so memory stays flat.  A
+    point whose l1 norm overflows float64 fails before the enumeration, and
+    an overflowing total after it, each with a :class:`ParameterError`.
     """
     d = ts.dim
     if not enumerable(d, len(ts)):
@@ -90,12 +87,11 @@ def brute_force_bernoulli_sup(ts: FiniteSet) -> SupEstimate:
         )
     scales = _norms(ts.matrix, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        spans = signed_row_sums(ts.matrix.T, lambda s: s.max(axis=1) - s.min(axis=1))
-        total = sum(float(v.sum()) for v in spans)
+        total = sum(float(v.sum()) for v in signed_row_sums(ts.matrix.T, _half_span))
     if not math.isfinite(total):
         k = int(scales.argmax())
         raise ParameterError(f"the l1 norm of row {k} overflows float64 summed over 2^{d - 1} sign patterns")
-    return SupEstimate(total / (1 << d), 0.0, EstimateMethod.EXACT)
+    return SupEstimate(total / (1 << (d - 1)), 0.0, EstimateMethod.EXACT)
 
 
 def chi_mean(d: int) -> float:

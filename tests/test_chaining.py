@@ -482,6 +482,14 @@ def test_exhaustive_search_at_depth_eight_still_runs():
     assert exhaustive_gamma(ts, model).value <= chain_bound(ts, build_partition_greedy(ts), model).value
 
 
+@pytest.mark.parametrize("dim", [32, 512])
+def test_exhaustive_search_under_the_exact_bernoulli_model_runs_past_twenty_coordinates(dim):
+    ts, model = generate_set("random_sphere", dim, 5, Seed(1)), MomentModel.BERNOULLI_EXACT
+    got, want = exhaustive_gamma(ts, model), reference_exhaustive_gamma(ts, model)
+    assert (got.value, got.tree) == (want.value, want.tree) and got.tree.depth == 2
+    assert got.value <= chain_bound(ts, build_partition_greedy(ts), model).value
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -602,13 +610,24 @@ def test_verify_sup_bound_gaussian_mc():
     assert report.lhs_stderr > 0.0
 
 
-def test_verify_sup_bound_takes_the_proxy_above_the_exact_dimension():
+def test_verify_sup_bound_takes_the_exact_model_above_the_enumeration_dimension():
     ts = FiniteSet(name="v", points=np.random.default_rng(3).standard_normal((4, 24)))
     report = verify_sup_bound(ts, ProcessKind.BERNOULLI, samples=2000, seed=Seed(1))
-    assert (report.lhs_label, report.rhs_label) == ("E sup [bernoulli, monte-carlo]", "chain bound [bernoulli-proxy]")
-    assert report.rhs == chain_bound(ts, build_partition_greedy(ts), MomentModel.BERNOULLI_PROXY).value
-    assert (report.lhs, report.rhs, report.lhs_stderr) == (5.465983967095026, 17.573175389517154, 0.06988302910182463)
+    assert (report.lhs_label, report.rhs_label) == ("E sup [bernoulli, monte-carlo]", "chain bound [bernoulli-exact]")
+    assert report.rhs == chain_bound(ts, build_partition_greedy(ts), MomentModel.BERNOULLI_EXACT).value
+    assert (report.lhs, report.rhs, report.lhs_stderr) == (5.465983967095026, 8.944336513192056, 0.06988302910182463)
     assert not report.violation and report.extras == {"set": "v", "tree_depth": 1, "samples": 2000}
+
+
+@pytest.mark.parametrize("dim", [24, 32, 64])
+def test_verify_sup_bound_holds_under_the_exact_model_past_twenty_coordinates(dim):
+    ts = _random_set(dim, 40, dim, "verify-wide")
+    report = verify_sup_bound(ts, ProcessKind.BERNOULLI, samples=4000, seed=Seed(1))
+    assert report.rhs_label == "chain bound [bernoulli-exact]" and not report.violation
+    tree = build_partition_greedy(ts)
+    assert tree.depth == report.extras["tree_depth"] == 3  # chain orders 2, 4 and 8
+    assert report.rhs == chain_bound(ts, tree, MomentModel.BERNOULLI_EXACT).value
+    assert report.rhs < chain_bound(ts, tree, MomentModel.BERNOULLI_PROXY).value
 
 
 def test_verify_sup_bound_rejects_gaussian_exact():

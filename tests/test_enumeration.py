@@ -306,10 +306,19 @@ def test_an_overflowing_point_fails_before_the_enumeration(monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 def test_an_overflowing_total_of_spans_fails_after_the_enumeration():
-    with pytest.raises(ParameterError, match=r"^the l1 norm of row 0 overflows float64 summed over 2\^0 sign"):
-        brute_force_bernoulli_sup(FiniteSet(name="wide", points=np.array([[1e308], [-1e308]])))
-    # Spans that fit keep their value, however close to the limit.
+    # Each half-span fits (1.7e308 and 3e307), but their total does not.
+    with pytest.raises(ParameterError, match=r"^the l1 norm of row 0 overflows float64 summed over 2\^1 sign"):
+        brute_force_bernoulli_sup(FiniteSet(name="wide", points=np.array([[1e308, 7e307], [-1e308, -7e307]])))
+    # Half-spans that fit keep their value, however close to the limit.
     assert brute_force_bernoulli_sup(FiniteSet(name="edge", points=np.array([[1e308], [0.0]]))).value == 5e307
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_supremum_whose_span_overflows_is_its_half_span():
+    # max - min = 2e308 leaves float64, but max/2 - min/2 = E sup = 1e308 does not.
+    assert brute_force_bernoulli_sup(FiniteSet(name="w", points=np.array([[1e308], [-1e308]]))).value == 1e308
+    edge = VectorSystem("edge", [[1e308]], NormKind.SUP)
+    assert strong_moment_ratio(edge, edge).lhs == 1e308
 
 
 @pytest.mark.filterwarnings("error")
@@ -344,11 +353,11 @@ def test_an_overflowing_strong_moment_fails(norm):
     squares = VectorSystem("squares", [[1e154, 1e154], [1e154, 1e154]], norm)
     if norm is NormKind.SUP:
         assert strong_moment_ratio(squares, squares).lhs == 1e154
-        # the supremum sums spans 2 * max|s|, which overflow at half the largest sum
-        edge = VectorSystem("edge", [[1e308]], norm)
-        message = r"^the l1 norm of row 0 overflows float64 summed over 2\^0 sign patterns$"
+        # the supremum over the columns +-(1e308, 7e307) sums half-spans 1.7e308 and 3e307, which overflow
+        wide = VectorSystem("wide", [[1e308, -1e308], [7e307, -7e307]], norm)
+        message = r"^the l1 norm of row 0 overflows float64 summed over 2\^1 sign patterns$"
         with pytest.raises(ParameterError, match=message):
-            strong_moment_ratio(edge, edge)
+            strong_moment_ratio(wide, wide)
     else:
         with pytest.raises(ParameterError, match="^the euclidean norms of the sign sums of system 'squares'"):
             strong_moment_ratio(squares, squares)

@@ -3,6 +3,8 @@ import itertools
 import math
 import re
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,12 +136,69 @@ def test_kahane_doubling_within_sqrt3(t, q):
 
 
 def test_bernoulli_exact_dimension_cap():
-    with pytest.raises(CapacityError):
-        _exact(np.ones(21), 2)
+    assert _exact(np.ones(21), 2) == pytest.approx(math.sqrt(21.0), rel=1e-15)  # even orders pass d = 20
     with pytest.raises(CapacityError):
         bernoulli_exact_norms(np.ones((1, 21)), (1, 2))
     with pytest.raises(ParameterError, match="moment order"):  # orders are checked first
         bernoulli_exact_norms(np.ones((1, 21)), (2, 0.5))
+
+
+# --- even orders past the enumeration dimension ---
+
+
+def _fraction_cosh_norms(t, ps):
+    """``||B_t||_p`` at the even orders ``ps``: the cosh-series recurrence in exact arithmetic, rounded once.
+
+    Each float is an exact rational, so over a common power-of-two denominator the moments
+    ``M_j = sum_l C(2j, 2l) t_i^(2l) M_(j-l)`` are integers; only the p-th root is taken, in 60 digits.
+    """
+    ratios = [Fraction(float(v)) for v in t]
+    den = math.lcm(*(r.denominator for r in ratios))
+    ns = [int(r * den) for r in ratios]
+    top = max(ps) // 2
+    ms = [1] + [0] * top
+    for n in ns:
+        powers = [n ** (2 * l) for l in range(top + 1)]
+        ms = [sum(math.comb(2 * j, 2 * l) * powers[l] * ms[j - l] for l in range(j + 1)) for j in range(top + 1)]
+    scale = sum(abs(n) for n in ns)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        roots = [(Decimal(ms[p // 2]) / Decimal(scale) ** p) ** (Decimal(1) / p) for p in ps]
+        return [float(Decimal(scale) / den * root) for root in roots]
+
+
+@pytest.mark.parametrize("dim", [32, 256, 1024])
+def test_even_exact_norms_past_the_enumeration_dimension_match_exact_arithmetic(dim):
+    gen = rng.stream(dim, "wide-even-exact")
+    rows = np.stack([rng.standard_normal(gen, dim), np.tan(np.pi * (gen.random(dim) - 0.5)), np.ones(dim)])
+    ps = (2, 8, 32, moments.WIDE_EVEN_MAX_ORDER)
+    got = bernoulli_exact_norms(rows, ps)
+    for row, values in zip(rows, got):  # normal, Cauchy and all-ones rows
+        for value, want in zip(values, _fraction_cosh_norms(row, ps)):
+            assert abs(value - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("dim", [32, 64])
+def test_even_exact_norms_past_the_enumeration_dimension_match_exact_rationals(dim):
+    rows = rng.stream(dim, "wide-even-fraction").integers(-4, 5, size=(3, dim)).astype(np.float64)
+    ps = (2, 4, 6, 8, 16, 32)
+    got = bernoulli_exact_norms(rows, ps)
+    for row, values in zip(rows, got):
+        assert values.tolist() == pytest.approx(_fraction_cosh_norms(row, ps), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("dim", [21, 4096])
+def test_exact_orders_past_their_route_limits_fail_before_any_work(monkeypatch, dim):
+    monkeypatch.setattr(moments, "_EXACT_ROUTES", {"cosh-series": None, "meet-in-the-middle": None})  # never reached
+    top = moments.WIDE_EVEN_MAX_ORDER
+    with pytest.raises(CapacityError, match=f"^exact Bernoulli norm above dim 20 needs p <= {top}, got p = {top + 2} "):
+        bernoulli_exact_norms(np.ones((1, dim)), (2, top + 2))
+    with pytest.raises(CapacityError, match=f"^exact Bernoulli norm needs dim <= 20, got {dim}$"):
+        bernoulli_exact_norms(np.ones((1, dim)), (2, 3))
+    monkeypatch.undo()
+    assert bernoulli_exact_norms(np.ones((0, dim)), (top + 2, 3)).shape == (0, 2)  # an empty batch needs no oracle
+    with pytest.raises(CapacityError, match=f"got p = 1024 at dim {dim}$"):  # all-ones at d = 4096 would underflow to 0
+        bernoulli_exact_norms(np.ones((1, dim)), (1024,))
 
 
 # --- several orders in one call ---
@@ -252,8 +311,9 @@ def test_cosh_series_edge_rows():
     assert model.norms(np.zeros((0, 3)), 4).shape == (0,)
     assert model.norms(np.array([[0.0, -0.0], [3.0, 4.0]]), 2).tolist() == [0.0, pytest.approx(5.0, rel=1e-15)]
     assert bernoulli_exact_norms(np.array([[-2.5]]), (2, 1024)).tolist() == [[2.5, 2.5]]
-    with pytest.raises(CapacityError):
-        model.norms(np.ones((2, 21)), 2)
+    assert model.norms(np.ones((2, 21)), 2).tolist() == [pytest.approx(math.sqrt(21.0), rel=1e-15)] * 2
+    with pytest.raises(CapacityError):  # odd orders stop at d = 20
+        model.norms(np.ones((2, 21)), 3)
     with pytest.raises(ValidationError, match="^increment rows must be finite$"):
         model.norms(np.array([[1.0, np.nan]]), 2)
 
