@@ -182,8 +182,8 @@ def cmd_contract(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     ts = load_set(args.set)
-    result = decompose_by_sweep(ts, ProcessKind(args.kind), samples=args.samples, seed=Seed(args.seed),
-                                per_point=args.per_point, k_constant=args.k)
+    result = decompose_by_sweep(ts, samples=args.samples, seed=Seed(args.seed), per_point=args.per_point,
+                                k_constant=args.k)
     results = {
         "set": ts.name,
         "decomposition": result.to_dict(),
@@ -333,9 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report_flags(p)
     p.set_defaults(handler=cmd_contract)
 
-    p = sub.add_parser("decompose", help="best threshold split against the measured supremum")
+    p = sub.add_parser("decompose", help="best threshold split against the measured Bernoulli supremum")
     p.add_argument("--set", required=True, metavar="PATH")
-    p.add_argument("--kind", choices=_values(ProcessKind), default="bernoulli")
     _add_sampling_flags(p)
     p.add_argument("--per-point", action="store_true",
                    help="refine the winning global threshold per point")
@@ -346,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oleszkiewicz", help="weak vs strong moment comparison of two systems")
     p.add_argument("--x", required=True, metavar="PATH",
-                   help="vector-system file (or a finite-set file; --norm supplies the norm)")
+                   help="vector-system file tagged with the --norm norm, or a finite-set file under --norm")
     p.add_argument("--y", required=True, metavar="PATH")
     p.add_argument("--norm", choices=_values(NormKind), default="sup")
     p.add_argument("--extra-functionals", type=int, default=8)

@@ -80,40 +80,25 @@ def _check_k(k_constant: float) -> None:
         raise ParameterError(f"k constant must be finite and nonnegative, got {k_constant}")
 
 
-#: Every integer below this is a float64, so ``math.sqrt(p)`` sees ``p`` itself.
-_FLOAT_EXACT_P = 1 << 53
-
-
 def choose_p(tail_norm: float, k_constant: float, sup_reference: float):
-    """Smallest integer ``p >= 1`` with ``sqrt(p) * tail_norm >= k * sup_reference``.
+    """Least integer ``p >= 1`` with ``sqrt(p) * tail_norm >= k * sup_reference``.
 
-    Below ``2**53`` the inequality is tested in float64, as written; from
-    ``2**53`` on, where ``float(p)`` no longer tells neighbours apart, it is
-    decided exactly, as ``p * tail_norm**2 >= (k * sup_reference)**2`` in
-    rationals.  Either way the answer takes a bounded number of steps for
-    any finite ``k``.  Returns ``math.inf`` when the tail vanishes but the
-    target is positive (no finite moment order can reach it).  A NaN or
-    negative tail norm and a non-finite or negative ``k`` raise
+    Decided exactly at every size, as ``p * tail_norm**2 >= (k *
+    sup_reference)**2`` in rationals.  Returns ``math.inf`` when the tail
+    vanishes but the target is positive (no finite moment order can reach
+    it).  A negative or non-finite tail norm or ``k`` raises
     :class:`ParameterError`.
     """
-    if not tail_norm >= 0:  # NaN fails too
-        raise ParameterError(f"tail norm must be nonnegative, got {tail_norm}")
+    if not 0.0 <= tail_norm < math.inf:  # NaN fails too
+        raise ParameterError(f"tail norm must be finite and nonnegative, got {tail_norm}")
     _check_k(k_constant)
-    target = k_constant * sup_reference
-    if target <= 0.0:
+    target = Fraction(k_constant) * Fraction(sup_reference)
+    if target <= 0:
         return 1
     if tail_norm == 0.0:
         return math.inf
-    if math.sqrt(_FLOAT_EXACT_P - 1) * tail_norm < target:
-        ratio = (Fraction(k_constant) * Fraction(sup_reference) / Fraction(tail_norm)) ** 2
-        return max(_FLOAT_EXACT_P, -(-ratio.numerator // ratio.denominator))
-    # the answer is below 2**53, so the float estimate is finite and within a few steps of it
-    p = min(max(1, math.ceil((target / tail_norm) ** 2)), _FLOAT_EXACT_P - 1)
-    while p > 1 and math.sqrt(p - 1) * tail_norm >= target:
-        p -= 1
-    while math.sqrt(p) * tail_norm < target:
-        p += 1
-    return p
+    ratio = (target / Fraction(tail_norm)) ** 2
+    return max(1, -(-ratio.numerator // ratio.denominator))
 
 
 @dataclass(frozen=True)
@@ -263,13 +248,12 @@ def _refine_per_point(ts: FiniteSet, start: SweepEntry) -> tuple[tuple[float, ..
 
 def decompose_by_sweep(
     ts: FiniteSet,
-    kind: ProcessKind = ProcessKind.BERNOULLI,
     samples: int = DEFAULT_SAMPLES,
     seed: Seed = Seed(0),
     per_point: bool = False,
     k_constant: float = 1.0,
 ) -> DecompositionResult:
-    """Best threshold split of ``ts``, with the measured supremum for scale.
+    """Best threshold split of ``ts``, with the measured Bernoulli supremum ``S_B(T)`` for scale.
 
     The global sweep is exhaustive over its candidate grid (ties resolve to
     the smallest threshold).  With ``per_point=True`` the winning global
@@ -279,9 +263,9 @@ def decompose_by_sweep(
     the sweep's, so it never ends on equal thresholds other than its start:
     the split's mode is ``per-point`` exactly when the descent moved.  The
     reported ``ell1_sup`` and ``gamma2_bound`` are those the sweep or the
-    descent computed for the chosen split.  The reference supremum is exact
-    for the Bernoulli process up to the dimension cap, Monte Carlo
-    otherwise.  Before the sweep, a non-finite or negative ``k_constant``
+    descent computed for the chosen split.  The reference is ``S_B(T)`` by
+    :func:`~procsup.suprema.expected_sup`: enumerated within its caps,
+    Monte Carlo beyond.  Before the sweep, a non-finite or negative ``k_constant``
     and a ``samples`` that :func:`~procsup.moments.check_samples` rejects
     raise :class:`ParameterError`, and tail trees of more than
     ``DECOMPOSE_MAX_ROWS = 2**20`` rows in all raise
@@ -302,7 +286,7 @@ def decompose_by_sweep(
     if per_point:
         thresholds, ell1_sup, gamma2 = _refine_per_point(ts, winner)
 
-    reference = expected_sup(kind, ts, samples, seed)
+    reference = expected_sup(ProcessKind.BERNOULLI, ts, samples, seed)
     objective = ell1_sup + gamma2
     _, tails = split_rows(ts.matrix, thresholds)
     p_pick = choose_p(math.sqrt(_row_sums(tails * tails).max()), k_constant, reference.value)

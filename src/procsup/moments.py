@@ -44,18 +44,18 @@ whole batch (common random numbers), so its estimates are correlated.
 Every enumerated oracle and Monte Carlo estimate in the package reduces
 ``sum_i xi_i m_i`` over the rows of a coefficient matrix ``m``; the two
 shared engines for that live here: :func:`signed_row_sums` enumerates the
-sign patterns and reduces them by the caller's per-pattern statistic, and
-:func:`mc_mean` draws ``xi`` and accumulates a mean and its standard error.
-Both work in blocks of at most ``_BLOCK_BYTES``.  For the enumerator a
-block is the unit of summation: it yields one array of statistic values
-per block, so the caller's sum of each block keeps its bits.  A piece of
-at most ``_PIECE_BYTES`` is the unit of memory: a block's sign sums are
-built, reduced and freed a piece at a time, so they stay in cache and are
-never held whole.  A piece is laid out along its block's long axis:
-point-major when the block holds many sign patterns per column, so a
-maximum over the columns is a pass of elementwise maxima over contiguous
-pattern vectors, and row-major otherwise or on request.  Neither the
-pieces nor the layout move a value.
+sign patterns and reduces them by the caller's per-pattern statistic (its
+exact mean is :func:`sign_mean`), and :func:`mc_mean` draws ``xi`` and
+accumulates a mean and its standard error.  Both work in blocks of at most
+``_BLOCK_BYTES``.  For the enumerator a block is the unit of summation: it
+yields one array of statistic values per block, so a sum of each block
+keeps its bits.  A piece of at most ``_PIECE_BYTES`` is the unit of
+memory: a block's sign sums are built, reduced and freed a piece at a time,
+so they stay in cache and are never held whole.  A piece is laid out along
+its block's long axis: point-major when the block holds many sign patterns
+per column, so a maximum over the columns is a pass of elementwise maxima
+over contiguous pattern vectors, and row-major otherwise or on request.
+Neither the pieces nor the layout move a value.
 """
 
 from __future__ import annotations
@@ -268,6 +268,22 @@ def signed_row_sums(
                 values[at : at + len(part)] = part
                 del sums, part
         yield values
+
+
+def sign_mean(m: np.ndarray, statistic: Callable[[np.ndarray], np.ndarray], row_major: bool = False) -> float:
+    """Exact mean of ``statistic(sum_i eps_i m_i)`` over the sign patterns with ``eps_0 = +1``.
+
+    The counterpart of :func:`mc_mean`.  Each :func:`signed_row_sums` block
+    is summed by numpy and the block totals are added left to right in a
+    plain float64 loop, not by the builtin ``sum``, which compensates float
+    sums from Python 3.12 on.  On overflow the mean is inf or NaN, for the
+    caller to report.
+    """
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for values in signed_row_sums(m, statistic, row_major=row_major):
+            total += float(values.sum())
+    return total / (1 << (m.shape[0] - 1))
 
 
 def _check_exact_order(p) -> int:

@@ -49,7 +49,7 @@ from .core import (
 from .errors import ParameterError, ParseError, ValidationError
 from .contraction import ContractionReport, _PairTable, _fit
 from .moments import (DEFAULT_SAMPLES, _norms, bernoulli_exact_norms, check_samples, enumerable, mc_mean,
-                      proxy_norms, signed_row_sums)
+                      proxy_norms, sign_mean)
 from .reports import ComparisonReport, safe_ratio
 from .suprema import EstimateMethod, SupEstimate, estimate_ratio, expected_sup
 
@@ -92,20 +92,22 @@ def save_vector_system(system: VectorSystem, path: str | Path) -> None:
     write_points_file(path, SYSTEM_FORMAT, system.name, system.matrix, norm=system.norm.value)
 
 
-def load_vector_system(path: str | Path, set_norm: NormKind | None = None) -> VectorSystem:
-    """Read a vector-system file or, given ``set_norm``, also a finite-set file.
+def load_vector_system(path: str | Path, norm: NormKind | None = None) -> VectorSystem:
+    """Read a vector-system file or, given ``norm``, also a finite-set file, which takes ``norm``.
 
-    A set file carries no ambient norm, so ``set_norm`` fills it in; a
-    vector-system file keeps its own tag.
+    A vector-system file's tag is its norm; a given ``norm`` must equal it,
+    or a :class:`ParameterError` names the file, the tag and ``norm``.
     """
-    formats = (SYSTEM_FORMAT,) if set_norm is None else (SYSTEM_FORMAT, SET_FORMAT)
+    formats = (SYSTEM_FORMAT,) if norm is None else (SYSTEM_FORMAT, SET_FORMAT)
     doc, name, matrix = read_points_file(path, formats)
-    norm = set_norm
     if doc["format"] == SYSTEM_FORMAT:
         try:
-            norm = NormKind(doc.get("norm"))
+            tag = NormKind(doc.get("norm"))
         except ValueError:
             raise ParseError(f"{path}: unknown norm {doc.get('norm')!r}") from None
+        if norm not in (None, tag):
+            raise ParameterError(f"{path}: vector system tagged {tag.value}, but the {norm.value} norm was requested")
+        norm = tag
     return VectorSystem(name=name, vectors=matrix, norm=norm)
 
 
@@ -286,14 +288,12 @@ def _exact_strong_moment(system: VectorSystem) -> SupEstimate:
 
     Each cache-sized piece of sign sums is reduced to norms as soon as it
     is built, row-major (numpy sums a row of squares pairwise only when it
-    is contiguous), and the norms are summed a block at a time.  A total
-    that overflows float64 fails after the enumeration.
+    is contiguous), and averaged by :func:`~procsup.moments.sign_mean`.  A
+    total that overflows float64 fails after the enumeration.
     """
-    norms = signed_row_sums(system.matrix, _euclidean_norms, row_major=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = sum(float(v.sum()) for v in norms)
-    _check_sign_sum_norms(system, total)
-    return SupEstimate(total / (1 << (system.terms - 1)), 0.0, EstimateMethod.EXACT)
+    mean = sign_mean(system.matrix, _euclidean_norms, row_major=True)
+    _check_sign_sum_norms(system, mean)
+    return SupEstimate(mean, 0.0, EstimateMethod.EXACT)
 
 
 def _check_sign_sum_norms(system: VectorSystem, value: float, where: str = "") -> None:

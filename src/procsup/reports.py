@@ -48,16 +48,16 @@ from .core import CONTENT_HASH_RULE, EXACT_ENUMERATION_MAX_DIM, FIT_CAP
 SCHEMA = "procsup-report"
 SCHEMA_VERSION = 1
 
-#: Constants that shape numeric results; echoed into every report.
+#: Constants that shape numeric results; echoed into every report, in sorted key order.
 DESIGN_DECISIONS = {
-    "trim_budget_rule": "floor(C*p)",
+    "content_hash": CONTENT_HASH_RULE,
     "exact_enumeration_max_dim": EXACT_ENUMERATION_MAX_DIM,
     "fit_min_c_cap": FIT_CAP,
+    "gaussian_draws": "inverse-cdf on 53-bit uniforms",
     "greedy_tie_break": "lowest-point-index",
     "partition_depth_rule": "least n with 2^(2^n) >= |F|",
     "random_streams": "philox keyed by (seed, purpose-label, content-hash)",
-    "gaussian_draws": "inverse-cdf on 53-bit uniforms",
-    "content_hash": CONTENT_HASH_RULE,
+    "trim_budget_rule": "floor(C*p)",
 }
 
 
@@ -380,7 +380,7 @@ def build_report(
 
 def _flatten(prefix: str, value, row: Callable[[tuple[str, Any]], Any]) -> None:
     if isinstance(value, dict):
-        for k in sorted(value) if prefix.startswith("design_decisions") else value:
+        for k in value:
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], row)
     elif isinstance(value, TreeLevel):  # the rows of its list of blocks
         for b, (members, rep) in enumerate(value.blocks()):

@@ -5,13 +5,13 @@ by enumerating all 2^d sign patterns) or by seeded Monte Carlo for either
 process kind.  Both routes return a :class:`SupEstimate`, the record that
 strong moments share; :func:`estimate_ratio` reports two side by side.
 The enumeration is capped at dim 20 and at 2^32 sign sums ``|T| * 2^(d-1)``
-(:class:`CapacityError`).  It hands :func:`~procsup.moments.signed_row_sums`
+(:class:`CapacityError`).  It hands :func:`~procsup.moments.sign_mean`
 Monte Carlo's half-span ``max/2 - min/2`` as the per-pattern statistic, so
 each cache-sized piece of sign sums is reduced as soon as it is built,
 along its long axis: when a block holds many sign patterns per point, as
 elementwise maxima and minima across contiguous pattern vectors, and
-otherwise row by row.  Either way every pattern's half-span and every
-block's sum of them is the same, so the value keeps its bits.
+otherwise row by row.  Either way every pattern's half-span, every block's
+sum of them and their total are the same, so the value keeps its bits.
 
 Monte Carlo is antithetic: each draw ``xi`` also stands for ``-xi``, so a
 draw's sample is the half-span ``(max_t <xi, t> - min_t <xi, t>) / 2``.
@@ -42,7 +42,7 @@ from scipy.special import poch
 from . import rng
 from .core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, ProcessKind, Seed
 from .errors import CapacityError, ParameterError, ValidationError
-from .moments import EXACT_SUP_MAX_SUMS, _norms, check_samples, enumerable, mc_mean, signed_row_sums
+from .moments import EXACT_SUP_MAX_SUMS, _norms, check_samples, enumerable, mc_mean, sign_mean
 from .reports import ComparisonReport, safe_ratio
 
 
@@ -74,10 +74,11 @@ def brute_force_bernoulli_sup(ts: FiniteSet) -> SupEstimate:
     sums by :func:`~procsup.moments.enumerable`; past either cap one
     :class:`CapacityError` naming both is raised before any work.  Only the
     patterns with ``eps_0 = +1`` are enumerated: each also stands for its
-    negation, so the pair's mean is :func:`_half_span`.  Half-spans are
-    summed from cache-sized pieces of sign sums, so memory stays flat.  A
-    point whose l1 norm overflows float64 fails before the enumeration, and
-    an overflowing total after it, each with a :class:`ParameterError`.
+    negation, so the pair's mean is :func:`_half_span`, averaged by
+    :func:`~procsup.moments.sign_mean` from cache-sized pieces of sign sums,
+    so memory stays flat.  A point whose l1 norm overflows float64 fails
+    before the enumeration, and an overflowing total after it, each with a
+    :class:`ParameterError`.
     """
     d = ts.dim
     if not enumerable(d, len(ts)):
@@ -86,12 +87,11 @@ def brute_force_bernoulli_sup(ts: FiniteSet) -> SupEstimate:
             f"2^{EXACT_SUP_MAX_SUMS.bit_length() - 1} sign sums, got {len(ts)}*2^{d - 1}"
         )
     scales = _norms(ts.matrix, 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = sum(float(v.sum()) for v in signed_row_sums(ts.matrix.T, _half_span))
-    if not math.isfinite(total):
+    mean = sign_mean(ts.matrix.T, _half_span)
+    if not math.isfinite(mean):
         k = int(scales.argmax())
         raise ParameterError(f"the l1 norm of row {k} overflows float64 summed over 2^{d - 1} sign patterns")
-    return SupEstimate(total / (1 << (d - 1)), 0.0, EstimateMethod.EXACT)
+    return SupEstimate(mean, 0.0, EstimateMethod.EXACT)
 
 
 def chi_mean(d: int) -> float:

@@ -11,6 +11,7 @@ from json_reference import report_csv, report_json
 from procsup import cli, reports
 from procsup.chaining import tree_from_dict
 from procsup.core import FiniteSet, SetKind, load_set, save_set
+from procsup.oleszkiewicz import NormKind, VectorSystem, save_vector_system
 
 
 def _run(argv):
@@ -268,6 +269,36 @@ def test_oleszkiewicz_rejects_coerced_set_files(tmp_path, capsys):
                  "--out", str(tmp_path / "o.json")]) == 2
     assert "point 0" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
+
+
+def _euclidean_systems(tmp_path):
+    paths = tmp_path / "x.sys", tmp_path / "y.sys"
+    for path, seed in zip(paths, (1, 2)):
+        vectors = load_set(_gen(tmp_path, f"{path.stem}.set", dim=4, count=6, seed=seed)).matrix
+        save_vector_system(VectorSystem(path.stem, vectors, NormKind.EUCLIDEAN), path)
+    return [str(path) for path in paths]
+
+
+def test_oleszkiewicz_refuses_a_system_tagged_with_another_norm(tmp_path, capsys):
+    x, y = _euclidean_systems(tmp_path)
+    out = tmp_path / "o.json"
+    assert _run(["oleszkiewicz", "--x", x, "--y", y, "--norm", "sup", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {x}: vector system tagged euclidean, but the sup norm was requested\n"
+    assert not out.exists()
+
+
+def test_oleszkiewicz_reports_the_norm_it_computed(tmp_path):
+    x, y = _euclidean_systems(tmp_path)
+    doc = _report(tmp_path, ["oleszkiewicz", "--x", x, "--y", y, "--norm", "euclidean", "--extra-functionals", "2"])
+    assert doc["config"]["norm"] == doc["results"]["norm"] == "euclidean"
+
+
+def test_decompose_has_no_process_kind(tmp_path, capsys):
+    out = tmp_path / "d.json"
+    assert _run(["decompose", "--set", str(_gen(tmp_path)), "--kind", "gaussian", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --kind gaussian" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -567,7 +598,7 @@ _CONFIG_KEYS = [
     (["verify-t2", "--set", "{s}", "--samples", "500"], ["kind", "exact", "samples", "seed", "format"]),
     (["contract", "--source", "{s}", "--map", "scale", "--map-params", "0.5", "--samples", "500"],
      ["map", "p_max", "check_at", "samples", "seed", "format"]),
-    (["decompose", "--set", "{s}", "--samples", "500"], ["kind", "samples", "seed", "per_point", "k", "format"]),
+    (["decompose", "--set", "{s}", "--samples", "500"], ["samples", "seed", "per_point", "k", "format"]),
     (["oleszkiewicz", "--x", "{s}", "--y", "{s}", "--extra-functionals", "2", "--samples", "500"],
      ["norm", "extra_functionals", "p_max", "samples", "seed", "format"]),
     (["suite", "--only", "2", "2"], ["seed", "only", "format"]),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from decomposition_reference import reference_objective, reference_refine_per_point
 from procsup import decomposition
 from procsup.chaining import build_partition_greedy, chain_bound
-from procsup.core import FiniteSet, ProcessKind, Seed, generate_set
+from procsup.core import FiniteSet, Seed, generate_set
 from procsup.decomposition import (
     SplitRule,
     _refine_per_point,
@@ -101,8 +101,8 @@ def test_choose_p_edges():
     assert choose_p(5.0, 1.0, 1.0) == 1
 
 
-@pytest.mark.parametrize("tail, k", [(math.nan, 1.0), (-1.0, 1.0), (1.0, math.nan), (1.0, math.inf),
-                                     (1.0, -math.inf), (1.0, -0.5)])
+@pytest.mark.parametrize("tail, k", [(math.nan, 1.0), (-1.0, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                     (1.0, math.inf), (1.0, -math.inf), (1.0, -0.5)])
 def test_choose_p_rejects_nan_norms_and_bad_constants(tail, k):
     with pytest.raises(ParameterError):
         choose_p(tail, k, 2.0)
@@ -133,26 +133,15 @@ def test_decompose_rejects_bad_samples_before_the_sweep(monkeypatch, samples):
 def test_choose_p_is_minimal(tail, target):
     p = choose_p(tail, 1.0, target)
     assert p != math.inf
-    assert math.sqrt(p) * tail >= target
+    assert p * Fraction(tail) ** 2 >= Fraction(target) ** 2
     if p > 1:
-        assert math.sqrt(p - 1) * tail < target
+        assert (p - 1) * Fraction(tail) ** 2 < Fraction(target) ** 2
 
 
 def _least_p_exactly(tail, k, sup):
     """The least integer p >= 1 with p * tail**2 >= (k * sup)**2, in rationals."""
     ratio = (Fraction(k) * Fraction(sup) / Fraction(tail)) ** 2
     return max(1, -(-ratio.numerator // ratio.denominator))
-
-
-def _float_loop_choose_p(tail, k, sup):
-    """The float-only walk choose_p used before it had an exact branch (it ends below 2**53)."""
-    target = k * sup
-    p = max(1, math.ceil((target / tail) ** 2))
-    while p > 1 and math.sqrt(p - 1) * tail >= target:
-        p -= 1
-    while math.sqrt(p) * tail < target:
-        p += 1
-    return p
 
 
 @pytest.mark.parametrize("k, want", [(1e8, 10**16), (1e17, 10**34), (1e200, int(Fraction(1e200)) ** 2)])
@@ -164,21 +153,10 @@ def test_choose_p_is_exact_above_two_to_the_53(k, want):
 
 @given(st.floats(min_value=1e-300, max_value=1e300), st.floats(min_value=0.0, max_value=1e300),
        st.floats(min_value=1e-300, max_value=1e300))
-@example(1.0, math.sqrt(2**53 - 1), 1.0)  # the largest k the float test answers (p = 2**53 - 3)
+@example(1.0, math.sqrt(2**53 - 1), 1.0)  # just below 2**53 (p = 2**53 - 3)
 @example(1.0, math.nextafter(math.sqrt(2**53 - 1), math.inf), 1.0)  # the next float: p = 2**53 + 2
 def test_choose_p_matches_the_exact_least_order(tail, k, sup):
-    p, want = choose_p(tail, k, sup), _least_p_exactly(tail, k, sup)
-    if p >= 2**53:
-        assert p == max(2**53, want)
-    else:  # the float predicate decides, as it always did; it is off by rounding only
-        assert math.sqrt(p) * tail >= k * sup
-        assert p == 1 or math.sqrt(p - 1) * tail < k * sup
-        assert abs(p - want) <= 1 + want * 2**-48
-
-
-@given(st.floats(min_value=1e-30, max_value=1e30), st.floats(min_value=0.0, max_value=9.4e7))
-def test_choose_p_keeps_the_float_walk_below_two_to_the_53(tail, ratio):
-    assert choose_p(tail, 1.0, ratio * tail) == _float_loop_choose_p(tail, 1.0, ratio * tail)
+    assert choose_p(tail, k, sup) == _least_p_exactly(tail, k, sup)
 
 
 def test_sweep_contains_zero_and_is_optimal_on_grid():
@@ -217,13 +195,6 @@ def test_per_point_never_worse_than_global():
     global_r = decompose_by_sweep(ts, samples=2000, seed=Seed(2))
     per_point = decompose_by_sweep(ts, samples=2000, seed=Seed(2), per_point=True)
     assert per_point.objective <= global_r.objective * (1 + 1e-12)
-
-
-def test_decompose_gaussian_route_uses_mc():
-    ts = _blocks_set(4)
-    result = decompose_by_sweep(ts, ProcessKind.GAUSSIAN, samples=3000, seed=Seed(5))
-    assert result.s_b_reference.method.value == "monte-carlo"
-    assert result.s_b_reference.samples == 3000
 
 
 def test_decompose_records_choose_p():

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from procsup import cli, moments, oleszkiewicz, rng
+from procsup import cli, moments, oleszkiewicz, rng, suprema
 from procsup.core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, ProcessKind, Seed, generate_set, save_set
 from procsup.errors import CapacityError, ParameterError
 from procsup.moments import _POINT_MAJOR_PATTERNS, EXACT_SUP_MAX_SUMS, bernoulli_exact_norms, signed_row_sums
@@ -252,6 +252,28 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
+def _neumaier_sum(values, start=0):
+    """The builtin ``sum`` of Python 3.12 on, for floats: Neumaier-compensated."""
+    total, compensation = float(start), 0.0
+    for x in values:
+        x = float(x)
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation
+
+
+def test_exact_sign_averages_keep_their_bits_under_a_compensated_sum(monkeypatch):
+    # Python 3.12's sum compensates float sums; the block totals of every exact
+    # sign average are added in a plain left-to-right loop on every Python version
+    for module in (suprema, oleszkiewicz):
+        monkeypatch.setattr(module, "sum", _neumaier_sum, raising=False)
+    sphere = generate_set("random_sphere", 20, 64, Seed(6))  # the sup-exact-sphere-64-d20 golden's set
+    assert brute_force_bernoulli_sup(sphere).value == 2.234966422156104  # a compensated total gives ...043
+    terms = generate_set("random_sphere", 9, 20, Seed(11)).matrix  # the oleszkiewicz-euclidean-d9 golden's x
+    assert _exact_strong_moment(VectorSystem("x", terms, NormKind.EUCLIDEAN)).value == 4.3549957628468885
+
+
 def test_enumerations_stay_within_a_few_mib():
     # A whole 8 MiB block of sums was 16.65 MiB (supremum) and 17.34 MiB (strong moment) traced.
     ts = generate_set("random_sphere", 20, 64, Seed(1))
@@ -273,7 +295,7 @@ def test_euclidean_norms_of_every_block_keep_the_reference_bits(monkeypatch, dim
             blocks.append(block)
             yield block
 
-    monkeypatch.setattr(oleszkiewicz, "signed_row_sums", recording)
+    monkeypatch.setattr(moments, "signed_row_sums", recording)
     system = VectorSystem("wide", _matrix(dim, (14, dim), "generic"), NormKind.EUCLIDEAN)
     _exact_strong_moment(system)
     # 14 terms give many patterns per column, yet every piece is C-ordered
@@ -299,7 +321,7 @@ _HUGE = FiniteSet(name="huge", points=np.array([[1.0, 0.0], [1e308, 1e308]]))
 
 @pytest.mark.filterwarnings("error")
 def test_an_overflowing_point_fails_before_the_enumeration(monkeypatch):
-    monkeypatch.setattr("procsup.suprema.signed_row_sums", None)  # never reached
+    monkeypatch.setattr("procsup.suprema.sign_mean", None)  # never reached
     with pytest.raises(ParameterError, match="^the l1 norm of row 1 overflows float64$"):
         brute_force_bernoulli_sup(_HUGE)
 
@@ -432,7 +454,7 @@ def test_sup_on_an_overflowing_point_exits_2_without_a_report(tmp_path, capsys, 
 
 
 def test_exact_suprema_stop_at_2_32_sign_sums_before_enumerating(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr("procsup.suprema.signed_row_sums", None)  # reached only within the limit
+    monkeypatch.setattr("procsup.suprema.sign_mean", None)  # reached only within the limit
     rows = np.random.default_rng(5).standard_normal((8193, 20))
     assert EXACT_SUP_MAX_SUMS == 8192 << 19
     with pytest.raises(TypeError):  # 8 192 points at d=20: exactly the limit, so it enumerates
@@ -456,7 +478,7 @@ def test_exact_suprema_stop_at_2_32_sign_sums_before_enumerating(monkeypatch, tm
     (NormKind.EUCLIDEAN, 8192, "oleszkiewicz"),  # 20 terms at dim 8 192: exactly the limit
 ])
 def test_strong_moments_stop_at_2_32_sign_sums_before_enumerating(monkeypatch, norm, at, module):
-    monkeypatch.setattr(f"procsup.{module}.signed_row_sums", None)  # reached only within the limit
+    monkeypatch.setattr(f"procsup.{module}.sign_mean", None)  # reached only within the limit
     vectors = np.random.default_rng(6).standard_normal((20, at + 1))
     with pytest.raises(TypeError):  # at the limit, so it enumerates
         strong_moment_ratio(*[VectorSystem("at", vectors[:, :-1], norm)] * 2, samples=2000)

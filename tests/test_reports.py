@@ -56,6 +56,10 @@ def test_build_report_shape_and_stability():
     assert dumps(doc) == dumps(build_report("demo", {"seed": 1}, {"set": "abc"}, {"x": 1.0}))
 
 
+def test_design_decisions_are_declared_in_sorted_key_order():
+    assert list(DESIGN_DECISIONS) == sorted(DESIGN_DECISIONS)  # so a CSV report lists them sorted, as JSON does
+
+
 def test_design_decisions_echo_the_fit_cap():
     # the very object the contraction fit caps at, not a second literal
     assert DESIGN_DECISIONS["fit_min_c_cap"] is contraction.FIT_CAP
