@@ -86,12 +86,14 @@ def choose_p(tail_norm: float, k_constant: float, sup_reference: float):
     Decided exactly at every size, as ``p * tail_norm**2 >= (k *
     sup_reference)**2`` in rationals.  Returns ``math.inf`` when the tail
     vanishes but the target is positive (no finite moment order can reach
-    it).  A negative or non-finite tail norm or ``k`` raises
-    :class:`ParameterError`.
+    it).  A negative or non-finite tail norm or ``k``, or a non-finite
+    reference, raises :class:`ParameterError`.
     """
     if not 0.0 <= tail_norm < math.inf:  # NaN fails too
         raise ParameterError(f"tail norm must be finite and nonnegative, got {tail_norm}")
     _check_k(k_constant)
+    if not math.isfinite(sup_reference):
+        raise ParameterError(f"the supremum reference must be finite, got {sup_reference}")
     target = Fraction(k_constant) * Fraction(sup_reference)
     if target <= 0:
         return 1

@@ -197,7 +197,8 @@ def enumerable(k: int, n: int) -> bool:
 
 
 def signed_row_sums(
-    m: np.ndarray, statistic: Callable[[np.ndarray], np.ndarray], row_major: bool = False
+    m: np.ndarray, statistic: Callable[[np.ndarray], np.ndarray], row_major: bool = False,
+    block_columns: int | None = None,
 ) -> Iterator[np.ndarray]:
     """Yield ``statistic`` of ``sum_i eps_i m_i`` for every sign pattern with ``eps_0 = +1``, a block at a time.
 
@@ -233,9 +234,13 @@ def signed_row_sums(
     order it visits a row (numpy sums 8 or more columns of a contiguous row
     pairwise, and across rows in sequence) passes ``row_major=True`` to keep
     every piece C-ordered.
+
+    ``block_columns`` sizes the blocks as if ``m`` had that many columns, so
+    a caller that enumerates part of a matrix's columns keeps the whole
+    matrix's block partition, and with it every block's values and total.
     """
     k, n = m.shape
-    rows = max(1, _BLOCK_BYTES // (8 * n))
+    rows = max(1, _BLOCK_BYTES // (8 * (block_columns or n)))
     low_rows = min(k // 2 + 1, rows.bit_length())
     low = _doubled(m[:1], m[1:low_rows])
     width = len(low)
@@ -270,18 +275,21 @@ def signed_row_sums(
         yield values
 
 
-def sign_mean(m: np.ndarray, statistic: Callable[[np.ndarray], np.ndarray], row_major: bool = False) -> float:
+def sign_mean(
+    m: np.ndarray, statistic: Callable[[np.ndarray], np.ndarray], row_major: bool = False,
+    block_columns: int | None = None,
+) -> float:
     """Exact mean of ``statistic(sum_i eps_i m_i)`` over the sign patterns with ``eps_0 = +1``.
 
     The counterpart of :func:`mc_mean`.  Each :func:`signed_row_sums` block
     is summed by numpy and the block totals are added left to right in a
     plain float64 loop, not by the builtin ``sum``, which compensates float
     sums from Python 3.12 on.  On overflow the mean is inf or NaN, for the
-    caller to report.
+    caller to report.  ``row_major`` and ``block_columns`` are passed on.
     """
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for values in signed_row_sums(m, statistic, row_major=row_major):
+        for values in signed_row_sums(m, statistic, row_major=row_major, block_columns=block_columns):
             total += float(values.sum())
     return total / (1 << (m.shape[0] - 1))
 
@@ -504,6 +512,7 @@ def mc_mean(
     samples: int,
     statistic: Callable[[np.ndarray], np.ndarray],
     radius: float | None = None,
+    of_draws: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of ``statistic(xi @ m)`` over ``samples`` draws of ``xi``.
 
@@ -514,7 +523,9 @@ def mc_mean(
     stay within ``_BLOCK_BYTES`` (for a vector ``m``, the draws alone); the
     draws are freed before the statistic runs, and each chunk is freed
     before the next is drawn.  Given a ``radius``, each draw is rescaled to
-    that l2 length before the product.
+    that l2 length before the product.  With ``of_draws`` the statistic is
+    handed the chunk's ``(k, d)`` draws themselves and forms what products
+    it needs; the chunks, the stream and the merge stay the same.
     The statistic maps a chunk of ``k`` draws to a fresh array of ``k``
     values, which this function then overwrites, or to a ``(k, c)`` block
     for ``c`` statistics of the same draws; the result has shape ``()`` or
@@ -534,10 +545,10 @@ def mc_mean(
         xs = _draw(kind, gen, (k, m.shape[0]))
         if radius is not None:
             xs *= (radius / np.sqrt(np.vecdot(xs, xs)))[:, None]
-        products = xs @ m
+        if not of_draws:
+            xs = xs @ m  # the products; the draws are freed before the statistic runs
+        block = statistic(xs)
         del xs
-        block = statistic(products)
-        del products
         shape, columns = block.shape[1:], block.reshape(k, -1)
         if shift is None:
             shift, mean, m2 = (np.zeros((columns.shape[1], 1)) for _ in range(3))

@@ -108,6 +108,13 @@ def test_choose_p_rejects_nan_norms_and_bad_constants(tail, k):
         choose_p(tail, k, 2.0)
 
 
+@pytest.mark.parametrize("reference", [math.inf, -math.inf, math.nan])
+def test_choose_p_rejects_a_non_finite_reference(reference):
+    # Fraction would raise OverflowError (inf) or ValueError (NaN) instead
+    with pytest.raises(ParameterError, match="^the supremum reference must be finite, got"):
+        choose_p(1.0, 1.0, reference)
+
+
 @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, -1.0])
 def test_decompose_rejects_a_bad_k_before_the_sweep(monkeypatch, k):
     def no_sweep(ts):

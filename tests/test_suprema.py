@@ -3,17 +3,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from procsup import moments, rng
+from procsup import moments, rng, suprema
 from procsup.core import EXACT_ENUMERATION_MAX_DIM, FiniteSet, ProcessKind, Seed, generate_set
 from procsup.errors import CapacityError, ParameterError, ValidationError
-from procsup.moments import bernoulli_exact_norms
+from procsup.moments import bernoulli_exact_norms, sign_mean
 from procsup.suprema import (
+    SCREEN_MIN_POINTS,
     EstimateMethod,
     SupEstimate,
     _half_span,
+    _ScreenedHalfSpan,
+    _symmetric_half,
     brute_force_bernoulli_sup,
     chi_mean,
     expected_sup,
@@ -251,3 +254,162 @@ def test_the_half_span_of_values_that_fit_float64_stays_finite():
     # +-1e308 fails before the draws, as every set with an overflowing l2 norm does.
     with pytest.raises(ParameterError, match="^the l2 norm of row 0 overflows float64$"):
         mc_sup(ProcessKind.BERNOULLI, FiniteSet(name="huge", points=[[1e308], [-1e308]]), 100, Seed(1))
+
+
+# --- symmetric sets: half the points enumerated, the same bits ---
+
+
+@st.composite
+def _symmetric_sets(draw):
+    """``{+-v}`` for a few rows ``v`` at d <= 10, sometimes with the origin; at d = 1 too."""
+    dim = draw(st.integers(1, 10))
+    v = np.array(draw(st.lists(st.lists(coords, min_size=dim, max_size=dim), min_size=1, max_size=6)))
+    m = np.vstack([v, -v, np.zeros((draw(st.integers(0, 1)), dim))])
+    m = m[np.sort(np.unique(m + 0.0, axis=0, return_index=True)[1])]
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(len(m))
+    return FiniteSet(name="sym", points=m[order])
+
+
+@given(_symmetric_sets())
+@example(FiniteSet(name="d1", points=[[1.5], [0.0], [-1.5]]))
+@example(FiniteSet(name="origin", points=[[0.0, 1.0, -2.0], [0.0, 0.0, 0.0], [0.0, -1.0, 2.0], [-3.0, 0.5, 0.0], [3.0, -0.5, 0.0]]))
+def test_a_symmetric_exact_supremum_keeps_the_full_enumerations_bits(ts):
+    half = _symmetric_half(ts.matrix)
+    assert (half is None) == (len(ts) < 3)  # {+-v} alone, or the origin, is enumerated whole
+    if half is not None:
+        lead = ts.matrix[half][np.arange(len(half)), (ts.matrix[half] != 0.0).argmax(axis=1)]
+        assert (lead >= 0.0).all() and len(half) == (len(ts) + 1) // 2
+    assert brute_force_bernoulli_sup(ts).value == sign_mean(ts.matrix.T, _half_span)
+
+
+def test_a_symmetric_set_enumerates_half_its_points_in_the_whole_sets_blocks(monkeypatch):
+    v = generate_set("random_sphere", 12, 5, Seed(3)).matrix
+    ts = FiniteSet(name="sym", points=np.vstack([v, np.zeros((1, 12)), -v]))
+    calls = []
+
+    def spy(m, statistic, row_major=False, block_columns=None):
+        calls.append((m.shape, block_columns))
+        return sign_mean(m, statistic, row_major, block_columns)
+
+    monkeypatch.setattr(suprema, "sign_mean", spy)
+    # 64 patterns per block of the 11 points: 32 blocks, whose totals the half must keep
+    monkeypatch.setattr(moments, "_BLOCK_BYTES", 8 * 11 * 64)
+    assert brute_force_bernoulli_sup(ts).value == sign_mean(ts.matrix.T, _half_span)
+    assert calls == [((12, 6), 11)]
+    # not symmetric: a point without its negation, or a lone nonzero point
+    assert _symmetric_half(np.vstack([v, -v[:4]])) is None
+    assert _symmetric_half(v[:1]) is None
+    # a half of one point would multiply one column by gemv, so {+-v} is enumerated whole
+    assert _symmetric_half(np.vstack([v[:1], -v[:1]])) is None
+    assert _symmetric_half(np.vstack([v[:1], np.zeros((1, 12)), -v[:1]])).tolist() == [0, 1]
+
+
+# --- the screened Monte Carlo route: float32 candidates, float64 values ---
+
+
+@st.composite
+def _screening_cases(draw):
+    kind = draw(st.sampled_from(list(ProcessKind)))
+    dim, count, draws = draw(st.integers(1, 12)), draw(st.integers(1, 24)), draw(st.integers(1, 16))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["normal", "scaled", "near-tie", "wide-range", "integer"]))
+    t = gen.standard_normal((count, dim))
+    if shape == "scaled":
+        t *= 10.0 ** gen.uniform(-150, 150)
+    elif shape == "near-tie":
+        # each row beside itself one ulp up: equal in float32, so the screen cannot tell them apart
+        t = np.vstack([t, np.nextafter(t, np.inf)])
+    elif shape == "wide-range":
+        t[:, 0] = gen.choice([-1.3e154, 1.3e154, 1.0], size=count)
+        t[:, -1] *= 1e-300
+    elif shape == "integer":
+        t = gen.integers(-2, 3, size=(count, dim)).astype(np.float64)
+    xs = moments._draw(kind, gen, (draws, dim))
+    if kind is ProcessKind.GAUSSIAN:
+        xs *= chi_mean(dim) / np.sqrt(np.vecdot(xs, xs))[:, None]
+    return shape, t, xs
+
+
+@given(_screening_cases())
+@example(("wide-range", np.array([[1.3e154, 0.5, 1e-300], [-1.3e154, -0.5, -1e-300], [1.0, 2.0, 3e-300]]),
+          np.array([[1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]])))
+@example(("near-tie", np.array([[0.7], [np.nextafter(0.7, 1.0)]]), np.array([[1.0], [-1.0], [0.25]])))
+def test_screened_extremes_are_the_float64_formulas_extremes_over_every_point(case):
+    shape, t, xs = case
+    values = (xs[:, None, :] * t[None, :, :]).sum(axis=-1)
+    top, bottom = _ScreenedHalfSpan(t).extremes(xs)
+    assert np.array_equal(top, values.max(axis=1)) and np.array_equal(bottom, values.min(axis=1))
+    if shape == "near-tie":
+        assert np.array_equal(t.astype(np.float32)[: len(t) // 2], t.astype(np.float32)[len(t) // 2 :])
+
+
+def test_screening_finds_the_maximum_where_float32_misorders_the_points():
+    # <x, t_0> = 1 + 14 u/16 > <x, t_1> = 1 + 9 u/16 (u = 2^-23, x = (1, 1)), yet t_0's
+    # first coordinate rounds down to 1 in float32 and t_1's up to 1 + u: the float32
+    # product ranks t_1 first, by less than the slack, so both must be evaluated.
+    u = 2.0**-23
+    t = np.array([[1.0 + 7 * u / 16, 7 * u / 16], [1.0 + 9 * u / 16, 0.0]])
+    xs = np.ones((1, 2))
+    assert (xs.astype(np.float32) @ t.astype(np.float32).T).argmax() == 1 and (xs @ t.T).argmax() == 0
+    top, bottom = _ScreenedHalfSpan(t).extremes(xs)
+    assert (top[0], bottom[0]) == (1.0 + 14 * u / 16, 1.0 + 9 * u / 16)
+
+
+@pytest.mark.parametrize("kind", list(ProcessKind))
+def test_screened_half_span_of_one_point_in_one_dimension_is_zero(kind):
+    xs = moments._draw(kind, rng.stream(1, "one"), (9, 1))
+    screened = _ScreenedHalfSpan(np.array([[-2.5]]))
+    assert np.array_equal(screened.extremes(xs)[0], xs[:, 0] * -2.5)
+    assert (screened(xs) == 0.0).all()
+
+
+def test_screened_route_of_an_all_tying_set_stays_exact_within_the_block_budget(monkeypatch):
+    # Every row ties in float64 (the 1e-30 parts vanish against 1), so every draw
+    # evaluates every row; a small budget splits them into groups and pieces.
+    monkeypatch.setattr(suprema, "_BLOCK_BYTES", 32 * 40 * 7)
+    gen = np.random.default_rng(3)
+    t = np.zeros((60, 40))
+    t[:, 0] = 1.0
+    t[:, 1:8] = gen.integers(0, 2, size=(60, 7)) * 1e-30
+    xs = moments._draw(ProcessKind.BERNOULLI, gen, (13, 40))
+    values = (xs[:, None, :] * t[None, :, :]).sum(axis=-1)
+    top, bottom = _ScreenedHalfSpan(t).extremes(xs)
+    assert np.array_equal(top, values.max(axis=1)) and np.array_equal(bottom, values.min(axis=1))
+
+
+@pytest.mark.parametrize("count", [SCREEN_MIN_POINTS - 1, SCREEN_MIN_POINTS])
+@pytest.mark.parametrize("kind", list(ProcessKind))
+def test_mc_sup_screens_from_the_gate_on(monkeypatch, kind, count):
+    ts = generate_set("random_sphere", 24, count, Seed(1))
+    routes = []
+    real = suprema.mc_mean
+
+    def spy(*args, **kwargs):
+        routes.append(kwargs["of_draws"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(suprema, "mc_mean", spy)
+    est = mc_sup(kind, ts, 301, Seed(8))
+    screened = count >= SCREEN_MIN_POINTS
+    assert routes == [screened]
+    # One chunk: the estimate is the mean half-span of its 151 draws, each draw's
+    # extremes from the float64 formula past the gate and from xs @ T^T below it.
+    gen = rng.content_stream(8, "mc-sup", ts.matrix, kind.value)
+    xs = moments._draw(kind, gen, (151, 24))
+    if kind is ProcessKind.GAUSSIAN:
+        xs *= chi_mean(24) / np.sqrt(np.vecdot(xs, xs))[:, None]
+    values = (xs[:, None, :] * ts.matrix[None, :, :]).sum(axis=-1) if screened else xs @ ts.matrix.T
+    spans = _half_span(values)
+    assert est.value == pytest.approx(spans.mean(), rel=1e-13)
+    assert est.stderr == pytest.approx(spans.std(ddof=1) / math.sqrt(151), rel=1e-10)
+
+
+def test_a_span_of_plus_minus_a_passes_the_screen_exactly():
+    # +-1.3e154 e_1 among a sphere's points at the gate: every draw's half-span is
+    # 1.3e154, while the sphere's float32 values underflow to 0 once scaled.
+    a = 1.3e154
+    sphere = generate_set("random_sphere", 24, SCREEN_MIN_POINTS - 2, Seed(4)).matrix
+    wide = np.zeros((2, 24))
+    wide[:, 0] = [a, -a]
+    est = mc_sup(ProcessKind.BERNOULLI, FiniteSet(name="wide", points=np.vstack([sphere, wide])), 100, Seed(1))
+    assert (est.value, est.stderr) == (a, 0.0)
